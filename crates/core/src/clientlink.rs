@@ -81,8 +81,16 @@ impl ClientLink {
         self.bcaster.is_completed_tag(tag)
     }
 
-    /// Transient-fault hook: scrambles anchors and broadcast state. The
-    /// anchors re-align on the next `SS_ACK` from each server.
+    /// True once every one of the `n` servers has `SS_ACK`ed the broadcast
+    /// identified by `tag` — the evidence that ends a synchronous round
+    /// before its timeout.
+    pub fn is_acked_by_all(&self, tag: SsTag) -> bool {
+        self.bcaster.is_acked_by_all(tag)
+    }
+
+    /// Transient-fault hook: scrambles the anchors, which re-align on the
+    /// next `SS_ACK` from each server. The broadcaster (tag counter and
+    /// in-flight ack set) is left as it is.
     pub fn corrupt(&mut self, rng: &mut DetRng) {
         for (_, tag) in self.anchor.iter_mut() {
             *tag = rng.next_u64();

@@ -11,6 +11,13 @@
 //! | identical `helping_val` to return   | `2t + 1`                | `t + 1`               |
 //! | identical `helping_val` so the writer skips `NEW_HELP_VAL` | `4t + 1` | `t + 1`     |
 //!
+//! "All `n`" is counted in the evidence the round's request produces. A
+//! synchronous `WRITE` round ends on `n` distinct `ACK_WRITE`s and a `READ`
+//! round on `n` distinct `ACK_READ`s, each anchored to the round's tag; a
+//! `NEW_HELP_VAL` round, which has no protocol acknowledgement, ends on `n`
+//! distinct `SS_ACK`s of its tag. The timeout ends any of them only while
+//! some server withholds that evidence.
+//!
 //! [`RegisterConfig`] bundles `n`, `t` and the mode; the `*_unchecked`
 //! constructors deliberately skip the resilience assertion so experiment E6
 //! can probe behaviour *beyond* the proven bounds.

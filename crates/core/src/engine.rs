@@ -11,15 +11,25 @@
 //!
 //! ## Round liveness
 //!
-//! Every round arms a timer. In synchronous mode it is the paper's
-//! "wait … or time-out" (Fig. 5): when it fires the round is evaluated with
-//! whatever acknowledgements arrived. In asynchronous mode it is a
-//! *retransmission* deadline: the round restarts with a fresh session tag.
-//! The paper needs no explicit retransmission at this layer because its
-//! ss-broadcast invocation terminates unconditionally (its data-link keeps
-//! retransmitting, footnote 3); re-broadcasting the round is the equivalent
-//! at session granularity and is what keeps operations live when transient
-//! faults hit in-flight state.
+//! Every round arms a timer.
+//!
+//! In synchronous mode it is the paper's "wait for all `n` … or time-out"
+//! (Fig. 5), and each round names the evidence that ends it before the
+//! clock does: the write and read rounds end on `n` distinct
+//! `ACK_WRITE`/`ACK_READ`s anchored to the round's tag; the help round,
+//! whose request has no protocol acknowledgement, ends on `n` distinct
+//! `SS_ACK`s of its tag. A server applies `NEW_HELP_VAL` before it sends
+//! that ack and a Byzantine server is one identity, so `n` acks contain
+//! every correct server's. When the timer fires first — which a silent
+//! server forces — the round is evaluated with whatever arrived.
+//!
+//! In asynchronous mode the timer is a *retransmission* deadline: the round
+//! restarts with a fresh session tag. The paper needs no explicit
+//! retransmission at this layer because its ss-broadcast invocation
+//! terminates unconditionally (its data-link keeps retransmitting,
+//! footnote 3); re-broadcasting the round is the equivalent at session
+//! granularity and is what keeps operations live when transient faults hit
+//! in-flight state.
 
 use crate::clientlink::ClientLink;
 use crate::config::{RegId, RegisterConfig};
@@ -209,7 +219,9 @@ impl<P: Payload> WriteEngine<P> {
                 timed_out,
             } => {
                 let ready = if self.cfg.is_sync() {
-                    timed_out
+                    // Every server acked, and a server acks after it
+                    // applied the value; else wait out the bound.
+                    timed_out || link.is_acked_by_all(tag)
                 } else if timed_out {
                     // Async retransmission of the helping broadcast.
                     let reg = self.reg;
@@ -573,5 +585,168 @@ impl<P: Payload> ReadEngine<P> {
 
     fn round_timer(&self) -> sbs_sim::SimDuration {
         self.cfg.timeout().unwrap_or(self.cfg.retry_after)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! How the `NEW_HELP_VAL` round ends, per mode. (The quorum arithmetic
+    //! of the other rounds is pinned in `tests/engine_unit.rs`.)
+
+    use super::*;
+    use sbs_sim::{Effects, SimDuration, SimTime};
+
+    const READER: ProcessId = ProcessId(1);
+
+    /// A write engine driven up to its help round: every server answered
+    /// the write round with `helping = ⊥`, so line 03 fails.
+    struct HelpRig {
+        eng: WriteEngine<u64>,
+        link: ClientLink,
+        srv: Vec<ProcessId>,
+        rng: DetRng,
+        next_timer: u64,
+        help_tag: SsTag,
+        help_timer: TimerId,
+    }
+
+    impl HelpRig {
+        fn new(cfg: RegisterConfig) -> Self {
+            let srv: Vec<ProcessId> = (10..10 + cfg.n as u32).map(ProcessId).collect();
+            let mut rig = HelpRig {
+                eng: WriteEngine::new(RegId(0), cfg, vec![READER]),
+                link: ClientLink::new(srv.clone(), cfg.t),
+                srv,
+                rng: DetRng::from_seed(1),
+                next_timer: 0,
+                help_tag: 0,
+                help_timer: TimerId(0),
+            };
+            let ((), eff) = rig.step(|eng, link, ctx| eng.start(42, link, ctx));
+            let write_tag = round_tag(&eff);
+            for s in rig.srv.clone() {
+                rig.link.on_ss_ack(s, write_tag);
+                let anchored = rig.link.anchored_tag(s);
+                rig.eng
+                    .on_ack_write(s, RegId(0), vec![(READER, None)], anchored);
+            }
+            let (done, eff) = rig.poll();
+            assert!(!done, "the help round runs first");
+            rig.help_tag = round_tag(&eff);
+            rig.help_timer = eff.timers_set()[0].0;
+            rig
+        }
+
+        fn step<R>(
+            &mut self,
+            f: impl FnOnce(
+                &mut WriteEngine<u64>,
+                &mut ClientLink,
+                &mut Context<'_, RegMsg<u64>, ()>,
+            ) -> R,
+        ) -> (R, Effects<RegMsg<u64>, ()>) {
+            let mut eff = Effects::new();
+            let mut ctx = Context::new(
+                SimTime::ZERO,
+                ProcessId(0),
+                &mut self.rng,
+                &mut self.next_timer,
+                &mut eff,
+            );
+            let r = f(&mut self.eng, &mut self.link, &mut ctx);
+            (r, eff)
+        }
+
+        fn poll(&mut self) -> (bool, Effects<RegMsg<u64>, ()>) {
+            self.step(|eng, link, ctx| eng.poll(link, ctx))
+        }
+
+        /// `SS_ACK(tag)` from each of `who`, then a poll.
+        fn ack_and_poll(&mut self, who: &[ProcessId], tag: SsTag) -> bool {
+            for &s in who {
+                self.link.on_ss_ack(s, tag);
+            }
+            self.poll().0
+        }
+    }
+
+    fn round_tag(eff: &Effects<RegMsg<u64>, ()>) -> SsTag {
+        match eff.sends()[0].1 {
+            RegMsg::Write { tag, .. } | RegMsg::NewHelpVal { tag, .. } => tag,
+            ref other => panic!("not a write-side broadcast: {other:?}"),
+        }
+    }
+
+    fn sync4() -> RegisterConfig {
+        RegisterConfig::synchronous(4, 1, SimDuration::millis(5))
+    }
+
+    #[test]
+    fn sync_help_round_completes_on_the_nth_distinct_ss_ack() {
+        let mut rig = HelpRig::new(sync4());
+        let (srv, tag, timer) = (rig.srv.clone(), rig.help_tag, rig.help_timer);
+        assert!(
+            !rig.ack_and_poll(&srv[..3], tag),
+            "n − 1 acks are not all n"
+        );
+        for &s in &srv[3..] {
+            rig.link.on_ss_ack(s, tag);
+        }
+        let (done, eff) = rig.poll();
+        assert!(done, "all n servers acked: no need to wait out the bound");
+        let (_, _, cancelled, _) = eff.into_parts();
+        assert_eq!(
+            cancelled,
+            vec![timer],
+            "the unfired round timer is cancelled"
+        );
+        assert!(rig.eng.is_idle());
+    }
+
+    #[test]
+    fn sync_help_round_with_n_minus_1_acks_waits_for_the_timer() {
+        let mut rig = HelpRig::new(sync4());
+        let (srv, tag, timer) = (rig.srv.clone(), rig.help_tag, rig.help_timer);
+        assert!(!rig.ack_and_poll(&srv[1..], tag));
+        rig.eng.on_timer(TimerId(timer.0 + 1000));
+        assert!(!rig.poll().0, "a stale timer id is not the round's timeout");
+        rig.eng.on_timer(timer);
+        assert!(
+            rig.poll().0,
+            "a silent server costs the timeout, not liveness"
+        );
+    }
+
+    #[test]
+    fn sync_help_round_is_not_completed_early_by_forged_or_scrambled_acks() {
+        let mut rig = HelpRig::new(sync4());
+        let (srv, tag) = (rig.srv.clone(), rig.help_tag);
+        assert!(!rig.ack_and_poll(&srv[..3], tag));
+        // What one Byzantine server (srv[0]) can send: the write round's
+        // stale tag, random tags, its own ack again — and an outsider's ack.
+        for forged in [tag.wrapping_sub(1), tag.wrapping_add(1), 0xDEAD_BEEF] {
+            assert!(!rig.ack_and_poll(&srv[..1], forged));
+        }
+        for _ in 0..3 {
+            assert!(!rig.ack_and_poll(&srv[..1], tag));
+        }
+        assert!(!rig.ack_and_poll(&[ProcessId(99)], tag));
+        // A transient fault on the link scrambles anchors, not evidence:
+        // the round still needs the one server that has not acked.
+        let mut fault = DetRng::from_seed(9);
+        rig.link.corrupt(&mut fault);
+        assert!(!rig.poll().0);
+        assert!(!rig.ack_and_poll(&srv[..3], tag));
+        assert!(rig.ack_and_poll(&srv[3..], tag));
+    }
+
+    #[test]
+    fn async_help_round_still_completes_at_link_completion() {
+        let mut rig = HelpRig::new(RegisterConfig::asynchronous(9, 1));
+        let (srv, tag) = (rig.srv.clone(), rig.help_tag);
+        assert!(!rig.ack_and_poll(&srv[..7], tag), "n − t − 1 acks");
+        assert!(!rig.link.is_complete(tag));
+        assert!(rig.ack_and_poll(&srv[7..8], tag), "the (n − t)-th ack");
+        assert!(rig.link.is_complete(tag) && !rig.link.is_acked_by_all(tag));
     }
 }

@@ -377,7 +377,7 @@ fn sync_write_timeout_evaluates_with_partial_acks_and_helps() {
         .sends()
         .iter()
         .all(|(_, m)| matches!(m, RegMsg::NewHelpVal { .. })));
-    // The help round in sync mode completes on ITS timeout.
+    // No server acks the help broadcast, so the round ends on its timeout.
     let help_timer = eff.timers_set()[0].0;
     eng.on_timer(help_timer);
     let (done, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));

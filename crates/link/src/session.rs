@@ -10,7 +10,8 @@
 //! - the client tags each broadcast and counts link-level acknowledgements;
 //!   the broadcast *completes* once `n − t` distinct servers acked, which
 //!   guarantees at least `n − 2t` correct servers delivered (synchronized
-//!   delivery);
+//!   delivery). Acks keep being recorded up to all `n`: a synchronous
+//!   round ends early on that evidence instead of on its timeout;
 //! - servers deliver payloads in arrival order (FIFO links preserve
 //!   broadcast order) and suppress adjacent duplicates of the same tag
 //!   (no duplication even if a transient fault re-injects the packet).
@@ -57,10 +58,12 @@ struct ActiveBroadcast {
 pub enum AckOutcome {
     /// The ack completed the active broadcast (quorum reached just now).
     JustCompleted,
-    /// The ack was counted but the quorum is not reached yet.
+    /// The ack was recorded without completing the broadcast: the quorum
+    /// is not reached yet, or was reached by an earlier ack.
     Counted,
-    /// The ack was stale (wrong tag), duplicated, or there is no active
-    /// broadcast; it was ignored.
+    /// The ack was stale (wrong tag), duplicated, from a process that is
+    /// not a destination server, or there is no active broadcast; it was
+    /// ignored.
     Ignored,
 }
 
@@ -105,22 +108,25 @@ impl SsBroadcaster {
         self.next_tag = self.next_tag.wrapping_add(1);
         self.active = Some(ActiveBroadcast {
             tag,
-            acked: Vec::with_capacity(self.ack_quorum),
+            acked: Vec::with_capacity(self.servers.len()),
             completed: false,
         });
         tag
     }
 
-    /// Processes a link-level acknowledgement of `tag` from `from`.
+    /// Processes a link-level acknowledgement of `tag` from `from`. Every
+    /// distinct destination server is recorded once, also past the
+    /// quorum; [`AckOutcome::JustCompleted`] is returned exactly once, by
+    /// the ack that reaches `n − t`.
     pub fn on_ack(&mut self, from: ProcessId, tag: SsTag) -> AckOutcome {
         let Some(active) = self.active.as_mut() else {
             return AckOutcome::Ignored;
         };
-        if active.tag != tag || active.completed || active.acked.contains(&from) {
+        if active.tag != tag || !self.servers.contains(&from) || active.acked.contains(&from) {
             return AckOutcome::Ignored;
         }
         active.acked.push(from);
-        if active.acked.len() >= self.ack_quorum {
+        if !active.completed && active.acked.len() >= self.ack_quorum {
             active.completed = true;
             AckOutcome::JustCompleted
         } else {
@@ -143,6 +149,14 @@ impl SsBroadcaster {
     /// completed.
     pub fn is_completed_tag(&self, tag: SsTag) -> bool {
         matches!(self.active, Some(ref a) if a.tag == tag && a.completed)
+    }
+
+    /// True if the broadcast identified by `tag` is the active one and
+    /// every one of the `n` destination servers has acknowledged it. A
+    /// Byzantine server is a single identity, so this implies all
+    /// `n − t` correct servers delivered `tag`.
+    pub fn is_acked_by_all(&self, tag: SsTag) -> bool {
+        matches!(self.active, Some(ref a) if a.tag == tag && a.acked.len() == self.servers.len())
     }
 
     /// Transient-fault hook: scrambles the tag counter and in-flight state.
@@ -223,8 +237,12 @@ mod tests {
         assert_eq!(b.on_ack(ProcessId(7), tag), AckOutcome::JustCompleted);
         assert!(b.last_completed());
         assert!(!b.in_flight());
-        // Extra acks after completion are ignored.
-        assert_eq!(b.on_ack(ProcessId(8), tag), AckOutcome::Ignored);
+        assert!(!b.is_acked_by_all(tag), "8 of 9 is the quorum, not all n");
+        // The ack past the quorum is recorded, and completion fired once.
+        assert_eq!(b.on_ack(ProcessId(8), tag), AckOutcome::Counted);
+        assert!(b.is_acked_by_all(tag));
+        assert!(!b.is_acked_by_all(tag.wrapping_add(1)));
+        assert!(b.is_completed_tag(tag));
     }
 
     #[test]
@@ -234,6 +252,25 @@ mod tests {
         assert_eq!(b.on_ack(ProcessId(0), tag), AckOutcome::Counted);
         assert_eq!(b.on_ack(ProcessId(0), tag), AckOutcome::Ignored);
         assert_eq!(b.on_ack(ProcessId(1), tag), AckOutcome::JustCompleted);
+        // Past the quorum too: one server repeating itself is not all n.
+        assert_eq!(b.on_ack(ProcessId(1), tag), AckOutcome::Ignored);
+        assert!(!b.is_acked_by_all(tag));
+    }
+
+    #[test]
+    fn acks_from_non_servers_are_ignored() {
+        let mut b = SsBroadcaster::new(servers(3), 1); // quorum 2
+        let tag = b.start();
+        assert_eq!(b.on_ack(ProcessId(0), tag), AckOutcome::Counted);
+        // ProcessId(7) is not a destination: it cannot complete the quorum…
+        assert_eq!(b.on_ack(ProcessId(7), tag), AckOutcome::Ignored);
+        assert!(b.in_flight());
+        assert_eq!(b.on_ack(ProcessId(1), tag), AckOutcome::JustCompleted);
+        // …nor stand in for the third server.
+        assert_eq!(b.on_ack(ProcessId(8), tag), AckOutcome::Ignored);
+        assert!(!b.is_acked_by_all(tag));
+        assert_eq!(b.on_ack(ProcessId(2), tag), AckOutcome::Counted);
+        assert!(b.is_acked_by_all(tag));
     }
 
     #[test]

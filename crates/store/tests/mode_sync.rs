@@ -7,9 +7,9 @@
 //! and (differentially) the *same* per-key write histories as the
 //! asynchronous deployment for the same derived op streams.
 
-use sbs_check::{equivalent_write_histories, History};
+use sbs_check::{equivalent_write_histories, History, OpKind};
 use sbs_core::ByzStrategy;
-use sbs_sim::SimDuration;
+use sbs_sim::{DelayModel, SimDuration};
 use sbs_store::{
     FaultPlan, KeyDist, LoopMode, OpMix, StoreBuilder, StoreSystem, SyncMode, Workload,
 };
@@ -37,6 +37,19 @@ fn sync_builder() -> StoreBuilder {
         .extra_readers(1)
 }
 
+/// 300 closed-loop operations over 16 Zipfian keys.
+fn zipfian_300(mix: OpMix, faults: FaultPlan) -> Workload {
+    Workload {
+        ops: 300,
+        keys: 16,
+        mix,
+        dist: KeyDist::Zipfian { theta: 0.99 },
+        loop_mode: LoopMode::Closed,
+        seed: 99,
+        faults,
+    }
+}
+
 /// The headline acceptance: `StoreBuilder::synchronous(1, …)` builds a
 /// 4-server store that sustains YCSB-A and YCSB-B mixes with one
 /// Byzantine server, and every per-key history passes the atomicity
@@ -46,15 +59,7 @@ fn sync_4server_store_passes_atomicity_under_byzantine_ycsb_a_and_b() {
     for (mix, label) in [(OpMix::ycsb_a(), "ycsb-a"), (OpMix::ycsb_b(), "ycsb-b")] {
         let builder = sync_builder();
         assert_eq!(builder.config().n, 4, "t=1 sync minimal fleet is 3t+1");
-        let wl = Workload {
-            ops: 300,
-            keys: 16,
-            mix,
-            dist: KeyDist::Zipfian { theta: 0.99 },
-            loop_mode: LoopMode::Closed,
-            seed: 99,
-            faults: FaultPlan::one_byzantine(2, ByzStrategy::RandomGarbage),
-        };
+        let wl = zipfian_300(mix, FaultPlan::one_byzantine(2, ByzStrategy::RandomGarbage));
         let (report, sys) = wl.run(&builder);
         assert_eq!(report.completed, 300, "{label}");
         let checked = sys
@@ -212,4 +217,70 @@ fn sync_config_snapshot_carries_derived_timeout() {
     assert!(matches!(cfg.mode, SyncMode::Sync { .. }));
     // The asynchronous snapshot has none.
     assert_eq!(StoreBuilder::asynchronous(1).config().timeout(), None);
+}
+
+/// The virtual-time latency (`responded − invoked`) of every completed
+/// put of the run, smallest first.
+fn put_latencies(sys: &StoreSystem<u64>) -> Vec<SimDuration> {
+    let mut lat: Vec<SimDuration> = keyed_histories(sys)
+        .values()
+        .flat_map(|h| h.ops())
+        .filter(|r| matches!(r.kind, OpKind::Write(_)))
+        .map(|r| r.responded - r.invoked)
+        .collect();
+    lat.sort();
+    lat
+}
+
+/// Synchronous rounds end on acknowledgements, not on the clock: with
+/// every server answering within a tenth of the bound, no put — most of
+/// these run a `NEW_HELP_VAL` round, because a reader's `READ(true)` reset
+/// its helping slot — takes even one round timeout, and no round timer
+/// fires at all.
+#[test]
+fn sync_puts_never_wait_out_a_timeout_when_every_server_answers() {
+    let builder = sync_builder().delay(DelayModel::Uniform {
+        lo: SimDuration::micros(10),
+        hi: SimDuration::nanos(LINK_BOUND.as_nanos() / 10),
+    });
+    let timeout = builder.config().timeout().expect("sync mode");
+    let (report, sys) = zipfian_300(OpMix::ycsb_a(), FaultPlan::none()).run(&builder);
+    assert_eq!(report.completed, 300);
+    let lat = put_latencies(&sys);
+    assert!(lat.len() > 50, "YCSB-A must issue puts: {}", lat.len());
+    let slowest = *lat.last().expect("puts");
+    assert!(
+        slowest < timeout,
+        "slowest put took {slowest}, a round timeout is {timeout}"
+    );
+    assert_eq!(sys.sim.metrics().timers_fired, 0);
+    sys.check_per_key_atomicity().expect("per-key atomicity");
+}
+
+/// The timeout is still what ends a round a server withholds its
+/// acknowledgement from. A silent server costs every put at least one
+/// timeout (its write round never sees all `n`); a server that repeats its
+/// acks and sprays random-tag `SS_ACK`s is one identity and cannot stand
+/// in for a correct one. Either way the store stays atomic and the online
+/// monitor quiet.
+#[test]
+fn sync_rounds_fall_back_to_the_timeout_under_a_withholding_server() {
+    let builder = sync_builder().monitor();
+    let timeout = builder.config().timeout().expect("sync mode");
+    for strategy in [ByzStrategy::Silent, ByzStrategy::AckFlood { copies: 3 }] {
+        let faults = FaultPlan::one_byzantine(2, strategy.clone());
+        let (report, sys) = zipfian_300(OpMix::ycsb_a(), faults).run(&builder);
+        assert_eq!(report.completed, 300, "{strategy:?}");
+        sys.check_per_key_atomicity()
+            .unwrap_or_else(|e| panic!("{strategy:?}: per-key atomicity: {e}"));
+        assert!(sys.monitor_violations().is_empty(), "{strategy:?}");
+        assert!(sys.sim.metrics().timers_fired > 0, "{strategy:?}");
+        if matches!(strategy, ByzStrategy::Silent) {
+            let fastest = put_latencies(&sys)[0];
+            assert!(
+                fastest >= timeout,
+                "a put finished in {fastest} with a server silent"
+            );
+        }
+    }
 }
