@@ -43,46 +43,6 @@ pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> f64 {
     median
 }
 
-/// Like [`bench()`](fn@bench), but excludes per-iteration setup from the measurement
-/// (Criterion's `iter_batched`): `setup` builds the input, only `routine`
-/// is timed. Use when constructing the system under test would otherwise
-/// dominate the number (e.g. building an n-node simulation to measure one
-/// operation on it).
-pub fn bench_batched<T, R>(
-    name: &str,
-    mut setup: impl FnMut() -> T,
-    mut routine: impl FnMut(T) -> R,
-) -> f64 {
-    // Warm up and calibrate against the routine alone.
-    let input = setup();
-    let t0 = Instant::now();
-    black_box(routine(input));
-    let once = t0.elapsed().max(Duration::from_nanos(20));
-    let iters = (SAMPLE_TARGET.as_nanos() / once.as_nanos()).clamp(1, 1_000_000) as u64;
-
-    let mut samples: Vec<f64> = (0..SAMPLES)
-        .map(|_| {
-            let mut elapsed = Duration::ZERO;
-            for _ in 0..iters {
-                let input = setup();
-                let t = Instant::now();
-                black_box(routine(input));
-                elapsed += t.elapsed();
-            }
-            elapsed.as_nanos() as f64 / iters as f64
-        })
-        .collect();
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
-    let median = samples[SAMPLES / 2];
-    let spread = samples[SAMPLES - 1] - samples[0];
-    println!(
-        "{name:<44} {:>12} ns/iter (± {:.0})",
-        format_ns(median),
-        spread
-    );
-    median
-}
-
 fn format_ns(ns: f64) -> String {
     if ns >= 1e6 {
         format!("{:.1}M", ns / 1e6)

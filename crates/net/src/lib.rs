@@ -16,12 +16,13 @@
 //!   per-link reconnect. [`NetFabric`] owns the listener and reader
 //!   threads that decode inbound frames back into the hosting
 //!   [`ThreadRuntime`](sbs_sim::ThreadRuntime).
-//! - [`harness`] — [`NetStoreSystem`]: a socket deployment mirroring
-//!   `sbs_store::StoreSystem` closely enough to drive the existing YCSB
-//!   workload engine over TCP, feed the online
-//!   [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor), and extract
-//!   per-key histories for `sbs-check` — which is what makes the
-//!   differential sim ≡ socket equivalence tests possible.
+//! - [`harness`] — [`NetStoreSystem`]: `sbs_store`'s
+//!   [`DeployCore`](sbs_store::DeployCore) — op log, online
+//!   [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor), per-key
+//!   histories for `sbs-check`, reshard orchestrator — hosted on node
+//!   threads and sockets, driven by the same closed-loop workload
+//!   driver as the simulator; one implementation on both sides is what
+//!   the differential sim ≡ socket equivalence tests compare through.
 //!
 //! What is and is not deterministic here: the *issued operation
 //! streams* are (they come from `sbs_store::WorkloadStreams`, a pure

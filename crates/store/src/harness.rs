@@ -1,26 +1,28 @@
-//! One-call construction of a complete store deployment inside the
-//! simulator: the shared server fleet, the writer/reader clients, fault
-//! hooks, and per-key history extraction for the checkers.
+//! One-call construction of a complete store deployment: the
+//! [`StoreBuilder`], the fleet it assembles (installed in the simulator
+//! or runtime-detached for a thread/socket runtime), and
+//! [`StoreSystem`] — the simulator shell around the
+//! backend-independent [`DeployCore`], adding virtual-time driving and
+//! the simulator-only fault hooks.
 
-use crate::health::{FlightRecord, ReplicaHealth, ShardHealth, StoreHealth};
+use crate::deploy::{ByzServer, ClientCall, CorrectServer, DeployCore, DeployHost};
+use crate::health::{hot_shards, FlightRecord, ReplicaHealth, StoreHealth};
 use crate::msg::{StoreMsg, StoreOut};
 use crate::node::{DataPlane, StoreClientNode, StorePayload, StoreServerNode, StoreWire};
-use crate::router::{KeyRouter, ReshardPlan, RoutingTable};
+use crate::router::{KeyRouter, ReshardPlan};
 use crate::val::StoreVal;
 use sbs_bulk::{data_replica_count, BulkCodec, BulkRef, BulkStore, FragmentStore};
-use sbs_check::{
-    atomic_stabilization_point, check_linearizable, History, InitialState, OpKind, OpRecord,
-};
+use sbs_check::atomic_stabilization_point;
 use sbs_core::{
     ByzServerNode, ByzStrategy, Payload, RegId, RegMsg, RegisterConfig, SeqVal, ServerNode,
     SyncMode,
 };
 use sbs_sim::{
-    ConsistencyMonitor, DelayModel, DetRng, LatencyHistogram, LatencySummary, Node, OpId,
-    ProcessId, SimConfig, SimDuration, SimTime, Simulation, Violation,
+    DelayModel, DetRng, Node, OpId, ProcessId, SimConfig, SimDuration, SimTime, Simulation,
 };
 use sbs_stamps::{RingSeq, PAPER_MODULUS};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Deref;
 
 /// How long `settle` simulates before declaring the store non-quiescent
 /// (the [`StoreBuilder::settle_horizon`] default).
@@ -41,7 +43,7 @@ enum BuilderMode {
 /// communication mode (with its derived timeout), the data plane, the
 /// sharding shape, and the per-mode quorum sizes the embedded register
 /// engines will use. Obtained from [`StoreBuilder::config`] before
-/// building, or [`StoreSystem::config`] on a running deployment.
+/// building, or [`DeployCore::config`] on a running deployment.
 ///
 /// The quorum fields are *derived* values (they follow from `n`, `t` and
 /// `mode` per the Figure 2/5 table in `sbs_core::RegisterConfig`), frozen
@@ -406,7 +408,7 @@ impl StoreBuilder {
     /// an incremental per-key WGL-style checker as it is invoked and
     /// completed, so a non-atomic response is flagged **at event time**
     /// (with the violating op, its sim-time, and the culprit op set —
-    /// see [`StoreSystem::monitor_violations`](StoreSystem)) instead of
+    /// see [`DeployCore::monitor_violations`]) instead of
     /// by a post-hoc history check. Off by default; monitoring is
     /// harness-side only and never perturbs the simulation schedule.
     pub fn monitor(mut self) -> Self {
@@ -544,10 +546,75 @@ impl StoreBuilder {
         }
     }
 
+    /// The value every register starts from.
+    fn initial_payload<V: Payload + BulkCodec>(&self) -> StorePayload<V> {
+        SeqVal::new(RingSeq::zero(self.wsn_modulus), StoreVal::empty())
+    }
+
+    /// The server node of fleet slot `slot` around the register server
+    /// `inner` — the one place the deployment-derived server settings
+    /// are applied, for both backends and both slot kinds (`byzantine`
+    /// slots are Byzantine at *both* planes: `inner`'s register strategy
+    /// plus garbled bulk serving).
+    fn server_node<V: Payload + BulkCodec, S>(
+        &self,
+        slot: usize,
+        inner: S,
+        byzantine: bool,
+        servers: &[ProcessId],
+    ) -> StoreServerNode<StorePayload<V>, S> {
+        // The admission guard every server gets: its fleet slot, the
+        // deployment's shard count, and the plane's window shape — so
+        // wire-supplied shard tags, fragment totals, and fragment
+        // indices are checked against the deployment instead of trusted.
+        let (replicas, coded, heal_k) = match self.plane {
+            DataPlane::Full => (0, false, 1),
+            DataPlane::Bulk { replicas } => (replicas, false, 1),
+            DataPlane::Coded { replicas, k } => (replicas, true, k),
+        };
+        let mut node = StoreServerNode::new(inner)
+            .bulk_guard(slot, self.n, self.shards, replicas, coded)
+            .bulk_retention(self.bulk_retain);
+        if byzantine {
+            node = node.byzantine_bulk();
+        }
+        if let Some(period) = self.anti_entropy {
+            node = node.self_healing(servers.to_vec(), heal_k, period);
+        }
+        node
+    }
+
+    /// Client `i` of the fleet: a shard owner below `writers`, read-only
+    /// above.
+    fn client_node<V: Payload + BulkCodec>(
+        &self,
+        cfg: RegisterConfig,
+        router: KeyRouter,
+        i: usize,
+        servers: &[ProcessId],
+        clients: &[ProcessId],
+    ) -> StoreClientNode<V> {
+        let owned = if i < self.writers {
+            router.shards_of_writer(i)
+        } else {
+            Vec::new()
+        };
+        StoreClientNode::new(
+            cfg,
+            router,
+            servers.to_vec(),
+            clients.to_vec(),
+            &owned,
+            self.wsn_modulus,
+            self.plane,
+        )
+        .batch_window(self.batch_window)
+        .adaptive_batch(self.adaptive_batch)
+    }
+
     /// Builds the deployment: `n` servers, `writers + extra_readers`
     /// clients, every client↔server link installed, Byzantine slots
-    /// filled (Byzantine at *both* planes: register strategy + garbled
-    /// bulk serving), and the garbage generator armed for link-corruption
+    /// filled, and the garbage generator armed for link-corruption
     /// drills.
     ///
     /// # Panics
@@ -583,86 +650,29 @@ impl StoreBuilder {
                 }
             }
         }
-        let initial: StorePayload<V> =
-            SeqVal::new(RingSeq::zero(self.wsn_modulus), StoreVal::empty());
-        // The admission guard every server gets: its fleet slot, the
-        // deployment's shard count, and the plane's window shape — so
-        // wire-supplied shard tags, fragment totals, and fragment
-        // indices are checked against the deployment instead of trusted.
-        let (guard_replicas, guard_coded) = match self.plane {
-            DataPlane::Full => (0, false),
-            DataPlane::Bulk { replicas } => (replicas, false),
-            DataPlane::Coded { replicas, .. } => (replicas, true),
-        };
-        let heal_k = match self.plane {
-            DataPlane::Coded { k, .. } => k,
-            DataPlane::Full | DataPlane::Bulk { .. } => 1,
-        };
+        let initial = self.initial_payload::<V>();
         let mut byz_set = BTreeSet::new();
         for (i, &s) in servers.iter().enumerate() {
             match self.byz.iter().find(|(bi, _)| *bi == i) {
                 Some((_, strat)) => {
                     byz_set.insert(i);
-                    let mut node =
-                        StoreServerNode::new(ByzServerNode::<StorePayload<V>, StoreOut<V>>::new(
-                            strat.clone(),
-                            initial.clone(),
-                        ))
-                        .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                        .bulk_retention(self.bulk_retain)
-                        .byzantine_bulk();
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    sim.add_node_at(s, node)
+                    let inner = ByzServerNode::new(strat.clone(), initial.clone());
+                    sim.add_node_at(s, self.server_node::<V, _>(i, inner, true, &servers))
                 }
                 None => {
-                    let mut node = StoreServerNode::new(
-                        ServerNode::<StorePayload<V>, StoreOut<V>>::new(initial.clone()),
-                    )
-                    .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                    .bulk_retention(self.bulk_retain);
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    sim.add_node_at(s, node)
+                    let inner = ServerNode::new(initial.clone());
+                    sim.add_node_at(s, self.server_node::<V, _>(i, inner, false, &servers))
                 }
             }
         }
         for (i, &c) in clients.iter().enumerate() {
-            let owned = if i < self.writers {
-                router.shards_of_writer(i)
-            } else {
-                Vec::new()
-            };
-            sim.add_node_at(
-                c,
-                StoreClientNode::<V>::new(
-                    cfg,
-                    router,
-                    servers.clone(),
-                    clients.clone(),
-                    &owned,
-                    self.wsn_modulus,
-                    self.plane,
-                )
-                .batch_window(self.batch_window)
-                .adaptive_batch(self.adaptive_batch),
-            );
+            sim.add_node_at(c, self.client_node::<V>(cfg, router, i, &servers, &clients));
         }
         install_garbage_gen(&mut sim, initial, self.shards);
         StoreSystem {
             sim,
-            clients,
-            servers,
-            table: RoutingTable::initial(router),
-            config: snapshot,
+            core: DeployCore::new(clients, servers, router, snapshot, byz_set, self.monitor),
             settle_horizon: self.settle_horizon,
-            byz_servers: byz_set,
-            log: StoreLog::new(),
-            latency: BTreeMap::new(),
-            monitor: self.monitor.then(|| ConsistencyMonitor::with_initial(None)),
-            reshard: None,
         }
     }
 
@@ -687,67 +697,27 @@ impl StoreBuilder {
             .collect();
         let base = clients.len() as u32;
         let servers: Vec<ProcessId> = (0..self.n).map(|i| ProcessId(base + i as u32)).collect();
-        let initial: StorePayload<V> =
-            SeqVal::new(RingSeq::zero(self.wsn_modulus), StoreVal::empty());
-        let (guard_replicas, guard_coded) = match self.plane {
-            DataPlane::Full => (0, false),
-            DataPlane::Bulk { replicas } => (replicas, false),
-            DataPlane::Coded { replicas, .. } => (replicas, true),
-        };
+        let initial = self.initial_payload::<V>();
         let mut nodes: Vec<Box<dyn Node<Msg = StoreWire<V>, Out = StoreOut<V>> + Send>> =
             Vec::with_capacity(clients.len() + servers.len());
-        for (i, _) in clients.iter().enumerate() {
-            let owned = if i < self.writers {
-                router.shards_of_writer(i)
-            } else {
-                Vec::new()
-            };
+        for i in 0..clients.len() {
             nodes.push(Box::new(
-                StoreClientNode::<V>::new(
-                    cfg,
-                    router,
-                    servers.clone(),
-                    clients.clone(),
-                    &owned,
-                    self.wsn_modulus,
-                    self.plane,
-                )
-                .batch_window(self.batch_window)
-                .adaptive_batch(self.adaptive_batch),
+                self.client_node::<V>(cfg, router, i, &servers, &clients),
             ));
         }
-        let heal_k = match self.plane {
-            DataPlane::Coded { k, .. } => k,
-            DataPlane::Full | DataPlane::Bulk { .. } => 1,
-        };
+        let mut byz_servers = BTreeSet::new();
         for i in 0..self.n {
-            match self.byz.iter().find(|(bi, _)| *bi == i) {
+            nodes.push(match self.byz.iter().find(|(bi, _)| *bi == i) {
                 Some((_, strat)) => {
-                    let mut node =
-                        StoreServerNode::new(ByzServerNode::<StorePayload<V>, StoreOut<V>>::new(
-                            strat.clone(),
-                            initial.clone(),
-                        ))
-                        .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                        .bulk_retention(self.bulk_retain)
-                        .byzantine_bulk();
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    nodes.push(Box::new(node))
+                    byz_servers.insert(i);
+                    let inner = ByzServerNode::new(strat.clone(), initial.clone());
+                    Box::new(self.server_node::<V, _>(i, inner, true, &servers))
                 }
                 None => {
-                    let mut node = StoreServerNode::new(
-                        ServerNode::<StorePayload<V>, StoreOut<V>>::new(initial.clone()),
-                    )
-                    .bulk_guard(i, self.n, self.shards, guard_replicas, guard_coded)
-                    .bulk_retention(self.bulk_retain);
-                    if let Some(period) = self.anti_entropy {
-                        node = node.self_healing(servers.clone(), heal_k, period);
-                    }
-                    nodes.push(Box::new(node))
+                    let inner = ServerNode::new(initial.clone());
+                    Box::new(self.server_node::<V, _>(i, inner, false, &servers))
                 }
-            }
+            });
         }
         StoreNodeSet {
             nodes,
@@ -755,6 +725,7 @@ impl StoreBuilder {
             servers,
             router,
             config: snapshot,
+            byz_servers,
             wsn_modulus: self.wsn_modulus,
             seed: self.seed,
             monitor: self.monitor,
@@ -778,6 +749,9 @@ pub struct StoreNodeSet<V: Payload> {
     pub router: KeyRouter,
     /// The frozen deployment snapshot.
     pub config: StoreConfig,
+    /// The fleet slots (indices into `servers`) that host a Byzantine
+    /// server — a different concrete node type than a correct slot.
+    pub byz_servers: BTreeSet<usize>,
     /// The write-sequence-number ring modulus (a codec needs it to
     /// validate decoded sequence numbers).
     pub wsn_modulus: u128,
@@ -914,178 +888,56 @@ fn install_garbage_gen<V: Payload + BulkCodec>(
     });
 }
 
-/// What one completed store operation did to its key.
-#[derive(Clone, Debug)]
-struct KeyedRecord<V> {
-    key: String,
-    record: OpRecord<Option<V>>,
-}
+impl<V: Payload + BulkCodec> DeployHost<V> for Simulation<StoreWire<V>, StoreOut<V>> {
+    fn now(&self) -> SimTime {
+        Simulation::now(self)
+    }
 
-/// Store operation bookkeeping: invocation intervals plus the key each
-/// operation touched, so per-key histories can be extracted.
-#[derive(Debug)]
-struct StoreLog<V> {
-    next_op: u64,
-    invoked: HashMap<OpId, (ProcessId, SimTime, String, Option<V>)>,
-    completed: Vec<KeyedRecord<V>>,
-}
+    fn call_client(&mut self, client: ProcessId, call: ClientCall<V>) {
+        self.with_node::<StoreClientNode<V>, _>(client, |n, ctx| call.apply(n, ctx));
+    }
 
-impl<V: Payload> StoreLog<V> {
-    fn new() -> Self {
-        StoreLog {
-            next_op: 0,
-            invoked: HashMap::new(),
-            completed: Vec::new(),
+    fn wipe_server(&mut self, server: ProcessId, byzantine: bool) {
+        if byzantine {
+            self.with_node::<ByzServer<V>, _>(server, |n, _| n.wipe_data_stores());
+        } else {
+            self.with_node::<CorrectServer<V>, _>(server, |n, _| n.wipe_data_stores());
         }
     }
 
-    fn fresh(&mut self, client: ProcessId, now: SimTime, key: &str, put_val: Option<V>) -> OpId {
-        let op = OpId(self.next_op);
-        self.next_op += 1;
-        self.invoked
-            .insert(op, (client, now, key.to_string(), put_val));
-        op
-    }
-
-    /// Records the completion; returns `(kind, shard, latency_ns)` for
-    /// the latency histograms (`None` on a duplicate completion).
-    fn complete(
-        &mut self,
-        op: OpId,
-        at: SimTime,
-        read_value: Option<Option<V>>,
-        router: &KeyRouter,
-    ) -> Option<(&'static str, u32, u64)> {
-        let Some((client, invoked, key, put_val)) = self.invoked.remove(&op) else {
-            return None; // duplicate completion after corruption — ignore
-        };
-        let kind_name = if put_val.is_some() { "put" } else { "get" };
-        let shard = router.shard_of(&key);
-        let latency_ns = at.as_nanos().saturating_sub(invoked.as_nanos());
-        let kind = match put_val {
-            Some(v) => OpKind::Write(Some(v)),
-            None => OpKind::Read(read_value.expect("get completion carries a value")),
-        };
-        self.completed.push(KeyedRecord {
-            key,
-            record: OpRecord {
-                client,
-                op,
-                invoked,
-                responded: at,
-                kind,
-            },
-        });
-        Some((kind_name, shard, latency_ns))
+    fn stamp_fault(&mut self, pid: ProcessId, what: &'static str) {
+        self.record_fault(pid, what);
     }
 }
 
-/// One live shard handoff, tracked from [`StoreSystem::begin_reshard`]
-/// until every migrating shard has been adopted by its new owner. The
-/// harness is the *orchestrator* role of the dual-commit protocol: it
-/// observes the control events the clients emit and gates each step on
-/// the previous one, so the new owner's adoption read never races the
-/// old owner's final publish.
-#[derive(Debug)]
-struct ReshardInFlight {
-    /// The migrating shards as `(shard, old_writer, new_writer)`.
-    moves: Vec<(u32, u32, u32)>,
-    /// Shards whose old owner has not yet emitted `ShardRetired`.
-    awaiting_retire: BTreeSet<u32>,
-    /// Whether the coordinator's `EpochCommitted` has been observed.
-    committed: bool,
-    /// Whether the acquire step has been issued to the new owners (it
-    /// is gated on all retires *and* the commit).
-    acquires_issued: bool,
-    /// Shards whose new owner has emitted `ShardAcquired`.
-    acquired: BTreeSet<u32>,
-}
-
-/// A running store deployment.
+/// A running store deployment inside the simulator: the [`DeployCore`]
+/// (reached through `Deref` for everything read-only — histories,
+/// verdicts, routing, latency books) hosted on a [`Simulation`].
 #[derive(Debug)]
 pub struct StoreSystem<V: Payload + BulkCodec> {
     /// The underlying simulation (exposed for custom scheduling).
     pub sim: Simulation<StoreWire<V>, StoreOut<V>>,
-    /// All clients: the `writers` shard owners first, then the read-only
-    /// clients.
-    pub clients: Vec<ProcessId>,
-    /// The shared server fleet.
-    pub servers: Vec<ProcessId>,
-    table: RoutingTable,
-    config: StoreConfig,
+    pub(crate) core: DeployCore<V>,
     settle_horizon: SimDuration,
-    byz_servers: BTreeSet<usize>,
-    log: StoreLog<V>,
-    /// Completed-op latency histograms keyed by op kind × shard, fed as
-    /// completions are drained.
-    latency: BTreeMap<(&'static str, u32), LatencyHistogram>,
-    /// The online atomicity monitor over `Option<V>` (`None` = key
-    /// absent), fed at invoke/drain time; `None` when not enabled.
-    monitor: Option<ConsistencyMonitor<Option<V>>>,
-    /// The in-flight shard handoff, if a reshard is underway.
-    reshard: Option<ReshardInFlight>,
+}
+
+impl<V: Payload + BulkCodec> Deref for StoreSystem<V> {
+    type Target = DeployCore<V>;
+
+    fn deref(&self) -> &DeployCore<V> {
+        &self.core
+    }
 }
 
 impl<V: Payload + BulkCodec> StoreSystem<V> {
-    /// The static key→shard hash base the routing table is built on.
-    pub fn router(&self) -> &KeyRouter {
-        self.table.base()
-    }
-
-    /// The epoch-versioned routing table in force. New puts route by it
-    /// the moment [`StoreSystem::begin_reshard`] flips it — the handoff
-    /// window stages them at the incoming owner.
-    pub fn routing_table(&self) -> &RoutingTable {
-        &self.table
-    }
-
-    /// The validated configuration snapshot this store was built with:
-    /// mode (and derived timeout), data plane, sharding shape, and the
-    /// per-mode quorum sizes.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
-    /// Number of writer clients.
-    pub fn writers(&self) -> usize {
-        self.config.writers
-    }
-
-    /// The data plane this store was built with.
-    pub fn plane(&self) -> DataPlane {
-        self.config.plane
-    }
-
-    /// Invokes `put(key, val)` on the shard's owning writer (per the
-    /// router). Values must be unique per key across the run so the
-    /// checkers can identify which write a read observed.
+    /// [`DeployCore::put`] on the simulator.
     pub fn put(&mut self, key: &str, val: V) -> OpId {
-        let w = self.table.writer_of(key);
-        let client = self.clients[w];
-        let now = self.sim.now();
-        let op = self.log.fresh(client, now, key, Some(val.clone()));
-        if let Some(m) = &mut self.monitor {
-            m.op_invoked(op.0, key, now.as_nanos(), Some(Some(val.clone())));
-        }
-        let key = key.to_string();
-        self.sim
-            .with_node::<StoreClientNode<V>, _>(client, |n, ctx| n.invoke_put(op, key, val, ctx));
-        op
+        self.core.put(&mut self.sim, key, val)
     }
 
-    /// Invokes `get(key)` at client `client_idx` (any client may read any
-    /// key).
+    /// [`DeployCore::get`] on the simulator.
     pub fn get(&mut self, client_idx: usize, key: &str) -> OpId {
-        let client = self.clients[client_idx];
-        let now = self.sim.now();
-        let op = self.log.fresh(client, now, key, None);
-        if let Some(m) = &mut self.monitor {
-            m.op_invoked(op.0, key, now.as_nanos(), None);
-        }
-        let key = key.to_string();
-        self.sim
-            .with_node::<StoreClientNode<V>, _>(client, |n, ctx| n.invoke_get(op, key, ctx));
-        op
+        self.core.get(&mut self.sim, client_idx, key)
     }
 
     /// Runs until the event queue drains (or the settle horizon passes —
@@ -1098,7 +950,7 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
     /// handoff that stops making progress reports non-quiescence rather
     /// than spinning.
     pub fn settle(&mut self) -> bool {
-        let mut prev: Option<(bool, bool, usize, usize)> = None;
+        let mut prev = None;
         loop {
             let quiet = self
                 .sim
@@ -1107,13 +959,9 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
             if !quiet {
                 return false;
             }
-            let Some(r) = &self.reshard else { return true };
-            let state = (
-                r.committed,
-                r.acquires_issued,
-                r.awaiting_retire.len(),
-                r.acquired.len(),
-            );
+            let Some(state) = self.core.reshard_progress() else {
+                return true;
+            };
             if prev == Some(state) {
                 return false; // quiescent but the handoff is wedged
             }
@@ -1135,170 +983,19 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
     pub fn drain(&mut self) -> Vec<(ProcessId, OpId)> {
         let mut done = Vec::new();
         for (at, pid, out) in self.sim.take_outputs() {
-            let completed = match out {
-                StoreOut::PutDone { op } => {
-                    done.push((pid, op));
-                    if let Some(m) = &mut self.monitor {
-                        m.op_completed(op.0, at.as_nanos(), None);
-                    }
-                    self.log.complete(op, at, None, self.table.base())
-                }
-                StoreOut::GetDone { op, value } => {
-                    done.push((pid, op));
-                    if let Some(m) = &mut self.monitor {
-                        m.op_completed(op.0, at.as_nanos(), Some(value.clone()));
-                    }
-                    self.log.complete(op, at, Some(value), self.table.base())
-                }
-                // Dual-commit control events: they advance the handoff
-                // state machine, never the op log, monitor, or latency
-                // books (they are not client operations).
-                StoreOut::ShardRetired { shard } => {
-                    if let Some(r) = &mut self.reshard {
-                        r.awaiting_retire.remove(&shard);
-                    }
-                    None
-                }
-                StoreOut::EpochCommitted { .. } => {
-                    if let Some(r) = &mut self.reshard {
-                        r.committed = true;
-                    }
-                    None
-                }
-                StoreOut::ShardAcquired { shard } => {
-                    if let Some(r) = &mut self.reshard {
-                        r.acquired.insert(shard);
-                    }
-                    None
-                }
-            };
-            if let Some((kind, shard, latency_ns)) = completed {
-                self.latency
-                    .entry((kind, shard))
-                    .or_default()
-                    .record(latency_ns);
-            }
+            done.extend(self.core.record(at, pid, out));
         }
-        self.advance_reshard();
+        self.core.advance_reshard(&mut self.sim);
         done
     }
 
-    /// Progresses the in-flight handoff: once every retiring owner has
-    /// published its final map and the epoch flip is committed through
-    /// the quorum, the new owners are told to adopt their shards; once
-    /// every adoption has republished, the handoff is over.
-    fn advance_reshard(&mut self) {
-        let Some(r) = &mut self.reshard else { return };
-        if !r.acquires_issued && r.committed && r.awaiting_retire.is_empty() {
-            r.acquires_issued = true;
-            let moves = r.moves.clone();
-            for (shard, _, new) in moves {
-                let c = self.clients[new as usize];
-                self.sim
-                    .with_node::<StoreClientNode<V>, _>(c, move |n, ctx| {
-                        n.acquire_shard(shard, ctx)
-                    });
-            }
-        }
-        let Some(r) = &self.reshard else { return };
-        if r.acquires_issued && r.moves.iter().all(|&(s, _, _)| r.acquired.contains(&s)) {
-            self.reshard = None;
-        }
-    }
-
-    /// Starts a live reshard: applies `plan` to the routing table and
-    /// kicks off the dual-commit handoff for every shard whose owner
-    /// changes. New puts route by the next epoch immediately — the
-    /// incoming owner stages them until it has adopted the shard — while
-    /// each outgoing owner drains its queue, publishes one final time,
-    /// and retires. The epoch itself is committed as a register write
-    /// through the dedicated routing register by the first move's new
-    /// owner (or the first writer, for a plan that changes no
-    /// ownership). Drive the simulation (`settle` / `run_for`) until
-    /// [`StoreSystem::reshard_active`] reports `false`.
-    ///
-    /// The reshard is stamped as a fault, so
-    /// [`StoreSystem::stabilization_time`] measures how long the history
-    /// takes to provably stabilize after the flip.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reshard is already in flight or the plan is invalid
-    /// for the current table (unknown shard, writer out of range, or a
-    /// shard moved twice).
+    /// [`DeployCore::begin_reshard`] on the simulator. Drive the
+    /// simulation (`settle` / `run_for`) until
+    /// [`DeployCore::reshard_active`] reports `false`; the fault stamp
+    /// makes [`StoreSystem::stabilization_time`] measure how long the
+    /// history takes to provably stabilize after the flip.
     pub fn begin_reshard(&mut self, plan: &ReshardPlan) {
-        assert!(
-            self.reshard.is_none(),
-            "a reshard is already in flight — settle it before the next plan"
-        );
-        let next = self.table.apply(plan).unwrap_or_else(|e| {
-            panic!("invalid reshard plan: {e}");
-        });
-        let moves = self.table.moves_to(&next);
-        let coordinator = self.clients[moves.first().map(|&(_, _, new)| new as usize).unwrap_or(0)];
-        self.sim.record_fault(coordinator, "reshard");
-        for &(shard, old, new) in &moves {
-            let old_c = self.clients[old as usize];
-            let new_c = self.clients[new as usize];
-            self.sim
-                .with_node::<StoreClientNode<V>, _>(old_c, move |n, ctx| {
-                    n.retire_shard(shard, ctx)
-                });
-            self.sim
-                .with_node::<StoreClientNode<V>, _>(new_c, move |n, _| n.grant_shard(shard));
-        }
-        let (epoch, owners) = (next.epoch(), next.owners().to_vec());
-        self.sim
-            .with_node::<StoreClientNode<V>, _>(coordinator, move |n, ctx| {
-                n.commit_epoch(epoch, owners, ctx)
-            });
-        self.reshard = Some(ReshardInFlight {
-            awaiting_retire: moves.iter().map(|&(s, _, _)| s).collect(),
-            moves,
-            committed: false,
-            acquires_issued: false,
-            acquired: BTreeSet::new(),
-        });
-        self.table = next;
-    }
-
-    /// True while a shard handoff started by
-    /// [`StoreSystem::begin_reshard`] is still in flight.
-    pub fn reshard_active(&self) -> bool {
-        self.reshard.is_some()
-    }
-
-    /// The completed-op latency histogram of `kind` (`"put"` / `"get"`)
-    /// on `shard`, if any such operation completed.
-    pub fn latency_histogram(&self, kind: &str, shard: u32) -> Option<&LatencyHistogram> {
-        self.latency.get(&(
-            match kind {
-                "put" => "put",
-                "get" => "get",
-                _ => return None,
-            },
-            shard,
-        ))
-    }
-
-    /// All per-(kind, shard) latency summaries, sorted by kind then shard.
-    pub fn latency_summaries(&self) -> Vec<(&'static str, u32, LatencySummary)> {
-        self.latency
-            .iter()
-            .filter_map(|(&(kind, shard), h)| h.summary().map(|s| (kind, shard, s)))
-            .collect()
-    }
-
-    /// The latency population of `kind` merged across every shard (empty
-    /// histogram if no such operation completed).
-    pub fn merged_latency(&self, kind: &str) -> LatencyHistogram {
-        let mut merged = LatencyHistogram::new();
-        for ((k, _), h) in &self.latency {
-            if *k == kind {
-                merged.merge(h);
-            }
-        }
-        merged
+        self.core.begin_reshard(&mut self.sim, plan);
     }
 
     /// The simulation's protocol tracer (disabled unless the store was
@@ -1307,67 +1004,12 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         self.sim.tracer()
     }
 
-    /// The online atomicity monitor, if the store was built with
-    /// [`StoreBuilder::monitor`]. Completions reach the monitor when
-    /// they are drained — run [`StoreSystem::settle`] /
-    /// [`StoreSystem::drain`] before reading verdicts.
-    pub fn monitor(&self) -> Option<&ConsistencyMonitor<Option<V>>> {
-        self.monitor.as_ref()
-    }
-
-    /// The atomicity violations flagged so far (empty when the monitor
-    /// is off or the run is clean). Each names the violating operation,
-    /// its sim-time, and the culprit op set.
-    pub fn monitor_violations(&self) -> &[Violation] {
-        self.monitor.as_ref().map_or(&[], |m| m.violations())
-    }
-
-    /// `(pid, role)` names for every process in the deployment —
-    /// `client-N` in client order, then `server-N` in fleet order. Used
-    /// to label Chrome trace exports (pass to
-    /// [`Tracer::to_chrome_trace_named`](sbs_sim::Tracer)).
-    pub fn role_names(&self) -> Vec<(u32, String)> {
-        self.clients
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.0, format!("client-{i}")))
-            .chain(
-                self.servers
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| (s.0, format!("server-{i}"))),
-            )
-            .collect()
-    }
-
     /// Assembles a point-in-time health snapshot: per-shard completed-op
     /// tallies (with the hot-shard detector), per-replica message
     /// traffic, slow-path counters, pending-op count, and per-plane byte
     /// totals. Cheap — reads existing counters, simulates nothing.
     pub fn health(&self) -> StoreHealth {
-        let mut shards: BTreeMap<u32, ShardHealth> = (0..self.config.shards)
-            .map(|shard| {
-                (
-                    shard,
-                    ShardHealth {
-                        shard,
-                        puts: 0,
-                        gets: 0,
-                    },
-                )
-            })
-            .collect();
-        for ((kind, shard), h) in &self.latency {
-            let entry = shards.entry(*shard).or_insert(ShardHealth {
-                shard: *shard,
-                puts: 0,
-                gets: 0,
-            });
-            match *kind {
-                "put" => entry.puts += h.count(),
-                _ => entry.gets += h.count(),
-            }
-        }
+        let shards = self.core.shard_health();
         let m = self.sim.metrics();
         let replicas = self
             .servers
@@ -1380,83 +1022,24 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
                 msgs_out: self.clients.iter().map(|&c| m.sent_on_link(s, c)).sum(),
             })
             .collect();
-        let mut health = StoreHealth {
-            shards: shards.into_values().collect(),
+        StoreHealth {
+            hot_shards: hot_shards(&shards),
+            shards,
             replicas,
             slow: m.slow_paths,
-            pending_ops: self.log.invoked.len(),
-            hot_shards: Vec::new(),
+            pending_ops: self.pending_ops(),
             metadata_bytes_sent: m.metadata_bytes_sent,
             bulk_bytes_sent: m.bulk_bytes_sent,
-        };
-        health.detect_hot_shards();
-        health
+        }
     }
 
-    /// **Load-driven rebalancing**: turns [`StoreSystem::health`]'s
-    /// hot-shard signal into a [`ReshardPlan`] that dedicates a writer
-    /// to the hottest shard — every *other* shard co-resident on that
-    /// writer migrates to the least-loaded writer. Returns `None` when
-    /// no shard is hot, the hot shard already has a dedicated writer,
-    /// or there is no other writer to take the load. The caller decides
-    /// when to [`StoreSystem::begin_reshard`] the proposal.
-    pub fn propose_rebalance(&self) -> Option<ReshardPlan> {
-        let health = self.health();
-        let &hot = health.hot_shards.first()?;
-        let owner = self.table.writer_of_shard(hot);
-        let siblings: Vec<u32> = self
-            .table
-            .shards_of_writer(owner)
-            .into_iter()
-            .filter(|&s| s != hot)
-            .collect();
-        if siblings.is_empty() {
-            return None;
-        }
-        let mut load = vec![0u64; self.table.writers() as usize];
-        for ((_, shard), h) in &self.latency {
-            load[self.table.writer_of_shard(*shard)] += h.count();
-        }
-        let (target, _) = load
-            .iter()
-            .enumerate()
-            .filter(|&(w, _)| w != owner)
-            .min_by_key(|&(_, &l)| l)?;
-        let mut plan = ReshardPlan::default();
-        for s in siblings {
-            plan = plan.and_migrate(s, target as u32);
-        }
-        Some(plan)
-    }
-
-    /// Dumps the flight recorder: the causal slice of the trace ring
-    /// leading to the suspect operations — the monitor's violating ops
-    /// when violations exist, otherwise every still-pending (possibly
-    /// timed-out) operation. Non-empty slices need the deployment built
-    /// with [`StoreBuilder::trace`] (the slice is cut from the ring) —
-    /// without tracing the dump carries the seeds and violations alone.
+    /// [`DeployCore::flight_recorder`] over the simulation's trace ring.
+    /// Non-empty slices need the deployment built with
+    /// [`StoreBuilder::trace`] — without tracing the dump carries the
+    /// seeds and violations alone.
     pub fn flight_recorder(&self) -> FlightRecord {
-        let violations = self.monitor_violations().to_vec();
-        let seed_ops: Vec<u64> = if violations.is_empty() {
-            let mut pending: Vec<u64> = self.log.invoked.keys().map(|op| op.0).collect();
-            pending.sort_unstable();
-            pending
-        } else {
-            let mut ops: Vec<u64> = violations
-                .iter()
-                .flat_map(|v| v.culprits.iter().copied().chain([v.op]))
-                .collect();
-            ops.sort_unstable();
-            ops.dedup();
-            ops
-        };
         let records: Vec<sbs_sim::TraceRecord> = self.tracer().records().copied().collect();
-        FlightRecord {
-            records: sbs_sim::causal_slice(&records, &seed_ops),
-            seed_ops,
-            violations,
-            names: self.role_names(),
-        }
+        self.core.flight_recorder(&records)
     }
 
     /// Sim-time from the run's **last fault injection** (corruption, link
@@ -1482,70 +1065,6 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         ))
     }
 
-    /// Operations invoked but not yet completed.
-    pub fn pending_ops(&self) -> usize {
-        self.log.invoked.len()
-    }
-
-    /// Completed operations so far.
-    pub fn completed_ops(&self) -> usize {
-        self.log.completed.len()
-    }
-
-    /// Every completed operation's id, in completion order (ties broken
-    /// by emission order — which is what the batching guarantees pin).
-    pub fn completion_order(&self) -> Vec<OpId> {
-        self.log.completed.iter().map(|r| r.record.op).collect()
-    }
-
-    /// Every key touched by a completed operation.
-    pub fn keys_touched(&self) -> BTreeSet<String> {
-        self.log.completed.iter().map(|r| r.key.clone()).collect()
-    }
-
-    /// The extracted history of one key: its puts as writes, its gets as
-    /// reads (`None` = key absent). Judged independently per key — the
-    /// store's correctness claim is per-key regularity/atomicity.
-    pub fn history_for_key(&self, key: &str) -> History<Option<V>> {
-        History::new(
-            self.log
-                .completed
-                .iter()
-                .filter(|r| r.key == key)
-                .map(|r| r.record.clone())
-                .collect(),
-        )
-    }
-
-    /// Checks every touched key's history for register linearizability
-    /// (initial state: absent). Returns the offending key and diagnosis on
-    /// failure.
-    ///
-    /// Intended for closed-loop histories, whose concurrency is bounded by
-    /// the client count. Open-loop runs queue operations at the clients,
-    /// so a backlogged client's operations all overlap — the exact search
-    /// then has no quiescent points to divide at and can blow up (or
-    /// return [`LinError::SegmentTooLarge`](sbs_check::LinError)); judge
-    /// such runs with `sbs_check::check_regularity` per key instead.
-    pub fn check_per_key_atomicity(&self) -> Result<usize, String> {
-        let mut checked = 0;
-        for key in self.keys_touched() {
-            let h = self.history_for_key(&key);
-            h.validate_unique_writes()
-                .map_err(|e| format!("key {key}: {e}"))?;
-            let initial = InitialState::OneOf(std::iter::once(None).collect());
-            let rep = check_linearizable(&h, &initial).map_err(|e| format!("key {key}: {e}"))?;
-            if !rep.linearizable {
-                return Err(format!(
-                    "key {key}: history not linearizable (failed segment {:?}) — {h:?}",
-                    rep.failed_segment
-                ));
-            }
-            checked += 1;
-        }
-        Ok(checked)
-    }
-
     /// Applies a transient fault to server `i` *now*.
     pub fn corrupt_server(&mut self, i: usize) {
         let now = self.sim.now();
@@ -1553,25 +1072,11 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         self.sim.schedule_corruption(now, s);
     }
 
-    /// Wipes server `i`'s blob **and** fragment stores *now* — the
-    /// data-loss fault the self-healing plane
-    /// ([`StoreBuilder::anti_entropy`]) repairs without writer
-    /// involvement. Register (metadata) state is untouched; retention
-    /// bounds survive. The fault is stamped, so
-    /// [`StoreSystem::stabilization_time`] measures recovery from it.
+    /// [`DeployCore::wipe_server_data`] on the simulator; the fault
+    /// stamp makes [`StoreSystem::stabilization_time`] measure recovery
+    /// from the wipe.
     pub fn wipe_server_data(&mut self, i: usize) {
-        type Correct<V> =
-            StoreServerNode<StorePayload<V>, ServerNode<StorePayload<V>, StoreOut<V>>>;
-        type Byz<V> = StoreServerNode<StorePayload<V>, ByzServerNode<StorePayload<V>, StoreOut<V>>>;
-        let pid = self.servers[i];
-        if self.byz_servers.contains(&i) {
-            self.sim
-                .with_node::<Byz<V>, _>(pid, |n, _| n.wipe_data_stores());
-        } else {
-            self.sim
-                .with_node::<Correct<V>, _>(pid, |n, _| n.wipe_data_stores());
-        }
-        self.sim.record_fault(pid, "data-wipe");
+        self.core.wipe_server_data(&mut self.sim, i);
     }
 
     /// Applies a transient fault to client `i` *now* — including a shard
@@ -1587,7 +1092,7 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
     /// Applies a transient fault to every server *now*.
     pub fn corrupt_all_servers(&mut self) {
         let now = self.sim.now();
-        for s in self.servers.clone() {
+        for &s in &self.core.servers {
             self.sim.schedule_corruption(now, s);
         }
     }
@@ -1600,8 +1105,8 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
     /// Schedules `count` garbage batches on every client⇄server link at
     /// absolute time `at` (fault plans schedule these upfront, exactly).
     pub fn pollute_links_at(&mut self, at: SimTime, count: usize) {
-        for s in self.servers.clone() {
-            for c in self.clients.clone() {
+        for &s in &self.core.servers {
+            for &c in &self.core.clients {
                 self.sim.schedule_link_garbage(at, c, s, count);
                 self.sim.schedule_link_garbage(at, s, c, count);
             }
@@ -1631,16 +1136,13 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         i: usize,
         f: impl FnOnce(&BulkStore, &FragmentStore) -> R,
     ) -> R {
-        type Correct<V> =
-            StoreServerNode<StorePayload<V>, ServerNode<StorePayload<V>, StoreOut<V>>>;
-        type Byz<V> = StoreServerNode<StorePayload<V>, ByzServerNode<StorePayload<V>, StoreOut<V>>>;
         let pid = self.servers[i];
-        if self.byz_servers.contains(&i) {
+        if self.is_byzantine(i) {
             self.sim
-                .node_ref::<Byz<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
+                .node_ref::<ByzServer<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
         } else {
             self.sim
-                .node_ref::<Correct<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
+                .node_ref::<CorrectServer<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
         }
     }
 

@@ -70,27 +70,19 @@ pub struct StoreHealth {
     pub bulk_bytes_sent: u64,
 }
 
-impl StoreHealth {
-    /// Flags shards carrying more than `2×` the mean completed-op load.
-    /// Called by the harness after the per-shard tallies are filled.
-    pub(crate) fn detect_hot_shards(&mut self) {
-        self.hot_shards.clear();
-        if self.shards.len() < 2 {
-            return;
-        }
-        let total: u64 = self.shards.iter().map(ShardHealth::ops).sum();
-        if total == 0 {
-            return;
-        }
-        // Threshold in completed ops: strictly above 2× the mean.
-        let threshold = 2 * total / self.shards.len() as u64;
-        self.hot_shards.extend(
-            self.shards
-                .iter()
-                .filter(|s| s.ops() > threshold)
-                .map(|s| s.shard),
-        );
+/// The shards carrying strictly more than `2×` the mean completed-op
+/// load (never any with fewer than two shards).
+pub(crate) fn hot_shards(shards: &[ShardHealth]) -> Vec<u32> {
+    let total: u64 = shards.iter().map(ShardHealth::ops).sum();
+    if shards.len() < 2 || total == 0 {
+        return Vec::new();
     }
+    let threshold = 2 * total / shards.len() as u64;
+    shards
+        .iter()
+        .filter(|s| s.ops() > threshold)
+        .map(|s| s.shard)
+        .collect()
 }
 
 /// A post-mortem dump: the causal trace slice around the suspect
@@ -172,63 +164,28 @@ mod tests {
 
     #[test]
     fn hot_shard_detector_flags_outliers() {
-        let mut h = StoreHealth {
-            shards: vec![
-                ShardHealth {
-                    shard: 0,
-                    puts: 1,
-                    gets: 1,
-                },
-                ShardHealth {
-                    shard: 1,
-                    puts: 2,
-                    gets: 1,
-                },
-                ShardHealth {
-                    shard: 2,
-                    puts: 50,
-                    gets: 45,
-                },
-                ShardHealth {
-                    shard: 3,
-                    puts: 0,
-                    gets: 0,
-                },
-            ],
-            replicas: Vec::new(),
-            slow: SlowPath::default(),
-            pending_ops: 0,
-            hot_shards: Vec::new(),
-            metadata_bytes_sent: 0,
-            bulk_bytes_sent: 0,
-        };
-        h.detect_hot_shards();
-        assert_eq!(h.hot_shards, vec![2]);
+        let tally = |shard, puts, gets| ShardHealth { shard, puts, gets };
+        let shards = [
+            tally(0, 1, 1),
+            tally(1, 2, 1),
+            tally(2, 50, 45),
+            tally(3, 0, 0),
+        ];
+        assert_eq!(hot_shards(&shards), vec![2]);
     }
 
     #[test]
     fn hot_shard_detector_is_quiet_on_uniform_load() {
-        let mut h = StoreHealth {
-            shards: (0..4)
-                .map(|shard| ShardHealth {
-                    shard,
-                    puts: 10,
-                    gets: 10,
-                })
-                .collect(),
-            replicas: Vec::new(),
-            slow: SlowPath::default(),
-            pending_ops: 0,
-            hot_shards: Vec::new(),
-            metadata_bytes_sent: 0,
-            bulk_bytes_sent: 0,
-        };
-        h.detect_hot_shards();
-        assert!(h.hot_shards.is_empty());
+        let shards: Vec<ShardHealth> = (0..4)
+            .map(|shard| ShardHealth {
+                shard,
+                puts: 10,
+                gets: 10,
+            })
+            .collect();
+        assert!(hot_shards(&shards).is_empty());
         // Single shard: never hot, whatever the load.
-        h.shards.truncate(1);
-        h.detect_hot_shards();
-        assert!(h.hot_shards.is_empty());
+        assert!(hot_shards(&shards[..1]).is_empty());
     }
 
     #[test]

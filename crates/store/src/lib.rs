@@ -27,7 +27,7 @@
 //! Each shard register stores the whole shard's [`ShardMap`]; the shard's
 //! unique writer keeps the authoritative copy and publishes a snapshot per
 //! `put`. Per-key correctness is then register correctness by projection,
-//! and [`StoreSystem::history_for_key`] extracts exactly the per-key
+//! and [`DeployCore::history_for_key`] extracts exactly the per-key
 //! history the `sbs-check` checkers judge.
 //!
 //! # The bulk data plane (metadata/data separation)
@@ -108,6 +108,7 @@
 #![warn(missing_debug_implementations)]
 
 mod batcher;
+mod deploy;
 mod harness;
 mod health;
 mod map;
@@ -118,6 +119,7 @@ mod val;
 mod workload;
 
 pub use batcher::DestBatcher;
+pub use deploy::{ByzServer, ClientCall, CorrectServer, DeployCore, DeployHost};
 pub use harness::{StoreBuilder, StoreConfig, StoreNodeSet, StoreSystem};
 pub use health::{FlightRecord, ReplicaHealth, ShardHealth, StoreHealth};
 pub use map::ShardMap;
@@ -126,7 +128,8 @@ pub use node::{DataPlane, StoreClientNode, StorePayload, StoreServerNode, StoreW
 pub use router::{fnv1a64, KeyRouter, ReshardPlan, RoutingEpoch, RoutingTable};
 pub use val::{SizedVal, StoreVal};
 pub use workload::{
-    FaultPlan, KeyDist, LoopMode, OpMix, PlannedOp, Workload, WorkloadReport, WorkloadStreams,
+    Driver, FaultPlan, KeyDist, LoopMode, OpMix, PlannedOp, Workload, WorkloadReport,
+    WorkloadStreams,
 };
 
 // The mode enum is `sbs-core`'s; re-exported so store users can match on

@@ -20,11 +20,12 @@
 //! workload agree key by key, write sequence by write sequence
 //! (`tests/mode_sync.rs`).
 
+use crate::deploy::{DeployCore, DeployHost};
 use crate::harness::{StoreBuilder, StoreSystem};
 use crate::router::{KeyRouter, ReshardPlan};
 use sbs_bulk::BulkCodec;
 use sbs_core::{ByzStrategy, Payload};
-use sbs_sim::{DetRng, LatencySummary, OpId, SimDuration};
+use sbs_sim::{DetRng, LatencySummary, OpId, ProcessId, SimDuration};
 use std::collections::HashMap;
 
 /// Key-popularity distribution over the key space.
@@ -253,57 +254,19 @@ impl Workload {
         for &(offset, count) in &self.faults.link_garbage {
             sys.pollute_links_at(start + offset, count);
         }
-        // Data wipes reach into node state from the harness, so they
-        // cannot ride the event queue: the drive loops apply each at the
-        // first slice boundary at or after its offset.
-        let mut wipes: Vec<(sbs_sim::SimTime, usize)> = self
-            .faults
-            .data_wipes
-            .iter()
-            .map(|&(offset, server)| (start + offset, server))
-            .collect();
-        wipes.sort_by_key(|&(at, _)| at);
-        let mut apply_due_wipes = |sys: &mut StoreSystem<V>| {
-            while wipes.first().is_some_and(|&(at, _)| at <= sys.sim.now()) {
-                let (_, server) = wipes.remove(0);
-                sys.wipe_server_data(server);
-            }
-        };
-        // Reshards follow the same slice-boundary discipline as the
-        // wipes; one handoff at a time (a due plan waits while its
-        // predecessor's handoff is still in flight).
-        let mut reshards: Vec<(sbs_sim::SimTime, ReshardPlan)> = self
-            .faults
-            .reshards
-            .iter()
-            .map(|(offset, plan)| (start + *offset, plan.clone()))
-            .collect();
-        reshards.sort_by_key(|&(at, _)| at);
-        let mut apply_due_reshards = |sys: &mut StoreSystem<V>| {
-            while !sys.reshard_active()
-                && reshards.first().is_some_and(|&(at, _)| at <= sys.sim.now())
-            {
-                let (_, plan) = reshards.remove(0);
-                sys.begin_reshard(&plan);
-            }
-        };
-
-        let mut driver = Driver::new(self, &sys);
-        let mut reads = 0u64;
-        let mut writes = 0u64;
+        let mut driver = Driver::new(self, &sys.core);
 
         match self.loop_mode {
             LoopMode::Closed => {
                 // Prime every client with one operation, then refill on
                 // completion.
                 for c in 0..sys.clients.len() {
-                    driver.issue_next_for(c, &mut sys, &mk, &mut reads, &mut writes);
+                    driver.issue_next_for(c, &mut sys.core, &mut sys.sim, &mk);
                 }
                 let mut idle_slices = 0;
                 while driver.completed < driver.issued || driver.issued < self.ops {
                     let done = sys.run_for(DRIVE_SLICE);
-                    apply_due_wipes(&mut sys);
-                    apply_due_reshards(&mut sys);
+                    driver.apply_due_faults(sys.sim.now() - start, &mut sys.core, &mut sys.sim);
                     if done.is_empty() {
                         idle_slices += 1;
                         assert!(
@@ -315,18 +278,7 @@ impl Workload {
                         continue;
                     }
                     idle_slices = 0;
-                    driver.completed += done.len() as u64;
-                    for (pid, op) in done {
-                        // Refill the stream that *issued* the op, not the
-                        // client it completed at: after a reshard the put
-                        // executes (and completes) at the shard's new
-                        // owner, while the quota being drained is the
-                        // issuing stream's.
-                        let c = driver.inflight.remove(&op).unwrap_or_else(|| {
-                            sys.clients.iter().position(|&p| p == pid).expect("client")
-                        });
-                        driver.issue_next_for(c, &mut sys, &mk, &mut reads, &mut writes);
-                    }
+                    driver.refill(done, &mut sys.core, &mut sys.sim, &mk);
                 }
             }
             LoopMode::Open { mean_interarrival } => {
@@ -354,17 +306,15 @@ impl Workload {
                     if sys.sim.now() < target {
                         let done = sys.run_for(target - sys.sim.now());
                         driver.completed += done.len() as u64;
-                        apply_due_wipes(&mut sys);
-                        apply_due_reshards(&mut sys);
+                        driver.apply_due_faults(sys.sim.now() - start, &mut sys.core, &mut sys.sim);
                     }
-                    driver.issue_next_for(c, &mut sys, &mk, &mut reads, &mut writes);
+                    driver.issue_next_for(c, &mut sys.core, &mut sys.sim, &mk);
                 }
                 let mut idle_slices = 0;
                 while driver.completed < driver.issued {
                     let done = sys.run_for(DRIVE_SLICE).len() as u64;
                     driver.completed += done;
-                    apply_due_wipes(&mut sys);
-                    apply_due_reshards(&mut sys);
+                    driver.apply_due_faults(sys.sim.now() - start, &mut sys.core, &mut sys.sim);
                     idle_slices = if done == 0 { idle_slices + 1 } else { 0 };
                     assert!(
                         idle_slices < STALL_SLICES,
@@ -395,8 +345,8 @@ impl Workload {
         let report = WorkloadReport {
             issued: driver.issued,
             completed: driver.completed,
-            reads,
-            writes,
+            reads: driver.reads,
+            writes: driver.writes,
             sim_elapsed: elapsed,
             ops_per_sim_sec: if secs > 0.0 {
                 driver.completed as f64 / secs
@@ -568,52 +518,133 @@ impl WorkloadStreams {
     }
 }
 
-/// Per-run sampling state: the shared [`WorkloadStreams`] planner plus
-/// the sim drive loop's issue/complete bookkeeping.
-struct Driver {
-    issued: u64,
-    completed: u64,
+/// The backend-independent half of a workload run: the shared
+/// [`WorkloadStreams`] planner, the issue/complete bookkeeping of the
+/// closed loop, and the plan's harness-applied mid-run events (data
+/// wipes and reshards). The drive loop around it — virtual-time slices
+/// here, wall-clock waits in `sbs-net` — and its stall policy stay with
+/// the backend.
+#[derive(Debug)]
+pub struct Driver {
+    /// Operations issued so far.
+    pub issued: u64,
+    /// Operations completed so far.
+    pub completed: u64,
+    /// Reads issued so far.
+    pub reads: u64,
+    /// Writes issued so far.
+    pub writes: u64,
     streams: WorkloadStreams,
     /// In-flight operation → issuing stream index. A put issued after a
     /// reshard executes (and completes) at the shard's *new* owner, so
     /// closed-loop refill maps each completion back to the stream that
     /// issued it instead of trusting the completing process id.
     inflight: HashMap<OpId, usize>,
+    /// Pending data wipes as `(offset from start, server index)`,
+    /// soonest first. They reach into node state from the harness, so
+    /// they cannot ride a backend's event queue.
+    wipes: Vec<(SimDuration, usize)>,
+    /// Pending reshards as `(offset from start, plan)`, soonest first.
+    reshards: Vec<(SimDuration, ReshardPlan)>,
 }
 
 impl Driver {
-    fn new<V: Payload + BulkCodec>(w: &Workload, sys: &StoreSystem<V>) -> Self {
+    /// A driver for `w` on the deployment `core` describes.
+    pub fn new<V: Payload + BulkCodec>(w: &Workload, core: &DeployCore<V>) -> Self {
+        let mut wipes = w.faults.data_wipes.clone();
+        wipes.sort_by_key(|&(at, _)| at);
+        let mut reshards = w.faults.reshards.clone();
+        reshards.sort_by_key(|&(at, _)| at);
         Driver {
             issued: 0,
             completed: 0,
-            streams: WorkloadStreams::new(w, sys.router(), sys.clients.len()),
+            reads: 0,
+            writes: 0,
+            streams: WorkloadStreams::new(w, core.routing_table().base(), core.clients.len()),
             inflight: HashMap::new(),
+            wipes,
+            reshards,
         }
     }
 
-    /// Issues the next operation of client `c`'s stream into `sys`. A
-    /// client whose quota is exhausted issues nothing.
-    fn issue_next_for<V: Payload + BulkCodec>(
+    /// Issues the next operation of client `c`'s stream, writing `mk(id)`
+    /// for the `id`-th planned write. A client whose quota is exhausted
+    /// issues nothing.
+    pub fn issue_next_for<V: Payload + BulkCodec, H: DeployHost<V>>(
         &mut self,
         c: usize,
-        sys: &mut StoreSystem<V>,
+        core: &mut DeployCore<V>,
+        host: &mut H,
         mk: &impl Fn(u64) -> V,
-        reads: &mut u64,
-        writes: &mut u64,
     ) {
         let op = match self.streams.next_for(c) {
             None => return,
             Some(PlannedOp::Get { key }) => {
-                *reads += 1;
-                sys.get(c, &key)
+                self.reads += 1;
+                core.get(host, c, &key)
             }
             Some(PlannedOp::Put { key, id }) => {
-                *writes += 1;
-                sys.put(&key, mk(id))
+                self.writes += 1;
+                core.put(host, &key, mk(id))
             }
         };
         self.inflight.insert(op, c);
         self.issued += 1;
+    }
+
+    /// Counts the completions `done` and refills the closed loop: each
+    /// one issues the next operation of the stream that *issued* it —
+    /// not of the client it completed at, since after a reshard a put
+    /// executes (and completes) at the shard's new owner while the quota
+    /// being drained is the issuing stream's. A completion the driver
+    /// never issued (a duplicate after corruption) falls back to the
+    /// completing client's stream.
+    pub fn refill<V: Payload + BulkCodec, H: DeployHost<V>>(
+        &mut self,
+        done: Vec<(ProcessId, OpId)>,
+        core: &mut DeployCore<V>,
+        host: &mut H,
+        mk: &impl Fn(u64) -> V,
+    ) {
+        self.completed += done.len() as u64;
+        for (pid, op) in done {
+            let c = self.inflight.remove(&op).unwrap_or_else(|| {
+                let at = core.clients.iter().position(|&p| p == pid);
+                at.expect("completion from a client")
+            });
+            self.issue_next_for(c, core, host, mk);
+        }
+    }
+
+    /// Applies every scheduled wipe and reshard whose offset is at or
+    /// before `elapsed` (time since the run started, on the backend's
+    /// clock); returns whether anything was applied. One handoff at a
+    /// time: a due plan waits while its predecessor's handoff is still
+    /// in flight.
+    pub fn apply_due_faults<V: Payload + BulkCodec, H: DeployHost<V>>(
+        &mut self,
+        elapsed: SimDuration,
+        core: &mut DeployCore<V>,
+        host: &mut H,
+    ) -> bool {
+        let mut applied = false;
+        while self.wipes.first().is_some_and(|&(at, _)| at <= elapsed) {
+            let (_, server) = self.wipes.remove(0);
+            core.wipe_server_data(host, server);
+            applied = true;
+        }
+        while !core.reshard_active() && self.reshards.first().is_some_and(|(at, _)| *at <= elapsed)
+        {
+            let (_, plan) = self.reshards.remove(0);
+            core.begin_reshard(host, &plan);
+            applied = true;
+        }
+        applied
+    }
+
+    /// True while a scheduled wipe or reshard has not yet been applied.
+    pub fn faults_pending(&self) -> bool {
+        !self.wipes.is_empty() || !self.reshards.is_empty()
     }
 }
 

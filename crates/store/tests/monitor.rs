@@ -242,6 +242,6 @@ fn health_snapshot_tallies_the_run() {
         sys.settle();
     }
     let h = sys.health();
-    let hot_shard = sys.router().shard_of("hot");
+    let hot_shard = sys.routing_table().base().shard_of("hot");
     assert_eq!(h.hot_shards, vec![hot_shard]);
 }

@@ -20,7 +20,7 @@ fn owner_corruption_republishes_before_next_put() {
             builder = builder.bulk();
         }
         let mut sys: StoreSystem<u64> = builder.build();
-        let router = *sys.router();
+        let router = *sys.routing_table().base();
         let mut shard0 = (0..64)
             .map(|i| format!("key{i}"))
             .filter(|k| router.shard_of(k) == 0);

@@ -175,7 +175,7 @@ fn health_proposed_rebalance_applies_live() {
     let plan = sys
         .propose_rebalance()
         .expect("a hot shard must yield a rebalance plan");
-    let hot_shard = sys.router().shard_of("hot");
+    let hot_shard = sys.routing_table().base().shard_of("hot");
     let hot_writer = sys.routing_table().writer_of_shard(hot_shard);
     sys.begin_reshard(&plan);
     assert!(sys.settle(), "the proposed handoff must drain");

@@ -83,7 +83,7 @@ fn main() {
     println!("bulk placement:      {}", sample.join(", "));
 
     // A peek at key routing.
-    let router = sys_bulk.router();
+    let router = sys_bulk.routing_table().base();
     println!(
         "routing:             e.g. key0 → shard {} (writer {}), key1 → shard {} (writer {})",
         router.shard_of("key0"),

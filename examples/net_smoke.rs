@@ -7,12 +7,12 @@
 //! cargo run --release --example net_smoke
 //! ```
 //!
-//! The socket runtime has no deterministic tracer (scheduling is the
-//! OS's), so on failure this dumps what the socket run *does* know —
-//! the monitor's violations with their culprit ops, the per-key
-//! histories involved, and the transport counters — to
-//! `FLIGHT_net_smoke.jsonl`, and exits non-zero so CI surfaces the dump
-//! as an artifact.
+//! On failure this dumps the deployment's flight record — the suspect
+//! ops and the monitor's violations with their culprit ops, then one
+//! counters line — to `FLIGHT_net_smoke.jsonl` (role names alongside in
+//! `.chrome.json`) and exits non-zero so CI surfaces the dump as an
+//! artifact. The causal trace slice is empty on this backend: node
+//! threads keep no trace ring yet.
 //!
 //! A wall-clock budget guards the whole run: loopback YCSB-B at this
 //! size finishes in well under a second, so a minute means a deadlock,
@@ -108,35 +108,23 @@ fn main() {
         && report.decode_rejects == 0
         && !overtime;
     if !clean {
-        // No deterministic tracer exists on this backend; dump the
-        // violations, their keys' histories, and the counters instead.
-        let mut lines = Vec::new();
-        for v in sys.monitor_violations() {
-            lines.push(format!(
-                "{{\"violation\":{{\"key\":{:?},\"op\":{},\"at_ns\":{},\"culprits\":{:?}}}}}",
-                v.key, v.op, v.at_ns, v.culprits
-            ));
-            lines.push(format!(
-                "{{\"history\":{{\"key\":{:?},\"records\":{:?}}}}}",
-                v.key,
-                format!("{:?}", sys.history_for_key(&v.key))
-            ));
-        }
-        if let Err(e) = &atomicity {
-            lines.push(format!("{{\"atomicity_error\":{:?}}}", e.to_string()));
-        }
-        lines.push(format!(
-            "{{\"counters\":{{\"completed\":{},\"issued\":{},\"transport_drops\":{},\
-             \"decode_rejects\":{},\"wall_ms\":{:.1},\"overtime\":{}}}}}",
+        // The same flight record the simulator dumps, minus the causal
+        // trace slice this backend cannot cut yet, plus the counters.
+        let record = sys.flight_recorder();
+        let counters = format!(
+            "{{\"ev\":\"counters\",\"completed\":{},\"issued\":{},\"transport_drops\":{},\
+             \"decode_rejects\":{},\"wall_ms\":{:.1},\"overtime\":{overtime},\"atomicity_error\":{:?}}}\n",
             report.completed,
             report.issued,
             report.transport_drops,
             report.decode_rejects,
             started.elapsed().as_secs_f64() * 1e3,
-            overtime
-        ));
-        std::fs::write("FLIGHT_net_smoke.jsonl", lines.join("\n") + "\n")
+            atomicity.as_ref().err().map_or("", String::as_str)
+        );
+        std::fs::write("FLIGHT_net_smoke.jsonl", record.to_jsonl() + &counters)
             .expect("write flight JSONL");
+        std::fs::write("FLIGHT_net_smoke.chrome.json", record.to_chrome_trace())
+            .expect("write flight role names");
         eprintln!(
             "net smoke FAILED: {} violations, atomicity {:?}, {} decode rejects, \
              overtime={overtime} — dump written to FLIGHT_net_smoke.jsonl",
