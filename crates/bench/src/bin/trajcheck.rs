@@ -182,7 +182,9 @@ const GATES: &[Gate] = &[
         name: "net-wall-clock",
         committed: "BENCH_net.json",
         smoke: "BENCH_net.smoke.json",
-        id_keys: &["mix", "mode", "servers", "shards", "writers"],
+        // "plane" keeps the big-frame drill rows (bulk, coded — full runs
+        // only) apart from each other and from the inline rows.
+        id_keys: &["mix", "mode", "plane", "servers", "shards", "writers"],
         // No p99 here, although the bench records it: the smoke run's
         // tail is dominated by TCP connection setup amortized over a
         // couple hundred ops, which is not a protocol property at all.

@@ -194,10 +194,7 @@ impl WireCodec {
         let Some((prefix, rest)) = buf.split_first_chunk::<4>() else {
             return Err(DecodeError::Truncated);
         };
-        let len = u32::from_le_bytes(*prefix) as usize;
-        if len > MAX_FRAME {
-            return Err(DecodeError::Oversized { len: len as u64 });
-        }
+        let len = frame_len(*prefix)?;
         if rest.len() < len {
             return Err(DecodeError::Truncated);
         }
@@ -814,6 +811,19 @@ fn take_u128(buf: &mut &[u8]) -> Result<u128, DecodeError> {
     Ok(u128::from_le_bytes(*head))
 }
 
+/// The length-prefix rule, in one place: the payload length a frame's
+/// four prefix bytes announce, refused if it exceeds [`MAX_FRAME`] — so
+/// every reader ([`WireCodec::decode_frame`], [`read_frame`], the socket
+/// transport's incremental framer) learns of an oversized frame **before**
+/// it allocates or reserves anything for it.
+pub(crate) fn frame_len(prefix: [u8; 4]) -> Result<usize, DecodeError> {
+    let len = u32::from_le_bytes(prefix) as usize;
+    if len > MAX_FRAME {
+        return Err(DecodeError::Oversized { len: len as u64 });
+    }
+    Ok(len)
+}
+
 /// Reads one frame's payload from a blocking stream.
 ///
 /// Returns `Ok(None)` on a clean end-of-stream at a frame boundary (the
@@ -837,13 +847,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
             n => filled += n,
         }
     }
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            DecodeError::Oversized { len: len as u64 },
-        ));
-    }
+    let len = frame_len(prefix).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))

@@ -6,16 +6,22 @@
 //! [`StoreBuilder`] the simulator uses, asks it for a
 //! runtime-detached fleet ([`StoreBuilder::build_nodes`]), and hosts
 //! the nodes on a [`ThreadRuntime`] whose transports are
-//! [`TcpTransport`]s — every protocol message crosses a real socket
-//! through the canonical codec. Everything that judges the run — the op
+//! [`TcpTransport`](crate::TcpTransport)s — every protocol message
+//! crosses a real socket through the canonical codec. The deployment is
+//! one OS thread per node and nothing else: each node thread writes its
+//! outbound links and polls its own listener and inbound connections
+//! (see [`transport`](crate::transport)); this harness thread reaches
+//! the nodes through `invoke`, which enqueues and then wakes the target
+//! out of its `ppoll`. Everything that judges the run — the op
 //! log, the online [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor),
 //! per-key histories, the atomicity check, the reshard orchestrator, the
 //! flight recorder — is `sbs_store`'s [`DeployCore`], reached through
 //! `Deref`, so sim ≡ socket differential tests hold both backends to one
 //! implementation of the standard.
 //!
-//! What is backend-specific lives here: binding listeners and spawning
-//! node threads, the [`DeployHost`] that enqueues client calls and data
+//! What is backend-specific lives here: binding listeners, spawning
+//! node threads and handing each its listener, the [`DeployHost`] that
+//! enqueues client calls and data
 //! wipes onto those threads and reads the clock as wall time since
 //! deployment (so latencies and throughput are *real*, and runs are not
 //! replayable), waiting on the runtime's output channel, the wall-clock
@@ -26,7 +32,7 @@
 //! garbage) need the simulator's event queue and remain simulator-only.
 
 use crate::codec::WireCodec;
-use crate::transport::{NetFabric, TcpTransport};
+use crate::transport::{NetFabric, TransportStats};
 use sbs_bulk::BulkCodec;
 use sbs_core::Payload;
 use sbs_sim::{LatencySummary, OpId, ProcessId, SimDuration, SimTime, SlowPath, ThreadRuntime};
@@ -80,10 +86,10 @@ impl<V: Payload + BulkCodec + Send + Sync> DeployHost<V> for NetHost<V> {
 
 /// A store deployment on loopback TCP.
 ///
-/// Field order is load-bearing for shutdown: the host's
-/// [`ThreadRuntime`] is dropped first (stopping the node threads, which
-/// closes their outbound streams), then the [`NetFabric`] joins its
-/// accept/reader threads.
+/// Shutdown is the host's [`ThreadRuntime`] stopping its node threads:
+/// each owns its listener and every stream it opened or accepted, and
+/// closes them as it exits. The [`NetFabric`] holds no thread and no
+/// socket by then — only the address book and the counters.
 pub struct NetStoreSystem<V: Payload + BulkCodec + Send + Sync> {
     host: NetHost<V>,
     fabric: NetFabric,
@@ -111,24 +117,18 @@ impl<V: Payload + BulkCodec + Send + Sync> Deref for NetStoreSystem<V> {
 
 impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     /// Deploys `builder`'s fleet on loopback TCP: binds one listener per
-    /// node, spawns the node threads with [`TcpTransport`] backends, and
-    /// starts the inbound fabric. The builder's `monitor()` flag carries
-    /// over to an online monitor fed by `put`/`get`.
+    /// node, spawns the node threads with
+    /// [`TcpTransport`](crate::TcpTransport) backends, and hands each
+    /// thread its listener to poll. The builder's `monitor()` flag
+    /// carries over to an online monitor fed by `put`/`get`.
     pub fn deploy(builder: &StoreBuilder) -> io::Result<Self> {
         let set = builder.build_nodes::<V>();
         let total = set.nodes.len();
         let codec = WireCodec::new(set.wsn_modulus);
         let mut fabric = NetFabric::bind(total)?;
-        let addrs = fabric.addrs().to_vec();
         let drops = Arc::new(AtomicU64::new(0));
-        let transport_drops = Arc::clone(&drops);
-        let rt = ThreadRuntime::spawn_with_transport(set.nodes, set.seed, move |me, _| {
-            Box::new(TcpTransport::<V>::new(
-                me,
-                addrs.clone(),
-                codec,
-                Arc::clone(&transport_drops),
-            ))
+        let rt = ThreadRuntime::spawn_with_transport(set.nodes, set.seed, |me, _| {
+            Box::new(fabric.transport::<V>(me, codec, Arc::clone(&drops)))
         });
         let injectors = (0..total)
             .map(|i| rt.injector(ProcessId(i as u32)))
@@ -295,7 +295,9 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
         self.host.rt.slow_paths()
     }
 
-    /// Messages dropped by transports after exhausting reconnects.
+    /// Messages the transports gave up as link loss: the link was down
+    /// and backing off, could not be dialled, or stalled past its write
+    /// timeout.
     pub fn transport_drops(&self) -> u64 {
         self.drops.load(Ordering::Relaxed)
     }
@@ -304,6 +306,12 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     /// connection).
     pub fn decode_rejects(&self) -> u64 {
         self.fabric.decode_rejects()
+    }
+
+    /// The deployment's transport gauges — wake-ups, reads, frames in,
+    /// connects, write timeouts — summed over its node threads so far.
+    pub fn transport_stats(&self) -> TransportStats {
+        self.fabric.stats()
     }
 }
 

@@ -12,10 +12,15 @@
 //!   caps, and a decoder that refuses (never panics on) malformed input.
 //! - [`transport`] — [`TcpTransport`]: a
 //!   [`Transport`](sbs_sim::Transport) backend over `std::net` TCP with
-//!   one stream per directed peer link, blocking writes, and bounded
-//!   per-link reconnect. [`NetFabric`] owns the listener and reader
-//!   threads that decode inbound frames back into the hosting
-//!   [`ThreadRuntime`](sbs_sim::ThreadRuntime).
+//!   one stream per directed peer link, writes under a deadline, and
+//!   per-link reconnect back-off kept as state, never slept. The
+//!   receive half runs on the node's own thread too: [`NetFabric`] binds
+//!   the listeners and hands each to its node, whose thread then blocks
+//!   in one `ppoll(2)` over its wake socket, listener and inbound
+//!   connections and decodes frames straight into `on_message`. One OS
+//!   thread per node, no reader or accept threads; enqueue-then-wake on
+//!   one side and drain-wake-then-drain-channel on the other is the
+//!   ordering rule that loses no wake-up.
 //! - [`harness`] — [`NetStoreSystem`]: `sbs_store`'s
 //!   [`DeployCore`](sbs_store::DeployCore) — op log, online
 //!   [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor), per-key
@@ -23,6 +28,10 @@
 //!   threads and sockets, driven by the same closed-loop workload
 //!   driver as the simulator; one implementation on both sides is what
 //!   the differential sim ≡ socket equivalence tests compare through.
+//!
+//! The `ppoll` call in [`transport`] is the workspace's one `unsafe`
+//! block, and with the Unix-domain wake socket makes this crate
+//! **Unix-only** (Linux and the BSDs).
 //!
 //! What is and is not deterministic here: the *issued operation
 //! streams* are (they come from `sbs_store::WorkloadStreams`, a pure
@@ -39,4 +48,4 @@ pub mod transport;
 
 pub use codec::{read_frame, write_frame, DecodeError, WireCodec, MAX_FRAME, WIRE_VERSION};
 pub use harness::{NetReport, NetStoreSystem};
-pub use transport::{NetFabric, TcpTransport};
+pub use transport::{NetFabric, TcpTransport, TransportStats};

@@ -1,63 +1,175 @@
-//! The std-TCP [`Transport`] backend and its receive fabric.
+//! The std-TCP [`Transport`] backend and its receive half.
 //!
 //! Topology: every node owns one [`TcpListener`]; every directed peer
 //! link `src → dst` is one outbound [`TcpStream`] owned by `src`'s
 //! [`TcpTransport`]. TCP keeps bytes ordered within a connection, so
 //! each link is FIFO — the same per-ordered-pair assumption the paper
-//! (and the in-process runtime) makes. Writes are blocking and happen
-//! on the sending node's own thread; a failed link is retried with
-//! bounded backoff and otherwise *drops* the message, which the
-//! protocols already tolerate as message loss.
+//! (and the in-process runtime) makes.
 //!
-//! The [`NetFabric`] owns the inbound side: one accept thread per
-//! listener, one reader thread per accepted connection. A reader
-//! decodes frames with the [`WireCodec`] and injects each message into
-//! the hosting [`ThreadRuntime`](sbs_sim::ThreadRuntime) through its
-//! [`MsgInjector`]. A frame that fails to decode bumps a reject counter
-//! and kills that connection — a Byzantine peer can waste a connection,
-//! not the process.
+//! **Thread model: one OS thread per node, and no other.** A node's
+//! thread runs its handlers, writes its outbound streams, *and* reads its
+//! inbound ones. [`NetFabric::start`] spawns nothing: it hands each
+//! node's listener to that node's thread as an
+//! [`Inbound`] source through the node's
+//! [`MsgInjector`], and the thread then blocks in one `ppoll(2)` over
+//! {wake socket, listener, accepted connections} with its next timer
+//! deadline as the (nanosecond) timeout. Accepts and reads are
+//! non-blocking; each connection carries an incremental framer
+//! (preamble, then length-prefixed frames, partial bytes kept for the
+//! next read), and every complete frame is decoded with the
+//! [`WireCodec`] and delivered to `on_message` on the spot — a frame
+//! costs one thread wake-up, not a reader's plus the node's.
+//!
+//! **No lost wake-ups.** The harness reaches a node through its channel
+//! (`invoke`, `inject`, stop). Each enqueue is followed by one byte
+//! written to the node's wake socket; the node drains the wake socket
+//! (inside `wait`), then drains its channel, then waits again — in that
+//! order — so a byte it consumed always precedes a drain that sees the
+//! entry, and a byte written after the drain is still readable when
+//! `ppoll` is entered.
+//!
+//! **The node thread blocks only in `ppoll`.** Sends happen on the same
+//! thread, so they never sleep and never wait on a peer without a bound:
+//! a link that is down remembers when it may next be dialled (back-off
+//! *state*, doubling to a cap) and until then a send to it is a counted
+//! drop with no syscall; a dial is one connect attempt under
+//! [`CONNECT_TIMEOUT`]; a frame still unwritten after
+//! [`WRITE_TIMEOUT`] closes the link and counts a drop, so two nodes
+//! pushing multi-MiB frames at each other cannot park each other. A
+//! dropped message is message loss, which the protocols already
+//! tolerate. A peer that floods cannot starve the other links either:
+//! each readable connection gets one bounded `read` per wake-up
+//! (level-triggered `ppoll` reports the rest again), and an unread flood
+//! backs up into the flooder's own TCP window instead of an unbounded
+//! queue here.
+//!
+//! A frame that fails to decode — or announces more than
+//! [`MAX_FRAME`](crate::MAX_FRAME), refused before anything is reserved
+//! for it — bumps a reject counter and closes that one connection: a
+//! Byzantine peer can waste a connection, not the process and not
+//! another link.
 //!
 //! Each connection opens with an 8-byte preamble: a magic word and the
 //! sender's process id. The claimed id is **trusted**, exactly like
 //! [`ThreadRuntime::inject`](sbs_sim::ThreadRuntime::inject)'s claimed
 //! sender — authentication is out of scope here; the protocol layer is
 //! the part that tolerates Byzantine peers.
+//!
+//! The `ppoll` call is the workspace's only `unsafe` block (declared
+//! here; std already links libc), which together with the Unix-domain
+//! wake socket makes this crate Unix-only (Linux and the BSDs).
 
-use crate::codec::{read_frame, write_frame, WireCodec};
+use crate::codec::{frame_len, DecodeError, WireCodec};
 use sbs_bulk::BulkCodec;
 use sbs_core::Payload;
-use sbs_sim::{MsgInjector, ProcessId, Transport};
+use sbs_sim::{Inbound, MsgInjector, ProcessId, Transport};
 use sbs_store::{StoreOut, StoreWire};
+use std::ffi::{c_int, c_long, c_short, c_ulong, c_void};
 use std::io::{self, Read, Write};
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Duration;
+use std::os::fd::{AsRawFd, RawFd};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// First 4 bytes of every connection ("SBSN"), so a stray client
 /// connecting to the port is detected before any frame is parsed.
-const PREAMBLE_MAGIC: u32 = u32::from_le_bytes(*b"SBSN");
+const PREAMBLE_MAGIC: [u8; 4] = *b"SBSN";
+/// Magic plus the sender's little-endian process id.
+const PREAMBLE_LEN: usize = 8;
 
-/// Connect attempts per send before the link declares the message lost.
-const CONNECT_ATTEMPTS: u32 = 5;
-/// Backoff before connect attempt `i` (doubling): 1, 2, 4, 8, 16 ms.
-const CONNECT_BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// A failed dial keeps its link down for this long at first, doubling
+/// per consecutive failure up to [`BACKOFF_CAP`].
+const BACKOFF_BASE: Duration = Duration::from_millis(1);
+/// Longest a dead link goes without a dial attempt.
+const BACKOFF_CAP: Duration = Duration::from_millis(64);
+/// Bound on one connect attempt (loopback answers at once either way; a
+/// silent remote host must not hold the node thread).
+pub const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
+/// A frame whose write has not finished after this long is abandoned
+/// (within twice this, see `write_all_by`), closing the link.
+pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Steady-state size of a connection's read buffer. A frame that does
+/// not fit gets a buffer of exactly its own size for as long as it is in
+/// flight, so large values are read straight into place while idle
+/// connections stay small.
+const READ_BUF: usize = 16 * 1024;
+
+/// Transport gauges of one deployment, summed over its nodes.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TransportStats {
+    /// Returns of the node threads' `ppoll` (timer expiries included).
+    pub wakeups: u64,
+    /// `read` calls on accepted connections.
+    pub reads: u64,
+    /// Frames decoded and delivered.
+    pub frames_in: u64,
+    /// Outbound connections established.
+    pub connects: u64,
+    /// Writes abandoned after [`WRITE_TIMEOUT`] (each closed its link).
+    pub write_timeouts: u64,
+}
+
+impl TransportStats {
+    /// Frames delivered per wake-up: ≈ 1 means the next saving is fewer
+    /// wake-ups, well above it means fewer messages.
+    pub fn frames_per_wakeup(&self) -> f64 {
+        self.frames_in as f64 / self.wakeups.max(1) as f64
+    }
+}
+
+/// One node's relaxed counters (statistics only: they publish nothing).
+#[derive(Debug, Default)]
+struct Counters {
+    wakeups: AtomicU64,
+    reads: AtomicU64,
+    frames_in: AtomicU64,
+    connects: AtomicU64,
+    write_timeouts: AtomicU64,
+    rejects: AtomicU64,
+}
+
+fn bump(counter: &AtomicU64, by: usize) {
+    if by > 0 {
+        counter.fetch_add(by as u64, Ordering::Relaxed);
+    }
+}
+
+/// One directed link's outbound state.
+struct Link {
+    stream: Option<TcpStream>,
+    /// Earliest instant a down link may be dialled again.
+    retry_at: Instant,
+    /// Current back-off step; zero while the link is healthy.
+    backoff: Duration,
+}
+
+impl Link {
+    /// Keeps the link down for the next, doubled, back-off step — from
+    /// now, not from when the failed attempt began.
+    fn back_off(&mut self) {
+        self.backoff = (self.backoff * 2).clamp(BACKOFF_BASE, BACKOFF_CAP);
+        self.retry_at = Instant::now() + self.backoff;
+    }
+}
 
 /// The outbound half of one node's links: a lazily connected
-/// [`TcpStream`] per peer, with bounded reconnect. One instance lives on
-/// each node thread (handed to
+/// [`TcpStream`] per peer, redialled under per-link back-off. One
+/// instance lives on each node thread (handed to
 /// [`ThreadRuntime::spawn_with_transport`](sbs_sim::ThreadRuntime::spawn_with_transport)),
 /// so no locking is involved on the send path.
 pub struct TcpTransport<V> {
     me: ProcessId,
     peers: Vec<SocketAddr>,
-    conns: Vec<Option<TcpStream>>,
+    links: Vec<Link>,
     codec: WireCodec,
-    /// Messages dropped after exhausting reconnect attempts, shared
-    /// across the fleet's transports for the harness to report.
+    /// Messages given up as link loss, shared across the fleet's
+    /// transports for the harness to report.
     drops: Arc<AtomicU64>,
+    counters: Arc<Counters>,
     _values: PhantomData<fn() -> V>,
 }
 
@@ -73,51 +185,110 @@ impl<V> std::fmt::Debug for TcpTransport<V> {
 impl<V> TcpTransport<V> {
     /// A transport for node `me` reaching the peers at `peers` (indexed
     /// by [`ProcessId::index`]). `drops` is the shared lost-message
-    /// counter.
+    /// counter. Its connect and write-timeout gauges are its own; use
+    /// [`NetFabric::transport`] to have them counted with a fabric's.
     pub fn new(
         me: ProcessId,
         peers: Vec<SocketAddr>,
         codec: WireCodec,
         drops: Arc<AtomicU64>,
     ) -> Self {
-        let conns = peers.iter().map(|_| None).collect();
+        let now = Instant::now();
+        let links = peers
+            .iter()
+            .map(|_| Link {
+                stream: None,
+                retry_at: now,
+                backoff: Duration::ZERO,
+            })
+            .collect();
         TcpTransport {
             me,
             peers,
-            conns,
+            links,
             codec,
             drops,
+            counters: Arc::default(),
             _values: PhantomData,
         }
     }
 
-    fn connect(&self, to: usize) -> io::Result<TcpStream> {
-        let mut last_err = None;
-        for attempt in 0..CONNECT_ATTEMPTS {
-            if attempt > 0 {
-                std::thread::sleep(CONNECT_BACKOFF_BASE * (1 << (attempt - 1)));
-            }
-            match TcpStream::connect(self.peers[to]) {
-                Ok(mut stream) => {
-                    stream.set_nodelay(true)?;
-                    let mut preamble = [0u8; 8];
-                    preamble[..4].copy_from_slice(&PREAMBLE_MAGIC.to_le_bytes());
-                    preamble[4..].copy_from_slice(&self.me.0.to_le_bytes());
-                    stream.write_all(&preamble)?;
-                    return Ok(stream);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        Err(last_err.expect("at least one connect attempt"))
+    /// One bounded connect attempt, preamble included.
+    fn dial(&self, to: usize) -> io::Result<TcpStream> {
+        let mut stream = TcpStream::connect_timeout(&self.peers[to], CONNECT_TIMEOUT)?;
+        stream.set_nodelay(true)?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        let mut preamble = [0u8; PREAMBLE_LEN];
+        preamble[..4].copy_from_slice(&PREAMBLE_MAGIC);
+        preamble[4..].copy_from_slice(&self.me.0.to_le_bytes());
+        stream.write_all(&preamble)?;
+        Ok(stream)
     }
 
-    fn write_to(&mut self, to: usize, frame: &[u8]) -> io::Result<()> {
-        if self.conns[to].is_none() {
-            self.conns[to] = Some(self.connect(to)?);
+    /// Writes `frame` to link `to`, dialling it first if it is down and
+    /// due. Never sleeps; every syscall in here is bounded.
+    fn try_write(&mut self, to: usize, frame: &[u8]) -> bool {
+        let now = Instant::now();
+        if self.links[to].stream.is_none() {
+            if now < self.links[to].retry_at {
+                return false;
+            }
+            match self.dial(to) {
+                Ok(stream) => {
+                    bump(&self.counters.connects, 1);
+                    self.links[to].stream = Some(stream);
+                }
+                Err(_) => {
+                    self.links[to].back_off();
+                    return false;
+                }
+            }
         }
-        let stream = self.conns[to].as_mut().expect("just connected");
-        write_frame(stream, frame)
+        let link = &mut self.links[to];
+        let stream = link.stream.as_mut().expect("dialled above");
+        match write_all_by(stream, frame, now + WRITE_TIMEOUT) {
+            Ok(()) => {
+                link.backoff = Duration::ZERO;
+                true
+            }
+            Err(e) => {
+                // The peer may be left holding a torn frame: the stream
+                // is unusable either way.
+                link.stream = None;
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) {
+                    // Not reading. Stay away for a while rather than
+                    // filling a fresh socket buffer per send.
+                    bump(&self.counters.write_timeouts, 1);
+                    link.back_off();
+                }
+                false
+            }
+        }
+    }
+}
+
+/// `write_all` under one deadline for the whole buffer. The stream's own
+/// write timeout bounds each `write`, but one that expires after moving
+/// *some* bytes reports the bytes, not the expiry — `write_all` alone
+/// would sit out a timeout per partial write for as long as the peer
+/// lets a trickle through. Gives up within twice [`WRITE_TIMEOUT`].
+fn write_all_by(stream: &mut TcpStream, mut buf: &[u8], deadline: Instant) -> io::Result<()> {
+    loop {
+        match stream.write(buf) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if buf.is_empty() {
+            return Ok(());
+        }
+        if Instant::now() >= deadline {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
     }
 }
 
@@ -126,44 +297,272 @@ where
     V: Payload + BulkCodec + Send + Sync,
 {
     fn send(&mut self, _from: ProcessId, to: ProcessId, msg: StoreWire<V>) {
-        let frame = self.codec.encode(&msg);
         let to = to.index();
-        if to >= self.peers.len() {
-            self.drops.fetch_add(1, Ordering::Relaxed);
-            return;
+        if to < self.peers.len() {
+            let frame = self.codec.encode(&msg);
+            // A stream that died since the last send (peer restarted) is
+            // left due, so the second try redials it at once; a link in
+            // back-off fails both tries without a syscall.
+            if self.try_write(to, &frame) || self.try_write(to, &frame) {
+                return;
+            }
         }
-        if self.write_to(to, &frame).is_ok() {
-            return;
+        self.drops.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: c_short,
+    revents: c_short,
+}
+
+/// `struct timespec` as the `ppoll` symbol takes it (`time_t` is `long`
+/// on every Linux and BSD ABI that symbol serves).
+#[repr(C)]
+struct Timespec {
+    tv_sec: c_long,
+    tv_nsec: c_long,
+}
+
+const POLLIN: c_short = 0x001;
+
+extern "C" {
+    fn ppoll(
+        fds: *mut PollFd,
+        nfds: c_ulong,
+        timeout: *const Timespec,
+        sigmask: *const c_void,
+    ) -> c_int;
+}
+
+/// Blocks until one of `fds` is readable (or hung up) or `timeout`
+/// elapses; `revents` says which. Nanosecond timeout — `poll`'s
+/// milliseconds would blunt every timer that passes through this wait.
+fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) {
+    let timeout = timeout.map(|d| Timespec {
+        tv_sec: c_long::try_from(d.as_secs()).unwrap_or(c_long::MAX),
+        tv_nsec: d.subsec_nanos() as c_long, // < 10⁹: fits any `long`
+    });
+    let timeout_ptr = timeout
+        .as_ref()
+        .map_or(std::ptr::null(), |t| t as *const Timespec);
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // `struct pollfd`s and `nfds` is its length, so the kernel reads and
+    // writes (`revents`) only inside it; `timeout_ptr` is null or points
+    // at `timeout`, which outlives the call and holds a normalised
+    // timespec (`subsec_nanos` < 10⁹); a null `sigmask` leaves the signal
+    // mask alone. `ppoll` keeps none of the pointers.
+    let ready = unsafe {
+        ppoll(
+            fds.as_mut_ptr(),
+            fds.len() as c_ulong,
+            timeout_ptr,
+            std::ptr::null(),
+        )
+    };
+    if ready < 0 {
+        let err = io::Error::last_os_error();
+        // A signal is a spurious wake-up; anything else (EFAULT, EINVAL)
+        // is a bug in this file.
+        // (`revents` stay as the caller zeroed them.)
+        assert_eq!(err.kind(), io::ErrorKind::Interrupted, "ppoll: {err}");
+    }
+}
+
+/// One accepted connection and its incremental framer.
+struct Conn {
+    stream: TcpStream,
+    /// The peer's claimed id, once its preamble has arrived.
+    from: Option<ProcessId>,
+    /// Read buffer: `buf[..have]` holds bytes not yet consumed. Its
+    /// length is [`READ_BUF`], or exactly one frame while a larger one
+    /// is in flight — so `have < buf.len()` whenever a read starts.
+    buf: Vec<u8>,
+    have: usize,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
+            stream,
+            from: None,
+            buf: vec![0; READ_BUF],
+            have: 0,
         }
-        // The stream died (peer restarted, kernel buffer torn down):
-        // reconnect once — with its own bounded backoff — then give the
-        // message up as link loss.
-        self.conns[to] = None;
-        if self.write_to(to, &frame).is_err() {
-            self.conns[to] = None;
-            self.drops.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// One `read`, then every frame it completed into `batch`.
+    /// `Ok(false)`: the peer closed at a frame boundary. `Err`: the
+    /// stream is malformed or torn — the caller counts the reject.
+    fn pump<V: Payload + BulkCodec>(
+        &mut self,
+        codec: &WireCodec,
+        batch: &mut Vec<(ProcessId, StoreWire<V>)>,
+    ) -> Result<bool, DecodeError> {
+        debug_assert!(self.have < self.buf.len());
+        let n = match self.stream.read(&mut self.buf[self.have..]) {
+            Ok(n) => n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                return Ok(true)
+            }
+            Err(_) => 0, // reset: the stream ended here
+        };
+        if n == 0 {
+            // Before the preamble completes nothing was claimed (a port
+            // probe, a connect-then-close); after it, leftover bytes are
+            // a frame that will never finish.
+            return match self.from {
+                Some(_) if self.have > 0 => Err(DecodeError::Truncated),
+                _ => Ok(false),
+            };
+        }
+        self.have += n;
+        self.drain_frames(codec, batch)?;
+        Ok(true)
+    }
+
+    /// Decodes every complete frame in the buffer, moves the partial
+    /// tail to the front and sizes the buffer for what comes next.
+    fn drain_frames<V: Payload + BulkCodec>(
+        &mut self,
+        codec: &WireCodec,
+        batch: &mut Vec<(ProcessId, StoreWire<V>)>,
+    ) -> Result<(), DecodeError> {
+        let mut pos = 0;
+        let mut room = READ_BUF;
+        loop {
+            let rest = &self.buf[pos..self.have];
+            let Some(from) = self.from else {
+                let Some(preamble) = rest.first_chunk::<PREAMBLE_LEN>() else {
+                    break;
+                };
+                if preamble[..4] != PREAMBLE_MAGIC {
+                    return Err(DecodeError::Malformed("preamble magic"));
+                }
+                let id = preamble[4..].try_into().expect("4 of 8 bytes");
+                self.from = Some(ProcessId(u32::from_le_bytes(id)));
+                pos += PREAMBLE_LEN;
+                continue;
+            };
+            let Some((prefix, body)) = rest.split_first_chunk::<4>() else {
+                break;
+            };
+            // Oversize is refused here, before `room` can grow for it.
+            let len = frame_len(*prefix)?;
+            let Some(payload) = body.get(..len) else {
+                room = room.max(4 + len);
+                break;
+            };
+            batch.push((from, codec.decode_payload(payload)?));
+            pos += 4 + len;
+        }
+        self.buf.copy_within(pos..self.have, 0);
+        self.have -= pos;
+        if self.buf.len() != room {
+            // Growing: reserve the announced frame once, exactly, and let
+            // the following reads land in it. Shrinking: that frame is
+            // done (its buffer held nothing else). A fresh zeroed
+            // allocation either way — unlike `resize`, a large one costs
+            // nothing per page until a read touches it.
+            let mut buf = vec![0; room];
+            buf[..self.have].copy_from_slice(&self.buf[..self.have]);
+            self.buf = buf;
+        }
+        Ok(())
+    }
+}
+
+/// One node's receive half, polled by the node's own thread.
+struct SocketInbound<V> {
+    wake: UnixStream,
+    listener: TcpListener,
+    conns: Vec<Conn>,
+    /// Scratch for `ppoll`: wake socket, listener, then `conns` in order.
+    fds: Vec<PollFd>,
+    codec: WireCodec,
+    counters: Arc<Counters>,
+    _values: PhantomData<fn() -> V>,
+}
+
+impl<V> Inbound<StoreWire<V>> for SocketInbound<V>
+where
+    V: Payload + BulkCodec + Send + Sync,
+{
+    fn wait(&mut self, timeout: Option<Duration>, batch: &mut Vec<(ProcessId, StoreWire<V>)>) {
+        let sources = [self.wake.as_raw_fd(), self.listener.as_raw_fd()];
+        let conns = self.conns.iter().map(|c| c.stream.as_raw_fd());
+        self.fds.clear();
+        self.fds
+            .extend(sources.into_iter().chain(conns).map(|fd| PollFd {
+                fd,
+                events: POLLIN,
+                revents: 0,
+            }));
+        wait_readable(&mut self.fds, timeout);
+        bump(&self.counters.wakeups, 1);
+
+        if self.fds[0].revents != 0 {
+            // Consume the wake signal — all of it, so one byte per
+            // enqueue cannot pile up — before the caller drains the
+            // channel.
+            let mut sink = [0u8; 64];
+            while matches!((&self.wake).read(&mut sink), Ok(n) if n == sink.len()) {}
+        }
+        let (frames_before, mut reads) = (batch.len(), 0);
+        // Back to front, so `swap_remove` only moves a connection that
+        // already had its turn; new connections join after the pass.
+        for i in (0..self.conns.len()).rev() {
+            if self.fds[2 + i].revents == 0 {
+                continue;
+            }
+            reads += 1;
+            let open = self.conns[i].pump(&self.codec, batch).unwrap_or_else(|_| {
+                // A peer speaking garbage loses its connection; if
+                // it was an honest peer's torn write, it redials.
+                bump(&self.counters.rejects, 1);
+                false
+            });
+            if !open {
+                self.conns.swap_remove(i);
+            }
+        }
+        bump(&self.counters.reads, reads);
+        bump(&self.counters.frames_in, batch.len() - frames_before);
+        if self.fds[1].revents != 0 {
+            // Everything in the backlog; `WouldBlock` ends the loop, and
+            // any other failure waits for the next wake-up.
+            while let Ok((stream, _)) = self.listener.accept() {
+                if stream.set_nonblocking(true).is_ok() {
+                    self.conns.push(Conn::new(stream));
+                }
+            }
         }
     }
 }
 
-/// The inbound fabric: every node's listener plus the accept and reader
-/// threads feeding decoded messages back into the hosting runtime.
+/// Binds the fleet's listeners and hands each to its node.
 ///
 /// Build with [`NetFabric::bind`] (which fixes the fleet's addresses),
-/// spawn the runtime with [`TcpTransport`]s pointed at
-/// [`NetFabric::addrs`], then call [`NetFabric::start`] with the
-/// runtime's injectors. Dropping the fabric shuts every thread down;
-/// drop the [`ThreadRuntime`](sbs_sim::ThreadRuntime) *first* so node
-/// threads stop writing before their peers' readers vanish.
+/// spawn the runtime with the [`TcpTransport`]s from
+/// [`NetFabric::transport`], then call [`NetFabric::start`] with the
+/// runtime's injectors. The fabric runs no thread of its own: after
+/// `start` every socket belongs to a node thread and closes when the
+/// hosting [`ThreadRuntime`](sbs_sim::ThreadRuntime) stops; what stays
+/// here is the address book and the counters.
 pub struct NetFabric {
-    listeners: Vec<TcpListener>,
+    /// Per node, until `start` hands them off: the listener and the
+    /// wake socket's read and write ends.
+    unstarted: Vec<(TcpListener, UnixStream, UnixStream)>,
     addrs: Vec<SocketAddr>,
-    shutdown: Arc<AtomicBool>,
-    /// Accepted streams, registered so shutdown can unblock their readers.
-    accepted: Arc<Mutex<Vec<TcpStream>>>,
-    rejects: Arc<AtomicU64>,
-    accept_handles: Vec<JoinHandle<()>>,
-    reader_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    counters: Vec<Arc<Counters>>,
 }
 
 impl std::fmt::Debug for NetFabric {
@@ -177,22 +576,26 @@ impl std::fmt::Debug for NetFabric {
 impl NetFabric {
     /// Binds one loopback listener per node and fixes the fleet's
     /// addresses (ephemeral ports — parallel deployments never collide).
+    /// Peers can connect from here on (the kernel queues them); they are
+    /// accepted once [`NetFabric::start`] has run.
     pub fn bind(nodes: usize) -> io::Result<Self> {
-        let mut listeners = Vec::with_capacity(nodes);
+        let mut unstarted = Vec::with_capacity(nodes);
         let mut addrs = Vec::with_capacity(nodes);
         for _ in 0..nodes {
             let listener = TcpListener::bind(("127.0.0.1", 0))?;
+            listener.set_nonblocking(true)?;
             addrs.push(listener.local_addr()?);
-            listeners.push(listener);
+            let (wake_rx, wake_tx) = UnixStream::pair()?;
+            wake_rx.set_nonblocking(true)?;
+            // A full wake socket already guarantees a wake-up; the
+            // waker must never block on it.
+            wake_tx.set_nonblocking(true)?;
+            unstarted.push((listener, wake_rx, wake_tx));
         }
         Ok(NetFabric {
-            listeners,
+            unstarted,
             addrs,
-            shutdown: Arc::new(AtomicBool::new(false)),
-            accepted: Arc::new(Mutex::new(Vec::new())),
-            rejects: Arc::new(AtomicU64::new(0)),
-            accept_handles: Vec::new(),
-            reader_handles: Arc::new(Mutex::new(Vec::new())),
+            counters: (0..nodes).map(|_| Arc::default()).collect(),
         })
     }
 
@@ -201,14 +604,51 @@ impl NetFabric {
         &self.addrs
     }
 
-    /// Frames that failed to decode (and the connections they killed).
-    pub fn decode_rejects(&self) -> u64 {
-        self.rejects.load(Ordering::Relaxed)
+    /// Node `me`'s outbound transport to this fleet, its gauges counted
+    /// into [`NetFabric::stats`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` is not one of the bound nodes.
+    pub fn transport<V>(
+        &self,
+        me: ProcessId,
+        codec: WireCodec,
+        drops: Arc<AtomicU64>,
+    ) -> TcpTransport<V> {
+        TcpTransport {
+            counters: Arc::clone(&self.counters[me.index()]),
+            ..TcpTransport::new(me, self.addrs.clone(), codec, drops)
+        }
     }
 
-    /// Starts the accept and reader threads, delivering every decoded
-    /// inbound message to its node through `injectors` (one per node, in
-    /// [`ProcessId`] order).
+    /// Frames that failed to decode (and the connections they killed).
+    pub fn decode_rejects(&self) -> u64 {
+        self.sum(|c| &c.rejects)
+    }
+
+    /// The deployment's transport gauges so far.
+    pub fn stats(&self) -> TransportStats {
+        TransportStats {
+            wakeups: self.sum(|c| &c.wakeups),
+            reads: self.sum(|c| &c.reads),
+            frames_in: self.sum(|c| &c.frames_in),
+            connects: self.sum(|c| &c.connects),
+            write_timeouts: self.sum(|c| &c.write_timeouts),
+        }
+    }
+
+    fn sum(&self, counter: impl Fn(&Counters) -> &AtomicU64) -> u64 {
+        self.counters
+            .iter()
+            .map(|c| counter(c).load(Ordering::Relaxed))
+            .sum()
+    }
+
+    /// Hands every node its listener: from its next turn on, the thread
+    /// behind each injector (one per node, in [`ProcessId`] order)
+    /// accepts, reads and decodes its own inbound connections and
+    /// delivers the messages to its node.
     ///
     /// # Panics
     ///
@@ -226,109 +666,434 @@ impl NetFabric {
             self.addrs.len(),
             "one injector per bound node"
         );
-        assert!(
-            !self.listeners.is_empty() || self.addrs.is_empty(),
+        assert_eq!(
+            self.unstarted.len(),
+            self.addrs.len(),
             "fabric already started"
         );
-        for (i, (listener, injector)) in self.listeners.drain(..).zip(injectors).enumerate() {
-            let shutdown = Arc::clone(&self.shutdown);
-            let accepted = Arc::clone(&self.accepted);
-            let rejects = Arc::clone(&self.rejects);
-            let reader_handles = Arc::clone(&self.reader_handles);
-            let handle = std::thread::Builder::new()
-                .name(format!("sbs-net-accept-{i}"))
-                .spawn(move || loop {
-                    let stream = match listener.accept() {
-                        Ok((stream, _)) => stream,
-                        Err(_) => return,
-                    };
-                    if shutdown.load(Ordering::SeqCst) {
+        let handoff = self.unstarted.drain(..).zip(injectors).zip(&self.counters);
+        for (((listener, wake, waker), injector), counters) in handoff {
+            let inbound = SocketInbound::<V> {
+                wake,
+                listener,
+                conns: Vec::new(),
+                fds: Vec::new(),
+                codec,
+                counters: Arc::clone(counters),
+                _values: PhantomData,
+            };
+            injector.attach(Box::new(inbound), move || {
+                // `WouldBlock` means bytes are already pending, and a
+                // closed read end that the node is gone: both fine.
+                let _ = (&waker).write(&[1]);
+            });
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codec::MAX_FRAME;
+    use sbs_bulk::BulkDigest;
+    use sbs_core::RegMsg;
+    use sbs_sim::{Context, Node, OpId, SimDuration, ThreadRuntime, TimerId};
+    use sbs_stamps::PAPER_MODULUS;
+    use sbs_store::StoreMsg;
+    use std::any::Any;
+
+    type Wire = StoreWire<u64>;
+    type Out = StoreOut<u64>;
+
+    const PATIENCE: Duration = Duration::from_secs(10);
+    /// An `SS_ACK` with this tag asks the recorder for a 2.5 ms timer.
+    const ARM_TIMER: u64 = u64::MAX;
+
+    /// Reports every delivery as `GetDone { op: n, value: sender }`: `n`
+    /// is the tag of a one-`SS_ACK` batch or the length of a `BULK_PUT`'s
+    /// bytes; a fired timer reports how many µs late it was.
+    struct Recorder {
+        deadline: Option<Instant>,
+    }
+
+    impl Node for Recorder {
+        type Msg = Wire;
+        type Out = Out;
+
+        fn on_message(&mut self, from: ProcessId, msg: Wire, ctx: &mut Context<'_, Wire, Out>) {
+            let n = match msg {
+                StoreMsg::Batch(batch) => match batch[..] {
+                    [RegMsg::SsAck { tag: ARM_TIMER }] => {
+                        let delay = Duration::from_micros(2_500);
+                        ctx.set_timer(SimDuration::nanos(delay.as_nanos() as u64));
+                        self.deadline = Some(Instant::now() + delay);
                         return;
                     }
-                    if let Ok(clone) = stream.try_clone() {
-                        accepted.lock().expect("accepted registry").push(clone);
-                    }
-                    let injector = injector.clone();
-                    let codec = codec;
-                    let rejects = Arc::clone(&rejects);
-                    let reader = std::thread::Builder::new()
-                        .name(format!("sbs-net-read-{i}"))
-                        .spawn(move || reader_main::<V>(stream, codec, injector, rejects))
-                        .expect("failed to spawn reader thread");
-                    reader_handles.lock().expect("reader registry").push(reader);
-                })
-                .expect("failed to spawn accept thread");
-            self.accept_handles.push(handle);
+                    [RegMsg::SsAck { tag }] => tag,
+                    _ => panic!("test traffic is one SS_ACK per batch"),
+                },
+                StoreMsg::BulkPut { bytes, .. } => bytes.len() as u64,
+                other => panic!("unexpected test message {other:?}"),
+            };
+            ctx.output(StoreOut::GetDone {
+                op: OpId(n),
+                value: Some(u64::from(from.0)),
+            });
         }
-    }
-}
 
-impl Drop for NetFabric {
-    fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        // Unblock readers: half-close every accepted stream.
-        for stream in self.accepted.lock().expect("accepted registry").drain(..) {
-            let _ = stream.shutdown(std::net::Shutdown::Both);
+        fn on_timer(&mut self, _: TimerId, ctx: &mut Context<'_, Wire, Out>) {
+            let late = self.deadline.take().expect("armed").elapsed();
+            ctx.output(StoreOut::PutDone {
+                op: OpId(late.as_micros() as u64),
+            });
         }
-        // Unblock accept threads: a throwaway connection each (they
-        // re-check the shutdown flag right after accept returns).
-        for addr in &self.addrs {
-            let _ = TcpStream::connect(addr);
-        }
-        for handle in self.accept_handles.drain(..) {
-            let _ = handle.join();
-        }
-        for handle in self
-            .reader_handles
-            .lock()
-            .expect("reader registry")
-            .drain(..)
-        {
-            let _ = handle.join();
-        }
-    }
-}
 
-/// One connection's read loop: preamble, then frames until the stream
-/// closes or a frame refuses to decode.
-fn reader_main<V>(
-    mut stream: TcpStream,
-    codec: WireCodec,
-    injector: MsgInjector<StoreWire<V>, StoreOut<V>>,
-    rejects: Arc<AtomicU64>,
-) where
-    V: Payload + BulkCodec + Send + Sync,
-{
-    let mut preamble = [0u8; 8];
-    if stream.read_exact(&mut preamble).is_err() {
-        return; // shutdown poke or stray connect — nothing was claimed
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
     }
-    let magic = u32::from_le_bytes(preamble[..4].try_into().expect("4 bytes"));
-    if magic != PREAMBLE_MAGIC {
-        rejects.fetch_add(1, Ordering::Relaxed);
-        return;
+
+    fn codec() -> WireCodec {
+        WireCodec::new(PAPER_MODULUS)
     }
-    let from = ProcessId(u32::from_le_bytes(
-        preamble[4..].try_into().expect("4 bytes"),
-    ));
-    loop {
-        let payload = match read_frame(&mut stream) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return, // clean close
-            Err(_) => {
-                // Torn frame or an over-cap length prefix.
-                rejects.fetch_add(1, Ordering::Relaxed);
-                return;
+
+    fn ack(tag: u64) -> Wire {
+        StoreMsg::Batch(vec![RegMsg::SsAck { tag }])
+    }
+
+    fn blob(len: usize) -> Wire {
+        StoreMsg::BulkPut {
+            shard: 0,
+            digest: BulkDigest([0; 4]),
+            bytes: vec![7u8; len].into(),
+        }
+    }
+
+    fn preamble(id: u32) -> Vec<u8> {
+        [&PREAMBLE_MAGIC[..], &id.to_le_bytes()].concat()
+    }
+
+    /// One recorder node on a real listener.
+    struct Rig {
+        rt: ThreadRuntime<Wire, Out>,
+        fabric: NetFabric,
+    }
+
+    impl Rig {
+        fn new() -> Self {
+            let mut fabric = NetFabric::bind(1).expect("bind");
+            let node = Box::new(Recorder { deadline: None });
+            let rt = ThreadRuntime::spawn_with_transport(vec![node], 1, |me, _| {
+                Box::new(fabric.transport::<u64>(me, codec(), Arc::default()))
+            });
+            fabric.start(codec(), vec![rt.injector(ProcessId(0))]);
+            Rig { rt, fabric }
+        }
+
+        /// A raw client connection to the node, preamble not yet sent.
+        fn connect(&self) -> TcpStream {
+            let stream = TcpStream::connect(self.fabric.addrs()[0]).expect("connect");
+            stream.set_nodelay(true).expect("nodelay");
+            stream.set_read_timeout(Some(PATIENCE)).expect("timeout");
+            stream
+        }
+
+        /// The next delivery as `(n, claimed sender)`.
+        fn delivery(&self) -> (u64, u64) {
+            match self.rt.recv_output(PATIENCE) {
+                Some((_, StoreOut::GetDone { op, value })) => (op.0, value.expect("sender")),
+                other => panic!("expected a delivery, got {other:?}"),
             }
+        }
+
+        /// Spins until the node thread's counters satisfy `reached`, so a
+        /// test steps in lock-step with it instead of sleeping.
+        fn until(&self, what: &str, reached: impl Fn(&NetFabric) -> bool) {
+            let deadline = Instant::now() + PATIENCE;
+            while !reached(&self.fabric) {
+                assert!(Instant::now() < deadline, "node never reached: {what}");
+                std::thread::yield_now();
+            }
+        }
+
+        /// Asserts the peer's connection was closed by the node.
+        fn assert_closed(mut peer: TcpStream) {
+            let mut sink = [0u8; 16];
+            assert!(
+                matches!(peer.read(&mut sink), Ok(0) | Err(_)),
+                "the node must close the offending connection"
+            );
+        }
+    }
+
+    #[test]
+    fn a_dribbled_stream_delivers_every_frame_in_order() {
+        let rig = Rig::new();
+        let mut stream = preamble(3);
+        for tag in 0..20 {
+            stream.extend(codec().encode(&ack(tag)));
+        }
+        let mut peer = rig.connect();
+        for byte in stream {
+            peer.write_all(&[byte]).expect("one byte");
+        }
+        for tag in 0..20 {
+            assert_eq!(rig.delivery(), (tag, 3));
+        }
+        assert_eq!(rig.fabric.decode_rejects(), 0);
+        assert_eq!(rig.fabric.stats().frames_in, 20);
+    }
+
+    #[test]
+    fn many_frames_in_one_write_deliver_in_order() {
+        // ≈ 4 read buffers' worth, so frames straddle buffer boundaries.
+        let rig = Rig::new();
+        let frames = 4 * READ_BUF as u64 / codec().encode(&ack(0)).len() as u64;
+        let mut stream = preamble(5);
+        for tag in 0..frames {
+            stream.extend(codec().encode(&ack(tag)));
+        }
+        rig.connect().write_all(&stream).expect("one write");
+        for tag in 0..frames {
+            assert_eq!(rig.delivery(), (tag, 5));
+        }
+        assert_eq!(rig.fabric.decode_rejects(), 0);
+        let stats = rig.fabric.stats();
+        assert!(
+            stats.reads < frames / 10,
+            "a read must take what is there, not a frame: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn a_stream_split_at_every_byte_offset_delivers_both_frames() {
+        let rig = Rig::new();
+        let stream = [
+            preamble(4),
+            codec().encode(&ack(1)),
+            codec().encode(&ack(2)),
+        ]
+        .concat();
+        for cut in 1..stream.len() {
+            let reads = rig.fabric.stats().reads;
+            let mut peer = rig.connect();
+            peer.write_all(&stream[..cut]).expect("head");
+            // The node has consumed the head before the tail exists.
+            rig.until("read of the head", |f| f.stats().reads > reads);
+            peer.write_all(&stream[cut..]).expect("tail");
+            assert_eq!(rig.delivery(), (1, 4), "cut at {cut}");
+            assert_eq!(rig.delivery(), (2, 4), "cut at {cut}");
+        }
+        assert_eq!(rig.fabric.decode_rejects(), 0);
+    }
+
+    #[test]
+    fn a_frame_larger_than_the_read_buffer_is_read_into_place() {
+        let rig = Rig::new();
+        let mut peer = rig.connect();
+        let big = 40 * READ_BUF + 123;
+        let stream = [
+            preamble(6),
+            codec().encode(&ack(1)),
+            codec().encode(&blob(big)),
+            codec().encode(&ack(2)),
+            codec().encode(&blob(big)),
+            codec().encode(&ack(3)),
+        ]
+        .concat();
+        peer.write_all(&stream).expect("write");
+        let expect = [1, big as u64, 2, big as u64, 3];
+        for n in expect {
+            assert_eq!(rig.delivery(), (n, 6));
+        }
+        assert_eq!(rig.fabric.decode_rejects(), 0);
+    }
+
+    #[test]
+    fn a_malformed_stream_costs_one_reject_and_only_its_own_connection() {
+        let rig = Rig::new();
+        let mut healthy = rig.connect();
+        healthy.write_all(&preamble(1)).expect("preamble");
+
+        let good = codec().encode(&ack(9));
+        let mut bad_body = good.clone();
+        bad_body[4] ^= 0xff; // the version byte
+        let torn = &good[..good.len() - 1];
+        let over_cap = (MAX_FRAME as u32 + 1).to_le_bytes();
+        let cases: [(&str, Vec<u8>, bool); 4] = [
+            ("wrong magic", b"HTTP/1.1".to_vec(), false),
+            (
+                "over-cap prefix",
+                [&preamble(2)[..], &over_cap].concat(),
+                false,
+            ),
+            (
+                "undecodable body",
+                [&preamble(2)[..], &bad_body].concat(),
+                false,
+            ),
+            (
+                "EOF inside a frame",
+                [&preamble(2)[..], torn].concat(),
+                true,
+            ),
+        ];
+        for (i, (what, bytes, then_close)) in cases.into_iter().enumerate() {
+            let mut peer = rig.connect();
+            peer.write_all(&bytes).expect(what);
+            if then_close {
+                peer.shutdown(std::net::Shutdown::Write)
+                    .expect("half-close");
+            }
+            rig.until(what, |f| f.decode_rejects() == i as u64 + 1);
+            Rig::assert_closed(peer);
+            // The healthy link to the same node is untouched.
+            healthy
+                .write_all(&codec().encode(&ack(i as u64)))
+                .expect("healthy write");
+            assert_eq!(rig.delivery(), (i as u64, 1), "after {what}");
+        }
+        assert_eq!(rig.fabric.decode_rejects(), 4);
+    }
+
+    /// An accepted [`Conn`] — left blocking, so `pump` waits for the
+    /// bytes — and the peer's end of it.
+    fn conn_pair() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (accepted, _) = listener.accept().expect("accept");
+        (peer, Conn::new(accepted))
+    }
+
+    #[test]
+    fn an_over_cap_prefix_reserves_nothing() {
+        let mut batch: Vec<(ProcessId, Wire)> = Vec::new();
+        // A frame within the cap gets a buffer of exactly its size…
+        let (mut peer, mut conn) = conn_pair();
+        let fits = (10 * READ_BUF as u32).to_le_bytes();
+        peer.write_all(&[&preamble(2)[..], &fits, &[0; 5]].concat())
+            .expect("write");
+        assert_eq!(conn.pump(&codec(), &mut batch), Ok(true));
+        assert_eq!((conn.buf.len(), conn.have), (4 + 10 * READ_BUF, 4 + 5));
+
+        // …one byte over the cap is refused with the buffer as it was.
+        let (mut peer, mut conn) = conn_pair();
+        let over = (MAX_FRAME as u32 + 1).to_le_bytes();
+        peer.write_all(&[&preamble(2)[..], &over, &[0; 5]].concat())
+            .expect("write");
+        let len = MAX_FRAME as u64 + 1;
+        assert_eq!(
+            conn.pump(&codec(), &mut batch),
+            Err(DecodeError::Oversized { len })
+        );
+        assert_eq!(conn.buf.capacity(), READ_BUF);
+        assert!(batch.is_empty());
+    }
+
+    #[test]
+    fn clean_closes_count_no_reject() {
+        let rig = Rig::new();
+        // A connect-then-close, a close inside the preamble, and a close
+        // at a frame boundary: nothing was torn.
+        drop(rig.connect());
+        rig.connect().write_all(&preamble(2)[..3]).expect("partial");
+        let mut peer = rig.connect();
+        peer.write_all(&[preamble(2), codec().encode(&ack(1))].concat())
+            .expect("write");
+        drop(peer);
+        assert_eq!(rig.delivery(), (1, 2));
+        // Every close has been read (as a zero-length read) and dropped.
+        rig.until("three EOFs", |f| f.stats().reads >= 5);
+        assert_eq!(rig.fabric.decode_rejects(), 0);
+    }
+
+    #[test]
+    fn invoke_reaches_a_node_blocked_in_ppoll_and_its_timers_stay_sharp() {
+        let rig = Rig::new();
+        let mut peer = rig.connect();
+        peer.write_all(&preamble(1)).expect("preamble");
+        rig.until("idle in ppoll", |f| f.stats().reads >= 1);
+        rig.rt.invoke::<Recorder>(ProcessId(0), |_, ctx| {
+            ctx.output(StoreOut::PutDone { op: OpId(77) });
+        });
+        assert_eq!(
+            rig.rt.recv_output(PATIENCE),
+            Some((ProcessId(0), StoreOut::PutDone { op: OpId(77) }))
+        );
+        // A 2.5 ms timer through ppoll's nanosecond timeout: `poll`'s
+        // milliseconds would fire it ≥ 0.5 ms late (or spin). Any one
+        // wake-up can be held back by the scheduler; the best of a few
+        // is the wait's own precision.
+        let mut best_us = u64::MAX;
+        for _ in 0..8 {
+            peer.write_all(&codec().encode(&ack(ARM_TIMER)))
+                .expect("arm");
+            match rig.rt.recv_output(PATIENCE) {
+                Some((_, StoreOut::PutDone { op })) => best_us = best_us.min(op.0),
+                other => panic!("expected the timer, got {other:?}"),
+            }
+        }
+        assert!(best_us < 400, "timer fired {best_us} us late");
+    }
+
+    /// A transport with one peer, and its drop counter.
+    fn lone_transport(peer: SocketAddr) -> (TcpTransport<u64>, Arc<AtomicU64>) {
+        let drops = Arc::new(AtomicU64::new(0));
+        let transport = TcpTransport::new(ProcessId(0), vec![peer], codec(), Arc::clone(&drops));
+        (transport, drops)
+    }
+
+    #[test]
+    fn sends_to_a_dead_peer_are_counted_drops_not_sleeps() {
+        let closed_port = {
+            let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+            listener.local_addr().expect("addr")
         };
-        match codec.decode_payload::<V>(&payload) {
-            Ok(msg) => injector.inject(from, msg),
-            Err(_) => {
-                // A peer speaking garbage loses its connection; if it
-                // was an honest peer's torn write, it will reconnect.
-                rejects.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
+        let (mut transport, drops) = lone_transport(closed_port);
+        let started = Instant::now();
+        for tag in 0..100 {
+            transport.send(ProcessId(0), ProcessId(0), ack(tag));
         }
+        // Five sleeping attempts twice per send took 3 s here.
+        assert!(
+            started.elapsed() < Duration::from_millis(500),
+            "100 sends to a closed port took {:?}",
+            started.elapsed()
+        );
+        assert_eq!(drops.load(Ordering::Relaxed), 100);
+        // The link is retried, at a bounded rate: about one dial per
+        // back-off step, not one per send.
+        assert!(transport.links[0].backoff >= BACKOFF_BASE);
+        assert!(transport.links[0].backoff <= BACKOFF_CAP);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_costs_a_timeout_not_the_thread() {
+        // The kernel completes the handshake into the backlog; nobody
+        // ever accepts, let alone reads.
+        let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
+        let (mut transport, drops) = lone_transport(listener.local_addr().expect("addr"));
+        let started = Instant::now();
+        let mut sent = 0;
+        while drops.load(Ordering::Relaxed) == 0 {
+            // Socket buffers absorb the first few MiB, then `write` stalls.
+            transport.send(ProcessId(0), ProcessId(0), blob(1 << 20));
+            sent += 1;
+            assert!(sent < 1_000, "the send buffer never filled");
+        }
+        assert!(
+            started.elapsed() < 3 * WRITE_TIMEOUT,
+            "send waited {:?} on a peer that does not read",
+            started.elapsed()
+        );
+        assert!(started.elapsed() >= WRITE_TIMEOUT);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(transport.counters.write_timeouts.load(Ordering::Relaxed), 1);
+        // The stalled stream is gone: the next send is dropped (link
+        // still backing off) or lands in a fresh connection's buffer —
+        // it does not stall again.
+        let again = Instant::now();
+        transport.send(ProcessId(0), ProcessId(0), blob(1 << 20));
+        assert!(again.elapsed() < WRITE_TIMEOUT / 4);
     }
 }

@@ -82,7 +82,7 @@ pub use link::{DelayModel, LinkState};
 pub use metrics::{Metrics, SlowPath};
 pub use node::{Context, Effects, Message, Node};
 pub use rng::DetRng;
-pub use runtime::{LocalTransport, MsgInjector, ThreadRuntime, Transport};
+pub use runtime::{Inbound, LocalTransport, MsgInjector, ThreadRuntime, Transport};
 pub use sbs_obs::{
     causal_slice, ConsistencyMonitor, LatencyHistogram, LatencySummary, TraceEvent, TraceRecord,
     Tracer, Violation,

@@ -7,9 +7,23 @@
 //! matching the paper's link assumptions), but a deployment can supply any
 //! other backend (e.g. the TCP transport in `sbs-net`) via
 //! [`ThreadRuntime::spawn_with_transport`] without touching the nodes.
-//! Timers are serviced with `recv_timeout`. There is no virtual time —
-//! [`Context::now`] reports wall-clock time since the runtime started,
-//! mapped onto [`SimTime`].
+//! There is no virtual time — [`Context::now`] reports wall-clock time
+//! since the runtime started, mapped onto [`SimTime`].
+//!
+//! A node thread blocks in exactly one place. By default that is its
+//! channel (`recv_timeout` until the next timer deadline). A backend
+//! whose messages arrive from outside the process hands the thread an
+//! [`Inbound`] source with [`MsgInjector::attach`]; from then on the
+//! thread blocks in [`Inbound::wait`] instead and is its own reader — no
+//! reader thread, no second wake-up per message. Everything that
+//! enqueues to the node ([`ThreadRuntime::invoke`],
+//! [`ThreadRuntime::inject`], [`MsgInjector::inject`], shutdown) fires the
+//! wake handle attached beside the source *after* enqueueing, and the
+//! loop runs **wait → drain channel → wait**, the source consuming its
+//! wake signal before `wait` returns. A signal consumed by one `wait`
+//! therefore precedes that turn's channel drain, and one raised after the
+//! drain is still pending when the next `wait` starts: no wake-up is
+//! lost, at the price of an occasional spurious one.
 //!
 //! The runtime exists to demonstrate that protocol implementations written
 //! against [`Node`]/[`Context`] are not simulator-bound: the integration
@@ -17,8 +31,9 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::ops::ControlFlow;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -32,9 +47,13 @@ use crate::time::SimTime;
 type InvokeFn<M, O> =
     Box<dyn FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>) + Send>;
 
+/// Interrupts a node thread blocked in [`Inbound::wait`].
+type WakeFn = Box<dyn Fn() + Send + Sync>;
+
 enum Ctl<M, O> {
     Msg { from: ProcessId, msg: M },
     Invoke(InvokeFn<M, O>),
+    Attach(Box<dyn Inbound<M>>),
     Stop,
 }
 
@@ -47,21 +66,39 @@ enum Ctl<M, O> {
 /// backend. Delivery is best-effort from the runtime's point of view:
 /// a transport that cannot deliver drops the message, exactly like a
 /// lossy link in the simulator — the protocols already tolerate loss.
+///
+/// `send` runs on the node's own thread, which is also the thread that
+/// receives for the node: it must not sleep, and must not wait on a peer
+/// without a bound.
 pub trait Transport<M>: Send + 'static {
     /// Delivers `msg` from `from` to `to` (or drops it on failure).
     fn send(&mut self, from: ProcessId, to: ProcessId, msg: M);
 }
 
-/// A cloneable handle that feeds messages straight into one node's inbox,
-/// as if sent by an arbitrary peer.
+/// A source of inbound messages that the node thread polls itself — the
+/// receive half of a [`Transport`] backend whose peers live outside the
+/// process (sockets). Handed to the node with [`MsgInjector::attach`].
+pub trait Inbound<M>: Send + 'static {
+    /// Blocks until the wake handle attached with this source fired, a
+    /// message arrived, or `timeout` elapsed (`None`: no deadline), and
+    /// appends every message decoded meanwhile to `batch` as
+    /// `(claimed sender, message)`. Consumes the wake signal before it
+    /// returns. May return early with nothing; must never block on
+    /// anything else.
+    fn wait(&mut self, timeout: Option<Duration>, batch: &mut Vec<(ProcessId, M)>);
+}
+
+/// A cloneable handle that feeds one node's inbox: messages as if sent by
+/// an arbitrary peer ([`MsgInjector::inject`]), or a whole [`Inbound`]
+/// source for the node thread to poll ([`MsgInjector::attach`]).
 ///
-/// This is the receive half a custom [`Transport`] backend needs: a TCP
-/// reader thread that decodes a frame from peer `p` calls
-/// `injector.inject(p, msg)` and the hosting node observes an ordinary
-/// `on_message`. The claimed sender is trusted, with the same
-/// impersonation semantics as [`ThreadRuntime::inject`].
+/// This is the receive half a custom [`Transport`] backend needs. The
+/// claimed sender is trusted, with the same impersonation semantics as
+/// [`ThreadRuntime::inject`].
 pub struct MsgInjector<M, O> {
     tx: Sender<Ctl<M, O>>,
+    /// Set once by [`MsgInjector::attach`]; shared by every clone.
+    wake: Arc<OnceLock<WakeFn>>,
 }
 
 // Manual impls: a derive would wrongly require `M: Clone`/`O: Clone`.
@@ -69,6 +106,7 @@ impl<M, O> Clone for MsgInjector<M, O> {
     fn clone(&self) -> Self {
         MsgInjector {
             tx: self.tx.clone(),
+            wake: Arc::clone(&self.wake),
         }
     }
 }
@@ -83,7 +121,37 @@ impl<M, O> MsgInjector<M, O> {
     /// Enqueues `msg` for the target node as if sent by `from`. Silently
     /// drops the message after the runtime has shut down.
     pub fn inject(&self, from: ProcessId, msg: M) {
-        let _ = self.tx.send(Ctl::Msg { from, msg });
+        self.post(Ctl::Msg { from, msg });
+    }
+
+    /// Makes the node thread its own reader: from its next turn on it
+    /// blocks in `source.wait(..)` instead of on its channel, and `wake`
+    /// — which must make a concurrent or later `wait` return — is fired
+    /// after every enqueue to this node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node already has a source attached.
+    pub fn attach(&self, source: Box<dyn Inbound<M>>, wake: impl Fn() + Send + Sync + 'static) {
+        assert!(
+            self.wake.set(Box::new(wake)).is_ok(),
+            "node already has an inbound source"
+        );
+        // An enqueue that raced this call and saw no handle yet is on the
+        // channel already, and the node empties the channel after taking
+        // `Attach`, before its first `wait`.
+        self.post(Ctl::Attach(source));
+    }
+
+    /// Enqueue, then wake — in that order, so the node cannot consume
+    /// the signal and still miss the entry. With no source attached the
+    /// channel itself wakes the node and this costs one atomic load.
+    fn post(&self, ctl: Ctl<M, O>) {
+        // A send can only fail after shutdown; ignore in that case.
+        let _ = self.tx.send(ctl);
+        if let Some(wake) = self.wake.get() {
+            wake();
+        }
     }
 }
 
@@ -130,7 +198,7 @@ where
 /// [`ThreadRuntime::recv_output`], and stop with
 /// [`ThreadRuntime::shutdown`].
 pub struct ThreadRuntime<M, O> {
-    senders: Vec<Sender<Ctl<M, O>>>,
+    inboxes: Vec<MsgInjector<M, O>>,
     outputs_rx: Receiver<(ProcessId, O)>,
     handles: Vec<JoinHandle<()>>,
     slow: Arc<Mutex<SlowPath>>,
@@ -139,7 +207,7 @@ pub struct ThreadRuntime<M, O> {
 impl<M, O> std::fmt::Debug for ThreadRuntime<M, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadRuntime")
-            .field("nodes", &self.senders.len())
+            .field("nodes", &self.inboxes.len())
             .finish_non_exhaustive()
     }
 }
@@ -170,17 +238,16 @@ where
         mut mk_transport: impl FnMut(ProcessId, &[MsgInjector<M, O>]) -> Box<dyn Transport<M>>,
     ) -> Self {
         let n = nodes.len();
-        let mut senders = Vec::with_capacity(n);
+        let mut inboxes = Vec::with_capacity(n);
         let mut receivers = Vec::with_capacity(n);
         for _ in 0..n {
             let (tx, rx) = channel::<Ctl<M, O>>();
-            senders.push(tx);
+            inboxes.push(MsgInjector {
+                tx,
+                wake: Arc::new(OnceLock::new()),
+            });
             receivers.push(rx);
         }
-        let injectors: Vec<MsgInjector<M, O>> = senders
-            .iter()
-            .map(|tx| MsgInjector { tx: tx.clone() })
-            .collect();
         let (out_tx, out_rx) = channel::<(ProcessId, O)>();
         let epoch = Instant::now();
         let slow = Arc::new(Mutex::new(SlowPath::default()));
@@ -188,18 +255,29 @@ where
         let mut handles = Vec::with_capacity(n);
         for (i, (node, rx)) in nodes.into_iter().zip(receivers).enumerate() {
             let me = ProcessId(i as u32);
-            let transport = mk_transport(me, &injectors);
-            let out_tx = out_tx.clone();
-            let slow = Arc::clone(&slow);
+            let thread = NodeThread {
+                me,
+                node,
+                transport: mk_transport(me, &inboxes),
+                out_tx: out_tx.clone(),
+                rng: DetRng::derive(seed, me.0 as u64),
+                next_timer: 0,
+                timers: BinaryHeap::new(),
+                cancelled: HashSet::new(),
+                effects: Effects::new(),
+                epoch,
+                slow: Arc::clone(&slow),
+                source: None,
+            };
             let handle = std::thread::Builder::new()
                 .name(format!("sbs-node-{i}"))
-                .spawn(move || node_main(me, node, rx, transport, out_tx, seed, epoch, slow))
+                .spawn(move || thread.run(rx))
                 .expect("failed to spawn node thread");
             handles.push(handle);
         }
 
         ThreadRuntime {
-            senders,
+            inboxes,
             outputs_rx: out_rx,
             handles,
             slow,
@@ -208,24 +286,22 @@ where
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.senders.len()
+        self.inboxes.len()
     }
 
     /// True if the runtime hosts no nodes.
     pub fn is_empty(&self) -> bool {
-        self.senders.is_empty()
+        self.inboxes.is_empty()
     }
 
     /// An inbox handle for node `to`, for external delivery sources
-    /// (custom transports' reader threads).
+    /// (a custom transport's receive half).
     ///
     /// # Panics
     ///
     /// Panics if `to` is out of range.
     pub fn injector(&self, to: ProcessId) -> MsgInjector<M, O> {
-        MsgInjector {
-            tx: self.senders[to.index()].clone(),
-        }
+        self.inboxes[to.index()].clone()
     }
 
     /// Slow-path counters folded from every handler execution on every
@@ -259,14 +335,13 @@ where
                 f(node, ctx);
             },
         );
-        // A send can only fail after shutdown; ignore in that case.
-        let _ = self.senders[pid.index()].send(Ctl::Invoke(wrapped));
+        self.inboxes[pid.index()].post(Ctl::Invoke(wrapped));
     }
 
     /// Injects a message into node `to` as if sent by `from`. Intended for
     /// tests that impersonate a peer (e.g. Byzantine behaviour from outside).
     pub fn inject(&self, from: ProcessId, to: ProcessId, msg: M) {
-        let _ = self.senders[to.index()].send(Ctl::Msg { from, msg });
+        self.inboxes[to.index()].inject(from, msg);
     }
 
     /// Waits up to `timeout` for the next output event.
@@ -284,20 +359,15 @@ where
     }
 
     /// Stops every node thread and waits for them to exit.
-    pub fn shutdown(mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Ctl::Stop);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
 impl<M, O> Drop for ThreadRuntime<M, O> {
     fn drop(&mut self) {
-        for tx in &self.senders {
-            let _ = tx.send(Ctl::Stop);
+        for inbox in &self.inboxes {
+            inbox.post(Ctl::Stop);
         }
         for handle in self.handles.drain(..) {
             let _ = handle.join();
@@ -305,150 +375,138 @@ impl<M, O> Drop for ThreadRuntime<M, O> {
     }
 }
 
-#[allow(clippy::too_many_arguments, clippy::type_complexity)]
-fn node_main<M, O>(
+/// Everything one node thread owns.
+struct NodeThread<M, O> {
     me: ProcessId,
-    mut node: Box<dyn Node<Msg = M, Out = O> + Send>,
-    rx: Receiver<Ctl<M, O>>,
-    mut transport: Box<dyn Transport<M>>,
+    node: Box<dyn Node<Msg = M, Out = O> + Send>,
+    transport: Box<dyn Transport<M>>,
     out_tx: Sender<(ProcessId, O)>,
-    seed: u64,
+    rng: DetRng,
+    next_timer: u64,
+    /// (deadline, id) min-heap plus tombstones for cancellations.
+    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
+    cancelled: HashSet<TimerId>,
+    /// Handler scratch: drained in place after every execution, so its
+    /// buffers keep their capacity (as the simulator's dispatch does).
+    effects: Effects<M, O>,
     epoch: Instant,
     slow: Arc<Mutex<SlowPath>>,
-) where
+    /// Where the thread blocks once a backend attached one; its channel
+    /// until then.
+    source: Option<Box<dyn Inbound<M>>>,
+}
+
+impl<M, O> NodeThread<M, O>
+where
     M: Message + Send,
     O: Send + 'static,
 {
-    let mut rng = DetRng::derive(seed, me.0 as u64);
-    let mut next_timer: u64 = 0;
-    // (deadline, id) min-heap plus tombstones for cancellations.
-    let mut timers: BinaryHeap<Reverse<(Instant, TimerId)>> = BinaryHeap::new();
-    let mut cancelled: HashSet<TimerId> = HashSet::new();
+    /// Runs one handler execution and applies what it recorded.
+    fn handler(&mut self, f: impl FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>)) {
+        let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
+        {
+            let mut ctx = Context::new(
+                now,
+                self.me,
+                &mut self.rng,
+                &mut self.next_timer,
+                &mut self.effects,
+            );
+            f(self.node.as_mut(), &mut ctx);
+        }
+        // The thread runtime keeps no Tracer (and `Context::new` leaves
+        // tracing off, so no trace events accumulate), but slow-path
+        // counters fold into a shared tally so thread/socket runs report
+        // the same SlowPath as sim runs.
+        let effects = &mut self.effects;
+        if !effects.slow.is_zero() {
+            self.slow
+                .lock()
+                .expect("slow-path counter lock poisoned")
+                .fold(&effects.slow);
+            effects.slow = SlowPath::default();
+        }
+        for (to, msg) in effects.sends.drain(..) {
+            self.transport.send(self.me, to, msg);
+        }
+        let base = Instant::now();
+        for (id, delay) in effects.timers_set.drain(..) {
+            let deadline = base + Duration::from_nanos(delay.as_nanos());
+            self.timers.push(Reverse((deadline, id)));
+        }
+        self.cancelled.extend(effects.timers_cancelled.drain(..));
+        for out in effects.outputs.drain(..) {
+            let _ = self.out_tx.send((self.me, out));
+        }
+    }
 
-    let run_handler =
-        |node: &mut Box<dyn Node<Msg = M, Out = O> + Send>,
-         rng: &mut DetRng,
-         next_timer: &mut u64,
-         timers: &mut BinaryHeap<Reverse<(Instant, TimerId)>>,
-         cancelled: &mut HashSet<TimerId>,
-         transport: &mut Box<dyn Transport<M>>,
-         f: &mut dyn FnMut(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>)| {
-            let now = SimTime::from_nanos(epoch.elapsed().as_nanos() as u64);
-            let mut effects: Effects<M, O> = Effects::new();
-            {
-                let mut ctx = Context::new(now, me, rng, next_timer, &mut effects);
-                f(node.as_mut(), &mut ctx);
-            }
-            // The thread runtime keeps no Tracer, so trace events are
-            // discarded, but slow-path counters fold into a shared tally
-            // so thread/socket runs report the same SlowPath as sim runs.
-            let Effects {
-                sends,
-                timers_set,
-                timers_cancelled,
-                outputs,
-                slow: handler_slow,
-                ..
-            } = effects;
-            if !handler_slow.is_zero() {
-                slow.lock()
-                    .expect("slow-path counter lock poisoned")
-                    .fold(&handler_slow);
-            }
-            for (to, msg) in sends {
-                transport.send(me, to, msg);
-            }
-            let base = Instant::now();
-            for (id, delay) in timers_set {
-                let deadline = base + Duration::from_nanos(delay.as_nanos());
-                timers.push(Reverse((deadline, id)));
-            }
-            for id in timers_cancelled {
-                cancelled.insert(id);
-            }
-            for out in outputs {
-                let _ = out_tx.send((me, out));
-            }
-        };
-
-    // on_start
-    run_handler(
-        &mut node,
-        &mut rng,
-        &mut next_timer,
-        &mut timers,
-        &mut cancelled,
-        &mut transport,
-        &mut |n, ctx| n.on_start(ctx),
-    );
-
-    loop {
-        // Fire all due timers first.
+    /// Fires every timer that is due; returns how long until the next one.
+    fn fire_due_timers(&mut self) -> Option<Duration> {
         loop {
-            match timers.peek() {
-                Some(&Reverse((deadline, id))) if deadline <= Instant::now() => {
-                    timers.pop();
-                    if !cancelled.remove(&id) {
-                        run_handler(
-                            &mut node,
-                            &mut rng,
-                            &mut next_timer,
-                            &mut timers,
-                            &mut cancelled,
-                            &mut transport,
-                            &mut |n, ctx| n.on_timer(id, ctx),
-                        );
-                    }
-                }
-                _ => break,
+            let &Reverse((deadline, id)) = self.timers.peek()?;
+            let wait = deadline.saturating_duration_since(Instant::now());
+            if !wait.is_zero() {
+                return Some(wait);
+            }
+            self.timers.pop();
+            if !self.cancelled.remove(&id) {
+                self.handler(|n, ctx| n.on_timer(id, ctx));
             }
         }
-        let ctl = match timers.peek() {
-            Some(&Reverse((deadline, _))) => {
-                let wait = deadline.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(wait) {
-                    Ok(ctl) => ctl,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return,
+    }
+
+    /// Executes one channel entry; `Break` stops the thread.
+    fn control(&mut self, ctl: Ctl<M, O>) -> ControlFlow<()> {
+        match ctl {
+            Ctl::Msg { from, msg } => self.handler(|n, ctx| n.on_message(from, msg, ctx)),
+            Ctl::Invoke(f) => self.handler(f),
+            Ctl::Attach(inbound) => self.source = Some(inbound),
+            Ctl::Stop => return ControlFlow::Break(()),
+        }
+        ControlFlow::Continue(())
+    }
+
+    fn run(mut self, rx: Receiver<Ctl<M, O>>) {
+        self.handler(|n, ctx| n.on_start(ctx));
+        let mut batch = Vec::new();
+        loop {
+            if self.source.is_some() {
+                // The wake signal for anything enqueued so far may already
+                // be spent: empty the channel before blocking again.
+                loop {
+                    match rx.try_recv() {
+                        Ok(ctl) => {
+                            if self.control(ctl).is_break() {
+                                return;
+                            }
+                        }
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => return,
+                    }
                 }
             }
-            None => match rx.recv() {
-                Ok(ctl) => ctl,
-                Err(_) => return,
-            },
-        };
-        match ctl {
-            Ctl::Msg { from, msg } => {
-                run_handler(
-                    &mut node,
-                    &mut rng,
-                    &mut next_timer,
-                    &mut timers,
-                    &mut cancelled,
-                    &mut transport,
-                    &mut |n, ctx| {
-                        // `msg` is moved in via Option to satisfy FnMut.
-                        n.on_message(from, msg.clone(), ctx)
+            let timeout = self.fire_due_timers();
+            let Some(inbound) = &mut self.source else {
+                let ctl = match timeout {
+                    Some(wait) => match rx.recv_timeout(wait) {
+                        Ok(ctl) => ctl,
+                        Err(RecvTimeoutError::Timeout) => continue,
+                        Err(RecvTimeoutError::Disconnected) => return,
                     },
-                );
-            }
-            Ctl::Invoke(f) => {
-                let mut f = Some(f);
-                run_handler(
-                    &mut node,
-                    &mut rng,
-                    &mut next_timer,
-                    &mut timers,
-                    &mut cancelled,
-                    &mut transport,
-                    &mut |n, ctx| {
-                        if let Some(f) = f.take() {
-                            f(n, ctx)
-                        }
+                    None => match rx.recv() {
+                        Ok(ctl) => ctl,
+                        Err(_) => return,
                     },
-                );
+                };
+                if self.control(ctl).is_break() {
+                    return;
+                }
+                continue;
+            };
+            inbound.wait(timeout, &mut batch);
+            for (from, msg) in batch.drain(..) {
+                self.handler(|n, ctx| n.on_message(from, msg, ctx));
             }
-            Ctl::Stop => return,
         }
     }
 }
@@ -620,6 +678,152 @@ mod tests {
         let (pid, v) = rt.recv_output(Duration::from_secs(5)).expect("funneled");
         assert_eq!(pid, ProcessId(0));
         assert_eq!(v, 13);
+        rt.shutdown();
+    }
+
+    /// A stand-in for a socket source. `signal` is the wake socket: set
+    /// by the wake handle, consumed by `wait` before it returns, exactly
+    /// as `Inbound::wait` must treat its wake signal.
+    #[derive(Default)]
+    struct FakeSource {
+        signal: Mutex<bool>,
+        raised: std::sync::Condvar,
+        waits: std::sync::atomic::AtomicU64,
+    }
+
+    struct FakeInbound(Arc<FakeSource>);
+
+    impl Inbound<TMsg> for FakeInbound {
+        fn wait(&mut self, timeout: Option<Duration>, _batch: &mut Vec<(ProcessId, TMsg)>) {
+            use std::sync::atomic::Ordering;
+            let src = &*self.0;
+            src.waits.fetch_add(1, Ordering::SeqCst);
+            let signal = src.signal.lock().expect("signal");
+            let idle = |raised: &mut bool| !*raised;
+            let mut signal = match timeout {
+                Some(t) => {
+                    src.raised
+                        .wait_timeout_while(signal, t, idle)
+                        .expect("signal")
+                        .0
+                }
+                None => src.raised.wait_while(signal, idle).expect("signal"),
+            };
+            *signal = false;
+        }
+    }
+
+    /// Spawns `node` alone with a [`FakeSource`] attached, and returns
+    /// once its thread has entered `wait` (so it blocks there, not on
+    /// its channel).
+    fn spawn_attached(
+        node: Box<dyn Node<Msg = TMsg, Out = u32> + Send>,
+    ) -> (ThreadRuntime<TMsg, u32>, Arc<FakeSource>) {
+        let rt = ThreadRuntime::spawn(vec![node], 7);
+        let src = Arc::new(FakeSource::default());
+        let waker = Arc::clone(&src);
+        rt.injector(ProcessId(0))
+            .attach(Box::new(FakeInbound(Arc::clone(&src))), move || {
+                *waker.signal.lock().expect("signal") = true;
+                waker.raised.notify_one();
+            });
+        while src.waits.load(std::sync::atomic::Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        (rt, src)
+    }
+
+    #[test]
+    fn invoke_and_inject_wake_a_node_blocked_in_wait() {
+        let (rt, _src) = spawn_attached(Box::new(Pinger {
+            server: ProcessId(0),
+        }));
+        rt.invoke::<Pinger>(ProcessId(0), |_, ctx| ctx.output(1));
+        assert_eq!(
+            rt.recv_output(Duration::from_secs(5)),
+            Some((ProcessId(0), 1))
+        );
+        rt.inject(ProcessId(9), ProcessId(0), TMsg::Pong(2));
+        assert_eq!(
+            rt.recv_output(Duration::from_secs(5)),
+            Some((ProcessId(0), 2))
+        );
+        rt.injector(ProcessId(0))
+            .inject(ProcessId(9), TMsg::Pong(3));
+        assert_eq!(
+            rt.recv_output(Duration::from_secs(5)),
+            Some((ProcessId(0), 3))
+        );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn timer_fires_on_time_through_wait() {
+        /// Arms a 20 ms timer when poked and reports how late it fired.
+        struct Late(Option<Instant>);
+        impl Node for Late {
+            type Msg = TMsg;
+            type Out = u32;
+            fn on_message(&mut self, _: ProcessId, _: TMsg, ctx: &mut Context<'_, TMsg, u32>) {
+                ctx.set_timer(SimDuration::millis(20));
+                self.0 = Some(Instant::now() + Duration::from_millis(20));
+            }
+            fn on_timer(&mut self, _: TimerId, ctx: &mut Context<'_, TMsg, u32>) {
+                let late = self.0.expect("armed").elapsed();
+                ctx.output(late.as_micros() as u32);
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (rt, _src) = spawn_attached(Box::new(Late(None)));
+        // The scheduler can hold any one wake-up back: the best of a few
+        // shots is the wait's own precision.
+        let mut best_us = u32::MAX;
+        for _ in 0..5 {
+            rt.inject(ProcessId(9), ProcessId(0), TMsg::Ping(0));
+            let (_, late_us) = rt.recv_output(Duration::from_secs(5)).expect("timer");
+            best_us = best_us.min(late_us);
+        }
+        assert!(
+            best_us < 1_000,
+            "timer fired {best_us} us past its deadline"
+        );
+        rt.shutdown();
+    }
+
+    #[test]
+    fn stop_wakes_and_joins_a_node_blocked_in_wait() {
+        let (rt, _src) = spawn_attached(Box::new(Echo));
+        let (done_tx, done_rx) = channel();
+        let stopper = std::thread::spawn(move || {
+            rt.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("Stop must wake a node out of `wait`");
+        stopper.join().expect("stopper");
+    }
+
+    #[test]
+    fn enqueue_racing_the_entry_into_wait_loses_no_wakeup() {
+        // Each output is emitted just before the node re-enters `wait`,
+        // and answered with the next enqueue at once: 10 000 enqueues
+        // land around that entry, before and after the signal is
+        // consumed. A lost wake-up leaves the node asleep for ever.
+        let (rt, _src) = spawn_attached(Box::new(Pinger {
+            server: ProcessId(0),
+        }));
+        for i in 0..10_000u32 {
+            if i % 2 == 0 {
+                rt.inject(ProcessId(9), ProcessId(0), TMsg::Pong(i));
+            } else {
+                rt.invoke::<Pinger>(ProcessId(0), move |_, ctx| ctx.output(i));
+            }
+            let got = rt.recv_output(Duration::from_secs(10));
+            assert_eq!(got, Some((ProcessId(0), i)), "wake-up {i} was lost");
+        }
         rt.shutdown();
     }
 }

@@ -17,7 +17,9 @@
 //! A wall-clock budget guards the whole run: loopback YCSB-B at this
 //! size finishes in well under a second, so a minute means a deadlock,
 //! a reconnect storm, or a stuck reader — all bugs this smoke exists to
-//! catch.
+//! catch. So does the thread census after the run: the socket runtime is
+//! one OS thread per node, and a reader or accept thread coming back
+//! would show up here before it shows up in a profile.
 
 use stabilizing_storage::net::NetStoreSystem;
 use stabilizing_storage::sim::SimDuration;
@@ -66,6 +68,30 @@ fn wipe_drill() {
     println!("wipe drill: {repairs} repair rounds over TCP, histories atomic, monitor quiet");
 }
 
+/// One thread per node plus this one, with one to spare: checked against
+/// the kernel's list of this process's threads while the deployment is
+/// still up. Linux-only evidence; elsewhere there is no `/proc` to ask.
+fn assert_one_thread_per_node(nodes: usize) {
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return;
+    };
+    let names: Vec<String> = tasks
+        .flatten()
+        .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+        .map(|name| name.trim().to_owned())
+        .collect();
+    assert!(
+        names.len() <= nodes + 2,
+        "{nodes} nodes must not need {} threads: {names:?}",
+        names.len()
+    );
+    assert!(
+        !names.iter().any(|name| name.starts_with("sbs-net-")),
+        "the socket layer spawned a thread of its own: {names:?}"
+    );
+    println!("threads: {} for {nodes} nodes", names.len());
+}
+
 fn main() {
     let wl = Workload::ycsb_b(300, 64);
     let builder = StoreBuilder::asynchronous(1)
@@ -89,6 +115,13 @@ fn main() {
         "transport: {} drops, {} decode rejects, slow paths {:?}",
         report.transport_drops, report.decode_rejects, report.slow
     );
+    let stats = sys.transport_stats();
+    println!(
+        "transport: {:.2} frames_per_wakeup, {:.1} wakeups_per_op ({stats:?})",
+        stats.frames_per_wakeup(),
+        stats.wakeups as f64 / report.completed.max(1) as f64,
+    );
+    assert_one_thread_per_node(sys.clients.len() + sys.servers.len());
 
     let monitor = sys.monitor().expect("monitor enabled");
     println!(
