@@ -15,6 +15,13 @@
 //! `TRACE_stabilization.jsonl` / `.chrome.json` at the repo root — the
 //! CI artifact for phase-level debugging.
 //!
+//! Healing steady state: the *host* cost of keeping anti-entropy on when
+//! nothing is wrong — a long unfaulted write-heavy run on the coded plane
+//! with a 2 ms gossip period, reported as wall µs per operation and gated
+//! by `trajcheck` (`healing-steady-state`). Replicas keep every snapshot
+//! by default, so any per-tick work that grows with the store shows up
+//! here as a per-op cost that grows with the run.
+//!
 //! ```sh
 //! cargo bench -p sbs-bench --bench stabilization            # full
 //! cargo bench -p sbs-bench --bench stabilization -- --smoke # CI
@@ -25,7 +32,7 @@ use sbs_bench::trajectory::BenchTrajectory;
 use sbs_check::{check_linearizable, History, InitialState, OpKind, OpRecord};
 use sbs_core::harness::SwsrBuilder;
 use sbs_sim::{OpId, ProcessId, SimDuration, SimTime};
-use sbs_store::{FaultPlan, StoreBuilder, Workload};
+use sbs_store::{FaultPlan, OpMix, StoreBuilder, Workload};
 use std::path::Path;
 use std::time::Instant;
 
@@ -181,6 +188,68 @@ fn repair_stabilization_probe(traj: &mut BenchTrajectory) {
     }
 }
 
+/// The healing steady-state probe: coded plane, anti-entropy every 2 ms
+/// of virtual time, **no fault** — so every `DIGEST_SUMMARY` is pure
+/// overhead and not one repair round may run. What it measures is wall
+/// time per operation: the nine servers tick ≈ 7 times per operation
+/// between them while their stores only grow, which is what made the
+/// per-tick store scan (removed in PR 19) cost quadratic in the run
+/// length. The op counts are sized against that: with the scan, the
+/// smoke run's 4 000 operations cost 219 and 304 µs each (two runs on
+/// the reference container) against 49 µs for the committed full run
+/// without it — 4.4× at best, which `trajcheck`'s 3× gate refuses.
+fn healing_steady_state_probe(traj: &mut BenchTrajectory, smoke: bool) {
+    section("healing_steady_state");
+    let ops: u64 = if smoke { 4_000 } else { 10_000 };
+    let builder = StoreBuilder::asynchronous(1)
+        .bulk_coded(2)
+        .seed(2015)
+        .shards(8)
+        .writers(4)
+        .extra_readers(2)
+        .anti_entropy(SimDuration::millis(2));
+    // The other probes' shape (Zipfian keys, closed loop, seed 42), but
+    // write-heavy so the stores grow all run long.
+    let wl = Workload {
+        mix: OpMix::ycsb_a(),
+        ..Workload::ycsb_b(ops, 64)
+    };
+    let t0 = Instant::now();
+    let (report, sys) = wl.run(&builder);
+    let wall = t0.elapsed().as_secs_f64();
+    assert_eq!(report.completed, ops, "probe workload must complete");
+    assert_eq!(
+        report.repair_rounds, 0,
+        "an unfaulted fleet must not bill a single repair round"
+    );
+    let summaries = sys.sim.metrics().sent_with_label("DIGEST_SUMMARY");
+    assert!(summaries > ops, "anti-entropy must have been gossiping");
+    let wall_us_per_op = wall * 1e6 / ops as f64;
+    println!(
+        "{:<22} {:<6} {:>8} {:>16} {:>14} {:>10} {:>14}",
+        "scenario", "mode", "ops", "digest summaries", "repair rounds", "wall ms", "wall us/op"
+    );
+    println!(
+        "{:<22} {:<6} {:>8} {:>16} {:>14} {:>10.1} {:>14.1}",
+        "healing-steady-state",
+        "coded",
+        ops,
+        summaries,
+        report.repair_rounds,
+        wall * 1e3,
+        wall_us_per_op,
+    );
+    traj.row(vec![
+        ("scenario", "healing-steady-state".into()),
+        ("mode", "coded".into()),
+        ("ops", ops.into()),
+        ("digest_summaries", summaries.into()),
+        ("repair_rounds", report.repair_rounds.into()),
+        ("wall_ms", (wall * 1e3).into()),
+        ("wall_us_per_op", wall_us_per_op.into()),
+    ]);
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let mut traj = BenchTrajectory::new("stabilization", smoke);
@@ -195,6 +264,7 @@ fn main() {
     // smoke and full mode so the gate compares like with like.
     store_stabilization_probe(&mut traj, &repo_root);
     repair_stabilization_probe(&mut traj);
+    healing_steady_state_probe(&mut traj, smoke);
     if let Some(path) = traj.write_at_repo_root("stabilization") {
         println!("trajectory written to {}", path.display());
     }

@@ -23,10 +23,10 @@
 //! tail catches a protocol that got uniformly slower without yet moving
 //! its p99. The simulator gates measure properties of the simulated
 //! schedule, not the host: drift means the *protocol* got chattier or
-//! slower per simulated second. The `net-wall-clock` gate is the
-//! exception — real-socket numbers move with the machine, so it carries
-//! a generous built-in threshold floor and only catches collapses (see
-//! its definition). Smoke rows with no committed
+//! slower per simulated second. The `net-wall-clock` and
+//! `healing-steady-state` gates are the exceptions — wall-clock numbers
+//! move with the machine, so each carries a built-in threshold floor and
+//! only catches collapses (see their definitions). Smoke rows with no committed
 //! counterpart (new configurations) are reported without failing the
 //! gate — unless *no* row of a gate matches its baseline at all, which
 //! means the identity schema drifted and that bench would otherwise
@@ -145,6 +145,25 @@ const GATES: &[Gate] = &[
         }],
         threshold_floor: 0.0,
         row_filter: Some(("scenario", "wiped-replica")),
+    },
+    // The healing steady-state row is the one *wall-clock* number among
+    // the simulator gates: host µs per operation of an unfaulted run with
+    // anti-entropy on. Its regression is not a slower host but per-tick
+    // work that grows with the store, which multiplies the figure by the
+    // run length (4–6× at the smoke run's size when the tick rescanned
+    // the store) — so the floor keeps the gate from going below 3× under
+    // a tighter `--threshold`, where host noise alone would trip it.
+    Gate {
+        name: "healing-steady-state",
+        committed: "BENCH_stabilization.json",
+        smoke: "BENCH_stabilization.smoke.json",
+        id_keys: &["scenario", "mode"],
+        metrics: &[Metric {
+            key: "wall_us_per_op",
+            higher_is_better: false,
+        }],
+        threshold_floor: 3.0,
+        row_filter: Some(("scenario", "healing-steady-state")),
     },
     // The live-reshard probe shares BENCH_store.json (its row is also
     // matched by the store-throughput gate via its distinct `section`)

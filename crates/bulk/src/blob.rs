@@ -52,9 +52,38 @@
 //! cannot grow per-shard retention state with invented shard ids — is
 //! the embedding server's job (`sbs-store`'s window guard refuses puts
 //! for shards the replica does not serve).
+//!
+//! # Index (anti-entropy holdings)
+//!
+//! Anti-entropy gossips a rotating window of the replica's **holdings**:
+//! its `(holder shard, digest)` pairs — `(holder shard, commitment root)`
+//! on the coded plane, once per shard however the root's fragment indices
+//! alias — in sorted order. Deriving that list from the entries is a walk
+//! of the whole store ([`BulkStore::holdings`]), and the gossip tick runs
+//! every few milliseconds on every replica, so both stores keep it as an
+//! always-maintained rank-addressable index instead
+//! ([`BulkStore::holdings_len`] / [`BulkStore::holdings_from`]): a tick
+//! costs `O(log n)` plus its ≤ 32 entries, whatever the store holds.
+//!
+//! The index changes at exactly the four places a holder set changes:
+//! a verified put that stores a new entry or adds a new holder to a held
+//! one, a retention eviction, [`BulkStore::remove`] (corruption found on
+//! serve), and [`BulkStore::wipe`]. A pair leaves only when *no* entry of
+//! that address is held for that shard any more; that each shard holds at
+//! most one fragment index per root is [`FragmentStore::put`]'s rule, and
+//! the index asserts it rather than relying on it.
+//!
+//! It is **derived state**: a function of the entries' holder sets and
+//! nothing else, never trusted from the wire, never consulted to decide
+//! what is stored or served. A fault model that scrambles a replica's
+//! memory classifies it as *rebuilt from the entries*, not as a field of
+//! its own; the full scan stays as the reference that tests and the
+//! tick's debug assertion compare it against.
 
 use crate::digest::{digest_of, BulkDigest};
+use crate::ranked::RankedSet;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Reference-counted immutable payload bytes, shared zero-copy between
@@ -115,6 +144,33 @@ impl<K: Ord + Copy> Default for ShardRecency<K> {
     }
 }
 
+/// A store key, which names the content address anti-entropy announces
+/// it under: a blob's digest is its own address, a fragment's
+/// `(root, index)` is announced as its root.
+trait StoreKey: Ord + Copy {
+    fn address(&self) -> BulkDigest;
+    /// Every key announced under `address`, as a range of the entry map.
+    fn keys_of(address: BulkDigest) -> RangeInclusive<Self>;
+}
+
+impl StoreKey for BulkDigest {
+    fn address(&self) -> BulkDigest {
+        *self
+    }
+    fn keys_of(address: BulkDigest) -> RangeInclusive<Self> {
+        address..=address
+    }
+}
+
+impl StoreKey for (BulkDigest, u32) {
+    fn address(&self) -> BulkDigest {
+        self.0
+    }
+    fn keys_of(root: BulkDigest) -> RangeInclusive<Self> {
+        (root, u32::MIN)..=(root, u32::MAX)
+    }
+}
+
 /// The retention core shared by [`BulkStore`] (whole blobs, keyed by
 /// content digest) and [`FragmentStore`] (erasure-coded fragments, keyed
 /// by `(root, fragment index)`): keyed entries with per-key **holder**
@@ -125,10 +181,14 @@ impl<K: Ord + Copy> Default for ShardRecency<K> {
 ///   holders (recency and holder sets never drift);
 /// - `bytes_stored` is the sum of `len` over live entries — incremented
 ///   once when an entry is first stored, decremented once when its last
-///   holder evicts it (never per holder, so aliasing cannot underflow it).
+///   holder evicts it (never per holder, so aliasing cannot underflow it);
+/// - `(s, a)` is in `index` iff `s` holds some entry whose key's address
+///   is `a` (see the module docs' "Index" section).
 #[derive(Clone, Debug)]
-struct RetainedStore<K: Ord + Copy, E> {
+struct RetainedStore<K: StoreKey, E> {
     entries: BTreeMap<K, Held<E>>,
+    /// The `(holder shard, address)` pairs of `entries`, rank-addressable.
+    index: RankedSet<(u32, BulkDigest)>,
     bytes_stored: u64,
     /// Distinct keys retained per shard (`None` = unbounded).
     retain: Option<usize>,
@@ -139,19 +199,20 @@ struct RetainedStore<K: Ord + Copy, E> {
     next_seq: u64,
 }
 
-impl<K: Ord + Copy, E> Default for RetainedStore<K, E> {
+impl<K: StoreKey, E> Default for RetainedStore<K, E> {
     fn default() -> Self {
         RetainedStore::with_retention(None)
     }
 }
 
-impl<K: Ord + Copy, E> RetainedStore<K, E> {
+impl<K: StoreKey, E> RetainedStore<K, E> {
     fn with_retention(retain: Option<usize>) -> Self {
         if let Some(k) = retain {
             assert!(k >= 1, "retention bound must be at least 1");
         }
         RetainedStore {
             entries: BTreeMap::new(),
+            index: RankedSet::default(),
             bytes_stored: 0,
             retain,
             recency: BTreeMap::new(),
@@ -176,6 +237,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
                 // its own retention slot (and its own recency entry), so
                 // another shard's later eviction can no longer drop this
                 // shard's only copy.
+                self.index_hold(shard, &key);
                 self.enqueue(shard, key);
             }
             // Recency refresh goes to the shards that actually hold the
@@ -204,9 +266,36 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
                 entry: make(),
             },
         );
+        self.index_hold(shard, &key);
         self.enqueue(shard, key);
         self.evict_overflow(shard);
         PutOutcome::Stored
+    }
+
+    /// Indexes `shard`'s new hold on `key`. The pair is new: a shard
+    /// holds at most one key per address.
+    fn index_hold(&mut self, shard: u32, key: &K) {
+        let fresh = self.index.insert((shard, key.address()));
+        debug_assert!(fresh, "shard {shard} already holds a key of this address");
+    }
+
+    /// Un-indexes `shard`'s hold on `key`, called once the hold is gone
+    /// from `entries`. The pair leaves only if no *other* key of the
+    /// address is still held for the shard — never the case while each
+    /// shard holds one fragment index per root, which is asserted here,
+    /// not assumed: a release build that broke the rule keeps an exact
+    /// index all the same.
+    fn index_release(&mut self, shard: u32, key: &K) {
+        let address = key.address();
+        let aliased = self
+            .entries
+            .range(K::keys_of(address))
+            .any(|(_, held)| held.holders.contains(&shard));
+        debug_assert!(!aliased, "shard {shard} held two keys of one address");
+        if !aliased {
+            let listed = self.index.remove(&(shard, address));
+            debug_assert!(listed, "a held pair was missing from the index");
+        }
     }
 
     /// Appends `key` as `shard`'s most recent (retention mode only).
@@ -247,10 +336,13 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
         let Some(k) = self.retain else {
             return;
         };
-        let Some(rec) = self.recency.get_mut(&shard) else {
-            return;
-        };
-        while rec.by_seq.len() > k {
+        loop {
+            let Some(rec) = self.recency.get_mut(&shard) else {
+                return;
+            };
+            if rec.by_seq.len() <= k {
+                return;
+            }
             let (_, evicted) = rec.by_seq.pop_first().expect("len > k >= 1");
             rec.seq_of.remove(&evicted);
             let Some(held) = self.entries.get_mut(&evicted) else {
@@ -262,6 +354,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
                 let held = self.entries.remove(&evicted).expect("present above");
                 self.bytes_stored -= held.len;
             }
+            self.index_release(shard, &evicted);
         }
     }
 
@@ -275,6 +368,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
     /// post-wipe inserts order strictly after pre-wipe history.
     fn wipe(&mut self) {
         self.entries.clear();
+        self.index.clear();
         self.recency.clear();
         self.bytes_stored = 0;
     }
@@ -294,6 +388,7 @@ impl<K: Ord + Copy, E> RetainedStore<K, E> {
                     rec.by_seq.remove(&seq);
                 }
             }
+            self.index_release(shard, key);
         }
         true
     }
@@ -398,9 +493,24 @@ impl BulkStore {
         self.inner.remove_key(digest)
     }
 
-    /// Every `(holder shard, digest)` pair this replica retains, in
-    /// deterministic order — the raw material for anti-entropy digest
-    /// summaries.
+    /// How many `(holder shard, digest)` pairs this replica retains —
+    /// the length of the list anti-entropy digest summaries rotate over.
+    pub fn holdings_len(&self) -> usize {
+        self.inner.index.len()
+    }
+
+    /// The retained `(holder shard, digest)` pairs of rank `rank..` in
+    /// sorted order, served from the index: `O(log n)` to position, then
+    /// one step per pair taken.
+    pub fn holdings_from(&self, rank: usize) -> impl Iterator<Item = (u32, BulkDigest)> + '_ {
+        self.inner.index.iter_from(rank)
+    }
+
+    /// Every `(holder shard, digest)` pair this replica retains, sorted —
+    /// derived by a **full scan** of the entries. This is the reference
+    /// the index behind [`Self::holdings_from`] is checked against (by
+    /// tests and by the anti-entropy tick's debug assertion); nothing on a
+    /// serving path may call it.
     pub fn holdings(&self) -> Vec<(u32, BulkDigest)> {
         let mut out: Vec<(u32, BulkDigest)> = Vec::new();
         for (digest, held) in &self.inner.entries {
@@ -517,7 +627,7 @@ impl FragmentStore {
     ) -> impl Iterator<Item = (&(BulkDigest, u32), &Held<StoredFragment>)> {
         self.inner
             .entries
-            .range((*root, u32::MIN)..=(*root, u32::MAX))
+            .range(<(BulkDigest, u32)>::keys_of(*root))
     }
 
     /// Some fragment stored under `root`, if any index is held.
@@ -574,10 +684,23 @@ impl FragmentStore {
         removed
     }
 
+    /// How many `(holder shard, commitment root)` pairs this replica
+    /// retains (see [`BulkStore::holdings_len`]).
+    pub fn holdings_len(&self) -> usize {
+        self.inner.index.len()
+    }
+
+    /// The retained `(holder shard, commitment root)` pairs of rank
+    /// `rank..` in sorted order, served from the index (see
+    /// [`BulkStore::holdings_from`]).
+    pub fn holdings_from(&self, rank: usize) -> impl Iterator<Item = (u32, BulkDigest)> + '_ {
+        self.inner.index.iter_from(rank)
+    }
+
     /// Every `(holder shard, commitment root)` pair this replica
     /// retains, deduplicated (a shard's root appears once however many
-    /// indices alias onto it), in deterministic order — the raw material
-    /// for anti-entropy digest summaries.
+    /// indices alias onto it) and sorted — derived by a **full scan**:
+    /// the reference for the index, like [`BulkStore::holdings`].
     pub fn holdings(&self) -> Vec<(u32, BulkDigest)> {
         let mut set: BTreeSet<(u32, BulkDigest)> = BTreeSet::new();
         for ((root, _), held) in &self.inner.entries {

@@ -48,7 +48,7 @@
 
 use crate::blob::SharedBytes;
 use crate::digest::{digest_of, digest_of_node_preimage, BulkDigest};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// GF(2⁸) modulus: the standard Reed–Solomon polynomial `x⁸+x⁴+x³+x²+1`.
 const GF_POLY: u16 = 0x11d;
@@ -107,6 +107,44 @@ fn lagrange_coeff(xs: &[u8], j: usize, y: u8) -> u8 {
     c
 }
 
+/// The full GF(2⁸) multiplication table, one 256-entry row of products
+/// per coefficient (64 KiB, built on first use).
+fn gf_rows() -> &'static [[u8; 256]] {
+    static ROWS: OnceLock<Box<[[u8; 256]]>> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        let mut rows = vec![[0u8; 256]; 256].into_boxed_slice();
+        for (c, row) in rows.iter_mut().enumerate() {
+            for (b, product) in row.iter_mut().enumerate() {
+                *product = gf_mul(c as u8, b as u8);
+            }
+        }
+        rows
+    })
+}
+
+/// `dst[p] ^= c · src[p]` over GF(2⁸) — the one loop both coding
+/// directions spend their time in. A fixed coefficient's products are
+/// one row of [`gf_rows`], so the per-byte work is one table load and an
+/// XOR instead of [`gf_mul`]'s zero tests and three dependent loads;
+/// `c = 1` is a plain XOR and `c = 0` contributes nothing.
+fn mul_acc(dst: &mut [u8], src: &[u8], c: u8) {
+    debug_assert_eq!(dst.len(), src.len());
+    match c {
+        0 => {}
+        1 => {
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d ^= s;
+            }
+        }
+        _ => {
+            let row = &gf_rows()[c as usize];
+            for (d, &s) in dst.iter_mut().zip(src) {
+                *d ^= row[s as usize];
+            }
+        }
+    }
+}
+
 /// The fragment length of a `k`-stripe dispersal of a `len`-byte
 /// payload: `⌈len/k⌉` (the last stripe is zero-padded). Readers use it
 /// to reject wrong-sized served fragments before hashing them.
@@ -129,27 +167,25 @@ pub fn encode_fragments(bytes: &[u8], k: usize, m: usize) -> Vec<SharedBytes> {
         "coding shape k={k} of m={m} out of range"
     );
     let flen = fragment_len(bytes.len() as u64, k) as usize;
-    let stripe = |i: usize| -> Vec<u8> {
-        let mut s = bytes[(i * flen).min(bytes.len())..((i + 1) * flen).min(bytes.len())].to_vec();
-        s.resize(flen, 0);
-        s
-    };
-    let stripes: Vec<Vec<u8>> = (0..k).map(stripe).collect();
+    // Every fragment is built in place in its own shared allocation: a
+    // stripe is the payload slice copied over zero padding, a parity
+    // fragment accumulates into zeroes.
+    let zeroed = || -> SharedBytes { std::iter::repeat_n(0u8, flen).collect() };
+    let mut frags: Vec<SharedBytes> = Vec::with_capacity(m);
+    for i in 0..k {
+        let data = &bytes[(i * flen).min(bytes.len())..((i + 1) * flen).min(bytes.len())];
+        let mut stripe = zeroed();
+        Arc::get_mut(&mut stripe).expect("not yet shared")[..data.len()].copy_from_slice(data);
+        frags.push(stripe);
+    }
     let xs: Vec<u8> = (0..k as u16).map(|i| i as u8).collect();
-    let mut frags: Vec<SharedBytes> = stripes.iter().map(|s| SharedBytes::from(&s[..])).collect();
     for r in k..m {
-        let coeffs: Vec<u8> = (0..k).map(|j| lagrange_coeff(&xs, j, r as u8)).collect();
-        let mut parity = vec![0u8; flen];
-        for (j, s) in stripes.iter().enumerate() {
-            let c = coeffs[j];
-            if c == 0 {
-                continue;
-            }
-            for (p, &b) in s.iter().enumerate() {
-                parity[p] ^= gf_mul(c, b);
-            }
+        let mut parity = zeroed();
+        let acc = Arc::get_mut(&mut parity).expect("not yet shared");
+        for (j, stripe) in frags[..k].iter().enumerate() {
+            mul_acc(acc, stripe, lagrange_coeff(&xs, j, r as u8));
         }
-        frags.push(parity.into());
+        frags.push(parity);
     }
     frags
 }
@@ -185,18 +221,12 @@ pub fn reconstruct(k: usize, len: u64, frags: &[(u32, SharedBytes)]) -> Option<V
             out.extend_from_slice(frag); // systematic stripe present
             continue;
         }
-        let coeffs: Vec<u8> = (0..k).map(|j| lagrange_coeff(&xs, j, y)).collect();
-        let mut stripe = vec![0u8; flen];
+        // A missing stripe is interpolated straight into the output.
+        let at = out.len();
+        out.resize(at + flen, 0);
         for (j, (_, frag)) in have.iter().enumerate() {
-            let c = coeffs[j];
-            if c == 0 {
-                continue;
-            }
-            for (p, &b) in frag.iter().enumerate() {
-                stripe[p] ^= gf_mul(c, b);
-            }
+            mul_acc(&mut out[at..], frag, lagrange_coeff(&xs, j, y));
         }
-        out.extend_from_slice(&stripe);
     }
     out.truncate(len as usize);
     Some(out)
@@ -416,6 +446,74 @@ mod tests {
         assert_eq!(frags[0].as_ref(), &bytes[..50]);
         assert_eq!(frags[1].as_ref(), &bytes[50..]);
         assert_eq!(frags[2].len(), 50, "parity has stripe length");
+    }
+
+    /// Frozen vector: the parity bytes (and, on a payload long enough to
+    /// need padding, the parity digests and the commitment root) of a
+    /// seeded payload, captured before the coding loops moved from
+    /// per-byte [`gf_mul`] to per-coefficient product rows. Fragments are
+    /// content-addressed and their root is what the metadata plane
+    /// stores, so a kernel change that moved one parity bit would orphan
+    /// every stored dispersal.
+    #[test]
+    fn parity_bytes_are_frozen() {
+        let hex = |b: &[u8]| b.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let mut rng = DetRng::from_seed(0x5EED_C0DE);
+        let short = payload(&mut rng, 37);
+        let long = payload(&mut rng, 4099);
+
+        let f = encode_fragments(&short, 2, 3);
+        assert_eq!(hex(&f[2]), "5e9d472d912b3c1e3a6572a1779dd5313e38d7");
+        let f = encode_fragments(&short, 3, 5);
+        assert_eq!(hex(&f[3]), "e56c9eac69c8182fb5ccab31e4");
+        assert_eq!(hex(&f[4]), "5611317e4e881dc599b3cc1b5f");
+
+        let f = encode_fragments(&long, 2, 3);
+        assert_eq!(
+            digest_of(&f[2]).0,
+            [
+                16576979427211024557,
+                3646459367908771356,
+                17225390127016911569,
+                12335214523445189562
+            ]
+        );
+        assert_eq!(
+            merkle_root(&fragment_leaves(&f)).0,
+            [
+                1100442229359039753,
+                3578697586127848402,
+                13150687417925943829,
+                16067725660809246041
+            ]
+        );
+        let f = encode_fragments(&long, 3, 5);
+        assert_eq!(
+            [digest_of(&f[3]).0, digest_of(&f[4]).0],
+            [
+                [
+                    643596211955592935,
+                    4209791481871191749,
+                    10941728265182383688,
+                    6992279934793463207
+                ],
+                [
+                    17209465186322413623,
+                    4317370910242499269,
+                    8537025887545724488,
+                    6151844669911512487
+                ]
+            ]
+        );
+        assert_eq!(
+            merkle_root(&fragment_leaves(&f)).0,
+            [
+                12846779788628935803,
+                8593457839004341202,
+                4879157994430448149,
+                10379618700494288217
+            ]
+        );
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! - [`BulkCodec`] — deterministic byte serialization, so the same
 //!   logical value always hashes to the same address.
 //! - [`BulkStore`] — a per-replica blob store that **verifies the content
-//!   address before storing**, making fabricated blobs unstorable.
+//!   address before storing**, making fabricated blobs unstorable, and
+//!   keeps its `(shard, digest)` holdings rank-addressable so anti-entropy
+//!   gossip never walks the store.
 //! - [`encode_fragments`] / [`reconstruct`] + [`merkle_root`] /
 //!   [`merkle_proof`] / [`verify_fragment`] — systematic `k`-of-`m`
 //!   erasure coding over GF(2⁸) and the Merkle-style fragment commitment
@@ -42,6 +44,7 @@ mod codec;
 mod coding;
 mod digest;
 mod placement;
+mod ranked;
 
 pub use blob::{BulkStore, FragmentStore, PutOutcome, SharedBytes, StoredFragment};
 pub use codec::{get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64, BulkCodec};

@@ -1,0 +1,133 @@
+//! Differential test of the holdings index: both stores serve
+//! anti-entropy's `(holder shard, address)` list from an index they
+//! maintain at their mutation points (`holdings_len` / `holdings_from`),
+//! and the full scan `holdings()` is the reference. Seeded random
+//! sequences of puts, cross-shard aliasing re-puts, retention evictions,
+//! removes and wipes must leave the two equal after **every** step.
+
+use sbs_bulk::{
+    digest_of, encode_fragments, fragment_leaves, BulkDigest, BulkStore, FragmentStore, MerkleTree,
+    SharedBytes, StoredFragment,
+};
+use sbs_sim::DetRng;
+
+/// The index must equal the reference scan as a whole, from a random
+/// rank, and at both ends.
+fn assert_index_matches(
+    reference: Vec<(u32, BulkDigest)>,
+    len: usize,
+    from: impl Fn(usize) -> Vec<(u32, BulkDigest)>,
+    rng: &mut DetRng,
+    label: &str,
+) {
+    assert_eq!(len, reference.len(), "{label}: holdings_len");
+    assert_eq!(from(0), reference, "{label}: holdings_from(0)");
+    let rank = rng.next_u64() as usize % (len + 1);
+    assert_eq!(from(rank), reference[rank..], "{label}: from rank {rank}");
+    assert!(from(len).is_empty() && from(len + 7).is_empty(), "{label}");
+}
+
+/// Retention bounds swept by both tests: unbounded (the default, where
+/// the store only grows) and the eviction-heavy 1..=3.
+const RETENTIONS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(3)];
+
+#[test]
+fn blob_store_index_tracks_the_full_scan() {
+    // 48 payloads over 6 shards: enough distinct digests for the index
+    // to span several chunks when unbounded, few enough that aliasing
+    // re-puts, removes of held digests and evictions are all frequent.
+    let pool: Vec<(BulkDigest, SharedBytes)> = (0u8..48)
+        .map(|i| {
+            let bytes = SharedBytes::from(vec![i ^ 0x3C; 8 + i as usize]);
+            (digest_of(&bytes), bytes)
+        })
+        .collect();
+    for retain in RETENTIONS {
+        for seed in 0..4u64 {
+            let mut rng = DetRng::from_seed(0x1DE0 + 16 * retain.unwrap_or(0) as u64 + seed);
+            let mut store = retain.map_or_else(BulkStore::new, BulkStore::with_retention);
+            for step in 0..700 {
+                let (digest, bytes) = &pool[rng.next_u64() as usize % pool.len()];
+                match rng.next_u64() % 100 {
+                    0 => store.wipe(),
+                    1..=14 => {
+                        store.remove(digest);
+                    }
+                    _ => {
+                        let shard = (rng.next_u64() % 6) as u32;
+                        assert!(store.put(shard, *digest, bytes.clone()).held());
+                    }
+                }
+                assert_index_matches(
+                    store.holdings(),
+                    store.holdings_len(),
+                    |rank| store.holdings_from(rank).collect(),
+                    &mut rng,
+                    &format!("retain {retain:?} seed {seed} step {step}"),
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn fragment_store_index_tracks_the_full_scan() {
+    // 24 dispersals (2-of-3). A shard's fragment index is its window
+    // position, modelled as `shard % 3`: shards 0 and 3 are congruent
+    // (same index, one entry, two holders) while 0, 1, 2 alias a root
+    // under three different indices — one `(shard, root)` pair each.
+    struct Dispersal {
+        root: BulkDigest,
+        frags: Vec<SharedBytes>,
+        tree: MerkleTree,
+    }
+    let pool: Vec<Dispersal> = (0u8..24)
+        .map(|i| {
+            let frags = encode_fragments(&vec![i ^ 0x99; 20 + i as usize], 2, 3);
+            let tree = MerkleTree::build(&fragment_leaves(&frags));
+            Dispersal {
+                root: tree.root(),
+                frags,
+                tree,
+            }
+        })
+        .collect();
+    let fragment = |d: &Dispersal, index: usize| StoredFragment {
+        index: index as u32,
+        total: 3,
+        bytes: d.frags[index].clone(),
+        proof: d.tree.proof(index),
+    };
+    for retain in RETENTIONS {
+        for seed in 0..4u64 {
+            let mut rng = DetRng::from_seed(0xF1DE0 + 16 * retain.unwrap_or(0) as u64 + seed);
+            let mut store = retain.map_or_else(FragmentStore::new, FragmentStore::with_retention);
+            for step in 0..700 {
+                let d = &pool[rng.next_u64() as usize % pool.len()];
+                let shard = (rng.next_u64() % 6) as u32;
+                match rng.next_u64() % 100 {
+                    0 => store.wipe(),
+                    1..=14 => {
+                        store.remove(&d.root);
+                    }
+                    15..=24 => {
+                        // A second index of a root for the same shard is
+                        // refused unless the shard holds none yet — either
+                        // way the shard ends up with at most one.
+                        store.put(shard, d.root, fragment(d, (shard as usize + 1) % 3));
+                    }
+                    _ => {
+                        store.put(shard, d.root, fragment(d, shard as usize % 3));
+                    }
+                }
+                assert_index_matches(
+                    store.holdings(),
+                    store.holdings_len(),
+                    |rank| store.holdings_from(rank).collect(),
+                    &mut rng,
+                    &format!("retain {retain:?} seed {seed} step {step}"),
+                );
+            }
+        }
+    }
+}

@@ -156,7 +156,9 @@ pub enum StoreMsg<P> {
     /// Data replica → data replica (anti-entropy): a bounded summary of
     /// `(shard, digest)` holdings the sender retains. The receiver pulls
     /// — via [`StoreMsg::RepairRequest`] — whatever it should hold for
-    /// its own window positions but does not.
+    /// its own window positions but does not. The bound is enforced on
+    /// receipt: a summary longer than one gossip batch (32 entries), or
+    /// from a sender that is not a fleet server, is refused whole.
     DigestSummary {
         /// `(holder shard, digest)` pairs, bounded per round.
         entries: Vec<(u32, BulkDigest)>,
