@@ -2,22 +2,26 @@
 //! storage, and throughput of the same Zipfian YCSB-B workload under
 //! full replication, the whole-copy 2t+1 bulk plane, and the
 //! erasure-coded (k-of-m fragment) bulk plane, swept over payload size ×
-//! fleet size.
+//! fleet size × keys per shard.
 //!
 //! ```sh
 //! cargo bench -p sbs-bench --bench bulk_vs_full            # full sweep
 //! cargo bench -p sbs-bench --bench bulk_vs_full -- --smoke # CI smoke
 //! ```
 //!
-//! Full replication ships every shard-map snapshot to all `n` servers
-//! (twice, counting the helping refresh); the bulk plane ships it to
-//! `2t + 1` data replicas once and moves 40-byte references through the
-//! metadata quorum; the coded plane ships each of those replicas only a
-//! `1/k` fragment. The interesting columns are the `total` ratio (grows
-//! with payload size and with `n`) and `repl KiB` — the *per-replica
-//! stored* bytes the coded mode cuts by ~`k`×. Every coded run is also
-//! checked differentially against the full-replication run: same key
-//! sets, same per-key write sequences.
+//! Full replication ships every shard-map snapshot — every value of the
+//! shard — to all `n` servers (twice, counting the helping refresh); the
+//! bulk plane ships the one written value to `2t + 1` data replicas once
+//! and moves the shard's map of 44-byte references through the metadata
+//! quorum; the coded plane ships each of those replicas only a `1/k`
+//! fragment of the value. The interesting columns are the `total` ratio
+//! (grows with payload size and with `n`), `repl KiB` — the
+//! *per-replica stored* bytes the coded mode cuts by ~`k`× — and `bulk
+//! B/op`, which must stay flat as keys per shard grow (a put costs its
+//! value, not its shard), while the metadata bytes of the bulk planes
+//! grow with the reference map. Every coded run is also checked
+//! differentially against the full-replication run: same key sets, same
+//! per-key write sequences.
 
 use sbs_bench::trajectory::BenchTrajectory;
 use sbs_check::{equivalent_write_histories, History};
@@ -25,10 +29,14 @@ use sbs_store::{SizedVal, StoreBuilder, StoreSystem, Workload, WorkloadReport};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+/// Shards every case deploys.
+const SHARDS: u32 = 8;
+
 struct Case {
     n: usize,
     t: usize,
     value_len: u32,
+    keys_per_shard: usize,
     ops: u64,
 }
 
@@ -60,7 +68,7 @@ fn run_case(case: &Case, mode: Mode) -> (WorkloadReport, StoreSystem<SizedVal>, 
     let mut builder = StoreBuilder::asynchronous(case.t)
         .n(case.n)
         .seed(2015)
-        .shards(8)
+        .shards(SHARDS)
         .writers(4)
         .extra_readers(2);
     builder = match mode {
@@ -68,7 +76,7 @@ fn run_case(case: &Case, mode: Mode) -> (WorkloadReport, StoreSystem<SizedVal>, 
         Mode::Bulk => builder.bulk(),
         Mode::Coded { k } => builder.bulk_coded(k),
     };
-    let mut wl = Workload::ycsb_b(case.ops, 64);
+    let mut wl = Workload::ycsb_b(case.ops, case.keys_per_shard * SHARDS as usize);
     wl.seed = 42;
     let len = case.value_len;
     let t0 = Instant::now();
@@ -109,43 +117,52 @@ fn main() {
             n: 9,
             t: 1,
             value_len: 1024,
+            keys_per_shard: 8,
             ops: 120,
         }]
     } else {
         let mut cases = Vec::new();
         for (n, t) in [(9usize, 1usize), (17, 2)] {
             for value_len in [16u32, 256, 1024] {
-                cases.push(Case {
-                    n,
-                    t,
-                    value_len,
-                    ops: 600,
-                });
+                for keys_per_shard in [8, 64] {
+                    cases.push(Case {
+                        n,
+                        t,
+                        value_len,
+                        keys_per_shard,
+                        ops: 600,
+                    });
+                }
             }
         }
         cases
     };
 
     println!(
-        "bulk_vs_full: Zipfian YCSB-B, 64 keys / 8 shards, payload size x fleet sweep \
-         (coded = k-of-2t+1 fragments, k = t+1)"
+        "bulk_vs_full: Zipfian YCSB-B over {SHARDS} shards, payload size x fleet x keys-per-shard \
+         sweep (coded = k-of-2t+1 fragments, k = t+1)"
     );
     println!(
-        "{:<5} {:>5} {:>7} {:>6} {:>12} {:>12} {:>12} {:>10} {:>14} {:>9} {:>9} {:>7} {:>9}",
+        "{:<5} {:>5} {:>7} {:>5} {:>6} {:>12} {:>12} {:>12} {:>10} {:>9} {:>14} {:>9} {:>9} {:>7} {:>9}",
         "n",
         "t",
         "value",
+        "k/sh",
         "mode",
         "meta KiB",
         "bulk KiB",
         "total KiB",
         "repl KiB",
+        "bulk B/op",
         "ops/sim-sec",
         "p50 us",
         "p99 us",
         "ratio",
         "wall ms"
     );
+    // Bulk-plane bytes per op of each (n, t, value, mode) at the fewest
+    // keys per shard, for the flatness check of the larger shards.
+    let mut bulk_per_op_base: BTreeMap<String, f64> = BTreeMap::new();
     for case in &cases {
         // k = t + 1 is the largest threshold the Byzantine bound admits
         // on a 2t+1 window (k + t <= m), i.e. the biggest byte cut.
@@ -185,16 +202,19 @@ fn main() {
                 Some(ratio_coded),
             ),
         ] {
+            let bulk_per_op = report.bulk_bytes as f64 / case.ops as f64;
             println!(
-                "{:<5} {:>5} {:>6}B {:>6} {:>12.1} {:>12.1} {:>12.1} {:>10.1} {:>14.0} {:>9.1} {:>9.1} {:>7} {:>9.1}",
+                "{:<5} {:>5} {:>6}B {:>5} {:>6} {:>12.1} {:>12.1} {:>12.1} {:>10.1} {:>9.0} {:>14.0} {:>9.1} {:>9.1} {:>7} {:>9.1}",
                 case.n,
                 case.t,
                 case.value_len,
+                case.keys_per_shard,
                 mode.name(),
                 kib(report.metadata_bytes),
                 kib(report.bulk_bytes),
                 kib(report.total_bytes()),
                 kib(stored),
+                bulk_per_op,
                 report.ops_per_sim_sec,
                 lat.p50_ns as f64 / 1e3,
                 lat.p99_ns as f64 / 1e3,
@@ -205,6 +225,7 @@ fn main() {
                 ("n", case.n.into()),
                 ("t", case.t.into()),
                 ("value_len", case.value_len.into()),
+                ("keys_per_shard", case.keys_per_shard.into()),
                 ("mode", mode.name().into()),
                 (
                     "k",
@@ -217,6 +238,7 @@ fn main() {
                 ("ops", case.ops.into()),
                 ("metadata_bytes", report.metadata_bytes.into()),
                 ("bulk_bytes", report.bulk_bytes.into()),
+                ("bulk_bytes_per_op", bulk_per_op.into()),
                 ("total_bytes", report.total_bytes().into()),
                 ("max_replica_stored_bytes", stored.into()),
                 ("ops_per_sim_sec", report.ops_per_sim_sec.into()),
@@ -230,6 +252,26 @@ fn main() {
                 ("p99_latency_ns", lat.p99_ns.into()),
                 ("wall_ms", (wall * 1e3).into()),
             ]);
+            // A put costs its value, not its shard: bulk-plane bytes per
+            // op stay flat as shards grow from the fewest keys per shard
+            // (they can only fall — with more keys, more gets find their
+            // key unwritten and fetch nothing). Whole-snapshot dispersal
+            // grew them with the keys a snapshot carries.
+            if mode != Mode::Full {
+                let id = format!("{}/{}/{}/{}", case.n, case.t, case.value_len, mode.name());
+                match bulk_per_op_base.get(&id) {
+                    None => {
+                        bulk_per_op_base.insert(id, bulk_per_op);
+                    }
+                    Some(&base) => assert!(
+                        bulk_per_op <= base * 1.1,
+                        "{} bulk bytes per op grew with keys per shard: {base:.0} at the \
+                         fewest, {bulk_per_op:.0} at {}",
+                        mode.name(),
+                        case.keys_per_shard
+                    ),
+                }
+            }
         }
         // The coded storage cut: each replica stores 1/k of every
         // snapshot instead of a whole copy (>= because retention-free

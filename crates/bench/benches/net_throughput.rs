@@ -28,9 +28,9 @@ use sbs_net::{NetReport, NetStoreSystem, TransportStats};
 use sbs_sim::SimDuration;
 use sbs_store::{FaultPlan, KeyDist, LoopMode, OpMix, SizedVal, StoreBuilder, Workload};
 
-/// Value size of the big-frame drill: every put ships a shard map of
-/// several such values, so its frames are MiBs where the other rows'
-/// are a few hundred bytes.
+/// Value size of the big-frame drill: every put ships one such value
+/// (a whole copy or half of it per replica), so its frames are hundreds
+/// of KiB where the other rows' are a few hundred bytes.
 const DRILL_VALUE_LEN: u32 = 512 * 1024;
 
 fn run_case<V: Payload + BulkCodec + Send + Sync>(
@@ -158,9 +158,10 @@ fn main() {
         }
     }
     if !smoke {
-        // The big-frame drill: the same fleet moving MiB-sized frames on
-        // both bulk planes, so the large-frame read path (a frame read
-        // straight into a buffer of its own size) has a number too.
+        // The big-frame drill: the same fleet moving frames of hundreds
+        // of KiB on both bulk planes, so the large-frame read path (a
+        // frame read straight into a buffer of its own size) has a
+        // number too.
         for (plane, builder) in [
             ("bulk", async_fleet().bulk()),
             ("coded", async_fleet().bulk_coded(2)),

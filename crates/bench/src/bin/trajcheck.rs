@@ -112,8 +112,9 @@ const GATES: &[Gate] = &[
         // "k" keeps coded rows distinct if the bench ever sweeps several
         // reconstruction thresholds per (n, t) — without it two such rows
         // would share an identity and gate against whichever baseline
-        // row comes first.
-        id_keys: &["n", "t", "value_len", "mode", "k"],
+        // row comes first; "keys_per_shard" does the same for the
+        // keys-per-shard sweep.
+        id_keys: &["n", "t", "value_len", "keys_per_shard", "mode", "k"],
         metrics: THROUGHPUT_AND_TAIL,
         threshold_floor: 0.0,
         row_filter: None,

@@ -637,7 +637,7 @@ mod tests {
             // …and so a verified blob store refuses it under the root.
             let mut s = BulkStore::new();
             assert_eq!(
-                s.put(0, root, preimage.into()),
+                s.put(crate::Holder::new(0, 0), root, preimage.into()),
                 PutOutcome::DigestMismatch,
                 "m={m}: the shadowing blob must be unstorable"
             );

@@ -46,7 +46,7 @@ mod digest;
 mod placement;
 mod ranked;
 
-pub use blob::{BulkStore, FragmentStore, PutOutcome, SharedBytes, StoredFragment};
+pub use blob::{BulkStore, FragmentStore, Holder, PutOutcome, SharedBytes, StoredFragment};
 pub use codec::{get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64, BulkCodec};
 pub use coding::{
     encode_fragments, fragment_leaves, fragment_len, merkle_proof, merkle_root, reconstruct,

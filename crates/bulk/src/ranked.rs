@@ -99,6 +99,15 @@ impl<T: Ord + Copy> RankedSet<T> {
         true
     }
 
+    /// The element equal to `x`, for an in-place update that must leave
+    /// its order unchanged (an element type whose order is a key).
+    pub(crate) fn get_mut(&mut self, x: &T) -> Option<&mut T> {
+        let ci = self.chunk_of(x);
+        let chunk = self.chunks.get_mut(ci)?;
+        let at = chunk.binary_search(x).ok()?;
+        Some(&mut chunk[at])
+    }
+
     /// Removes `x`; returns whether it was present.
     pub(crate) fn remove(&mut self, x: &T) -> bool {
         let ci = self.chunk_of(x);

@@ -1,22 +1,24 @@
 //! Differential test of the holdings index: both stores serve
-//! anti-entropy's `(holder shard, address)` list from an index they
-//! maintain at their mutation points (`holdings_len` / `holdings_from`),
-//! and the full scan `holdings()` is the reference. Seeded random
-//! sequences of puts, cross-shard aliasing re-puts, retention evictions,
-//! removes and wipes must leave the two equal after **every** step.
+//! anti-entropy's `(holder shard, slot, address)` list from an index of
+//! `(shard, address)` pairs they maintain at their mutation points
+//! (`holdings_len` / `holdings_from`), and the full scan `holdings()` is
+//! the reference. Seeded random sequences of puts by key-slot holders,
+//! aliasing re-puts (across shards and across slots of one shard),
+//! per-key retention evictions, removes and wipes must leave the two
+//! equal after **every** step.
 
 use sbs_bulk::{
-    digest_of, encode_fragments, fragment_leaves, BulkDigest, BulkStore, FragmentStore, MerkleTree,
-    SharedBytes, StoredFragment,
+    digest_of, encode_fragments, fragment_leaves, BulkDigest, BulkStore, FragmentStore, Holder,
+    MerkleTree, SharedBytes, StoredFragment,
 };
 use sbs_sim::DetRng;
 
 /// The index must equal the reference scan as a whole, from a random
 /// rank, and at both ends.
 fn assert_index_matches(
-    reference: Vec<(u32, BulkDigest)>,
+    reference: Vec<(u32, u32, BulkDigest)>,
     len: usize,
-    from: impl Fn(usize) -> Vec<(u32, BulkDigest)>,
+    from: impl Fn(usize) -> Vec<(u32, u32, BulkDigest)>,
     rng: &mut DetRng,
     label: &str,
 ) {
@@ -54,8 +56,9 @@ fn blob_store_index_tracks_the_full_scan() {
                         store.remove(digest);
                     }
                     _ => {
-                        let shard = (rng.next_u64() % 6) as u32;
-                        assert!(store.put(shard, *digest, bytes.clone()).held());
+                        let holder =
+                            Holder::new((rng.next_u64() % 6) as u32, (rng.next_u64() % 3) as u32);
+                        assert!(store.put(holder, *digest, bytes.clone()).held());
                     }
                 }
                 assert_index_matches(
@@ -75,7 +78,8 @@ fn fragment_store_index_tracks_the_full_scan() {
     // 24 dispersals (2-of-3). A shard's fragment index is its window
     // position, modelled as `shard % 3`: shards 0 and 3 are congruent
     // (same index, one entry, two holders) while 0, 1, 2 alias a root
-    // under three different indices — one `(shard, root)` pair each.
+    // under three different indices — one `(shard, root)` pair each —
+    // and the three key slots of a shard alias its one index.
     struct Dispersal {
         root: BulkDigest,
         frags: Vec<SharedBytes>,
@@ -105,6 +109,7 @@ fn fragment_store_index_tracks_the_full_scan() {
             for step in 0..700 {
                 let d = &pool[rng.next_u64() as usize % pool.len()];
                 let shard = (rng.next_u64() % 6) as u32;
+                let holder = Holder::new(shard, (rng.next_u64() % 3) as u32);
                 match rng.next_u64() % 100 {
                     0 => store.wipe(),
                     1..=14 => {
@@ -114,10 +119,10 @@ fn fragment_store_index_tracks_the_full_scan() {
                         // A second index of a root for the same shard is
                         // refused unless the shard holds none yet — either
                         // way the shard ends up with at most one.
-                        store.put(shard, d.root, fragment(d, (shard as usize + 1) % 3));
+                        store.put(holder, d.root, fragment(d, (shard as usize + 1) % 3));
                     }
                     _ => {
-                        store.put(shard, d.root, fragment(d, shard as usize % 3));
+                        store.put(holder, d.root, fragment(d, shard as usize % 3));
                     }
                 }
                 assert_index_matches(

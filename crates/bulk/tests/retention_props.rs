@@ -1,10 +1,11 @@
 //! Property-style retention checks for the aliasing-prone corner of the
-//! blob store: identical payloads put across *different* shards share
-//! one digest, so retention bookkeeping (holders, recency, eviction,
-//! byte accounting) must stay consistent under arbitrary interleavings
-//! of puts and evictions — the ISSUE 5 regression surface.
+//! blob store: identical payloads put by *different* holders — key slots
+//! of different shards, or two keys of one shard — share one digest, so
+//! retention bookkeeping (holders, recency, eviction, byte accounting)
+//! must stay consistent under arbitrary interleavings of puts and
+//! evictions.
 
-use sbs_bulk::{digest_of, BulkDigest, BulkStore, FragmentStore, PutOutcome, SharedBytes};
+use sbs_bulk::{digest_of, BulkDigest, BulkStore, FragmentStore, Holder, PutOutcome, SharedBytes};
 use sbs_sim::DetRng;
 use std::collections::BTreeMap;
 
@@ -19,13 +20,14 @@ fn pool() -> (Vec<SharedBytes>, Vec<BulkDigest>) {
     (payloads, digests)
 }
 
-/// Seeded loop over retention bounds 1..=3: whatever the interleaving,
-/// (1) every shard's most recently put digest stays resolvable — the
-/// cross-shard aliasing bug dropped exactly this when another shard
-/// evicted its hold on the shared digest; (2) `bytes_stored` equals the
-/// sum over *held* pool payloads, each counted once — so it can neither
-/// underflow nor double-count an aliased blob; (3) the distinct-digest
-/// count respects the global `shards × K` budget.
+/// Seeded loop over retention bounds 1..=3 on 4 shards × 3 key slots:
+/// whatever the interleaving, (1) every holder's most recently put
+/// digest stays resolvable — the aliasing bug dropped exactly this when
+/// another holder evicted its hold on the shared digest, and it is what
+/// keeps a key's live value alive; (2) `bytes_stored` equals the sum over
+/// *held* pool payloads, each counted once — so it can neither underflow
+/// nor double-count an aliased blob; (3) the distinct-digest count
+/// respects the global `holders × K` budget.
 #[test]
 fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
     let (payloads, digests) = pool();
@@ -33,22 +35,23 @@ fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
         for seed in 0..6u64 {
             let mut rng = DetRng::from_seed(0x000A_11A5 + ((retain as u64) << 8) + seed);
             let mut store = BulkStore::with_retention(retain);
-            let mut last_put: BTreeMap<u32, usize> = BTreeMap::new();
+            let mut last_put: BTreeMap<Holder, usize> = BTreeMap::new();
             for step in 0..500 {
-                let shard = (rng.next_u64() % 4) as u32;
+                let holder = Holder::new((rng.next_u64() % 4) as u32, (rng.next_u64() % 3) as u32);
                 let idx = (rng.next_u64() % payloads.len() as u64) as usize;
-                let out = store.put(shard, digests[idx], payloads[idx].clone());
+                let out = store.put(holder, digests[idx], payloads[idx].clone());
                 assert!(out.held(), "verified puts always hold");
-                last_put.insert(shard, idx);
+                last_put.insert(holder, idx);
 
-                // (1) Most recent digest per shard is resolvable.
-                for (sh, &i) in &last_put {
+                // (1) Most recent digest per holder is resolvable.
+                for (h, &i) in &last_put {
                     assert_eq!(
                         store.get(&digests[i]),
                         Some(payloads[i].as_ref()),
-                        "retain={retain} seed={seed} step={step}: shard {sh}'s most \
+                        "retain={retain} seed={seed} step={step}: {h:?}'s most \
                          recent digest must stay resolvable"
                     );
+                    assert!(store.holders(&digests[i]).contains(h));
                 }
 
                 // (2) Exact byte accounting: each held pool payload once.
@@ -66,8 +69,8 @@ fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
                 );
 
                 // (3) The global budget: at most K distinct digests per
-                // shard that ever put.
-                assert!(store.blob_count() <= 4 * retain);
+                // holder that ever put.
+                assert!(store.blob_count() <= 12 * retain);
             }
         }
     }
@@ -93,16 +96,22 @@ fn fragment_store_retains_per_shard_entries_of_an_aliased_root() {
         proof: merkle_proof(&leaves, i),
     };
 
+    let h = |shard: u32| Holder::new(shard, 0);
     let mut store = FragmentStore::with_retention(1);
     // Shard 0 sits at window position 1 for this root, shard 2 at
     // position 0 — the cross-shard aliasing case. Both store.
-    assert_eq!(store.put(0, root, frag(1)), PutOutcome::Stored);
-    assert_eq!(store.put(2, root, frag(0)), PutOutcome::Stored);
+    assert_eq!(store.put(h(0), root, frag(1)), PutOutcome::Stored);
+    assert_eq!(store.put(h(2), root, frag(0)), PutOutcome::Stored);
     assert_eq!(store.bytes_stored(), 100, "one 50-byte fragment per shard");
     // Same-shard re-puts: idempotent on the held index, refused on a
-    // conflicting one (the push quorum counts on index-faithful acks).
-    assert_eq!(store.put(0, root, frag(1)), PutOutcome::AlreadyHeld);
-    assert_eq!(store.put(0, root, frag(0)), PutOutcome::DigestMismatch);
+    // conflicting one (the push quorum counts on index-faithful acks) —
+    // whichever of the shard's key slots the put names.
+    assert_eq!(store.put(h(0), root, frag(1)), PutOutcome::AlreadyHeld);
+    assert_eq!(store.put(h(0), root, frag(0)), PutOutcome::DigestMismatch);
+    assert_eq!(
+        store.put(Holder::new(0, 4), root, frag(0)),
+        PutOutcome::DigestMismatch
+    );
     assert_eq!(store.get_for(0, &root).expect("held").index, 1);
     assert_eq!(store.get_for(2, &root).expect("held").index, 0);
 
@@ -113,7 +122,7 @@ fn fragment_store_retains_per_shard_entries_of_an_aliased_root() {
         bytes: vec![0xFF; 50].into(),
         proof: merkle_proof(&leaves, 0),
     };
-    assert_eq!(store.put(0, root, forged), PutOutcome::DigestMismatch);
+    assert_eq!(store.put(h(0), root, forged), PutOutcome::DigestMismatch);
 
     // Shard 0 churns past its K=1 bound with a different dispersal: only
     // shard 0's entry drops; shard 2 still resolves the root.
@@ -122,7 +131,7 @@ fn fragment_store_retains_per_shard_entries_of_an_aliased_root() {
     let oleaves = fragment_leaves(&ofrags);
     let oroot = merkle_root(&oleaves);
     let out = store.put(
-        0,
+        h(0),
         oroot,
         StoredFragment {
             index: 0,

@@ -38,7 +38,7 @@
 use sbs_bulk::{get_u32, get_u64, put_u32, put_u64, BulkCodec, BulkDigest, BulkRef, SharedBytes};
 use sbs_core::{Payload, RegId, RegMsg, SeqVal};
 use sbs_stamps::RingSeq;
-use sbs_store::{RoutingEpoch, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
+use sbs_store::{RefMap, RoutingEpoch, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -47,8 +47,9 @@ pub const WIRE_VERSION: u8 = 1;
 
 /// Hard cap on a frame's payload length: 16 MiB. A peer announcing more
 /// is rejected before any allocation happens. Generous relative to real
-/// traffic — the largest legitimate frames are bulk-plane shard maps,
-/// which the benches keep in the kilobytes.
+/// traffic — the largest legitimate frames carry one bulk-plane value (or
+/// a full-replication shard map), which the benches keep in the
+/// kilobytes.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Why a frame or payload failed to decode. Every malformed input maps
@@ -217,6 +218,7 @@ impl WireCodec {
             }
             KIND_BULK_PUT => {
                 let shard = take_u32(buf)?;
+                let slot = take_u32(buf)?;
                 let digest = get_digest(buf)?;
                 let len = take_u64(buf)?;
                 if buf.len() as u64 != len {
@@ -226,6 +228,7 @@ impl WireCodec {
                 *buf = &[];
                 Ok(StoreMsg::BulkPut {
                     shard,
+                    slot,
                     digest,
                     bytes,
                 })
@@ -237,9 +240,15 @@ impl WireCodec {
             }
             KIND_BULK_GET => {
                 let shard = take_u32(buf)?;
+                let slot = take_u32(buf)?;
                 let digest = get_digest(buf)?;
                 let tag = take_u64(buf)?;
-                Ok(StoreMsg::BulkGet { shard, digest, tag })
+                Ok(StoreMsg::BulkGet {
+                    shard,
+                    slot,
+                    digest,
+                    tag,
+                })
             }
             KIND_BULK_GET_ACK => {
                 let shard = take_u32(buf)?;
@@ -263,6 +272,7 @@ impl WireCodec {
             }
             KIND_FRAG_PUT => {
                 let shard = take_u32(buf)?;
+                let slot = take_u32(buf)?;
                 let root = get_digest(buf)?;
                 let index = take_u32(buf)?;
                 let total = take_u32(buf)?;
@@ -282,6 +292,7 @@ impl WireCodec {
                 }
                 Ok(StoreMsg::FragPut {
                     shard,
+                    slot,
                     root,
                     index,
                     total,
@@ -330,11 +341,17 @@ impl WireCodec {
             }
             KIND_REPAIR_REQ => {
                 let shard = take_u32(buf)?;
+                let slot = take_u32(buf)?;
                 let digest = get_digest(buf)?;
-                Ok(StoreMsg::RepairRequest { shard, digest })
+                Ok(StoreMsg::RepairRequest {
+                    shard,
+                    slot,
+                    digest,
+                })
             }
             KIND_REPAIR_REPLY => {
                 let shard = take_u32(buf)?;
+                let slot = take_u32(buf)?;
                 let digest = get_digest(buf)?;
                 let bytes = match take_u8(buf)? {
                     0 => None,
@@ -372,6 +389,7 @@ impl WireCodec {
                 };
                 Ok(StoreMsg::RepairReply {
                     shard,
+                    slot,
                     digest,
                     bytes,
                     frag,
@@ -382,8 +400,9 @@ impl WireCodec {
                 let mut entries = Vec::new();
                 for _ in 0..count {
                     let shard = take_u32(buf)?;
+                    let slot = take_u32(buf)?;
                     let digest = get_digest(buf)?;
-                    entries.push((shard, digest));
+                    entries.push((shard, slot, digest));
                 }
                 Ok(StoreMsg::DigestSummary { entries })
             }
@@ -519,6 +538,11 @@ impl WireCodec {
                 }
                 StoreVal::Routing(RoutingEpoch { epoch, owners })
             }
+            3 => {
+                let refs =
+                    RefMap::decode_from(buf).ok_or(DecodeError::Malformed("reference map"))?;
+                StoreVal::Refs(Arc::new(refs))
+            }
             _ => return Err(DecodeError::Malformed("store-val variant")),
         };
         Ok(SeqVal::new(RingSeq::new(wsn, self.wsn_modulus), val))
@@ -550,10 +574,12 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
         }
         StoreMsg::BulkPut {
             shard,
+            slot,
             digest,
             bytes,
         } => {
             put_u32(out, *shard);
+            put_u32(out, *slot);
             put_digest(out, digest);
             put_u64(out, bytes.len() as u64);
             out.extend_from_slice(bytes);
@@ -562,8 +588,14 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
             put_u32(out, *shard);
             put_digest(out, digest);
         }
-        StoreMsg::BulkGet { shard, digest, tag } => {
+        StoreMsg::BulkGet {
+            shard,
+            slot,
+            digest,
+            tag,
+        } => {
             put_u32(out, *shard);
+            put_u32(out, *slot);
             put_digest(out, digest);
             put_u64(out, *tag);
         }
@@ -586,6 +618,7 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
         }
         StoreMsg::FragPut {
             shard,
+            slot,
             root,
             index,
             total,
@@ -593,6 +626,7 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
             proof,
         } => {
             put_u32(out, *shard);
+            put_u32(out, *slot);
             put_digest(out, root);
             put_u32(out, *index);
             put_u32(out, *total);
@@ -632,17 +666,24 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
                 }
             }
         }
-        StoreMsg::RepairRequest { shard, digest } => {
+        StoreMsg::RepairRequest {
+            shard,
+            slot,
+            digest,
+        } => {
             put_u32(out, *shard);
+            put_u32(out, *slot);
             put_digest(out, digest);
         }
         StoreMsg::RepairReply {
             shard,
+            slot,
             digest,
             bytes,
             frag,
         } => {
             put_u32(out, *shard);
+            put_u32(out, *slot);
             put_digest(out, digest);
             // Both planes can ride the same frame shape, so each option
             // carries explicit lengths instead of running to frame end.
@@ -670,8 +711,9 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
         }
         StoreMsg::DigestSummary { entries } => {
             put_u32(out, entries.len() as u32);
-            for (shard, digest) in entries {
+            for (shard, slot, digest) in entries {
                 put_u32(out, *shard);
+                put_u32(out, *slot);
                 put_digest(out, digest);
             }
         }
@@ -739,6 +781,13 @@ fn put_payload<V: Payload + BulkCodec>(out: &mut Vec<u8>, p: &StorePayload<V>) {
             out.push(1);
             put_digest(out, &r.digest);
             put_u64(out, r.len);
+        }
+        StoreVal::Refs(refs) => {
+            // tag(1) + the map's canonical encoding: count(4), then per
+            // key its length-prefixed bytes and its 44-byte reference —
+            // exactly `Payload::wire_size`.
+            out.push(3);
+            refs.encode_into(out);
         }
         StoreVal::Routing(e) => {
             // tag(1) + epoch(8) + count(4) + 4 bytes per owner — exactly
@@ -960,6 +1009,78 @@ mod tests {
         assert!(matches!(
             &val.val,
             StoreVal::Routing(e) if e.epoch == 2 && e.owners == vec![1, 0, 3, 2, 1, 0, 3, 2]
+        ));
+    }
+
+    fn refs_payload(wsn: u128, keys: &[&str]) -> StorePayload<u64> {
+        let mut refs = RefMap::new();
+        for (slot, key) in keys.iter().enumerate() {
+            refs.insert(
+                key,
+                sbs_store::ValueRef {
+                    slot: slot as u32,
+                    bref: BulkRef::to_bytes(key.as_bytes()),
+                },
+            );
+        }
+        SeqVal::new(
+            RingSeq::new(wsn, sbs_stamps::PAPER_MODULUS),
+            StoreVal::Refs(Arc::new(refs)),
+        )
+    }
+
+    /// The bulk planes' register value: tag 3, the map's canonical
+    /// encoding, exactly `wire_bytes` long.
+    #[test]
+    fn reference_maps_round_trip_with_exact_wire_bytes() {
+        let val = refs_payload(7, &["key1", "key2", "key10"]);
+        let msg: StoreWire<u64> = StoreMsg::Batch(vec![RegMsg::Write {
+            reg: RegId(1),
+            tag: 3,
+            val: val.clone(),
+        }]);
+        // Register header (16) + wsn (16) + tag (1) + count (4) + per key
+        // (4 + key + 44).
+        let keys = 3 * (4 + 44) + 4 + 4 + 5;
+        assert_eq!(msg.wire_bytes(), 16 + 16 + 1 + 4 + keys);
+        let back = round_trip(&msg);
+        let StoreMsg::Batch(batch) = &back else {
+            panic!("kind preserved")
+        };
+        let RegMsg::Write { val: got, .. } = &batch[0] else {
+            panic!("write preserved")
+        };
+        assert_eq!(*got, val);
+        assert_eq!(codec().encode(&msg), codec().encode(&back));
+    }
+
+    /// A reference map whose keys are out of order is not canonical and
+    /// must not decode (the quorum counts values by equality).
+    #[test]
+    fn unsorted_reference_maps_are_refused() {
+        let mut frame = vec![0u8; 4];
+        frame.push(WIRE_VERSION);
+        frame.push(KIND_BATCH);
+        frame.push(REG_WRITE);
+        put_u32(&mut frame, 1); // reg
+        put_u64(&mut frame, 1); // tag
+        put_u24(&mut frame, 0); // aux
+        put_u128(&mut frame, 3); // wsn
+        frame.push(3); // StoreVal::Refs
+        put_u32(&mut frame, 2);
+        for key in ["b", "a"] {
+            String::from(key).encode_into(&mut frame);
+            sbs_store::ValueRef {
+                slot: 0,
+                bref: BulkRef::to_bytes(b"v"),
+            }
+            .encode_into(&mut frame);
+        }
+        let len = (frame.len() - 4) as u32;
+        frame[0..4].copy_from_slice(&len.to_le_bytes());
+        assert!(matches!(
+            codec().decode_frame::<u64>(&frame),
+            Err(DecodeError::Malformed("reference map"))
         ));
     }
 

@@ -764,6 +764,7 @@ mod tests {
     fn blob(len: usize) -> Wire {
         StoreMsg::BulkPut {
             shard: 0,
+            slot: 0,
             digest: BulkDigest([0; 4]),
             bytes: vec![7u8; len].into(),
         }

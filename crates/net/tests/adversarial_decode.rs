@@ -9,7 +9,7 @@ use sbs_core::{RegId, RegMsg, SeqVal};
 use sbs_net::{read_frame, DecodeError, WireCodec, MAX_FRAME};
 use sbs_sim::DetRng;
 use sbs_stamps::{RingSeq, PAPER_MODULUS};
-use sbs_store::{ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
+use sbs_store::{RefMap, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire, ValueRef};
 use std::io;
 use std::sync::Arc;
 
@@ -30,6 +30,17 @@ fn payload(wsn: u128) -> StorePayload<u64> {
 /// A representative frame of every kind, to truncate and garble.
 fn corpus() -> Vec<Vec<u8>> {
     let c = codec();
+    let mut refs = RefMap::new();
+    for (slot, key) in ["key0", "key1"].into_iter().enumerate() {
+        let vref = ValueRef {
+            slot: slot as u32,
+            bref: BulkRef {
+                digest: BulkDigest([slot as u64; 4]),
+                len: 4096,
+            },
+        };
+        refs.insert(key, vref);
+    }
     let msgs: Vec<StoreWire<u64>> = vec![
         StoreMsg::Batch(vec![
             RegMsg::Write {
@@ -46,6 +57,7 @@ fn corpus() -> Vec<Vec<u8>> {
         ]),
         StoreMsg::BulkPut {
             shard: 1,
+            slot: 5,
             digest: BulkDigest([1, 2, 3, 4]),
             bytes: SharedBytes::from(&b"0123456789abcdef"[..]),
         },
@@ -57,6 +69,7 @@ fn corpus() -> Vec<Vec<u8>> {
         },
         StoreMsg::FragPut {
             shard: 1,
+            slot: 5,
             root: BulkDigest([5, 6, 7, 8]),
             index: 2,
             total: 9,
@@ -84,18 +97,35 @@ fn corpus() -> Vec<Vec<u8>> {
                 }),
             ),
         }]),
+        StoreMsg::BulkGet {
+            shard: 1,
+            slot: 5,
+            digest: BulkDigest([1, 2, 3, 4]),
+            tag: 9,
+        },
+        StoreMsg::Batch(vec![RegMsg::Write {
+            reg: RegId(1),
+            tag: 2,
+            val: SeqVal::new(
+                RingSeq::new(3, PAPER_MODULUS),
+                StoreVal::Refs(Arc::new(refs)),
+            ),
+        }]),
         StoreMsg::RepairRequest {
             shard: 1,
+            slot: 5,
             digest: BulkDigest([1, 2, 3, 4]),
         },
         StoreMsg::RepairReply {
             shard: 1,
+            slot: 5,
             digest: BulkDigest([1, 2, 3, 4]),
             bytes: Some(SharedBytes::from(&b"0123456789abcdef"[..])),
             frag: None,
         },
         StoreMsg::RepairReply {
             shard: 1,
+            slot: 5,
             digest: BulkDigest([5, 6, 7, 8]),
             bytes: None,
             frag: Some((
@@ -105,7 +135,10 @@ fn corpus() -> Vec<Vec<u8>> {
             )),
         },
         StoreMsg::DigestSummary {
-            entries: vec![(0, BulkDigest([1, 2, 3, 4])), (5, BulkDigest([5, 6, 7, 8]))],
+            entries: vec![
+                (0, 1, BulkDigest([1, 2, 3, 4])),
+                (5, 0, BulkDigest([5, 6, 7, 8])),
+            ],
         },
     ];
     msgs.iter().map(|m| c.encode(m)).collect()

@@ -1,5 +1,5 @@
 //! Seeded round-trip property tests for the canonical wire codec: every
-//! [`StoreMsg`] variant, with both `Inline` and `Ref` payloads, across
+//! [`StoreMsg`] variant, with `Inline`, `Ref` and `Refs` payloads, across
 //! hundreds of deterministically random shapes. Each case asserts the
 //! two codec invariants: the encoded body is exactly
 //! [`Message::wire_bytes`] long, and decode-then-re-encode reproduces
@@ -11,7 +11,7 @@ use sbs_core::{RegId, RegMsg, SeqVal};
 use sbs_net::WireCodec;
 use sbs_sim::{DetRng, Message, ProcessId};
 use sbs_stamps::{RingSeq, PAPER_MODULUS};
-use sbs_store::{ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
+use sbs_store::{RefMap, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire, ValueRef};
 use std::sync::Arc;
 
 const CASES: u64 = 200;
@@ -36,17 +36,32 @@ fn bytes(rng: &mut DetRng, max: u64) -> SharedBytes {
 
 fn payload(rng: &mut DetRng) -> StorePayload<u64> {
     let wsn = rng.next_u64() as u128 % PAPER_MODULUS;
-    let val = if rng.chance(0.5) {
-        let mut map = ShardMap::new();
-        for i in 0..rng.range_inclusive(0, 5) {
-            map.insert(&format!("key{i}"), rng.next_u64());
+    let val = match rng.range_inclusive(0, 2) {
+        0 => {
+            let mut map = ShardMap::new();
+            for i in 0..rng.range_inclusive(0, 5) {
+                map.insert(&format!("key{i}"), rng.next_u64());
+            }
+            StoreVal::Inline(Arc::new(map))
         }
-        StoreVal::Inline(Arc::new(map))
-    } else {
-        StoreVal::Ref(BulkRef {
+        1 => StoreVal::Ref(BulkRef {
             digest: digest(rng),
             len: rng.next_u64() >> 20,
-        })
+        }),
+        _ => {
+            let mut refs = RefMap::new();
+            for i in 0..rng.range_inclusive(0, 5) {
+                let vref = ValueRef {
+                    slot: rng.next_u32(),
+                    bref: BulkRef {
+                        digest: digest(rng),
+                        len: rng.next_u64() >> 20,
+                    },
+                };
+                refs.insert(&format!("key{i}"), vref);
+            }
+            StoreVal::Refs(Arc::new(refs))
+        }
     };
     SeqVal::new(RingSeq::new(wsn, PAPER_MODULUS), val)
 }
@@ -130,6 +145,7 @@ fn bulk_plane_round_trips() {
     for _ in 0..CASES {
         round_trip(&StoreMsg::BulkPut {
             shard: rng.next_u32() % 16,
+            slot: rng.next_u32(),
             digest: digest(&mut rng),
             bytes: bytes(&mut rng, 512),
         });
@@ -139,6 +155,7 @@ fn bulk_plane_round_trips() {
         });
         round_trip(&StoreMsg::BulkGet {
             shard: rng.next_u32() % 16,
+            slot: rng.next_u32(),
             digest: digest(&mut rng),
             tag: rng.next_u64(),
         });
@@ -159,6 +176,7 @@ fn fragment_plane_round_trips() {
         let proof_len = rng.range_inclusive(0, 5);
         round_trip(&StoreMsg::FragPut {
             shard: rng.next_u32() % 16,
+            slot: rng.next_u32(),
             root: digest(&mut rng),
             index: rng.next_u32() % 9,
             total: 9,
@@ -194,12 +212,14 @@ fn repair_plane_round_trips() {
     for _ in 0..CASES {
         round_trip(&StoreMsg::RepairRequest {
             shard: rng.next_u32() % 16,
+            slot: rng.next_u32(),
             digest: digest(&mut rng),
         });
         let blob = rng.chance(0.5);
         let coded = rng.chance(0.5);
         round_trip(&StoreMsg::RepairReply {
             shard: rng.next_u32() % 16,
+            slot: rng.next_u32(),
             digest: digest(&mut rng),
             bytes: blob.then(|| bytes(&mut rng, 512)),
             frag: coded.then(|| {
@@ -214,7 +234,7 @@ fn repair_plane_round_trips() {
         });
         round_trip(&StoreMsg::DigestSummary {
             entries: (0..rng.range_inclusive(0, 40))
-                .map(|_| (rng.next_u32() % 16, digest(&mut rng)))
+                .map(|_| (rng.next_u32() % 16, rng.next_u32(), digest(&mut rng)))
                 .collect(),
         });
     }
@@ -227,6 +247,7 @@ fn zero_length_bodies_round_trip() {
     round_trip(&StoreMsg::Batch(Vec::new()));
     round_trip(&StoreMsg::BulkPut {
         shard: 0,
+        slot: 0,
         digest: BulkDigest([0; 4]),
         bytes: SharedBytes::from(&[][..]),
     });
@@ -238,6 +259,7 @@ fn zero_length_bodies_round_trip() {
     });
     round_trip(&StoreMsg::FragPut {
         shard: 0,
+        slot: 0,
         root: BulkDigest([0; 4]),
         index: 0,
         total: 1,
@@ -252,6 +274,7 @@ fn zero_length_bodies_round_trip() {
     });
     round_trip(&StoreMsg::RepairReply {
         shard: 0,
+        slot: 0,
         digest: BulkDigest([0; 4]),
         bytes: None,
         frag: None,
@@ -259,4 +282,94 @@ fn zero_length_bodies_round_trip() {
     round_trip(&StoreMsg::DigestSummary {
         entries: Vec::new(),
     });
+}
+
+/// Exact body sizes of every message that carries a key slot, and of the
+/// reference-map register value, pinned by hand — the slot is one `u32`
+/// after the shard tag everywhere it travels.
+#[test]
+fn slot_fields_and_reference_maps_have_exact_wire_sizes() {
+    let d = BulkDigest([1, 2, 3, 4]);
+    let bytes = SharedBytes::from(&[7u8; 10][..]);
+    let sized: Vec<(StoreWire<u64>, u64)> = vec![
+        (
+            StoreMsg::BulkPut {
+                shard: 1,
+                slot: 2,
+                digest: d,
+                bytes: bytes.clone(),
+            },
+            4 + 4 + 32 + 8 + 10,
+        ),
+        (
+            StoreMsg::BulkGet {
+                shard: 1,
+                slot: 2,
+                digest: d,
+                tag: 3,
+            },
+            4 + 4 + 32 + 8,
+        ),
+        (
+            StoreMsg::FragPut {
+                shard: 1,
+                slot: 2,
+                root: d,
+                index: 0,
+                total: 3,
+                bytes: bytes.clone(),
+                proof: vec![d, d],
+            },
+            4 + 4 + 32 + 4 + 4 + 8 + 10 + 64,
+        ),
+        (
+            StoreMsg::RepairRequest {
+                shard: 1,
+                slot: 2,
+                digest: d,
+            },
+            4 + 4 + 32,
+        ),
+        (
+            StoreMsg::RepairReply {
+                shard: 1,
+                slot: 2,
+                digest: d,
+                bytes: Some(bytes),
+                frag: None,
+            },
+            4 + 4 + 32 + 1 + 8 + 10 + 1,
+        ),
+        (
+            StoreMsg::DigestSummary {
+                entries: vec![(1, 2, d), (3, 4, d)],
+            },
+            4 + 2 * (4 + 4 + 32),
+        ),
+    ];
+    let mut refs = RefMap::new();
+    refs.insert(
+        "k1",
+        ValueRef {
+            slot: 0,
+            bref: BulkRef { digest: d, len: 9 },
+        },
+    );
+    let write: StoreWire<u64> = StoreMsg::Batch(vec![RegMsg::Write {
+        reg: RegId(0),
+        tag: 1,
+        val: SeqVal::new(
+            RingSeq::new(1, PAPER_MODULUS),
+            StoreVal::Refs(Arc::new(refs)),
+        ),
+    }]);
+    // Register header (16) + wsn (16) + tag (1) + count (4) + key (4 + 2)
+    // + slot (4) + reference (40).
+    let sized = sized
+        .into_iter()
+        .chain([(write, 16 + 16 + 1 + 4 + 6 + 4 + 40)]);
+    for (msg, body) in sized {
+        assert_eq!(msg.wire_bytes(), body, "{}", msg.label());
+        round_trip(&msg);
+    }
 }

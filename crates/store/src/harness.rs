@@ -771,6 +771,14 @@ impl<V: Payload> std::fmt::Debug for StoreNodeSet<V> {
     }
 }
 
+/// The key slot a forged push claims: taken from the forged reference's
+/// (already drawn) length, so the generator's RNG draws stay what they
+/// were before pushes carried slots — a few in range, most far outside
+/// the slot space the guard admits.
+fn garbage_slot(fake: &BulkRef) -> u32 {
+    fake.len as u32
+}
+
 /// Arms the garbage generator: arbitrary initial link contents are batches
 /// of fabricated protocol messages over random shards — or fabricated
 /// bulk-plane transfers, whose forged digests the verified blob stores
@@ -815,6 +823,7 @@ fn install_garbage_gen<V: Payload + BulkCodec>(
                 Payload::scramble(&mut fake, rng);
                 return StoreMsg::BulkPut {
                     shard,
+                    slot: garbage_slot(&fake),
                     digest: fake.digest,
                     bytes: (0..(rng.next_u64() % 32))
                         .map(|_| rng.next_u64() as u8)
@@ -848,6 +857,7 @@ fn install_garbage_gen<V: Payload + BulkCodec>(
                 Payload::scramble(&mut sib, rng);
                 return StoreMsg::FragPut {
                     shard,
+                    slot: garbage_slot(&fake),
                     root: fake.digest,
                     index: (rng.next_u64() % 4) as u32,
                     total: 3,

@@ -24,35 +24,42 @@
 //!    pluggable [`FaultPlan`]s driving the existing [`ByzStrategy`]
 //!    adversaries and link-corruption hooks.
 //!
-//! Each shard register stores the whole shard's [`ShardMap`]; the shard's
-//! unique writer keeps the authoritative copy and publishes a snapshot per
-//! `put`. Per-key correctness is then register correctness by projection,
-//! and [`DeployCore::history_for_key`] extracts exactly the per-key
-//! history the `sbs-check` checkers judge.
+//! Each shard register stores the whole shard as a [`ShardMap`]; the
+//! shard's unique writer keeps the authoritative copy and publishes a
+//! snapshot per `put`. Per-key correctness is then register correctness
+//! by projection, and [`DeployCore::history_for_key`] extracts exactly
+//! the per-key history the `sbs-check` checkers judge.
 //!
 //! # The bulk data plane (metadata/data separation)
 //!
-//! Full replication ships every snapshot to all `n ≥ 8t + 1` servers.
-//! With [`StoreBuilder::bulk`] the store instead serializes each snapshot
-//! (via `sbs-bulk`'s canonical codec), stores the bytes under their
-//! content address on the shard's **`2t + 1` data replicas**, and carries
-//! only the fixed-size digest reference ([`StoreVal::Ref`]) through the
-//! *unmodified* register quorum — the Cachin–Dobre–Vukolić split. Reads
-//! resolve the reference against the data replicas and re-verify the
-//! digest, so a Byzantine data replica serving garbage bytes is detected
-//! and routed around; per-key histories are indistinguishable from
-//! full-replication runs (`tests/bulk_checks.rs` checks this
-//! differentially), while payload bytes on the wire shrink by roughly
-//! `n·rounds / (2t + 1)` (the `bulk_vs_full` bench measures it).
+//! Full replication ships every snapshot of the shard's *values* to all
+//! `n ≥ 8t + 1` servers. With [`StoreBuilder::bulk`] the register holds
+//! the shard's [`RefMap`] instead — every key's [`ValueRef`]: its slot and
+//! the fixed-size digest reference of its current value — and each value
+//! is serialized alone (via `sbs-bulk`'s canonical codec) and stored
+//! under its content address on the shard's **`2t + 1` data replicas**.
+//! Only the reference map rides the *unmodified* register quorum — the
+//! Cachin–Dobre–Vukolić split — so a put disperses one value and a get
+//! fetches one value, whatever the shard holds. Reads resolve the
+//! reference against the data replicas and re-verify the digest, so a
+//! Byzantine data replica serving garbage bytes is detected and routed
+//! around; per-key histories are indistinguishable from full-replication
+//! runs (`tests/bulk_checks.rs` checks this differentially), while
+//! payload bytes on the wire shrink by roughly `n·rounds / (2t + 1)`
+//! times the keys a snapshot carries (the `bulk_vs_full` bench measures
+//! it). The references themselves (44 bytes plus the key per entry) ride
+//! every metadata message, so shards of many tiny values are cheaper
+//! under full replication.
 //!
 //! [`StoreBuilder::bulk_coded`] goes one step further (AVID-style
 //! dispersal): the same `2t + 1` window, but each replica stores only
-//! one `k`-of-`m` **erasure-coded fragment** (~`1/k` of the payload),
-//! verified against a Merkle commitment whose root rides the metadata
-//! quorum as the reference digest. Pushes wait for `k + t` verified
-//! acknowledgements, reads reconstruct from any `k` verified fragments
-//! — cutting per-replica storage and bulk wire bytes by another ~`k`×
-//! at the cost of a `k`-fragment reconstruction on every read.
+//! one `k`-of-`m` **erasure-coded fragment** of each value (~`1/k` of
+//! it), verified against a Merkle commitment whose root rides the
+//! metadata quorum as the value's reference digest. Pushes wait for
+//! `k + t` verified acknowledgements, reads reconstruct from any `k`
+//! verified fragments — cutting per-replica storage and bulk wire bytes
+//! by another ~`k`× at the cost of a `k`-fragment reconstruction on
+//! every read.
 //!
 //! # Communication modes
 //!
@@ -123,10 +130,10 @@ pub use deploy::{ByzServer, ClientCall, CorrectServer, DeployCore, DeployHost};
 pub use harness::{StoreBuilder, StoreConfig, StoreNodeSet, StoreSystem};
 pub use health::{FlightRecord, ReplicaHealth, ShardHealth, StoreHealth};
 pub use map::ShardMap;
-pub use msg::{StoreMsg, StoreOut};
+pub use msg::{Holding, StoreMsg, StoreOut};
 pub use node::{DataPlane, StoreClientNode, StorePayload, StoreServerNode, StoreWire};
 pub use router::{fnv1a64, KeyRouter, ReshardPlan, RoutingEpoch, RoutingTable};
-pub use val::{SizedVal, StoreVal};
+pub use val::{RefMap, SizedVal, StoreVal, ValueRef, KEY_SLOTS};
 pub use workload::{
     Driver, FaultPlan, KeyDist, LoopMode, OpMix, PlannedOp, Workload, WorkloadReport,
     WorkloadStreams,

@@ -1,30 +1,46 @@
-//! The per-shard register payload: a small ordered key→value map.
+//! The per-shard register payload: a small ordered key→entry map.
 //!
-//! A shard's register stores the *whole* shard map, not a single value.
-//! The shard's unique writer (SWMR rule, see [`KeyRouter`]) keeps the
+//! A shard's register stores the *whole* shard, not a single key. The
+//! shard's unique writer (SWMR rule, see [`KeyRouter`]) keeps the
 //! authoritative copy locally and publishes a full snapshot per `put`, so
 //! a read of the register is simultaneously a read of every key in the
 //! shard — per-key atomicity then falls out of register atomicity by
 //! projection.
+//!
+//! What the snapshot holds depends on the data plane. Under full
+//! replication it is the map of *values* itself, so every `put` ships
+//! every value of the shard to all `n` servers. On the bulk planes it is
+//! the map of *references* ([`RefMap`]: key → slot and
+//! [`BulkRef`](sbs_bulk::BulkRef)): a `put` disperses its one value to
+//! the data replicas and then publishes the reference map with the key
+//! pointing at it, and a `get` projects its key's reference out of the
+//! register snapshot and fetches that one value. Projection works the
+//! same way — the register value is still the whole shard, only of
+//! references — and values are immutable and content-addressed, so a
+//! reference read atomically pins the value the read returns.
 //!
 //! "Unique writer" is an *epoch-scoped* claim: under a live reshard (see
 //! [`RoutingTable`]) the map changes hands — the retiring owner drains
 //! its queue and drops its copy, and the acquiring owner adopts the map
 //! wholesale from a quorum read of the very register it is about to
 //! write. The snapshot-per-`put` discipline is what makes that adoption
-//! sound: the register value *is* the full map, so the new owner needs
+//! sound: the register value *is* the full map (of values, or of
+//! references to values the data replicas hold), so the new owner needs
 //! nothing from the old one beyond what the fleet already stores.
 //!
 //! [`KeyRouter`]: crate::KeyRouter
 //! [`RoutingTable`]: crate::RoutingTable
+//! [`RefMap`]: crate::RefMap
 
 use sbs_bulk::{get_u32, put_u32, BulkCodec};
 use sbs_core::Payload;
 use sbs_sim::DetRng;
 use std::fmt;
 
-/// An ordered map of the keys living in one shard. Entries are kept sorted
-/// by key so equality — which the quorum predicates count — is canonical.
+/// An ordered map of the keys living in one shard — to their values, or
+/// to [`ValueRef`](crate::ValueRef)s on the bulk planes. Entries are kept
+/// sorted by key so equality — which the quorum predicates count — is
+/// canonical.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ShardMap<V> {
     entries: Vec<(String, V)>,
@@ -52,6 +68,14 @@ impl<V: Payload> ShardMap<V> {
             Ok(i) => self.entries[i].1 = val,
             Err(i) => self.entries.insert(i, (key.to_string(), val)),
         }
+    }
+
+    /// Removes `key`, returning its entry if it was present.
+    pub fn remove(&mut self, key: &str) -> Option<V> {
+        self.entries
+            .binary_search_by(|(k, _)| k.as_str().cmp(key))
+            .ok()
+            .map(|i| self.entries.remove(i).1)
     }
 
     /// Number of keys present.
@@ -149,6 +173,10 @@ mod tests {
         m.insert("a", 9);
         assert_eq!(m.get("a"), Some(&9));
         assert_eq!(m.len(), 3);
+        assert_eq!(m.remove("b"), Some(2));
+        assert_eq!(m.remove("b"), None);
+        assert_eq!(m.get("b"), None);
+        assert_eq!(m.len(), 2);
     }
 
     #[test]

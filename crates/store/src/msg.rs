@@ -13,12 +13,16 @@
 //! - **Bulk data plane** (`BulkPut` / `BulkPutAck` / `BulkGet` /
 //!   `BulkGetAck`, plus the fragment-carrying `FragPut` / `FragPutAck` /
 //!   `FragGetAck` of the erasure-coded mode) — content-addressed payload
-//!   bytes between clients and the shard's `2t + 1` data replicas. These
-//!   never touch the register state machines; the register only ever
-//!   sees the fixed-size [`BulkRef`](sbs_bulk::BulkRef) inside its
-//!   payload. Under the coded mode each replica receives **one**
-//!   `k`-of-`m` fragment with its Merkle path against the commitment
-//!   root, and `BulkGet` (by root) is answered with `FragGetAck`.
+//!   bytes between clients and the shard's `2t + 1` data replicas — one
+//!   encoded *value* per transfer, never a whole shard. These never touch
+//!   the register state machines; the register only ever sees each key's
+//!   fixed-size [`ValueRef`](crate::ValueRef) inside its payload. Under
+//!   the coded mode each replica receives **one** `k`-of-`m` fragment
+//!   with its Merkle path against the commitment root, and `BulkGet` (by
+//!   root) is answered with `FragGetAck`. Every transfer that makes a
+//!   replica *retain* something names the key slot it is retained under
+//!   (see [`Holder`](sbs_bulk::Holder)): pushes, fetches (whose misses
+//!   trigger repairs), and the repair plane.
 //!
 //! The metrics layer splits byte counts by plane
 //! ([`Message::is_bulk`]), which is how the bulk/full traffic comparison
@@ -27,6 +31,10 @@
 use sbs_bulk::{BulkDigest, SharedBytes};
 use sbs_core::{Payload, RegMsg};
 use sbs_sim::{Message, OpId};
+
+/// One anti-entropy summary entry: `(holder shard, key slot, digest or
+/// commitment root)`.
+pub type Holding = (u32, u32, BulkDigest);
 
 /// One store-layer delivery: a metadata batch or a bulk-plane transfer.
 #[derive(Clone, Debug)]
@@ -37,16 +45,19 @@ pub enum StoreMsg<P> {
     /// server's `SS_ACK` still precedes the protocol acknowledgement it
     /// anchors).
     Batch(Vec<RegMsg<P>>),
-    /// Client → data replica: store `bytes` under `digest`. A correct
-    /// replica verifies the digest before storing and acknowledging.
+    /// Client → data replica: store `bytes` under `digest`, retained by
+    /// key slot `slot` of `shard`. A correct replica verifies the digest
+    /// before storing and acknowledging.
     BulkPut {
-        /// The shard whose map these bytes serialize.
+        /// The shard of the key whose value these bytes encode.
         shard: u32,
+        /// The key's slot in the shard.
+        slot: u32,
         /// The announced content address.
         digest: BulkDigest,
-        /// The serialized shard map, shared zero-copy: the fan-out to
-        /// every data replica and any ack-wait retransmission clone a
-        /// reference count, not the payload.
+        /// The encoded value, shared zero-copy: the fan-out to every data
+        /// replica and any ack-wait retransmission clone a reference
+        /// count, not the payload.
         bytes: SharedBytes,
     },
     /// Data replica → client: `digest` is held (verified).
@@ -60,6 +71,9 @@ pub enum StoreMsg<P> {
     BulkGet {
         /// The shard being resolved.
         shard: u32,
+        /// The slot of the key being resolved — the slot a healing
+        /// replica that misses the digest repairs it under.
+        slot: u32,
         /// The content address from the metadata register.
         digest: BulkDigest,
         /// Round tag: replies carrying a stale tag are ignored.
@@ -85,8 +99,10 @@ pub enum StoreMsg<P> {
     /// fragments are unstorable — the coded analogue of the `BulkPut`
     /// digest check.
     FragPut {
-        /// The shard whose map this dispersal serializes.
+        /// The shard of the key whose value this dispersal encodes.
         shard: u32,
+        /// The key's slot in the shard.
+        slot: u32,
         /// The fragment-set commitment root (the `BulkRef` digest).
         root: BulkDigest,
         /// This fragment's index in `0..total`.
@@ -133,6 +149,9 @@ pub enum StoreMsg<P> {
     RepairRequest {
         /// The shard whose window the requester repairs.
         shard: u32,
+        /// The key slot the repaired entry is retained under, echoed in
+        /// the reply.
+        slot: u32,
         /// The content address (blob digest or commitment root).
         digest: BulkDigest,
     },
@@ -144,6 +163,8 @@ pub enum StoreMsg<P> {
     RepairReply {
         /// The shard being repaired.
         shard: u32,
+        /// The key slot of the request this answers.
+        slot: u32,
         /// The requested content address.
         digest: BulkDigest,
         /// The peer's whole blob for the digest, if held (whole-copy
@@ -154,14 +175,15 @@ pub enum StoreMsg<P> {
         frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
     },
     /// Data replica → data replica (anti-entropy): a bounded summary of
-    /// `(shard, digest)` holdings the sender retains. The receiver pulls
-    /// — via [`StoreMsg::RepairRequest`] — whatever it should hold for
-    /// its own window positions but does not. The bound is enforced on
-    /// receipt: a summary longer than one gossip batch (32 entries), or
-    /// from a sender that is not a fleet server, is refused whole.
+    /// `(shard, slot, digest)` holdings the sender retains. The receiver
+    /// pulls — via [`StoreMsg::RepairRequest`] — whatever it should hold
+    /// for its own window positions but does not, and retains it under
+    /// the announced slot. The bound is enforced on receipt: a summary
+    /// longer than one gossip batch (32 entries), or from a sender that
+    /// is not a fleet server, is refused whole.
     DigestSummary {
-        /// `(holder shard, digest)` pairs, bounded per round.
-        entries: Vec<(u32, BulkDigest)>,
+        /// [`Holding`]s, bounded per round.
+        entries: Vec<Holding>,
     },
 }
 
@@ -183,18 +205,18 @@ impl<P: Payload> Message for StoreMsg<P> {
     }
 
     fn wire_bytes(&self) -> u64 {
-        // shard (4) + digest (32) [+ len/tag (8)] headers for the bulk
-        // plane; fragment messages add index/total (4 each) and 32 bytes
-        // per Merkle path element; the metadata plane sums its inner
-        // protocol messages.
+        // shard (4) [+ slot (4)] + digest (32) [+ len/tag (8)] headers
+        // for the bulk plane; fragment messages add index/total (4 each)
+        // and 32 bytes per Merkle path element; the metadata plane sums
+        // its inner protocol messages.
         match self {
             StoreMsg::Batch(batch) => batch.iter().map(RegMsg::wire_size).sum(),
-            StoreMsg::BulkPut { bytes, .. } => 44 + bytes.len() as u64,
+            StoreMsg::BulkPut { bytes, .. } => 48 + bytes.len() as u64,
             StoreMsg::BulkPutAck { .. } => 36,
-            StoreMsg::BulkGet { .. } => 44,
+            StoreMsg::BulkGet { .. } => 48,
             StoreMsg::BulkGetAck { bytes, .. } => 45 + bytes.as_ref().map_or(0, |b| b.len() as u64),
             StoreMsg::FragPut { bytes, proof, .. } => {
-                52 + bytes.len() as u64 + 32 * proof.len() as u64
+                56 + bytes.len() as u64 + 32 * proof.len() as u64
             }
             StoreMsg::FragPutAck { .. } => 40,
             StoreMsg::FragGetAck { frag, .. } => {
@@ -202,19 +224,20 @@ impl<P: Payload> Message for StoreMsg<P> {
                     .as_ref()
                     .map_or(0, |(_, b, p)| 4 + b.len() as u64 + 32 * p.len() as u64)
             }
-            StoreMsg::RepairRequest { .. } => 36,
-            // shard (4) + digest (32) + two presence flags; the blob arm
+            StoreMsg::RepairRequest { .. } => 40,
+            // shard (4) + slot (4) + digest (32) + two presence flags; the blob arm
             // carries a length prefix (8) so the fragment arm can follow
             // it in one frame, the fragment arm mirrors `FragGetAck`'s
             // option plus its own length prefix.
             StoreMsg::RepairReply { bytes, frag, .. } => {
-                38 + bytes.as_ref().map_or(0, |b| 8 + b.len() as u64)
+                42 + bytes.as_ref().map_or(0, |b| 8 + b.len() as u64)
                     + frag
                         .as_ref()
                         .map_or(0, |(_, b, p)| 12 + b.len() as u64 + 32 * p.len() as u64)
             }
-            // entry count (4) + shard (4) + digest (32) per entry.
-            StoreMsg::DigestSummary { entries } => 4 + 36 * entries.len() as u64,
+            // entry count (4) + shard (4) + slot (4) + digest (32) per
+            // entry.
+            StoreMsg::DigestSummary { entries } => 4 + 40 * entries.len() as u64,
         }
     }
 
@@ -315,12 +338,21 @@ mod tests {
         let digest = digest_of(&bytes);
         let put: StoreMsg<u64> = StoreMsg::BulkPut {
             shard: 0,
+            slot: 2,
             digest,
             bytes: bytes.into(),
         };
         assert_eq!(put.label(), "BULK_PUT");
         assert!(put.is_bulk());
-        assert_eq!(put.wire_bytes(), 144);
+        // shard(4) + slot(4) + digest(32) + len prefix(8) + bytes.
+        assert_eq!(put.wire_bytes(), 148);
+        let get: StoreMsg<u64> = StoreMsg::BulkGet {
+            shard: 0,
+            slot: 2,
+            digest,
+            tag: 1,
+        };
+        assert_eq!(get.wire_bytes(), 48);
         let miss: StoreMsg<u64> = StoreMsg::BulkGetAck {
             shard: 0,
             digest,
@@ -338,6 +370,7 @@ mod tests {
         let root = digest_of(&bytes);
         let put: StoreMsg<u64> = StoreMsg::FragPut {
             shard: 0,
+            slot: 1,
             root,
             index: 1,
             total: 3,
@@ -346,8 +379,9 @@ mod tests {
         };
         assert_eq!(put.label(), "FRAG_PUT");
         assert!(put.is_bulk());
-        // shard(4) + root(32) + index(4) + total(4) + len prefix(8).
-        assert_eq!(put.wire_bytes(), 52 + 50 + 64);
+        // shard(4) + slot(4) + root(32) + index(4) + total(4) + len
+        // prefix(8).
+        assert_eq!(put.wire_bytes(), 56 + 50 + 64);
         let ack: StoreMsg<u64> = StoreMsg::FragPutAck {
             shard: 0,
             root,
@@ -376,38 +410,45 @@ mod tests {
     fn repair_variants_are_bulk_plane_and_sized() {
         let bytes: sbs_bulk::SharedBytes = vec![0u8; 50].into();
         let digest = digest_of(&bytes);
-        let req: StoreMsg<u64> = StoreMsg::RepairRequest { shard: 2, digest };
+        let req: StoreMsg<u64> = StoreMsg::RepairRequest {
+            shard: 2,
+            slot: 7,
+            digest,
+        };
         assert_eq!(req.label(), "REPAIR_REQ");
         assert!(req.is_bulk());
-        assert_eq!(req.wire_bytes(), 36);
+        assert_eq!(req.wire_bytes(), 40);
         let miss: StoreMsg<u64> = StoreMsg::RepairReply {
             shard: 2,
+            slot: 7,
             digest,
             bytes: None,
             frag: None,
         };
         assert_eq!(miss.label(), "REPAIR_REPLY");
         assert!(miss.is_bulk());
-        assert_eq!(miss.wire_bytes(), 38);
+        assert_eq!(miss.wire_bytes(), 42);
         let blob: StoreMsg<u64> = StoreMsg::RepairReply {
             shard: 2,
+            slot: 7,
             digest,
             bytes: Some(bytes.clone()),
             frag: None,
         };
-        assert_eq!(blob.wire_bytes(), 38 + 8 + 50);
+        assert_eq!(blob.wire_bytes(), 42 + 8 + 50);
         let frag: StoreMsg<u64> = StoreMsg::RepairReply {
             shard: 2,
+            slot: 7,
             digest,
             bytes: None,
             frag: Some((1, bytes, vec![digest, digest])),
         };
-        assert_eq!(frag.wire_bytes(), 38 + 12 + 50 + 64);
+        assert_eq!(frag.wire_bytes(), 42 + 12 + 50 + 64);
         let summary: StoreMsg<u64> = StoreMsg::DigestSummary {
-            entries: vec![(0, digest), (3, digest)],
+            entries: vec![(0, 1, digest), (3, 0, digest)],
         };
         assert_eq!(summary.label(), "DIGEST_SUMMARY");
         assert!(summary.is_bulk());
-        assert_eq!(summary.wire_bytes(), 4 + 72);
+        assert_eq!(summary.wire_bytes(), 4 + 80);
     }
 }

@@ -22,15 +22,17 @@
 //! gathering every queued same-kind operation on the launching shard
 //! into **one** register round: queued puts fold into a single map
 //! publish, group-commit style (each still completes individually, and
-//! per-key write order stays exactly invocation order), queued gets on
-//! the shard share a single metadata read (each projects its own key
-//! from the same snapshot). Their wire messages therefore travel as one
-//! `StoreMsg::Batch` per destination per window instead of one round per
-//! operation. A gathered op may complete ahead of queued neighbors on
-//! *other* shards or of the other kind; it still overlaps them (all are
-//! invoked, none completed), so the reordering stays within the
-//! latitude the register contract grants concurrent operations — the
-//! differential tests pin this. No operation is ever held past its
+//! per-key write order stays exactly invocation order; on the bulk
+//! planes each put key's latest value is dispersed inside the one push
+//! phase), queued gets on the shard share a single metadata read (each
+//! projects its own key from the same snapshot; on the bulk planes each
+//! distinct value is then fetched once, one after another). Their wire
+//! messages therefore travel as one `StoreMsg::Batch` per destination
+//! per window instead of one round per operation. A gathered op may
+//! complete ahead of queued neighbors on *other* shards or of the other
+//! kind; it still overlaps them (all are invoked, none completed), so
+//! the reordering stays within the latitude the register contract
+//! grants concurrent operations — the differential tests pin this. No operation is ever held past its
 //! flush deadline, and an operation that finds the client busy waits
 //! exactly as before (its run launches the moment the pump goes idle —
 //! no extra hold). A window of zero (the default) reproduces the
@@ -42,26 +44,39 @@
 //!
 //! # The bulk data plane
 //!
-//! Under [`DataPlane::Bulk`] the register machines never see a shard
-//! map. A `put` first pushes the serialized map to the shard's `2t + 1`
-//! data replicas (`BULK_PUT`) and waits for `t + 1` verified-store
-//! acknowledgements — so at least one *correct* replica holds the bytes —
-//! before writing the fixed-size [`BulkRef`] through the metadata quorum.
-//! A `get` runs the unchanged metadata read, then resolves the reference
-//! by asking the data replicas (`BULK_GET`) and **re-verifying the
-//! digest** of whatever comes back: a Byzantine data replica serving
-//! garbage bytes fails verification and the client simply keeps waiting
-//! for an honest replica (falling back to a retransmission round, and
-//! ultimately to a metadata re-read, if every reply of a round is
-//! garbage or missing — the latter also recovers from fabricated
-//! references that transient corruption may have planted in a register).
+//! Snapshot-per-`put` of the *values* is the full plane only. Under
+//! [`DataPlane::Bulk`] the register machines never see a value: a
+//! shard's register holds its [`RefMap`] — every key's [`ValueRef`]
+//! (key slot + [`BulkRef`], 44 bytes) — and the writer's authoritative
+//! state is that map. A `put(k, v)` encodes `v` alone, pushes it to the
+//! shard's `2t + 1` data replicas (`BULK_PUT`, retained under `k`'s slot)
+//! and waits for `t + 1` verified-store acknowledgements — so at least
+//! one *correct* replica holds the bytes — before publishing the map
+//! with `k ↦ ref(v)` through the unmodified metadata quorum. A `get(k)`
+//! runs the unchanged metadata read and answers "absent" with no fetch
+//! when the map lacks `k`; otherwise it fetches `k`'s value alone from
+//! the data replicas (`BULK_GET`) and **re-verifies the digest** of
+//! whatever comes back: a Byzantine data replica serving garbage bytes
+//! fails verification and the client simply keeps waiting for an honest
+//! replica (falling back to a retransmission round, and ultimately to a
+//! metadata re-read, if every reply of a round is garbage or missing —
+//! the latter also recovers from fabricated references that transient
+//! corruption may have planted in a register). Per-key atomicity holds
+//! by projection exactly as under full replication: the register value
+//! is still the whole shard, of references, and a reference pins an
+//! immutable value. A put costs its value, not its shard.
+//!
+//! Adoption — writer-map recovery and reshard acquisition — takes the
+//! reference map straight from the quorum read, then resolves each
+//! reference once and drops a key whose reference is dead (see
+//! [`Resolving`] for why that rule keeps gets live).
 //!
 //! # The erasure-coded plane (AVID-style dispersal)
 //!
 //! [`DataPlane::Coded`] keeps the same `m = 2t + 1` replica window but
 //! ships each replica **one `k`-of-`m` fragment** (~`1/k` of the
-//! payload) instead of a whole copy. The writer commits to the fragment
-//! set with a Merkle tree whose root becomes the [`BulkRef`] digest;
+//! value) instead of a whole copy. The writer commits to the fragment
+//! set with a Merkle tree whose root becomes the value's [`BulkRef`] digest;
 //! each `FRAG_PUT` carries the fragment's Merkle path, so a correct
 //! replica verifies *its own fragment* against the root before storing
 //! and acknowledging. The push waits for `k + t` acknowledgements —
@@ -94,8 +109,9 @@
 //! 3. **New owner** — [`StoreClientNode::grant_shard`] starts *staging*
 //!    puts routed here mid-handoff; [`StoreClientNode::acquire_shard`]
 //!    (issued after the retire **and** the committed flip) quorum-reads
-//!    the shard, adopts the old owner's last committed map, resyncs the
-//!    stamper onto its stamp, republishes, emits
+//!    the shard, adopts the old owner's last committed map (on the bulk
+//!    planes: its reference map, each reference resolved once), resyncs
+//!    the stamper onto its stamp, republishes, emits
 //!    [`StoreOut::ShardAcquired`], and flushes the staged puts. Because
 //!    the adoption read starts only after the old owner's final publish
 //!    completed, the new owner's first stamp is its clockwise successor —
@@ -107,13 +123,13 @@
 
 use crate::batcher::DestBatcher;
 use crate::map::ShardMap;
-use crate::msg::{StoreMsg, StoreOut};
+use crate::msg::{Holding, StoreMsg, StoreOut};
 use crate::router::{KeyRouter, RoutingEpoch};
-use crate::val::StoreVal;
+use crate::val::{RefMap, StoreVal, ValueRef, KEY_SLOTS};
 use sbs_bulk::{
     coded_push_quorum, data_replica_slots, digest_of, encode_fragments, fragment_leaves,
     fragment_len, push_quorum, reconstruct, verify_fragment, BulkCodec, BulkDigest, BulkRef,
-    BulkStore, FragmentStore, MerkleTree, SharedBytes, StoredFragment,
+    BulkStore, FragmentStore, Holder, MerkleTree, SharedBytes, StoredFragment,
 };
 use sbs_core::{
     AtomicPolicy, ClientLink, Payload, ReadEngine, ReadPolicy, ReadProgress, RegId, RegMsg,
@@ -128,7 +144,7 @@ use std::sync::Arc;
 
 /// The wire payload of every store shard: a sequence-stamped
 /// [`StoreVal`] (the practically-atomic SWMR register of Figure 3 /
-/// §5.1, with the map — or its content-addressed reference — as the
+/// §5.1, with the map of values — or of value references — as the
 /// stored value).
 pub type StorePayload<V> = SeqVal<StoreVal<V>>;
 
@@ -144,16 +160,17 @@ pub enum DataPlane {
     /// register protocol (the paper's original scheme; compatibility
     /// default).
     Full,
-    /// Payload bytes on `replicas` content-addressed data replicas per
-    /// shard; the metadata quorum carries only `(digest, len)`.
+    /// Each value's bytes on `replicas` content-addressed data replicas
+    /// per shard; the metadata quorum carries each key's `(slot, digest,
+    /// len)` reference.
     Bulk {
         /// Data replicas per shard — `2t + 1` for Byzantine tolerance.
         replicas: usize,
     },
     /// Erasure-coded dispersal (AVID-style): each of the `replicas`
-    /// window servers holds **one** `k`-of-`replicas` fragment
-    /// (~`1/k` of the payload) verified against a Merkle commitment
-    /// whose root is the register-visible digest. Any `k` verified
+    /// window servers holds **one** `k`-of-`replicas` fragment of each
+    /// value (~`1/k` of it) verified against a Merkle commitment whose
+    /// root is the value's register-visible digest. Any `k` verified
     /// fragments reconstruct; pushes wait for `k + t` acknowledgements.
     ///
     /// Liveness trade vs whole copies: on the minimal `m = 2t + 1`
@@ -185,7 +202,8 @@ const FETCH_ROUNDS_PER_READ: u32 = 2;
 /// (correct [`ServerNode`](sbs_core::ServerNode) or a
 /// [`ByzServerNode`](sbs_core::ByzServerNode) adversary), unwrapping
 /// incoming batches and re-batching its replies — plus this server's slice
-/// of the bulk data plane (a verified [`BulkStore`]).
+/// of the bulk data plane (a verified [`BulkStore`] / [`FragmentStore`],
+/// retaining values per `(shard, key slot)` holder).
 pub struct StoreServerNode<P, Inner> {
     inner: Inner,
     bulk: BulkStore,
@@ -199,14 +217,17 @@ pub struct StoreServerNode<P, Inner> {
 
 /// Deployment-derived admission control for a server's slice of the
 /// bulk plane. Everything in a `BULK_PUT`/`FRAG_PUT` besides the
-/// payload — the shard tag, the fragment `total`, the fragment `index` —
-/// arrives from the wire, where a Byzantine writer controls it freely;
-/// this guard pins each field to what the *deployment* says it must be
-/// for this server, so wire lies are refused instead of trusted:
+/// payload — the shard tag, the key slot, the fragment `total`, the
+/// fragment `index` — arrives from the wire, where a Byzantine writer
+/// controls it freely; this guard pins each field to what the
+/// *deployment* says it must be for this server, so wire lies are
+/// refused instead of trusted:
 ///
 /// - the shard must exist (`shard < shards`) and this server must be in
-///   its replica window — otherwise a forger could grow per-shard
-///   retention state (holder sets, recency queues) without bound;
+///   its replica window, and the key slot must lie in the deployment's
+///   slot space (`slot < KEY_SLOTS`) — otherwise a forger could grow
+///   per-holder retention state (holder sets, recency queues) without
+///   bound;
 /// - a fragment's `total` must be the deployment's `m` — otherwise a
 ///   degenerate `total = 1` "dispersal" turns the Merkle commitment
 ///   check into a plain digest check and can shadow a blob digest;
@@ -242,6 +263,12 @@ impl BulkGuard {
     }
 }
 
+/// True iff `slot` lies in the deployment's key-slot space — the bound a
+/// replica needs on holder slots named by the wire (see [`BulkGuard`]).
+fn slot_in_range(slot: u32) -> bool {
+    slot < KEY_SLOTS
+}
+
 /// Entries gossiped per anti-entropy round: a rotation cursor walks the
 /// replica's own holdings, so every digest is eventually announced
 /// without any single summary growing with store size.
@@ -263,10 +290,11 @@ struct Healer {
     period: SimDuration,
     /// The armed anti-entropy timer, re-armed every tick.
     timer: Option<TimerId>,
-    /// In-flight repair pulls by `(shard, digest)`. Deduplicates
+    /// In-flight repair pulls by `(shard, slot, digest)` — the slot is
+    /// the holder the repaired entry is retained under. Deduplicates
     /// triggers: a digest re-requested while its pull is outstanding
     /// joins the existing job instead of fanning again.
-    pending: BTreeMap<(u32, BulkDigest), RepairJob>,
+    pending: BTreeMap<Holding, RepairJob>,
     /// Entries observed missing (a reader's miss, a peer's summary)
     /// but not yet pulled, with an `armed` flag. The sweep in
     /// `on_anti_entropy_tick` arms fresh suspects and opens pulls only
@@ -275,7 +303,7 @@ struct Healer {
     /// merely in flight (a writer committing on a sub-window push
     /// quorum, gossip outrunning the push) lands and clears itself
     /// instead of billing repair rounds to a fault-free run.
-    suspects: BTreeMap<(u32, BulkDigest), bool>,
+    suspects: BTreeMap<Holding, bool>,
     /// Round-robin cursor over peers for digest summaries.
     peer_cursor: usize,
     /// Rotation cursor over own holdings for bounded summaries.
@@ -353,8 +381,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     }
 
     /// Bounds this server's blob *and* fragment stores to the last
-    /// `retain` distinct digests per shard (see
-    /// [`BulkStore::with_retention`]); `None` keeps the unbounded
+    /// `retain` distinct values per key — per `(shard, slot)` holder
+    /// (see [`BulkStore::with_retention`]); `None` keeps the unbounded
     /// default.
     pub fn bulk_retention(mut self, retain: Option<usize>) -> Self {
         if let Some(k) = retain {
@@ -414,8 +442,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             .collect()
     }
 
-    /// Marks `(shard, digest)` as a repair suspect. The pull opens at
-    /// the second anti-entropy tick from now, and only if the entry is
+    /// Marks `(shard, slot, digest)` as a repair suspect. The pull opens
+    /// at the second anti-entropy tick from now, and only if the entry is
     /// still missing then — a miss is not yet evidence of loss, because
     /// the observer may simply be ahead of this replica's copy: writers
     /// commit on a sub-window push quorum (a reader's `BULK_GET` can
@@ -423,70 +451,77 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// Corruption detected on serve skips this and repairs immediately
     /// ([`Self::start_repair`]): a failed digest re-check is proof of
     /// damage, not a race.
-    fn suspect_missing(&mut self, shard: u32, digest: BulkDigest) {
-        if self.window_peers(shard).is_empty() {
+    fn suspect_missing(&mut self, entry: Holding) {
+        let (shard, slot, _) = entry;
+        if !slot_in_range(slot) || self.window_peers(shard).is_empty() {
             return;
         }
         let Some(h) = &mut self.healer else { return };
-        if h.pending.contains_key(&(shard, digest)) {
+        if h.pending.contains_key(&entry) {
             return;
         }
-        h.suspects.entry((shard, digest)).or_insert(false);
+        h.suspects.entry(entry).or_insert(false);
     }
 
-    /// Opens a repair pull for `(shard, digest)`: notes the slow-path
-    /// round, traces it, and fans a `REPAIR_REQ` to every window peer.
-    /// A digest already being pulled joins the existing job instead.
-    fn start_repair<O>(
-        &mut self,
-        shard: u32,
-        digest: BulkDigest,
-        ctx: &mut Context<'_, StoreMsg<P>, O>,
-    ) {
+    /// Opens a repair pull for `(shard, slot, digest)`: notes the
+    /// slow-path round, traces it, and fans a `REPAIR_REQ` to every
+    /// window peer. A digest already being pulled joins the existing job
+    /// instead.
+    fn start_repair<O>(&mut self, entry: Holding, ctx: &mut Context<'_, StoreMsg<P>, O>) {
+        let (shard, slot, digest) = entry;
         let peers = self.window_peers(shard);
-        if peers.is_empty() {
+        if !slot_in_range(slot) || peers.is_empty() {
             return;
         }
         let Some(h) = &mut self.healer else { return };
-        if h.pending.contains_key(&(shard, digest)) {
+        if h.pending.contains_key(&entry) {
             return;
         }
-        h.pending.insert((shard, digest), RepairJob::default());
+        h.pending.insert(entry, RepairJob::default());
         ctx.note_repair_round();
         ctx.trace(TraceEvent::Phase {
             shard,
             phase: "RepairStart",
         });
         for p in peers {
-            ctx.send(p, StoreMsg::RepairRequest { shard, digest });
+            ctx.send(
+                p,
+                StoreMsg::RepairRequest {
+                    shard,
+                    slot,
+                    digest,
+                },
+            );
         }
     }
 
     /// Folds one peer's `REPAIR_REPLY` into the matching pull job,
-    /// finishing the repair once the evidence suffices. Everything is
+    /// finishing the repair once the evidence suffices — the repaired
+    /// entry is retained under the job's key slot. Everything is
     /// re-verified against `digest` before storing — a Byzantine peer
     /// can garble any field of the reply.
     fn on_repair_reply<O>(
         &mut self,
         from: ProcessId,
-        shard: u32,
-        digest: BulkDigest,
+        entry: Holding,
         bytes: Option<SharedBytes>,
         frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
         ctx: &mut Context<'_, StoreMsg<P>, O>,
     ) {
+        let (shard, slot, digest) = entry;
         let quorum = self.window_peers(shard).len();
         let Some(g) = self.guard else { return };
         let Some(h) = &mut self.healer else { return };
-        let Some(job) = h.pending.get_mut(&(shard, digest)) else {
+        let Some(job) = h.pending.get_mut(&entry) else {
             return;
         };
+        let holder = Holder::new(shard, slot);
         if !g.coded {
             // Whole-copy plane: one digest-passing blob finishes the job.
             match bytes {
                 Some(b) if digest_of(&b) == digest => {
-                    h.pending.remove(&(shard, digest));
-                    self.bulk.put(shard, digest, b);
+                    h.pending.remove(&entry);
+                    self.bulk.put(holder, digest, b);
                     ctx.trace(TraceEvent::Phase {
                         shard,
                         phase: "RepairDone",
@@ -495,7 +530,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
                 _ => {
                     job.noes.insert(from);
                     if job.noes.len() >= quorum {
-                        h.pending.remove(&(shard, digest));
+                        h.pending.remove(&entry);
                     }
                 }
             }
@@ -514,7 +549,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             _ => {
                 job.noes.insert(from);
                 if job.noes.len() >= quorum {
-                    h.pending.remove(&(shard, digest));
+                    h.pending.remove(&entry);
                 }
                 return;
             }
@@ -525,7 +560,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         }
         let pairs: Vec<(u32, SharedBytes)> =
             job.frags.iter().map(|(i, b)| (*i, b.clone())).collect();
-        h.pending.remove(&(shard, digest));
+        h.pending.remove(&entry);
         // `k` verified fragments determine the codeword. The replica
         // does not know the payload's true length (that is metadata),
         // so it reconstructs the zero-padded `k·⌈len/k⌉` payload —
@@ -556,7 +591,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             bytes: frags[pos].clone(),
             proof: tree.proof(pos),
         };
-        self.frags.put(shard, digest, stored);
+        self.frags.put(holder, digest, stored);
         ctx.trace(TraceEvent::Phase {
             shard,
             phase: "RepairDone",
@@ -572,8 +607,9 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     ///
     /// The summary is read from the stores' holdings indexes, so a tick
     /// costs the batch, not the store: blob holdings first, then
-    /// fragment holdings, each in `(shard, digest)` order, as one list
-    /// the cursor rotates over.
+    /// fragment holdings, each in `(shard, digest)` order and announced
+    /// with the lowest key slot of the shard holding it, as one list the
+    /// cursor rotates over.
     fn on_anti_entropy_tick<O>(&mut self, ctx: &mut Context<'_, StoreMsg<P>, O>) {
         let g = self.guard;
         let frags = &self.frags;
@@ -585,8 +621,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         // gets one full period of grace — longer than any link-delay
         // bound; an armed one still missing is genuinely lost and
         // ripens into a pull below.
-        let mut ripe: Vec<(u32, BulkDigest)> = Vec::new();
-        h.suspects.retain(|&(shard, digest), armed| {
+        let mut ripe: Vec<Holding> = Vec::new();
+        h.suspects.retain(|&(shard, slot, digest), armed| {
             let held = match g {
                 Some(gg) if gg.coded => frags.get_for(shard, &digest).is_some(),
                 _ => bulk.holds(&digest),
@@ -595,7 +631,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
                 return false;
             }
             if *armed {
-                ripe.push((shard, digest));
+                ripe.push((shard, slot, digest));
                 false
             } else {
                 *armed = true;
@@ -604,7 +640,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         });
         let blobs = bulk.holdings_len();
         let len = blobs + frags.holdings_len();
-        let entries: Vec<(u32, BulkDigest)> = if len == 0 {
+        let entries: Vec<Holding> = if len == 0 {
             Vec::new()
         } else {
             let start = h.holdings_cursor % len;
@@ -638,7 +674,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             }
             _ => None,
         };
-        let refan: Vec<(u32, BulkDigest)> = h
+        let refan: Vec<Holding> = h
             .pending
             .iter_mut()
             .map(|(key, job)| {
@@ -651,14 +687,21 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
                 ctx.send(p, StoreMsg::DigestSummary { entries });
             }
         }
-        for (shard, digest) in refan {
+        for (shard, slot, digest) in refan {
             ctx.note_repair_round();
             for p in self.window_peers(shard) {
-                ctx.send(p, StoreMsg::RepairRequest { shard, digest });
+                ctx.send(
+                    p,
+                    StoreMsg::RepairRequest {
+                        shard,
+                        slot,
+                        digest,
+                    },
+                );
             }
         }
-        for (shard, digest) in ripe {
-            self.start_repair(shard, digest, ctx);
+        for entry in ripe {
+            self.start_repair(entry, ctx);
         }
     }
 
@@ -743,25 +786,31 @@ where
             }
             StoreMsg::BulkPut {
                 shard,
+                slot,
                 digest,
                 bytes,
             } => {
-                // Admission: the shard tag is wire data — only store
-                // under shards this server actually serves (a guarded
-                // full-replication server serves none), so a forger
-                // cannot grow per-shard retention state without bound.
-                // And a *coded* deployment's data plane holds fragments
-                // only: a whole-blob put there is a forgery by
-                // definition and is refused symmetrically to the
-                // `!g.coded` FragPut refusal (pre-fix it was the vehicle
-                // for shadowing a dispersal root with a stored blob).
+                // Admission: the shard tag and key slot are wire data —
+                // only store under shards this server actually serves (a
+                // guarded full-replication server serves none) and slots
+                // inside the deployment's slot space, so a forger cannot
+                // grow per-holder retention state without bound. And a
+                // *coded* deployment's data plane holds fragments only: a
+                // whole-blob put there is a forgery by definition and is
+                // refused symmetrically to the `!g.coded` FragPut refusal
+                // (pre-fix it was the vehicle for shadowing a dispersal
+                // root with a stored blob).
                 if let Some(g) = &self.guard {
-                    if g.coded || g.window_position(shard).is_none() {
+                    let refusal = if g.coded || g.window_position(shard).is_none() {
+                        Some("blob-put-unserved")
+                    } else if !slot_in_range(slot) {
+                        Some("key-slot")
+                    } else {
+                        None
+                    };
+                    if let Some(what) = refusal {
                         ctx.note_guard_refusal();
-                        ctx.trace(TraceEvent::GuardRefusal {
-                            shard,
-                            what: "blob-put-unserved",
-                        });
+                        ctx.trace(TraceEvent::GuardRefusal { shard, what });
                         return;
                     }
                 }
@@ -769,35 +818,45 @@ where
                 // lying writer) are refused silently and never
                 // acknowledged. Storing shares the wire message's
                 // allocation — no copy on the receive path.
-                if self.bulk.put(shard, digest, bytes).held() {
+                if self
+                    .bulk
+                    .put(Holder::new(shard, slot), digest, bytes)
+                    .held()
+                {
                     ctx.send(from, StoreMsg::BulkPutAck { shard, digest });
                 }
             }
             StoreMsg::FragPut {
                 shard,
+                slot,
                 root,
                 index,
                 total,
                 bytes,
                 proof,
             } => {
-                // Admission: `total` and `index` are wire data. Pin the
-                // dispersal shape to the deployment's and the index to
-                // *this replica's* window position (the AVID rule), so a
-                // degenerate `total = 1` forgery cannot reduce the
-                // commitment check to a digest check, and an
+                // Admission: `total`, `index` and `slot` are wire data.
+                // Pin the dispersal shape to the deployment's and the
+                // index to *this replica's* window position (the AVID
+                // rule), so a degenerate `total = 1` forgery cannot
+                // reduce the commitment check to a digest check, and an
                 // acknowledgement always certifies the one fragment the
-                // push quorum counts on this replica holding.
+                // push quorum counts on this replica holding; and keep
+                // the slot inside the deployment's slot space.
                 if let Some(g) = &self.guard {
-                    if !g.coded
+                    let refusal = if !g.coded
                         || total as usize != g.replicas
                         || g.window_position(shard) != Some(index as usize)
                     {
+                        Some("frag-put-shape")
+                    } else if !slot_in_range(slot) {
+                        Some("key-slot")
+                    } else {
+                        None
+                    };
+                    if let Some(what) = refusal {
                         ctx.note_guard_refusal();
-                        ctx.trace(TraceEvent::GuardRefusal {
-                            shard,
-                            what: "frag-put-shape",
-                        });
+                        ctx.trace(TraceEvent::GuardRefusal { shard, what });
                         return;
                     }
                 }
@@ -811,11 +870,16 @@ where
                     bytes,
                     proof,
                 };
-                if self.frags.put(shard, root, frag).held() {
+                if self.frags.put(Holder::new(shard, slot), root, frag).held() {
                     ctx.send(from, StoreMsg::FragPutAck { shard, root, index });
                 }
             }
-            StoreMsg::BulkGet { shard, digest, tag } => {
+            StoreMsg::BulkGet {
+                shard,
+                slot,
+                digest,
+                tag,
+            } => {
                 // Coded dispersals and whole blobs share the request: the
                 // digest names whichever the replica holds (a commitment
                 // root in coded mode, a content address otherwise). Whole
@@ -853,7 +917,7 @@ where
                         return;
                     }
                     self.bulk.remove(&digest);
-                    self.start_repair(shard, digest, ctx);
+                    self.start_repair((shard, slot, digest), ctx);
                 }
                 // Serve the fragment stored for this shard's window
                 // position (overlapping windows can hold several indices
@@ -878,8 +942,7 @@ where
                         // Garbling is copy-on-write: the stored fragment
                         // stays intact, the client-side commitment check
                         // must catch the served copy. Stored fragments
-                        // are never empty — a shard map encodes to at
-                        // least its length prefix.
+                        // are never empty — the store refuses empty ones.
                         let bytes = if self.byz_bulk {
                             garble_served(Some(&bytes), ctx.rng())
                         } else {
@@ -897,7 +960,7 @@ where
                         return;
                     }
                     self.frags.remove(&digest);
-                    self.start_repair(shard, digest, ctx);
+                    self.start_repair((shard, slot, digest), ctx);
                 }
                 // Held nowhere: a healing replica that should serve
                 // this shard suspects the entry and pulls it from its
@@ -906,7 +969,7 @@ where
                 // once a reader notices. (Corrupt-on-serve entries were
                 // already repaired unconditionally above.)
                 if !self.byz_bulk {
-                    self.suspect_missing(shard, digest);
+                    self.suspect_missing((shard, slot, digest));
                 }
                 // An honest replica answers the miss; a Byzantine one
                 // fabricates garbage bytes instead — which the
@@ -926,16 +989,20 @@ where
                     },
                 );
             }
-            StoreMsg::RepairRequest { shard, digest } => {
+            StoreMsg::RepairRequest {
+                shard,
+                slot,
+                digest,
+            } => {
                 // Peer pull of the self-healing plane. Only a healing
                 // deployment answers (fault-free builds never see the
                 // message), and only for shards this server's window
-                // actually covers.
+                // actually covers and slots of the deployment's space.
                 if self.healer.is_none() {
                     return;
                 }
                 if let Some(g) = &self.guard {
-                    if g.window_position(shard).is_none() {
+                    if g.window_position(shard).is_none() || !slot_in_range(slot) {
                         ctx.note_guard_refusal();
                         ctx.trace(TraceEvent::GuardRefusal {
                             shard,
@@ -955,6 +1022,7 @@ where
                         from,
                         StoreMsg::RepairReply {
                             shard,
+                            slot,
                             digest,
                             bytes,
                             frag: None,
@@ -973,6 +1041,7 @@ where
                         from,
                         StoreMsg::RepairReply {
                             shard,
+                            slot,
                             digest,
                             bytes: None,
                             frag: Some((index, bytes, proof)),
@@ -989,6 +1058,7 @@ where
                     from,
                     StoreMsg::RepairReply {
                         shard,
+                        slot,
                         digest,
                         bytes,
                         frag: None,
@@ -997,10 +1067,11 @@ where
             }
             StoreMsg::RepairReply {
                 shard,
+                slot,
                 digest,
                 bytes,
                 frag,
-            } => self.on_repair_reply(from, shard, digest, bytes, frag, ctx),
+            } => self.on_repair_reply(from, (shard, slot, digest), bytes, frag, ctx),
             StoreMsg::DigestSummary { entries } => {
                 // Anti-entropy pull, deferred: whatever a peer retains
                 // for a window this server covers but cannot serve
@@ -1027,12 +1098,12 @@ where
                 if let Some(what) = refusal {
                     ctx.note_guard_refusal();
                     ctx.trace(TraceEvent::GuardRefusal {
-                        shard: entries.first().map_or(0, |&(shard, _)| shard),
+                        shard: entries.first().map_or(0, |&(shard, _, _)| shard),
                         what,
                     });
                     return;
                 }
-                for (shard, digest) in entries {
+                for (shard, slot, digest) in entries {
                     if g.window_position(shard).is_none() {
                         continue;
                     }
@@ -1042,7 +1113,7 @@ where
                         self.bulk.holds(&digest)
                     };
                     if !held {
-                        self.suspect_missing(shard, digest);
+                        self.suspect_missing((shard, slot, digest));
                     }
                 }
             }
@@ -1086,25 +1157,28 @@ enum StoreOp<V> {
 }
 
 /// Writer-side state for one owned shard: the bounded sequence stamper and
-/// the authoritative local copy of the shard map.
+/// the authoritative local copy of the shard — the map of values under
+/// full replication, the map of value references on the bulk planes (the
+/// other map stays empty).
 #[derive(Debug)]
 struct OwnedShard<V> {
     stamper: WsnStamp,
     map: ShardMap<V>,
+    refs: RefMap,
 }
 
-/// Why a metadata read (and possibly a bulk fetch) is running.
+/// Why a metadata read (and possibly value fetches) is running.
 #[derive(Debug)]
 enum ReadGoal {
     /// One or more client `get`s on the same shard: project each key out
-    /// of the one resolved map (multiple entries only when the batch
+    /// of the one register snapshot (multiple entries only when the batch
     /// window coalesced a run of queued gets).
     Get { ops: Vec<(OpId, String)> },
-    /// Writer-map recovery after transient corruption: adopt the resolved
-    /// map as the authoritative copy, then republish it.
+    /// Writer-map recovery after transient corruption: adopt the read map
+    /// as the authoritative copy, then republish it.
     Recover,
-    /// Shard-handoff adoption (new owner): adopt the resolved map *and*
-    /// become the shard's writer — resync the stamper onto the resolved
+    /// Shard-handoff adoption (new owner): adopt the read map *and*
+    /// become the shard's writer — resync the stamper onto the read
     /// stamp, republish, then flush the puts staged during the handoff.
     Acquire,
     /// The routing-register read preceding an epoch-flip write: only the
@@ -1138,6 +1212,99 @@ enum ControlJob {
     CommitEpoch { epoch: u64, owners: Vec<u32> },
     /// Adopt a granted shard: quorum-read, resync, republish.
     AcquireShard { shard: u32 },
+}
+
+/// What a metadata read returned, as this client's data plane reads it.
+enum Resolved<V> {
+    /// The map of values (full replication).
+    Values(Arc<ShardMap<V>>),
+    /// The map of value references (bulk planes).
+    Refs(Arc<RefMap>),
+    /// Nothing a writer of this plane publishes: stabilizing garbage that
+    /// won a quorum.
+    Garbage,
+}
+
+/// A bulk-plane read's reference map, being resolved one value at a
+/// time.
+///
+/// A `get` fetches only the values its keys name — each distinct
+/// reference once, one after another when the batch window gathered
+/// several gets — and answers a key the map lacks at once, without any
+/// fetch. An **adoption** (writer recovery, shard acquisition) takes the
+/// map straight from the read, then resolves each reference once through
+/// the same fetch path, in key order, and *drops* every key whose
+/// reference fails the dead-round rule before it republishes.
+///
+/// That last rule is what keeps gets live: an adopted reference nothing
+/// backs any more would otherwise be republished by its own writer on
+/// every later put, so every get of the key would re-read the register
+/// and fetch the same dead reference forever. A dropped key is lost the
+/// way [`ShardMap`]'s scramble loses entries — inside the transient
+/// window that planted the dead reference — and gets of it answer
+/// "absent" until the key is written again. A correct writer's committed
+/// references never fail it: each was published only after its push
+/// quorum held, and retention keeps a key's latest value.
+#[derive(Debug)]
+struct Resolving {
+    goal: ReadGoal,
+    shard: u32,
+    /// The metadata stamp the map arrived under (adoption resyncs the
+    /// owner's stamper from it).
+    wsn: RingSeq,
+    /// The reference map the read returned; adoption drops the keys whose
+    /// references turn out dead.
+    refs: Arc<RefMap>,
+    /// Adoption only: the entries of `refs` before this index resolved.
+    checked: usize,
+    /// The read returned this reader's inversion-prevention memory (the
+    /// `pv` of Figure 3's lines 13M) instead of the quorum's value.
+    remembered: bool,
+}
+
+/// One value fetch: the data-replica round(s) resolving one
+/// [`ValueRef`].
+#[derive(Debug)]
+struct Fetch<V> {
+    vref: ValueRef,
+    /// Current round tag (stale replies are dropped by tag).
+    tag: u64,
+    /// Window replicas that answered this round with garbage or a miss.
+    /// A *set of senders* — never a reply count — so a Byzantine replica
+    /// spamming bad replies contributes exactly one entry and cannot
+    /// fabricate a dead round by itself; replies from outside the shard's
+    /// window are ignored entirely.
+    bad: BTreeSet<ProcessId>,
+    /// Set when this reference can never resolve (k verified fragments
+    /// reconstructing to garbage, or the round budget exhausted): the
+    /// pump gives the reference up.
+    dead: bool,
+    /// Retransmission rounds run for this reference.
+    rounds: u32,
+    /// The round's retransmission timer.
+    timer: TimerId,
+    /// Commitment-verified fragments by index (coded mode). Carried
+    /// *across* retransmission rounds: a verified fragment stays verified
+    /// whatever round it arrived in.
+    frags: BTreeMap<u32, SharedBytes>,
+    /// Set by a digest-verified reply (or a `k`-fragment reconstruction)
+    /// that decodes; consumed by the pump.
+    resolved: Option<V>,
+}
+
+/// One value's dispersal inside a bulk-plane publish.
+#[derive(Debug)]
+struct Dispersal<V: Payload> {
+    /// The value's content address or commitment root — what the
+    /// replicas' acknowledgements name.
+    digest: BulkDigest,
+    /// The per-replica push messages, index-aligned with the shard's
+    /// replica window, kept for ack-wait retransmissions — payload bytes
+    /// inside are shared, so a re-push clones reference counts.
+    /// (Whole-copy mode sends the same blob to everyone; coded mode sends
+    /// replica `i` fragment `i`.)
+    pushes: Vec<StoreWire<V>>,
+    acks: BTreeSet<ProcessId>,
 }
 
 /// A store client: sequential `put`/`get` operations against any number of
@@ -1194,15 +1361,15 @@ pub struct StoreClientNode<V: Payload + BulkCodec> {
     flush_timer: Option<TimerId>,
     /// Reusable per-destination staging for outgoing register messages.
     batcher: DestBatcher<StorePayload<V>>,
-    /// **Soundness-mutation hook, tests only.** When set, resolved reads
-    /// are served from the *previous* resolved snapshot of the shard
-    /// (one snapshot behind), deliberately breaking the reader recency
-    /// rule. Exists so the monitor-soundness test can prove the online
-    /// checker actually fires — never set it in real deployments.
-    #[doc(hidden)]
+    /// **Soundness-mutation hook** (feature `mutation`, tests only). When
+    /// set, gets are answered from the shard's *previous* metadata read
+    /// (one version behind), deliberately breaking the reader recency
+    /// rule, so the monitor test can prove the online checker fires.
+    #[cfg(feature = "mutation")]
     pub weaken_recency: bool,
-    /// The one-behind snapshot cache `weaken_recency` serves from.
-    stale_snapshots: BTreeMap<u32, Arc<ShardMap<V>>>,
+    /// The previous read per shard that `weaken_recency` serves from.
+    #[cfg(feature = "mutation")]
+    stale_reads: BTreeMap<u32, StoreVal<V>>,
 }
 
 /// The client's operation phase.
@@ -1215,63 +1382,31 @@ enum Phase<V: Payload> {
         goal: ReadGoal,
         shard: u32,
     },
-    /// Resolving a [`BulkRef`] against the shard's data replicas.
+    /// Bulk planes: resolving the read's reference map against the
+    /// shard's data replicas, one value at a time.
     Fetching {
-        goal: ReadGoal,
-        shard: u32,
-        /// The metadata stamp the reference arrived under (recovery
-        /// resyncs the owner's stamper from it).
-        wsn: RingSeq,
-        bref: BulkRef,
-        /// Current round tag (stale replies are dropped by tag).
-        tag: u64,
-        /// Window replicas that answered this round with garbage or a
-        /// miss. A *set of senders* — never a reply count — so a
-        /// Byzantine replica spamming bad replies contributes exactly
-        /// one entry and cannot fabricate a dead round by itself;
-        /// replies from outside the shard's window are ignored
-        /// entirely.
-        bad: BTreeSet<ProcessId>,
-        /// Set when this reference can never resolve (k verified
-        /// fragments reconstructing to garbage, or the round budget
-        /// exhausted): the pump falls back to a metadata re-read.
-        dead: bool,
-        /// Retransmission rounds run for this reference.
-        rounds: u32,
-        /// The round's retransmission timer.
-        timer: TimerId,
-        /// Commitment-verified fragments by index (coded mode).
-        /// Carried *across* retransmission rounds: a verified fragment
-        /// stays verified whatever round it arrived in.
-        frags: BTreeMap<u32, SharedBytes>,
-        /// Set by a digest-verified reply (or a `k`-fragment
-        /// reconstruction); consumed by the pump.
-        resolved: Option<ShardMap<V>>,
+        res: Resolving,
+        fetch: Fetch<V>,
     },
-    /// Bulk/coded mode: payload (whole copies, or one fragment per
-    /// replica) pushed to the data replicas; waiting for the push quorum
-    /// of verified-store acknowledgements (`t + 1` whole-copy, `k + t`
-    /// coded) before the metadata write.
+    /// Bulk/coded mode: every newly written value (whole copies, or one
+    /// fragment per replica) pushed to the data replicas; waiting until
+    /// each has its push quorum of verified-store acknowledgements
+    /// (`t + 1` whole-copy, `k + t` coded) before the metadata write.
     PushingBulk {
         ops: Vec<OpId>,
         shard: u32,
-        digest: BulkDigest,
-        /// The per-replica push messages, index-aligned with the shard's
-        /// replica window, kept for ack-wait retransmissions — payload
-        /// bytes inside are shared, so a re-push clones reference
-        /// counts. (Whole-copy mode sends the same blob to everyone;
-        /// coded mode sends replica `i` fragment `i`.)
-        pushes: Vec<StoreWire<V>>,
+        dispersals: Vec<Dispersal<V>>,
         payload: StorePayload<V>,
-        acks: BTreeSet<ProcessId>,
         /// The ack-wait's round timer: the derived timeout in synchronous
         /// mode, the retransmission period in asynchronous mode. On
-        /// expiry the push is re-broadcast to the replicas still missing.
+        /// expiry every push is re-broadcast to the replicas still
+        /// missing.
         timer: TimerId,
     },
-    /// The metadata write (of the map or of its reference), completing
-    /// `ops` (multiple when the batch window folded a run of queued puts
-    /// into this publish). Empty `ops` is a recovery republish.
+    /// The metadata write (of the map of values or of references),
+    /// completing `ops` (multiple when the batch window folded a run of
+    /// queued puts into this publish). Empty `ops` is a recovery or
+    /// adoption republish.
     Writing {
         ops: Vec<OpId>,
     },
@@ -1286,6 +1421,103 @@ impl<V: Payload + BulkCodec> std::fmt::Debug for StoreClientNode<V> {
             .field("pending", &self.pending.len())
             .finish()
     }
+}
+
+/// Emits one `get`'s completion.
+fn complete_get<V>(
+    sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
+    outs: &mut Vec<StoreOut<V>>,
+    op: OpId,
+    value: Option<V>,
+) where
+    V: Payload,
+{
+    sub.trace(TraceEvent::OpComplete {
+        op: op.0,
+        kind: "get",
+    });
+    outs.push(StoreOut::GetDone { op, value });
+}
+
+/// The lowest key slot no key of `refs` holds, if the slot space has one
+/// left.
+fn free_slot(refs: &RefMap) -> Option<u32> {
+    let used: BTreeSet<u32> = refs.entries().iter().map(|(_, r)| r.slot).collect();
+    (0..KEY_SLOTS).find(|s| !used.contains(s))
+}
+
+/// `refs` without the keys an adopting writer cannot keep: a slot outside
+/// the slot space (no correct replica retains values under it) or a slot
+/// an earlier key already holds (two live keys must never share retention
+/// state, or one key's overwrites evict the other's value). A correct
+/// writer never publishes either; only corrupted state reaches here.
+fn usable_slots(refs: Arc<RefMap>) -> Arc<RefMap> {
+    let mut taken = BTreeSet::new();
+    let doomed: Vec<String> = refs
+        .entries()
+        .iter()
+        .filter(|(_, r)| !slot_in_range(r.slot) || !taken.insert(r.slot))
+        .map(|(key, _)| key.clone())
+        .collect();
+    if doomed.is_empty() {
+        return refs;
+    }
+    let mut refs = Arc::unwrap_or_clone(refs);
+    for key in doomed {
+        refs.remove(&key);
+    }
+    Arc::new(refs)
+}
+
+/// Encodes one value for `shard`'s data replicas, retained under key slot
+/// `slot`: its reference and the `replicas` push messages, index-aligned
+/// with the window — the same whole copy for every replica, or (coded,
+/// `k`-of-`m` with `m = replicas`) AVID-style dispersal: replica `i` gets
+/// fragment `i` plus the Merkle path proving it belongs to the root the
+/// reference carries.
+fn disperse<V: Payload>(
+    shard: u32,
+    slot: u32,
+    bytes: Vec<u8>,
+    coding: Option<(usize, usize)>,
+    replicas: usize,
+) -> (BulkRef, Vec<StoreWire<V>>) {
+    let Some((k, m)) = coding else {
+        let bytes: SharedBytes = bytes.into();
+        let bref = BulkRef::to_bytes(&bytes);
+        let pushes = (0..replicas)
+            .map(|_| StoreMsg::BulkPut {
+                shard,
+                slot,
+                digest: bref.digest,
+                bytes: bytes.clone(),
+            })
+            .collect();
+        return (bref, pushes);
+    };
+    let frags = encode_fragments(&bytes, k, m);
+    // One tree per dispersal: per-fragment paths are then slice walks
+    // instead of O(m) re-folds each.
+    let tree = MerkleTree::build(&fragment_leaves(&frags));
+    let root = tree.root();
+    let pushes = frags
+        .into_iter()
+        .enumerate()
+        .map(|(i, frag)| StoreMsg::FragPut {
+            shard,
+            slot,
+            root,
+            index: i as u32,
+            total: m as u32,
+            bytes: frag,
+            proof: tree.proof(i),
+        })
+        .collect();
+    let bref = BulkRef {
+        digest: root,
+        len: bytes.len() as u64,
+    };
+    (bref, pushes)
 }
 
 impl<V: Payload + BulkCodec> StoreClientNode<V> {
@@ -1324,6 +1556,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     OwnedShard {
                         stamper: WsnStamp::new(RingSeq::zero(wsn_modulus)),
                         map: ShardMap::new(),
+                        refs: RefMap::new(),
                     },
                 )
             })
@@ -1354,8 +1587,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             adaptive: false,
             flush_timer: None,
             batcher: DestBatcher::new(),
+            #[cfg(feature = "mutation")]
             weaken_recency: false,
-            stale_snapshots: BTreeMap::new(),
+            #[cfg(feature = "mutation")]
+            stale_reads: BTreeMap::new(),
         }
     }
 
@@ -1392,7 +1627,9 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// # Panics
     ///
     /// Panics if this client neither owns nor is acquiring the key's
-    /// shard (the router must direct every put to the shard's writer).
+    /// shard (the router must direct every put to the shard's writer),
+    /// and — on the bulk planes — when the put brings a shard already
+    /// holding [`KEY_SLOTS`] keys a new one.
     pub fn invoke_put(&mut self, op: OpId, key: String, val: V, ctx: &mut StoreCtx<'_, V>) {
         let shard = self.router.shard_of(&key);
         if !self.owned.contains_key(&shard) {
@@ -1492,6 +1729,22 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.hold_or_step(ctx);
     }
 
+    /// **Fault-injection hook** (feature `mutation`, tests only): plants
+    /// `vref` under `key` in the authoritative reference map of the
+    /// key's shard, which this client must own — a reference no
+    /// dispersal backs, which the next publish on the shard makes part of
+    /// its register value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if this client does not own the key's shard.
+    #[cfg(feature = "mutation")]
+    pub fn plant_ref(&mut self, key: &str, vref: ValueRef) {
+        let shard = self.router.shard_of(key);
+        let owned = self.owned.get_mut(&shard).expect("plant on an owned shard");
+        owned.refs.insert(key, vref);
+    }
+
     /// The Nagle gate for a just-queued operation: with a window set and
     /// the client fully idle, hold it behind the flush timer (arming one
     /// if this is the first held op) instead of launching; in every other
@@ -1542,7 +1795,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.recoveries
     }
 
-    /// Diagnostic snapshot of an in-flight bulk/coded fetch:
+    /// Diagnostic snapshot of an in-flight bulk/coded value fetch:
     /// `(shard, digest or root, current round tag, distinct window
     /// replicas that answered badly this round)`, or `None` when no
     /// fetch is running. Intended for tests pinning round-tag semantics
@@ -1550,13 +1803,12 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// untouched) and for debugging wedged fetches.
     pub fn fetch_probe(&self) -> Option<(u32, BulkDigest, u64, usize)> {
         match &self.phase {
-            Phase::Fetching {
-                shard,
-                bref,
-                tag,
-                bad,
-                ..
-            } => Some((*shard, bref.digest, *tag, bad.len())),
+            Phase::Fetching { res, fetch } => Some((
+                res.shard,
+                fetch.vref.bref.digest,
+                fetch.tag,
+                fetch.bad.len(),
+            )),
             _ => None,
         }
     }
@@ -1720,136 +1972,158 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.phase = Phase::Reading { goal, shard };
     }
 
-    /// Publishes the authoritative map of `shard`: under full replication
-    /// one metadata write of the inline map; under the bulk plane a
-    /// `BULK_PUT` fan-out to the data replicas first, the reference write
-    /// gated on `t + 1` verified acknowledgements. The publish completes
-    /// every op in `ops` (several when the batch window folded a run of
-    /// puts); empty `ops` is a recovery republish.
+    /// The metadata read's value as this client's plane reads it: the
+    /// full plane publishes maps of values, the bulk planes maps of
+    /// references — an empty inline map (every register's initial
+    /// value) is the empty reference map there. Anything else is garbage.
+    fn classify(&self, val: &StoreVal<V>) -> Resolved<V> {
+        match (self.plane, val) {
+            (DataPlane::Full, StoreVal::Inline(map)) => Resolved::Values(map.clone()),
+            (DataPlane::Full, _) => Resolved::Garbage,
+            (_, StoreVal::Refs(refs)) => Resolved::Refs(refs.clone()),
+            (_, StoreVal::Inline(map)) if map.is_empty() => Resolved::Refs(Arc::new(RefMap::new())),
+            _ => Resolved::Garbage,
+        }
+    }
+
+    /// True when `memory` — the value the inversion-prevention policy
+    /// returned in place of the quorum's older `quorum` — cannot be a
+    /// later value of this shard's writer: it is nothing this plane's
+    /// writers publish, or it lacks a key `quorum` has (writers only ever
+    /// add keys). Only corrupted local state answers that way, and
+    /// trusting it would keep handing garbage to every later read until
+    /// the writer's stamps overtake it: on the bulk planes a key missing
+    /// from it would read as absent, a dangling reference in it would
+    /// re-read forever.
+    fn corrupt_memory(&self, memory: &StoreVal<V>, quorum: &StoreVal<V>) -> bool {
+        fn lacks_a_key<T: Payload, U: Payload>(memory: &ShardMap<T>, quorum: &ShardMap<U>) -> bool {
+            quorum
+                .entries()
+                .iter()
+                .any(|(k, _)| memory.get(k).is_none())
+        }
+        match (self.classify(memory), self.classify(quorum)) {
+            (Resolved::Garbage, _) => true,
+            (Resolved::Values(m), Resolved::Values(q)) => lacks_a_key(&m, &q),
+            (Resolved::Refs(m), Resolved::Refs(q)) => lacks_a_key(&m, &q),
+            _ => false,
+        }
+    }
+
+    /// The `weaken_recency` mutation: a get is answered from the shard's
+    /// previous read instead of this one.
+    #[cfg(feature = "mutation")]
+    fn serve_stale(&mut self, goal: &ReadGoal, shard: u32, val: StoreVal<V>) -> StoreVal<V> {
+        if !self.weaken_recency || !matches!(goal, ReadGoal::Get { .. }) {
+            return val;
+        }
+        self.stale_reads.insert(shard, val.clone()).unwrap_or(val)
+    }
+
+    /// Publishes the authoritative state of `shard` after folding `puts`
+    /// into it, in queue order. Under full replication that is one
+    /// metadata write of the map of values. On the bulk planes each put
+    /// key's latest value is encoded alone and dispersed to the data
+    /// replicas under the key's slot (a new key takes the lowest free
+    /// slot), and the map of references — with every put key pointing at
+    /// its new value — is written once every dispersal holds its push
+    /// quorum. The publish completes every op in `ops` (several when the
+    /// batch window folded a run of puts); empty `ops` is a recovery or
+    /// adoption republish, which disperses nothing.
     fn start_publish(
         &mut self,
         shard: u32,
         ops: Vec<OpId>,
+        puts: Vec<(String, V)>,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
     ) {
         let replicas = self.data_replicas(shard);
+        let coding = self.coding();
         let owned = self.owned.get_mut(&shard).expect("publish on owned shard");
-        match self.plane {
-            DataPlane::Full => {
-                sub.trace(TraceEvent::Phase {
-                    shard,
-                    phase: "MetadataWrite",
-                });
-                // One deep snapshot per publish; every send, helping
-                // refresh, and retransmission shares it through the Arc.
-                let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(
-                    &mut owned.stamper,
-                    StoreVal::Inline(Arc::new(owned.map.clone())),
-                );
-                self.write_engine = WriteEngine::new(RegId(shard), self.cfg, self.clients.clone());
-                self.write_engine.start(payload, &mut self.link, sub);
-                self.phase = Phase::Writing { ops };
+        let mut dispersals: Vec<Dispersal<V>> = Vec::new();
+        let val = if self.plane == DataPlane::Full {
+            for (key, val) in puts {
+                owned.map.insert(&key, val);
             }
-            DataPlane::Bulk { .. } => {
-                sub.trace(TraceEvent::Phase {
-                    shard,
-                    phase: "PushingBulk",
-                });
-                let bytes: SharedBytes = owned.map.encode_to_vec().into();
-                let bref = BulkRef::to_bytes(&bytes);
-                let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(
-                    &mut owned.stamper,
-                    StoreVal::Ref(bref),
-                );
-                let pushes: Vec<StoreWire<V>> = replicas
-                    .iter()
-                    .map(|_| StoreMsg::BulkPut {
-                        shard,
-                        digest: bref.digest,
-                        bytes: bytes.clone(),
-                    })
-                    .collect();
-                for (&r, m) in replicas.iter().zip(&pushes) {
-                    bulk_sends.push((r, m.clone()));
-                }
-                let timer = sub.set_timer(self.round_timer());
-                self.phase = Phase::PushingBulk {
-                    ops,
-                    shard,
+            // One deep snapshot per publish; every send, helping
+            // refresh, and retransmission shares it through the Arc.
+            StoreVal::Inline(Arc::new(owned.map.clone()))
+        } else {
+            // Within one publish the last put of a key wins, exactly as
+            // the full plane's map inserts fold — so a value overwritten
+            // inside the batch is never dispersed.
+            let latest: BTreeMap<String, V> = puts.into_iter().collect();
+            for (key, val) in latest {
+                let slot = match owned.refs.get(&key) {
+                    Some(r) => r.slot,
+                    None => free_slot(&owned.refs).unwrap_or_else(|| {
+                        panic!("shard {shard} already holds {KEY_SLOTS} keys, the key-slot space")
+                    }),
+                };
+                let (bref, pushes) =
+                    disperse(shard, slot, val.encode_to_vec(), coding, replicas.len());
+                owned.refs.insert(&key, ValueRef { slot, bref });
+                dispersals.push(Dispersal {
                     digest: bref.digest,
                     pushes,
-                    payload,
                     acks: BTreeSet::new(),
-                    timer,
-                };
-            }
-            DataPlane::Coded { replicas: m, k } => {
-                sub.trace(TraceEvent::Phase {
-                    shard,
-                    phase: "PushingBulk",
                 });
-                // AVID-style dispersal: k-of-m fragments, committed to by
-                // the Merkle root the metadata register will carry. Each
-                // replica gets its own fragment plus the path proving it
-                // belongs to the root.
-                let bytes = owned.map.encode_to_vec();
-                let frags = encode_fragments(&bytes, k, m);
-                let leaves = fragment_leaves(&frags);
-                // One tree per publish: per-fragment paths are then slice
-                // walks instead of O(m) re-folds each (O(m²) per publish
-                // pre-fix).
-                let tree = MerkleTree::build(&leaves);
-                let root = tree.root();
-                let bref = BulkRef {
-                    digest: root,
-                    len: bytes.len() as u64,
-                };
-                let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(
-                    &mut owned.stamper,
-                    StoreVal::Ref(bref),
-                );
-                let pushes: Vec<StoreWire<V>> = frags
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, frag)| StoreMsg::FragPut {
-                        shard,
-                        root,
-                        index: i as u32,
-                        total: m as u32,
-                        bytes: frag,
-                        proof: tree.proof(i),
-                    })
-                    .collect();
-                for (&r, msg) in replicas.iter().zip(&pushes) {
-                    bulk_sends.push((r, msg.clone()));
-                }
-                let timer = sub.set_timer(self.round_timer());
-                self.phase = Phase::PushingBulk {
-                    ops,
-                    shard,
-                    digest: root,
-                    pushes,
-                    payload,
-                    acks: BTreeSet::new(),
-                    timer,
-                };
+            }
+            StoreVal::Refs(Arc::new(owned.refs.clone()))
+        };
+        let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(&mut owned.stamper, val);
+        if dispersals.is_empty() {
+            self.start_write(shard, ops, payload, sub);
+            return;
+        }
+        sub.trace(TraceEvent::Phase {
+            shard,
+            phase: "PushingBulk",
+        });
+        for d in &dispersals {
+            for (&r, m) in replicas.iter().zip(&d.pushes) {
+                bulk_sends.push((r, m.clone()));
             }
         }
+        let timer = sub.set_timer(self.round_timer());
+        self.phase = Phase::PushingBulk {
+            ops,
+            shard,
+            dispersals,
+            payload,
+            timer,
+        };
     }
 
-    /// Starts a bulk fetch round for `bref` on `shard`.
-    #[allow(clippy::too_many_arguments)]
+    /// Starts the metadata write of `payload` on `shard`, completing
+    /// `ops`.
+    fn start_write(
+        &mut self,
+        shard: u32,
+        ops: Vec<OpId>,
+        payload: StorePayload<V>,
+        sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
+    ) {
+        sub.trace(TraceEvent::Phase {
+            shard,
+            phase: "MetadataWrite",
+        });
+        self.write_engine = WriteEngine::new(RegId(shard), self.cfg, self.clients.clone());
+        self.write_engine.start(payload, &mut self.link, sub);
+        self.phase = Phase::Writing { ops };
+    }
+
+    /// Starts the fetch of `vref`'s value from `res.shard`'s data
+    /// replicas.
     fn start_fetch(
         &mut self,
-        goal: ReadGoal,
-        shard: u32,
-        wsn: RingSeq,
-        bref: BulkRef,
-        rounds: u32,
+        res: Resolving,
+        vref: ValueRef,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
     ) {
+        let shard = res.shard;
         sub.trace(TraceEvent::Phase {
             shard,
             phase: "FetchRound",
@@ -1861,32 +2135,33 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 r,
                 StoreMsg::BulkGet {
                     shard,
-                    digest: bref.digest,
+                    slot: vref.slot,
+                    digest: vref.bref.digest,
                     tag,
                 },
             ));
         }
         let timer = sub.set_timer(self.round_timer());
         self.phase = Phase::Fetching {
-            goal,
-            shard,
-            wsn,
-            bref,
-            tag,
-            bad: BTreeSet::new(),
-            dead: false,
-            rounds,
-            timer,
-            frags: BTreeMap::new(),
-            resolved: None,
+            res,
+            fetch: Fetch {
+                vref,
+                tag,
+                bad: BTreeSet::new(),
+                dead: false,
+                rounds: 0,
+                timer,
+                frags: BTreeMap::new(),
+                resolved: None,
+            },
         };
     }
 
-    /// Completes `goal` with the resolved map of `shard` (read under
-    /// metadata stamp `wsn`). For `get`s this emits one completion per
-    /// coalesced op, all projected from the same snapshot; for a
-    /// recovery it adopts the map and starts the republish (so the
-    /// caller's pump loop continues).
+    /// Completes `goal` with the map of values of `shard` (read under
+    /// metadata stamp `wsn`) — the full plane. For `get`s this emits one
+    /// completion per coalesced op, all projected from the same snapshot;
+    /// for a recovery or acquisition it adopts the map and starts the
+    /// republish (so the caller's pump loop continues).
     #[allow(clippy::too_many_arguments)]
     fn finish_resolve(
         &mut self,
@@ -1900,26 +2175,83 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     ) {
         match goal {
             ReadGoal::Get { ops } => {
-                // Soundness-mutation hook (tests only): serve this round
-                // from the shard's previous resolved snapshot, breaking
-                // recency on purpose so the monitor test can prove the
-                // online checker is not vacuously green.
-                let serve = if self.weaken_recency {
-                    let prev = self.stale_snapshots.insert(shard, map.clone());
-                    prev.unwrap_or(map)
-                } else {
-                    map
-                };
                 for (op, key) in ops {
-                    let value = serve.get(&key).cloned();
-                    sub.trace(TraceEvent::OpComplete {
-                        op: op.0,
-                        kind: "get",
-                    });
-                    outs.push(StoreOut::GetDone { op, value });
+                    complete_get(sub, outs, op, map.get(&key).cloned());
                 }
                 // phase stays Idle; the pump keeps draining the queue.
             }
+            goal => {
+                let map = Arc::unwrap_or_clone(map);
+                self.adopt(goal, shard, wsn, map, RefMap::new(), sub, bulk_sends);
+            }
+        }
+    }
+
+    /// Continues resolving a bulk-plane read (see [`Resolving`]): answers
+    /// every get whose key the map lacks, then fetches the next value the
+    /// goal still needs — the first remaining get's, or for an adoption
+    /// the reference at `checked`. With nothing left to fetch the gets
+    /// are all answered (phase stays Idle) or the adoption adopts the map
+    /// and starts the republish.
+    fn resolve_refs(
+        &mut self,
+        mut res: Resolving,
+        sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
+        outs: &mut Vec<StoreOut<V>>,
+        bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
+    ) {
+        let next = match &mut res.goal {
+            ReadGoal::Get { ops } => {
+                let refs = &res.refs;
+                ops.retain(|(op, key)| {
+                    let present = refs.get(key).is_some();
+                    if !present {
+                        complete_get(sub, outs, *op, None);
+                    }
+                    present
+                });
+                ops.first().and_then(|(_, key)| refs.get(key).copied())
+            }
+            ReadGoal::Recover | ReadGoal::Acquire => {
+                res.refs.entries().get(res.checked).map(|&(_, vref)| vref)
+            }
+            ReadGoal::CommitEpoch { .. } => {
+                unreachable!("epoch commits are intercepted before value resolution")
+            }
+        };
+        match next {
+            Some(vref) => self.start_fetch(res, vref, sub, bulk_sends),
+            None if matches!(res.goal, ReadGoal::Get { .. }) => {}
+            None => {
+                let refs = Arc::unwrap_or_clone(res.refs);
+                self.adopt(
+                    res.goal,
+                    res.shard,
+                    res.wsn,
+                    ShardMap::new(),
+                    refs,
+                    sub,
+                    bulk_sends,
+                );
+            }
+        }
+    }
+
+    /// Makes `map` / `refs` (read under stamp `wsn`) the authoritative
+    /// state of `shard` for a recovery or an acquisition, and starts the
+    /// republish.
+    #[allow(clippy::too_many_arguments)]
+    fn adopt(
+        &mut self,
+        goal: ReadGoal,
+        shard: u32,
+        wsn: RingSeq,
+        map: ShardMap<V>,
+        refs: RefMap,
+        sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
+        bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
+    ) {
+        match goal {
             ReadGoal::Recover => {
                 // Adopt the register's (last published) map as the
                 // authoritative copy — and **resync the sequence stamper**
@@ -1931,10 +2263,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 // inversion-prevention state would pin the pre-corruption
                 // value essentially forever.
                 let owned = self.owned.get_mut(&shard).expect("recovering owned shard");
-                owned.map = Arc::unwrap_or_clone(map);
+                owned.map = map;
+                owned.refs = refs;
                 owned.stamper = WsnStamp::new(wsn);
                 self.write_intent = WriteIntent::Recovery;
-                self.start_publish(shard, Vec::new(), sub, bulk_sends);
             }
             ReadGoal::Acquire => {
                 // Dual-commit adoption: the quorum-read snapshot is the
@@ -1953,16 +2285,17 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     shard,
                     OwnedShard {
                         stamper: WsnStamp::new(wsn),
-                        map: Arc::unwrap_or_clone(map),
+                        map,
+                        refs,
                     },
                 );
                 self.write_intent = WriteIntent::Acquire { shard };
-                self.start_publish(shard, Vec::new(), sub, bulk_sends);
             }
-            ReadGoal::CommitEpoch { .. } => {
-                unreachable!("epoch commits are intercepted before value resolution")
+            ReadGoal::Get { .. } | ReadGoal::CommitEpoch { .. } => {
+                unreachable!("only recoveries and acquisitions adopt")
             }
         }
+        self.start_publish(shard, Vec::new(), Vec::new(), sub, bulk_sends);
     }
 
     /// Pulls **every** queued get on `shard` out of the queue into `ops`,
@@ -1986,20 +2319,19 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.pending = rest;
     }
 
-    /// Pulls every queued put on `shard` out of the queue (group commit),
-    /// folding each into the authoritative map **in queue order** — so
-    /// per-key write order, the invariant the differential checker pins,
-    /// is exactly the invocation order — and collecting its op for the
-    /// one shared publish. A get left behind in the queue overlaps these
-    /// puts, so whichever snapshot it later reads is a legal concurrent
-    /// outcome.
-    fn absorb_put_run(&mut self, shard: u32, ops: &mut Vec<OpId>) {
+    /// Pulls every queued put on `shard` out of the queue (group commit)
+    /// into `puts` **in queue order** — the publish folds them into the
+    /// authoritative map in that order, so per-key write order, the
+    /// invariant the differential checker pins, is exactly the invocation
+    /// order — and collects its op for the one shared publish. A get left
+    /// behind in the queue overlaps these puts, so whichever snapshot it
+    /// later reads is a legal concurrent outcome.
+    fn absorb_put_run(&mut self, shard: u32, ops: &mut Vec<OpId>, puts: &mut Vec<(String, V)>) {
         let mut rest = VecDeque::with_capacity(self.pending.len());
         for (op, kind) in self.pending.drain(..) {
             match kind {
                 StoreOp::Put { key, val } if self.router.shard_of(&key) == shard => {
-                    let owned = self.owned.get_mut(&shard).expect("checked at invoke_put");
-                    owned.map.insert(&key, val);
+                    puts.push((key, val));
                     ops.push(op);
                 }
                 other => rest.push_back((op, other)),
@@ -2091,14 +2423,13 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         }
                         StoreOp::Put { key, val } => {
                             let shard = self.router.shard_of(&key);
-                            let owned = self.owned.get_mut(&shard).expect("checked at invoke_put");
-                            owned.map.insert(&key, val);
                             let mut ops = vec![op];
+                            let mut puts = vec![(key, val)];
                             if self.window > SimDuration::ZERO {
-                                self.absorb_put_run(shard, &mut ops);
+                                self.absorb_put_run(shard, &mut ops, &mut puts);
                             }
                             self.write_intent = WriteIntent::Ops;
-                            self.start_publish(shard, ops, sub, bulk_sends);
+                            self.start_publish(shard, ops, puts, sub, bulk_sends);
                         }
                     }
                 }
@@ -2110,7 +2441,21 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             self.phase = Phase::Reading { goal, shard };
                         }
                         Some(ReadProgress::Done(source, p)) => {
-                            let stamped = self.policies[shard as usize].transform(source, p);
+                            let read_wsn = p.wsn;
+                            let mut stamped =
+                                self.policies[shard as usize].transform(source, p.clone());
+                            // The inversion-prevention memory answered in
+                            // place of the quorum with a value no writer
+                            // of this shard could have published after
+                            // the quorum's: forget it and take the
+                            // quorum's value, exactly as a clean policy
+                            // would (see `corrupt_memory`).
+                            if stamped.wsn != read_wsn && self.corrupt_memory(&stamped.val, &p.val)
+                            {
+                                let policy = &mut self.policies[shard as usize];
+                                *policy = AtomicPolicy::new();
+                                stamped = policy.transform(source, p);
+                            }
                             let wsn = stamped.wsn;
                             // An epoch commit needs only the agreed stamp:
                             // resync a fresh stamper onto it and write the
@@ -2140,34 +2485,37 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                 }
                                 g => g,
                             };
-                            match stamped.val {
-                                StoreVal::Inline(map) => {
+                            let val = stamped.val;
+                            #[cfg(feature = "mutation")]
+                            let val = self.serve_stale(&goal, shard, val);
+                            match self.classify(&val) {
+                                Resolved::Values(map) => {
                                     self.finish_resolve(
                                         goal, shard, wsn, map, sub, outs, bulk_sends,
                                     );
                                 }
-                                StoreVal::Ref(bref) => {
-                                    if self.data_replicas(shard).is_empty() {
-                                        // Full replication should never see
-                                        // a reference; if stabilizing
-                                        // garbage won a quorum anyway,
-                                        // re-read until real metadata does.
-                                        sub.note_metadata_reread();
-                                        self.start_read(goal, shard, sub);
-                                    } else {
-                                        self.start_fetch(
-                                            goal, shard, wsn, bref, 0, sub, bulk_sends,
-                                        );
-                                        return;
-                                    }
+                                Resolved::Refs(refs) => {
+                                    let refs = match goal {
+                                        ReadGoal::Get { .. } => refs,
+                                        _ => usable_slots(refs),
+                                    };
+                                    let res = Resolving {
+                                        goal,
+                                        shard,
+                                        wsn,
+                                        refs,
+                                        checked: 0,
+                                        remembered: wsn != read_wsn,
+                                    };
+                                    self.resolve_refs(res, sub, outs, bulk_sends);
                                 }
-                                StoreVal::Routing(_) => {
-                                    // Only the routing register holds this
-                                    // variant; on a data shard it is
-                                    // stabilizing garbage that won a
-                                    // quorum — re-read until real metadata
-                                    // does (same fallback as a Ref under
-                                    // full replication).
+                                Resolved::Garbage => {
+                                    // A reference under full replication,
+                                    // a routing epoch on a data shard, a
+                                    // bare reference or a non-empty inline
+                                    // map on a bulk plane: stabilizing
+                                    // garbage won a quorum — re-read until
+                                    // real metadata does.
                                     sub.note_metadata_reread();
                                     self.start_read(goal, shard, sub);
                                 }
@@ -2179,22 +2527,25 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         }
                     }
                 }
-                Phase::Fetching {
-                    goal,
-                    shard,
-                    wsn,
-                    bref,
-                    tag,
-                    bad,
-                    dead,
-                    rounds,
-                    timer,
-                    frags,
-                    resolved,
-                } => {
-                    if let Some(map) = resolved {
-                        sub.cancel_timer(timer);
-                        self.finish_resolve(goal, shard, wsn, Arc::new(map), sub, outs, bulk_sends);
+                Phase::Fetching { mut res, fetch } => {
+                    if let Some(val) = fetch.resolved {
+                        sub.cancel_timer(fetch.timer);
+                        match &mut res.goal {
+                            ReadGoal::Get { ops } => {
+                                // Every gathered get whose key names this
+                                // very value is answered by it.
+                                let refs = &res.refs;
+                                ops.retain(|(op, key)| {
+                                    let hit = refs.get(key) == Some(&fetch.vref);
+                                    if hit {
+                                        complete_get(sub, outs, *op, Some(val.clone()));
+                                    }
+                                    !hit
+                                });
+                            }
+                            _ => res.checked += 1,
+                        }
+                        self.resolve_refs(res, sub, outs, bulk_sends);
                         continue;
                     }
                     // Dead round: so many distinct window replicas
@@ -2202,62 +2553,67 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     // outstanding cannot reach the resolve threshold
                     // (one digest-passing blob, or k verified fragments
                     // — see `resolve_threshold` for why held fragments
-                    // do not relax this). The reference may be stale
-                    // (overwritten metadata) or fabricated — fall back
-                    // to the metadata register.
+                    // do not relax this). A get's reference may be stale
+                    // (overwritten metadata) or fabricated — fall back to
+                    // the metadata register. An adoption drops the key
+                    // (see `Resolving`).
+                    //
+                    // A get whose map came from the inversion-prevention
+                    // memory rather than the quorum also forgets that
+                    // memory first. A map this deployment's writer
+                    // published resolves (its values were pushed first,
+                    // and the memory pins it only while the writer has
+                    // not moved on), so a dead one is corrupted local
+                    // state — and kept, it would be returned to every
+                    // re-read, the get would never end, and a writer
+                    // stuck in it would never run its own recovery. The
+                    // recovery reads start from a clean policy for the
+                    // same reason.
                     let needed = self.resolve_threshold();
-                    if dead || bad.len() >= self.replica_count().saturating_sub(needed - 1) {
+                    let bad_bound = self.replica_count().saturating_sub(needed - 1);
+                    if fetch.dead || fetch.bad.len() >= bad_bound {
                         sub.note_dead_fetch_round();
-                        sub.note_metadata_reread();
-                        sub.cancel_timer(timer);
-                        self.start_read(goal, shard, sub);
+                        sub.cancel_timer(fetch.timer);
+                        if matches!(res.goal, ReadGoal::Get { .. }) {
+                            if res.remembered {
+                                self.policies[res.shard as usize] = AtomicPolicy::new();
+                            }
+                            sub.note_metadata_reread();
+                            self.start_read(res.goal, res.shard, sub);
+                        } else {
+                            sub.trace(TraceEvent::Phase {
+                                shard: res.shard,
+                                phase: "AdoptDropsKey",
+                            });
+                            let key = res.refs.entries()[res.checked].0.clone();
+                            Arc::make_mut(&mut res.refs).remove(&key);
+                            self.resolve_refs(res, sub, outs, bulk_sends);
+                        }
                         continue;
                     }
-                    self.phase = Phase::Fetching {
-                        goal,
-                        shard,
-                        wsn,
-                        bref,
-                        tag,
-                        bad,
-                        dead,
-                        rounds,
-                        timer,
-                        frags,
-                        resolved,
-                    };
+                    self.phase = Phase::Fetching { res, fetch };
                     return;
                 }
                 Phase::PushingBulk {
                     ops,
                     shard,
-                    digest,
-                    pushes,
+                    dispersals,
                     payload,
-                    acks,
                     timer,
                 } => {
-                    if acks.len() >= self.push_needed() {
-                        // t+1 verified stores ⇒ ≥1 correct replica holds
-                        // the bytes (k+t ⇒ ≥k hold verified fragments):
-                        // the reference may become visible.
-                        sub.trace(TraceEvent::Phase {
-                            shard,
-                            phase: "MetadataWrite",
-                        });
+                    let need = self.push_needed();
+                    if dispersals.iter().all(|d| d.acks.len() >= need) {
+                        // t+1 verified stores of every value ⇒ ≥1 correct
+                        // replica holds each (k+t ⇒ ≥k hold verified
+                        // fragments): the references may become visible.
                         sub.cancel_timer(timer);
-                        self.write_engine =
-                            WriteEngine::new(RegId(shard), self.cfg, self.clients.clone());
-                        self.write_engine.start(payload, &mut self.link, sub);
-                        self.phase = Phase::Writing { ops };
+                        self.start_write(shard, ops, payload, sub);
                     } else {
                         self.phase = Phase::PushingBulk {
                             ops,
                             shard,
-                            digest,
-                            pushes,
+                            dispersals,
                             payload,
-                            acks,
                             timer,
                         };
                         return;
@@ -2305,11 +2661,11 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     }
 
     /// Validates one `BULK_GET` reply against the in-flight fetch;
-    /// digest-verified bytes resolve the fetch, anything else marks the
-    /// *sender* bad (the fallback-to-other-replicas path). Only replies
-    /// from the shard's window replicas are processed at all — the bad
-    /// tally is a set of senders, so no single Byzantine replica (or
-    /// tag-guessing outsider) can fabricate a dead round by spamming
+    /// digest-verified bytes that decode resolve the fetch, anything else
+    /// marks the *sender* bad (the fallback-to-other-replicas path). Only
+    /// replies from the shard's window replicas are processed at all —
+    /// the bad tally is a set of senders, so no single Byzantine replica
+    /// (or tag-guessing outsider) can fabricate a dead round by spamming
     /// replies.
     fn on_bulk_get_ack(
         &mut self,
@@ -2318,36 +2674,30 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         digest: BulkDigest,
         tag: u64,
         bytes: Option<SharedBytes>,
-        _ctx: &mut StoreCtx<'_, V>,
     ) {
         if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
             return;
         }
-        let Phase::Fetching {
-            shard: s,
-            bref,
-            tag: t,
-            bad,
-            resolved,
-            ..
-        } = &mut self.phase
-        else {
+        let Phase::Fetching { res, fetch } = &mut self.phase else {
             return;
         };
-        if tag != *t || shard != *s || digest != bref.digest || resolved.is_some() {
+        let bref = fetch.vref.bref;
+        if tag != fetch.tag
+            || shard != res.shard
+            || digest != bref.digest
+            || fetch.resolved.is_some()
+        {
             return; // stale round, wrong blob, or already resolved
         }
-        match bytes {
-            Some(b) if bref.verifies(&b) => match ShardMap::<V>::decode_all(&b) {
-                Some(map) => *resolved = Some(map),
-                // Digest-passing but undecodable would need a digest
-                // collision; treat it as a bad replica all the same.
-                None => {
-                    bad.insert(from);
-                }
-            },
-            _ => {
-                bad.insert(from);
+        // Digest-passing but undecodable would need a digest collision;
+        // treat it as a bad replica all the same.
+        match bytes
+            .filter(|b| bref.verifies(b))
+            .and_then(|b| V::decode_all(&b))
+        {
+            Some(val) => fetch.resolved = Some(val),
+            None => {
+                fetch.bad.insert(from);
             }
         }
     }
@@ -2375,20 +2725,12 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
             return;
         }
-        let Phase::Fetching {
-            shard: s,
-            bref,
-            tag: t,
-            bad,
-            dead,
-            frags,
-            resolved,
-            ..
-        } = &mut self.phase
-        else {
+        let Phase::Fetching { res, fetch } = &mut self.phase else {
             return;
         };
-        if tag != *t || shard != *s || root != bref.digest || resolved.is_some() {
+        let bref = fetch.vref.bref;
+        if tag != fetch.tag || shard != res.shard || root != bref.digest || fetch.resolved.is_some()
+        {
             return; // stale round, wrong dispersal, or already resolved
         }
         let verified = frag.filter(|(index, bytes, proof)| {
@@ -2397,28 +2739,67 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 && verify_fragment(bref.digest, m, *index as usize, bytes, proof)
         });
         let Some((index, bytes, _)) = verified else {
-            bad.insert(from);
+            fetch.bad.insert(from);
             return;
         };
-        if frags.contains_key(&index) {
+        if fetch.frags.contains_key(&index) {
             return; // redundant re-serve of a fragment we already hold
         }
-        frags.insert(index, bytes);
-        if frags.len() < k {
+        fetch.frags.insert(index, bytes);
+        if fetch.frags.len() < k {
             return;
         }
-        let pairs: Vec<(u32, SharedBytes)> = frags.iter().map(|(i, b)| (*i, b.clone())).collect();
-        match reconstruct(k, bref.len, &pairs).and_then(|b| ShardMap::<V>::decode_all(&b)) {
-            Some(map) => *resolved = Some(map),
+        let pairs: Vec<(u32, SharedBytes)> =
+            fetch.frags.iter().map(|(i, b)| (*i, b.clone())).collect();
+        match reconstruct(k, bref.len, &pairs).and_then(|b| V::decode_all(&b)) {
+            Some(val) => fetch.resolved = Some(val),
             // k commitment-verified fragments that reconstruct into an
             // undecodable payload mean the *writer* committed to an
             // inconsistent or garbage dispersal (a corrupted client, or
             // a fabricated reference that somehow verified) — no further
-            // fragments can fix that, so give this reference up and let
-            // the pump fall back to the metadata register.
+            // fragments can fix that, so give this reference up.
             None => {
                 ctx.note_reconstruction_fallback();
-                *dead = true;
+                fetch.dead = true;
+            }
+        }
+    }
+
+    /// Counts one push acknowledgement for `digest` on `shard` from
+    /// `from` toward every in-flight dispersal of that value, if the
+    /// sender is `eligible` (see the two call sites for who is).
+    fn on_push_ack(
+        &mut self,
+        from: ProcessId,
+        shard: u32,
+        digest: BulkDigest,
+        eligible: bool,
+        ctx: &mut StoreCtx<'_, V>,
+    ) {
+        let Phase::PushingBulk {
+            shard: s,
+            dispersals,
+            ..
+        } = &mut self.phase
+        else {
+            return;
+        };
+        if *s != shard || !eligible {
+            return;
+        }
+        let mut have = None;
+        for d in dispersals.iter_mut().filter(|d| d.digest == digest) {
+            if d.acks.insert(from) {
+                have = Some(d.acks.len() as u32);
+            }
+        }
+        if let Some(have) = have {
+            if ctx.tracing() {
+                ctx.trace(TraceEvent::QuorumAck {
+                    shard,
+                    have,
+                    need: self.push_needed() as u32,
+                });
             }
         }
     }
@@ -2451,70 +2832,27 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                 }
             }
             StoreMsg::BulkPutAck { shard, digest } => {
-                let mut have = None;
-                if let Phase::PushingBulk {
-                    shard: s,
-                    digest: d,
-                    acks,
-                    ..
-                } = &mut self.phase
-                {
-                    // Only replicas we actually asked may count toward the
-                    // push quorum (a content-addressed stale ack from an
-                    // earlier identical map is fine: held is held).
-                    if *s == shard
-                        && *d == digest
-                        && Self::is_data_replica(self.plane, &self.servers, shard, from)
-                        && acks.insert(from)
-                    {
-                        have = Some(acks.len() as u32);
-                    }
-                }
-                if let Some(have) = have {
-                    if ctx.tracing() {
-                        ctx.trace(TraceEvent::QuorumAck {
-                            shard,
-                            have,
-                            need: self.push_needed() as u32,
-                        });
-                    }
-                }
+                // Only replicas we actually asked may count toward the
+                // push quorum (a content-addressed stale ack from an
+                // earlier identical value is fine: held is held).
+                let asked = Self::is_data_replica(self.plane, &self.servers, shard, from);
+                self.on_push_ack(from, shard, digest, asked, ctx);
             }
             StoreMsg::FragPutAck { shard, root, index } => {
-                let mut have = None;
-                if let Phase::PushingBulk {
-                    shard: s,
-                    digest: d,
-                    acks,
-                    ..
-                } = &mut self.phase
-                {
-                    // Only the replica we assigned this exact fragment
-                    // index may count it toward the push quorum — the
-                    // index is the replica's position in the shard's
-                    // window, so a Byzantine replica acknowledging a
-                    // fragment it was never given is rejected here.
-                    let expected = Self::window_replica_at(self.plane, &self.servers, shard, index);
-                    if *s == shard && *d == root && expected == Some(from) && acks.insert(from) {
-                        have = Some(acks.len() as u32);
-                    }
-                }
-                if let Some(have) = have {
-                    if ctx.tracing() {
-                        ctx.trace(TraceEvent::QuorumAck {
-                            shard,
-                            have,
-                            need: self.push_needed() as u32,
-                        });
-                    }
-                }
+                // Only the replica we assigned this exact fragment
+                // index may count it toward the push quorum — the
+                // index is the replica's position in the shard's
+                // window, so a Byzantine replica acknowledging a
+                // fragment it was never given is rejected here.
+                let expected = Self::window_replica_at(self.plane, &self.servers, shard, index);
+                self.on_push_ack(from, shard, root, expected == Some(from), ctx);
             }
             StoreMsg::BulkGetAck {
                 shard,
                 digest,
                 tag,
                 bytes,
-            } => self.on_bulk_get_ack(from, shard, digest, tag, bytes, ctx),
+            } => self.on_bulk_get_ack(from, shard, digest, tag, bytes),
             StoreMsg::FragGetAck {
                 shard,
                 root,
@@ -2543,36 +2881,34 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
             return;
         }
         let round_timer = self.round_timer();
-        if let Phase::Fetching {
-            shard,
-            bref,
-            tag,
-            bad,
-            dead,
-            rounds,
-            timer,
-            resolved,
-            ..
-        } = &mut self.phase
-        {
-            if *timer == id && resolved.is_none() {
-                if *rounds + 1 >= FETCH_ROUNDS_PER_READ {
+        if let Phase::Fetching { res, fetch } = &mut self.phase {
+            if fetch.timer == id && fetch.resolved.is_none() {
+                if fetch.rounds + 1 >= FETCH_ROUNDS_PER_READ {
                     // Give up on this reference: force the dead-round
-                    // path so the pump re-reads the metadata register.
-                    *dead = true;
+                    // path.
+                    fetch.dead = true;
                 } else {
                     // Retransmission round: fresh tag, reset tally.
-                    *rounds += 1;
-                    bad.clear();
-                    *tag = self.next_bulk_tag;
+                    fetch.rounds += 1;
+                    fetch.bad.clear();
+                    fetch.tag = self.next_bulk_tag;
                     self.next_bulk_tag += 1;
-                    let (shard, digest, tag, round) = (*shard, bref.digest, *tag, *rounds);
+                    let (shard, round) = (res.shard, fetch.rounds);
+                    let (slot, digest, tag) = (fetch.vref.slot, fetch.vref.bref.digest, fetch.tag);
                     ctx.note_retransmit();
                     ctx.trace(TraceEvent::Retransmit { shard, round });
                     for r in Self::replicas_for(self.plane, &self.servers, shard) {
-                        ctx.send(r, StoreMsg::BulkGet { shard, digest, tag });
+                        ctx.send(
+                            r,
+                            StoreMsg::BulkGet {
+                                shard,
+                                slot,
+                                digest,
+                                tag,
+                            },
+                        );
                     }
-                    *timer = ctx.set_timer(round_timer);
+                    fetch.timer = ctx.set_timer(round_timer);
                 }
                 self.step(ctx);
                 return;
@@ -2580,8 +2916,7 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
         }
         if let Phase::PushingBulk {
             shard,
-            pushes,
-            acks,
+            dispersals,
             timer,
             ..
         } = &mut self.phase
@@ -2590,19 +2925,23 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                 // Ack-wait round expired short of the push quorum:
                 // re-push to the replicas still missing — each gets its
                 // own prepared message again (the same whole copy, or
-                // its assigned fragment). In synchronous mode this is
-                // the Fig. 5 "wait … or time-out" rule applied to the
-                // data plane; in asynchronous mode it is the usual
-                // retransmission that keeps the push live across
-                // transient loss of in-flight state.
+                // its assigned fragment), value by value. In synchronous
+                // mode this is the Fig. 5 "wait … or time-out" rule
+                // applied to the data plane; in asynchronous mode it is
+                // the usual retransmission that keeps the push live
+                // across transient loss of in-flight state.
                 let shard = *shard;
-                let resend: Vec<(ProcessId, StoreWire<V>)> =
-                    Self::replicas_for(self.plane, &self.servers, shard)
-                        .into_iter()
-                        .zip(pushes.iter())
-                        .filter(|(r, _)| !acks.contains(r))
-                        .map(|(r, m)| (r, m.clone()))
-                        .collect();
+                let window = Self::replicas_for(self.plane, &self.servers, shard);
+                let resend: Vec<(ProcessId, StoreWire<V>)> = dispersals
+                    .iter()
+                    .flat_map(|d| {
+                        window
+                            .iter()
+                            .zip(&d.pushes)
+                            .filter(|(r, _)| !d.acks.contains(r))
+                            .map(|(&r, m)| (r, m.clone()))
+                    })
+                    .collect();
                 if !resend.is_empty() {
                     ctx.note_retransmit();
                     ctx.trace(TraceEvent::Phase {
@@ -2636,6 +2975,7 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
         for o in self.owned.values_mut() {
             WriteStamper::<StoreVal<V>, StorePayload<V>>::corrupt(&mut o.stamper, rng);
             o.map.scramble(rng);
+            o.refs.scramble(rng);
         }
         for p in &mut self.policies {
             ReadPolicy::<StorePayload<V>>::corrupt(p, rng);
@@ -2704,7 +3044,7 @@ mod tests {
         let (mut node, mut rng, mut nt) = healing_server(1);
         let summary = |entries: u64| StoreMsg::DigestSummary {
             entries: (0..entries)
-                .map(|i| (1, digest_of(&i.to_le_bytes())))
+                .map(|i| (1, 0, digest_of(&i.to_le_bytes())))
                 .collect(),
         };
         let oversize = summary(ANTI_ENTROPY_BATCH as u64 + 1);
@@ -2751,7 +3091,8 @@ mod tests {
         let (mut node, mut rng, mut nt) = healing_server(2);
         for i in 0..20_000u32 {
             let bytes: SharedBytes = i.to_le_bytes().to_vec().into();
-            assert!(node.bulk.put(i % 3, digest_of(&bytes), bytes).held());
+            let holder = Holder::new(i % 3, i % 5);
+            assert!(node.bulk.put(holder, digest_of(&bytes), bytes).held());
         }
         for i in 0..40u8 {
             let frags = encode_fragments(&[i; 24], 2, 3);
@@ -2762,7 +3103,7 @@ mod tests {
                 bytes: frags[0].clone(),
                 proof: tree.proof(0),
             };
-            assert!(node.frags.put(2, tree.root(), own).held());
+            assert!(node.frags.put(Holder::new(2, 1), tree.root(), own).held());
         }
         let mut reference = node.bulk.holdings();
         reference.extend(node.frags.holdings());
@@ -2778,7 +3119,7 @@ mod tests {
                 panic!("round {round}: expected one summary, got {:?}", eff.sends());
             };
             assert_eq!(*to, others[round % others.len()], "round {round}");
-            let expected: Vec<(u32, BulkDigest)> = (0..ANTI_ENTROPY_BATCH)
+            let expected: Vec<Holding> = (0..ANTI_ENTROPY_BATCH)
                 .map(|i| reference[(cursor + i) % len])
                 .collect();
             assert_eq!(*entries, expected, "round {round}");
@@ -2865,7 +3206,7 @@ mod tests {
             Ev::Msg(
                 0,
                 StoreMsg::DigestSummary {
-                    entries: vec![(0, bad_root)],
+                    entries: vec![(0, 4, bad_root)],
                 },
             ),
         );
@@ -2885,6 +3226,7 @@ mod tests {
                     from,
                     StoreMsg::RepairReply {
                         shard: 0,
+                        slot: 4,
                         digest: bad_root,
                         bytes: None,
                         frag: Some((i, poisoned[i as usize].clone(), bad_tree.proof(i as usize))),
@@ -2906,7 +3248,7 @@ mod tests {
             Ev::Msg(
                 0,
                 StoreMsg::DigestSummary {
-                    entries: vec![(0, root)],
+                    entries: vec![(0, 4, root)],
                 },
             ),
         );
@@ -2919,6 +3261,7 @@ mod tests {
                     from,
                     StoreMsg::RepairReply {
                         shard: 0,
+                        slot: 4,
                         digest: root,
                         bytes: None,
                         frag: Some((i, frags[i as usize].clone(), tree.proof(i as usize))),
@@ -2999,6 +3342,7 @@ mod tests {
             &mut nt,
             StoreMsg::BulkPut {
                 shard: 1,
+                slot: 0,
                 digest,
                 bytes: b"forged".to_vec().into(),
             },
@@ -3013,6 +3357,7 @@ mod tests {
             &mut nt,
             StoreMsg::BulkPut {
                 shard: 1,
+                slot: 0,
                 digest,
                 bytes: bytes.clone(),
             },
@@ -3030,6 +3375,7 @@ mod tests {
             &mut nt,
             StoreMsg::BulkGet {
                 shard: 1,
+                slot: 0,
                 digest,
                 tag: 7,
             },
@@ -3085,6 +3431,7 @@ mod tests {
         let root = merkle_root(&leaves);
         let frag_put = |index: usize| StoreMsg::FragPut {
             shard: 1,
+            slot: 0,
             root,
             index: index as u32,
             total: 3,
@@ -3108,6 +3455,7 @@ mod tests {
             &mut nt,
             StoreMsg::FragPut {
                 shard: 1,
+                slot: 0,
                 root: d,
                 index: 0,
                 total: 1,
@@ -3133,6 +3481,7 @@ mod tests {
                 &mut nt,
                 StoreMsg::BulkPut {
                     shard: bad_shard,
+                    slot: 0,
                     digest: d,
                     bytes: blob.clone(),
                 },
@@ -3150,6 +3499,7 @@ mod tests {
             &mut nt,
             StoreMsg::BulkPut {
                 shard: 1,
+                slot: 0,
                 digest: d,
                 bytes: blob.clone(),
             },
@@ -3170,6 +3520,7 @@ mod tests {
             &mut nt,
             StoreMsg::BulkPut {
                 shard: 1,
+                slot: 0,
                 digest: d,
                 bytes: blob.clone(),
             },
@@ -3183,6 +3534,7 @@ mod tests {
             &mut nt,
             StoreMsg::BulkGet {
                 shard: 1,
+                slot: 0,
                 digest: d,
                 tag: 3,
             },
@@ -3200,6 +3552,85 @@ mod tests {
             ),
             "the blob answers, never a shadowing fragment"
         );
+    }
+
+    /// Holder slots are wire data too: a push or a repair pull naming a
+    /// key slot outside the deployment's slot space is refused — counted
+    /// as a guard refusal, never stored, never acknowledged — so a forger
+    /// cannot make a replica keep retention state for invented slots.
+    #[test]
+    fn bulk_guard_refuses_slots_outside_the_slot_space() {
+        use sbs_core::ServerNode;
+        type P = u64;
+        let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
+        let run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>, msg: StoreMsg<P>| {
+            let (mut rng, mut nt) = (DetRng::from_seed(7), 0u64);
+            let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
+            let mut ctx = Context::new(SimTime::ZERO, ProcessId(9), &mut rng, &mut nt, &mut eff);
+            node.on_message(ProcessId(2), msg, &mut ctx);
+            eff
+        };
+        // Slot 1 of 9, 4 shards, 3-replica windows: shard 1's window is
+        // slots {1, 2, 3}, position 0 here.
+        let bytes: SharedBytes = b"a value".to_vec().into();
+        let digest = digest_of(&bytes);
+        let put = |slot: u32| StoreMsg::BulkPut {
+            shard: 1,
+            slot,
+            digest,
+            bytes: bytes.clone(),
+        };
+        let mut blobs: StoreServerNode<P, ServerNode<P, ()>> =
+            StoreServerNode::new(ServerNode::new(0))
+                .bulk_guard(1, 9, 4, 3, false)
+                .self_healing(servers.clone(), 1, SimDuration::millis(2));
+        for slot in [KEY_SLOTS, u32::MAX] {
+            let eff = run(&mut blobs, put(slot));
+            assert!(eff.sends().is_empty(), "slot {slot} must not be acked");
+            assert_eq!(eff.slow_paths().guard_refusals, 1);
+            let eff = run(
+                &mut blobs,
+                StoreMsg::RepairRequest {
+                    shard: 1,
+                    slot,
+                    digest,
+                },
+            );
+            assert!(
+                eff.sends().is_empty(),
+                "repair pull for slot {slot} refused"
+            );
+            assert_eq!(eff.slow_paths().guard_refusals, 1);
+        }
+        assert_eq!(blobs.bulk().blob_count(), 0);
+        // The last slot of the space is a slot like any other.
+        let eff = run(&mut blobs, put(KEY_SLOTS - 1));
+        assert!(matches!(eff.sends(), [(_, StoreMsg::BulkPutAck { .. })]));
+        assert_eq!(
+            blobs.bulk().holders(&digest),
+            BTreeSet::from([Holder::new(1, KEY_SLOTS - 1)])
+        );
+
+        // The coded plane's fragment pushes are held to the same space.
+        let frags = encode_fragments(&[5u8; 64], 2, 3);
+        let tree = MerkleTree::build(&fragment_leaves(&frags));
+        let mut coded: StoreServerNode<P, ServerNode<P, ()>> =
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, true);
+        let frag_put = |slot: u32| StoreMsg::FragPut {
+            shard: 1,
+            slot,
+            root: tree.root(),
+            index: 0,
+            total: 3,
+            bytes: frags[0].clone(),
+            proof: tree.proof(0),
+        };
+        let eff = run(&mut coded, frag_put(KEY_SLOTS));
+        assert!(eff.sends().is_empty());
+        assert_eq!(eff.slow_paths().guard_refusals, 1);
+        assert_eq!(coded.frag_store().fragment_count(), 0);
+        let eff = run(&mut coded, frag_put(0));
+        assert!(matches!(eff.sends(), [(_, StoreMsg::FragPutAck { .. })]));
     }
 
     /// Regression (REVIEW of ISSUE 5, write liveness): shard windows
@@ -3235,6 +3666,7 @@ mod tests {
         let root = merkle_root(&leaves);
         let frag_put = |shard: u32, index: usize| StoreMsg::FragPut {
             shard,
+            slot: 0,
             root,
             index: index as u32,
             total: 3,
@@ -3283,6 +3715,7 @@ mod tests {
                 &mut nt,
                 StoreMsg::BulkGet {
                     shard,
+                    slot: 0,
                     digest: root,
                     tag: 5,
                 },
@@ -3315,6 +3748,7 @@ mod tests {
             ProcessId(0),
             StoreMsg::BulkPut {
                 shard: 0,
+                slot: 0,
                 digest,
                 bytes: bytes.clone(),
             },
@@ -3324,6 +3758,7 @@ mod tests {
             ProcessId(0),
             StoreMsg::BulkGet {
                 shard: 0,
+                slot: 0,
                 digest,
                 tag: 1,
             },

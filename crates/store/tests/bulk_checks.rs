@@ -539,11 +539,10 @@ fn fetch_bad_tally_counts_replicas_not_replies() {
     sys.check_per_key_atomicity().expect("atomicity");
 }
 
-/// Retain-last-K digest GC (the ROADMAP follow-up): with
-/// `bulk_retain(2)`, overwrite churn stops accumulating orphaned
-/// snapshots — `bytes_stored` plateaus at K blobs per held shard — while
-/// readers racing the overwrites keep succeeding (K = 2 keeps the
-/// previous snapshot resolvable; anything older falls back to a
+/// Retain-last-K GC: with `bulk_retain(2)`, overwrite churn stops
+/// accumulating orphaned values — `bytes_stored` plateaus at K values per
+/// key — while readers racing the overwrites keep succeeding (K = 2 keeps
+/// a key's previous value resolvable; anything older falls back to a
 /// metadata re-read, which names a live digest again).
 #[test]
 fn retain_last_k_gc_plateaus_under_overwrite_churn() {
@@ -572,19 +571,18 @@ fn retain_last_k_gc_plateaus_under_overwrite_churn() {
     };
     churn(&mut sys, 15);
 
-    // Plateau shape: no replica holds more than K blobs per shard it
-    // serves (each of the 9 servers is in at most 2 of the two shards'
-    // 3-replica windows).
+    // Plateau shape: no replica holds more than K values per key (each
+    // of the 9 servers holds at most the 4 keys of the two shards).
     for i in 0..9 {
         assert!(
-            sys.bulk_blob_count(i) <= 2 * 2,
+            sys.bulk_blob_count(i) <= 2 * keys.len(),
             "server {i} exceeded the K=2 retention: {} blobs",
             sys.bulk_blob_count(i)
         );
     }
 
-    // Exact plateau: once every key exists, the encoded map size is
-    // constant, so further churn must not grow stored bytes at all.
+    // Exact plateau: every value encodes to the same size, so once every
+    // key holds K values further churn must not grow stored bytes at all.
     let before: Vec<u64> = (0..9).map(|i| sys.bulk_bytes_stored(i)).collect();
     churn(&mut sys, 10);
     let after: Vec<u64> = (0..9).map(|i| sys.bulk_bytes_stored(i)).collect();
@@ -593,4 +591,165 @@ fn retain_last_k_gc_plateaus_under_overwrite_churn() {
     // Semantics survive the GC: reads raced the overwrites all along.
     sys.check_per_key_atomicity()
         .expect("per-key atomicity under retention GC");
+}
+
+/// Per-key byte economics of one plane, `keys` keys on a single shard:
+/// bulk-plane bytes per put over 48 measured puts (after a 16-put warm-up
+/// that writes every key, so both shapes store 64 values), the largest
+/// per-replica stored footprint, and bulk-plane bytes per get over 16
+/// gets — all with 1 KiB values.
+fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, u64, f64) {
+    let mut sys: StoreSystem<SizedVal> = builder.build();
+    let mut next_id = 0u64;
+    let mut put = |sys: &mut StoreSystem<SizedVal>, i: usize| {
+        next_id += 1;
+        sys.put(&format!("key{}", i % keys), SizedVal::new(next_id, 1024));
+        assert!(sys.settle());
+    };
+    for i in 0..16 {
+        put(&mut sys, i);
+    }
+    let before = sys.sim.metrics().bulk_bytes_sent;
+    for i in 0..48 {
+        put(&mut sys, i);
+    }
+    let per_put = (sys.sim.metrics().bulk_bytes_sent - before) as f64 / 48.0;
+    let stored = (0..sys.servers.len())
+        .map(|i| sys.bulk_bytes_stored(i))
+        .max()
+        .unwrap();
+    let before = sys.sim.metrics().bulk_bytes_sent;
+    for i in 0..16 {
+        sys.get(1, &format!("key{}", i % keys));
+        assert!(sys.settle());
+    }
+    let per_get = (sys.sim.metrics().bulk_bytes_sent - before) as f64 / 16.0;
+    sys.check_per_key_atomicity().expect("atomicity");
+    (per_put, stored, per_get)
+}
+
+/// A put costs its value, not its shard — on both bulk planes. The same
+/// 1 KiB workload on a shard of 1 key and on a shard of 16 keys must cost
+/// the same bulk bytes per put and the same stored bytes per replica
+/// (within 10 %), and a get must fetch one value's bytes, whatever the
+/// shard holds. Dispersing the whole shard snapshot on every put — the
+/// design this replaced — fails every one of these by ≈ 14–16×.
+#[test]
+fn a_put_costs_its_value_not_its_shard() {
+    let base = StoreBuilder::asynchronous(1).seed(5).extra_readers(1);
+    for (plane, builder) in [("bulk", base.clone().bulk()), ("coded", base.bulk_coded(2))] {
+        let (put_1, stored_1, get_1) = value_costs(&builder, 1);
+        let (put_16, stored_16, get_16) = value_costs(&builder, 16);
+        let within = |a: f64, b: f64| (a / b - 1.0).abs() <= 0.10;
+        assert!(
+            within(put_16, put_1),
+            "{plane}: bulk bytes per put grew with the shard: {put_1:.0} at 1 key, \
+             {put_16:.0} at 16 keys"
+        );
+        assert!(
+            within(stored_16 as f64, stored_1 as f64),
+            "{plane}: stored bytes per replica grew with the shard: {stored_1} at 1 key, \
+             {stored_16} at 16 keys"
+        );
+        assert!(
+            within(get_16, get_1),
+            "{plane}: bulk bytes per get grew with the shard: {get_1:.0} at 1 key, \
+             {get_16:.0} at 16 keys"
+        );
+        // One value per get: every one of the 3 window replicas answers
+        // with at most one encoded 1 KiB value (12 bytes of id and
+        // length) plus its frame and proof.
+        assert!(
+            get_16 <= 3.0 * (1036.0 + 128.0),
+            "{plane}: a get fetched more than one value's bytes: {get_16:.0}"
+        );
+    }
+}
+
+/// Retention follows the value: with `bulk_retain(2)` a hot key written
+/// 50 times evicts only its own old values — never the single value a
+/// cold key of the same shard still references — and a wiped replica gets
+/// the cold value back from anti-entropy under the cold key's own slot.
+#[test]
+fn retention_is_per_key_and_repairs_keep_the_slot() {
+    use sbs_bulk::{digest_of, encode_fragments, fragment_leaves, BulkCodec, MerkleTree};
+    use sbs_store::CorrectServer;
+    // Anti-entropy never quiesces (its gossip timer re-arms), so the
+    // drill steps in slices of virtual time instead of settling.
+    const STEP: SimDuration = SimDuration::millis(30);
+    let base = StoreBuilder::asynchronous(1)
+        .seed(13)
+        .extra_readers(1)
+        .bulk_retain(2)
+        .anti_entropy(SimDuration::millis(2));
+    for coded in [false, true] {
+        let builder = if coded {
+            base.clone().bulk_coded(2)
+        } else {
+            base.clone().bulk()
+        };
+        let mut sys: StoreSystem<SizedVal> = builder.build();
+        // The hot key is written first, so the cold key's slot is not the
+        // shard's first one.
+        let cold = SizedVal::new(0, 1024);
+        for id in 1..51 {
+            sys.put("hot", SizedVal::new(id, 1024));
+            sys.run_for(STEP);
+            if id == 1 {
+                sys.put("cold", cold);
+                sys.run_for(STEP);
+            }
+        }
+        sys.get(1, "cold");
+        sys.run_for(STEP);
+        let read = sys.history_for_key("cold");
+        assert_eq!(
+            read.reads().last().expect("the get").kind.value(),
+            &Some(cold),
+            "coded={coded}: the cold key must stay readable"
+        );
+
+        // The address the cold value is stored under, and who holds it.
+        let bytes = cold.encode_to_vec();
+        let address = if coded {
+            MerkleTree::build(&fragment_leaves(&encode_fragments(&bytes, 2, 3))).root()
+        } else {
+            digest_of(&bytes)
+        };
+        let holders = |sys: &mut StoreSystem<SizedVal>, i: usize| {
+            let pid = sys.servers[i];
+            sys.sim.node_ref::<CorrectServer<SizedVal>, _>(pid, |n| {
+                let mut h = n.bulk().holders(&address);
+                h.extend(n.frag_store().holders(&address));
+                h
+            })
+        };
+        let window: Vec<usize> = data_replica_slots(0, 9, 3);
+        let slots = holders(&mut sys, window[0]);
+        assert_eq!(
+            slots.len(),
+            1,
+            "coded={coded}: one holder, the cold key's slot"
+        );
+        for &i in &window {
+            assert_eq!(holders(&mut sys, i), slots, "coded={coded}: replica {i}");
+            // Per key, not per shard: the cold value and the hot key's
+            // last two values.
+            assert_eq!(sys.bulk_blob_count(i), 3, "coded={coded}: replica {i}");
+        }
+
+        let victim = window[1];
+        sys.wipe_server_data(victim);
+        assert!(holders(&mut sys, victim).is_empty());
+        sys.run_for(SimDuration::millis(200));
+        assert_eq!(
+            holders(&mut sys, victim),
+            slots,
+            "coded={coded}: the repair must restore the cold value under its own slot"
+        );
+        assert!(sys.sim.metrics().slow_paths.repair_rounds > 0);
+        sys.get(1, "cold");
+        sys.run_for(STEP);
+        sys.check_per_key_atomicity().expect("atomicity");
+    }
 }

@@ -96,7 +96,10 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     assert_eq!(m.messages_delivered, 11048);
     assert_eq!(m.messages_dropped, 0);
     assert_eq!(m.metadata_bytes_sent, 448916);
-    assert_eq!(m.bulk_bytes_sent, 6476);
+    // Re-pinned (6476 → 6676): the link garbage's forged BULK_PUT and
+    // FRAG_PUT frames carry the 4-byte key slot every push now names. The
+    // generator draws the same numbers, so nothing else moves.
+    assert_eq!(m.bulk_bytes_sent, 6676);
     assert_eq!(m.events_processed, 11823);
     assert_eq!(m.timers_fired, 0);
     assert_eq!(m.corruptions, 1);
@@ -109,7 +112,8 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     assert_eq!(m.messages_delivered, 6102);
     assert_eq!(m.messages_dropped, 0);
     assert_eq!(m.metadata_bytes_sent, 250935);
-    assert_eq!(m.bulk_bytes_sent, 2797);
+    // Re-pinned (2797 → 2873) for the same 4-byte slot on forged pushes.
+    assert_eq!(m.bulk_bytes_sent, 2873);
     assert_eq!(m.events_processed, 6948);
     assert_eq!(m.timers_fired, 0);
     assert_eq!(m.corruptions, 1);
