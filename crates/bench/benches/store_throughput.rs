@@ -229,7 +229,7 @@ fn main() {
     // Live resharding: the same closed-loop YCSB-A run with a dual-commit
     // handoff (merge writer 3 into writer 1) landing mid-workload — what
     // a migration costs while it is in flight, and how fast the store
-    // stabilizes after the epoch flip.
+    // stabilizes after the handoff begins.
     // ------------------------------------------------------------------
     println!("\nreshard: closed-loop YCSB-A, async n=9, 8 shards / 4 writers, merge writer 3 -> 1 mid-run");
     println!(

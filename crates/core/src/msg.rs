@@ -80,6 +80,19 @@ pub enum RegMsg<P> {
 }
 
 impl<P: Payload> RegMsg<P> {
+    /// The logical register this message addresses; `None` for the
+    /// session-layer `SsAck`, which belongs to no register.
+    pub fn reg(&self) -> Option<RegId> {
+        match self {
+            RegMsg::Write { reg, .. }
+            | RegMsg::NewHelpVal { reg, .. }
+            | RegMsg::Read { reg, .. }
+            | RegMsg::AckWrite { reg, .. }
+            | RegMsg::AckRead { reg, .. } => Some(*reg),
+            RegMsg::SsAck { .. } => None,
+        }
+    }
+
     /// Estimated serialized size: a fixed per-message header (kind tag,
     /// register id, session tag) plus the carried payloads' wire sizes.
     pub fn wire_size(&self) -> u64 {

@@ -38,7 +38,7 @@
 use sbs_bulk::{get_u32, get_u64, put_u32, put_u64, BulkCodec, BulkDigest, BulkRef, SharedBytes};
 use sbs_core::{Payload, RegId, RegMsg, SeqVal};
 use sbs_stamps::RingSeq;
-use sbs_store::{RefMap, RoutingEpoch, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
+use sbs_store::{RefMap, ShardMap, StoreMsg, StorePayload, StoreVal, StoreWire};
 use std::io::{self, Read, Write};
 use std::sync::Arc;
 
@@ -524,20 +524,6 @@ impl WireCodec {
                 let len = take_u64(buf)?;
                 StoreVal::Ref(BulkRef { digest, len })
             }
-            2 => {
-                let epoch = take_u64(buf)?;
-                let count = take_u32(buf)? as usize;
-                // The count is validated against the bytes actually
-                // present before any allocation (4 bytes per owner).
-                if buf.len() < count * 4 {
-                    return Err(DecodeError::Malformed("routing owner count"));
-                }
-                let mut owners = Vec::with_capacity(count);
-                for _ in 0..count {
-                    owners.push(take_u32(buf)?);
-                }
-                StoreVal::Routing(RoutingEpoch { epoch, owners })
-            }
             3 => {
                 let refs =
                     RefMap::decode_from(buf).ok_or(DecodeError::Malformed("reference map"))?;
@@ -789,17 +775,6 @@ fn put_payload<V: Payload + BulkCodec>(out: &mut Vec<u8>, p: &StorePayload<V>) {
             out.push(3);
             refs.encode_into(out);
         }
-        StoreVal::Routing(e) => {
-            // tag(1) + epoch(8) + count(4) + 4 bytes per owner — exactly
-            // `RoutingEpoch::encoded_len`, so `wire_bytes` accounting
-            // holds for epoch-commit frames too.
-            out.push(2);
-            put_u64(out, e.epoch);
-            put_u32(out, e.owners.len() as u32);
-            for &w in &e.owners {
-                put_u32(out, w);
-            }
-        }
     }
 }
 
@@ -985,33 +960,6 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn routing_epoch_round_trips_and_matches_wire_bytes() {
-        let msg: StoreWire<u64> = StoreMsg::Batch(vec![RegMsg::Write {
-            reg: RegId(8),
-            tag: 41,
-            val: SeqVal::new(
-                RingSeq::new(6, sbs_stamps::PAPER_MODULUS),
-                StoreVal::Routing(RoutingEpoch {
-                    epoch: 2,
-                    owners: vec![1, 0, 3, 2, 1, 0, 3, 2],
-                }),
-            ),
-        }]);
-        let back = round_trip(&msg);
-        assert_eq!(codec().encode(&msg), codec().encode(&back));
-        let StoreMsg::Batch(batch) = back else {
-            panic!("kind preserved")
-        };
-        let RegMsg::Write { val, .. } = &batch[0] else {
-            panic!("write preserved")
-        };
-        assert!(matches!(
-            &val.val,
-            StoreVal::Routing(e) if e.epoch == 2 && e.owners == vec![1, 0, 3, 2, 1, 0, 3, 2]
-        ));
-    }
-
     fn refs_payload(wsn: u128, keys: &[&str]) -> StorePayload<u64> {
         let mut refs = RefMap::new();
         for (slot, key) in keys.iter().enumerate() {
@@ -1087,8 +1035,10 @@ mod tests {
     #[test]
     fn routing_owner_count_is_validated_before_allocation() {
         let c = codec();
-        // A hand-built write whose routing value announces far more
-        // owners than the frame carries.
+        // A hand-built write carrying the retired routing-epoch value
+        // (tag 2) and announcing far more owners than the frame carries:
+        // tag 2 is no store value any more, so the decoder refuses it at
+        // the tag, before reading any count.
         let mut frame = vec![0u8; 4];
         frame.push(WIRE_VERSION);
         frame.push(KIND_BATCH);
@@ -1097,7 +1047,7 @@ mod tests {
         put_u64(&mut frame, 1); // tag
         put_u24(&mut frame, 0); // aux
         put_u128(&mut frame, 3); // wsn
-        frame.push(2); // StoreVal::Routing
+        frame.push(2); // the retired routing-epoch tag
         put_u64(&mut frame, 1); // epoch
         put_u32(&mut frame, u32::MAX); // owner count >> frame length
         put_u32(&mut frame, 0); // a single actual owner
@@ -1105,7 +1055,7 @@ mod tests {
         frame[0..4].copy_from_slice(&len.to_le_bytes());
         assert!(matches!(
             c.decode_frame::<u64>(&frame),
-            Err(DecodeError::Malformed("routing owner count"))
+            Err(DecodeError::Malformed("store-val variant"))
         ));
     }
 

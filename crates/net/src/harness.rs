@@ -187,9 +187,8 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     }
 
     /// [`DeployCore::begin_reshard`] over TCP: retire and grant calls
-    /// are enqueued to the node threads, the epoch flip is committed as
-    /// a register write through the routing register, and the gated
-    /// acquire step is released as the control events come back. Keep
+    /// are enqueued to the node threads, and the acquire step is
+    /// released once every retire has come back. Keep
     /// draining (`await_completions` or a running workload) until
     /// [`DeployCore::reshard_active`] reports `false`.
     pub fn begin_reshard(&mut self, plan: &ReshardPlan) {

@@ -68,13 +68,6 @@ pub enum ClientCall<V> {
         /// The migrating shard.
         shard: u32,
     },
-    /// [`StoreClientNode::commit_epoch`] (the handoff's coordinator).
-    CommitEpoch {
-        /// The epoch being committed.
-        epoch: u64,
-        /// The per-shard owners at that epoch.
-        owners: Vec<u32>,
-    },
     /// [`StoreClientNode::acquire_shard`] (new owner, phase 2).
     AcquireShard {
         /// The migrating shard.
@@ -94,7 +87,6 @@ impl<V: Payload + BulkCodec> ClientCall<V> {
             ClientCall::Get { op, key } => node.invoke_get(op, key, ctx),
             ClientCall::RetireShard { shard } => node.retire_shard(shard, ctx),
             ClientCall::GrantShard { shard } => node.grant_shard(shard),
-            ClientCall::CommitEpoch { epoch, owners } => node.commit_epoch(epoch, owners, ctx),
             ClientCall::AcquireShard { shard } => node.acquire_shard(shard, ctx),
         }
     }
@@ -172,20 +164,18 @@ impl<V: Payload> OpLog<V> {
 
 /// One live shard handoff, tracked from [`DeployCore::begin_reshard`]
 /// until every migrating shard has been adopted by its new owner. The
-/// core is the *orchestrator* role of the dual-commit protocol: it
-/// observes the control events the clients emit and gates each step on
-/// the previous one, so the new owner's adoption read never races the
-/// old owner's final publish.
+/// core orchestrates the two-move dual-commit protocol: it observes the
+/// control events the clients emit and gates the acquire step on every
+/// retire, so the new owner's adoption read never races the old owner's
+/// final publish.
 #[derive(Debug)]
 struct ReshardInFlight {
     /// The migrating shards as `(shard, old_writer, new_writer)`.
     moves: Vec<(u32, u32, u32)>,
     /// Shards whose old owner has not yet emitted `ShardRetired`.
     awaiting_retire: BTreeSet<u32>,
-    /// Whether the coordinator's `EpochCommitted` has been observed.
-    committed: bool,
     /// Whether the acquire step has been issued to the new owners (it
-    /// is gated on all retires *and* the commit).
+    /// is gated on all retires).
     acquires_issued: bool,
     /// Shards whose new owner has emitted `ShardAcquired`.
     acquired: BTreeSet<u32>,
@@ -324,12 +314,6 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
                 }
                 return None;
             }
-            StoreOut::EpochCommitted { .. } => {
-                if let Some(r) = &mut self.reshard {
-                    r.committed = true;
-                }
-                return None;
-            }
             StoreOut::ShardAcquired { shard } => {
                 if let Some(r) = &mut self.reshard {
                     r.acquired.insert(shard);
@@ -351,12 +335,11 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
     }
 
     /// Progresses the in-flight handoff: once every retiring owner has
-    /// published its final map and the epoch flip is committed through
-    /// the quorum, the new owners are told to adopt their shards; once
-    /// every adoption has republished, the handoff is over.
+    /// published its final map, the new owners are told to adopt their
+    /// shards; once every adoption has republished, the handoff is over.
     pub fn advance_reshard<H: DeployHost<V>>(&mut self, host: &mut H) {
         let Some(r) = &mut self.reshard else { return };
-        if !r.acquires_issued && r.committed && r.awaiting_retire.is_empty() {
+        if !r.acquires_issued && r.awaiting_retire.is_empty() {
             r.acquires_issued = true;
             for &(shard, _, new) in &r.moves {
                 let c = self.clients[new as usize];
@@ -373,13 +356,13 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
     /// changes. New puts route by the next epoch immediately — the
     /// incoming owner stages them until it has adopted the shard — while
     /// each outgoing owner drains its queue, publishes one final time,
-    /// and retires. The epoch itself is committed as a register write
-    /// through the dedicated routing register by the first move's new
-    /// owner (or the first writer, for a plan that changes no
-    /// ownership). Keep recording outputs until
+    /// and retires. The table itself is harness configuration: no
+    /// register holds it. Keep recording outputs until
     /// [`DeployCore::reshard_active`] reports `false`.
     ///
-    /// The reshard is stamped as a fault on the host.
+    /// The reshard is stamped as a fault on the host, against the first
+    /// move's new owner (or the first writer, for a plan that changes no
+    /// ownership).
     ///
     /// # Panics
     ///
@@ -395,8 +378,8 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
             panic!("invalid reshard plan: {e}");
         });
         let moves = self.table.moves_to(&next);
-        let coordinator = self.clients[moves.first().map(|&(_, _, new)| new as usize).unwrap_or(0)];
-        host.stamp_fault(coordinator, "reshard");
+        let stamped = moves.first().map(|&(_, _, new)| new as usize).unwrap_or(0);
+        host.stamp_fault(self.clients[stamped], "reshard");
         for &(shard, old, new) in &moves {
             host.call_client(
                 self.clients[old as usize],
@@ -404,12 +387,9 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
             );
             host.call_client(self.clients[new as usize], ClientCall::GrantShard { shard });
         }
-        let (epoch, owners) = (next.epoch(), next.owners().to_vec());
-        host.call_client(coordinator, ClientCall::CommitEpoch { epoch, owners });
         self.reshard = Some(ReshardInFlight {
             awaiting_retire: moves.iter().map(|&(s, _, _)| s).collect(),
             moves,
-            committed: false,
             acquires_issued: false,
             acquired: BTreeSet::new(),
         });
@@ -422,18 +402,13 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
         self.reshard.is_some()
     }
 
-    /// How far the in-flight handoff has got, as `(committed, acquires
-    /// issued, retires awaited, shards acquired)` — two equal readings
-    /// across a quiescent backend mean the handoff is wedged.
-    pub(crate) fn reshard_progress(&self) -> Option<(bool, bool, usize, usize)> {
-        self.reshard.as_ref().map(|r| {
-            (
-                r.committed,
-                r.acquires_issued,
-                r.awaiting_retire.len(),
-                r.acquired.len(),
-            )
-        })
+    /// How far the in-flight handoff has got, as `(acquires issued,
+    /// retires awaited, shards acquired)` — two equal readings across a
+    /// quiescent backend mean the handoff is wedged.
+    pub(crate) fn reshard_progress(&self) -> Option<(bool, usize, usize)> {
+        self.reshard
+            .as_ref()
+            .map(|r| (r.acquires_issued, r.awaiting_retire.len(), r.acquired.len()))
     }
 
     /// Wipes server `i`'s blob **and** fragment stores *now* — the

@@ -132,7 +132,7 @@ pub use health::{FlightRecord, ReplicaHealth, ShardHealth, StoreHealth};
 pub use map::ShardMap;
 pub use msg::{Holding, StoreMsg, StoreOut};
 pub use node::{DataPlane, StoreClientNode, StorePayload, StoreServerNode, StoreWire};
-pub use router::{fnv1a64, KeyRouter, ReshardPlan, RoutingEpoch, RoutingTable};
+pub use router::{fnv1a64, KeyRouter, ReshardPlan, RoutingTable};
 pub use val::{RefMap, SizedVal, StoreVal, ValueRef, KEY_SLOTS};
 pub use workload::{
     Driver, FaultPlan, KeyDist, LoopMode, OpMix, PlannedOp, Workload, WorkloadReport,

@@ -267,16 +267,11 @@ pub enum StoreOut<V> {
     },
     /// A retiring owner drained its last queued `put` on this shard and
     /// dropped ownership — it now refuses further puts there. Ends the
-    /// old-owner half of the dual-commit window.
+    /// old-owner half of the dual-commit window and, once every moved
+    /// shard's retire is in, opens the acquire step.
     ShardRetired {
         /// The shard whose ownership was released.
         shard: u32,
-    },
-    /// The reshard coordinator's routing-register write committed through
-    /// the metadata quorum: the epoch flip is now observable by readers.
-    EpochCommitted {
-        /// The committed epoch counter.
-        epoch: u64,
     },
     /// The new owner adopted the shard — it read the old owner's last
     /// committed snapshot through the quorum, resynced its write stamper,
@@ -293,9 +288,7 @@ impl<V> StoreOut<V> {
     pub fn op(&self) -> Option<OpId> {
         match self {
             StoreOut::PutDone { op } | StoreOut::GetDone { op, .. } => Some(*op),
-            StoreOut::ShardRetired { .. }
-            | StoreOut::EpochCommitted { .. }
-            | StoreOut::ShardAcquired { .. } => None,
+            StoreOut::ShardRetired { .. } | StoreOut::ShardAcquired { .. } => None,
         }
     }
 }
@@ -328,7 +321,6 @@ mod tests {
             Some(OpId(8))
         );
         assert_eq!(StoreOut::<u64>::ShardRetired { shard: 3 }.op(), None);
-        assert_eq!(StoreOut::<u64>::EpochCommitted { epoch: 1 }.op(), None);
         assert_eq!(StoreOut::<u64>::ShardAcquired { shard: 3 }.op(), None);
     }
 

@@ -89,8 +89,8 @@
 //!
 //! # Live resharding (dual-commit shard handoff)
 //!
-//! A shard migrates between writers through a three-role protocol driven
-//! by the harness and committed through the registers themselves (see the
+//! A shard migrates between writers in two moves, both driven by the
+//! harness, which owns the routing table as configuration (see the
 //! `router` module docs for the epoch model):
 //!
 //! 1. **Old owner** — [`StoreClientNode::retire_shard`] marks the shard
@@ -100,15 +100,9 @@
 //!    drained the owner drops the shard and emits
 //!    [`StoreOut::ShardRetired`]. From then on a put routed here panics —
 //!    the "refuses further puts" half of the contract.
-//! 2. **Coordinator** — [`StoreClientNode::commit_epoch`] runs a
-//!    read-then-write of the dedicated routing register (`RegId(shards)`):
-//!    resync a fresh [`WsnStamp`] onto the quorum-agreed stamp (the
-//!    rotating-writer read-before-write rule) and write the new
-//!    [`RoutingEpoch`]. Completion emits [`StoreOut::EpochCommitted`] —
-//!    the flip is now observable through the quorum.
-//! 3. **New owner** — [`StoreClientNode::grant_shard`] starts *staging*
+//! 2. **New owner** — [`StoreClientNode::grant_shard`] starts *staging*
 //!    puts routed here mid-handoff; [`StoreClientNode::acquire_shard`]
-//!    (issued after the retire **and** the committed flip) quorum-reads
+//!    (issued after every moved shard's retire) quorum-reads
 //!    the shard, adopts the old owner's last committed map (on the bulk
 //!    planes: its reference map, each reference resolved once), resyncs
 //!    the stamper onto its stamp, republishes, emits
@@ -124,7 +118,7 @@
 use crate::batcher::DestBatcher;
 use crate::map::ShardMap;
 use crate::msg::{Holding, StoreMsg, StoreOut};
-use crate::router::{KeyRouter, RoutingEpoch};
+use crate::router::KeyRouter;
 use crate::val::{RefMap, StoreVal, ValueRef, KEY_SLOTS};
 use sbs_bulk::{
     coded_push_quorum, data_replica_slots, digest_of, encode_fragments, fragment_leaves,
@@ -236,6 +230,10 @@ pub struct StoreServerNode<P, Inner> {
 ///   `FRAG_PUT_ACK` certifies the exact fragment the push quorum needs,
 ///   and pre-seeding a correct replica with some *other* replica's
 ///   fragment cannot fake `k` distinct verified fragments.
+///
+/// The shard count also bounds the metadata plane: a register message
+/// naming a register id at or above `shards` is refused, since the
+/// register server allocates state for every id it is sent.
 #[derive(Clone, Copy, Debug)]
 struct BulkGuard {
     /// This server's slot in the fleet (index into the server list).
@@ -773,10 +771,25 @@ where
     ) {
         match msg {
             StoreMsg::Batch(batch) => {
+                // Admission: the register id is wire data too. The
+                // deployment's registers are exactly its shards, so any
+                // other id is refused — the register server would
+                // otherwise allocate a slot for every id a peer names.
+                let shards = self.guard.map(|g| g.shards);
                 let mut eff: Effects<RegMsg<P>, Inner::Out> = Effects::new();
                 let inner = &mut self.inner;
                 ctx.with_effects(&mut eff, |sub| {
                     for m in batch {
+                        if let (Some(shards), Some(RegId(reg))) = (shards, m.reg()) {
+                            if reg >= shards {
+                                sub.note_guard_refusal();
+                                sub.trace(TraceEvent::GuardRefusal {
+                                    shard: reg,
+                                    what: "register-id",
+                                });
+                                continue;
+                            }
+                        }
                         inner.on_message(from, m, sub);
                     }
                 });
@@ -1181,9 +1194,6 @@ enum ReadGoal {
     /// become the shard's writer — resync the stamper onto the read
     /// stamp, republish, then flush the puts staged during the handoff.
     Acquire,
-    /// The routing-register read preceding an epoch-flip write: only the
-    /// agreed stamp matters (the value is superseded by the write).
-    CommitEpoch { epoch: u64, owners: Vec<u32> },
 }
 
 /// What the in-flight metadata write completes (consumed by the pump when
@@ -1197,21 +1207,6 @@ enum WriteIntent {
     Recovery,
     /// The new owner's adopting republish of a migrating shard.
     Acquire { shard: u32 },
-    /// The routing-register write committing an epoch flip.
-    EpochCommit { epoch: u64 },
-}
-
-/// A queued reshard control job, run by the pump ahead of client
-/// operations (so a busy closed-loop client cannot starve a handoff, and
-/// a handoff never deadlocks behind puts staged on the very shard being
-/// acquired).
-#[derive(Debug)]
-enum ControlJob {
-    /// Commit `RoutingEpoch { epoch, owners }` through the routing
-    /// register.
-    CommitEpoch { epoch: u64, owners: Vec<u32> },
-    /// Adopt a granted shard: quorum-read, resync, republish.
-    AcquireShard { shard: u32 },
 }
 
 /// What a metadata read returned, as this client's data plane reads it.
@@ -1343,9 +1338,9 @@ pub struct StoreClientNode<V: Payload + BulkCodec> {
     /// until the acquisition republish completes. Presence of the key is
     /// the "acquiring" state itself.
     staged: BTreeMap<u32, VecDeque<(OpId, StoreOp<V>)>>,
-    /// Queued reshard control jobs (epoch commits, shard acquisitions),
-    /// run by the pump ahead of client operations.
-    control: VecDeque<ControlJob>,
+    /// Granted shards queued for adoption (quorum-read, resync,
+    /// republish), run by the pump ahead of client operations.
+    acquires: VecDeque<u32>,
     /// What the in-flight metadata write completes.
     write_intent: WriteIntent,
     /// The Nagle window: how long an op arriving at a fully idle client
@@ -1568,9 +1563,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             link: ClientLink::new(servers.clone(), cfg.t),
             servers,
             clients,
-            // One policy per shard **plus one** for the dedicated routing
-            // register at `RegId(shards)` (the epoch-flip commit path).
-            policies: (0..=router.shards()).map(|_| AtomicPolicy::new()).collect(),
+            policies: (0..router.shards()).map(|_| AtomicPolicy::new()).collect(),
             owned,
             read_engine: ReadEngine::new(RegId(0), cfg),
             write_engine: WriteEngine::new(RegId(0), cfg, Vec::new()),
@@ -1581,7 +1574,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             next_bulk_tag: 0,
             retiring: BTreeSet::new(),
             staged: BTreeMap::new(),
-            control: VecDeque::new(),
+            acquires: VecDeque::new(),
             write_intent: WriteIntent::Ops,
             window: SimDuration::ZERO,
             adaptive: false,
@@ -1685,11 +1678,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     }
 
     /// New-owner half of a dual-commit handoff, phase 2 (issued once the
-    /// old owner retired **and** the epoch flip committed): quorum-read
-    /// `shard`, adopt the last committed map, resync the stamper onto its
-    /// stamp, republish, emit [`StoreOut::ShardAcquired`], and flush the
-    /// staged puts. Queued as a control job — it runs ahead of client
-    /// operations at the next idle pump.
+    /// old owner retired): quorum-read `shard`, adopt the last committed
+    /// map, resync the stamper onto its stamp, republish, emit
+    /// [`StoreOut::ShardAcquired`], and flush the staged puts. Queued —
+    /// it runs ahead of client operations at the next idle pump.
     ///
     /// # Panics
     ///
@@ -1699,18 +1691,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             self.staged.contains_key(&shard),
             "acquire of shard {shard} that was never granted"
         );
-        self.control.push_back(ControlJob::AcquireShard { shard });
-        self.step(ctx);
-    }
-
-    /// Coordinator role of a reshard: commit `RoutingEpoch { epoch,
-    /// owners }` through the dedicated routing register (`RegId(shards)`)
-    /// — a quorum read to resync a fresh stamper (the rotating-writer
-    /// read-before-write rule), then the flip write. Completion emits
-    /// [`StoreOut::EpochCommitted`]. Queued as a control job.
-    pub fn commit_epoch(&mut self, epoch: u64, owners: Vec<u32>, ctx: &mut StoreCtx<'_, V>) {
-        self.control
-            .push_back(ControlJob::CommitEpoch { epoch, owners });
+        self.acquires.push_back(shard);
         self.step(ctx);
     }
 
@@ -1948,18 +1929,15 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         shard: u32,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
     ) {
-        if matches!(
-            goal,
-            ReadGoal::Recover | ReadGoal::Acquire | ReadGoal::CommitEpoch { .. }
-        ) {
+        if matches!(goal, ReadGoal::Recover | ReadGoal::Acquire) {
             // The recovery read must learn the *servers'* agreed state; the
             // owner's own inversion-prevention pair was just scrambled, and
             // trusting it could "prevent" the genuine quorum value in favor
             // of corrupted local memory. Start from a clean policy (the
             // sanity probe then re-anchors it on the servers). Adoption
-            // and epoch-commit reads start clean for the same reason:
-            // whatever the quorum agrees on *is* the state to continue
-            // from, and stale local prevention state must not outvote it.
+            // reads start clean for the same reason: whatever the quorum
+            // agrees on *is* the state to continue from, and stale local
+            // prevention state must not outvote it.
             self.policies[shard as usize] = AtomicPolicy::new();
         }
         sub.trace(TraceEvent::Phase {
@@ -2215,9 +2193,6 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             ReadGoal::Recover | ReadGoal::Acquire => {
                 res.refs.entries().get(res.checked).map(|&(_, vref)| vref)
             }
-            ReadGoal::CommitEpoch { .. } => {
-                unreachable!("epoch commits are intercepted before value resolution")
-            }
         };
         match next {
             Some(vref) => self.start_fetch(res, vref, sub, bulk_sends),
@@ -2291,9 +2266,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 );
                 self.write_intent = WriteIntent::Acquire { shard };
             }
-            ReadGoal::Get { .. } | ReadGoal::CommitEpoch { .. } => {
-                unreachable!("only recoveries and acquisitions adopt")
-            }
+            ReadGoal::Get { .. } => unreachable!("only recoveries and acquisitions adopt"),
         }
         self.start_publish(shard, Vec::new(), Vec::new(), sub, bulk_sends);
     }
@@ -2383,25 +2356,13 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             outs.push(StoreOut::ShardRetired { shard });
                         }
                     }
-                    // Reshard control jobs run ahead of client operations
+                    // Shard acquisitions run ahead of client operations
                     // (and of the flush gate): a busy closed-loop client
                     // must not starve a handoff, and an acquisition must
                     // not wait behind puts staged on the very shard it
                     // unblocks.
-                    if let Some(job) = self.control.pop_front() {
-                        match job {
-                            ControlJob::CommitEpoch { epoch, owners } => {
-                                let routing_shard = self.router.shards();
-                                self.start_read(
-                                    ReadGoal::CommitEpoch { epoch, owners },
-                                    routing_shard,
-                                    sub,
-                                );
-                            }
-                            ControlJob::AcquireShard { shard } => {
-                                self.start_read(ReadGoal::Acquire, shard, sub);
-                            }
-                        }
+                    if let Some(shard) = self.acquires.pop_front() {
+                        self.start_read(ReadGoal::Acquire, shard, sub);
                         continue;
                     }
                     // Ops staged behind an armed flush timer stay held;
@@ -2457,34 +2418,6 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                 stamped = policy.transform(source, p);
                             }
                             let wsn = stamped.wsn;
-                            // An epoch commit needs only the agreed stamp:
-                            // resync a fresh stamper onto it and write the
-                            // flip, whatever value the routing register
-                            // held before.
-                            let goal = match goal {
-                                ReadGoal::CommitEpoch { epoch, owners } => {
-                                    sub.trace(TraceEvent::Phase {
-                                        shard,
-                                        phase: "EpochCommit",
-                                    });
-                                    let mut stamper = WsnStamp::new(wsn);
-                                    let payload =
-                                        WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(
-                                            &mut stamper,
-                                            StoreVal::Routing(RoutingEpoch { epoch, owners }),
-                                        );
-                                    self.write_engine = WriteEngine::new(
-                                        RegId(shard),
-                                        self.cfg,
-                                        self.clients.clone(),
-                                    );
-                                    self.write_engine.start(payload, &mut self.link, sub);
-                                    self.write_intent = WriteIntent::EpochCommit { epoch };
-                                    self.phase = Phase::Writing { ops: Vec::new() };
-                                    continue;
-                                }
-                                g => g,
-                            };
                             let val = stamped.val;
                             #[cfg(feature = "mutation")]
                             let val = self.serve_stale(&goal, shard, val);
@@ -2511,11 +2444,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                 }
                                 Resolved::Garbage => {
                                     // A reference under full replication,
-                                    // a routing epoch on a data shard, a
-                                    // bare reference or a non-empty inline
-                                    // map on a bulk plane: stabilizing
-                                    // garbage won a quorum — re-read until
-                                    // real metadata does.
+                                    // a bare reference or a non-empty
+                                    // inline map on a bulk plane:
+                                    // stabilizing garbage won a quorum —
+                                    // re-read until real metadata does.
                                     sub.note_metadata_reread();
                                     self.start_read(goal, shard, sub);
                                 }
@@ -2638,9 +2570,6 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                 if let Some(q) = self.staged.remove(&shard) {
                                     self.pending.extend(q);
                                 }
-                            }
-                            WriteIntent::EpochCommit { epoch } => {
-                                outs.push(StoreOut::EpochCommitted { epoch });
                             }
                         }
                         for op in ops {
@@ -3631,6 +3560,63 @@ mod tests {
         assert_eq!(coded.frag_store().fragment_count(), 0);
         let eff = run(&mut coded, frag_put(0));
         assert!(matches!(eff.sends(), [(_, StoreMsg::FragPutAck { .. })]));
+    }
+
+    /// Register ids are wire data too: the deployment's registers are
+    /// exactly its shards, so a write or read naming any other id is
+    /// refused — one guard refusal per message, no acknowledgement, no
+    /// register slot allocated — while an in-range id is served as
+    /// before.
+    #[test]
+    fn guard_refuses_register_ids_outside_the_shard_space() {
+        use sbs_core::ServerNode;
+        type P = u64;
+        let mut node: StoreServerNode<P, ServerNode<P, ()>> =
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, false);
+        let (mut rng, mut nt) = (DetRng::from_seed(3), 0u64);
+        let mut run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>, batch| {
+            let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
+            let mut ctx = Context::new(SimTime::ZERO, ProcessId(9), &mut rng, &mut nt, &mut eff);
+            node.on_message(ProcessId(0), StoreMsg::Batch(batch), &mut ctx);
+            eff
+        };
+        let write = |reg: u32, tag: u64| RegMsg::Write {
+            reg: RegId(reg),
+            tag,
+            val: 7,
+        };
+        let read = |reg: u32, tag: u64| RegMsg::Read {
+            reg: RegId(reg),
+            tag,
+            new_read: true,
+        };
+        for (i, reg) in [4u32, u32::MAX].into_iter().enumerate() {
+            let tag = 10 * i as u64;
+            for msg in [write(reg, tag + 1), read(reg, tag + 2)] {
+                let eff = run(&mut node, vec![msg]);
+                assert!(eff.sends().is_empty(), "register {reg} must not be acked");
+                assert_eq!(eff.slow_paths().guard_refusals, 1);
+            }
+            let eff = run(&mut node, vec![write(reg, tag + 3), read(reg, tag + 4)]);
+            assert!(eff.sends().is_empty());
+            assert_eq!(eff.slow_paths().guard_refusals, 2, "one per message");
+            assert!(node.inner().core().slot(RegId(reg)).is_none());
+        }
+        // The last shard's register is a register like any other, and a
+        // refused message does not hold up the rest of its batch.
+        let eff = run(&mut node, vec![write(4, 100), write(3, 101)]);
+        assert_eq!(eff.slow_paths().guard_refusals, 1);
+        let [(_, StoreMsg::Batch(acks))] = eff.sends() else {
+            panic!("expected one batch of acks, got {:?}", eff.sends());
+        };
+        assert!(matches!(
+            acks[..],
+            [
+                RegMsg::SsAck { tag: 101 },
+                RegMsg::AckWrite { reg: RegId(3), .. }
+            ]
+        ));
+        assert_eq!(node.inner().core().slot(RegId(3)).map(|s| s.last), Some(7));
     }
 
     /// Regression (REVIEW of ISSUE 5, write liveness): shard windows

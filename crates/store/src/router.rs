@@ -23,10 +23,10 @@
 //! changes (only *ownership* moves, so no key is ever re-hashed across a
 //! flip), and `apply` rejects any plan that would break the exact
 //! partition: after every flip each shard still has exactly one owner.
-//! The epoch flip itself is committed as a register write of
-//! [`RoutingEpoch`] through the metadata quorum (see
-//! `StoreSystem::begin_reshard`), so the existing atomicity machinery
-//! verifies the flip like any other write.
+//! The table is harness-owned configuration, outside the fault model:
+//! `DeployCore` flips it and tells the old and new owners of each moved
+//! shard directly (see `DeployCore::begin_reshard`); no register holds
+//! it.
 
 use sbs_core::RegId;
 
@@ -102,31 +102,6 @@ impl KeyRouter {
         (0..self.shards)
             .filter(|&s| self.writer_of_shard(s) == w)
             .collect()
-    }
-}
-
-/// The register-visible value of one routing epoch: the epoch counter plus
-/// the full shard→writer ownership vector (`owners[shard] = writer`).
-///
-/// This is what a reshard coordinator writes into the dedicated routing
-/// register (`RegId(shards)`) to commit an epoch flip through the metadata
-/// quorum. It is deliberately a plain flat vector — small enough to travel
-/// as an inline metadata value on every plane (`4·shards + 12` wire bytes),
-/// and self-describing enough that an observer needs no prior epoch to
-/// interpret it.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct RoutingEpoch {
-    /// Monotone epoch counter; epoch 0 is the frozen build-time placement.
-    pub epoch: u64,
-    /// `owners[shard]` = writer-client index owning that shard.
-    pub owners: Vec<u32>,
-}
-
-impl RoutingEpoch {
-    /// Exact encoded size of this value inside a `StoreVal::Routing`
-    /// payload: epoch (8) + owner count (4) + 4 bytes per owner.
-    pub fn encoded_len(&self) -> usize {
-        8 + 4 + 4 * self.owners.len()
     }
 }
 
@@ -224,11 +199,6 @@ impl RoutingTable {
         self.epoch
     }
 
-    /// The shard→writer ownership vector.
-    pub fn owners(&self) -> &[u32] {
-        self.owners.as_slice()
-    }
-
     /// The embedded static router (key→shard hash + register mapping).
     pub fn base(&self) -> &KeyRouter {
         &self.base
@@ -319,14 +289,6 @@ impl RoutingTable {
                 (a != b).then_some((s, a, b))
             })
             .collect()
-    }
-
-    /// The register-visible value committing this epoch.
-    pub fn to_epoch_value(&self) -> RoutingEpoch {
-        RoutingEpoch {
-            epoch: self.epoch,
-            owners: self.owners.clone(),
-        }
     }
 
     /// True iff every shard has exactly one in-range owner (the exact
@@ -495,14 +457,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn epoch_value_encoded_len_matches_layout() {
-        let t = RoutingTable::initial(KeyRouter::new(8, 4));
-        let v = t.to_epoch_value();
-        assert_eq!(v.epoch, 0);
-        assert_eq!(v.owners, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-        assert_eq!(v.encoded_len(), 8 + 4 + 4 * 8);
     }
 }

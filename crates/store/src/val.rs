@@ -4,7 +4,6 @@
 //! payload-size sweeps.
 
 use crate::map::ShardMap;
-use crate::router::RoutingEpoch;
 use sbs_bulk::{get_u32, get_u64, put_u32, put_u64, BulkCodec, BulkDigest, BulkRef};
 use sbs_core::Payload;
 use sbs_sim::DetRng;
@@ -113,13 +112,6 @@ pub enum StoreVal<V> {
     /// bytes that exist nowhere — and every reader answers it with a
     /// metadata re-read.
     Ref(BulkRef),
-    /// A committed routing epoch. Only the dedicated routing register
-    /// (`RegId(shards)`) ever holds this variant: a reshard coordinator
-    /// writes it to flip the shard→writer assignment through the same
-    /// metadata quorum that stores every shard's value, so the epoch flip
-    /// inherits the register's atomicity and stabilization guarantees
-    /// with no new trust assumptions.
-    Routing(RoutingEpoch),
     /// The bulk planes' shard value: every key's reference, inline — one
     /// shared allocation per published snapshot, like `Inline`.
     Refs(Arc<RefMap>),
@@ -141,7 +133,6 @@ impl<V: fmt::Debug> fmt::Debug for StoreVal<V> {
             StoreVal::Inline(m) => write!(f, "Inline({m:?})"),
             StoreVal::Ref(r) => write!(f, "Ref({r:?})"),
             StoreVal::Refs(m) => write!(f, "Refs({m:?})"),
-            StoreVal::Routing(e) => write!(f, "Routing(e{} {:?})", e.epoch, e.owners),
         }
     }
 }
@@ -161,9 +152,7 @@ impl<V: Payload> Payload for StoreVal<V> {
                     r.scramble(rng);
                     StoreVal::Ref(r)
                 }
-                StoreVal::Ref(_) | StoreVal::Refs(_) | StoreVal::Routing(_) => {
-                    StoreVal::Inline(Arc::new(ShardMap::new()))
-                }
+                StoreVal::Ref(_) | StoreVal::Refs(_) => StoreVal::Inline(Arc::new(ShardMap::new())),
             };
             return;
         }
@@ -171,14 +160,6 @@ impl<V: Payload> Payload for StoreVal<V> {
             StoreVal::Inline(m) => Arc::make_mut(m).scramble(rng),
             StoreVal::Ref(r) => r.scramble(rng),
             StoreVal::Refs(m) => Arc::make_mut(m).scramble(rng),
-            StoreVal::Routing(e) => {
-                // A garbled routing cell: the epoch counter and ownership
-                // vector lose all meaning, but stay structurally valid.
-                e.epoch = rng.next_u64();
-                for w in &mut e.owners {
-                    *w = (rng.next_u64() & 0xFFFF_FFFF) as u32;
-                }
-            }
         }
     }
 
@@ -187,7 +168,6 @@ impl<V: Payload> Payload for StoreVal<V> {
             StoreVal::Inline(m) => m.wire_size(),
             StoreVal::Ref(r) => Payload::wire_size(r),
             StoreVal::Refs(m) => m.wire_size(),
-            StoreVal::Routing(e) => e.encoded_len() as u64,
         }
     }
 }
@@ -288,12 +268,6 @@ mod tests {
         let refs: StoreVal<u64> = StoreVal::Refs(Arc::new(refs));
         // tag(1) + count(4) + key(4 + 1) + slot(4) + ref(40).
         assert_eq!(refs.wire_size(), 1 + 4 + 5 + 44);
-        let routing: StoreVal<u64> = StoreVal::Routing(RoutingEpoch {
-            epoch: 3,
-            owners: vec![0, 1, 2, 3, 0, 1, 2, 3],
-        });
-        // tag(1) + epoch(8) + count(4) + 4 bytes per owner.
-        assert_eq!(routing.wire_size(), 1 + 8 + 4 + 32);
     }
 
     #[test]

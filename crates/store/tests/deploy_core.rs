@@ -86,7 +86,7 @@ fn permutations<T: Clone>(items: &[T]) -> Vec<Vec<T>> {
 }
 
 #[test]
-fn begin_reshard_stamps_then_retires_grants_and_commits() {
+fn begin_reshard_stamps_then_retires_and_grants() {
     let (mut core, mut host) = (core(), FakeHost::default());
     begin_two_move_reshard(&mut core, &mut host);
     let (old, new) = (ProcessId(1), ProcessId(0));
@@ -98,13 +98,6 @@ fn begin_reshard_stamps_then_retires_grants_and_commits() {
             (new, ClientCall::GrantShard { shard: 1 }),
             (old, ClientCall::RetireShard { shard: 3 }),
             (new, ClientCall::GrantShard { shard: 3 }),
-            (
-                new,
-                ClientCall::CommitEpoch {
-                    epoch: 1,
-                    owners: vec![0, 0, 0, 0]
-                }
-            ),
         ]
     );
     // New puts route by the next epoch immediately.
@@ -113,15 +106,16 @@ fn begin_reshard_stamps_then_retires_grants_and_commits() {
 }
 
 #[test]
-fn acquires_wait_for_every_retire_and_the_commit_in_every_arrival_order() {
+fn acquires_wait_for_every_retire_in_every_arrival_order() {
     let events = [
         StoreOut::ShardRetired { shard: 1 },
         StoreOut::ShardRetired { shard: 3 },
-        StoreOut::EpochCommitted { epoch: 1 },
         StoreOut::ShardAcquired { shard: 1 },
         StoreOut::ShardAcquired { shard: 3 },
     ];
-    for order in permutations(&[0usize, 1, 2, 3, 4]) {
+    let orders = permutations(&[0usize, 1, 2, 3]);
+    assert_eq!(orders.len(), 24);
+    for order in orders {
         let (mut core, mut host) = (core(), FakeHost::default());
         begin_two_move_reshard(&mut core, &mut host);
         let mut seen = BTreeSet::new();
@@ -134,19 +128,19 @@ fn acquires_wait_for_every_retire_and_the_commit_in_every_arrival_order() {
                 );
                 core.advance_reshard(&mut host);
                 seen.insert(e);
-                let gated = [0, 1, 2].iter().all(|g| seen.contains(g));
+                let gated = seen.contains(&0) && seen.contains(&1);
                 let expected = if gated {
                     vec![(ProcessId(0), 1), (ProcessId(0), 3)]
                 } else {
                     Vec::new()
                 };
                 assert_eq!(host.acquires(), expected, "order {order:?} after {seen:?}");
-                assert_eq!(core.reshard_active(), seen.len() < 5, "order {order:?}");
+                assert_eq!(core.reshard_active(), seen.len() < 4, "order {order:?}");
             }
         }
         assert_eq!(
             host.calls.len(),
-            5 + 2,
+            4 + 2,
             "nothing but the two acquires was added"
         );
     }
@@ -163,11 +157,7 @@ fn stray_control_events_change_nothing() {
     ];
     // With no reshard in flight, no control event does anything.
     let (mut core, mut host) = (core(), FakeHost::default());
-    for e in strays
-        .iter()
-        .cloned()
-        .chain([StoreOut::EpochCommitted { epoch: 7 }])
-    {
+    for e in strays.iter().cloned() {
         assert_eq!(core.record(SimTime::ZERO, ProcessId(0), e), None);
         core.advance_reshard(&mut host);
     }
@@ -179,11 +169,7 @@ fn stray_control_events_change_nothing() {
     // neither open the acquire gate (shard 3 has not retired) nor end
     // the handoff.
     begin_two_move_reshard(&mut core, &mut host);
-    for e in strays
-        .iter()
-        .cloned()
-        .chain([StoreOut::EpochCommitted { epoch: 1 }])
-    {
+    for e in strays.iter().cloned() {
         assert_eq!(core.record(SimTime::ZERO, ProcessId(0), e), None);
         core.advance_reshard(&mut host);
     }
