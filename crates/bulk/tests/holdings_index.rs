@@ -5,7 +5,8 @@
 //! the reference. Seeded random sequences of puts by key-slot holders,
 //! aliasing re-puts (across shards and across slots of one shard),
 //! per-key retention evictions, removes and wipes must leave the two
-//! equal after **every** step.
+//! equal after **every** step — and, on the fragment store, leave
+//! `holds(root)` agreeing with `get_for(shard, root)` for every shard.
 
 use sbs_bulk::{
     digest_of, encode_fragments, fragment_leaves, BulkDigest, BulkStore, FragmentStore, Holder,
@@ -73,6 +74,21 @@ fn blob_store_index_tracks_the_full_scan() {
     }
 }
 
+/// Anti-entropy asks `holds(root)` where it used to ask
+/// `get_for(shard, root).is_some()`: the same predicate, because
+/// `get_for` falls back to any held index of the root.
+fn assert_holds_matches_get_for(store: &FragmentStore, roots: &[BulkDigest], label: &str) {
+    for shard in 0..6 {
+        for root in roots {
+            assert_eq!(
+                store.holds(root),
+                store.get_for(shard, root).is_some(),
+                "{label}: shard {shard}"
+            );
+        }
+    }
+}
+
 #[test]
 fn fragment_store_index_tracks_the_full_scan() {
     // 24 dispersals (2-of-3). A shard's fragment index is its window
@@ -102,6 +118,7 @@ fn fragment_store_index_tracks_the_full_scan() {
         bytes: d.frags[index].clone(),
         proof: d.tree.proof(index),
     };
+    let roots: Vec<BulkDigest> = pool.iter().map(|d| d.root).collect();
     for retain in RETENTIONS {
         for seed in 0..4u64 {
             let mut rng = DetRng::from_seed(0xF1DE0 + 16 * retain.unwrap_or(0) as u64 + seed);
@@ -125,13 +142,15 @@ fn fragment_store_index_tracks_the_full_scan() {
                         store.put(holder, d.root, fragment(d, shard as usize % 3));
                     }
                 }
+                let label = format!("retain {retain:?} seed {seed} step {step}");
                 assert_index_matches(
                     store.holdings(),
                     store.holdings_len(),
                     |rank| store.holdings_from(rank).collect(),
                     &mut rng,
-                    &format!("retain {retain:?} seed {seed} step {step}"),
+                    &label,
                 );
+                assert_holds_matches_get_for(&store, &roots, &label);
             }
         }
     }

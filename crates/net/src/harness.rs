@@ -9,10 +9,10 @@
 //! [`TcpTransport`](crate::TcpTransport)s — every protocol message
 //! crosses a real socket through the canonical codec. The deployment is
 //! one OS thread per node and nothing else: each node thread writes its
-//! outbound links and polls its own listener and inbound connections
-//! (see [`transport`](crate::transport)); this harness thread reaches
-//! the nodes through `invoke`, which enqueues and then wakes the target
-//! out of its `ppoll`. Everything that judges the run — the op
+//! links and polls its own listener and connections, one per peer it
+//! talks to (see [`transport`](crate::transport)); this harness thread
+//! reaches the nodes through `invoke`, which enqueues and then wakes the
+//! target out of its `ppoll`. Everything that judges the run — the op
 //! log, the online [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor),
 //! per-key histories, the atomicity check, the reshard orchestrator, the
 //! flight recorder — is `sbs_store`'s [`DeployCore`], reached through

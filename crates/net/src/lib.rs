@@ -12,12 +12,13 @@
 //!   caps, and a decoder that refuses (never panics on) malformed input.
 //! - [`transport`] — [`TcpTransport`]: a
 //!   [`Transport`](sbs_sim::Transport) backend over `std::net` TCP with
-//!   one stream per directed peer link, writes under a deadline, and
-//!   per-link reconnect back-off kept as state, never slept. The
-//!   receive half runs on the node's own thread too: [`NetFabric`] binds
-//!   the listeners and hands each to its node, whose thread then blocks
-//!   in one `ppoll(2)` over its wake socket, listener and inbound
-//!   connections and decodes frames straight into `on_message`. One OS
+//!   one connection per node pair (the acceptor replies on the
+//!   connection its peer dialled), writes under a deadline, and per-link
+//!   reconnect back-off kept as state, never slept. The receive half
+//!   runs on the node's own thread too: [`NetFabric`] binds the
+//!   listeners and hands each to its node, whose thread then blocks in
+//!   one `ppoll(2)` over its wake socket, listener and connections and
+//!   decodes frames straight into `on_message`. One OS
 //!   thread per node, no reader or accept threads; enqueue-then-wake on
 //!   one side and drain-wake-then-drain-channel on the other is the
 //!   ordering rule that loses no wake-up.

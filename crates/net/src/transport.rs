@@ -1,24 +1,41 @@
 //! The std-TCP [`Transport`] backend and its receive half.
 //!
-//! Topology: every node owns one [`TcpListener`]; every directed peer
-//! link `src → dst` is one outbound [`TcpStream`] owned by `src`'s
-//! [`TcpTransport`]. TCP keeps bytes ordered within a connection, so
-//! each link is FIFO — the same per-ordered-pair assumption the paper
-//! (and the in-process runtime) makes.
+//! **Topology: one connection per node pair.** Every node owns one
+//! [`TcpListener`] and one connection table with a slot per peer. The
+//! node that first sends to a peer dials it and opens the stream with an
+//! 8-byte preamble: a magic word and its own process id. The acceptor
+//! reads the claimed id and *adopts* the connection as its own link to
+//! that peer instead of dialling back, so the peer's replies ride the
+//! request's connection — a reply segment carries the ACK of the request
+//! it answers, where two one-way connections cost every frame a second,
+//! pure-ACK segment. The dialler polls the connections it dialled beside
+//! the ones it accepted. The acceptor writes no preamble: the dialler
+//! knows whom it dialled.
+//!
+//! **Why FIFO holds.** TCP keeps bytes ordered within a connection, and
+//! each direction of a pair uses one connection at a time: a connection
+//! is adopted only into an empty slot, never in place of a live link.
+//! When both ends dial at once, each keeps sending on the connection it
+//! dialled and reads the other's as receive-only — two connections, one
+//! per direction. So every link is FIFO, the same per-ordered-pair
+//! assumption the paper (and the in-process runtime) makes. A reject or
+//! an EOF on a pair's link ends it in both directions (the peer is gone
+//! or speaking garbage either way); the next send redials.
 //!
 //! **Thread model: one OS thread per node, and no other.** A node's
-//! thread runs its handlers, writes its outbound streams, *and* reads its
-//! inbound ones. [`NetFabric::start`] spawns nothing: it hands each
-//! node's listener to that node's thread as an
-//! [`Inbound`] source through the node's
-//! [`MsgInjector`], and the thread then blocks in one `ppoll(2)` over
-//! {wake socket, listener, accepted connections} with its next timer
-//! deadline as the (nanosecond) timeout. Accepts and reads are
-//! non-blocking; each connection carries an incremental framer
-//! (preamble, then length-prefixed frames, partial bytes kept for the
-//! next read), and every complete frame is decoded with the
-//! [`WireCodec`] and delivered to `on_message` on the spot — a frame
-//! costs one thread wake-up, not a reader's plus the node's.
+//! thread runs its handlers, writes its links *and* reads every
+//! connection it holds. [`NetFabric::start`] spawns nothing: it hands
+//! each node's listener to that node's thread as an [`Inbound`] source
+//! through the node's [`MsgInjector`], and the thread then blocks in one
+//! `ppoll(2)` over {wake socket, listener, connections} with its next
+//! timer deadline as the (nanosecond) timeout. The connection table is
+//! shared by the node's [`TcpTransport`] (sends) and that source
+//! (receives); both run on the node thread, so its lock is never
+//! contended. Sockets are non-blocking; each connection carries an
+//! incremental framer (preamble, then length-prefixed frames, partial
+//! bytes kept for the next read), and every complete frame is decoded
+//! with the [`WireCodec`] and delivered to `on_message` on the spot — a
+//! frame costs one thread wake-up, not a reader's plus the node's.
 //!
 //! **No lost wake-ups.** The harness reaches a node through its channel
 //! (`invoke`, `inject`, stop). Each enqueue is followed by one byte
@@ -33,7 +50,8 @@
 //! a link that is down remembers when it may next be dialled (back-off
 //! *state*, doubling to a cap) and until then a send to it is a counted
 //! drop with no syscall; a dial is one connect attempt under
-//! [`CONNECT_TIMEOUT`]; a frame still unwritten after
+//! [`CONNECT_TIMEOUT`]; a write that finds the send buffer full waits in
+//! `ppoll` for `POLLOUT`, and a frame still unwritten after
 //! [`WRITE_TIMEOUT`] closes the link and counts a drop, so two nodes
 //! pushing multi-MiB frames at each other cannot park each other. A
 //! dropped message is message loss, which the protocols already
@@ -49,11 +67,14 @@
 //! Byzantine peer can waste a connection, not the process and not
 //! another link.
 //!
-//! Each connection opens with an 8-byte preamble: a magic word and the
-//! sender's process id. The claimed id is **trusted**, exactly like
+//! **Trust.** The preamble's claimed id is **trusted**, exactly like
 //! [`ThreadRuntime::inject`](sbs_sim::ThreadRuntime::inject)'s claimed
 //! sender — authentication is out of scope here; the protocol layer is
-//! the part that tolerates Byzantine peers.
+//! the part that tolerates Byzantine peers. On an adopted connection the
+//! claim also picks who *receives* this node's traffic to that id: a
+//! connector claiming to be peer `p` before `p` dials gets what this
+//! node sends `p`. Binding identity to the link therefore takes one
+//! handshake per pair, not one per directed link.
 //!
 //! The `ppoll` call is the workspace's only `unsafe` block (declared
 //! here; std already links libc), which together with the Unix-domain
@@ -71,13 +92,13 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// First 4 bytes of every connection ("SBSN"), so a stray client
 /// connecting to the port is detected before any frame is parsed.
 const PREAMBLE_MAGIC: [u8; 4] = *b"SBSN";
-/// Magic plus the sender's little-endian process id.
+/// Magic plus the dialler's little-endian process id.
 const PREAMBLE_LEN: usize = 8;
 
 /// A failed dial keeps its link down for this long at first, doubling
@@ -88,8 +109,8 @@ const BACKOFF_CAP: Duration = Duration::from_millis(64);
 /// Bound on one connect attempt (loopback answers at once either way; a
 /// silent remote host must not hold the node thread).
 pub const CONNECT_TIMEOUT: Duration = Duration::from_millis(250);
-/// A frame whose write has not finished after this long is abandoned
-/// (within twice this, see `write_all_by`), closing the link.
+/// A frame whose write has not finished after this long is abandoned,
+/// closing the link.
 pub const WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// Steady-state size of a connection's read buffer. A frame that does
@@ -103,11 +124,13 @@ const READ_BUF: usize = 16 * 1024;
 pub struct TransportStats {
     /// Returns of the node threads' `ppoll` (timer expiries included).
     pub wakeups: u64,
-    /// `read` calls on accepted connections.
+    /// `read` calls on connections — every connection a node holds,
+    /// dialled or accepted.
     pub reads: u64,
     /// Frames decoded and delivered.
     pub frames_in: u64,
-    /// Outbound connections established.
+    /// Connections dialled. A connection the acceptor adopts is counted
+    /// once, by its dialler, so a pair that talks both ways costs one.
     pub connects: u64,
     /// Writes abandoned after [`WRITE_TIMEOUT`] (each closed its link).
     pub write_timeouts: u64,
@@ -138,9 +161,19 @@ fn bump(counter: &AtomicU64, by: usize) {
     }
 }
 
-/// One directed link's outbound state.
+fn preamble(me: ProcessId) -> [u8; PREAMBLE_LEN] {
+    let mut preamble = [0u8; PREAMBLE_LEN];
+    preamble[..4].copy_from_slice(&PREAMBLE_MAGIC);
+    preamble[4..].copy_from_slice(&me.0.to_le_bytes());
+    preamble
+}
+
+/// One peer's slot in a node's connection table.
 struct Link {
-    stream: Option<TcpStream>,
+    /// The pair's connection: dialled by this node, or adopted from the
+    /// peer's dial. Sends go out on it and the peer's traffic comes in
+    /// on it.
+    conn: Option<Conn>,
     /// Earliest instant a down link may be dialled again.
     retry_at: Instant,
     /// Current back-off step; zero while the link is healthy.
@@ -156,15 +189,71 @@ impl Link {
     }
 }
 
-/// The outbound half of one node's links: a lazily connected
-/// [`TcpStream`] per peer, redialled under per-link back-off. One
-/// instance lives on each node thread (handed to
-/// [`ThreadRuntime::spawn_with_transport`](sbs_sim::ThreadRuntime::spawn_with_transport)),
-/// so no locking is involved on the send path.
+/// Every connection one node holds, read and written only by its node
+/// thread.
+struct Table {
+    /// Indexed by [`ProcessId::index`] of the peer.
+    links: Vec<Link>,
+    /// Accepted connections that are no pair's link: their preamble has
+    /// not arrived yet, or it claimed no peer, or a peer whose link was
+    /// already up (both ends dialled at once, or a node dialling itself).
+    /// Read, never written.
+    receive_only: Vec<Conn>,
+}
+
+impl Table {
+    fn new(peers: usize) -> Self {
+        let now = Instant::now();
+        let links = (0..peers)
+            .map(|_| Link {
+                conn: None,
+                retry_at: now,
+                backoff: Duration::ZERO,
+            })
+            .collect();
+        Table {
+            links,
+            receive_only: Vec::new(),
+        }
+    }
+
+    /// Makes `receive_only[i]`, whose preamble just arrived, the link to
+    /// the peer it claims — if that peer's slot is empty.
+    fn adopt(&mut self, i: usize) {
+        let Some(peer) = self.receive_only[i].from else {
+            return;
+        };
+        if let Some(link) = self.links.get_mut(peer.index()) {
+            if link.conn.is_none() {
+                link.conn = Some(self.receive_only.swap_remove(i));
+            }
+        }
+    }
+}
+
+type SharedTable = Arc<Mutex<Table>>;
+
+/// Locks a node's table. Only its node thread ever does, so this never
+/// waits — and a panic while holding it ended the only thread that locks
+/// it.
+fn lock(table: &SharedTable) -> MutexGuard<'_, Table> {
+    table
+        .lock()
+        .expect("connection table poisoned: its node thread panicked")
+}
+
+/// The send half of one node's links: a lazily dialled connection per
+/// peer, redialled under per-link back-off. One instance lives on each
+/// node thread (handed to
+/// [`ThreadRuntime::spawn_with_transport`](sbs_sim::ThreadRuntime::spawn_with_transport)).
+///
+/// From [`NetFabric::transport`] it shares the node's connection table
+/// with the node's receive half, so it sends on connections the peers
+/// dialled and the node reads replies on the ones it dialled.
 pub struct TcpTransport<V> {
     me: ProcessId,
     peers: Vec<SocketAddr>,
-    links: Vec<Link>,
+    table: SharedTable,
     codec: WireCodec,
     /// Messages given up as link loss, shared across the fleet's
     /// transports for the harness to report.
@@ -187,25 +276,22 @@ impl<V> TcpTransport<V> {
     /// by [`ProcessId::index`]). `drops` is the shared lost-message
     /// counter. Its connect and write-timeout gauges are its own; use
     /// [`NetFabric::transport`] to have them counted with a fabric's.
+    ///
+    /// Its connection table is its own too, so nothing reads what it
+    /// dials: every directed link is a connection of its own, one way.
+    /// Build every node's transport this way or none — a peer on a
+    /// shared table would reply on a connection this node never reads.
     pub fn new(
         me: ProcessId,
         peers: Vec<SocketAddr>,
         codec: WireCodec,
         drops: Arc<AtomicU64>,
     ) -> Self {
-        let now = Instant::now();
-        let links = peers
-            .iter()
-            .map(|_| Link {
-                stream: None,
-                retry_at: now,
-                backoff: Duration::ZERO,
-            })
-            .collect();
+        let table = Arc::new(Mutex::new(Table::new(peers.len())));
         TcpTransport {
             me,
             peers,
-            links,
+            table,
             codec,
             drops,
             counters: Arc::default(),
@@ -214,51 +300,46 @@ impl<V> TcpTransport<V> {
     }
 
     /// One bounded connect attempt, preamble included.
-    fn dial(&self, to: usize) -> io::Result<TcpStream> {
-        let mut stream = TcpStream::connect_timeout(&self.peers[to], CONNECT_TIMEOUT)?;
+    fn dial(&self, to: usize) -> io::Result<Conn> {
+        let stream = TcpStream::connect_timeout(&self.peers[to], CONNECT_TIMEOUT)?;
         stream.set_nodelay(true)?;
-        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
-        let mut preamble = [0u8; PREAMBLE_LEN];
-        preamble[..4].copy_from_slice(&PREAMBLE_MAGIC);
-        preamble[4..].copy_from_slice(&self.me.0.to_le_bytes());
-        stream.write_all(&preamble)?;
-        Ok(stream)
+        stream.set_nonblocking(true)?;
+        let conn = Conn::new(stream, Some(ProcessId(to as u32)));
+        conn.write_all_by(&preamble(self.me), Instant::now() + WRITE_TIMEOUT)?;
+        Ok(conn)
     }
 
     /// Writes `frame` to link `to`, dialling it first if it is down and
     /// due. Never sleeps; every syscall in here is bounded.
-    fn try_write(&mut self, to: usize, frame: &[u8]) -> bool {
+    fn try_write(&self, table: &mut Table, to: usize, frame: &[u8]) -> bool {
         let now = Instant::now();
-        if self.links[to].stream.is_none() {
-            if now < self.links[to].retry_at {
+        let link = &mut table.links[to];
+        if link.conn.is_none() {
+            if now < link.retry_at {
                 return false;
             }
             match self.dial(to) {
-                Ok(stream) => {
+                Ok(conn) => {
                     bump(&self.counters.connects, 1);
-                    self.links[to].stream = Some(stream);
+                    link.conn = Some(conn);
                 }
                 Err(_) => {
-                    self.links[to].back_off();
+                    link.back_off();
                     return false;
                 }
             }
         }
-        let link = &mut self.links[to];
-        let stream = link.stream.as_mut().expect("dialled above");
-        match write_all_by(stream, frame, now + WRITE_TIMEOUT) {
+        let conn = link.conn.as_ref().expect("dialled above");
+        match conn.write_all_by(frame, now + WRITE_TIMEOUT) {
             Ok(()) => {
                 link.backoff = Duration::ZERO;
                 true
             }
             Err(e) => {
-                // The peer may be left holding a torn frame: the stream
-                // is unusable either way.
-                link.stream = None;
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) {
+                // The peer may be left holding a torn frame: the
+                // connection is unusable in both directions.
+                link.conn = None;
+                if e.kind() == io::ErrorKind::TimedOut {
                     // Not reading. Stay away for a while rather than
                     // filling a fresh socket buffer per send.
                     bump(&self.counters.write_timeouts, 1);
@@ -266,28 +347,6 @@ impl<V> TcpTransport<V> {
                 }
                 false
             }
-        }
-    }
-}
-
-/// `write_all` under one deadline for the whole buffer. The stream's own
-/// write timeout bounds each `write`, but one that expires after moving
-/// *some* bytes reports the bytes, not the expiry — `write_all` alone
-/// would sit out a timeout per partial write for as long as the peer
-/// lets a trickle through. Gives up within twice [`WRITE_TIMEOUT`].
-fn write_all_by(stream: &mut TcpStream, mut buf: &[u8], deadline: Instant) -> io::Result<()> {
-    loop {
-        match stream.write(buf) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => buf = &buf[n..],
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-        if buf.is_empty() {
-            return Ok(());
-        }
-        if Instant::now() >= deadline {
-            return Err(io::ErrorKind::TimedOut.into());
         }
     }
 }
@@ -300,10 +359,11 @@ where
         let to = to.index();
         if to < self.peers.len() {
             let frame = self.codec.encode(&msg);
-            // A stream that died since the last send (peer restarted) is
-            // left due, so the second try redials it at once; a link in
+            let mut table = lock(&self.table);
+            // A connection that died since the last send (peer restarted)
+            // is left due, so the second try redials it at once; a link in
             // back-off fails both tries without a syscall.
-            if self.try_write(to, &frame) || self.try_write(to, &frame) {
+            if self.try_write(&mut table, to, &frame) || self.try_write(&mut table, to, &frame) {
                 return;
             }
         }
@@ -319,6 +379,14 @@ struct PollFd {
     revents: c_short,
 }
 
+fn poll_fd(fd: RawFd, events: c_short) -> PollFd {
+    PollFd {
+        fd,
+        events,
+        revents: 0,
+    }
+}
+
 /// `struct timespec` as the `ppoll` symbol takes it (`time_t` is `long`
 /// on every Linux and BSD ABI that symbol serves).
 #[repr(C)]
@@ -328,6 +396,7 @@ struct Timespec {
 }
 
 const POLLIN: c_short = 0x001;
+const POLLOUT: c_short = 0x004;
 
 extern "C" {
     fn ppoll(
@@ -338,10 +407,10 @@ extern "C" {
     ) -> c_int;
 }
 
-/// Blocks until one of `fds` is readable (or hung up) or `timeout`
-/// elapses; `revents` says which. Nanosecond timeout — `poll`'s
+/// Blocks until one of `fds` is ready for its `events` (or hung up) or
+/// `timeout` elapses; `revents` says which. Nanosecond timeout — `poll`'s
 /// milliseconds would blunt every timer that passes through this wait.
-fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) {
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) {
     let timeout = timeout.map(|d| Timespec {
         tv_sec: c_long::try_from(d.as_secs()).unwrap_or(c_long::MAX),
         tv_nsec: d.subsec_nanos() as c_long, // < 10⁹: fits any `long`
@@ -372,10 +441,12 @@ fn wait_readable(fds: &mut [PollFd], timeout: Option<Duration>) {
     }
 }
 
-/// One accepted connection and its incremental framer.
+/// One TCP connection — dialled or accepted, non-blocking — and its
+/// incremental framer.
 struct Conn {
     stream: TcpStream,
-    /// The peer's claimed id, once its preamble has arrived.
+    /// The peer: known on a dialled connection, claimed by the preamble
+    /// on an accepted one (`None` until it has arrived).
     from: Option<ProcessId>,
     /// Read buffer: `buf[..have]` holds bytes not yet consumed. Its
     /// length is [`READ_BUF`], or exactly one frame while a larger one
@@ -385,13 +456,36 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Self {
+    fn new(stream: TcpStream, from: Option<ProcessId>) -> Self {
         Conn {
             stream,
-            from: None,
+            from,
             buf: vec![0; READ_BUF],
             have: 0,
         }
+    }
+
+    /// Writes all of `buf` by `deadline`. A full send buffer parks the
+    /// thread in `ppoll` for `POLLOUT`, for no longer than what is left
+    /// of the deadline, so a peer that lets a trickle through cannot
+    /// stretch one frame past it.
+    fn write_all_by(&self, mut buf: &[u8], deadline: Instant) -> io::Result<()> {
+        while !buf.is_empty() {
+            match (&self.stream).write(buf) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => buf = &buf[n..],
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(io::ErrorKind::TimedOut.into());
+                    }
+                    wait_ready(&mut [poll_fd(self.stream.as_raw_fd(), POLLOUT)], Some(left));
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
     }
 
     /// One `read`, then every frame it completed into `batch`.
@@ -484,8 +578,9 @@ impl Conn {
 struct SocketInbound<V> {
     wake: UnixStream,
     listener: TcpListener,
-    conns: Vec<Conn>,
-    /// Scratch for `ppoll`: wake socket, listener, then `conns` in order.
+    table: SharedTable,
+    /// Scratch for `ppoll`: wake socket, listener, the links' connections
+    /// in peer order, then the receive-only ones in order.
     fds: Vec<PollFd>,
     codec: WireCodec,
     counters: Arc<Counters>,
@@ -497,16 +592,21 @@ where
     V: Payload + BulkCodec + Send + Sync,
 {
     fn wait(&mut self, timeout: Option<Duration>, batch: &mut Vec<(ProcessId, StoreWire<V>)>) {
+        let mut table = lock(&self.table);
+        let table = &mut *table;
         let sources = [self.wake.as_raw_fd(), self.listener.as_raw_fd()];
-        let conns = self.conns.iter().map(|c| c.stream.as_raw_fd());
+        let links = table.links.iter().filter_map(|l| l.conn.as_ref());
+        let conns = links
+            .chain(&table.receive_only)
+            .map(|c| c.stream.as_raw_fd());
         self.fds.clear();
-        self.fds
-            .extend(sources.into_iter().chain(conns).map(|fd| PollFd {
-                fd,
-                events: POLLIN,
-                revents: 0,
-            }));
-        wait_readable(&mut self.fds, timeout);
+        self.fds.extend(
+            sources
+                .into_iter()
+                .chain(conns)
+                .map(|fd| poll_fd(fd, POLLIN)),
+        );
+        wait_ready(&mut self.fds, timeout);
         bump(&self.counters.wakeups, 1);
 
         if self.fds[0].revents != 0 {
@@ -517,21 +617,36 @@ where
             while matches!((&self.wake).read(&mut sink), Ok(n) if n == sink.len()) {}
         }
         let (frames_before, mut reads) = (batch.len(), 0);
-        // Back to front, so `swap_remove` only moves a connection that
-        // already had its turn; new connections join after the pass.
-        for i in (0..self.conns.len()).rev() {
-            if self.fds[2 + i].revents == 0 {
-                continue;
-            }
+        let mut read = |conn: &mut Conn, batch: &mut Vec<(ProcessId, StoreWire<V>)>| {
             reads += 1;
-            let open = self.conns[i].pump(&self.codec, batch).unwrap_or_else(|_| {
-                // A peer speaking garbage loses its connection; if
-                // it was an honest peer's torn write, it redials.
+            conn.pump(&self.codec, batch).unwrap_or_else(|_| {
+                // A peer speaking garbage loses its connection; if it
+                // was an honest peer's torn write, it redials.
                 bump(&self.counters.rejects, 1);
                 false
-            });
-            if !open {
-                self.conns.swap_remove(i);
+            })
+        };
+        let mut ready = self.fds[2..].iter().map(|fd| fd.revents != 0);
+        for link in &mut table.links {
+            let Some(conn) = &mut link.conn else { continue };
+            if ready.next() == Some(true) && !read(conn, batch) {
+                // Closed or garbage: the pair's link, both directions.
+                link.conn = None;
+            }
+        }
+        let ready: &[PollFd] = &self.fds[self.fds.len() - table.receive_only.len()..];
+        // Back to front, so `swap_remove` only moves a connection that
+        // already had its turn; new connections join after the pass.
+        for i in (0..table.receive_only.len()).rev() {
+            if ready[i].revents == 0 {
+                continue;
+            }
+            let conn = &mut table.receive_only[i];
+            let claimed = conn.from.is_some();
+            if !read(conn, batch) {
+                table.receive_only.swap_remove(i);
+            } else if !claimed && conn.from.is_some() {
+                table.adopt(i);
             }
         }
         bump(&self.counters.reads, reads);
@@ -540,12 +655,23 @@ where
             // Everything in the backlog; `WouldBlock` ends the loop, and
             // any other failure waits for the next wake-up.
             while let Ok((stream, _)) = self.listener.accept() {
-                if stream.set_nonblocking(true).is_ok() {
-                    self.conns.push(Conn::new(stream));
+                if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
+                    table.receive_only.push(Conn::new(stream, None));
                 }
             }
         }
     }
+}
+
+/// One node's sockets until [`NetFabric::start`] hands them to its
+/// thread.
+struct Unstarted {
+    listener: TcpListener,
+    /// The wake socket's read end (the node's) and write end (the
+    /// waker's).
+    wake: UnixStream,
+    waker: UnixStream,
+    table: SharedTable,
 }
 
 /// Binds the fleet's listeners and hands each to its node.
@@ -558,9 +684,8 @@ where
 /// hosting [`ThreadRuntime`](sbs_sim::ThreadRuntime) stops; what stays
 /// here is the address book and the counters.
 pub struct NetFabric {
-    /// Per node, until `start` hands them off: the listener and the
-    /// wake socket's read and write ends.
-    unstarted: Vec<(TcpListener, UnixStream, UnixStream)>,
+    /// Per node, until `start` hands them off.
+    unstarted: Vec<Unstarted>,
     addrs: Vec<SocketAddr>,
     counters: Vec<Arc<Counters>>,
 }
@@ -585,12 +710,18 @@ impl NetFabric {
             let listener = TcpListener::bind(("127.0.0.1", 0))?;
             listener.set_nonblocking(true)?;
             addrs.push(listener.local_addr()?);
-            let (wake_rx, wake_tx) = UnixStream::pair()?;
-            wake_rx.set_nonblocking(true)?;
+            let (wake, waker) = UnixStream::pair()?;
+            wake.set_nonblocking(true)?;
             // A full wake socket already guarantees a wake-up; the
             // waker must never block on it.
-            wake_tx.set_nonblocking(true)?;
-            unstarted.push((listener, wake_rx, wake_tx));
+            waker.set_nonblocking(true)?;
+            let table = Arc::new(Mutex::new(Table::new(nodes)));
+            unstarted.push(Unstarted {
+                listener,
+                wake,
+                waker,
+                table,
+            });
         }
         Ok(NetFabric {
             unstarted,
@@ -604,19 +735,26 @@ impl NetFabric {
         &self.addrs
     }
 
-    /// Node `me`'s outbound transport to this fleet, its gauges counted
-    /// into [`NetFabric::stats`].
+    /// Node `me`'s transport to this fleet: it shares the node's
+    /// connection table with the receive half [`NetFabric::start`] hands
+    /// the node, and its gauges are counted into [`NetFabric::stats`].
     ///
     /// # Panics
     ///
-    /// Panics if `me` is not one of the bound nodes.
+    /// Panics if `me` is not one of the bound nodes, or if the fabric has
+    /// already started.
     pub fn transport<V>(
         &self,
         me: ProcessId,
         codec: WireCodec,
         drops: Arc<AtomicU64>,
     ) -> TcpTransport<V> {
+        let node = self
+            .unstarted
+            .get(me.index())
+            .expect("a bound node of a fabric not yet started");
         TcpTransport {
+            table: Arc::clone(&node.table),
             counters: Arc::clone(&self.counters[me.index()]),
             ..TcpTransport::new(me, self.addrs.clone(), codec, drops)
         }
@@ -645,10 +783,10 @@ impl NetFabric {
             .sum()
     }
 
-    /// Hands every node its listener: from its next turn on, the thread
-    /// behind each injector (one per node, in [`ProcessId`] order)
-    /// accepts, reads and decodes its own inbound connections and
-    /// delivers the messages to its node.
+    /// Hands every node its listener and connection table: from its next
+    /// turn on, the thread behind each injector (one per node, in
+    /// [`ProcessId`] order) accepts, reads and decodes its own
+    /// connections and delivers the messages to its node.
     ///
     /// # Panics
     ///
@@ -672,16 +810,17 @@ impl NetFabric {
             "fabric already started"
         );
         let handoff = self.unstarted.drain(..).zip(injectors).zip(&self.counters);
-        for (((listener, wake, waker), injector), counters) in handoff {
+        for ((node, injector), counters) in handoff {
             let inbound = SocketInbound::<V> {
-                wake,
-                listener,
-                conns: Vec::new(),
+                wake: node.wake,
+                listener: node.listener,
+                table: node.table,
                 fds: Vec::new(),
                 codec,
                 counters: Arc::clone(counters),
                 _values: PhantomData,
             };
+            let waker = node.waker;
             injector.attach(Box::new(inbound), move || {
                 // `WouldBlock` means bytes are already pending, and a
                 // closed read end that the node is gone: both fine.
@@ -694,7 +833,7 @@ impl NetFabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::MAX_FRAME;
+    use crate::codec::{read_frame, MAX_FRAME};
     use sbs_bulk::BulkDigest;
     use sbs_core::RegMsg;
     use sbs_sim::{Context, Node, OpId, SimDuration, ThreadRuntime, TimerId};
@@ -771,27 +910,40 @@ mod tests {
     }
 
     fn preamble(id: u32) -> Vec<u8> {
-        [&PREAMBLE_MAGIC[..], &id.to_le_bytes()].concat()
+        super::preamble(ProcessId(id)).to_vec()
     }
 
-    /// One recorder node on a real listener.
+    /// Recorder nodes on real listeners.
     struct Rig {
         rt: ThreadRuntime<Wire, Out>,
         fabric: NetFabric,
+        drops: Arc<AtomicU64>,
     }
 
     impl Rig {
+        /// One node: the raw peers of the tests below claim ids that
+        /// are no peer of it, so nothing is adopted.
         fn new() -> Self {
-            let mut fabric = NetFabric::bind(1).expect("bind");
-            let node = Box::new(Recorder { deadline: None });
-            let rt = ThreadRuntime::spawn_with_transport(vec![node], 1, |me, _| {
-                Box::new(fabric.transport::<u64>(me, codec(), Arc::default()))
-            });
-            fabric.start(codec(), vec![rt.injector(ProcessId(0))]);
-            Rig { rt, fabric }
+            Rig::with_nodes(1)
         }
 
-        /// A raw client connection to the node, preamble not yet sent.
+        fn with_nodes(n: usize) -> Self {
+            let mut fabric = NetFabric::bind(n).expect("bind");
+            let drops = Arc::new(AtomicU64::new(0));
+            let nodes = (0..n)
+                .map(|_| {
+                    Box::new(Recorder { deadline: None }) as Box<dyn Node<Msg = _, Out = _> + Send>
+                })
+                .collect();
+            let rt = ThreadRuntime::spawn_with_transport(nodes, 1, |me, _| {
+                Box::new(fabric.transport::<u64>(me, codec(), Arc::clone(&drops)))
+            });
+            let injectors = (0..n).map(|i| rt.injector(ProcessId(i as u32))).collect();
+            fabric.start(codec(), injectors);
+            Rig { rt, fabric, drops }
+        }
+
+        /// A raw client connection to node 0, preamble not yet sent.
         fn connect(&self) -> TcpStream {
             let stream = TcpStream::connect(self.fabric.addrs()[0]).expect("connect");
             stream.set_nodelay(true).expect("nodelay");
@@ -799,12 +951,24 @@ mod tests {
             stream
         }
 
-        /// The next delivery as `(n, claimed sender)`.
-        fn delivery(&self) -> (u64, u64) {
+        /// Has node `from` send `msg` to node `to`.
+        fn send(&self, from: u32, to: u32, msg: Wire) {
+            self.rt
+                .invoke::<Recorder>(ProcessId(from), move |_, ctx| ctx.send(ProcessId(to), msg));
+        }
+
+        /// The next delivery as `(receiver, n, claimed sender)`.
+        fn delivered(&self) -> (u32, u64, u64) {
             match self.rt.recv_output(PATIENCE) {
-                Some((_, StoreOut::GetDone { op, value })) => (op.0, value.expect("sender")),
+                Some((at, StoreOut::GetDone { op, value })) => (at.0, op.0, value.expect("sender")),
                 other => panic!("expected a delivery, got {other:?}"),
             }
+        }
+
+        /// The next delivery as `(n, claimed sender)`.
+        fn delivery(&self) -> (u64, u64) {
+            let (_, n, from) = self.delivered();
+            (n, from)
         }
 
         /// Spins until the node thread's counters satisfy `reached`, so a
@@ -963,7 +1127,7 @@ mod tests {
         let listener = TcpListener::bind(("127.0.0.1", 0)).expect("bind");
         let peer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
         let (accepted, _) = listener.accept().expect("accept");
-        (peer, Conn::new(accepted))
+        (peer, Conn::new(accepted, None))
     }
 
     #[test]
@@ -1064,8 +1228,8 @@ mod tests {
         assert_eq!(drops.load(Ordering::Relaxed), 100);
         // The link is retried, at a bounded rate: about one dial per
         // back-off step, not one per send.
-        assert!(transport.links[0].backoff >= BACKOFF_BASE);
-        assert!(transport.links[0].backoff <= BACKOFF_CAP);
+        let backoff = lock(&transport.table).links[0].backoff;
+        assert!((BACKOFF_BASE..=BACKOFF_CAP).contains(&backoff));
     }
 
     #[test]
@@ -1096,5 +1260,119 @@ mod tests {
         let again = Instant::now();
         transport.send(ProcessId(0), ProcessId(0), blob(1 << 20));
         assert!(again.elapsed() < WRITE_TIMEOUT / 4);
+    }
+
+    #[test]
+    fn a_reply_rides_the_connection_its_request_came_in_on() {
+        let rig = Rig::with_nodes(2);
+        rig.send(0, 1, ack(1));
+        assert_eq!(rig.delivered(), (1, 1, 0));
+        rig.send(1, 0, ack(2));
+        assert_eq!(rig.delivered(), (0, 2, 1));
+        let stats = rig.fabric.stats();
+        assert_eq!(stats.connects, 1, "node 1 must not dial back: {stats:?}");
+        assert_eq!(rig.drops.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn both_ends_sending_first_at_once_keep_each_direction_in_order() {
+        const FRAMES: u64 = 200;
+        for round in 0..5 {
+            let rig = Rig::with_nodes(2);
+            // Both bursts are queued before either node has read a byte,
+            // so both usually dial.
+            for (from, to) in [(0, 1), (1, 0)] {
+                rig.rt.invoke::<Recorder>(ProcessId(from), move |_, ctx| {
+                    for tag in 0..FRAMES {
+                        ctx.send(ProcessId(to), ack(tag));
+                    }
+                });
+            }
+            let mut next = [0u64; 2];
+            for _ in 0..2 * FRAMES {
+                let (at, tag, from) = rig.delivered();
+                assert_eq!(from, u64::from(1 - at), "round {round}");
+                assert_eq!(tag, next[at as usize], "round {round}: node {at} reordered");
+                next[at as usize] += 1;
+            }
+            let stats = rig.fabric.stats();
+            assert!(stats.connects <= 2, "round {round}: {stats:?}");
+            assert_eq!(rig.drops.load(Ordering::Relaxed), 0, "round {round}");
+            assert_eq!(rig.fabric.decode_rejects(), 0, "round {round}");
+        }
+    }
+
+    /// A raw peer that claims to be node 1 of a two-node rig, adopted by
+    /// node 0 as its link to node 1: checked by having node 0 send it a
+    /// frame, which arrives bare (an acceptor writes no preamble).
+    fn adopted_impostor(rig: &Rig) -> TcpStream {
+        let mut peer = rig.connect();
+        peer.write_all(&preamble(1)).expect("preamble");
+        rig.until("the preamble read", |f| f.stats().reads >= 1);
+        rig.send(0, 1, ack(5));
+        let payload = read_frame(&mut peer).expect("read").expect("a frame");
+        assert_eq!(payload, codec().encode(&ack(5))[4..]);
+        peer
+    }
+
+    #[test]
+    fn after_a_peer_closes_the_shared_connection_the_next_send_redials() {
+        let rig = Rig::with_nodes(2);
+        drop(adopted_impostor(&rig));
+        rig.until("the EOF read", |f| f.stats().reads >= 2);
+        rig.send(0, 1, ack(6));
+        assert_eq!(rig.delivered(), (1, 6, 0));
+        assert_eq!(rig.fabric.stats().connects, 1);
+        assert_eq!(rig.drops.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_reject_on_the_shared_connection_drops_its_send_direction_too() {
+        let rig = Rig::with_nodes(2);
+        let mut peer = adopted_impostor(&rig);
+        let mut garbage = codec().encode(&ack(9));
+        garbage[4] ^= 0xff; // the version byte
+        peer.write_all(&garbage).expect("garbage");
+        rig.until("the reject", |f| f.decode_rejects() == 1);
+        Rig::assert_closed(peer);
+        // Node 0's next frame for node 1 goes to node 1, not down the
+        // rejected connection.
+        rig.send(0, 1, ack(7));
+        assert_eq!(rig.delivered(), (1, 7, 0));
+        assert_eq!(rig.fabric.stats().connects, 1);
+        assert_eq!(rig.drops.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_an_adopted_link_costs_a_timeout_not_the_thread() {
+        let rig = Rig::with_nodes(2);
+        let _peer = adopted_impostor(&rig);
+        // Node 0 sends to "node 1" down the non-blocking adopted socket,
+        // one frame per handler, until the send buffers fill and a write
+        // stalls.
+        let mut sent = 0;
+        let stalled = loop {
+            let started = Instant::now();
+            rig.rt.invoke::<Recorder>(ProcessId(0), move |_, ctx| {
+                ctx.send(ProcessId(1), blob(1 << 20));
+                ctx.output(StoreOut::PutDone { op: OpId(sent) });
+            });
+            match rig.rt.recv_output(PATIENCE) {
+                Some((_, StoreOut::PutDone { op })) if op.0 == sent => {}
+                other => panic!("expected send {sent} to end, got {other:?}"),
+            }
+            let took = started.elapsed();
+            if rig.fabric.stats().write_timeouts > 0 {
+                break took;
+            }
+            sent += 1;
+            assert!(sent < 1_000, "the send buffer never filled");
+        };
+        assert!(
+            (WRITE_TIMEOUT..2 * WRITE_TIMEOUT).contains(&stalled),
+            "a send to a peer that does not read took {stalled:?}"
+        );
+        assert_eq!(rig.fabric.stats().write_timeouts, 1);
+        assert_eq!(rig.drops.load(Ordering::Relaxed), 1);
     }
 }

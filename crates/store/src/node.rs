@@ -622,7 +622,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         let mut ripe: Vec<Holding> = Vec::new();
         h.suspects.retain(|&(shard, slot, digest), armed| {
             let held = match g {
-                Some(gg) if gg.coded => frags.get_for(shard, &digest).is_some(),
+                Some(gg) if gg.coded => frags.holds(&digest),
                 _ => bulk.holds(&digest),
             };
             if held {
@@ -1121,7 +1121,7 @@ where
                         continue;
                     }
                     let held = if g.coded {
-                        self.frags.get_for(shard, &digest).is_some()
+                        self.frags.holds(&digest)
                     } else {
                         self.bulk.holds(&digest)
                     };

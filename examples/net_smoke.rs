@@ -17,9 +17,10 @@
 //! A wall-clock budget guards the whole run: loopback YCSB-B at this
 //! size finishes in well under a second, so a minute means a deadlock,
 //! a reconnect storm, or a stuck reader — all bugs this smoke exists to
-//! catch. So does the thread census after the run: the socket runtime is
-//! one OS thread per node, and a reader or accept thread coming back
-//! would show up here before it shows up in a profile.
+//! catch. So do the censuses after the run: the socket runtime is one OS
+//! thread per node and one connection per client–server pair, and a
+//! reader or accept thread, or a server dialling back, coming back would
+//! show up here before it shows up in a profile.
 
 use stabilizing_storage::net::NetStoreSystem;
 use stabilizing_storage::sim::SimDuration;
@@ -92,6 +93,19 @@ fn assert_one_thread_per_node(nodes: usize) {
     println!("threads: {} for {nodes} nodes", names.len());
 }
 
+/// One connection per client–server pair: a server answers on the
+/// connection its client dialled instead of dialling back. The run has
+/// no server↔server traffic (no anti-entropy), so a dial-back coming back
+/// would double the count.
+fn assert_one_connection_per_pair(connects: u64, clients: usize, servers: usize) {
+    let pairs = (clients * servers) as u64;
+    assert!(
+        connects <= pairs,
+        "{clients} clients × {servers} servers must not need {connects} connections"
+    );
+    println!("connections: {connects} for {pairs} client-server pairs");
+}
+
 fn main() {
     let wl = Workload::ycsb_b(300, 64);
     let builder = StoreBuilder::asynchronous(1)
@@ -122,6 +136,7 @@ fn main() {
         stats.wakeups as f64 / report.completed.max(1) as f64,
     );
     assert_one_thread_per_node(sys.clients.len() + sys.servers.len());
+    assert_one_connection_per_pair(stats.connects, sys.clients.len(), sys.servers.len());
 
     let monitor = sys.monitor().expect("monitor enabled");
     println!(
