@@ -1,8 +1,8 @@
 //! The metadata/data-separation bench: bytes-on-wire, per-replica
 //! storage, and throughput of the same Zipfian YCSB-B workload under
-//! full replication, the whole-copy 2t+1 bulk plane, and the
-//! erasure-coded (k-of-m fragment) bulk plane, swept over payload size ×
-//! fleet size × keys per shard.
+//! full replication and the 2t+1 bulk plane at two thresholds — whole
+//! copies (`k = 1`, mode `bulk`) and `k = t + 1` fragments (mode
+//! `coded`) — swept over payload size × fleet size × keys per shard.
 //!
 //! ```sh
 //! cargo bench -p sbs-bench --bench bulk_vs_full            # full sweep
@@ -13,13 +13,13 @@
 //! shard — to all `n` servers (twice, counting the helping refresh); the
 //! bulk plane ships the one written value to `2t + 1` data replicas once
 //! and moves the shard's map of 44-byte references through the metadata
-//! quorum; the coded plane ships each of those replicas only a `1/k`
-//! fragment of the value. The interesting columns are the `total` ratio
+//! quorum; `k > 1` ships each of those replicas only a `1/k` fragment of
+//! the value. The interesting columns are the `total` ratio
 //! (grows with payload size and with `n`), `repl KiB` — the
 //! *per-replica stored* bytes the coded mode cuts by ~`k`× — and `bulk
 //! B/op`, which must stay flat as keys per shard grow (a put costs its
-//! value, not its shard), while the metadata bytes of the bulk planes
-//! grow with the reference map. Every coded run is also checked
+//! value, not its shard), while the bulk plane's metadata bytes grow
+//! with the reference map. Every coded run is also checked
 //! differentially against the full-replication run: same key sets, same
 //! per-key write sequences.
 

@@ -29,7 +29,8 @@ use sbs_sim::SimDuration;
 use sbs_store::{FaultPlan, KeyDist, LoopMode, OpMix, SizedVal, StoreBuilder, Workload};
 
 /// Value size of the big-frame drill: every put ships one such value
-/// (a whole copy or half of it per replica), so its frames are hundreds
+/// (a whole copy at `k = 1`, half of it at `k = 2`, per replica), so its
+/// frames are hundreds
 /// of KiB where the other rows' are a few hundred bytes.
 const DRILL_VALUE_LEN: u32 = 512 * 1024;
 
@@ -159,9 +160,9 @@ fn main() {
     }
     if !smoke {
         // The big-frame drill: the same fleet moving frames of hundreds
-        // of KiB on both bulk planes, so the large-frame read path (a
-        // frame read straight into a buffer of its own size) has a
-        // number too.
+        // of KiB on the bulk plane at k = 1 and k = 2, so the
+        // large-frame read path (a frame read straight into a buffer of
+        // its own size) has a number too.
         for (plane, builder) in [
             ("bulk", async_fleet().bulk()),
             ("coded", async_fleet().bulk_coded(2)),

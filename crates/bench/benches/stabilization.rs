@@ -114,8 +114,8 @@ fn store_stabilization_probe(traj: &mut BenchTrajectory, repo_root: &Path) {
 }
 
 /// The self-healing probe: the same YCSB-B shape, but the injected
-/// fault is a **mid-run wipe of one replica's data stores** (blob and
-/// fragment), with anti-entropy enabled so the wiped replica pulls its
+/// fault is a **mid-run wipe of one replica's data store** (its
+/// fragments), with anti-entropy enabled so the wiped replica pulls its
 /// committed state back from its window peers — no writer republish.
 /// One row per data plane; `stabilization_time_ns` is the simulated
 /// time from the wipe until every touched key's history is atomic
@@ -144,7 +144,7 @@ fn repair_stabilization_probe(traj: &mut BenchTrajectory) {
             corruptions: vec![],
             client_corruptions: vec![],
             link_garbage: vec![],
-            // Mid-run, after the read-heavy mix has committed blobs to
+            // Mid-run, after the read-heavy mix has committed values to
             // the victim's shard windows — a wipe before the first put
             // to those shards would be an empty-store no-op.
             data_wipes: vec![(SimDuration::millis(150), 1)],

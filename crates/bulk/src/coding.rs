@@ -1,12 +1,13 @@
 //! Systematic `k`-of-`m` erasure coding and the Merkle-style fragment
 //! commitment — the AVID / PoWerStore dispersal primitives.
 //!
-//! Full-copy bulk storage ships the whole payload to every data replica;
-//! dispersal instead splits it into `m` **fragments** of `⌈len/k⌉` bytes
-//! each such that *any* `k` of them reconstruct the payload — cutting
-//! per-replica bytes by ~`k`× while keeping the same `m = 2t + 1` replica
+//! Dispersal splits a payload into `m` **fragments** of `⌈len/k⌉` bytes
+//! each such that *any* `k` of them reconstruct it — cutting per-replica
+//! bytes by ~`k`× over whole copies on the same `m = 2t + 1` replica
 //! window. The code is **systematic**: fragments `0..k` are the payload's
-//! `k` stripes verbatim, fragments `k..m` are parity.
+//! `k` stripes verbatim, fragments `k..m` are parity. With `k = 1` every
+//! parity fragment equals the one stripe, so whole-copy replication is
+//! this code's `k = 1` case.
 //!
 //! # The code
 //!
@@ -29,14 +30,14 @@
 //! metadata quorum. Each `FRAG_PUT` carries the fragment plus its Merkle
 //! path ([`merkle_proof`]), so a replica verifies **its own fragment**
 //! against the root before storing ([`verify_fragment`]) — fabricated
-//! fragments are unstorable, exactly like fabricated blobs — and a reader
+//! fragments are unstorable — and a reader
 //! verifies every served fragment the same way before feeding it to
 //! [`reconstruct`]. A Byzantine replica garbling the fragment it serves
 //! is therefore detected fragment-by-fragment; the reader just keeps
 //! collecting until `k` *verified* fragments arrive. Interior nodes are
 //! hashed in a digest domain of their own (see [`node_hash`]), so a
 //! node preimage — which proofs make public — can never be replayed as
-//! a content-addressed blob under the root.
+//! a one-leaf fragment under the root.
 //!
 //! Note the writer-consistency caveat inherited from the adversary model:
 //! the commitment proves each fragment belongs to the committed set, not
@@ -44,7 +45,7 @@
 //! commit to an inconsistent fragment set; readers survive because the
 //! reconstruction must still decode into a well-formed value (the store
 //! layer re-decodes and falls back to a metadata re-read otherwise) —
-//! the same defense the blob path uses against fabricated references.
+//! the same defense it uses against fabricated references.
 
 use crate::blob::SharedBytes;
 use crate::digest::{digest_of, digest_of_node_preimage, BulkDigest};
@@ -240,9 +241,9 @@ const NODE_TAG: u8 = 0x4D;
 /// in its own digest domain (`digest_of_node_preimage`), disjoint from
 /// content addressing: the 65-byte preimage of a node is *public* (any
 /// fragment proof exposes the top node's children), so if nodes were
-/// hashed with plain [`digest_of`], a writer could `BULK_PUT` that
-/// preimage under the root as a digest-passing whole blob and shadow
-/// the dispersal with undecodable bytes. The input-side `NODE_TAG`
+/// hashed with plain [`digest_of`], that preimage would be a leaf whose
+/// digest *is* the root — a one-fragment "dispersal" verifying under the
+/// root with undecodable bytes. The input-side `NODE_TAG`
 /// additionally separates nodes from *leaves within the node domain*.
 fn node_hash(l: &BulkDigest, r: &BulkDigest) -> BulkDigest {
     let mut buf = [0u8; 65];
@@ -605,11 +606,11 @@ mod tests {
     /// public — any fragment proof exposes (or lets a reader derive) the
     /// root's two children — so it must NOT content-address to the root.
     /// Pre-fix, `node_hash` used plain `digest_of`, and a writer could
-    /// `BULK_PUT` the preimage as a digest-passing whole blob under the
-    /// root, permanently shadowing the dispersal with undecodable bytes.
+    /// store the preimage under the root as a digest-passing one-leaf
+    /// entry, permanently shadowing the dispersal with undecodable bytes.
     #[test]
     fn interior_node_preimages_are_not_content_addressable() {
-        use crate::blob::{BulkStore, PutOutcome};
+        use crate::blob::{FragmentStore, PutOutcome, StoredFragment};
         let mut rng = DetRng::from_seed(0x5EED);
         for m in 2usize..=9 {
             let frags: Vec<SharedBytes> = (0..m)
@@ -634,12 +635,18 @@ mod tests {
                 root,
                 "m={m}: a node preimage must never digest to the root"
             );
-            // …and so a verified blob store refuses it under the root.
-            let mut s = BulkStore::new();
+            // …and so a verified store refuses it under the root as a
+            // one-leaf dispersal.
+            let shadow = StoredFragment {
+                index: 0,
+                total: 1,
+                bytes: preimage.into(),
+                proof: Vec::new(),
+            };
             assert_eq!(
-                s.put(crate::Holder::new(0, 0), root, preimage.into()),
+                FragmentStore::new().put(crate::Holder::new(0, 0), root, shadow),
                 PutOutcome::DigestMismatch,
-                "m={m}: the shadowing blob must be unstorable"
+                "m={m}: the shadowing fragment must be unstorable"
             );
         }
     }

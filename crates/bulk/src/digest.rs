@@ -37,7 +37,7 @@ const LANE_TWEAK: [u64; 4] = [
 /// in a payload): a node digest is computed from lane states no byte
 /// string fed to [`digest_of`] starts from, so within the no-offline-
 /// search adversary model above, a known node preimage cannot be
-/// replayed as a content-addressed blob that collides with the node's
+/// replayed as a fragment whose leaf digest collides with the node's
 /// digest.
 const NODE_DOMAIN: u64 = 0x4E4F_4445_5F68_6173; // "NODE_has"
 
@@ -68,8 +68,8 @@ pub fn digest_of(bytes: &[u8]) -> BulkDigest {
 
 /// The digest of an interior Merkle-node preimage — same construction as
 /// [`digest_of`] but started from [`NODE_DOMAIN`]-tweaked lane states, so
-/// node digests and content addresses live in disjoint domains: no blob a
-/// writer can `BULK_PUT` content-addresses to a commitment root.
+/// node digests and content addresses live in disjoint domains: no
+/// fragment's leaf digest equals a commitment root.
 pub(crate) fn digest_of_node_preimage(bytes: &[u8]) -> BulkDigest {
     digest_in_domain(NODE_DOMAIN, bytes)
 }
@@ -116,11 +116,6 @@ impl BulkRef {
             digest: digest_of(bytes),
             len: bytes.len() as u64,
         }
-    }
-
-    /// True iff `bytes` is exactly the string this reference pins.
-    pub fn verifies(&self, bytes: &[u8]) -> bool {
-        bytes.len() as u64 == self.len && digest_of(bytes) == self.digest
     }
 }
 
@@ -209,19 +204,20 @@ mod tests {
             let len = 1 + (rng.next_u64() % 512) as usize;
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             let r = BulkRef::to_bytes(&bytes);
-            assert!(r.verifies(&bytes));
+            let pins = |b: &[u8]| BulkRef::to_bytes(b) == r;
+            assert!(pins(&bytes));
 
             // Flip one byte (guaranteed-nonzero mask).
             let mut flipped = bytes.clone();
             let i = (rng.next_u64() as usize) % len;
             flipped[i] ^= 1 + (rng.next_u64() % 255) as u8;
-            assert!(!r.verifies(&flipped), "byte flip at {i} digest-passed");
+            assert!(!pins(&flipped), "byte flip at {i} digest-passed");
 
             // Truncate and extend.
-            assert!(!r.verifies(&bytes[..len - 1]));
+            assert!(!pins(&bytes[..len - 1]));
             let mut extended = bytes.clone();
             extended.push(rng.next_u64() as u8);
-            assert!(!r.verifies(&extended));
+            assert!(!pins(&extended));
         }
     }
 
@@ -231,7 +227,7 @@ mod tests {
         let bytes = b"payload".to_vec();
         let mut r = BulkRef::to_bytes(&bytes);
         r.scramble(&mut rng);
-        assert!(!r.verifies(&bytes));
+        assert_ne!(r, BulkRef::to_bytes(&bytes));
         assert_eq!(Payload::wire_size(&r), 40);
     }
 }

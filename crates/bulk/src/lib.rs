@@ -1,4 +1,4 @@
-//! # sbs-bulk — the content-addressed bulk-value plane
+//! # sbs-bulk — the bulk-value plane's substrate
 //!
 //! The paper's registers replicate every write's *full* value to all
 //! `n ≥ 8t + 1` servers, so payload traffic and server memory scale with
@@ -17,24 +17,30 @@
 //!   quorum carries in place of the value.
 //! - [`BulkCodec`] — deterministic byte serialization, so the same
 //!   logical value always hashes to the same address.
-//! - [`BulkStore`] — a per-replica blob store that **verifies the content
-//!   address before storing**, making fabricated blobs unstorable, and
-//!   keeps its `(shard, digest)` holdings rank-addressable so anti-entropy
-//!   gossip never walks the store.
 //! - [`encode_fragments`] / [`reconstruct`] + [`merkle_root`] /
 //!   [`merkle_proof`] / [`verify_fragment`] — systematic `k`-of-`m`
 //!   erasure coding over GF(2⁸) and the Merkle-style fragment commitment
-//!   (AVID / PoWerStore dispersal), with [`FragmentStore`] as the
-//!   per-replica verified fragment store.
+//!   (AVID / PoWerStore dispersal).
+//! - [`FragmentStore`] — a per-replica fragment store that **replays the
+//!   commitment before storing**, making fabricated fragments unstorable,
+//!   and keeps its `(shard, root)` holdings rank-addressable so
+//!   anti-entropy gossip never walks the store.
 //! - [`data_replica_slots`] — the deterministic per-shard choice of data
 //!   replicas out of the `n` servers.
 //!
 //! The store layer (`sbs-store`) composes these into a two-plane put/get
-//! path: payload bytes (whole copies, or one coded fragment each) to the
-//! `2t + 1` data replicas, the [`BulkRef`] through the unmodified
-//! register metadata quorum, and digest/commitment verification on every
-//! fetch so a Byzantine data replica serving garbage bytes is detected
-//! and routed around.
+//! path: one coded fragment of each value to each of the `2t + 1` data
+//! replicas, the [`BulkRef`] through the unmodified register metadata
+//! quorum, and commitment verification on every fetch so a Byzantine data
+//! replica serving garbage bytes is detected and routed around.
+//!
+//! Whole-copy replication — Cachin–Dobre–Vukolić's `2t + 1` replicas,
+//! `t + 1` acknowledgements, any one verified reply resolves a read — is
+//! the same dispersal with `k = 1`: a one-stripe Reed–Solomon code makes
+//! every fragment a copy of the value, the push quorum `k + t` is `t + 1`,
+//! and one verified fragment reconstructs. There is no second data path
+//! for it; it pays only an `m`-leaf commitment and a `⌈log₂ m⌉`-digest
+//! proof per copy.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -46,11 +52,11 @@ mod digest;
 mod placement;
 mod ranked;
 
-pub use blob::{BulkStore, FragmentStore, Holder, PutOutcome, SharedBytes, StoredFragment};
+pub use blob::{FragmentStore, Holder, PutOutcome, SharedBytes, StoredFragment};
 pub use codec::{get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64, BulkCodec};
 pub use coding::{
     encode_fragments, fragment_leaves, fragment_len, merkle_proof, merkle_root, reconstruct,
     verify_fragment, MerkleTree,
 };
 pub use digest::{digest_of, BulkDigest, BulkRef};
-pub use placement::{coded_push_quorum, data_replica_count, data_replica_slots, push_quorum};
+pub use placement::{coded_push_quorum, data_replica_count, data_replica_slots};

@@ -18,17 +18,12 @@ pub fn data_replica_count(t: usize) -> usize {
     2 * t + 1
 }
 
-/// Store acknowledgements a writer must collect before publishing the
-/// reference: `t + 1`, so at least one correct replica holds the bytes.
-pub fn push_quorum(t: usize) -> usize {
-    t + 1
-}
-
-/// Store acknowledgements a *coded* dispersal must collect before
-/// publishing the reference: `k + t`, so at least `k` **correct**
-/// replicas hold verified fragments — enough for any later reader to
-/// reconstruct even if every Byzantine replica garbles or withholds.
-/// Whole-copy replication is the `k = 1` special case (`t + 1`).
+/// Store acknowledgements a dispersal must collect before publishing the
+/// reference: `k + t`, so at least `k` **correct** replicas hold verified
+/// fragments — enough for any later reader to reconstruct even if every
+/// Byzantine replica garbles or withholds. Whole copies are `k = 1`:
+/// `t + 1` acknowledgements, so at least one correct replica holds the
+/// value.
 pub fn coded_push_quorum(t: usize, k: usize) -> usize {
     k + t
 }
@@ -58,7 +53,8 @@ mod tests {
     fn quorum_arithmetic() {
         assert_eq!(data_replica_count(1), 3);
         assert_eq!(data_replica_count(2), 5);
-        assert_eq!(push_quorum(1), 2);
+        assert_eq!(coded_push_quorum(1, 1), 2);
+        assert_eq!(coded_push_quorum(1, 2), 3);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! A sorted set addressable by **rank**: the `i`-th smallest element in
 //! `O(log n)`, with insert and remove in `O(log n)` plus a bounded shift.
 //!
-//! The per-replica stores keep their anti-entropy holdings in one of
-//! these (see the "Index" section of [`crate::blob`]'s module docs): the
+//! The per-replica fragment store keeps its anti-entropy holdings in one
+//! of these (see the "Index" section of [`crate::blob`]'s module docs): the
 //! gossip tick reads a rotating window of ≤ 32 consecutive ranks, so it
 //! needs positional access a `BTreeSet` cannot give, while every verified
 //! put inserts — so one flat sorted `Vec`, whose insert shifts half the
@@ -23,7 +23,7 @@
 //! below the cost of the chunk shift until the set holds millions.
 
 /// Most elements one chunk holds; a chunk that would exceed it splits in
-/// half. 64 entries of the stores' 40-byte holdings are 2.5 KiB — an
+/// half. 64 entries of the store's 40-byte holdings are 2.5 KiB — an
 /// insert moves at most that much memory.
 const CHUNK: usize = 64;
 

@@ -1,16 +1,16 @@
-//! Differential test of the holdings index: both stores serve
-//! anti-entropy's `(holder shard, slot, address)` list from an index of
-//! `(shard, address)` pairs they maintain at their mutation points
+//! Differential test of the holdings index: the fragment store serves
+//! anti-entropy's `(holder shard, slot, root)` list from an index of
+//! `(shard, root)` pairs it maintains at its mutation points
 //! (`holdings_len` / `holdings_from`), and the full scan `holdings()` is
 //! the reference. Seeded random sequences of puts by key-slot holders,
 //! aliasing re-puts (across shards and across slots of one shard),
 //! per-key retention evictions, removes and wipes must leave the two
-//! equal after **every** step — and, on the fragment store, leave
-//! `holds(root)` agreeing with `get_for(shard, root)` for every shard.
+//! equal after **every** step — and leave `holds(root)` agreeing with
+//! `get_for(shard, root)` for every shard.
 
 use sbs_bulk::{
-    digest_of, encode_fragments, fragment_leaves, BulkDigest, BulkStore, FragmentStore, Holder,
-    MerkleTree, SharedBytes, StoredFragment,
+    encode_fragments, fragment_leaves, BulkDigest, FragmentStore, Holder, MerkleTree, SharedBytes,
+    StoredFragment,
 };
 use sbs_sim::DetRng;
 
@@ -30,49 +30,9 @@ fn assert_index_matches(
     assert!(from(len).is_empty() && from(len + 7).is_empty(), "{label}");
 }
 
-/// Retention bounds swept by both tests: unbounded (the default, where
-/// the store only grows) and the eviction-heavy 1..=3.
+/// Retention bounds swept: unbounded (the default, where the store only
+/// grows) and the eviction-heavy 1..=3.
 const RETENTIONS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(3)];
-
-#[test]
-fn blob_store_index_tracks_the_full_scan() {
-    // 48 payloads over 6 shards: enough distinct digests for the index
-    // to span several chunks when unbounded, few enough that aliasing
-    // re-puts, removes of held digests and evictions are all frequent.
-    let pool: Vec<(BulkDigest, SharedBytes)> = (0u8..48)
-        .map(|i| {
-            let bytes = SharedBytes::from(vec![i ^ 0x3C; 8 + i as usize]);
-            (digest_of(&bytes), bytes)
-        })
-        .collect();
-    for retain in RETENTIONS {
-        for seed in 0..4u64 {
-            let mut rng = DetRng::from_seed(0x1DE0 + 16 * retain.unwrap_or(0) as u64 + seed);
-            let mut store = retain.map_or_else(BulkStore::new, BulkStore::with_retention);
-            for step in 0..700 {
-                let (digest, bytes) = &pool[rng.next_u64() as usize % pool.len()];
-                match rng.next_u64() % 100 {
-                    0 => store.wipe(),
-                    1..=14 => {
-                        store.remove(digest);
-                    }
-                    _ => {
-                        let holder =
-                            Holder::new((rng.next_u64() % 6) as u32, (rng.next_u64() % 3) as u32);
-                        assert!(store.put(holder, *digest, bytes.clone()).held());
-                    }
-                }
-                assert_index_matches(
-                    store.holdings(),
-                    store.holdings_len(),
-                    |rank| store.holdings_from(rank).collect(),
-                    &mut rng,
-                    &format!("retain {retain:?} seed {seed} step {step}"),
-                );
-            }
-        }
-    }
-}
 
 /// Anti-entropy asks `holds(root)` where it used to ask
 /// `get_for(shard, root).is_some()`: the same predicate, because

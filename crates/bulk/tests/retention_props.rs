@@ -1,65 +1,78 @@
 //! Property-style retention checks for the aliasing-prone corner of the
-//! blob store: identical payloads put by *different* holders — key slots
-//! of different shards, or two keys of one shard — share one digest, so
-//! retention bookkeeping (holders, recency, eviction, byte accounting)
-//! must stay consistent under arbitrary interleavings of puts and
-//! evictions.
+//! fragment store: identical payloads put by *different* holders — key
+//! slots of different shards, or two keys of one shard — share one
+//! commitment root, so retention bookkeeping (holders, recency, eviction,
+//! byte accounting) must stay consistent under arbitrary interleavings of
+//! puts and evictions.
 
-use sbs_bulk::{digest_of, BulkDigest, BulkStore, FragmentStore, Holder, PutOutcome, SharedBytes};
+use sbs_bulk::{
+    encode_fragments, fragment_leaves, BulkDigest, FragmentStore, Holder, MerkleTree, PutOutcome,
+    StoredFragment,
+};
 use sbs_sim::DetRng;
 use std::collections::BTreeMap;
 
-/// A small pool of distinct payloads; a tiny pool relative to the churn
-/// guarantees both digest aliasing across shards and plenty of
+/// A small pool of distinct payloads, each dispersed whole (`k = 1` of
+/// `m = 3`) and held as fragment 0 — the index every holder of these
+/// tests stores, as congruent shards would; a tiny pool relative to the
+/// churn guarantees both root aliasing across shards and plenty of
 /// evictions at every retention bound.
-fn pool() -> (Vec<SharedBytes>, Vec<BulkDigest>) {
-    let payloads: Vec<SharedBytes> = (0u8..8)
-        .map(|i| SharedBytes::from(vec![i ^ 0x5A; 40 + 20 * i as usize]))
-        .collect();
-    let digests = payloads.iter().map(|b| digest_of(b)).collect();
-    (payloads, digests)
+fn pool() -> (Vec<StoredFragment>, Vec<BulkDigest>) {
+    (0u8..8)
+        .map(|i| {
+            let frags = encode_fragments(&vec![i ^ 0x5A; 40 + 20 * i as usize], 1, 3);
+            let tree = MerkleTree::build(&fragment_leaves(&frags));
+            let frag = StoredFragment {
+                index: 0,
+                total: 3,
+                bytes: frags[0].clone(),
+                proof: tree.proof(0),
+            };
+            (frag, tree.root())
+        })
+        .unzip()
 }
 
 /// Seeded loop over retention bounds 1..=3 on 4 shards × 3 key slots:
 /// whatever the interleaving, (1) every holder's most recently put
-/// digest stays resolvable — the aliasing bug dropped exactly this when
-/// another holder evicted its hold on the shared digest, and it is what
+/// root stays resolvable — the aliasing bug dropped exactly this when
+/// another holder evicted its hold on the shared root, and it is what
 /// keeps a key's live value alive; (2) `bytes_stored` equals the sum over
 /// *held* pool payloads, each counted once — so it can neither underflow
-/// nor double-count an aliased blob; (3) the distinct-digest count
+/// nor double-count an aliased fragment; (3) the distinct-root count
 /// respects the global `holders × K` budget.
 #[test]
 fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
-    let (payloads, digests) = pool();
+    let (frags, roots) = pool();
     for retain in 1usize..=3 {
         for seed in 0..6u64 {
             let mut rng = DetRng::from_seed(0x000A_11A5 + ((retain as u64) << 8) + seed);
-            let mut store = BulkStore::with_retention(retain);
+            let mut store = FragmentStore::with_retention(retain);
             let mut last_put: BTreeMap<Holder, usize> = BTreeMap::new();
             for step in 0..500 {
                 let holder = Holder::new((rng.next_u64() % 4) as u32, (rng.next_u64() % 3) as u32);
-                let idx = (rng.next_u64() % payloads.len() as u64) as usize;
-                let out = store.put(holder, digests[idx], payloads[idx].clone());
+                let idx = (rng.next_u64() % frags.len() as u64) as usize;
+                let out = store.put(holder, roots[idx], frags[idx].clone());
                 assert!(out.held(), "verified puts always hold");
                 last_put.insert(holder, idx);
 
-                // (1) Most recent digest per holder is resolvable.
+                // (1) Most recent root per holder is resolvable.
                 for (h, &i) in &last_put {
                     assert_eq!(
-                        store.get(&digests[i]),
-                        Some(payloads[i].as_ref()),
+                        store.get(&roots[i]),
+                        Some(&frags[i]),
                         "retain={retain} seed={seed} step={step}: {h:?}'s most \
-                         recent digest must stay resolvable"
+                         recent root must stay resolvable"
                     );
-                    assert!(store.holders(&digests[i]).contains(h));
+                    assert!(store.holders(&roots[i]).contains(h));
                 }
 
                 // (2) Exact byte accounting: each held pool payload once.
-                let expect: u64 = payloads
+                let expect: u64 = frags
                     .iter()
-                    .zip(&digests)
+                    .zip(&roots)
                     .filter(|(_, d)| store.holds(d))
-                    .map(|(b, _)| b.len() as u64)
+                    .map(|(f, _)| f.bytes.len() as u64)
                     .sum();
                 assert_eq!(
                     store.bytes_stored(),
@@ -68,16 +81,16 @@ fn aliased_puts_across_shards_never_underflow_or_drop_live_digests() {
                      the held set exactly (no underflow, no double counting)"
                 );
 
-                // (3) The global budget: at most K distinct digests per
+                // (3) The global budget: at most K distinct roots per
                 // holder that ever put.
-                assert!(store.blob_count() <= 12 * retain);
+                assert!(store.fragment_count() <= 12 * retain);
             }
         }
     }
 }
 
 /// The aliasing surface on the fragment store: two shards dispersing
-/// identical payloads share a commitment root, but overlapping windows
+/// identical frags share a commitment root, but overlapping windows
 /// put a replica at a different position (= index) per shard — so each
 /// shard holds its *own* `(root, index)` entry, one shard's eviction
 /// never drops another's fragment, and per shard a root still pins

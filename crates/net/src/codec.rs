@@ -91,12 +91,11 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// Message kind bytes (payload byte 1).
+// Message kind bytes (payload byte 1). Kinds 1, 2 and 4 carried the
+// retired whole-copy transfers (blob put, its ack, blob reply); they
+// decode as `BadKind` and are not reused.
 const KIND_BATCH: u8 = 0;
-const KIND_BULK_PUT: u8 = 1;
-const KIND_BULK_PUT_ACK: u8 = 2;
 const KIND_BULK_GET: u8 = 3;
-const KIND_BULK_GET_ACK: u8 = 4;
 const KIND_FRAG_PUT: u8 = 5;
 const KIND_FRAG_PUT_ACK: u8 = 6;
 const KIND_FRAG_GET_ACK: u8 = 7;
@@ -216,28 +215,6 @@ impl WireCodec {
                 }
                 Ok(StoreMsg::Batch(batch))
             }
-            KIND_BULK_PUT => {
-                let shard = take_u32(buf)?;
-                let slot = take_u32(buf)?;
-                let digest = get_digest(buf)?;
-                let len = take_u64(buf)?;
-                if buf.len() as u64 != len {
-                    return Err(DecodeError::Malformed("bulk byte length"));
-                }
-                let bytes: SharedBytes = Arc::from(*buf);
-                *buf = &[];
-                Ok(StoreMsg::BulkPut {
-                    shard,
-                    slot,
-                    digest,
-                    bytes,
-                })
-            }
-            KIND_BULK_PUT_ACK => {
-                let shard = take_u32(buf)?;
-                let digest = get_digest(buf)?;
-                Ok(StoreMsg::BulkPutAck { shard, digest })
-            }
             KIND_BULK_GET => {
                 let shard = take_u32(buf)?;
                 let slot = take_u32(buf)?;
@@ -248,26 +225,6 @@ impl WireCodec {
                     slot,
                     digest,
                     tag,
-                })
-            }
-            KIND_BULK_GET_ACK => {
-                let shard = take_u32(buf)?;
-                let digest = get_digest(buf)?;
-                let tag = take_u64(buf)?;
-                let bytes = match take_u8(buf)? {
-                    0 => None,
-                    1 => {
-                        let bytes: SharedBytes = Arc::from(*buf);
-                        *buf = &[];
-                        Some(bytes)
-                    }
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
-                Ok(StoreMsg::BulkGetAck {
-                    shard,
-                    digest,
-                    tag,
-                    bytes,
                 })
             }
             KIND_FRAG_PUT => {
@@ -310,28 +267,7 @@ impl WireCodec {
                 let shard = take_u32(buf)?;
                 let root = get_digest(buf)?;
                 let tag = take_u64(buf)?;
-                let frag = match take_u8(buf)? {
-                    0 => None,
-                    // flag = 1 + proof length: the fragment bytes run to
-                    // the frame end minus the proof's fixed-size tail, so
-                    // neither needs its own length field.
-                    flag => {
-                        let proof_len = (flag - 1) as usize;
-                        let index = take_u32(buf)?;
-                        let proof_bytes = proof_len as u64 * BulkDigest::WIRE_SIZE;
-                        let Some(frag_len) = (buf.len() as u64).checked_sub(proof_bytes) else {
-                            return Err(DecodeError::Truncated);
-                        };
-                        let (frag, tail) = buf.split_at(frag_len as usize);
-                        let bytes: SharedBytes = Arc::from(frag);
-                        *buf = tail;
-                        let mut proof = Vec::new();
-                        for _ in 0..proof_len {
-                            proof.push(get_digest(buf)?);
-                        }
-                        Some((index, bytes, proof))
-                    }
-                };
+                let frag = get_served(buf)?;
                 Ok(StoreMsg::FragGetAck {
                     shard,
                     root,
@@ -353,45 +289,11 @@ impl WireCodec {
                 let shard = take_u32(buf)?;
                 let slot = take_u32(buf)?;
                 let digest = get_digest(buf)?;
-                let bytes = match take_u8(buf)? {
-                    0 => None,
-                    1 => {
-                        let len = take_u64(buf)?;
-                        if (buf.len() as u64) < len {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let (blob, rest) = buf.split_at(len as usize);
-                        let blob: SharedBytes = Arc::from(blob);
-                        *buf = rest;
-                        Some(blob)
-                    }
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
-                let frag = match take_u8(buf)? {
-                    0 => None,
-                    1 => {
-                        let index = take_u32(buf)?;
-                        let frag_len = take_u32(buf)? as usize;
-                        let proof_len = take_u32(buf)? as usize;
-                        if buf.len() < frag_len {
-                            return Err(DecodeError::Truncated);
-                        }
-                        let (frag, rest) = buf.split_at(frag_len);
-                        let frag: SharedBytes = Arc::from(frag);
-                        *buf = rest;
-                        let mut proof = Vec::new();
-                        for _ in 0..proof_len {
-                            proof.push(get_digest(buf)?);
-                        }
-                        Some((index, frag, proof))
-                    }
-                    _ => return Err(DecodeError::Malformed("option flag")),
-                };
+                let frag = get_served(buf)?;
                 Ok(StoreMsg::RepairReply {
                     shard,
                     slot,
                     digest,
-                    bytes,
                     frag,
                 })
             }
@@ -538,10 +440,7 @@ impl WireCodec {
 fn kind_of<P>(msg: &StoreMsg<P>) -> u8 {
     match msg {
         StoreMsg::Batch(_) => KIND_BATCH,
-        StoreMsg::BulkPut { .. } => KIND_BULK_PUT,
-        StoreMsg::BulkPutAck { .. } => KIND_BULK_PUT_ACK,
         StoreMsg::BulkGet { .. } => KIND_BULK_GET,
-        StoreMsg::BulkGetAck { .. } => KIND_BULK_GET_ACK,
         StoreMsg::FragPut { .. } => KIND_FRAG_PUT,
         StoreMsg::FragPutAck { .. } => KIND_FRAG_PUT_ACK,
         StoreMsg::FragGetAck { .. } => KIND_FRAG_GET_ACK,
@@ -558,22 +457,6 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
                 put_reg(out, m);
             }
         }
-        StoreMsg::BulkPut {
-            shard,
-            slot,
-            digest,
-            bytes,
-        } => {
-            put_u32(out, *shard);
-            put_u32(out, *slot);
-            put_digest(out, digest);
-            put_u64(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-        }
-        StoreMsg::BulkPutAck { shard, digest } => {
-            put_u32(out, *shard);
-            put_digest(out, digest);
-        }
         StoreMsg::BulkGet {
             shard,
             slot,
@@ -584,23 +467,6 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
             put_u32(out, *slot);
             put_digest(out, digest);
             put_u64(out, *tag);
-        }
-        StoreMsg::BulkGetAck {
-            shard,
-            digest,
-            tag,
-            bytes,
-        } => {
-            put_u32(out, *shard);
-            put_digest(out, digest);
-            put_u64(out, *tag);
-            match bytes {
-                None => out.push(0),
-                Some(b) => {
-                    out.push(1);
-                    out.extend_from_slice(b);
-                }
-            }
         }
         StoreMsg::FragPut {
             shard,
@@ -636,21 +502,7 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
             put_u32(out, *shard);
             put_digest(out, root);
             put_u64(out, *tag);
-            match frag {
-                None => out.push(0),
-                Some((index, bytes, proof)) => {
-                    // Merkle paths are ≤ ⌈log2(replicas)⌉ long (≤ 8 for
-                    // any real fleet), so the path length rides in the
-                    // option flag and the fragment runs to the frame end.
-                    assert!(proof.len() <= 254, "merkle proof too long for the wire");
-                    out.push(1 + proof.len() as u8);
-                    put_u32(out, *index);
-                    out.extend_from_slice(bytes);
-                    for d in proof {
-                        put_digest(out, d);
-                    }
-                }
-            }
+            put_served(out, frag);
         }
         StoreMsg::RepairRequest {
             shard,
@@ -665,35 +517,12 @@ fn put_body<V: Payload + BulkCodec>(out: &mut Vec<u8>, msg: &StoreWire<V>) {
             shard,
             slot,
             digest,
-            bytes,
             frag,
         } => {
             put_u32(out, *shard);
             put_u32(out, *slot);
             put_digest(out, digest);
-            // Both planes can ride the same frame shape, so each option
-            // carries explicit lengths instead of running to frame end.
-            match bytes {
-                None => out.push(0),
-                Some(b) => {
-                    out.push(1);
-                    put_u64(out, b.len() as u64);
-                    out.extend_from_slice(b);
-                }
-            }
-            match frag {
-                None => out.push(0),
-                Some((index, b, proof)) => {
-                    out.push(1);
-                    put_u32(out, *index);
-                    put_u32(out, b.len() as u32);
-                    put_u32(out, proof.len() as u32);
-                    out.extend_from_slice(b);
-                    for d in proof {
-                        put_digest(out, d);
-                    }
-                }
-            }
+            put_served(out, frag);
         }
         StoreMsg::DigestSummary { entries } => {
             put_u32(out, entries.len() as u32);
@@ -776,6 +605,48 @@ fn put_payload<V: Payload + BulkCodec>(out: &mut Vec<u8>, p: &StorePayload<V>) {
             refs.encode_into(out);
         }
     }
+}
+
+/// A served fragment option, the tail of `FRAG_GET_ACK` and
+/// `REPAIR_REPLY`: flag 0 is a miss; otherwise flag = 1 + proof length
+/// (Merkle paths are ≤ ⌈log2(replicas)⌉ long, ≤ 8 for any real fleet),
+/// then the index, the fragment bytes — running to the frame end minus
+/// the proof's fixed-size tail, so neither needs its own length field —
+/// and the proof.
+fn put_served(out: &mut Vec<u8>, frag: &Option<(u32, SharedBytes, Vec<BulkDigest>)>) {
+    match frag {
+        None => out.push(0),
+        Some((index, bytes, proof)) => {
+            assert!(proof.len() <= 254, "merkle proof too long for the wire");
+            out.push(1 + proof.len() as u8);
+            put_u32(out, *index);
+            out.extend_from_slice(bytes);
+            for d in proof {
+                put_digest(out, d);
+            }
+        }
+    }
+}
+
+/// Decodes [`put_served`]'s encoding, which must end the frame.
+fn get_served(buf: &mut &[u8]) -> Result<Option<(u32, SharedBytes, Vec<BulkDigest>)>, DecodeError> {
+    let proof_len = match take_u8(buf)? {
+        0 => return Ok(None),
+        flag => (flag - 1) as usize,
+    };
+    let index = take_u32(buf)?;
+    let proof_bytes = proof_len as u64 * BulkDigest::WIRE_SIZE;
+    let Some(frag_len) = (buf.len() as u64).checked_sub(proof_bytes) else {
+        return Err(DecodeError::Truncated);
+    };
+    let (frag, tail) = buf.split_at(frag_len as usize);
+    let bytes: SharedBytes = Arc::from(frag);
+    *buf = tail;
+    let mut proof = Vec::new();
+    for _ in 0..proof_len {
+        proof.push(get_digest(buf)?);
+    }
+    Ok(Some((index, bytes, proof)))
 }
 
 fn put_digest(out: &mut Vec<u8>, d: &BulkDigest) {
@@ -977,7 +848,7 @@ mod tests {
         )
     }
 
-    /// The bulk planes' register value: tag 3, the map's canonical
+    /// The bulk plane's register value: tag 3, the map's canonical
     /// encoding, exactly `wire_bytes` long.
     #[test]
     fn reference_maps_round_trip_with_exact_wire_bytes() {

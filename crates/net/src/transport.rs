@@ -849,7 +849,7 @@ mod tests {
     const ARM_TIMER: u64 = u64::MAX;
 
     /// Reports every delivery as `GetDone { op: n, value: sender }`: `n`
-    /// is the tag of a one-`SS_ACK` batch or the length of a `BULK_PUT`'s
+    /// is the tag of a one-`SS_ACK` batch or the length of a `FRAG_PUT`'s
     /// bytes; a fired timer reports how many µs late it was.
     struct Recorder {
         deadline: Option<Instant>,
@@ -871,7 +871,7 @@ mod tests {
                     [RegMsg::SsAck { tag }] => tag,
                     _ => panic!("test traffic is one SS_ACK per batch"),
                 },
-                StoreMsg::BulkPut { bytes, .. } => bytes.len() as u64,
+                StoreMsg::FragPut { bytes, .. } => bytes.len() as u64,
                 other => panic!("unexpected test message {other:?}"),
             };
             ctx.output(StoreOut::GetDone {
@@ -901,11 +901,14 @@ mod tests {
     }
 
     fn blob(len: usize) -> Wire {
-        StoreMsg::BulkPut {
+        StoreMsg::FragPut {
             shard: 0,
             slot: 0,
-            digest: BulkDigest([0; 4]),
+            root: BulkDigest([0; 4]),
+            index: 0,
+            total: 1,
             bytes: vec![7u8; len].into(),
+            proof: Vec::new(),
         }
     }
 

@@ -55,18 +55,6 @@ fn corpus() -> Vec<Vec<u8>> {
                 helping: Some(payload(4)),
             },
         ]),
-        StoreMsg::BulkPut {
-            shard: 1,
-            slot: 5,
-            digest: BulkDigest([1, 2, 3, 4]),
-            bytes: SharedBytes::from(&b"0123456789abcdef"[..]),
-        },
-        StoreMsg::BulkGetAck {
-            shard: 1,
-            digest: BulkDigest([1, 2, 3, 4]),
-            tag: 9,
-            bytes: Some(SharedBytes::from(&b"0123456789abcdef"[..])),
-        },
         StoreMsg::FragPut {
             shard: 1,
             slot: 5,
@@ -75,6 +63,11 @@ fn corpus() -> Vec<Vec<u8>> {
             total: 9,
             bytes: SharedBytes::from(&b"frag"[..]),
             proof: vec![BulkDigest([9, 9, 9, 9]); 3],
+        },
+        StoreMsg::FragPutAck {
+            shard: 1,
+            root: BulkDigest([5, 6, 7, 8]),
+            index: 2,
         },
         StoreMsg::FragGetAck {
             shard: 1,
@@ -120,14 +113,12 @@ fn corpus() -> Vec<Vec<u8>> {
             shard: 1,
             slot: 5,
             digest: BulkDigest([1, 2, 3, 4]),
-            bytes: Some(SharedBytes::from(&b"0123456789abcdef"[..])),
             frag: None,
         },
         StoreMsg::RepairReply {
             shard: 1,
             slot: 5,
             digest: BulkDigest([5, 6, 7, 8]),
-            bytes: None,
             frag: Some((
                 2,
                 SharedBytes::from(&b"frag"[..]),
@@ -279,9 +270,10 @@ fn unknown_kind_is_refused() {
 #[test]
 fn trailing_bytes_inside_the_payload_are_refused() {
     let c = codec();
-    let msg: StoreWire<u64> = StoreMsg::BulkPutAck {
+    let msg: StoreWire<u64> = StoreMsg::FragPutAck {
         shard: 0,
-        digest: BulkDigest([1, 2, 3, 4]),
+        root: BulkDigest([1, 2, 3, 4]),
+        index: 1,
     };
     let mut frame = c.encode(&msg);
     // Grow the announced payload by one junk byte: a fixed-size body
@@ -290,4 +282,32 @@ fn trailing_bytes_inside_the_payload_are_refused() {
     let len = (frame.len() - 4) as u32;
     frame[0..4].copy_from_slice(&len.to_le_bytes());
     assert!(c.decode_frame::<u64>(&frame).is_err());
+}
+
+/// Kinds 1, 2 and 4 carried the retired whole-copy transfers (blob put,
+/// its ack, blob reply). A frame naming one is a `BadKind` reject whatever
+/// body follows it — including the body of a kind still in use — and no
+/// message the codec still encodes uses those bytes.
+#[test]
+fn retired_kind_bytes_are_refused_and_never_reused() {
+    let c = codec();
+    let frames = corpus();
+    for frame in &frames {
+        assert!(
+            ![1, 2, 4].contains(&frame[5]),
+            "kind {} reuses a retired kind byte",
+            frame[5]
+        );
+        for retired in [1u8, 2, 4] {
+            let mut bad = frame.clone();
+            bad[5] = retired;
+            assert!(matches!(
+                c.decode_frame::<u64>(&bad),
+                Err(DecodeError::BadKind(k)) if k == retired
+            ));
+        }
+    }
+    // The corpus spans every kind the codec encodes.
+    let kinds: std::collections::BTreeSet<u8> = frames.iter().map(|f| f[5]).collect();
+    assert_eq!(kinds, (0..=10).filter(|k| ![1, 2, 4].contains(k)).collect());
 }

@@ -143,28 +143,11 @@ fn register_batches_round_trip() {
 fn bulk_plane_round_trips() {
     let mut rng = DetRng::derive(0xC0DEC, 2);
     for _ in 0..CASES {
-        round_trip(&StoreMsg::BulkPut {
-            shard: rng.next_u32() % 16,
-            slot: rng.next_u32(),
-            digest: digest(&mut rng),
-            bytes: bytes(&mut rng, 512),
-        });
-        round_trip(&StoreMsg::BulkPutAck {
-            shard: rng.next_u32() % 16,
-            digest: digest(&mut rng),
-        });
         round_trip(&StoreMsg::BulkGet {
             shard: rng.next_u32() % 16,
             slot: rng.next_u32(),
             digest: digest(&mut rng),
             tag: rng.next_u64(),
-        });
-        let answered = rng.chance(0.5);
-        round_trip(&StoreMsg::BulkGetAck {
-            shard: rng.next_u32() % 16,
-            digest: digest(&mut rng),
-            tag: rng.next_u64(),
-            bytes: answered.then(|| bytes(&mut rng, 512)),
         });
     }
 }
@@ -215,14 +198,12 @@ fn repair_plane_round_trips() {
             slot: rng.next_u32(),
             digest: digest(&mut rng),
         });
-        let blob = rng.chance(0.5);
-        let coded = rng.chance(0.5);
+        let held = rng.chance(0.5);
         round_trip(&StoreMsg::RepairReply {
             shard: rng.next_u32() % 16,
             slot: rng.next_u32(),
             digest: digest(&mut rng),
-            bytes: blob.then(|| bytes(&mut rng, 512)),
-            frag: coded.then(|| {
+            frag: held.then(|| {
                 (
                     rng.next_u32() % 9,
                     bytes(&mut rng, 256),
@@ -242,21 +223,9 @@ fn repair_plane_round_trips() {
 
 #[test]
 fn zero_length_bodies_round_trip() {
-    // The degenerate shapes: empty batch, empty blob, empty fragment
-    // with an empty proof, unanswered gets.
+    // The degenerate shapes: empty batch, empty fragment with an empty
+    // proof, unanswered gets and pulls.
     round_trip(&StoreMsg::Batch(Vec::new()));
-    round_trip(&StoreMsg::BulkPut {
-        shard: 0,
-        slot: 0,
-        digest: BulkDigest([0; 4]),
-        bytes: SharedBytes::from(&[][..]),
-    });
-    round_trip(&StoreMsg::BulkGetAck {
-        shard: 0,
-        digest: BulkDigest([0; 4]),
-        tag: 0,
-        bytes: None,
-    });
     round_trip(&StoreMsg::FragPut {
         shard: 0,
         slot: 0,
@@ -276,7 +245,6 @@ fn zero_length_bodies_round_trip() {
         shard: 0,
         slot: 0,
         digest: BulkDigest([0; 4]),
-        bytes: None,
         frag: None,
     });
     round_trip(&StoreMsg::DigestSummary {
@@ -292,15 +260,6 @@ fn slot_fields_and_reference_maps_have_exact_wire_sizes() {
     let d = BulkDigest([1, 2, 3, 4]);
     let bytes = SharedBytes::from(&[7u8; 10][..]);
     let sized: Vec<(StoreWire<u64>, u64)> = vec![
-        (
-            StoreMsg::BulkPut {
-                shard: 1,
-                slot: 2,
-                digest: d,
-                bytes: bytes.clone(),
-            },
-            4 + 4 + 32 + 8 + 10,
-        ),
         (
             StoreMsg::BulkGet {
                 shard: 1,
@@ -335,10 +294,9 @@ fn slot_fields_and_reference_maps_have_exact_wire_sizes() {
                 shard: 1,
                 slot: 2,
                 digest: d,
-                bytes: Some(bytes),
-                frag: None,
+                frag: Some((0, bytes, vec![d])),
             },
-            4 + 4 + 32 + 1 + 8 + 10 + 1,
+            4 + 4 + 32 + 1 + 4 + 10 + 32,
         ),
         (
             StoreMsg::DigestSummary {

@@ -177,8 +177,9 @@ fn live_reshard_on_sockets_matches_static_sim_run() {
 
 #[test]
 fn bulk_plane_survives_the_wire() {
-    // The content-addressed bulk plane exercises BULK_PUT / BULK_GET
-    // frames (variable-length blob bodies) over real sockets.
+    // Whole copies (`k = 1`) exercise FRAG_PUT / BULK_GET / FRAG_GET_ACK
+    // frames carrying entire values, each with its Merkle path, over real
+    // sockets.
     let builder = StoreBuilder::asynchronous(1)
         .bulk()
         .shards(2)
@@ -191,8 +192,8 @@ fn bulk_plane_survives_the_wire() {
 
 #[test]
 fn coded_plane_survives_the_wire() {
-    // The erasure-coded plane exercises FragPut / FragPutAck /
-    // FragGetAck (fragments plus Merkle paths) over real sockets.
+    // `k = 2` exercises the same frames carrying half-value fragments
+    // and the reconstruction path over real sockets.
     let builder = StoreBuilder::asynchronous(1)
         .bulk_coded(2)
         .shards(2)

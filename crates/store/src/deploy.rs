@@ -98,7 +98,7 @@ pub trait DeployHost<V: Payload + BulkCodec> {
     fn now(&self) -> SimTime;
     /// Performs `call` on the [`StoreClientNode`] at `client`.
     fn call_client(&mut self, client: ProcessId, call: ClientCall<V>);
-    /// Wipes the blob and fragment stores of the server at `server`, a
+    /// Wipes the fragment store of the server at `server`, a
     /// [`ByzServer`] when `byzantine` and a [`CorrectServer`] otherwise.
     fn wipe_server(&mut self, server: ProcessId, byzantine: bool);
     /// Marks a harness-applied fault against `pid` at the current time.
@@ -411,7 +411,7 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
             .map(|r| (r.acquires_issued, r.awaiting_retire.len(), r.acquired.len()))
     }
 
-    /// Wipes server `i`'s blob **and** fragment stores *now* — the
+    /// Wipes server `i`'s fragment store *now* — the
     /// data-loss fault the self-healing plane
     /// ([`StoreBuilder::anti_entropy`](crate::StoreBuilder::anti_entropy))
     /// repairs without writer involvement — whichever node type the slot

@@ -11,7 +11,7 @@ use crate::msg::{StoreMsg, StoreOut};
 use crate::node::{DataPlane, StoreClientNode, StorePayload, StoreServerNode, StoreWire};
 use crate::router::{KeyRouter, ReshardPlan};
 use crate::val::StoreVal;
-use sbs_bulk::{data_replica_count, BulkCodec, BulkRef, BulkStore, FragmentStore};
+use sbs_bulk::{data_replica_count, BulkCodec, BulkRef, FragmentStore};
 use sbs_check::atomic_stabilization_point;
 use sbs_core::{
     ByzServerNode, ByzStrategy, Payload, RegId, RegMsg, RegisterConfig, SeqVal, ServerNode,
@@ -200,52 +200,44 @@ impl StoreBuilder {
         self
     }
 
-    /// Switches the payload to the content-addressed **bulk data plane**
-    /// with the canonical `2t + 1` data replicas per shard (the
-    /// Cachin–Dobre–Vukolić bound); the metadata quorum then carries only
-    /// fixed-size references. The default remains [`DataPlane::Full`] —
-    /// full replication, the paper's original scheme. Explicitly selects
-    /// *whole copies*: calling this after [`StoreBuilder::bulk_coded`]
-    /// switches back to full-copy replication.
-    pub fn bulk(mut self) -> Self {
-        self.plane = DataPlane::Full;
-        let r = data_replica_count(self.t);
-        self.data_replicas(r)
+    /// Switches the payload to the bulk data plane with **whole copies**
+    /// — [`StoreBuilder::bulk_coded`]`(1)`: each of the shard's data
+    /// replicas (the canonical `2t + 1`, the Cachin–Dobre–Vukolić bound)
+    /// holds the whole value, pushes wait for `t + 1` acknowledgements,
+    /// and any one verified reply resolves a read. The default remains
+    /// [`DataPlane::Full`] — full replication, the paper's original
+    /// scheme.
+    pub fn bulk(self) -> Self {
+        self.bulk_coded(1)
     }
 
-    /// Sets the bulk-plane replication factor, switching to the
-    /// whole-copy plane unless coded mode was already selected —
+    /// Sets the bulk-plane replication factor — the window of data
+    /// replicas (= fragments) per shard — switching to whole copies
+    /// (`k = 1`) unless a reconstruction threshold was already selected:
     /// `.data_replicas(m).bulk_coded(k)` and
     /// `.bulk_coded(k).data_replicas(m)` configure the same deployment,
     /// so the documented AVID overprovisioning recipe cannot silently
-    /// lose its coding by call order (an undersized window still fails
-    /// the `k + t ≤ replicas` build-time validation).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ replicas ≤ n`.
+    /// lose its coding by call order. The window is validated at build
+    /// time (`1 ≤ replicas ≤ n` and `k + t ≤ replicas`), against the
+    /// fleet size the builder ends up with.
     pub fn data_replicas(mut self, replicas: usize) -> Self {
-        assert!(
-            (1..=self.n).contains(&replicas),
-            "replication factor {replicas} out of range for n={}",
-            self.n
-        );
-        self.plane = match self.plane {
-            DataPlane::Coded { k, .. } => DataPlane::Coded { replicas, k },
-            DataPlane::Full | DataPlane::Bulk { .. } => DataPlane::Bulk { replicas },
+        let k = match self.plane {
+            DataPlane::Coded { k, .. } => k,
+            DataPlane::Full => 1,
         };
+        self.plane = DataPlane::Coded { replicas, k };
         self
     }
 
-    /// Switches the payload to the **erasure-coded bulk plane**
-    /// (AVID-style dispersal): the same replica window as
-    /// [`StoreBuilder::bulk`] — `2t + 1` by default, or whatever an
-    /// earlier [`StoreBuilder::data_replicas`] selected — but each
-    /// replica stores only **one `k`-of-`m` fragment** (~`1/k` of the
-    /// payload), verified against a Merkle commitment whose root rides
-    /// the metadata quorum. Pushes wait for `k + t` verified
-    /// acknowledgements; reads reconstruct from any `k` verified
-    /// fragments.
+    /// Switches the payload to the **bulk data plane** (AVID-style
+    /// dispersal) with reconstruction threshold `k`: a replica window of
+    /// `2t + 1` by default, or whatever an earlier
+    /// [`StoreBuilder::data_replicas`] selected, where each replica
+    /// stores only **one `k`-of-`m` fragment** (~`1/k` of the payload),
+    /// verified against a Merkle commitment whose root rides the metadata
+    /// quorum. Pushes wait for `k + t` verified acknowledgements; reads
+    /// reconstruct from any `k` verified fragments. `k = 1` is whole-copy
+    /// replication ([`StoreBuilder::bulk`]).
     ///
     /// Cross-knob consistency (`k ≥ 1`, `k + t ≤ replicas` — reads must
     /// stay live with `t` Byzantine replicas garbling their fragments)
@@ -261,7 +253,7 @@ impl StoreBuilder {
     /// liveness from honest acks alone (the classical AVID shape).
     pub fn bulk_coded(mut self, k: usize) -> Self {
         let replicas = match self.plane {
-            DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } => replicas,
+            DataPlane::Coded { replicas, .. } => replicas,
             DataPlane::Full => data_replica_count(self.t),
         };
         self.plane = DataPlane::Coded { replicas, k };
@@ -352,12 +344,14 @@ impl StoreBuilder {
         self
     }
 
-    /// Bounds every data replica's blob store to the last `retain`
-    /// distinct digests per shard (retain-last-K GC): overwrite churn
-    /// then plateaus instead of accumulating orphaned snapshots.
-    /// `retain ≥ 2` keeps the previous snapshot resolvable for concurrent
-    /// readers; readers chasing older references fall back to a metadata
-    /// re-read. Only meaningful together with [`StoreBuilder::bulk`].
+    /// Bounds every data replica's fragment store to the last `retain`
+    /// distinct values per key (retain-last-K GC, per `(shard, key slot)`
+    /// holder, for every `k`): overwrite churn then plateaus instead of
+    /// accumulating orphaned values, and a hot key's overwrites never
+    /// evict a cold key's only value. `retain ≥ 2` keeps a key's previous
+    /// value resolvable for concurrent readers; readers chasing older
+    /// references fall back to a metadata re-read. No effect under full
+    /// replication.
     ///
     /// # Panics
     ///
@@ -462,15 +456,13 @@ impl StoreBuilder {
                 RegisterConfig::synchronous(self.n, self.t, link_bound)
             }
         };
-        if let DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } = self.plane {
+        if let DataPlane::Coded { replicas, k } = self.plane {
             assert!(
                 (1..=self.n).contains(&replicas),
                 "bulk replication factor {replicas} out of range for n={}",
                 self.n
             );
-        }
-        if let DataPlane::Coded { replicas, k } = self.plane {
-            assert!(k >= 1, "coded mode needs at least one fragment to read");
+            assert!(k >= 1, "the bulk plane needs at least one fragment to read");
             assert!(
                 k + self.t <= replicas,
                 "coded reconstruction threshold k={k} too high: k + t must fit within the \
@@ -567,13 +559,12 @@ impl StoreBuilder {
         // deployment's shard count, and the plane's window shape — so
         // wire-supplied shard tags, fragment totals, and fragment
         // indices are checked against the deployment instead of trusted.
-        let (replicas, coded, heal_k) = match self.plane {
-            DataPlane::Full => (0, false, 1),
-            DataPlane::Bulk { replicas } => (replicas, false, 1),
-            DataPlane::Coded { replicas, k } => (replicas, true, k),
+        let (replicas, heal_k) = match self.plane {
+            DataPlane::Full => (0, 1),
+            DataPlane::Coded { replicas, k } => (replicas, k),
         };
         let mut node = StoreServerNode::new(inner)
-            .bulk_guard(slot, self.n, self.shards, replicas, coded)
+            .bulk_guard(slot, self.n, self.shards, replicas)
             .bulk_retention(self.bulk_retain);
         if byzantine {
             node = node.byzantine_bulk();
@@ -771,18 +762,19 @@ impl<V: Payload> std::fmt::Debug for StoreNodeSet<V> {
     }
 }
 
-/// The key slot a forged push claims: taken from the forged reference's
-/// (already drawn) length, so the generator's RNG draws stay what they
-/// were before pushes carried slots — a few in range, most far outside
-/// the slot space the guard admits.
+/// The key slot a forged push claims (or the fragment index a forged
+/// reply does): taken from the forged reference's (already drawn) length,
+/// so the generator's RNG draws stay what they were before pushes carried
+/// slots — a few in range, most far outside the slot space the guard
+/// admits.
 fn garbage_slot(fake: &BulkRef) -> u32 {
     fake.len as u32
 }
 
 /// Arms the garbage generator: arbitrary initial link contents are batches
 /// of fabricated protocol messages over random shards — or fabricated
-/// bulk-plane transfers, whose forged digests the verified blob stores
-/// and the client-side digest check must reject.
+/// bulk-plane transfers, whose forged fragments the servers' guards and
+/// verified stores and the client-side commitment check must reject.
 fn install_garbage_gen<V: Payload + BulkCodec>(
     sim: &mut Simulation<StoreWire<V>, StoreOut<V>>,
     template: StorePayload<V>,
@@ -817,33 +809,41 @@ fn install_garbage_gen<V: Payload + BulkCodec>(
                 helping: None,
             },
             5 => {
-                // Forged blob push: bytes that (almost surely) do not
-                // match the announced digest.
+                // Forged push of a shapeless dispersal (`total = 0`, no
+                // proof): every guard refuses it on its shape, and an
+                // unguarded store's commitment replay verifies nothing
+                // against zero leaves.
                 let mut fake = BulkRef::to_bytes(b"");
                 Payload::scramble(&mut fake, rng);
-                return StoreMsg::BulkPut {
+                return StoreMsg::FragPut {
                     shard,
                     slot: garbage_slot(&fake),
-                    digest: fake.digest,
+                    root: fake.digest,
+                    index: 0,
+                    total: 0,
                     bytes: (0..(rng.next_u64() % 32))
                         .map(|_| rng.next_u64() as u8)
                         .collect::<Vec<u8>>()
                         .into(),
+                    proof: Vec::new(),
                 };
             }
             6 => {
-                // Forged fetch reply with garbage bytes and tag.
+                // Forged fetch reply with garbage bytes and tag and no
+                // proof, its index taken from the forged reference like a
+                // forged push's slot.
                 let mut fake = BulkRef::to_bytes(b"");
                 Payload::scramble(&mut fake, rng);
-                return StoreMsg::BulkGetAck {
+                return StoreMsg::FragGetAck {
                     shard,
-                    digest: fake.digest,
+                    root: fake.digest,
                     tag: rng.next_u64(),
-                    bytes: rng.chance(0.5).then(|| {
-                        (0..(rng.next_u64() % 32))
+                    frag: rng.chance(0.5).then(|| {
+                        let bytes = (0..(rng.next_u64() % 32))
                             .map(|_| rng.next_u64() as u8)
                             .collect::<Vec<u8>>()
-                            .into()
+                            .into();
+                        (garbage_slot(&fake), bytes, Vec::new())
                     }),
                 };
             }
@@ -1138,54 +1138,42 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
             .node_ref::<StoreClientNode<V>, _>(pid, |n| n.recoveries())
     }
 
-    /// Runs `f` against server `i`'s bulk stores — whole blobs and coded
-    /// fragments (dispatching on the concrete wrapper type, which
-    /// differs for Byzantine slots).
-    fn with_server_bulk<R>(
-        &mut self,
-        i: usize,
-        f: impl FnOnce(&BulkStore, &FragmentStore) -> R,
-    ) -> R {
+    /// Runs `f` against server `i`'s fragment store (dispatching on the
+    /// concrete wrapper type, which differs for Byzantine slots).
+    fn with_server_bulk<R>(&mut self, i: usize, f: impl FnOnce(&FragmentStore) -> R) -> R {
         let pid = self.servers[i];
         if self.is_byzantine(i) {
             self.sim
-                .node_ref::<ByzServer<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
+                .node_ref::<ByzServer<V>, _>(pid, |n| f(n.frag_store()))
         } else {
             self.sim
-                .node_ref::<CorrectServer<V>, _>(pid, |n| f(n.bulk(), n.frag_store()))
+                .node_ref::<CorrectServer<V>, _>(pid, |n| f(n.frag_store()))
         }
     }
 
-    /// Which server indices hold bulk payload (whole blobs or coded
-    /// fragments) for each shard — the placement the `2t + 1` windows
-    /// promise. Empty under full replication.
+    /// Which server indices hold bulk payload (fragments) for each shard
+    /// — the placement the `2t + 1` windows promise. Empty under full
+    /// replication.
     pub fn bulk_placement(&mut self) -> BTreeMap<u32, BTreeSet<usize>> {
         let mut placement: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
         for i in 0..self.servers.len() {
-            let held = self.with_server_bulk(i, |b, fr| {
-                let mut s = b.shards_held();
-                s.extend(fr.shards_held());
-                s
-            });
-            for shard in held {
+            for shard in self.with_server_bulk(i, FragmentStore::shards_held) {
                 placement.entry(shard).or_default().insert(i);
             }
         }
         placement
     }
 
-    /// Total bulk payload bytes stored on server `i` (whole blobs plus
-    /// coded fragments) — the per-replica storage footprint the coded
-    /// mode cuts by ~`k`×.
+    /// Total bulk payload bytes stored on server `i` — the per-replica
+    /// storage footprint `k > 1` cuts by ~`k`× over whole copies.
     pub fn bulk_bytes_stored(&mut self, i: usize) -> u64 {
-        self.with_server_bulk(i, |b, fr| b.bytes_stored() + fr.bytes_stored())
+        self.with_server_bulk(i, FragmentStore::bytes_stored)
     }
 
-    /// Number of bulk entries held on server `i` — whole blobs plus
-    /// coded fragment sets (bounded by the [`StoreBuilder::bulk_retain`]
-    /// window when one is set).
+    /// Number of fragments held on server `i` (bounded by the
+    /// [`StoreBuilder::bulk_retain`] window when one is set).
     pub fn bulk_blob_count(&mut self, i: usize) -> usize {
-        self.with_server_bulk(i, |b, fr| b.blob_count() + fr.fragment_count())
+        self.with_server_bulk(i, FragmentStore::fragment_count)
     }
 }
 

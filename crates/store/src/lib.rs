@@ -33,33 +33,29 @@
 //! # The bulk data plane (metadata/data separation)
 //!
 //! Full replication ships every snapshot of the shard's *values* to all
-//! `n ≥ 8t + 1` servers. With [`StoreBuilder::bulk`] the register holds
-//! the shard's [`RefMap`] instead — every key's [`ValueRef`]: its slot and
-//! the fixed-size digest reference of its current value — and each value
-//! is serialized alone (via `sbs-bulk`'s canonical codec) and stored
-//! under its content address on the shard's **`2t + 1` data replicas**.
-//! Only the reference map rides the *unmodified* register quorum — the
-//! Cachin–Dobre–Vukolić split — so a put disperses one value and a get
-//! fetches one value, whatever the shard holds. Reads resolve the
-//! reference against the data replicas and re-verify the digest, so a
-//! Byzantine data replica serving garbage bytes is detected and routed
-//! around; per-key histories are indistinguishable from full-replication
-//! runs (`tests/bulk_checks.rs` checks this differentially), while
-//! payload bytes on the wire shrink by roughly `n·rounds / (2t + 1)`
-//! times the keys a snapshot carries (the `bulk_vs_full` bench measures
-//! it). The references themselves (44 bytes plus the key per entry) ride
-//! every metadata message, so shards of many tiny values are cheaper
-//! under full replication.
-//!
-//! [`StoreBuilder::bulk_coded`] goes one step further (AVID-style
-//! dispersal): the same `2t + 1` window, but each replica stores only
-//! one `k`-of-`m` **erasure-coded fragment** of each value (~`1/k` of
-//! it), verified against a Merkle commitment whose root rides the
-//! metadata quorum as the value's reference digest. Pushes wait for
-//! `k + t` verified acknowledgements, reads reconstruct from any `k`
-//! verified fragments — cutting per-replica storage and bulk wire bytes
-//! by another ~`k`× at the cost of a `k`-fragment reconstruction on
-//! every read.
+//! `n ≥ 8t + 1` servers. With [`StoreBuilder::bulk_coded`]`(k)` the
+//! register holds the shard's [`RefMap`] instead — every key's
+//! [`ValueRef`]: its slot and the fixed-size reference of its current
+//! value — and each value is serialized alone (via `sbs-bulk`'s canonical
+//! codec) and dispersed AVID-style over the shard's **`2t + 1` data
+//! replicas**: one `k`-of-`m` erasure-coded fragment each (~`1/k` of the
+//! value), verified against a Merkle commitment whose root is the
+//! reference's digest. Only the reference map rides the *unmodified*
+//! register quorum — the Cachin–Dobre–Vukolić split — so a put disperses
+//! one value and a get fetches one value, whatever the shard holds.
+//! Pushes wait for `k + t` verified acknowledgements; reads reconstruct
+//! from any `k` fragments that re-verify against the root, so a Byzantine
+//! data replica serving garbage bytes is detected and routed around.
+//! [`StoreBuilder::bulk`] is `k = 1` — whole copies, `t + 1`
+//! acknowledgements, any one verified reply resolves a read — and larger
+//! `k` cuts per-replica storage and bulk wire bytes by ~`k`× at the cost
+//! of a `k`-fragment reconstruction on every read. Per-key histories are
+//! indistinguishable from full-replication runs (`tests/bulk_checks.rs`
+//! checks this differentially), while payload bytes on the wire shrink by
+//! roughly `n·rounds / (2t + 1)` times the keys a snapshot carries (the
+//! `bulk_vs_full` bench measures it). The references themselves (44 bytes
+//! plus the key per entry) ride every metadata message, so shards of many
+//! tiny values are cheaper under full replication.
 //!
 //! # Communication modes
 //!

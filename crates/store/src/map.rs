@@ -9,7 +9,7 @@
 //!
 //! What the snapshot holds depends on the data plane. Under full
 //! replication it is the map of *values* itself, so every `put` ships
-//! every value of the shard to all `n` servers. On the bulk planes it is
+//! every value of the shard to all `n` servers. On the bulk plane it is
 //! the map of *references* ([`RefMap`]: key → slot and
 //! [`BulkRef`](sbs_bulk::BulkRef)): a `put` disperses its one value to
 //! the data replicas and then publishes the reference map with the key
@@ -38,7 +38,7 @@ use sbs_sim::DetRng;
 use std::fmt;
 
 /// An ordered map of the keys living in one shard — to their values, or
-/// to [`ValueRef`](crate::ValueRef)s on the bulk planes. Entries are kept
+/// to [`ValueRef`](crate::ValueRef)s on the bulk plane. Entries are kept
 /// sorted by key so equality — which the quorum predicates count — is
 /// canonical.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

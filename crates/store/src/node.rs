@@ -23,9 +23,9 @@
 //! into **one** register round: queued puts fold into a single map
 //! publish, group-commit style (each still completes individually, and
 //! per-key write order stays exactly invocation order; on the bulk
-//! planes each put key's latest value is dispersed inside the one push
+//! plane each put key's latest value is dispersed inside the one push
 //! phase), queued gets on the shard share a single metadata read (each
-//! projects its own key from the same snapshot; on the bulk planes each
+//! projects its own key from the same snapshot; on the bulk plane each
 //! distinct value is then fetched once, one after another). Their wire
 //! messages therefore travel as one `StoreMsg::Batch` per destination
 //! per window instead of one round per operation. A gathered op may
@@ -42,50 +42,43 @@
 //! per-round timeout discipline (the round timer starts when the round is
 //! actually broadcast), so the knob is safe in both communication modes.
 //!
-//! # The bulk data plane
+//! # The bulk data plane (AVID-style dispersal)
 //!
 //! Snapshot-per-`put` of the *values* is the full plane only. Under
-//! [`DataPlane::Bulk`] the register machines never see a value: a
+//! [`DataPlane::Coded`] the register machines never see a value: a
 //! shard's register holds its [`RefMap`] — every key's [`ValueRef`]
 //! (key slot + [`BulkRef`], 44 bytes) — and the writer's authoritative
-//! state is that map. A `put(k, v)` encodes `v` alone, pushes it to the
-//! shard's `2t + 1` data replicas (`BULK_PUT`, retained under `k`'s slot)
-//! and waits for `t + 1` verified-store acknowledgements — so at least
-//! one *correct* replica holds the bytes — before publishing the map
-//! with `k ↦ ref(v)` through the unmodified metadata quorum. A `get(k)`
-//! runs the unchanged metadata read and answers "absent" with no fetch
-//! when the map lacks `k`; otherwise it fetches `k`'s value alone from
-//! the data replicas (`BULK_GET`) and **re-verifies the digest** of
-//! whatever comes back: a Byzantine data replica serving garbage bytes
-//! fails verification and the client simply keeps waiting for an honest
-//! replica (falling back to a retransmission round, and ultimately to a
-//! metadata re-read, if every reply of a round is garbage or missing —
-//! the latter also recovers from fabricated references that transient
-//! corruption may have planted in a register). Per-key atomicity holds
-//! by projection exactly as under full replication: the register value
-//! is still the whole shard, of references, and a reference pins an
-//! immutable value. A put costs its value, not its shard.
+//! state is that map. A `put(k, v)` encodes `v` alone into `m = 2t + 1`
+//! `k`-of-`m` fragments (~`1/k` of the value each) and commits to them
+//! with a Merkle tree whose root becomes the value's [`BulkRef`] digest.
+//! Replica `i` of the shard's window gets fragment `i` with its Merkle
+//! path (`FRAG_PUT`, retained under `k`'s slot) and verifies *its own
+//! fragment* against the root before storing and acknowledging. The push
+//! waits for `k + t` acknowledgements — so `k` **correct** replicas hold
+//! verified fragments — before publishing the map with `k ↦ ref(v)`
+//! through the unmodified metadata quorum. A `get(k)` runs the unchanged
+//! metadata read and answers "absent" with no fetch when the map lacks
+//! `k`; otherwise it fetches `k`'s fragments from the data replicas
+//! (`BULK_GET`) and reconstructs from any `k` replies that **re-verify
+//! against the root**: a Byzantine data replica garbling the fragment (or
+//! proof) it serves simply counts as a bad reply, and the client keeps
+//! waiting for honest ones (falling back to a retransmission round, and
+//! ultimately to a metadata re-read, if a round's bad replies leave fewer
+//! than `k` possible — the latter also recovers from fabricated
+//! references that transient corruption may have planted in a register).
+//! Per-key atomicity holds by projection exactly as under full
+//! replication: the register value is still the whole shard, of
+//! references, and a reference pins an immutable value. A put costs its
+//! value, not its shard.
+//!
+//! Whole copies — [`StoreBuilder::bulk`](crate::StoreBuilder::bulk) — are
+//! `k = 1`: every fragment is the value, `t + 1` acknowledgements
+//! publish, one verified reply resolves a read.
 //!
 //! Adoption — writer-map recovery and reshard acquisition — takes the
 //! reference map straight from the quorum read, then resolves each
 //! reference once and drops a key whose reference is dead (see
 //! [`Resolving`] for why that rule keeps gets live).
-//!
-//! # The erasure-coded plane (AVID-style dispersal)
-//!
-//! [`DataPlane::Coded`] keeps the same `m = 2t + 1` replica window but
-//! ships each replica **one `k`-of-`m` fragment** (~`1/k` of the
-//! value) instead of a whole copy. The writer commits to the fragment
-//! set with a Merkle tree whose root becomes the value's [`BulkRef`] digest;
-//! each `FRAG_PUT` carries the fragment's Merkle path, so a correct
-//! replica verifies *its own fragment* against the root before storing
-//! and acknowledging. The push waits for `k + t` acknowledgements —
-//! guaranteeing `k` **correct** replicas hold verified fragments — and a
-//! reader reconstructs from any `k` replies whose fragments re-verify
-//! against the root, falling back through retransmission rounds to a
-//! metadata re-read exactly like the whole-copy path. A Byzantine
-//! replica garbling the fragment (or proof) it serves is detected
-//! fragment-by-fragment and simply counts as a bad reply.
 //!
 //! # Live resharding (dual-commit shard handoff)
 //!
@@ -104,7 +97,7 @@
 //!    puts routed here mid-handoff; [`StoreClientNode::acquire_shard`]
 //!    (issued after every moved shard's retire) quorum-reads
 //!    the shard, adopts the old owner's last committed map (on the bulk
-//!    planes: its reference map, each reference resolved once), resyncs
+//!    plane: its reference map, each reference resolved once), resyncs
 //!    the stamper onto its stamp, republishes, emits
 //!    [`StoreOut::ShardAcquired`], and flushes the staged puts. Because
 //!    the adoption read starts only after the old owner's final publish
@@ -121,9 +114,9 @@ use crate::msg::{Holding, StoreMsg, StoreOut};
 use crate::router::KeyRouter;
 use crate::val::{RefMap, StoreVal, ValueRef, KEY_SLOTS};
 use sbs_bulk::{
-    coded_push_quorum, data_replica_slots, digest_of, encode_fragments, fragment_leaves,
-    fragment_len, push_quorum, reconstruct, verify_fragment, BulkCodec, BulkDigest, BulkRef,
-    BulkStore, FragmentStore, Holder, MerkleTree, SharedBytes, StoredFragment,
+    coded_push_quorum, data_replica_slots, encode_fragments, fragment_leaves, fragment_len,
+    reconstruct, verify_fragment, BulkCodec, BulkDigest, BulkRef, FragmentStore, Holder,
+    MerkleTree, SharedBytes, StoredFragment,
 };
 use sbs_core::{
     AtomicPolicy, ClientLink, Payload, ReadEngine, ReadPolicy, ReadProgress, RegId, RegMsg,
@@ -154,23 +147,18 @@ pub enum DataPlane {
     /// register protocol (the paper's original scheme; compatibility
     /// default).
     Full,
-    /// Each value's bytes on `replicas` content-addressed data replicas
-    /// per shard; the metadata quorum carries each key's `(slot, digest,
-    /// len)` reference.
-    Bulk {
-        /// Data replicas per shard — `2t + 1` for Byzantine tolerance.
-        replicas: usize,
-    },
     /// Erasure-coded dispersal (AVID-style): each of the `replicas`
     /// window servers holds **one** `k`-of-`replicas` fragment of each
     /// value (~`1/k` of it) verified against a Merkle commitment whose
-    /// root is the value's register-visible digest. Any `k` verified
+    /// root is the value's register-visible digest; the metadata quorum
+    /// carries each key's `(slot, root, len)` reference. Any `k` verified
     /// fragments reconstruct; pushes wait for `k + t` acknowledgements.
+    /// `k = 1` is whole-copy replication.
     ///
-    /// Liveness trade vs whole copies: on the minimal `m = 2t + 1`
-    /// window with `k > 1`, the push quorum `k + t` exceeds the `t + 1`
-    /// honest replicas — writes then need acknowledgements from
-    /// *responsive* Byzantine replicas too. The workspace's adversaries
+    /// Liveness trade of `k > 1`: on the minimal `m = 2t + 1` window the
+    /// push quorum `k + t` exceeds the `t + 1` honest replicas — writes
+    /// then need acknowledgements from *responsive* Byzantine replicas
+    /// too. The workspace's adversaries
     /// store-and-ack honestly (their lies are in what they *serve*), so
     /// puts stay live here; a deployment that must also ride out
     /// **fail-silent** data replicas should overprovision the window to
@@ -196,11 +184,10 @@ const FETCH_ROUNDS_PER_READ: u32 = 2;
 /// (correct [`ServerNode`](sbs_core::ServerNode) or a
 /// [`ByzServerNode`](sbs_core::ByzServerNode) adversary), unwrapping
 /// incoming batches and re-batching its replies — plus this server's slice
-/// of the bulk data plane (a verified [`BulkStore`] / [`FragmentStore`],
-/// retaining values per `(shard, key slot)` holder).
+/// of the bulk data plane (a verified [`FragmentStore`], retaining values
+/// per `(shard, key slot)` holder).
 pub struct StoreServerNode<P, Inner> {
     inner: Inner,
-    bulk: BulkStore,
     frags: FragmentStore,
     guard: Option<BulkGuard>,
     healer: Option<Healer>,
@@ -210,21 +197,21 @@ pub struct StoreServerNode<P, Inner> {
 }
 
 /// Deployment-derived admission control for a server's slice of the
-/// bulk plane. Everything in a `BULK_PUT`/`FRAG_PUT` besides the
-/// payload — the shard tag, the key slot, the fragment `total`, the
-/// fragment `index` — arrives from the wire, where a Byzantine writer
-/// controls it freely; this guard pins each field to what the
-/// *deployment* says it must be for this server, so wire lies are
-/// refused instead of trusted:
+/// bulk plane. Everything in a `FRAG_PUT` besides the payload — the
+/// shard tag, the key slot, the fragment `total`, the fragment `index` —
+/// arrives from the wire, where a Byzantine writer controls it freely;
+/// this guard pins each field to what the *deployment* says it must be
+/// for this server, so wire lies are refused instead of trusted:
 ///
 /// - the shard must exist (`shard < shards`) and this server must be in
 ///   its replica window, and the key slot must lie in the deployment's
 ///   slot space (`slot < KEY_SLOTS`) — otherwise a forger could grow
 ///   per-holder retention state (holder sets, recency queues) without
 ///   bound;
-/// - a fragment's `total` must be the deployment's `m` — otherwise a
-///   degenerate `total = 1` "dispersal" turns the Merkle commitment
-///   check into a plain digest check and can shadow a blob digest;
+/// - a fragment's `total` must be the deployment's `m` — readers verify
+///   against `m`, so a fragment committed under any other shape (a
+///   degenerate one-leaf "dispersal", say) could never help one, and
+///   acknowledging it would certify nothing;
 /// - a fragment's `index` must be this server's own window position for
 ///   the shard (the AVID rule: replica `i` stores fragment `i`) — so a
 ///   `FRAG_PUT_ACK` certifies the exact fragment the push quorum needs,
@@ -245,8 +232,6 @@ struct BulkGuard {
     /// Data replicas per shard window (0 under full replication — every
     /// bulk-plane push is then a forgery by definition).
     replicas: usize,
-    /// True when the deployment disperses coded fragments.
-    coded: bool,
 }
 
 impl BulkGuard {
@@ -281,8 +266,7 @@ struct Healer {
     /// Fleet server process ids in slot order (parallel to the guard's
     /// slot arithmetic, so window slots map to addressable peers).
     servers: Vec<ProcessId>,
-    /// Fragments needed to reconstruct a dispersal (1 on the whole-copy
-    /// bulk plane, where one verified blob suffices).
+    /// Fragments needed to reconstruct a dispersal.
     k: usize,
     /// Anti-entropy gossip period.
     period: SimDuration,
@@ -311,22 +295,25 @@ struct Healer {
 /// One in-flight repair pull: the verified evidence collected so far.
 #[derive(Default)]
 struct RepairJob {
-    /// Commitment-verified fragments by index (coded plane).
+    /// Commitment-verified fragments by index.
     frags: BTreeMap<u32, SharedBytes>,
-    /// Peers whose reply could not help (miss, bad digest, bad proof).
+    /// Peers whose reply could not help (miss, bad fragment, bad proof).
     /// When every window peer is here the reference is fabricated or
     /// gone fleet-wide and the job is dropped — the bound that stops a
     /// forged `BULK_GET` digest from leaving a pull open forever.
     noes: BTreeSet<ProcessId>,
 }
 
+/// A fragment as served on the wire: `(index, bytes, Merkle path)`.
+type Served = (u32, SharedBytes, Vec<BulkDigest>);
+
 /// The one Byzantine serve-garbling: start from whatever the replica
 /// holds (fabricating `0xAB` filler on a miss, so the adversary never
 /// *looks* like a miss) and flip one byte to a guaranteed-different
 /// value, copy-on-write — the stored entry stays intact. Draw order
-/// (position, then xor mask) is pinned: the blob, fragment, miss, and
-/// repair serve paths all share this helper, so their RNG streams stay
-/// bit-identical to the pre-refactor copies.
+/// (position, then xor mask) is pinned: the fetch, miss, and repair serve
+/// paths all share this helper, so their RNG streams stay bit-identical
+/// to the pre-refactor copies.
 fn garble_served(bytes: Option<&[u8]>, rng: &mut DetRng) -> SharedBytes {
     let mut g: Vec<u8> = bytes.map_or_else(|| vec![0xAB; 16], |b| b.to_vec());
     let i = (rng.next_u64() as usize) % g.len();
@@ -342,7 +329,6 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     pub fn new(inner: Inner) -> Self {
         StoreServerNode {
             inner,
-            bulk: BulkStore::new(),
             frags: FragmentStore::new(),
             guard: None,
             healer: None,
@@ -353,38 +339,28 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     }
 
     /// Installs the deployment-derived bulk admission guard: this
-    /// server is fleet slot `slot` of `n`, the store deploys `shards`
-    /// shards with `replicas` data replicas per window, and `coded`
-    /// says whether the plane disperses fragments. Wire-supplied shard
-    /// tags, fragment totals, and fragment indices are then checked
-    /// against the deployment — a `FRAG_PUT` must carry exactly this
-    /// replica's window position and the deployment's fragment count —
-    /// instead of trusted.
-    pub fn bulk_guard(
-        mut self,
-        slot: usize,
-        n: usize,
-        shards: u32,
-        replicas: usize,
-        coded: bool,
-    ) -> Self {
+    /// server is fleet slot `slot` of `n`, and the store deploys `shards`
+    /// shards with `replicas` data replicas per window (0 under full
+    /// replication). Wire-supplied shard tags, fragment totals, and
+    /// fragment indices are then checked against the deployment — a
+    /// `FRAG_PUT` must carry exactly this replica's window position and
+    /// the deployment's fragment count — instead of trusted.
+    pub fn bulk_guard(mut self, slot: usize, n: usize, shards: u32, replicas: usize) -> Self {
         self.guard = Some(BulkGuard {
             slot,
             n,
             shards,
             replicas,
-            coded,
         });
         self
     }
 
-    /// Bounds this server's blob *and* fragment stores to the last
-    /// `retain` distinct values per key — per `(shard, slot)` holder
-    /// (see [`BulkStore::with_retention`]); `None` keeps the unbounded
+    /// Bounds this server's fragment store to the last `retain` distinct
+    /// values per key — per `(shard, slot)` holder (see
+    /// [`FragmentStore::with_retention`]); `None` keeps the unbounded
     /// default.
     pub fn bulk_retention(mut self, retain: Option<usize>) -> Self {
         if let Some(k) = retain {
-            self.bulk = BulkStore::with_retention(k);
             self.frags = FragmentStore::with_retention(k);
         }
         self
@@ -395,8 +371,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// peers' pulls, re-checks integrity of everything it serves, and
     /// gossips bounded digest summaries every `period` (anti-entropy).
     /// `servers` is the whole fleet in slot order (parallel to the
-    /// guard's slot arithmetic); `k` is the coded plane's reconstruction
-    /// threshold (1 under whole-copy bulk). Off by default — without
+    /// guard's slot arithmetic); `k` is the plane's reconstruction
+    /// threshold. Off by default — without
     /// this call the node emits no repair-plane messages, arms no
     /// timers, and draws no extra randomness, so fault-free runs stay
     /// bit-identical to builds that predate self-healing.
@@ -414,11 +390,10 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         self
     }
 
-    /// Wipes this server's blob **and** fragment stores — the data-wipe
-    /// fault a self-healing deployment must recover from. Metadata
-    /// (register) state is untouched; retention bounds survive the wipe.
+    /// Wipes this server's fragment store — the data-wipe fault a
+    /// self-healing deployment must recover from. Metadata (register)
+    /// state is untouched; retention bounds survive the wipe.
     pub fn wipe_data_stores(&mut self) {
-        self.bulk.wipe();
         self.frags.wipe();
     }
 
@@ -447,7 +422,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// commit on a sub-window push quorum (a reader's `BULK_GET` can
     /// beat the last push), and gossip can outrun a push entirely.
     /// Corruption detected on serve skips this and repairs immediately
-    /// ([`Self::start_repair`]): a failed digest re-check is proof of
+    /// ([`Self::start_repair`]): a failed commitment re-check is proof of
     /// damage, not a race.
     fn suspect_missing(&mut self, entry: Holding) {
         let (shard, slot, _) = entry;
@@ -493,8 +468,9 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         }
     }
 
-    /// Folds one peer's `REPAIR_REPLY` into the matching pull job,
-    /// finishing the repair once the evidence suffices — the repaired
+    /// Folds one peer's `REPAIR_REPLY` into the matching pull job:
+    /// commitment-verified fragments are collected until any `k` distinct
+    /// indices are present, which finishes the repair — the repaired
     /// entry is retained under the job's key slot. Everything is
     /// re-verified against `digest` before storing — a Byzantine peer
     /// can garble any field of the reply.
@@ -502,8 +478,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         &mut self,
         from: ProcessId,
         entry: Holding,
-        bytes: Option<SharedBytes>,
-        frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
+        frag: Option<Served>,
         ctx: &mut Context<'_, StoreMsg<P>, O>,
     ) {
         let (shard, slot, digest) = entry;
@@ -513,29 +488,6 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         let Some(job) = h.pending.get_mut(&entry) else {
             return;
         };
-        let holder = Holder::new(shard, slot);
-        if !g.coded {
-            // Whole-copy plane: one digest-passing blob finishes the job.
-            match bytes {
-                Some(b) if digest_of(&b) == digest => {
-                    h.pending.remove(&entry);
-                    self.bulk.put(holder, digest, b);
-                    ctx.trace(TraceEvent::Phase {
-                        shard,
-                        phase: "RepairDone",
-                    });
-                }
-                _ => {
-                    job.noes.insert(from);
-                    if job.noes.len() >= quorum {
-                        h.pending.remove(&entry);
-                    }
-                }
-            }
-            return;
-        }
-        // Coded plane: collect commitment-verified fragments until any
-        // `k` distinct indices are present.
         let m = g.replicas;
         match frag {
             Some((index, b, proof))
@@ -589,7 +541,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             bytes: frags[pos].clone(),
             proof: tree.proof(pos),
         };
-        self.frags.put(holder, digest, stored);
+        self.frags.put(Holder::new(shard, slot), digest, stored);
         ctx.trace(TraceEvent::Phase {
             shard,
             phase: "RepairDone",
@@ -603,15 +555,13 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// (forgetting previous misses, so a peer that was itself mid-wipe
     /// gets asked again), and re-arm the period timer.
     ///
-    /// The summary is read from the stores' holdings indexes, so a tick
-    /// costs the batch, not the store: blob holdings first, then
-    /// fragment holdings, each in `(shard, digest)` order and announced
-    /// with the lowest key slot of the shard holding it, as one list the
-    /// cursor rotates over.
+    /// The summary is read from the store's holdings index, so a tick
+    /// costs the batch, not the store: holdings in `(shard, root)` order,
+    /// each announced with the lowest key slot of the shard holding it,
+    /// as one list the cursor rotates over.
     fn on_anti_entropy_tick<O>(&mut self, ctx: &mut Context<'_, StoreMsg<P>, O>) {
         let g = self.guard;
         let frags = &self.frags;
-        let bulk = &self.bulk;
         let Some(h) = &mut self.healer else { return };
         h.timer = Some(ctx.set_timer(h.period));
         // Two-phase suspect sweep. A suspect that resolved itself (the
@@ -621,11 +571,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         // ripens into a pull below.
         let mut ripe: Vec<Holding> = Vec::new();
         h.suspects.retain(|&(shard, slot, digest), armed| {
-            let held = match g {
-                Some(gg) if gg.coded => frags.holds(&digest),
-                _ => bulk.holds(&digest),
-            };
-            if held {
+            if frags.holds(&digest) {
                 return false;
             }
             if *armed {
@@ -636,8 +582,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
                 true
             }
         });
-        let blobs = bulk.holdings_len();
-        let len = blobs + frags.holdings_len();
+        let len = frags.holdings_len();
         let entries: Vec<Holding> = if len == 0 {
             Vec::new()
         } else {
@@ -648,18 +593,16 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             // whenever the window reaches the end of the list — once per
             // rotation, so the scan's amortised cost per tick is the
             // batch too — the whole index must equal what a walk of the
-            // stores derives.
+            // store derives.
             debug_assert!(
-                start + take < len
-                    || (bulk.holdings_from(0).eq(bulk.holdings())
-                        && frags.holdings_from(0).eq(frags.holdings())),
-                "holdings index drifted from the stores"
+                start + take < len || frags.holdings_from(0).eq(frags.holdings()),
+                "holdings index drifted from the store"
             );
-            let from = |rank: usize| {
-                bulk.holdings_from(rank.min(blobs))
-                    .chain(frags.holdings_from(rank.saturating_sub(blobs)))
-            };
-            from(start).chain(from(0)).take(take).collect()
+            frags
+                .holdings_from(start)
+                .chain(frags.holdings_from(0))
+                .take(take)
+                .collect()
         };
         let peer = match g {
             Some(g) if h.servers.len() > 1 => {
@@ -703,12 +646,12 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         }
     }
 
-    /// Makes this server's **data plane** Byzantine too: it stores blobs
-    /// and fragments like a correct replica (so its storage footprint —
-    /// and its put acknowledgements — are indistinguishable) but garbles
-    /// every byte string it serves — exactly the attack the client-side
-    /// digest/commitment check must catch. Note the adversary stays
-    /// *responsive*: it acks puts honestly, which is what keeps coded
+    /// Makes this server's **data plane** Byzantine too: it stores
+    /// fragments like a correct replica (so its storage footprint — and
+    /// its put acknowledgements — are indistinguishable) but garbles
+    /// every fragment it serves — exactly the attack the client-side
+    /// commitment check must catch. Note the adversary stays
+    /// *responsive*: it acks puts honestly, which is what keeps `k > 1`
     /// pushes (`k + t` acks on a `2t + 1` window) live in simulation;
     /// see [`DataPlane::Coded`] for the fail-silent caveat.
     pub fn byzantine_bulk(mut self) -> Self {
@@ -721,15 +664,27 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
         &self.inner
     }
 
-    /// This server's bulk blob store (for placement assertions).
-    pub fn bulk(&self) -> &BulkStore {
-        &self.bulk
-    }
-
-    /// This server's erasure-coded fragment store (for placement and
-    /// storage-footprint assertions in coded mode).
+    /// This server's fragment store (for placement and storage-footprint
+    /// assertions).
     pub fn frag_store(&self) -> &FragmentStore {
         &self.frags
+    }
+
+    /// What this replica serves for `root` on `shard`'s behalf: the
+    /// fragment stored for the shard's window position (overlapping
+    /// windows can hold several indices of an aliased root; any verified
+    /// one helps a reader), or `None` on a miss. A Byzantine replica
+    /// garbles the bytes copy-on-write — the stored fragment stays
+    /// intact — and answers a miss with fabricated filler instead.
+    fn serve(&self, shard: u32, root: &BulkDigest, rng: &mut DetRng) -> Option<Served> {
+        let held = self.frags.get_for(shard, root);
+        if !self.byz_bulk {
+            return held.map(|f| (f.index, f.bytes.clone(), f.proof.clone()));
+        }
+        Some(match held {
+            Some(f) => (f.index, garble_served(Some(&f.bytes), rng), f.proof.clone()),
+            None => (0, garble_served(None, rng), Vec::new()),
+        })
     }
 }
 
@@ -737,7 +692,7 @@ impl<P: Payload, Inner: std::fmt::Debug> std::fmt::Debug for StoreServerNode<P, 
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StoreServerNode")
             .field("inner", &self.inner)
-            .field("bulk_blobs", &self.bulk.blob_count())
+            .field("fragments", &self.frags.fragment_count())
             .field("byz_bulk", &self.byz_bulk)
             .finish()
     }
@@ -797,48 +752,6 @@ where
                     ctx.output(o);
                 }
             }
-            StoreMsg::BulkPut {
-                shard,
-                slot,
-                digest,
-                bytes,
-            } => {
-                // Admission: the shard tag and key slot are wire data —
-                // only store under shards this server actually serves (a
-                // guarded full-replication server serves none) and slots
-                // inside the deployment's slot space, so a forger cannot
-                // grow per-holder retention state without bound. And a
-                // *coded* deployment's data plane holds fragments only: a
-                // whole-blob put there is a forgery by definition and is
-                // refused symmetrically to the `!g.coded` FragPut refusal
-                // (pre-fix it was the vehicle for shadowing a dispersal
-                // root with a stored blob).
-                if let Some(g) = &self.guard {
-                    let refusal = if g.coded || g.window_position(shard).is_none() {
-                        Some("blob-put-unserved")
-                    } else if !slot_in_range(slot) {
-                        Some("key-slot")
-                    } else {
-                        None
-                    };
-                    if let Some(what) = refusal {
-                        ctx.note_guard_refusal();
-                        ctx.trace(TraceEvent::GuardRefusal { shard, what });
-                        return;
-                    }
-                }
-                // Verify-before-store: fabricated blobs (link garbage, a
-                // lying writer) are refused silently and never
-                // acknowledged. Storing shares the wire message's
-                // allocation — no copy on the receive path.
-                if self
-                    .bulk
-                    .put(Holder::new(shard, slot), digest, bytes)
-                    .held()
-                {
-                    ctx.send(from, StoreMsg::BulkPutAck { shard, digest });
-                }
-            }
             StoreMsg::FragPut {
                 shard,
                 slot,
@@ -848,17 +761,18 @@ where
                 bytes,
                 proof,
             } => {
-                // Admission: `total`, `index` and `slot` are wire data.
-                // Pin the dispersal shape to the deployment's and the
+                // Admission: `shard`, `total`, `index` and `slot` are wire
+                // data. Only store under shards this server actually
+                // serves (a guarded full-replication server serves none),
+                // pin the dispersal shape to the deployment's and the
                 // index to *this replica's* window position (the AVID
-                // rule), so a degenerate `total = 1` forgery cannot
-                // reduce the commitment check to a digest check, and an
-                // acknowledgement always certifies the one fragment the
-                // push quorum counts on this replica holding; and keep
-                // the slot inside the deployment's slot space.
+                // rule), so an acknowledgement always certifies the one
+                // fragment the push quorum counts on this replica
+                // holding; and keep the slot inside the deployment's slot
+                // space, so a forger cannot grow per-holder retention
+                // state without bound.
                 if let Some(g) = &self.guard {
-                    let refusal = if !g.coded
-                        || total as usize != g.replicas
+                    let refusal = if total as usize != g.replicas
                         || g.window_position(shard) != Some(index as usize)
                     {
                         Some("frag-put-shape")
@@ -873,10 +787,12 @@ where
                         return;
                     }
                 }
-                // Verify-before-store, coded edition: the Merkle path is
-                // replayed against the announced root, so a fragment that
-                // does not belong to the committed set is refused
-                // silently and never acknowledged.
+                // Verify-before-store: the Merkle path is replayed against
+                // the announced root, so a fragment that does not belong
+                // to the committed set (link garbage, a lying writer) is
+                // refused silently and never acknowledged. Storing shares
+                // the wire message's allocation — no copy on the receive
+                // path.
                 let frag = StoredFragment {
                     index,
                     total,
@@ -893,112 +809,43 @@ where
                 digest,
                 tag,
             } => {
-                // Coded dispersals and whole blobs share the request: the
-                // digest names whichever the replica holds (a commitment
-                // root in coded mode, a content address otherwise). Whole
-                // blobs are checked first: a blob cannot shadow a genuine
-                // dispersal root — a guarded coded server refuses blob
-                // puts outright, and node hashing is domain-separated
-                // from content addressing, so no storable bytes hash to
-                // a root — whereas letting fragments answer first would
-                // let a fabricated single-fragment entry shadow a blob
-                // on an unguarded server.
-                if self.bulk.holds(&digest) {
-                    let bytes = self.bulk.get_shared(&digest);
-                    // Self-healing integrity re-check on serve: a blob
-                    // that no longer hashes to its address is dropped
-                    // and repaired instead of served. Off without the
-                    // healer (the check costs a re-hash per serve).
-                    let corrupt = self.healer.is_some()
-                        && !self.byz_bulk
-                        && bytes.as_deref().is_none_or(|b| digest_of(b) != digest);
-                    if !corrupt {
-                        let bytes = if self.byz_bulk {
-                            Some(garble_served(bytes.as_deref(), ctx.rng()))
-                        } else {
-                            bytes
-                        };
-                        ctx.send(
-                            from,
-                            StoreMsg::BulkGetAck {
-                                shard,
-                                digest,
-                                tag,
-                                bytes,
-                            },
-                        );
-                        return;
-                    }
-                    self.bulk.remove(&digest);
-                    self.start_repair((shard, slot, digest), ctx);
-                }
-                // Serve the fragment stored for this shard's window
-                // position (overlapping windows can hold several indices
-                // of an aliased root; any verified one helps a reader).
-                // With the healer installed, the Merkle path is replayed
-                // on the way out — a fragment that stopped verifying is
-                // dropped and repaired instead of served.
-                let served = self.frags.get_for(shard, &digest).map(|f| {
-                    let intact = self.healer.is_none()
-                        || self.byz_bulk
-                        || verify_fragment(
+                // Self-healing integrity re-check on serve: with the
+                // healer installed the Merkle path is replayed on the way
+                // out, and a fragment that stopped verifying is dropped
+                // and repaired instead of served (the check costs a
+                // re-hash per serve, so it is off without the healer).
+                let corrupt = self.healer.is_some()
+                    && !self.byz_bulk
+                    && self.frags.get_for(shard, &digest).is_some_and(|f| {
+                        !verify_fragment(
                             digest,
                             f.total as usize,
                             f.index as usize,
                             &f.bytes,
                             &f.proof,
-                        );
-                    (intact, f.index, f.bytes.clone(), f.proof.clone())
-                });
-                if let Some((intact, index, bytes, proof)) = served {
-                    if intact {
-                        // Garbling is copy-on-write: the stored fragment
-                        // stays intact, the client-side commitment check
-                        // must catch the served copy. Stored fragments
-                        // are never empty — the store refuses empty ones.
-                        let bytes = if self.byz_bulk {
-                            garble_served(Some(&bytes), ctx.rng())
-                        } else {
-                            bytes
-                        };
-                        ctx.send(
-                            from,
-                            StoreMsg::FragGetAck {
-                                shard,
-                                root: digest,
-                                tag,
-                                frag: Some((index, bytes, proof)),
-                            },
-                        );
-                        return;
-                    }
+                        )
+                    });
+                if corrupt {
                     self.frags.remove(&digest);
                     self.start_repair((shard, slot, digest), ctx);
                 }
-                // Held nowhere: a healing replica that should serve
-                // this shard suspects the entry and pulls it from its
-                // window peers if it is still missing after the grace
-                // sweep — the reactive trigger that mends a wiped store
-                // once a reader notices. (Corrupt-on-serve entries were
-                // already repaired unconditionally above.)
-                if !self.byz_bulk {
+                // Held nowhere: a healing replica that should serve this
+                // shard suspects the entry and pulls it from its window
+                // peers if it is still missing after the grace sweep —
+                // the reactive trigger that mends a wiped store once a
+                // reader notices. (A corrupt entry's repair is already
+                // pending, which the suspect rule skips.)
+                if !self.byz_bulk && !self.frags.holds(&digest) {
                     self.suspect_missing((shard, slot, digest));
                 }
-                // An honest replica answers the miss; a Byzantine one
-                // fabricates garbage bytes instead — which the
-                // client-side digest check must catch.
-                let bytes = if self.byz_bulk {
-                    Some(garble_served(None, ctx.rng()))
-                } else {
-                    None
-                };
+                let frag = self.serve(shard, &digest, ctx.rng());
                 ctx.send(
                     from,
-                    StoreMsg::BulkGetAck {
+                    StoreMsg::FragGetAck {
                         shard,
-                        digest,
+                        root: digest,
                         tag,
-                        bytes,
+                        frag,
                     },
                 );
             }
@@ -1024,57 +871,14 @@ where
                         return;
                     }
                 }
-                if self.bulk.holds(&digest) {
-                    let bytes = self.bulk.get_shared(&digest);
-                    let bytes = if self.byz_bulk {
-                        Some(garble_served(bytes.as_deref(), ctx.rng()))
-                    } else {
-                        bytes
-                    };
-                    ctx.send(
-                        from,
-                        StoreMsg::RepairReply {
-                            shard,
-                            slot,
-                            digest,
-                            bytes,
-                            frag: None,
-                        },
-                    );
-                    return;
-                }
-                if let Some(f) = self.frags.get_for(shard, &digest) {
-                    let (index, proof) = (f.index, f.proof.clone());
-                    let bytes = if self.byz_bulk {
-                        garble_served(Some(&f.bytes), ctx.rng())
-                    } else {
-                        f.bytes.clone()
-                    };
-                    ctx.send(
-                        from,
-                        StoreMsg::RepairReply {
-                            shard,
-                            slot,
-                            digest,
-                            bytes: None,
-                            frag: Some((index, bytes, proof)),
-                        },
-                    );
-                    return;
-                }
-                let bytes = if self.byz_bulk {
-                    Some(garble_served(None, ctx.rng()))
-                } else {
-                    None
-                };
+                let frag = self.serve(shard, &digest, ctx.rng());
                 ctx.send(
                     from,
                     StoreMsg::RepairReply {
                         shard,
                         slot,
                         digest,
-                        bytes,
-                        frag: None,
+                        frag,
                     },
                 );
             }
@@ -1082,9 +886,8 @@ where
                 shard,
                 slot,
                 digest,
-                bytes,
                 frag,
-            } => self.on_repair_reply(from, (shard, slot, digest), bytes, frag, ctx),
+            } => self.on_repair_reply(from, (shard, slot, digest), frag, ctx),
             StoreMsg::DigestSummary { entries } => {
                 // Anti-entropy pull, deferred: whatever a peer retains
                 // for a window this server covers but cannot serve
@@ -1117,24 +920,13 @@ where
                     return;
                 }
                 for (shard, slot, digest) in entries {
-                    if g.window_position(shard).is_none() {
-                        continue;
-                    }
-                    let held = if g.coded {
-                        self.frags.holds(&digest)
-                    } else {
-                        self.bulk.holds(&digest)
-                    };
-                    if !held {
+                    if g.window_position(shard).is_some() && !self.frags.holds(&digest) {
                         self.suspect_missing((shard, slot, digest));
                     }
                 }
             }
             // Client-bound replies arriving at a server are garbage.
-            StoreMsg::BulkPutAck { .. }
-            | StoreMsg::BulkGetAck { .. }
-            | StoreMsg::FragPutAck { .. }
-            | StoreMsg::FragGetAck { .. } => {}
+            StoreMsg::FragPutAck { .. } | StoreMsg::FragGetAck { .. } => {}
         }
     }
 
@@ -1171,7 +963,7 @@ enum StoreOp<V> {
 
 /// Writer-side state for one owned shard: the bounded sequence stamper and
 /// the authoritative local copy of the shard — the map of values under
-/// full replication, the map of value references on the bulk planes (the
+/// full replication, the map of value references on the bulk plane (the
 /// other map stays empty).
 #[derive(Debug)]
 struct OwnedShard<V> {
@@ -1213,7 +1005,7 @@ enum WriteIntent {
 enum Resolved<V> {
     /// The map of values (full replication).
     Values(Arc<ShardMap<V>>),
-    /// The map of value references (bulk planes).
+    /// The map of value references (bulk plane).
     Refs(Arc<RefMap>),
     /// Nothing a writer of this plane publishes: stabilizing garbage that
     /// won a quorum.
@@ -1278,26 +1070,25 @@ struct Fetch<V> {
     rounds: u32,
     /// The round's retransmission timer.
     timer: TimerId,
-    /// Commitment-verified fragments by index (coded mode). Carried
-    /// *across* retransmission rounds: a verified fragment stays verified
-    /// whatever round it arrived in.
+    /// Commitment-verified fragments by index. Carried *across*
+    /// retransmission rounds: a verified fragment stays verified whatever
+    /// round it arrived in.
     frags: BTreeMap<u32, SharedBytes>,
-    /// Set by a digest-verified reply (or a `k`-fragment reconstruction)
-    /// that decodes; consumed by the pump.
+    /// Set by a `k`-fragment reconstruction that decodes; consumed by the
+    /// pump.
     resolved: Option<V>,
 }
 
 /// One value's dispersal inside a bulk-plane publish.
 #[derive(Debug)]
 struct Dispersal<V: Payload> {
-    /// The value's content address or commitment root — what the
-    /// replicas' acknowledgements name.
+    /// The value's commitment root — what the replicas' acknowledgements
+    /// name.
     digest: BulkDigest,
     /// The per-replica push messages, index-aligned with the shard's
-    /// replica window, kept for ack-wait retransmissions — payload bytes
-    /// inside are shared, so a re-push clones reference counts.
-    /// (Whole-copy mode sends the same blob to everyone; coded mode sends
-    /// replica `i` fragment `i`.)
+    /// replica window (replica `i` gets fragment `i`), kept for ack-wait
+    /// retransmissions — payload bytes inside are shared, so a re-push
+    /// clones reference counts.
     pushes: Vec<StoreWire<V>>,
     acks: BTreeSet<ProcessId>,
 }
@@ -1377,16 +1168,16 @@ enum Phase<V: Payload> {
         goal: ReadGoal,
         shard: u32,
     },
-    /// Bulk planes: resolving the read's reference map against the
+    /// Bulk plane: resolving the read's reference map against the
     /// shard's data replicas, one value at a time.
     Fetching {
         res: Resolving,
         fetch: Fetch<V>,
     },
-    /// Bulk/coded mode: every newly written value (whole copies, or one
-    /// fragment per replica) pushed to the data replicas; waiting until
-    /// each has its push quorum of verified-store acknowledgements
-    /// (`t + 1` whole-copy, `k + t` coded) before the metadata write.
+    /// Bulk plane: every newly written value pushed to the data replicas,
+    /// one fragment per replica; waiting until each has its `k + t` push
+    /// quorum of verified-store acknowledgements before the metadata
+    /// write.
     PushingBulk {
         ops: Vec<OpId>,
         shard: u32,
@@ -1464,32 +1255,18 @@ fn usable_slots(refs: Arc<RefMap>) -> Arc<RefMap> {
     Arc::new(refs)
 }
 
-/// Encodes one value for `shard`'s data replicas, retained under key slot
-/// `slot`: its reference and the `replicas` push messages, index-aligned
-/// with the window — the same whole copy for every replica, or (coded,
-/// `k`-of-`m` with `m = replicas`) AVID-style dispersal: replica `i` gets
-/// fragment `i` plus the Merkle path proving it belongs to the root the
-/// reference carries.
+/// Disperses one value to `shard`'s data replicas, retained under key
+/// slot `slot`, AVID-style (`k`-of-`m`, `m` = the window): its reference
+/// and the `m` push messages, index-aligned with the window — replica `i`
+/// gets fragment `i` plus the Merkle path proving it belongs to the root
+/// the reference carries.
 fn disperse<V: Payload>(
     shard: u32,
     slot: u32,
     bytes: Vec<u8>,
-    coding: Option<(usize, usize)>,
-    replicas: usize,
+    k: usize,
+    m: usize,
 ) -> (BulkRef, Vec<StoreWire<V>>) {
-    let Some((k, m)) = coding else {
-        let bytes: SharedBytes = bytes.into();
-        let bref = BulkRef::to_bytes(&bytes);
-        let pushes = (0..replicas)
-            .map(|_| StoreMsg::BulkPut {
-                shard,
-                slot,
-                digest: bref.digest,
-                bytes: bytes.clone(),
-            })
-            .collect();
-        return (bref, pushes);
-    };
     let frags = encode_fragments(&bytes, k, m);
     // One tree per dispersal: per-fragment paths are then slice walks
     // instead of O(m) re-folds each.
@@ -1529,14 +1306,12 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         wsn_modulus: u128,
         plane: DataPlane,
     ) -> Self {
-        if let DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } = plane {
+        if let DataPlane::Coded { replicas, k } = plane {
             assert!(
                 (1..=servers.len()).contains(&replicas),
                 "bulk replication factor {replicas} out of range for {} servers",
                 servers.len()
             );
-        }
-        if let DataPlane::Coded { replicas, k } = plane {
             assert!(
                 k >= 1 && k <= replicas,
                 "coded reconstruction threshold k={k} out of range for m={replicas} fragments"
@@ -1621,7 +1396,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     ///
     /// Panics if this client neither owns nor is acquiring the key's
     /// shard (the router must direct every put to the shard's writer),
-    /// and — on the bulk planes — when the put brings a shard already
+    /// and — on the bulk plane — when the put brings a shard already
     /// holding [`KEY_SLOTS`] keys a new one.
     pub fn invoke_put(&mut self, op: OpId, key: String, val: V, ctx: &mut StoreCtx<'_, V>) {
         let shard = self.router.shard_of(&key);
@@ -1776,8 +1551,8 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.recoveries
     }
 
-    /// Diagnostic snapshot of an in-flight bulk/coded value fetch:
-    /// `(shard, digest or root, current round tag, distinct window
+    /// Diagnostic snapshot of an in-flight bulk-plane value fetch:
+    /// `(shard, commitment root, current round tag, distinct window
     /// replicas that answered badly this round)`, or `None` when no
     /// fetch is running. Intended for tests pinning round-tag semantics
     /// (a stale-tagged reply must leave the tag and the bad tally
@@ -1803,15 +1578,13 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// [`StoreClientNode::data_replicas`] over explicit fields, callable
     /// while `self.phase` is mutably borrowed.
     fn replicas_for(plane: DataPlane, servers: &[ProcessId], shard: u32) -> Vec<ProcessId> {
-        match plane {
-            DataPlane::Full => Vec::new(),
-            DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } => {
-                data_replica_slots(shard, servers.len(), replicas)
-                    .into_iter()
-                    .map(|i| servers[i])
-                    .collect()
-            }
-        }
+        let DataPlane::Coded { replicas, .. } = plane else {
+            return Vec::new();
+        };
+        data_replica_slots(shard, servers.len(), replicas)
+            .into_iter()
+            .map(|i| servers[i])
+            .collect()
     }
 
     /// One bulk-plane round's timer span: the timeout derived from the
@@ -1822,46 +1595,22 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.cfg.timeout().unwrap_or(self.cfg.retry_after)
     }
 
-    /// Number of data replicas per shard (0 under full replication) —
-    /// allocation-free, for the per-message pump paths.
-    fn replica_count(&self) -> usize {
-        match self.plane {
-            DataPlane::Full => 0,
-            DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. } => replicas,
-        }
-    }
-
-    /// The coding shape `(k, m)` when dispersing fragments, `None` on
-    /// the whole-copy planes.
+    /// The coding shape `(k, m)` — `m` the data replicas per shard —
+    /// or `None` under full replication.
     fn coding(&self) -> Option<(usize, usize)> {
         match self.plane {
             DataPlane::Coded { replicas, k } => Some((k, replicas)),
-            _ => None,
+            DataPlane::Full => None,
         }
     }
 
     /// Verified-store acknowledgements a push must collect before the
-    /// metadata write: `t + 1` for whole copies, `k + t` for a coded
-    /// dispersal — both capped by the factor actually configured
-    /// (sub-canonical factors are experiment knobs that trade the
-    /// Byzantine guarantee away, not deadlocks).
+    /// metadata write: `k + t`, capped by the window (the builder refuses
+    /// windows below `k + t`; a client constructed with one waits for
+    /// every replica instead of forever).
     fn push_needed(&self) -> usize {
-        let quorum = match self.coding() {
-            Some((k, _)) => coded_push_quorum(self.cfg.t, k),
-            None => push_quorum(self.cfg.t),
-        };
-        quorum.min(self.replica_count())
-    }
-
-    /// The reconstruction threshold: `k` verified fragments in coded
-    /// mode, one digest-passing blob otherwise. Also the right constant
-    /// for the dead-round test: a replica whose fragment is already
-    /// held can only re-serve it (redundant), so with `f` fragments in
-    /// hand the helpful outstanding replies number at most
-    /// `m − bad − f`, and the round is dead exactly when
-    /// `m − bad − f < k − f` ⇔ `bad > m − k` — independent of `f`.
-    fn resolve_threshold(&self) -> usize {
-        self.coding().map_or(1, |(k, _)| k)
+        self.coding()
+            .map_or(0, |(k, m)| coded_push_quorum(self.cfg.t, k).min(m))
     }
 
     /// True iff `pid` serves `shard`'s bulk window — membership by window
@@ -1872,7 +1621,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         shard: u32,
         pid: ProcessId,
     ) -> bool {
-        let (DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. }) = plane else {
+        let DataPlane::Coded { replicas, .. } = plane else {
             return false;
         };
         let n = servers.len();
@@ -1884,18 +1633,17 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     }
 
     /// The server at `shard`'s window position `index` (= the replica a
-    /// coded push assigns fragment `index`), if the index is within the
-    /// window — the ack-attribution counterpart of
-    /// [`Self::is_data_replica`], same arithmetic as
-    /// [`data_replica_slots`], allocation-free (runs on every coded
-    /// acknowledgement).
+    /// push assigns fragment `index`), if the index is within the window
+    /// — the ack-attribution counterpart of [`Self::is_data_replica`],
+    /// same arithmetic as [`data_replica_slots`], allocation-free (runs on
+    /// every push acknowledgement).
     fn window_replica_at(
         plane: DataPlane,
         servers: &[ProcessId],
         shard: u32,
         index: u32,
     ) -> Option<ProcessId> {
-        let (DataPlane::Bulk { replicas } | DataPlane::Coded { replicas, .. }) = plane else {
+        let DataPlane::Coded { replicas, .. } = plane else {
             return None;
         };
         let n = servers.len();
@@ -1951,7 +1699,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     }
 
     /// The metadata read's value as this client's plane reads it: the
-    /// full plane publishes maps of values, the bulk planes maps of
+    /// full plane publishes maps of values, the bulk plane maps of
     /// references — an empty inline map (every register's initial
     /// value) is the empty reference map there. Anything else is garbage.
     fn classify(&self, val: &StoreVal<V>) -> Resolved<V> {
@@ -1970,7 +1718,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// writers publish, or it lacks a key `quorum` has (writers only ever
     /// add keys). Only corrupted local state answers that way, and
     /// trusting it would keep handing garbage to every later read until
-    /// the writer's stamps overtake it: on the bulk planes a key missing
+    /// the writer's stamps overtake it: on the bulk plane a key missing
     /// from it would read as absent, a dangling reference in it would
     /// re-read forever.
     fn corrupt_memory(&self, memory: &StoreVal<V>, quorum: &StoreVal<V>) -> bool {
@@ -2000,7 +1748,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
 
     /// Publishes the authoritative state of `shard` after folding `puts`
     /// into it, in queue order. Under full replication that is one
-    /// metadata write of the map of values. On the bulk planes each put
+    /// metadata write of the map of values. On the bulk plane each put
     /// key's latest value is encoded alone and dispersed to the data
     /// replicas under the key's slot (a new key takes the lowest free
     /// slot), and the map of references — with every put key pointing at
@@ -2020,14 +1768,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         let coding = self.coding();
         let owned = self.owned.get_mut(&shard).expect("publish on owned shard");
         let mut dispersals: Vec<Dispersal<V>> = Vec::new();
-        let val = if self.plane == DataPlane::Full {
-            for (key, val) in puts {
-                owned.map.insert(&key, val);
-            }
-            // One deep snapshot per publish; every send, helping
-            // refresh, and retransmission shares it through the Arc.
-            StoreVal::Inline(Arc::new(owned.map.clone()))
-        } else {
+        let val = if let Some((k, m)) = coding {
             // Within one publish the last put of a key wins, exactly as
             // the full plane's map inserts fold — so a value overwritten
             // inside the batch is never dispersed.
@@ -2039,8 +1780,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         panic!("shard {shard} already holds {KEY_SLOTS} keys, the key-slot space")
                     }),
                 };
-                let (bref, pushes) =
-                    disperse(shard, slot, val.encode_to_vec(), coding, replicas.len());
+                let (bref, pushes) = disperse(shard, slot, val.encode_to_vec(), k, m);
                 owned.refs.insert(&key, ValueRef { slot, bref });
                 dispersals.push(Dispersal {
                     digest: bref.digest,
@@ -2049,6 +1789,13 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 });
             }
             StoreVal::Refs(Arc::new(owned.refs.clone()))
+        } else {
+            for (key, val) in puts {
+                owned.map.insert(&key, val);
+            }
+            // One deep snapshot per publish; every send, helping
+            // refresh, and retransmission shares it through the Arc.
+            StoreVal::Inline(Arc::new(owned.map.clone()))
         };
         let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(&mut owned.stamper, val);
         if dispersals.is_empty() {
@@ -2482,13 +2229,15 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     }
                     // Dead round: so many distinct window replicas
                     // answered garbage or a miss that the replies still
-                    // outstanding cannot reach the resolve threshold
-                    // (one digest-passing blob, or k verified fragments
-                    // — see `resolve_threshold` for why held fragments
-                    // do not relax this). A get's reference may be stale
-                    // (overwritten metadata) or fabricated — fall back to
-                    // the metadata register. An adoption drops the key
-                    // (see `Resolving`).
+                    // outstanding cannot reach `k` verified fragments.
+                    // Held fragments do not relax this: a replica whose
+                    // fragment is held can only re-serve it, so with `f`
+                    // in hand at most `m − bad − f` helpful replies are
+                    // outstanding, short of the `k − f` still needed
+                    // exactly when `bad > m − k`. A get's reference may
+                    // be stale (overwritten metadata) or fabricated —
+                    // fall back to the metadata register. An adoption
+                    // drops the key (see `Resolving`).
                     //
                     // A get whose map came from the inversion-prevention
                     // memory rather than the quorum also forgets that
@@ -2501,8 +2250,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     // stuck in it would never run its own recovery. The
                     // recovery reads start from a clean policy for the
                     // same reason.
-                    let needed = self.resolve_threshold();
-                    let bad_bound = self.replica_count().saturating_sub(needed - 1);
+                    let bad_bound = self.coding().map_or(0, |(k, m)| m + 1 - k);
                     if fetch.dead || fetch.bad.len() >= bad_bound {
                         sub.note_dead_fetch_round();
                         sub.cancel_timer(fetch.timer);
@@ -2535,9 +2283,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 } => {
                     let need = self.push_needed();
                     if dispersals.iter().all(|d| d.acks.len() >= need) {
-                        // t+1 verified stores of every value ⇒ ≥1 correct
-                        // replica holds each (k+t ⇒ ≥k hold verified
-                        // fragments): the references may become visible.
+                        // k+t verified stores of every value ⇒ ≥k correct
+                        // replicas hold verified fragments of each (k = 1:
+                        // ≥1 holds a whole copy): the references may
+                        // become visible.
                         sub.cancel_timer(timer);
                         self.start_write(shard, ops, payload, sub);
                     } else {
@@ -2589,67 +2338,27 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         }
     }
 
-    /// Validates one `BULK_GET` reply against the in-flight fetch;
-    /// digest-verified bytes that decode resolve the fetch, anything else
-    /// marks the *sender* bad (the fallback-to-other-replicas path). Only
-    /// replies from the shard's window replicas are processed at all —
-    /// the bad tally is a set of senders, so no single Byzantine replica
-    /// (or tag-guessing outsider) can fabricate a dead round by spamming
-    /// replies.
-    fn on_bulk_get_ack(
-        &mut self,
-        from: ProcessId,
-        shard: u32,
-        digest: BulkDigest,
-        tag: u64,
-        bytes: Option<SharedBytes>,
-    ) {
-        if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
-            return;
-        }
-        let Phase::Fetching { res, fetch } = &mut self.phase else {
-            return;
-        };
-        let bref = fetch.vref.bref;
-        if tag != fetch.tag
-            || shard != res.shard
-            || digest != bref.digest
-            || fetch.resolved.is_some()
-        {
-            return; // stale round, wrong blob, or already resolved
-        }
-        // Digest-passing but undecodable would need a digest collision;
-        // treat it as a bad replica all the same.
-        match bytes
-            .filter(|b| bref.verifies(b))
-            .and_then(|b| V::decode_all(&b))
-        {
-            Some(val) => fetch.resolved = Some(val),
-            None => {
-                fetch.bad.insert(from);
-            }
-        }
-    }
-
-    /// Validates one fragment reply against the in-flight coded fetch:
-    /// the fragment must be the right length, carry an in-range index,
-    /// and re-verify against the commitment root. The `k`-th distinct
-    /// verified fragment triggers reconstruction; replies that fail any
-    /// check mark the sender bad (the fallback path — a sender set, like
-    /// [`StoreClientNode::on_bulk_get_ack`], and window replicas only),
-    /// and re-served fragments for an index already verified are simply
-    /// redundant.
+    /// Validates one fragment reply against the in-flight fetch: the
+    /// fragment must be the right length, carry an in-range index, and
+    /// re-verify against the commitment root. The `k`-th distinct
+    /// verified fragment triggers reconstruction; a miss or a reply that
+    /// fails any check marks the *sender* bad (the fallback-to-other-
+    /// replicas path), and re-served fragments for an index already
+    /// verified are simply redundant. Only replies from the shard's
+    /// window replicas are processed at all — the bad tally is a set of
+    /// senders, so no single Byzantine replica (or tag-guessing outsider)
+    /// can fabricate a dead round by spamming replies.
     fn on_frag_get_ack(
         &mut self,
         from: ProcessId,
         shard: u32,
         root: BulkDigest,
         tag: u64,
-        frag: Option<(u32, SharedBytes, Vec<BulkDigest>)>,
+        frag: Option<Served>,
         ctx: &mut StoreCtx<'_, V>,
     ) {
         let Some((k, m)) = self.coding() else {
-            return; // whole-copy clients never ask for fragments
+            return; // full-replication clients never ask for fragments
         };
         if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
             return;
@@ -2694,17 +2403,22 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         }
     }
 
-    /// Counts one push acknowledgement for `digest` on `shard` from
-    /// `from` toward every in-flight dispersal of that value, if the
-    /// sender is `eligible` (see the two call sites for who is).
+    /// Counts one acknowledgement of fragment `index` of `root` on
+    /// `shard` from `from` toward every in-flight dispersal of that value.
+    /// Only the replica this client assigned that exact index may count
+    /// it — the index is the replica's position in the shard's window, so
+    /// a Byzantine replica acknowledging a fragment it was never given is
+    /// rejected here.
     fn on_push_ack(
         &mut self,
         from: ProcessId,
         shard: u32,
-        digest: BulkDigest,
-        eligible: bool,
+        root: BulkDigest,
+        index: u32,
         ctx: &mut StoreCtx<'_, V>,
     ) {
+        let eligible =
+            Self::window_replica_at(self.plane, &self.servers, shard, index) == Some(from);
         let Phase::PushingBulk {
             shard: s,
             dispersals,
@@ -2717,7 +2431,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             return;
         }
         let mut have = None;
-        for d in dispersals.iter_mut().filter(|d| d.digest == digest) {
+        for d in dispersals.iter_mut().filter(|d| d.digest == root) {
             if d.acks.insert(from) {
                 have = Some(d.acks.len() as u32);
             }
@@ -2760,28 +2474,9 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                     }
                 }
             }
-            StoreMsg::BulkPutAck { shard, digest } => {
-                // Only replicas we actually asked may count toward the
-                // push quorum (a content-addressed stale ack from an
-                // earlier identical value is fine: held is held).
-                let asked = Self::is_data_replica(self.plane, &self.servers, shard, from);
-                self.on_push_ack(from, shard, digest, asked, ctx);
-            }
             StoreMsg::FragPutAck { shard, root, index } => {
-                // Only the replica we assigned this exact fragment
-                // index may count it toward the push quorum — the
-                // index is the replica's position in the shard's
-                // window, so a Byzantine replica acknowledging a
-                // fragment it was never given is rejected here.
-                let expected = Self::window_replica_at(self.plane, &self.servers, shard, index);
-                self.on_push_ack(from, shard, root, expected == Some(from), ctx);
+                self.on_push_ack(from, shard, root, index, ctx)
             }
-            StoreMsg::BulkGetAck {
-                shard,
-                digest,
-                tag,
-                bytes,
-            } => self.on_bulk_get_ack(from, shard, digest, tag, bytes),
             StoreMsg::FragGetAck {
                 shard,
                 root,
@@ -2790,8 +2485,7 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
             } => self.on_frag_get_ack(from, shard, root, tag, frag, ctx),
             // Server-bound bulk requests — and the server-to-server
             // repair plane — arriving at a client are garbage.
-            StoreMsg::BulkPut { .. }
-            | StoreMsg::BulkGet { .. }
+            StoreMsg::BulkGet { .. }
             | StoreMsg::FragPut { .. }
             | StoreMsg::RepairRequest { .. }
             | StoreMsg::RepairReply { .. }
@@ -2853,8 +2547,8 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
             if *timer == id {
                 // Ack-wait round expired short of the push quorum:
                 // re-push to the replicas still missing — each gets its
-                // own prepared message again (the same whole copy, or
-                // its assigned fragment), value by value. In synchronous
+                // own prepared message (its assigned fragment) again,
+                // value by value. In synchronous
                 // mode this is the Fig. 5 "wait … or time-out" rule
                 // applied to the data plane; in asynchronous mode it is
                 // the usual retransmission that keeps the push live
@@ -2925,13 +2619,40 @@ mod tests {
 
     type HealingServer = StoreServerNode<u64, sbs_core::ServerNode<u64, ()>>;
 
+    /// A `k`-of-3 dispersal of `bytes`: its fragments and their tree.
+    fn dispersal(bytes: &[u8], k: usize) -> (Vec<SharedBytes>, MerkleTree) {
+        let frags = encode_fragments(bytes, k, 3);
+        let tree = MerkleTree::build(&fragment_leaves(&frags));
+        (frags, tree)
+    }
+
+    /// The push of fragment `index` of `(frags, tree)` for key slot
+    /// `slot` of `shard`.
+    fn frag_put(
+        (frags, tree): &(Vec<SharedBytes>, MerkleTree),
+        shard: u32,
+        slot: u32,
+        index: usize,
+    ) -> StoreMsg<u64> {
+        StoreMsg::FragPut {
+            shard,
+            slot,
+            root: tree.root(),
+            index: index as u32,
+            total: 3,
+            bytes: frags[index].clone(),
+            proof: tree.proof(index),
+        }
+    }
+
     /// A started healing data replica at fleet slot `slot` of 9 (process
-    /// ids = slots), 4 shards with 3-replica windows, whole-copy plane —
-    /// plus the handler-driving state [`handle`] threads through.
+    /// ids = slots), 4 shards with 3-replica windows, whole copies
+    /// (`k = 1`) — plus the handler-driving state [`handle`] threads
+    /// through.
     fn healing_server(slot: usize) -> (HealingServer, DetRng, u64) {
         let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
         let mut node = StoreServerNode::new(sbs_core::ServerNode::new(0))
-            .bulk_guard(slot, 9, 4, 3, false)
+            .bulk_guard(slot, 9, 4, 3)
             .self_healing(servers, 1, SimDuration::millis(2));
         let (mut rng, mut nt) = (DetRng::from_seed(19), 0u64);
         handle(&mut node, &mut rng, &mut nt, |node, ctx| node.on_start(ctx));
@@ -3007,37 +2728,29 @@ mod tests {
     }
 
     /// Growth guard: the anti-entropy tick reads its summary from the
-    /// stores' holdings indexes, so its cost does not grow with the
-    /// store. A replica holding 20 000 blobs (and a few fragments, so the
-    /// window also crosses from one store into the other) runs 2 000
-    /// ticks; every summary must be exactly the slice of the reference
-    /// scan the rotation rule names, sent to the next other server in
-    /// slot order.
+    /// store's holdings index, so its cost does not grow with the store.
+    /// A replica holding 20 000 fragments runs 2 000 ticks; every summary
+    /// must be exactly the slice of the reference scan the rotation rule
+    /// names, sent to the next other server in slot order.
     #[test]
     fn anti_entropy_tick_cost_is_independent_of_store_size() {
         use sbs_bulk::StoredFragment;
         // Slot 2 sits in the windows of shards 0, 1 and 2.
         let (mut node, mut rng, mut nt) = healing_server(2);
         for i in 0..20_000u32 {
-            let bytes: SharedBytes = i.to_le_bytes().to_vec().into();
-            let holder = Holder::new(i % 3, i % 5);
-            assert!(node.bulk.put(holder, digest_of(&bytes), bytes).held());
-        }
-        for i in 0..40u8 {
-            let frags = encode_fragments(&[i; 24], 2, 3);
-            let tree = MerkleTree::build(&fragment_leaves(&frags));
+            let (frags, tree) = dispersal(&i.to_le_bytes(), 1);
             let own = StoredFragment {
                 index: 0,
                 total: 3,
                 bytes: frags[0].clone(),
                 proof: tree.proof(0),
             };
-            assert!(node.frags.put(Holder::new(2, 1), tree.root(), own).held());
+            let holder = Holder::new(i % 3, i % 5);
+            assert!(node.frags.put(holder, tree.root(), own).held());
         }
-        let mut reference = node.bulk.holdings();
-        reference.extend(node.frags.holdings());
+        let reference = node.frags.holdings();
         let len = reference.len();
-        assert_eq!(len, 20_040);
+        assert_eq!(len, 20_000);
         let others: Vec<ProcessId> = (0..9).filter(|&s| s != 2).map(ProcessId).collect();
 
         let started = std::time::Instant::now();
@@ -3054,14 +2767,13 @@ mod tests {
             assert_eq!(*entries, expected, "round {round}");
             cursor = (cursor + ANTI_ENTROPY_BATCH) % len;
         }
-        // The wall bound is what makes this a *growth* guard. With the
-        // per-tick full scan this PR removed (walk 20 000 entries, sort
-        // them, every tick) this loop took 46 s in a debug build on the
-        // reference container; served from the index the whole test
-        // takes 0.2 s, most of it the fill and the debug assertion's
-        // once-per-rotation scan (three of them here). Five seconds is
-        // 25× headroom for a loaded CI host and a ninth of the
-        // regression.
+        // The wall bound is what makes this a *growth* guard. With a
+        // per-tick full scan (walk 20 000 entries, sort them, every
+        // tick) this loop took 46 s in a debug build on the reference
+        // container; served from the index it takes a fraction of a
+        // second, most of it the debug assertion's once-per-rotation
+        // scan (three of them here). Five seconds is ample headroom for
+        // a loaded CI host and a ninth of the regression.
         assert!(
             started.elapsed() < std::time::Duration::from_secs(5),
             "2 000 ticks over a 20 000-entry store took {:?}: the tick is \
@@ -3087,7 +2799,7 @@ mod tests {
         let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
             StoreServerNode::new(ServerNode::new(0))
-                .bulk_guard(1, 9, 4, 3, true)
+                .bulk_guard(1, 9, 4, 3)
                 .self_healing(servers, 2, SimDuration::millis(1));
         enum Ev {
             Start,
@@ -3157,7 +2869,6 @@ mod tests {
                         shard: 0,
                         slot: 4,
                         digest: bad_root,
-                        bytes: None,
                         frag: Some((i, poisoned[i as usize].clone(), bad_tree.proof(i as usize))),
                     },
                 ),
@@ -3192,7 +2903,6 @@ mod tests {
                         shard: 0,
                         slot: 4,
                         digest: root,
-                        bytes: None,
                         frag: Some((i, frags[i as usize].clone(), tree.proof(i as usize))),
                     },
                 ),
@@ -3250,9 +2960,6 @@ mod tests {
         let mut rng = DetRng::from_seed(2);
         let mut nt = 0u64;
         let client = ProcessId(0);
-
-        let bytes: SharedBytes = b"real blob".to_vec().into();
-        let digest = digest_of(&bytes);
         let run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>,
                    rng: &mut DetRng,
                    nt: &mut u64,
@@ -3263,41 +2970,29 @@ mod tests {
             eff
         };
 
-        // A fabricated blob (bytes not matching the digest) is refused:
-        // no ack, nothing stored.
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                slot: 0,
-                digest,
-                bytes: b"forged".to_vec().into(),
-            },
-        );
-        assert!(eff.sends().is_empty(), "forged blob must not be acked");
-        assert_eq!(node.bulk().blob_count(), 0);
+        // A whole copy: fragment 0 of a one-stripe dispersal.
+        let copy = dispersal(b"real value", 1);
+        let root = copy.1.root();
 
-        // The genuine blob stores and acks.
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                slot: 0,
-                digest,
-                bytes: bytes.clone(),
-            },
-        );
+        // A fabricated fragment (bytes not matching the commitment) is
+        // refused: no ack, nothing stored.
+        let mut forged = frag_put(&copy, 1, 0, 0);
+        if let StoreMsg::FragPut { bytes, .. } = &mut forged {
+            *bytes = b"forged".to_vec().into();
+        }
+        let eff = run(&mut node, &mut rng, &mut nt, forged);
+        assert!(eff.sends().is_empty(), "forged fragment must not be acked");
+        assert_eq!(node.frag_store().fragment_count(), 0);
+
+        // The genuine fragment stores and acks.
+        let eff = run(&mut node, &mut rng, &mut nt, frag_put(&copy, 1, 0, 0));
         assert!(matches!(
             eff.sends(),
-            [(_, StoreMsg::BulkPutAck { shard: 1, .. })]
+            [(_, StoreMsg::FragPutAck { shard: 1, .. })]
         ));
-        assert!(node.bulk().holds(&digest));
+        assert!(node.frag_store().holds(&root));
 
-        // A get returns the held bytes verbatim.
+        // A get returns the held fragment verbatim.
         let eff = run(
             &mut node,
             &mut rng,
@@ -3305,36 +3000,36 @@ mod tests {
             StoreMsg::BulkGet {
                 shard: 1,
                 slot: 0,
-                digest,
+                digest: root,
                 tag: 7,
             },
         );
         let [(
             to,
-            StoreMsg::BulkGetAck {
+            StoreMsg::FragGetAck {
                 tag: 7,
-                bytes: Some(served),
+                frag: Some((0, served, proof)),
                 ..
             },
         )] = eff.sends()
         else {
-            panic!("expected one BulkGetAck, got {:?}", eff.sends());
+            panic!("expected one FragGetAck, got {:?}", eff.sends());
         };
         assert_eq!(*to, client);
-        assert_eq!(served.as_ref(), bytes.as_ref());
+        assert_eq!(served.as_ref(), b"real value");
+        assert!(verify_fragment(root, 3, 0, served, proof));
     }
 
     /// The deployment guard refuses every wire-controlled lie the bulk
     /// plane could otherwise be fed: fragments with a foreign index
     /// (pre-seeding a correct replica with another replica's fragment
-    /// to poison push-quorum acks), degenerate `total = 1` dispersals
-    /// (which collapse the commitment check to a digest check and could
-    /// shadow a blob), fragments on a whole-copy deployment, and puts
-    /// for shards outside this replica's window (unbounded retention
-    /// state).
+    /// to poison push-quorum acks), dispersal shapes other than the
+    /// deployment's (a degenerate one-leaf `total = 1`, a shapeless
+    /// `total = 0`), fragments on a full-replication deployment, and
+    /// puts for shards outside this replica's window (unbounded
+    /// retention state).
     #[test]
     fn bulk_guard_refuses_foreign_indices_totals_and_shards() {
-        use sbs_bulk::{encode_fragments, fragment_leaves, merkle_proof, merkle_root};
         use sbs_core::ServerNode;
         type P = u64;
         let run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>,
@@ -3349,53 +3044,46 @@ mod tests {
         let mut rng = DetRng::from_seed(5);
         let mut nt = 0u64;
 
-        // Fleet slot 1 of 9, 4 shards, coded 2-of-3: shard 1's window is
-        // slots {1, 2, 3}, so this server's position (= fragment index)
-        // for shard 1 is 0.
+        // Fleet slot 1 of 9, 4 shards, 2-of-3: shard 1's window is slots
+        // {1, 2, 3}, so this server's position (= fragment index) for
+        // shard 1 is 0.
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, true);
-        let payload = vec![3u8; 64];
-        let frags = encode_fragments(&payload, 2, 3);
-        let leaves = fragment_leaves(&frags);
-        let root = merkle_root(&leaves);
-        let frag_put = |index: usize| StoreMsg::FragPut {
-            shard: 1,
-            slot: 0,
-            root,
-            index: index as u32,
-            total: 3,
-            bytes: frags[index].clone(),
-            proof: merkle_proof(&leaves, index),
-        };
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
+        let coded = dispersal(&[3u8; 64], 2);
 
         // A *different replica's* fragment — commitment-valid, wrong
         // index for this slot — is refused unacked.
-        let eff = run(&mut node, &mut rng, &mut nt, frag_put(1));
+        let eff = run(&mut node, &mut rng, &mut nt, frag_put(&coded, 1, 0, 1));
         assert!(eff.sends().is_empty(), "foreign index must not be acked");
+        assert_eq!(eff.slow_paths().guard_refusals, 1);
         assert_eq!(node.frag_store().fragment_count(), 0);
 
-        // The degenerate total=1 forgery (bytes hashing straight to some
-        // blob digest) is refused by the shape pin.
-        let blob: SharedBytes = b"a whole blob".to_vec().into();
+        // Shapes other than the deployment's are refused by the shape
+        // pin: the degenerate one-leaf forgery (bytes hashing straight to
+        // the root it names) and the shapeless one.
+        let blob: SharedBytes = b"a whole value".to_vec().into();
         let d = digest_of(&blob);
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::FragPut {
-                shard: 1,
-                slot: 0,
-                root: d,
-                index: 0,
-                total: 1,
-                bytes: blob.clone(),
-                proof: Vec::new(),
-            },
-        );
-        assert!(eff.sends().is_empty(), "total=1 forgery must be refused");
+        for total in [1, 0] {
+            let eff = run(
+                &mut node,
+                &mut rng,
+                &mut nt,
+                StoreMsg::FragPut {
+                    shard: 1,
+                    slot: 0,
+                    root: d,
+                    index: 0,
+                    total,
+                    bytes: blob.clone(),
+                    proof: Vec::new(),
+                },
+            );
+            assert!(eff.sends().is_empty(), "total={total} must be refused");
+            assert_eq!(eff.slow_paths().guard_refusals, 1);
+        }
 
         // This replica's own fragment is stored and acked.
-        let eff = run(&mut node, &mut rng, &mut nt, frag_put(0));
+        let eff = run(&mut node, &mut rng, &mut nt, frag_put(&coded, 1, 0, 0));
         assert!(matches!(
             eff.sends(),
             [(_, StoreMsg::FragPutAck { index: 0, .. })]
@@ -3408,79 +3096,32 @@ mod tests {
                 &mut node,
                 &mut rng,
                 &mut nt,
-                StoreMsg::BulkPut {
-                    shard: bad_shard,
-                    slot: 0,
-                    digest: d,
-                    bytes: blob.clone(),
-                },
+                frag_put(&coded, bad_shard, 0, 0),
             );
             assert!(eff.sends().is_empty(), "shard {bad_shard} must be refused");
+            assert_eq!(eff.slow_paths().guard_refusals, 1);
         }
+        assert_eq!(node.frag_store().fragment_count(), 1);
 
-        // Regression (REVIEW of ISSUE 5): a coded deployment refuses
-        // whole-blob puts even for an in-window shard — pre-fix a
-        // digest-passing blob was stored and, served blob-first, could
-        // permanently shadow a committed dispersal root.
-        let eff = run(
-            &mut node,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                slot: 0,
-                digest: d,
-                bytes: blob.clone(),
-            },
-        );
-        assert!(
-            eff.sends().is_empty(),
-            "blob puts on a coded deployment must be refused"
-        );
-        assert_eq!(node.bulk().blob_count(), 0);
-
-        // A whole-copy deployment (coded = false) refuses every FragPut,
-        // and a stored blob cannot be shadowed by the fragment plane.
+        // A full-replication deployment (no data window) refuses every
+        // fragment, whatever its shape.
         let mut full: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, false);
-        run(
-            &mut full,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkPut {
-                shard: 1,
-                slot: 0,
-                digest: d,
-                bytes: blob.clone(),
-            },
-        );
-        assert!(full.bulk().holds(&d));
-        let eff = run(&mut full, &mut rng, &mut nt, frag_put(0));
-        assert!(eff.sends().is_empty(), "fragments on a blob plane refused");
-        let eff = run(
-            &mut full,
-            &mut rng,
-            &mut nt,
-            StoreMsg::BulkGet {
-                shard: 1,
-                slot: 0,
-                digest: d,
-                tag: 3,
-            },
-        );
-        assert!(
-            matches!(
-                eff.sends(),
-                [(
-                    _,
-                    StoreMsg::BulkGetAck {
-                        bytes: Some(b),
-                        ..
-                    }
-                )] if b.as_ref() == blob.as_ref()
-            ),
-            "the blob answers, never a shadowing fragment"
-        );
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 0);
+        let shapeless = StoreMsg::FragPut {
+            shard: 1,
+            slot: 0,
+            root: d,
+            index: 0,
+            total: 0,
+            bytes: blob.clone(),
+            proof: Vec::new(),
+        };
+        for msg in [frag_put(&coded, 1, 0, 0), shapeless] {
+            let eff = run(&mut full, &mut rng, &mut nt, msg);
+            assert!(eff.sends().is_empty(), "fragments on a full plane refused");
+            assert_eq!(eff.slow_paths().guard_refusals, 1);
+        }
+        assert_eq!(full.frag_store().fragment_count(), 0);
     }
 
     /// Holder slots are wire data too: a push or a repair pull naming a
@@ -3501,28 +3142,22 @@ mod tests {
         };
         // Slot 1 of 9, 4 shards, 3-replica windows: shard 1's window is
         // slots {1, 2, 3}, position 0 here.
-        let bytes: SharedBytes = b"a value".to_vec().into();
-        let digest = digest_of(&bytes);
-        let put = |slot: u32| StoreMsg::BulkPut {
-            shard: 1,
-            slot,
-            digest,
-            bytes: bytes.clone(),
-        };
-        let mut blobs: StoreServerNode<P, ServerNode<P, ()>> =
+        let coded = dispersal(&[5u8; 64], 2);
+        let root = coded.1.root();
+        let mut node: StoreServerNode<P, ServerNode<P, ()>> =
             StoreServerNode::new(ServerNode::new(0))
-                .bulk_guard(1, 9, 4, 3, false)
-                .self_healing(servers.clone(), 1, SimDuration::millis(2));
+                .bulk_guard(1, 9, 4, 3)
+                .self_healing(servers, 2, SimDuration::millis(2));
         for slot in [KEY_SLOTS, u32::MAX] {
-            let eff = run(&mut blobs, put(slot));
+            let eff = run(&mut node, frag_put(&coded, 1, slot, 0));
             assert!(eff.sends().is_empty(), "slot {slot} must not be acked");
             assert_eq!(eff.slow_paths().guard_refusals, 1);
             let eff = run(
-                &mut blobs,
+                &mut node,
                 StoreMsg::RepairRequest {
                     shard: 1,
                     slot,
-                    digest,
+                    digest: root,
                 },
             );
             assert!(
@@ -3531,35 +3166,14 @@ mod tests {
             );
             assert_eq!(eff.slow_paths().guard_refusals, 1);
         }
-        assert_eq!(blobs.bulk().blob_count(), 0);
+        assert_eq!(node.frag_store().fragment_count(), 0);
         // The last slot of the space is a slot like any other.
-        let eff = run(&mut blobs, put(KEY_SLOTS - 1));
-        assert!(matches!(eff.sends(), [(_, StoreMsg::BulkPutAck { .. })]));
+        let eff = run(&mut node, frag_put(&coded, 1, KEY_SLOTS - 1, 0));
+        assert!(matches!(eff.sends(), [(_, StoreMsg::FragPutAck { .. })]));
         assert_eq!(
-            blobs.bulk().holders(&digest),
+            node.frag_store().holders(&root),
             BTreeSet::from([Holder::new(1, KEY_SLOTS - 1)])
         );
-
-        // The coded plane's fragment pushes are held to the same space.
-        let frags = encode_fragments(&[5u8; 64], 2, 3);
-        let tree = MerkleTree::build(&fragment_leaves(&frags));
-        let mut coded: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, true);
-        let frag_put = |slot: u32| StoreMsg::FragPut {
-            shard: 1,
-            slot,
-            root: tree.root(),
-            index: 0,
-            total: 3,
-            bytes: frags[0].clone(),
-            proof: tree.proof(0),
-        };
-        let eff = run(&mut coded, frag_put(KEY_SLOTS));
-        assert!(eff.sends().is_empty());
-        assert_eq!(eff.slow_paths().guard_refusals, 1);
-        assert_eq!(coded.frag_store().fragment_count(), 0);
-        let eff = run(&mut coded, frag_put(0));
-        assert!(matches!(eff.sends(), [(_, StoreMsg::FragPutAck { .. })]));
     }
 
     /// Register ids are wire data too: the deployment's registers are
@@ -3572,7 +3186,7 @@ mod tests {
         use sbs_core::ServerNode;
         type P = u64;
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, false);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
         let (mut rng, mut nt) = (DetRng::from_seed(3), 0u64);
         let mut run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>, batch| {
             let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
@@ -3644,7 +3258,7 @@ mod tests {
         let mut rng = DetRng::from_seed(13);
         let mut nt = 0u64;
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3, true);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
 
         let payload = vec![8u8; 64];
         let frags = encode_fragments(&payload, 2, 3);
@@ -3725,40 +3339,50 @@ mod tests {
             StoreServerNode::new(ServerNode::new(0)).byzantine_bulk();
         let mut rng = DetRng::from_seed(3);
         let mut nt = 0u64;
-        let bytes: SharedBytes = b"honest bytes".to_vec().into();
-        let digest = digest_of(&bytes);
+        let copy = dispersal(b"honest bytes", 1);
+        let root = copy.1.root();
+        let get = |digest| StoreMsg::BulkGet {
+            shard: 0,
+            slot: 0,
+            digest,
+            tag: 1,
+        };
 
         let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
         let mut ctx = Context::new(SimTime::ZERO, ProcessId(9), &mut rng, &mut nt, &mut eff);
-        node.on_message(
-            ProcessId(0),
-            StoreMsg::BulkPut {
-                shard: 0,
-                slot: 0,
-                digest,
-                bytes: bytes.clone(),
-            },
-            &mut ctx,
-        );
-        node.on_message(
-            ProcessId(0),
-            StoreMsg::BulkGet {
-                shard: 0,
-                slot: 0,
-                digest,
-                tag: 1,
-            },
-            &mut ctx,
-        );
-        let served = eff
+        node.on_message(ProcessId(0), frag_put(&copy, 0, 0, 0), &mut ctx);
+        node.on_message(ProcessId(0), get(root), &mut ctx);
+        // A miss is answered with fabricated filler, never as a miss.
+        node.on_message(ProcessId(0), get(digest_of(b"unheld")), &mut ctx);
+        let served: Vec<&Served> = eff
             .sends()
             .iter()
-            .find_map(|(_, m)| match m {
-                StoreMsg::BulkGetAck { bytes, .. } => bytes.clone(),
+            .filter_map(|(_, m)| match m {
+                StoreMsg::FragGetAck { frag, .. } => frag.as_ref(),
                 _ => None,
             })
-            .expect("byz replica still replies");
-        assert_ne!(served, bytes, "byz replica must serve wrong bytes");
-        assert_ne!(digest_of(&served), digest, "…which can never digest-pass");
+            .collect();
+        let [(index, bytes, proof), (_, filler, _)] = served[..] else {
+            panic!("byz replica must answer both gets, got {served:?}");
+        };
+        assert_ne!(
+            bytes.as_ref(),
+            b"honest bytes",
+            "byz replica must serve wrong bytes"
+        );
+        assert!(
+            !verify_fragment(root, 3, *index as usize, bytes, proof),
+            "…which can never verify"
+        );
+        assert!(!filler.is_empty());
+        assert_eq!(
+            node.frag_store()
+                .get(&root)
+                .expect("stored honestly")
+                .bytes
+                .as_ref(),
+            b"honest bytes",
+            "garbling is copy-on-write"
+        );
     }
 }

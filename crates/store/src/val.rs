@@ -1,6 +1,6 @@
 //! The register-visible shard value — the whole map of values inline
 //! (full replication) or the map of references to values that live on
-//! the data replicas (bulk planes) — plus a synthetic sized value for
+//! the data replicas (bulk plane) — plus a synthetic sized value for
 //! payload-size sweeps.
 
 use crate::map::ShardMap;
@@ -10,15 +10,15 @@ use sbs_sim::DetRng;
 use std::fmt;
 use std::sync::Arc;
 
-/// Key slots per shard on the bulk planes. A shard's writer gives each
+/// Key slots per shard on the bulk plane. A shard's writer gives each
 /// key the lowest slot no other key of the shard holds, and data replicas
 /// retain values per `(shard, slot)` — so two live keys of one shard
 /// never share retention state. The server-side guard refuses slots at or
 /// above this bound, which caps the retention state a forger can make a
-/// replica keep; it is also the bulk planes' capacity in keys per shard.
+/// replica keep; it is also the bulk plane's capacity in keys per shard.
 pub const KEY_SLOTS: u32 = 1 << 16;
 
-/// Where one key's current value lives on the bulk planes: the key's
+/// Where one key's current value lives on the bulk plane: the key's
 /// slot in its shard and the value's [`BulkRef`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ValueRef {
@@ -26,8 +26,8 @@ pub struct ValueRef {
     /// [`KEY_SLOTS`]): the holder slot data replicas retain the value
     /// under.
     pub slot: u32,
-    /// The encoded value's content address (whole copies) or the Merkle
-    /// commitment root of its fragment set (coded), with its length.
+    /// The Merkle commitment root of the encoded value's fragment set,
+    /// with the value's length.
     pub bref: BulkRef,
 }
 
@@ -84,7 +84,7 @@ pub type RefMap = ShardMap<ValueRef>;
 ///
 /// Under **full replication** every write carries the whole
 /// [`ShardMap`] of values inline, so payload traffic scales with the
-/// fleet size `n`. Under the **bulk planes** every write carries the
+/// fleet size `n`. Under the **bulk plane** every write carries the
 /// shard's [`RefMap`] inline — one 44-byte [`ValueRef`] per key — and
 /// each value's bytes live on the shard's `2t + 1` data replicas, so a
 /// `put` disperses one value and a `get` fetches one value. Both flow
@@ -112,7 +112,7 @@ pub enum StoreVal<V> {
     /// bytes that exist nowhere — and every reader answers it with a
     /// metadata re-read.
     Ref(BulkRef),
-    /// The bulk planes' shard value: every key's reference, inline — one
+    /// The bulk plane's shard value: every key's reference, inline — one
     /// shared allocation per published snapshot, like `Inline`.
     Refs(Arc<RefMap>),
 }

@@ -149,7 +149,7 @@ pub struct FaultPlan {
     /// Garbage injection into every client⇄server link at a virtual-time
     /// offset: `(offset from start, batches per link direction)`.
     pub link_garbage: Vec<(SimDuration, usize)>,
-    /// Wipe of one server's bulk **data stores** (blobs and fragments;
+    /// Wipe of one server's bulk **data store** (its fragments;
     /// register metadata survives) at a virtual-time offset:
     /// `(offset from start, server index)`. Applied at the first drive
     /// slice boundary at or after the offset — deterministic, since
@@ -688,7 +688,7 @@ pub struct WorkloadReport {
     /// Metadata re-reads forced by unresolvable references.
     pub slow_metadata_rereads: u64,
     /// Self-healing repair fan-outs (peer-pull rounds started by data
-    /// replicas after detecting a missing or corrupt blob/fragment);
+    /// replicas after detecting a missing or corrupt fragment);
     /// `0` unless [`StoreBuilder::anti_entropy`] is enabled.
     pub repair_rounds: u64,
 }

@@ -53,7 +53,7 @@ fn acceptance_bulk_1000op_ycsb_b_with_byzantine_data_replica() {
         report_bulk.completed, 1000,
         "bulk mode must survive the Byzantine data replica"
     );
-    assert_eq!(sys_bulk.plane(), DataPlane::Bulk { replicas: 3 });
+    assert_eq!(sys_bulk.plane(), DataPlane::Coded { replicas: 3, k: 1 });
 
     // Identical per-key atomicity verdicts on identical seeds.
     let checked_full = sys_full
@@ -189,10 +189,11 @@ fn byzantine_data_replica_never_corrupts_a_get() {
     }
 }
 
-/// `data_replicas` below 2t+1 is an experiment knob, not a default: the
-/// builder accepts it, and an honest-only fleet still works with a single
-/// data replica (no Byzantine tolerance claimed).
+/// A window below `k + t` is refused for every `k`, whole copies
+/// included: a single data replica cannot keep reads live past `t = 1`
+/// Byzantine replicas, so the builder does not deploy one.
 #[test]
+#[should_panic(expected = "coded reconstruction threshold k=1 too high")]
 fn single_data_replica_works_without_byzantine_faults() {
     let mut sys: StoreSystem<u64> = StoreBuilder::asynchronous(1)
         .seed(5)
@@ -211,14 +212,14 @@ fn single_data_replica_works_without_byzantine_faults() {
     }
 }
 
-/// The erasure-coded acceptance run (ISSUE 5): full replication vs the
-/// whole-copy bulk plane vs the AVID-style coded plane on identical
-/// seeds, 1 KiB values, with a Byzantine server that is also a data
-/// replica garbling every fragment it serves. The coded run must (a) be
-/// differentially equivalent to full replication, write sequence by
-/// write sequence; (b) keep the exact `2t + 1` window placement; and
-/// (c) store **≥ 2× fewer payload bytes per replica** than whole
-/// copies (`k = 2` fragments are half a snapshot each).
+/// The erasure-coded acceptance run (ISSUE 5): full replication vs whole
+/// copies (`k = 1`) vs 2-of-3 dispersal on identical seeds, 1 KiB values,
+/// with a Byzantine server that is also a data replica garbling every
+/// fragment it serves. The `k = 2` run must (a) be differentially
+/// equivalent to full replication, write sequence by write sequence; (b)
+/// keep the exact `2t + 1` window placement; and (c) store **≥ 2× fewer
+/// payload bytes per replica** than whole copies (`k = 2` fragments are
+/// half a value each).
 #[test]
 fn coded_acceptance_equivalent_to_full_and_cuts_per_replica_bytes() {
     let full = StoreBuilder::asynchronous(1)
@@ -284,8 +285,8 @@ fn coded_acceptance_equivalent_to_full_and_cuts_per_replica_bytes() {
             );
         }
     }
-    // And the coded wire traffic is cheaper too: every BULK_PUT ships a
-    // whole snapshot to each of 3 replicas, every FRAG_PUT half of one.
+    // And the coded wire traffic is cheaper too: a `k = 1` push ships the
+    // whole value to each of 3 replicas, a `k = 2` push half of it.
     assert!(
         report_bulk.bulk_bytes as f64 / report_coded.bulk_bytes as f64 > 1.3,
         "fragment dispersal must cut bulk-plane wire bytes: {} vs {}",
@@ -349,12 +350,39 @@ fn coded_knobs_commute_with_data_replicas() {
     let b = StoreBuilder::asynchronous(1).bulk_coded(2).data_replicas(4);
     assert_eq!(a.config().plane, DataPlane::Coded { replicas: 4, k: 2 });
     assert_eq!(b.config().plane, a.config().plane);
-    // `.bulk()` stays an explicit whole-copy selection, coded or not.
+    // `.bulk()` is `.bulk_coded(1)`: whole copies on the same window.
     let c = StoreBuilder::asynchronous(1).bulk_coded(2).bulk();
-    assert_eq!(c.config().plane, DataPlane::Bulk { replicas: 3 });
+    assert_eq!(c.config().plane, DataPlane::Coded { replicas: 3, k: 1 });
+    assert_eq!(
+        StoreBuilder::asynchronous(1).bulk().config().plane,
+        DataPlane::Coded { replicas: 3, k: 1 }
+    );
 }
 
-/// Regression (ISSUE 5): a `BulkGetAck` carrying a *superseded* fetch
+/// `data_replicas` is checked against the fleet the builder ends up
+/// with, not the one at call time: a window wider than the minimal
+/// `8t + 1` fleet is fine once `n` grows to hold it, in either call
+/// order.
+#[test]
+fn data_replicas_may_precede_the_fleet_size() {
+    let early = StoreBuilder::asynchronous(1).data_replicas(12).n(13);
+    let late = StoreBuilder::asynchronous(1).n(13).data_replicas(12);
+    assert_eq!(
+        early.config().plane,
+        DataPlane::Coded { replicas: 12, k: 1 }
+    );
+    assert_eq!(late.config().plane, early.config().plane);
+    let mut sys: StoreSystem<u64> = early.seed(3).build();
+    sys.put("alpha", 11);
+    assert!(sys.settle());
+    sys.get(0, "alpha");
+    assert!(sys.settle());
+    let h = sys.history_for_key("alpha");
+    assert_eq!(h.reads().next().unwrap().kind.value(), &Some(11));
+    assert_eq!(sys.bulk_placement()[&0].len(), 12);
+}
+
+/// Regression (ISSUE 5): a fetch reply carrying a *superseded* fetch
 /// tag — a late reply from an earlier retransmission round — must be
 /// ignored entirely, not counted toward the current round's `bad`
 /// threshold. Counting it would make harmless stragglers trigger the
@@ -402,11 +430,11 @@ fn stale_fetch_tag_replies_are_ignored() {
             .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
                 n.on_message(
                     replica,
-                    StoreMsg::BulkGetAck {
+                    StoreMsg::FragGetAck {
                         shard,
-                        digest,
+                        root: digest,
                         tag: tag.wrapping_sub(1),
-                        bytes: Some(vec![j as u8; 8].into()),
+                        frag: Some((j as u32, vec![j as u8; 8].into(), Vec::new())),
                     },
                     ctx,
                 );
@@ -426,11 +454,11 @@ fn stale_fetch_tag_replies_are_ignored() {
         .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
             n.on_message(
                 replicas[0],
-                StoreMsg::BulkGetAck {
+                StoreMsg::FragGetAck {
                     shard,
-                    digest,
+                    root: digest,
                     tag,
-                    bytes: Some(vec![0xEE; 8].into()),
+                    frag: Some((0, vec![0xEE; 8].into(), Vec::new())),
                 },
                 ctx,
             );
@@ -489,20 +517,20 @@ fn fetch_bad_tally_counts_replicas_not_replies() {
     assert_eq!(bad, 0);
 
     // One Byzantine window replica spams garbage replies with the
-    // *current* tag. With m = 3 replicas and a whole-copy resolve
-    // threshold of 1, three counted replies would cross the dead-round
-    // bound (bad ≥ 3) — but one sender must count once.
+    // *current* tag. With m = 3 replicas and whole copies (k = 1),
+    // three counted replies would cross the dead-round bound
+    // (bad ≥ m − k + 1 = 3) — but one sender must count once.
     let spammer = sys.servers[0];
     for burst in 0..3u8 {
         sys.sim
             .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
                 n.on_message(
                     spammer,
-                    StoreMsg::BulkGetAck {
+                    StoreMsg::FragGetAck {
                         shard,
-                        digest,
+                        root: digest,
                         tag,
-                        bytes: Some(vec![burst; 8].into()),
+                        frag: Some((0, vec![burst; 8].into(), Vec::new())),
                     },
                     ctx,
                 );
@@ -515,11 +543,11 @@ fn fetch_bad_tally_counts_replicas_not_replies() {
         .with_node::<StoreClientNode<u64>, _>(client, |n, ctx| {
             n.on_message(
                 outsider,
-                StoreMsg::BulkGetAck {
+                StoreMsg::FragGetAck {
                     shard,
-                    digest,
+                    root: digest,
                     tag,
-                    bytes: Some(vec![0xEE; 8].into()),
+                    frag: Some((0, vec![0xEE; 8].into(), Vec::new())),
                 },
                 ctx,
             );
@@ -628,7 +656,7 @@ fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, u64, f64) {
     (per_put, stored, per_get)
 }
 
-/// A put costs its value, not its shard — on both bulk planes. The same
+/// A put costs its value, not its shard — for every `k`. The same
 /// 1 KiB workload on a shard of 1 key and on a shard of 16 keys must cost
 /// the same bulk bytes per put and the same stored bytes per replica
 /// (within 10 %), and a get must fetch one value's bytes, whatever the
@@ -637,31 +665,33 @@ fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, u64, f64) {
 #[test]
 fn a_put_costs_its_value_not_its_shard() {
     let base = StoreBuilder::asynchronous(1).seed(5).extra_readers(1);
-    for (plane, builder) in [("bulk", base.clone().bulk()), ("coded", base.bulk_coded(2))] {
+    for k in [1, 2] {
+        let builder = base.clone().bulk_coded(k);
         let (put_1, stored_1, get_1) = value_costs(&builder, 1);
         let (put_16, stored_16, get_16) = value_costs(&builder, 16);
         let within = |a: f64, b: f64| (a / b - 1.0).abs() <= 0.10;
         assert!(
             within(put_16, put_1),
-            "{plane}: bulk bytes per put grew with the shard: {put_1:.0} at 1 key, \
+            "k={k}: bulk bytes per put grew with the shard: {put_1:.0} at 1 key, \
              {put_16:.0} at 16 keys"
         );
         assert!(
             within(stored_16 as f64, stored_1 as f64),
-            "{plane}: stored bytes per replica grew with the shard: {stored_1} at 1 key, \
+            "k={k}: stored bytes per replica grew with the shard: {stored_1} at 1 key, \
              {stored_16} at 16 keys"
         );
         assert!(
             within(get_16, get_1),
-            "{plane}: bulk bytes per get grew with the shard: {get_1:.0} at 1 key, \
+            "k={k}: bulk bytes per get grew with the shard: {get_1:.0} at 1 key, \
              {get_16:.0} at 16 keys"
         );
-        // One value per get: every one of the 3 window replicas answers
-        // with at most one encoded 1 KiB value (12 bytes of id and
-        // length) plus its frame and proof.
+        // One value per get: every one of the 3 window replicas is asked
+        // once and answers with at most one encoded 1 KiB value (12
+        // bytes of id and length) plus the request, its frame and its
+        // proof (48 + 113 bytes at m = 3).
         assert!(
-            get_16 <= 3.0 * (1036.0 + 128.0),
-            "{plane}: a get fetched more than one value's bytes: {get_16:.0}"
+            get_16 <= 3.0 * (1036.0 + 200.0),
+            "k={k}: a get fetched more than one value's bytes: {get_16:.0}"
         );
     }
 }
@@ -672,7 +702,7 @@ fn a_put_costs_its_value_not_its_shard() {
 /// the cold value back from anti-entropy under the cold key's own slot.
 #[test]
 fn retention_is_per_key_and_repairs_keep_the_slot() {
-    use sbs_bulk::{digest_of, encode_fragments, fragment_leaves, BulkCodec, MerkleTree};
+    use sbs_bulk::{encode_fragments, fragment_leaves, BulkCodec, MerkleTree};
     use sbs_store::CorrectServer;
     // Anti-entropy never quiesces (its gossip timer re-arms), so the
     // drill steps in slices of virtual time instead of settling.
@@ -682,13 +712,8 @@ fn retention_is_per_key_and_repairs_keep_the_slot() {
         .extra_readers(1)
         .bulk_retain(2)
         .anti_entropy(SimDuration::millis(2));
-    for coded in [false, true] {
-        let builder = if coded {
-            base.clone().bulk_coded(2)
-        } else {
-            base.clone().bulk()
-        };
-        let mut sys: StoreSystem<SizedVal> = builder.build();
+    for k in [1, 2] {
+        let mut sys: StoreSystem<SizedVal> = base.clone().bulk_coded(k).build();
         // The hot key is written first, so the cold key's slot is not the
         // shard's first one.
         let cold = SizedVal::new(0, 1024);
@@ -706,36 +731,25 @@ fn retention_is_per_key_and_repairs_keep_the_slot() {
         assert_eq!(
             read.reads().last().expect("the get").kind.value(),
             &Some(cold),
-            "coded={coded}: the cold key must stay readable"
+            "k={k}: the cold key must stay readable"
         );
 
         // The address the cold value is stored under, and who holds it.
         let bytes = cold.encode_to_vec();
-        let address = if coded {
-            MerkleTree::build(&fragment_leaves(&encode_fragments(&bytes, 2, 3))).root()
-        } else {
-            digest_of(&bytes)
-        };
+        let address = MerkleTree::build(&fragment_leaves(&encode_fragments(&bytes, k, 3))).root();
         let holders = |sys: &mut StoreSystem<SizedVal>, i: usize| {
             let pid = sys.servers[i];
-            sys.sim.node_ref::<CorrectServer<SizedVal>, _>(pid, |n| {
-                let mut h = n.bulk().holders(&address);
-                h.extend(n.frag_store().holders(&address));
-                h
-            })
+            sys.sim
+                .node_ref::<CorrectServer<SizedVal>, _>(pid, |n| n.frag_store().holders(&address))
         };
         let window: Vec<usize> = data_replica_slots(0, 9, 3);
         let slots = holders(&mut sys, window[0]);
-        assert_eq!(
-            slots.len(),
-            1,
-            "coded={coded}: one holder, the cold key's slot"
-        );
+        assert_eq!(slots.len(), 1, "k={k}: one holder, the cold key's slot");
         for &i in &window {
-            assert_eq!(holders(&mut sys, i), slots, "coded={coded}: replica {i}");
+            assert_eq!(holders(&mut sys, i), slots, "k={k}: replica {i}");
             // Per key, not per shard: the cold value and the hot key's
             // last two values.
-            assert_eq!(sys.bulk_blob_count(i), 3, "coded={coded}: replica {i}");
+            assert_eq!(sys.bulk_blob_count(i), 3, "k={k}: replica {i}");
         }
 
         let victim = window[1];
@@ -745,7 +759,7 @@ fn retention_is_per_key_and_repairs_keep_the_slot() {
         assert_eq!(
             holders(&mut sys, victim),
             slots,
-            "coded={coded}: the repair must restore the cold value under its own slot"
+            "k={k}: the repair must restore the cold value under its own slot"
         );
         assert!(sys.sim.metrics().slow_paths.repair_rounds > 0);
         sys.get(1, "cold");

@@ -96,10 +96,13 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     assert_eq!(m.messages_delivered, 11048);
     assert_eq!(m.messages_dropped, 0);
     assert_eq!(m.metadata_bytes_sent, 448916);
-    // Re-pinned (6476 → 6676): the link garbage's forged BULK_PUT and
-    // FRAG_PUT frames carry the 4-byte key slot every push now names. The
-    // generator draws the same numbers, so nothing else moves.
-    assert_eq!(m.bulk_bytes_sent, 6676);
+    // Re-pinned (6476 → 6676): the link garbage's forged pushes carry the
+    // 4-byte key slot every push now names. Re-pinned (6676 → 6944): its
+    // forged whole-copy pushes and replies became fragment pushes (index
+    // and total, 8 bytes more) and fragment replies (an index, 4 bytes
+    // more when present). The generator draws the same numbers, so
+    // nothing else moves.
+    assert_eq!(m.bulk_bytes_sent, 6944);
     assert_eq!(m.events_processed, 11823);
     assert_eq!(m.timers_fired, 0);
     assert_eq!(m.corruptions, 1);
@@ -112,8 +115,9 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     assert_eq!(m.messages_delivered, 6102);
     assert_eq!(m.messages_dropped, 0);
     assert_eq!(m.metadata_bytes_sent, 250935);
-    // Re-pinned (2797 → 2873) for the same 4-byte slot on forged pushes.
-    assert_eq!(m.bulk_bytes_sent, 2873);
+    // Re-pinned (2797 → 2873) for the same 4-byte slot on forged pushes,
+    // and (2873 → 2973) for the same fragment-shaped forgeries.
+    assert_eq!(m.bulk_bytes_sent, 2973);
     assert_eq!(m.events_processed, 6948);
     assert_eq!(m.timers_fired, 0);
     assert_eq!(m.corruptions, 1);

@@ -152,19 +152,15 @@ fn mid_workload_owner_corruption_recovers_in_bulk_mode() {
 fn adoption_drops_dangling_references_so_gets_complete() {
     use sbs_bulk::BulkRef;
     use sbs_store::{ReshardPlan, StoreClientNode, ValueRef};
-    for (coded, acquire) in [(false, false), (true, false), (false, true), (true, true)] {
-        let label = format!("coded={coded} acquire={acquire}");
+    for (k, acquire) in [(1, false), (2, false), (1, true), (2, true)] {
+        let label = format!("k={k} acquire={acquire}");
         let builder = StoreBuilder::asynchronous(1)
             .seed(29)
             .shards(2)
             .writers(2)
             .extra_readers(1)
-            .monitor();
-        let builder = if coded {
-            builder.bulk_coded(2)
-        } else {
-            builder.bulk()
-        };
+            .monitor()
+            .bulk_coded(k);
         let mut sys: StoreSystem<u64> = builder.build();
         let router = *sys.routing_table().base();
         let owner = router.writer_of("ghost");

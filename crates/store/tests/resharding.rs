@@ -39,16 +39,17 @@ fn workload(ops: u64, mix: OpMix, seed: u64) -> Workload {
     }
 }
 
-fn builder(plane: u64) -> StoreBuilder {
+/// The sweep's fleet on full replication (`k = None`) or on the bulk
+/// plane with reconstruction threshold `k` (`k = 1`: whole copies).
+fn builder(k: Option<usize>) -> StoreBuilder {
     let b = StoreBuilder::asynchronous(1)
         .seed(2015)
         .shards(SHARDS)
         .writers(WRITERS)
         .extra_readers(2);
-    match plane {
-        0 => b,
-        1 => b.bulk(),
-        _ => b.bulk_coded(2),
+    match k {
+        None => b,
+        Some(k) => b.bulk_coded(k),
     }
 }
 
@@ -74,7 +75,7 @@ fn plan(shape: u64, rng: &mut DetRng) -> ReshardPlan {
 }
 
 /// The seeded sweep (the tentpole's differential obligation): reshard
-/// timing × mix (YCSB-A / YCSB-B) × data plane (full / bulk / coded) ×
+/// timing × mix (YCSB-A / YCSB-B) × data plane (full, `k = 1`, `k = 2`) ×
 /// plan shape. Every case must complete, keep the monitor quiet, report
 /// a finite bounded stabilization time, land on an exact-partition
 /// table at epoch 1, and match the same-seed static run's write
@@ -83,7 +84,7 @@ fn plan(shape: u64, rng: &mut DetRng) -> ReshardPlan {
 fn any_reshard_at_any_point_is_observably_free() {
     let mut rng = DetRng::from_seed(0x2E5A);
     for case in 0u64..12 {
-        let plane = case % 3;
+        let k = [None, Some(1), Some(2)][case as usize % 3];
         let mix = if (case / 3) % 2 == 0 {
             OpMix::ycsb_a()
         } else {
@@ -91,11 +92,11 @@ fn any_reshard_at_any_point_is_observably_free() {
         };
         let at = SimDuration::millis(10 + rng.next_u64() % 120);
         let p = plan(case, &mut rng);
-        let label = format!("case {case}: plane {plane}, reshard at {at}, plan {p:?}");
+        let label = format!("case {case}: k {k:?}, reshard at {at}, plan {p:?}");
 
         let mut resharded = workload(240, mix, 4200 + case);
         resharded.faults.reshards = vec![(at, p)];
-        let (report, sys) = resharded.run(&builder(plane).monitor());
+        let (report, sys) = resharded.run(&builder(k).monitor());
         assert_eq!(report.completed, 240, "{label}");
         assert!(!sys.reshard_active(), "{label}: the handoff must drain");
         assert_eq!(sys.routing_table().epoch(), 1, "{label}: epoch must flip");
@@ -119,7 +120,7 @@ fn any_reshard_at_any_point_is_observably_free() {
         );
 
         let static_run = workload(240, mix, 4200 + case);
-        let (plain_report, plain_sys) = static_run.run(&builder(plane));
+        let (plain_report, plain_sys) = static_run.run(&builder(k));
         assert_eq!(plain_report.completed, 240, "{label}");
         equivalent_write_histories(&keyed_histories(&sys), &keyed_histories(&plain_sys))
             .unwrap_or_else(|e| {
@@ -142,7 +143,7 @@ fn sequential_reshards_serialize_and_compose() {
         ),
         (SimDuration::millis(25), ReshardPlan::migrate(0, 2)),
     ];
-    let (report, sys) = wl.run(&builder(0).monitor());
+    let (report, sys) = wl.run(&builder(None).monitor());
     assert_eq!(report.completed, 300);
     assert!(!sys.reshard_active());
     assert_eq!(sys.routing_table().epoch(), 2, "both plans must commit");
@@ -152,7 +153,7 @@ fn sequential_reshards_serialize_and_compose() {
     sys.check_per_key_atomicity().expect("atomic");
     assert!(sys.monitor().expect("monitor").is_clean());
 
-    let (_, plain_sys) = workload(300, OpMix::ycsb_a(), 99).run(&builder(0));
+    let (_, plain_sys) = workload(300, OpMix::ycsb_a(), 99).run(&builder(None));
     equivalent_write_histories(&keyed_histories(&sys), &keyed_histories(&plain_sys))
         .expect("two serialized handoffs must still be observably free");
 }
@@ -163,7 +164,7 @@ fn sequential_reshards_serialize_and_compose() {
 /// histories still atomic.
 #[test]
 fn health_proposed_rebalance_applies_live() {
-    let mut sys: StoreSystem<u64> = builder(0).build();
+    let mut sys: StoreSystem<u64> = builder(None).build();
     // Hammer one key so its shard dominates the completed-op counts.
     for i in 0..40u64 {
         sys.put("hot", 1000 + i);

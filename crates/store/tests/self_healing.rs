@@ -1,5 +1,5 @@
 //! Self-healing data plane acceptance (ISSUE 9): a data replica that
-//! loses blobs or fragments (mid-run wipe, corruption detected on
+//! loses fragments (mid-run wipe, corruption detected on
 //! serve) pulls the committed state back from its window peers — no
 //! writer republish — and the store re-converges: finite
 //! [`StoreSystem::stabilization_time`], write histories equivalent to
@@ -22,6 +22,19 @@ fn keyed_histories(sys: &StoreSystem<u64>) -> BTreeMap<String, History<Option<u6
         .collect()
 }
 
+/// `b` on full replication (`k = None`) or on the bulk plane with
+/// reconstruction threshold `k` (`k = 1`: whole copies).
+fn on_plane(b: StoreBuilder, k: Option<usize>) -> StoreBuilder {
+    match k {
+        None => b,
+        Some(k) => b.bulk_coded(k),
+    }
+}
+
+/// The planes every sweep below covers: full replication, whole copies,
+/// 2-of-3 dispersal.
+const PLANES: [Option<usize>; 3] = [None, Some(1), Some(2)];
+
 /// A write-heavy workload so data stores populate early and keep
 /// churning — the shape under which a wipe actually strands state.
 fn ycsb_a(ops: u64, keys: usize, seed: u64) -> Workload {
@@ -36,9 +49,9 @@ fn ycsb_a(ops: u64, keys: usize, seed: u64) -> Workload {
     }
 }
 
-/// A direct wipe-then-repair drill on the whole-copy bulk plane: wipe a
-/// data replica's stores after committed puts; anti-entropy must pull
-/// every blob back from window peers with no further client activity —
+/// A direct wipe-then-repair drill on whole copies (`k = 1`): wipe a data
+/// replica's store after committed puts; anti-entropy must pull every
+/// value back from window peers with no further client activity —
 /// counted as slow-path repair rounds and bulk-plane bytes.
 #[test]
 fn wiped_bulk_replica_repopulates_from_peers() {
@@ -57,19 +70,19 @@ fn wiped_bulk_replica_repopulates_from_peers() {
         .values()
         .flatten()
         .next()
-        .expect("puts must place blobs on data replicas");
+        .expect("puts must place copies on data replicas");
     let before = sys.bulk_blob_count(victim);
-    assert!(before > 0, "victim must hold blobs before the wipe");
+    assert!(before > 0, "victim must hold copies before the wipe");
     let bulk_bytes_before = sys.sim.metrics().bulk_bytes_sent;
 
     sys.wipe_server_data(victim);
-    assert_eq!(sys.bulk_blob_count(victim), 0, "wipe must empty the stores");
+    assert_eq!(sys.bulk_blob_count(victim), 0, "wipe must empty the store");
     sys.run_for(SimDuration::millis(100));
 
     assert_eq!(
         sys.bulk_blob_count(victim),
         before,
-        "anti-entropy must pull every wiped blob back"
+        "anti-entropy must pull every wiped copy back"
     );
     assert!(
         sys.sim.metrics().slow_paths.repair_rounds > 0,
@@ -81,7 +94,7 @@ fn wiped_bulk_replica_repopulates_from_peers() {
     );
 }
 
-/// The same drill on the erasure-coded plane: the wiped replica
+/// The same drill with `k = 2`: the wiped replica
 /// re-derives its **own window-position fragment** from `k` peer
 /// fragments — it never sees the whole committed fragment set, and no
 /// writer republishes anything.
@@ -130,7 +143,7 @@ fn wiped_coded_replica_rederives_its_fragments() {
 fn any_replica_wiped_at_any_point_reconverges() {
     let mut rng = DetRng::from_seed(0x5EA1);
     for case in 0u64..9 {
-        let plane = case % 3;
+        let k = PLANES[case as usize % 3];
         let victim = rng.next_u32() as usize % 9;
         let at = SimDuration::millis(20 + rng.next_u64() % 140);
         let mk = || {
@@ -139,13 +152,9 @@ fn any_replica_wiped_at_any_point_reconverges() {
                 .shards(8)
                 .writers(4)
                 .extra_readers(2);
-            match plane {
-                0 => b,
-                1 => b.bulk(),
-                _ => b.bulk_coded(2),
-            }
+            on_plane(b, k)
         };
-        let label = format!("case {case}: plane {plane}, victim {victim}, wipe at {at}");
+        let label = format!("case {case}: k {k:?}, victim {victim}, wipe at {at}");
 
         let mut faulted = ycsb_a(240, 32, 900 + case);
         faulted.faults = FaultPlan {
@@ -229,26 +238,19 @@ fn coded_retention_eviction_races_are_repairable() {
 /// instead of billing repair rounds to a healthy fleet.
 #[test]
 fn anti_entropy_is_inert_without_faults() {
-    for plane in 0..3u64 {
+    for k in PLANES {
         let mk = || {
             let b = StoreBuilder::asynchronous(1)
                 .seed(2015)
                 .shards(8)
                 .writers(4);
-            match plane {
-                0 => b,
-                1 => b.bulk(),
-                _ => b.bulk_coded(2),
-            }
+            on_plane(b, k)
         };
         let wl = ycsb_a(200, 32, 5);
         let (r_plain, sys_plain) = wl.run(&mk());
         let (r_heal, sys_heal) = wl.run(&mk().anti_entropy(SimDuration::millis(2)));
         assert_eq!(r_plain.completed, r_heal.completed);
-        assert_eq!(
-            r_heal.repair_rounds, 0,
-            "plane {plane}: no fault, no repair work"
-        );
+        assert_eq!(r_heal.repair_rounds, 0, "k {k:?}: no fault, no repair work");
         equivalent_write_histories(&keyed_histories(&sys_plain), &keyed_histories(&sys_heal))
             .expect("anti-entropy must not change observable write histories");
     }

@@ -243,9 +243,10 @@ fn store_config_quorum_constants_frozen_snapshot() {
         SimDuration::micros(2500) + SimDuration::micros(1)
     );
 
-    // The bulk plane shows up in the snapshot.
+    // The bulk plane shows up in the snapshot: whole copies are its
+    // one-stripe code on the 2t + 1 window.
     let b = StoreBuilder::asynchronous(1).bulk().config();
-    assert_eq!(b.plane, DataPlane::Bulk { replicas: 3 });
+    assert_eq!(b.plane, DataPlane::Coded { replicas: 3, k: 1 });
 }
 
 /// A Byzantine index naming no server must fail loudly at build time —

@@ -30,9 +30,9 @@ use std::time::{Duration, Instant};
 const WALL_BUDGET: Duration = Duration::from_secs(60);
 
 /// The socket wipe drill: a bulk-plane deployment with anti-entropy
-/// loses one data replica's blob stores mid-run — over real TCP, not
+/// loses one data replica's fragment store mid-run — over real TCP, not
 /// the simulator — and the self-healing plane must pull the committed
-/// blobs back from window peers, visible as slow-path repair rounds.
+/// values back from window peers, visible as slow-path repair rounds.
 fn wipe_drill() {
     let mut wl = Workload::ycsb_b(400, 32);
     wl.mix = OpMix::ycsb_a(); // write-heavy, so stores populate early

@@ -15,7 +15,7 @@
 //! | [`stamps`] | `sbs-stamps` | bounded sequence numbers, epochs, timestamps |
 //! | [`check`] | `sbs-check` | regularity / atomicity / inversion checkers + differential harness |
 //! | [`baseline`] | `sbs-baseline` | masking-quorum and quiescence-dependent comparison registers |
-//! | [`bulk`] | `sbs-bulk` | content-addressed bulk plane: wide FNV digests, verified blob stores, 2t+1 placement |
+//! | [`bulk`] | `sbs-bulk` | bulk-plane substrate: wide FNV digests, k-of-m dispersal with Merkle commitments, the verified fragment store, 2t+1 placement |
 //! | [`store`] | `sbs-store` | sharded multi-register key-value store + YCSB-style workload engine |
 //! | [`net`] | `sbs-net` | canonical wire codec + real-socket (TCP) transport runtime and harness |
 //!
