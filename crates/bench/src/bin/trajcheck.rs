@@ -13,7 +13,7 @@
 //!
 //! Rows are matched between the smoke file and the committed baseline on
 //! their *identity* fields (the workload shape: fleet, mode, mix, value
-//! size, window, …) — measurement fields and the op count, which differs
+//! size, …) — measurement fields and the op count, which differs
 //! between smoke and full runs, are ignored for matching. For each
 //! matched pair the gate compares its metrics, each with a direction:
 //! `ops_per_sim_sec` is higher-is-better (fail when the committed value
@@ -92,14 +92,7 @@ const GATES: &[Gate] = &[
         committed: "BENCH_store.json",
         smoke: "BENCH_store.smoke.json",
         id_keys: &[
-            "section",
-            "mix",
-            "mode",
-            "plane",
-            "servers",
-            "shards",
-            "writers",
-            "window_us",
+            "section", "mix", "mode", "plane", "servers", "shards", "writers",
         ],
         metrics: THROUGHPUT_AND_TAIL,
         threshold_floor: 0.0,
@@ -176,14 +169,7 @@ const GATES: &[Gate] = &[
         committed: "BENCH_store.json",
         smoke: "BENCH_store.smoke.json",
         id_keys: &[
-            "section",
-            "mix",
-            "mode",
-            "plane",
-            "servers",
-            "shards",
-            "writers",
-            "window_us",
+            "section", "mix", "mode", "plane", "servers", "shards", "writers",
         ],
         metrics: &[
             Metric {

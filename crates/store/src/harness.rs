@@ -24,8 +24,8 @@ use sbs_stamps::{RingSeq, PAPER_MODULUS};
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Deref;
 
-/// How long `settle` simulates before declaring the store non-quiescent
-/// (the [`StoreBuilder::settle_horizon`] default).
+/// How long [`StoreSystem::settle`] simulates before declaring the store
+/// non-quiescent.
 const SETTLE_HORIZON: SimDuration = SimDuration::secs(600);
 
 /// The communication assumption a store is built for, as carried by the
@@ -103,6 +103,11 @@ impl StoreConfig {
 /// [`StoreBuilder::config`] snapshots it): the resilience bound for the
 /// mode, a synchronous link bound that dominates the delay model, bulk
 /// replication that fits the fleet, and well-formed Byzantine slots.
+///
+/// Every client launches an op as soon as it is idle and coalesces the
+/// ops that queued meanwhile (see [`StoreClientNode`]). The
+/// sequence-number ring is [`PAPER_MODULUS`] and the asynchronous
+/// retransmission period is the [`RegisterConfig`] default.
 #[derive(Clone, Debug)]
 pub struct StoreBuilder {
     n: usize,
@@ -114,12 +119,7 @@ pub struct StoreBuilder {
     extra_readers: usize,
     delay: DelayModel,
     byz: Vec<(usize, ByzStrategy)>,
-    retry_after: Option<SimDuration>,
-    wsn_modulus: u128,
     plane: DataPlane,
-    settle_horizon: SimDuration,
-    batch_window: SimDuration,
-    adaptive_batch: bool,
     bulk_retain: Option<usize>,
     anti_entropy: Option<SimDuration>,
     trace: usize,
@@ -138,12 +138,7 @@ impl StoreBuilder {
             extra_readers: 0,
             delay,
             byz: Vec::new(),
-            retry_after: None,
-            wsn_modulus: PAPER_MODULUS,
             plane: DataPlane::Full,
-            settle_horizon: SETTLE_HORIZON,
-            batch_window: SimDuration::ZERO,
-            adaptive_batch: false,
             bulk_retain: None,
             anti_entropy: None,
             trace: 0,
@@ -302,48 +297,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Overrides the asynchronous retransmission period.
-    pub fn retry_after(mut self, d: SimDuration) -> Self {
-        self.retry_after = Some(d);
-        self
-    }
-
-    /// Overrides the bounded sequence-number modulus (must be odd).
-    pub fn wsn_modulus(mut self, modulus: u128) -> Self {
-        self.wsn_modulus = modulus;
-        self
-    }
-
-    /// Sets the clients' Nagle **batch window**: an operation arriving at
-    /// a fully idle client is held up to `window` so operations arriving
-    /// within it (open-loop bursts) fold into the same register round —
-    /// queued puts on one shard share a single map publish, queued gets
-    /// on one shard share a single metadata read. Zero (the default)
-    /// launches every operation immediately, reproducing the unbatched
-    /// behavior exactly. No operation is ever held past its flush
-    /// deadline, and queue order is preserved. Safe in both communication
-    /// modes: the hold delays only the *launch*, never a round in flight,
-    /// so the synchronous timeout discipline is untouched.
-    pub fn batch_window(mut self, window: SimDuration) -> Self {
-        self.batch_window = window;
-        self
-    }
-
-    /// Makes the Nagle [`StoreBuilder::batch_window`] **adaptive**: an
-    /// operation that finds its client fully idle — nothing held,
-    /// nothing in flight, i.e. the queue has just drained — closes the
-    /// window early and launches immediately, killing the idle-latency
-    /// cost of the hold. Operations arriving while a round is in flight
-    /// still coalesce exactly as before, so batching under backlog (and
-    /// per-key write order) is preserved; launching *earlier* only
-    /// shrinks latitude the register contract already grants. Off by
-    /// default: without this call every run is bit-identical to the
-    /// fixed-window behavior. No effect while the window is zero.
-    pub fn adaptive_batch(mut self) -> Self {
-        self.adaptive_batch = true;
-        self
-    }
-
     /// Bounds every data replica's fragment store to the last `retain`
     /// distinct values per key (retain-last-K GC, per `(shard, key slot)`
     /// holder, for every `k`): overwrite churn then plateaus instead of
@@ -410,23 +363,6 @@ impl StoreBuilder {
         self
     }
 
-    /// Overrides how long [`StoreSystem::settle`] simulates before
-    /// declaring the store non-quiescent (default 600 simulated seconds).
-    /// Long open-loop runs and timeout-heavy synchronous deployments can
-    /// extend it; tests probing wedged states can shrink it.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a zero horizon (settle could then never make progress).
-    pub fn settle_horizon(mut self, horizon: SimDuration) -> Self {
-        assert!(
-            horizon > SimDuration::ZERO,
-            "settle horizon must be positive"
-        );
-        self.settle_horizon = horizon;
-        self
-    }
-
     /// Validates cross-knob consistency and derives the register
     /// configuration the embedded engines will run with.
     ///
@@ -439,7 +375,7 @@ impl StoreBuilder {
     /// `≥ n`, a duplicated Byzantine index, or more than `t` Byzantine
     /// slots.
     fn register_config(&self) -> RegisterConfig {
-        let mut cfg = match self.mode {
+        let cfg = match self.mode {
             BuilderMode::Async => RegisterConfig::asynchronous(self.n, self.t),
             BuilderMode::Sync { link_bound } => {
                 let hi = self.delay.upper_bound().unwrap_or_else(|| {
@@ -503,9 +439,6 @@ impl StoreBuilder {
             self.byz.len(),
             self.t
         );
-        if let Some(r) = self.retry_after {
-            cfg = cfg.with_retry_after(r);
-        }
         cfg
     }
 
@@ -540,7 +473,7 @@ impl StoreBuilder {
 
     /// The value every register starts from.
     fn initial_payload<V: Payload + BulkCodec>(&self) -> StorePayload<V> {
-        SeqVal::new(RingSeq::zero(self.wsn_modulus), StoreVal::empty())
+        SeqVal::new(RingSeq::zero(PAPER_MODULUS), StoreVal::empty())
     }
 
     /// The server node of fleet slot `slot` around the register server
@@ -596,11 +529,9 @@ impl StoreBuilder {
             servers.to_vec(),
             clients.to_vec(),
             &owned,
-            self.wsn_modulus,
+            PAPER_MODULUS,
             self.plane,
         )
-        .batch_window(self.batch_window)
-        .adaptive_batch(self.adaptive_batch)
     }
 
     /// Builds the deployment: `n` servers, `writers + extra_readers`
@@ -663,7 +594,6 @@ impl StoreBuilder {
         StoreSystem {
             sim,
             core: DeployCore::new(clients, servers, router, snapshot, byz_set, self.monitor),
-            settle_horizon: self.settle_horizon,
         }
     }
 
@@ -717,7 +647,7 @@ impl StoreBuilder {
             router,
             config: snapshot,
             byz_servers,
-            wsn_modulus: self.wsn_modulus,
+            wsn_modulus: PAPER_MODULUS,
             seed: self.seed,
             monitor: self.monitor,
         }
@@ -928,7 +858,6 @@ pub struct StoreSystem<V: Payload + BulkCodec> {
     /// The underlying simulation (exposed for custom scheduling).
     pub sim: Simulation<StoreWire<V>, StoreOut<V>>,
     pub(crate) core: DeployCore<V>,
-    settle_horizon: SimDuration,
 }
 
 impl<V: Payload + BulkCodec> Deref for StoreSystem<V> {
@@ -950,8 +879,8 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         self.core.get(&mut self.sim, client_idx, key)
     }
 
-    /// Runs until the event queue drains (or the settle horizon passes —
-    /// see [`StoreBuilder::settle_horizon`]), then records completions.
+    /// Runs until the event queue drains (or 600 simulated seconds pass),
+    /// then records completions.
     /// Returns `true` on quiescence.
     ///
     /// A reshard in flight re-arms the event queue from the harness side
@@ -964,7 +893,7 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         loop {
             let quiet = self
                 .sim
-                .run_until_quiescent(self.sim.now() + self.settle_horizon);
+                .run_until_quiescent(self.sim.now() + SETTLE_HORIZON);
             self.drain();
             if !quiet {
                 return false;
@@ -1121,13 +1050,6 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
                 self.sim.schedule_link_garbage(at, s, c, count);
             }
         }
-    }
-
-    /// Queued + in-flight operations at client `i`.
-    pub fn client_backlog(&mut self, i: usize) -> usize {
-        let pid = self.clients[i];
-        self.sim
-            .node_ref::<StoreClientNode<V>, _>(pid, |n| n.backlog())
     }
 
     /// Writer-map recoveries (re-read + republish after transient

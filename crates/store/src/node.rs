@@ -12,35 +12,24 @@
 //! shared counter, so forwarding them preserves identity and the
 //! engines' stale-timer filtering keeps working.
 //!
-//! # Time-window batching
+//! # Coalescing
 //!
-//! With [`StoreClientNode::batch_window`] set, a client that is fully
-//! idle does not launch an arriving operation immediately: it stages the
-//! operation and arms a Nagle-style flush timer. Operations arriving
-//! within the window — in *later handler executions* — join the staged
-//! queue, and at the flush deadline the pump launches them together,
-//! gathering every queued same-kind operation on the launching shard
-//! into **one** register round: queued puts fold into a single map
-//! publish, group-commit style (each still completes individually, and
-//! per-key write order stays exactly invocation order; on the bulk
-//! plane each put key's latest value is dispersed inside the one push
-//! phase), queued gets on the shard share a single metadata read (each
-//! projects its own key from the same snapshot; on the bulk plane each
-//! distinct value is then fetched once, one after another). Their wire
-//! messages therefore travel as one `StoreMsg::Batch` per destination
-//! per window instead of one round per operation. A gathered op may
-//! complete ahead of queued neighbors on *other* shards or of the other
-//! kind; it still overlaps them (all are invoked, none completed), so
-//! the reordering stays within the latitude the register contract
-//! grants concurrent operations — the differential tests pin this. No operation is ever held past its
-//! flush deadline, and an operation that finds the client busy waits
-//! exactly as before (its run launches the moment the pump goes idle —
-//! no extra hold). A window of zero (the default) reproduces the
-//! previous one-round-per-operation behavior bit for bit.
-//!
-//! Delaying an idle client's *own* launch never interacts with the
-//! per-round timeout discipline (the round timer starts when the round is
-//! actually broadcast), so the knob is safe in both communication modes.
+//! A client launches an operation the moment it is idle — nothing is
+//! ever held. Operations that arrive while a round is in flight queue
+//! (only open-loop load queues: a closed-loop client has one operation
+//! outstanding), and when the pump next launches from idle it gathers
+//! every queued same-kind operation on the launching shard into **one**
+//! register round: queued puts fold into a single map publish,
+//! group-commit style (each still completes individually, and per-key
+//! write order stays exactly invocation order; on the bulk plane each put
+//! key's latest value is dispersed inside the one push phase), queued
+//! gets on the shard share a single metadata read (each projects its own
+//! key from the same snapshot; on the bulk plane each distinct value is
+//! then fetched once, one after another). A gathered op may complete
+//! ahead of queued neighbors on *other* shards or of the other kind; it
+//! still overlaps them (all are invoked, none completed), so the
+//! reordering stays within the latitude the register contract grants
+//! concurrent operations — the differential tests pin this.
 //!
 //! # The bulk data plane (AVID-style dispersal)
 //!
@@ -976,8 +965,8 @@ struct OwnedShard<V> {
 #[derive(Debug)]
 enum ReadGoal {
     /// One or more client `get`s on the same shard: project each key out
-    /// of the one register snapshot (multiple entries only when the batch
-    /// window coalesced a run of queued gets).
+    /// of the one register snapshot (multiple entries when the pump
+    /// coalesced a run of queued gets).
     Get { ops: Vec<(OpId, String)> },
     /// Writer-map recovery after transient corruption: adopt the read map
     /// as the authoritative copy, then republish it.
@@ -988,13 +977,12 @@ enum ReadGoal {
     Acquire,
 }
 
-/// What the in-flight metadata write completes (consumed by the pump when
-/// the write engine reports done). Exactly one write is in flight per
-/// client, so a single field — set when the write starts — suffices.
+/// What a publish completes — carried by its `PushingBulk` and `Writing`
+/// phases and consumed by the pump when the write engine reports done.
 #[derive(Debug)]
 enum WriteIntent {
-    /// Completing the client puts listed in `Phase::Writing`'s `ops`.
-    Ops,
+    /// The client puts folded into this publish, in queue order.
+    Ops(Vec<OpId>),
     /// Recovery republish after transient corruption.
     Recovery,
     /// The new owner's adopting republish of a migrating shard.
@@ -1016,8 +1004,8 @@ enum Resolved<V> {
 /// time.
 ///
 /// A `get` fetches only the values its keys name — each distinct
-/// reference once, one after another when the batch window gathered
-/// several gets — and answers a key the map lacks at once, without any
+/// reference once, one after another when the pump gathered several
+/// gets — and answers a key the map lacks at once, without any
 /// fetch. An **adoption** (writer recovery, shard acquisition) takes the
 /// map straight from the read, then resolves each reference once through
 /// the same fetch path, in key order, and *drops* every key whose
@@ -1102,6 +1090,13 @@ struct Dispersal<V: Payload> {
 /// inversion-prevention state is per register). Operations run one at a
 /// time per client — exactly the paper's sequential-client model; store
 /// concurrency comes from deploying many clients.
+///
+/// An operation launches as soon as the client is idle. Operations that
+/// arrive while a round is in flight queue, and the next launch
+/// **coalesces** every queued same-kind operation on its shard into one
+/// register round: one map publish for the puts, one metadata read for
+/// the gets. Each still completes individually, in invocation order per
+/// key.
 pub struct StoreClientNode<V: Payload + BulkCodec> {
     cfg: RegisterConfig,
     router: KeyRouter,
@@ -1132,19 +1127,6 @@ pub struct StoreClientNode<V: Payload + BulkCodec> {
     /// Granted shards queued for adoption (quorum-read, resync,
     /// republish), run by the pump ahead of client operations.
     acquires: VecDeque<u32>,
-    /// What the in-flight metadata write completes.
-    write_intent: WriteIntent,
-    /// The Nagle window: how long an op arriving at a fully idle client
-    /// is held so later arrivals can share its round. Zero = launch
-    /// immediately (the pre-window behavior).
-    window: SimDuration,
-    /// Adaptive Nagle mode: an op that finds the client fully idle with
-    /// nothing held (the queue just drained) launches immediately instead
-    /// of paying the window's hold — batches still form behind in-flight
-    /// rounds. Off by default (the fixed-window behavior).
-    adaptive: bool,
-    /// The armed flush deadline, if operations are currently held.
-    flush_timer: Option<TimerId>,
     /// Reusable per-destination staging for outgoing register messages.
     batcher: DestBatcher<StorePayload<V>>,
     /// **Soundness-mutation hook** (feature `mutation`, tests only). When
@@ -1179,7 +1161,7 @@ enum Phase<V: Payload> {
     /// quorum of verified-store acknowledgements before the metadata
     /// write.
     PushingBulk {
-        ops: Vec<OpId>,
+        intent: WriteIntent,
         shard: u32,
         dispersals: Vec<Dispersal<V>>,
         payload: StorePayload<V>,
@@ -1190,11 +1172,9 @@ enum Phase<V: Payload> {
         timer: TimerId,
     },
     /// The metadata write (of the map of values or of references),
-    /// completing `ops` (multiple when the batch window folded a run of
-    /// queued puts into this publish). Empty `ops` is a recovery or
-    /// adoption republish.
+    /// completing `intent`.
     Writing {
-        ops: Vec<OpId>,
+        intent: WriteIntent,
     },
 }
 
@@ -1350,39 +1330,12 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             retiring: BTreeSet::new(),
             staged: BTreeMap::new(),
             acquires: VecDeque::new(),
-            write_intent: WriteIntent::Ops,
-            window: SimDuration::ZERO,
-            adaptive: false,
-            flush_timer: None,
             batcher: DestBatcher::new(),
             #[cfg(feature = "mutation")]
             weaken_recency: false,
             #[cfg(feature = "mutation")]
             stale_reads: BTreeMap::new(),
         }
-    }
-
-    /// Sets the Nagle batch window (see the module docs): operations
-    /// arriving at a fully idle client are held up to `window` so later
-    /// arrivals can fold into the same register round. Zero (the
-    /// default) launches every operation immediately.
-    pub fn batch_window(mut self, window: SimDuration) -> Self {
-        self.window = window;
-        self
-    }
-
-    /// Switches the Nagle window to **adaptive** mode: an operation that
-    /// finds the client fully idle with nothing held — i.e. the queue has
-    /// just drained — closes the window early and launches immediately,
-    /// killing the idle-latency cost of the hold. Operations arriving
-    /// while a round is in flight still coalesce exactly as before, so
-    /// batching under backlog is preserved and per-key write order is
-    /// unchanged (launching *earlier* only shrinks the latitude the
-    /// register contract already grants). Off by default: without this
-    /// call the fixed-window hold semantics are bit-identical to before.
-    pub fn adaptive_batch(mut self, on: bool) -> Self {
-        self.adaptive = on;
-        self
     }
 
     /// Invokes `put(key, val)`; completion arrives as
@@ -1416,7 +1369,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             kind: "put",
         });
         self.pending.push_back((op, StoreOp::Put { key, val }));
-        self.hold_or_step(ctx);
+        self.step(ctx);
     }
 
     /// Old-owner half of a dual-commit handoff: marks `shard` retiring.
@@ -1482,7 +1435,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             kind: "get",
         });
         self.pending.push_back((op, StoreOp::Get { key }));
-        self.hold_or_step(ctx);
+        self.step(ctx);
     }
 
     /// **Fault-injection hook** (feature `mutation`, tests only): plants
@@ -1499,40 +1452,6 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         let shard = self.router.shard_of(key);
         let owned = self.owned.get_mut(&shard).expect("plant on an owned shard");
         owned.refs.insert(key, vref);
-    }
-
-    /// The Nagle gate for a just-queued operation: with a window set and
-    /// the client fully idle, hold it behind the flush timer (arming one
-    /// if this is the first held op) instead of launching; in every other
-    /// situation — window off, client busy, or a recovery owed — behave
-    /// exactly as before and pump immediately.
-    fn hold_or_step(&mut self, ctx: &mut StoreCtx<'_, V>) {
-        if self.window > SimDuration::ZERO
-            && matches!(self.phase, Phase::Idle)
-            && self.need_recover.is_empty()
-        {
-            // Adaptive mode: the queue just drained — this op found the
-            // client fully idle with nothing held — so close the window
-            // early and launch now. Later arrivals coalesce behind the
-            // in-flight round as usual.
-            if self.adaptive && self.flush_timer.is_none() && self.pending.len() <= 1 {
-                self.step(ctx);
-                return;
-            }
-            if self.flush_timer.is_none() {
-                self.flush_timer = Some(ctx.set_timer(self.window));
-            }
-            return;
-        }
-        self.step(ctx);
-    }
-
-    /// Operations queued or in flight at this client (including puts
-    /// staged behind an in-progress shard acquisition).
-    pub fn backlog(&self) -> usize {
-        self.pending.len()
-            + self.staged.values().map(VecDeque::len).sum::<usize>()
-            + usize::from(!matches!(self.phase, Phase::Idle))
     }
 
     /// The shards this client writes.
@@ -1753,13 +1672,12 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// replicas under the key's slot (a new key takes the lowest free
     /// slot), and the map of references — with every put key pointing at
     /// its new value — is written once every dispersal holds its push
-    /// quorum. The publish completes every op in `ops` (several when the
-    /// batch window folded a run of puts); empty `ops` is a recovery or
-    /// adoption republish, which disperses nothing.
+    /// quorum. The publish completes `intent`; a recovery or adoption
+    /// republish has no puts and disperses nothing.
     fn start_publish(
         &mut self,
         shard: u32,
-        ops: Vec<OpId>,
+        intent: WriteIntent,
         puts: Vec<(String, V)>,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
@@ -1799,7 +1717,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         };
         let payload = WriteStamper::<StoreVal<V>, StorePayload<V>>::stamp(&mut owned.stamper, val);
         if dispersals.is_empty() {
-            self.start_write(shard, ops, payload, sub);
+            self.start_write(shard, intent, payload, sub);
             return;
         }
         sub.trace(TraceEvent::Phase {
@@ -1813,7 +1731,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         }
         let timer = sub.set_timer(self.round_timer());
         self.phase = Phase::PushingBulk {
-            ops,
+            intent,
             shard,
             dispersals,
             payload,
@@ -1822,11 +1740,11 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     }
 
     /// Starts the metadata write of `payload` on `shard`, completing
-    /// `ops`.
+    /// `intent`.
     fn start_write(
         &mut self,
         shard: u32,
-        ops: Vec<OpId>,
+        intent: WriteIntent,
         payload: StorePayload<V>,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
     ) {
@@ -1836,7 +1754,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         });
         self.write_engine = WriteEngine::new(RegId(shard), self.cfg, self.clients.clone());
         self.write_engine.start(payload, &mut self.link, sub);
-        self.phase = Phase::Writing { ops };
+        self.phase = Phase::Writing { intent };
     }
 
     /// Starts the fetch of `vref`'s value from `res.shard`'s data
@@ -1973,7 +1891,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
     ) {
-        match goal {
+        let intent = match goal {
             ReadGoal::Recover => {
                 // Adopt the register's (last published) map as the
                 // authoritative copy — and **resync the sequence stamper**
@@ -1988,7 +1906,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 owned.map = map;
                 owned.refs = refs;
                 owned.stamper = WsnStamp::new(wsn);
-                self.write_intent = WriteIntent::Recovery;
+                WriteIntent::Recovery
             }
             ReadGoal::Acquire => {
                 // Dual-commit adoption: the quorum-read snapshot is the
@@ -2011,11 +1929,11 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         refs,
                     },
                 );
-                self.write_intent = WriteIntent::Acquire { shard };
+                WriteIntent::Acquire { shard }
             }
             ReadGoal::Get { .. } => unreachable!("only recoveries and acquisitions adopt"),
-        }
-        self.start_publish(shard, Vec::new(), Vec::new(), sub, bulk_sends);
+        };
+        self.start_publish(shard, intent, Vec::new(), sub, bulk_sends);
     }
 
     /// Pulls **every** queued get on `shard` out of the queue into `ops`,
@@ -2027,16 +1945,16 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// get before them — timing-level latitude the register contract
     /// already grants concurrent readers.
     fn absorb_get_run(&mut self, shard: u32, ops: &mut Vec<(OpId, String)>) {
-        let mut rest = VecDeque::with_capacity(self.pending.len());
-        for (op, kind) in self.pending.drain(..) {
-            match kind {
-                StoreOp::Get { key } if self.router.shard_of(&key) == shard => {
+        // One rotation through the queue, in place: every launch runs
+        // this, and the queue keeps its allocation.
+        for _ in 0..self.pending.len() {
+            match self.pending.pop_front().expect("counted") {
+                (op, StoreOp::Get { key }) if self.router.shard_of(&key) == shard => {
                     ops.push((op, key));
                 }
-                other => rest.push_back((op, other)),
+                other => self.pending.push_back(other),
             }
         }
-        self.pending = rest;
     }
 
     /// Pulls every queued put on `shard` out of the queue (group commit)
@@ -2047,17 +1965,15 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// behind in the queue overlaps these puts, so whichever snapshot it
     /// later reads is a legal concurrent outcome.
     fn absorb_put_run(&mut self, shard: u32, ops: &mut Vec<OpId>, puts: &mut Vec<(String, V)>) {
-        let mut rest = VecDeque::with_capacity(self.pending.len());
-        for (op, kind) in self.pending.drain(..) {
-            match kind {
-                StoreOp::Put { key, val } if self.router.shard_of(&key) == shard => {
+        for _ in 0..self.pending.len() {
+            match self.pending.pop_front().expect("counted") {
+                (op, StoreOp::Put { key, val }) if self.router.shard_of(&key) == shard => {
                     puts.push((key, val));
                     ops.push(op);
                 }
-                other => rest.push_back((op, other)),
+                other => self.pending.push_back(other),
             }
         }
-        self.pending = rest;
     }
 
     fn pump(
@@ -2103,19 +2019,13 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             outs.push(StoreOut::ShardRetired { shard });
                         }
                     }
-                    // Shard acquisitions run ahead of client operations
-                    // (and of the flush gate): a busy closed-loop client
-                    // must not starve a handoff, and an acquisition must
-                    // not wait behind puts staged on the very shard it
-                    // unblocks.
+                    // Shard acquisitions run ahead of client operations: a
+                    // busy closed-loop client must not starve a handoff,
+                    // and an acquisition must not wait behind puts staged
+                    // on the very shard it unblocks.
                     if let Some(shard) = self.acquires.pop_front() {
                         self.start_read(ReadGoal::Acquire, shard, sub);
                         continue;
-                    }
-                    // Ops staged behind an armed flush timer stay held;
-                    // the timer's firing clears it and re-enters here.
-                    if self.flush_timer.is_some() {
-                        return;
                     }
                     let Some((op, kind)) = self.pending.pop_front() else {
                         return;
@@ -2124,20 +2034,15 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         StoreOp::Get { key } => {
                             let shard = self.router.shard_of(&key);
                             let mut ops = vec![(op, key)];
-                            if self.window > SimDuration::ZERO {
-                                self.absorb_get_run(shard, &mut ops);
-                            }
+                            self.absorb_get_run(shard, &mut ops);
                             self.start_read(ReadGoal::Get { ops }, shard, sub);
                         }
                         StoreOp::Put { key, val } => {
                             let shard = self.router.shard_of(&key);
                             let mut ops = vec![op];
                             let mut puts = vec![(key, val)];
-                            if self.window > SimDuration::ZERO {
-                                self.absorb_put_run(shard, &mut ops, &mut puts);
-                            }
-                            self.write_intent = WriteIntent::Ops;
-                            self.start_publish(shard, ops, puts, sub, bulk_sends);
+                            self.absorb_put_run(shard, &mut ops, &mut puts);
+                            self.start_publish(shard, WriteIntent::Ops(ops), puts, sub, bulk_sends);
                         }
                     }
                 }
@@ -2275,7 +2180,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     return;
                 }
                 Phase::PushingBulk {
-                    ops,
+                    intent,
                     shard,
                     dispersals,
                     payload,
@@ -2288,10 +2193,10 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         // ≥1 holds a whole copy): the references may
                         // become visible.
                         sub.cancel_timer(timer);
-                        self.start_write(shard, ops, payload, sub);
+                        self.start_write(shard, intent, payload, sub);
                     } else {
                         self.phase = Phase::PushingBulk {
-                            ops,
+                            intent,
                             shard,
                             dispersals,
                             payload,
@@ -2300,10 +2205,18 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         return;
                     }
                 }
-                Phase::Writing { ops } => {
+                Phase::Writing { intent } => {
                     if self.write_engine.poll(&mut self.link, sub) {
-                        match std::mem::replace(&mut self.write_intent, WriteIntent::Ops) {
-                            WriteIntent::Ops => {}
+                        match intent {
+                            WriteIntent::Ops(ops) => {
+                                for op in ops {
+                                    sub.trace(TraceEvent::OpComplete {
+                                        op: op.0,
+                                        kind: "put",
+                                    });
+                                    outs.push(StoreOut::PutDone { op });
+                                }
+                            }
                             WriteIntent::Recovery => self.recoveries += 1,
                             WriteIntent::Acquire { shard } => {
                                 // Adoption republish committed: ownership
@@ -2321,16 +2234,9 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                 }
                             }
                         }
-                        for op in ops {
-                            sub.trace(TraceEvent::OpComplete {
-                                op: op.0,
-                                kind: "put",
-                            });
-                            outs.push(StoreOut::PutDone { op });
-                        }
                         // phase stays Idle; keep pumping the queue.
                     } else {
-                        self.phase = Phase::Writing { ops };
+                        self.phase = Phase::Writing { intent };
                         return;
                     }
                 }
@@ -2495,14 +2401,6 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
     }
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut StoreCtx<'_, V>) {
-        if self.flush_timer == Some(id) {
-            // The Nagle window expired: release the held ops. The pump
-            // absorbs everything that accumulated behind the timer into
-            // coalesced rounds — no op is held past this deadline.
-            self.flush_timer = None;
-            self.step(ctx);
-            return;
-        }
         let round_timer = self.round_timer();
         if let Phase::Fetching { res, fetch } = &mut self.phase {
             if fetch.timer == id && fetch.resolved.is_none() {

@@ -1,9 +1,9 @@
-//! Time-window batching acceptance: the Nagle flush window must change
-//! the store's *economics* (fewer rounds, fewer metadata messages per
-//! op) without changing anything the workload determines — verified
-//! differentially against the unbatched run of the identical declarative
-//! workload, plus direct unit checks of the flush-deadline and ordering
-//! guarantees.
+//! Coalescing acceptance: a client folds its queued same-shard ops into
+//! shared register rounds, which must change the store's *economics*
+//! under open-loop bursts (fewer metadata messages per op) without
+//! changing anything the workload determines — verified differentially
+//! against a sparse run of the identical declarative workload, where
+//! almost nothing queues, plus a direct check of the ordering guarantee.
 
 use sbs_check::{check_regularity, equivalent_write_histories, History};
 use sbs_sim::SimDuration;
@@ -22,179 +22,146 @@ fn keyed_histories(sys: &StoreSystem<u64>) -> BTreeMap<String, History<Option<u6
         .collect()
 }
 
-/// The open-loop burst workload of the acceptance criterion: YCSB-A
-/// (50% writes), Zipfian keys, arrivals far faster than the per-op
-/// service time so client backlogs build.
-fn bursty_ycsb_a(ops: u64) -> Workload {
+/// YCSB-A (50% writes) over 64 Zipfian keys, driven by `loop_mode`.
+fn ycsb_a(ops: u64, loop_mode: LoopMode) -> Workload {
     Workload {
         ops,
         keys: 64,
         mix: OpMix::ycsb_a(),
         dist: KeyDist::Zipfian { theta: 0.99 },
-        loop_mode: LoopMode::Open {
-            mean_interarrival: SimDuration::micros(300),
-        },
+        loop_mode,
         seed: 42,
         faults: FaultPlan::none(),
     }
 }
 
-fn base_builder() -> StoreBuilder {
-    StoreBuilder::asynchronous(1)
-        .seed(2015)
-        .shards(8)
-        .writers(4)
-        .extra_readers(2)
+/// Open-loop arrivals far faster than the per-op service time, so
+/// client queues build.
+fn bursty_ycsb_a(ops: u64) -> Workload {
+    ycsb_a(
+        ops,
+        LoopMode::Open {
+            mean_interarrival: SimDuration::micros(300),
+        },
+    )
 }
 
-fn run(builder: &StoreBuilder, ops: u64) -> (WorkloadReport, StoreSystem<u64>) {
-    let (report, sys) = bursty_ycsb_a(ops).run(builder);
+/// Open-loop arrivals far sparser than one register round, so nearly
+/// every op finds its client idle and runs alone.
+fn sparse_ycsb_a(ops: u64) -> Workload {
+    ycsb_a(
+        ops,
+        LoopMode::Open {
+            mean_interarrival: SimDuration::millis(30),
+        },
+    )
+}
+
+/// The fleet every test here runs: 8 shards over 4 writers plus two
+/// read-only clients.
+fn fleet(builder: StoreBuilder) -> StoreBuilder {
+    builder.seed(2015).shards(8).writers(4).extra_readers(2)
+}
+
+fn run(workload: Workload, builder: &StoreBuilder) -> (WorkloadReport, StoreSystem<u64>) {
+    let ops = workload.ops;
+    let (report, sys) = workload.run(builder);
     assert_eq!(report.completed, ops, "workload must complete");
     (report, sys)
 }
 
-/// Batched-with-window vs unbatched over the same schedule-independent
-/// op streams: identical key sets, identical per-key write sequences,
-/// identical per-key op counts — and the windowed run pays measurably
-/// fewer metadata messages per op (the ≥ 20% headline is pinned by the
-/// `store_throughput` bench; this guards the direction).
+/// Under open-loop bursts the default builder coalesces: its metadata
+/// messages per op fall at least 20% below the closed-loop run of the
+/// same fleet, where every op is a round of its own — on the full plane,
+/// the coded bulk plane and in synchronous mode.
+#[test]
+fn bursts_coalesce_below_the_closed_loop_message_cost() {
+    let ops = 300;
+    for (label, builder) in [
+        ("full", fleet(StoreBuilder::asynchronous(1))),
+        ("coded", fleet(StoreBuilder::asynchronous(1).bulk_coded(2))),
+        (
+            "sync",
+            fleet(StoreBuilder::synchronous(1, SimDuration::millis(5))),
+        ),
+    ] {
+        let (closed, _) = run(ycsb_a(ops, LoopMode::Closed), &builder);
+        let (bursty, _) = run(bursty_ycsb_a(ops), &builder);
+        assert!(
+            bursty.metadata_messages_per_op() <= 0.8 * closed.metadata_messages_per_op(),
+            "{label}: bursts must coalesce: {:.2} msgs/op open vs {:.2} closed",
+            bursty.metadata_messages_per_op(),
+            closed.metadata_messages_per_op(),
+        );
+    }
+}
+
+/// Differential check of one plane: a sparse run of the open-loop
+/// workload, where nearly every op runs alone (unbatched), against a
+/// bursty run of it, where queued ops fold into shared rounds
+/// (windowed). Each client gets the same op quota at both rates, so the
+/// runs must agree on the key set, every per-key write sequence and
+/// every per-key op count, however differently the bursts fold; the
+/// bursty run's per-key histories must stay regular. Returns the
+/// (unbatched, windowed) reports.
+fn assert_folding_is_differentially_equivalent(
+    label: &str,
+    builder: &StoreBuilder,
+    ops: u64,
+) -> (WorkloadReport, WorkloadReport) {
+    let (sparse, sparse_sys) = run(sparse_ycsb_a(ops), builder);
+    let (bursty, bursty_sys) = run(bursty_ycsb_a(ops), builder);
+    let keys =
+        equivalent_write_histories(&keyed_histories(&sparse_sys), &keyed_histories(&bursty_sys))
+            .unwrap_or_else(|e| {
+                panic!("{label}: coalescing must not change write histories: {e:?}")
+            });
+    assert!(
+        keys > 20,
+        "{label}: Zipfian mix must touch many keys: {keys}"
+    );
+
+    // Open-loop histories overlap heavily; judge per-key regularity
+    // (the exact atomicity search has no quiescent cut points to
+    // divide at).
+    for key in bursty_sys.keys_touched() {
+        let h = bursty_sys.history_for_key(&key);
+        let rep = check_regularity(&h, &[None]);
+        assert!(rep.is_regular(), "{label}: key {key}: {:?}", rep.violations);
+    }
+    (sparse, bursty)
+}
+
+/// On the full plane, folded (bursty) and unbatched (sparse) runs of the
+/// same workload leave identical write histories, and folding cuts the
+/// metadata messages the workload costs.
 #[test]
 fn windowed_and_unbatched_runs_are_differentially_equivalent() {
-    let ops = 400;
-    let (plain_report, plain_sys) = run(&base_builder(), ops);
-    let windowed = base_builder().batch_window(SimDuration::micros(500));
-    let (win_report, win_sys) = run(&windowed, ops);
-
-    let keys = equivalent_write_histories(&keyed_histories(&plain_sys), &keyed_histories(&win_sys))
-        .expect("batching must not change observable write histories");
-    assert!(keys > 20, "Zipfian mix must touch many keys: {keys}");
-
-    // Open-loop histories overlap heavily; judge per-key regularity (the
-    // exact atomicity search has no quiescent cut points to divide at).
-    for key in win_sys.keys_touched() {
-        let h = win_sys.history_for_key(&key);
-        let rep = check_regularity(&h, &[None]);
-        assert!(rep.is_regular(), "key {key}: {:?}", rep.violations);
-    }
-
+    let (unbatched, windowed) = assert_folding_is_differentially_equivalent(
+        "full",
+        &fleet(StoreBuilder::asynchronous(1)),
+        400,
+    );
     assert!(
-        win_report.metadata_messages < plain_report.metadata_messages,
-        "the window must cut metadata messages: {} vs {}",
-        win_report.metadata_messages,
-        plain_report.metadata_messages,
+        windowed.metadata_messages < unbatched.metadata_messages,
+        "folding must cut metadata messages: {} vs {}",
+        windowed.metadata_messages,
+        unbatched.metadata_messages,
     );
 }
 
-/// The same differential claim on the bulk data plane: folding queued
-/// puts into one push+publish and queued gets into one read+fetch must
-/// leave write histories untouched there too.
+/// The same differential claim on the bulk data plane, whole copies and
+/// coded fragments: folding queued puts into one push+publish and queued
+/// gets into one read+fetch must leave write histories untouched there
+/// too.
 #[test]
 fn windowed_bulk_runs_are_differentially_equivalent() {
-    let ops = 250;
-    let (_, plain_sys) = run(&base_builder().bulk(), ops);
-    let windowed = base_builder().bulk().batch_window(SimDuration::micros(500));
-    let (_, win_sys) = run(&windowed, ops);
-    equivalent_write_histories(&keyed_histories(&plain_sys), &keyed_histories(&win_sys))
-        .expect("bulk batching must not change observable write histories");
-}
-
-/// A sparse open-loop arrival process: per-client inter-arrival gaps
-/// far wider than one register round, so nearly every operation finds
-/// its client fully idle — the shape where a fixed Nagle window taxes
-/// every op with the full hold and an adaptive window should not.
-fn sparse_ycsb_a(ops: u64) -> Workload {
-    Workload {
-        ops,
-        keys: 64,
-        mix: OpMix::ycsb_a(),
-        dist: KeyDist::Zipfian { theta: 0.99 },
-        loop_mode: LoopMode::Open {
-            mean_interarrival: SimDuration::millis(30),
-        },
-        seed: 42,
-        faults: FaultPlan::none(),
+    for (label, builder) in [
+        ("bulk", fleet(StoreBuilder::asynchronous(1).bulk())),
+        ("coded", fleet(StoreBuilder::asynchronous(1).bulk_coded(2))),
+    ] {
+        assert_folding_is_differentially_equivalent(label, &builder, 400);
     }
-}
-
-/// The adaptive window's differential acceptance: closing the window
-/// early when the queue has drained must leave per-key write histories
-/// exactly as the fixed window produced them — under backlog (bursty)
-/// *and* idle (sparse) arrivals — while cutting the open-loop idle p50
-/// by a measurable slice of the window it no longer waits out.
-#[test]
-fn adaptive_window_cuts_idle_p50_without_changing_histories() {
-    let window = SimDuration::micros(500);
-    let fixed = base_builder().batch_window(window);
-    let adaptive = base_builder().batch_window(window).adaptive_batch();
-
-    // Under backlog the adaptive path must never fire differently
-    // enough to change what readers can observe.
-    let ops = 300;
-    let (_, fixed_bursty) = run(&fixed, ops);
-    let (_, adaptive_bursty) = run(&adaptive, ops);
-    equivalent_write_histories(
-        &keyed_histories(&fixed_bursty),
-        &keyed_histories(&adaptive_bursty),
-    )
-    .expect("adaptive close must not change bursty write histories");
-
-    // Under sparse arrivals, same histories — but the p50 sheds the
-    // hold the fixed window charges every idle-arriving op. A wide
-    // window (4 ms against a ~2 ms link-delay ceiling) keeps the shed
-    // hold far above the latency histogram's bucket granularity.
-    let window = SimDuration::millis(4);
-    let fixed = base_builder().batch_window(window);
-    let adaptive = base_builder().batch_window(window).adaptive_batch();
-    let (fixed_report, fixed_sys) = sparse_ycsb_a(ops).run(&fixed);
-    let (adaptive_report, adaptive_sys) = sparse_ycsb_a(ops).run(&adaptive);
-    assert_eq!(fixed_report.completed, ops);
-    assert_eq!(adaptive_report.completed, ops);
-    equivalent_write_histories(
-        &keyed_histories(&fixed_sys),
-        &keyed_histories(&adaptive_sys),
-    )
-    .expect("adaptive close must not change sparse write histories");
-
-    let f50 = fixed_report.get_latency.as_ref().expect("gets ran").p50_ns;
-    let a50 = adaptive_report
-        .get_latency
-        .as_ref()
-        .expect("gets ran")
-        .p50_ns;
-    assert!(
-        a50 + window.as_nanos() / 4 < f50,
-        "adaptive p50 must drop by a measurable slice of the window: \
-         fixed {f50} ns vs adaptive {a50} ns"
-    );
-}
-
-/// No op is held past its flush deadline: an operation arriving at a
-/// fully idle client launches exactly when the window expires — not a
-/// nanosecond later, and (with no companions) not earlier.
-#[test]
-fn no_op_is_held_past_its_flush_deadline() {
-    let window = SimDuration::micros(300);
-    let mut sys: StoreSystem<u64> = StoreBuilder::asynchronous(1)
-        .seed(7)
-        .batch_window(window)
-        .build();
-    let start = sys.sim.now();
-    sys.put("k", 1);
-    // Held: nothing hits the wire before the deadline…
-    sys.sim.run_until(start + (window - SimDuration::nanos(1)));
-    assert_eq!(
-        sys.sim.metrics().messages_sent,
-        0,
-        "the op must be held for the full window"
-    );
-    // …and the flush fires exactly at it.
-    sys.sim.run_until(start + window);
-    assert!(
-        sys.sim.metrics().messages_sent > 0,
-        "the op must launch at the flush deadline, not after"
-    );
-    assert!(sys.settle());
-    assert_eq!(sys.completed_ops(), 1);
 }
 
 /// Queue order is preserved through folding: a run of puts and the gets
@@ -203,10 +170,7 @@ fn no_op_is_held_past_its_flush_deadline() {
 #[test]
 fn batch_order_is_preserved_across_folded_runs() {
     // One shard, so every op is fold-eligible with its neighbors.
-    let mut sys: StoreSystem<u64> = StoreBuilder::asynchronous(1)
-        .seed(11)
-        .batch_window(SimDuration::millis(1))
-        .build();
+    let mut sys: StoreSystem<u64> = StoreBuilder::asynchronous(1).seed(11).build();
     let ops = [
         sys.put("a", 1),
         sys.put("a", 2), // overwrites the first put within the fold
@@ -226,17 +190,4 @@ fn batch_order_is_preserved_across_folded_runs() {
     assert_eq!(hb.reads().next().unwrap().kind.value(), &Some(3));
     sys.check_per_key_atomicity()
         .expect("folded runs stay atomic");
-}
-
-/// A zero window is bit-for-bit the old behavior: same message counts,
-/// same histories as a builder that never mentions the knob.
-#[test]
-fn zero_window_is_identical_to_unbatched() {
-    let ops = 120;
-    let (a, sys_a) = run(&base_builder(), ops);
-    let (b, sys_b) = run(&base_builder().batch_window(SimDuration::ZERO), ops);
-    assert_eq!(a.metadata_messages, b.metadata_messages);
-    assert_eq!(a.sim_elapsed, b.sim_elapsed);
-    equivalent_write_histories(&keyed_histories(&sys_a), &keyed_histories(&sys_b))
-        .expect("zero window must not diverge");
 }

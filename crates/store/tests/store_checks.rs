@@ -304,28 +304,6 @@ fn n_override_below_resilience_bound_panics() {
     let _: StoreSystem<u64> = StoreBuilder::asynchronous(1).n(8).build();
 }
 
-/// The settle horizon is a builder knob: a horizon shorter than one link
-/// delay makes `settle` give up mid-operation (and report
-/// non-quiescence); the default horizon finishes the same op.
-#[test]
-fn settle_horizon_knob_bounds_settle() {
-    let mut tight: StoreSystem<u64> = StoreBuilder::asynchronous(1)
-        .seed(3)
-        .settle_horizon(SimDuration::micros(10))
-        .build();
-    tight.put("k", 1);
-    assert!(
-        !tight.settle(),
-        "a 10µs horizon cannot cover a 50µs+ link delay"
-    );
-    assert_eq!(tight.pending_ops(), 1, "the put must still be in flight");
-
-    let mut roomy: StoreSystem<u64> = StoreBuilder::asynchronous(1).seed(3).build();
-    roomy.put("k", 1);
-    assert!(roomy.settle(), "the default horizon finishes the op");
-    assert_eq!(roomy.pending_ops(), 0);
-}
-
 /// Scaling sanity: more shards must not reduce the sustained
 /// ops/simulated-second of a fixed workload (they relieve the per-shard
 /// writer bottleneck).
