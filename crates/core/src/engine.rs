@@ -362,6 +362,10 @@ pub struct ReadEngine<P> {
     /// retransmissions). Callers use this to detect a non-converging read
     /// (e.g. the MWMR own-register refresh rule).
     rounds: u32,
+    /// The acknowledgements of the sanity probe that just completed, kept
+    /// from [`ReadProgress::SanityDone`] until the read loop starts (see
+    /// [`ReadEngine::sanity_lasts`]).
+    probed: BTreeMap<ProcessId, (P, Option<P>)>,
 }
 
 #[derive(Clone, Debug)]
@@ -387,6 +391,7 @@ impl<P: Payload> ReadEngine<P> {
             cfg,
             phase: RPhase::Idle,
             rounds: 0,
+            probed: BTreeMap::new(),
         }
     }
 
@@ -408,6 +413,7 @@ impl<P: Payload> ReadEngine<P> {
             ctx.cancel_timer(timer);
         }
         self.rounds = 0;
+        self.probed.clear();
     }
 
     /// Begins the sanity probe (line N2: ss-broadcast READ(false)).
@@ -428,7 +434,17 @@ impl<P: Payload> ReadEngine<P> {
         ctx: &mut Context<'_, RegMsg<P>, O>,
     ) {
         assert!(self.is_idle(), "reader is sequential; read already active");
+        self.probed.clear();
         self.broadcast_round(false, true, link, ctx);
+    }
+
+    /// The `last` values of the sanity probe's acknowledgements, one per
+    /// server, between [`ReadProgress::SanityDone`] and
+    /// [`ReadEngine::start_read`] (empty otherwise). The read decides
+    /// nothing from them; a caller may use them to *speculate* on what the
+    /// read loop will return.
+    pub fn sanity_lasts(&self) -> impl Iterator<Item = &P> + '_ {
+        self.probed.values().map(|(last, _)| last)
     }
 
     /// Feeds one `ACK_READ`.
@@ -501,6 +517,7 @@ impl<P: Payload> ReadEngine<P> {
         if sanity {
             // Lines N4–N5: look only at the helping values.
             let agreed = self.agreed_help(&acks, ctx.rng());
+            self.probed = acks;
             return Some(ReadProgress::SanityDone(agreed));
         }
         // Line 12: 2t+1 (t+1 sync) identical last_val?

@@ -260,6 +260,39 @@ fn sanity_probe_reports_agreed_helping_without_touching_last() {
 }
 
 #[test]
+fn sanity_lasts_are_the_probes_acks_until_the_read_loop_starts() {
+    let cfg = RegisterConfig::asynchronous(9, 1);
+    let srv = servers(9);
+    let mut link = ClientLink::new(srv.clone(), 1);
+    let mut eng: ReadEngine<u64> = ReadEngine::new(RegId(0), cfg);
+    let mut rig = Rig::new();
+
+    let ((), eff) = rig.with_ctx(|ctx| eng.start_sanity(&mut link, ctx));
+    let tag = broadcast_tag(&eff);
+    ack_session(&mut link, &srv, tag);
+    for (i, &s) in srv[..8].iter().enumerate() {
+        eng.on_ack_read(s, RegId(0), 40 + i as u64 % 2, None, link.anchored_tag(s));
+        assert_eq!(
+            eng.sanity_lasts().count(),
+            0,
+            "nothing before the probe ends"
+        );
+    }
+    let (progress, _) = rig.with_ctx(|ctx| eng.poll(&mut link, ctx));
+    assert_eq!(progress, Some(ReadProgress::SanityDone(None)));
+    let mut lasts: Vec<u64> = eng.sanity_lasts().copied().collect();
+    lasts.sort_unstable();
+    assert_eq!(
+        lasts,
+        [40, 40, 40, 40, 41, 41, 41, 41],
+        "one per acking server"
+    );
+
+    let ((), _) = rig.with_ctx(|ctx| eng.start_read(&mut link, ctx));
+    assert_eq!(eng.sanity_lasts().count(), 0, "the read loop drops them");
+}
+
+#[test]
 fn async_timeout_restarts_the_round_with_a_fresh_tag() {
     let cfg = RegisterConfig::asynchronous(9, 1);
     let srv = servers(9);

@@ -37,6 +37,10 @@ pub struct SlowPath {
     /// data replica that detected a missing or corrupt entry it should
     /// hold (a wipe, an eviction race, a failed integrity re-check).
     pub repair_rounds: u64,
+    /// Value fetches started on the sanity probe's quorum reference that
+    /// the read round then did not decide: the fetch is dropped and the
+    /// decided value (if any) fetched afresh.
+    pub wasted_prefetches: u64,
 }
 
 impl SlowPath {
@@ -52,6 +56,7 @@ impl SlowPath {
         self.metadata_rereads += other.metadata_rereads;
         self.guard_refusals += other.guard_refusals;
         self.repair_rounds += other.repair_rounds;
+        self.wasted_prefetches += other.wasted_prefetches;
     }
 }
 
@@ -232,12 +237,14 @@ mod tests {
             metadata_rereads: 4,
             guard_refusals: 5,
             repair_rounds: 6,
+            wasted_prefetches: 7,
         };
         a.fold(&b);
         a.fold(&b);
         assert_eq!(a.retransmits, 2);
         assert_eq!(a.guard_refusals, 10);
         assert_eq!(a.repair_rounds, 12);
+        assert_eq!(a.wasted_prefetches, 14);
         assert!(!a.is_zero());
     }
 }

@@ -321,6 +321,12 @@ impl<'a, M, O> Context<'a, M, O> {
         self.effects.slow.repair_rounds += 1;
     }
 
+    /// Counts a speculative value fetch the read round did not decide
+    /// (see [`SlowPath::wasted_prefetches`]).
+    pub fn note_wasted_prefetch(&mut self) {
+        self.effects.slow.wasted_prefetches += 1;
+    }
+
     /// Runs `f` with a sub-context that shares this context's time,
     /// identity, RNG, and timer counter, but records effects — possibly of
     /// *different* message/output types — into `effects`.

@@ -263,7 +263,7 @@ where
                 rng: DetRng::derive(seed, me.0 as u64),
                 next_timer: 0,
                 timers: BinaryHeap::new(),
-                cancelled: HashSet::new(),
+                armed: HashSet::new(),
                 effects: Effects::new(),
                 epoch,
                 slow: Arc::clone(&slow),
@@ -383,9 +383,10 @@ struct NodeThread<M, O> {
     out_tx: Sender<(ProcessId, O)>,
     rng: DetRng,
     next_timer: u64,
-    /// (deadline, id) min-heap plus tombstones for cancellations.
+    /// (deadline, id) min-heap; an entry fires only if its id is still
+    /// in `armed` (set, neither fired nor cancelled).
     timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
-    cancelled: HashSet<TimerId>,
+    armed: HashSet<TimerId>,
     /// Handler scratch: drained in place after every execution, so its
     /// buffers keep their capacity (as the simulator's dispatch does).
     effects: Effects<M, O>,
@@ -433,8 +434,11 @@ where
         for (id, delay) in effects.timers_set.drain(..) {
             let deadline = base + Duration::from_nanos(delay.as_nanos());
             self.timers.push(Reverse((deadline, id)));
+            self.armed.insert(id);
         }
-        self.cancelled.extend(effects.timers_cancelled.drain(..));
+        for id in effects.timers_cancelled.drain(..) {
+            self.armed.remove(&id);
+        }
         for out in effects.outputs.drain(..) {
             let _ = self.out_tx.send((self.me, out));
         }
@@ -449,7 +453,7 @@ where
                 return Some(wait);
             }
             self.timers.pop();
-            if !self.cancelled.remove(&id) {
+            if self.armed.remove(&id) {
                 self.handler(|n, ctx| n.on_timer(id, ctx));
             }
         }
@@ -598,6 +602,63 @@ mod tests {
             .expect("timer output");
         assert_eq!(v, 99);
         rt.shutdown();
+    }
+
+    /// Regression: cancelling a timer that already fired — what the client
+    /// engines do with a round that timed out — is a no-op and leaves
+    /// nothing behind, so an idle node holds no timer state.
+    #[test]
+    fn cancelling_a_fired_timer_holds_nothing_once_idle() {
+        struct Rounds {
+            left: u32,
+        }
+        impl Node for Rounds {
+            type Msg = TMsg;
+            type Out = u32;
+            fn on_start(&mut self, ctx: &mut Context<'_, TMsg, u32>) {
+                ctx.set_timer(SimDuration::ZERO);
+            }
+            fn on_message(&mut self, _: ProcessId, _: TMsg, _: &mut Context<'_, TMsg, u32>) {}
+            fn on_timer(&mut self, id: TimerId, ctx: &mut Context<'_, TMsg, u32>) {
+                // Every other round cancels its timer after it fired.
+                if self.left.is_multiple_of(2) {
+                    ctx.cancel_timer(id);
+                }
+                self.left -= 1;
+                if self.left > 0 {
+                    ctx.set_timer(SimDuration::ZERO);
+                } else {
+                    ctx.output(0);
+                }
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let (out_tx, out_rx) = channel();
+        let mut thread: NodeThread<TMsg, u32> = NodeThread {
+            me: ProcessId(0),
+            node: Box::new(Rounds { left: 1_600 }),
+            transport: Box::new(LocalTransport::<TMsg, u32>::new(Vec::new())),
+            out_tx,
+            rng: DetRng::from_seed(1),
+            next_timer: 0,
+            timers: BinaryHeap::new(),
+            armed: HashSet::new(),
+            effects: Effects::new(),
+            epoch: Instant::now(),
+            slow: Arc::new(Mutex::new(SlowPath::default())),
+            source: None,
+        };
+        thread.handler(|n, ctx| n.on_start(ctx));
+        while thread.fire_due_timers().is_some() {}
+        assert_eq!(out_rx.try_recv().map(|(_, v)| v), Ok(0), "every round ran");
+        assert!(thread.timers.is_empty());
+        assert!(
+            thread.armed.is_empty(),
+            "{} timers held",
+            thread.armed.len()
+        );
     }
 
     #[test]

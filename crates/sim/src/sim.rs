@@ -165,7 +165,10 @@ pub struct Simulation<M: Message, O> {
     /// Directed links, dense: `links[from][to]`. Process ids are small
     /// dense integers, so the delivery path indexes instead of hashing.
     links: Vec<Vec<Option<LinkState>>>,
-    cancelled: HashSet<TimerId>,
+    /// Timers set and neither fired nor cancelled. A fired timer's event
+    /// fires only if its id is still here, so cancelling a timer that
+    /// already fired (or never existed) leaves nothing behind.
+    armed: HashSet<TimerId>,
     next_timer: u64,
     outputs: Vec<(SimTime, ProcessId, O)>,
     metrics: Metrics,
@@ -201,7 +204,7 @@ impl<M: Message, O: 'static> Simulation<M, O> {
             nodes: Vec::new(),
             rngs: Vec::new(),
             links: Vec::new(),
-            cancelled: HashSet::new(),
+            armed: HashSet::new(),
             next_timer: 0,
             outputs: Vec::new(),
             metrics: Metrics::default(),
@@ -228,6 +231,12 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// True if no processes are registered.
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
+    }
+
+    /// Timers set and neither fired nor cancelled yet. Zero once the
+    /// event queue has drained.
+    pub fn armed_timers(&self) -> usize {
+        self.armed.len()
     }
 
     /// Run counters accumulated so far.
@@ -529,7 +538,7 @@ impl<M: Message, O: 'static> Simulation<M, O> {
                 }
             }
             EventKind::Timer { pid, id } => {
-                if !self.cancelled.remove(&id) {
+                if self.armed.remove(&id) {
                     self.metrics.timers_fired += 1;
                     self.dispatch(pid, |node, ctx| node.on_timer(id, ctx));
                 }
@@ -693,10 +702,11 @@ impl<M: Message, O: 'static> Simulation<M, O> {
             self.route(pid, to, msg);
         }
         for (id, delay) in effects.timers_set.drain(..) {
+            self.armed.insert(id);
             self.push(self.now + delay, EventKind::Timer { pid, id });
         }
         for id in effects.timers_cancelled.drain(..) {
-            self.cancelled.insert(id);
+            self.armed.remove(&id);
         }
         for out in effects.outputs.drain(..) {
             self.outputs.push((self.now, pid, out));
@@ -898,6 +908,43 @@ mod tests {
         assert_eq!(sim.metrics().timers_fired, 1);
         assert_eq!(sim.take_outputs().len(), 1);
         sim.node_ref::<TimerNode, _>(pid, |n| assert_eq!(n.fired.len(), 1));
+    }
+
+    /// Regression: the client engines cancel the timer of a round that
+    /// timed out, i.e. one that already fired. That cancel is a no-op and
+    /// must leave nothing behind: once the node is idle no timer state is
+    /// held, however many rounds it ran.
+    #[test]
+    fn cancelling_a_fired_timer_holds_nothing_once_idle() {
+        struct Rounds {
+            left: u32,
+        }
+        impl Node for Rounds {
+            type Msg = TMsg;
+            type Out = u32;
+            fn on_start(&mut self, ctx: &mut Context<'_, TMsg, u32>) {
+                ctx.set_timer(SimDuration::millis(1));
+            }
+            fn on_message(&mut self, _: ProcessId, _: TMsg, _: &mut Context<'_, TMsg, u32>) {}
+            fn on_timer(&mut self, id: TimerId, ctx: &mut Context<'_, TMsg, u32>) {
+                // Every other round cancels its timer after it fired.
+                if self.left.is_multiple_of(2) {
+                    ctx.cancel_timer(id);
+                }
+                self.left -= 1;
+                if self.left > 0 {
+                    ctx.set_timer(SimDuration::millis(1));
+                }
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut sim: Simulation<TMsg, u32> = Simulation::new(SimConfig::with_seed(5));
+        sim.add_node(Rounds { left: 1_600 });
+        assert!(sim.run_until_quiescent(SimTime::from_nanos(u64::MAX / 2)));
+        assert_eq!(sim.metrics().timers_fired, 1_600);
+        assert_eq!(sim.armed_timers(), 0);
     }
 
     #[test]

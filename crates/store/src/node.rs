@@ -49,7 +49,13 @@
 //! metadata read and answers "absent" with no fetch when the map lacks
 //! `k`; otherwise it fetches `k`'s fragments from the data replicas
 //! (`BULK_GET`) and reconstructs from any `k` replies that **re-verify
-//! against the root**: a Byzantine data replica garbling the fragment (or
+//! against the root**. The fetch starts *before* the read decides: once
+//! the read's sanity probe completes, the client prefetches the value
+//! whose reference a `last_quorum()` of the probe's acks name, beside the
+//! read loop, and keeps that fetch if the read decides the same reference
+//! (see [`Phase::Reading`]) — so on the common path a get costs two
+//! metadata rounds with the data round overlapped, not three rounds in
+//! series. A Byzantine data replica garbling the fragment (or
 //! proof) it serves simply counts as a bad reply, and the client keeps
 //! waiting for honest ones (falling back to a retransmission round, and
 //! ultimately to a metadata re-read, if a round's bad replies leave fewer
@@ -1038,7 +1044,8 @@ struct Resolving {
 }
 
 /// One value fetch: the data-replica round(s) resolving one
-/// [`ValueRef`].
+/// [`ValueRef`]. Its retransmission timer belongs to the `Fetching` phase,
+/// so a prefetch riding a `Reading` phase has none.
 #[derive(Debug)]
 struct Fetch<V> {
     vref: ValueRef,
@@ -1056,8 +1063,6 @@ struct Fetch<V> {
     dead: bool,
     /// Retransmission rounds run for this reference.
     rounds: u32,
-    /// The round's retransmission timer.
-    timer: TimerId,
     /// Commitment-verified fragments by index. Carried *across*
     /// retransmission rounds: a verified fragment stays verified whatever
     /// round it arrived in.
@@ -1146,15 +1151,31 @@ enum Phase<V: Payload> {
     Idle,
     /// The metadata register read on `shard`: sanity probe (N2–N7), then
     /// the read loop.
+    ///
+    /// On the bulk plane a get's read also carries a **prefetch**: when
+    /// the sanity probe completes, the client starts fetching the value
+    /// whose reference at least `last_quorum()` of the probe's acks give
+    /// the round's first key, in parallel with the read loop. The read
+    /// still decides. If it decides that same reference, the prefetch
+    /// becomes the `Fetching` phase's fetch with the fragments it already
+    /// holds; otherwise it is dropped (counted as wasted) and its late
+    /// replies, carrying its tag, are ignored. Speculating is safe
+    /// because every fragment is verified against the decided
+    /// reference's root: early bytes are exactly the bytes a later fetch
+    /// would accept. The prefetch arms no timer; the fetch's
+    /// retransmission timer starts when it becomes `Fetching`.
     Reading {
         goal: ReadGoal,
         shard: u32,
+        prefetch: Option<Fetch<V>>,
     },
     /// Bulk plane: resolving the read's reference map against the
     /// shard's data replicas, one value at a time.
     Fetching {
         res: Resolving,
         fetch: Fetch<V>,
+        /// The fetch round's retransmission timer.
+        timer: TimerId,
     },
     /// Bulk plane: every newly written value pushed to the data replicas,
     /// one fragment per replica; waiting until each has its `k + t` push
@@ -1470,22 +1491,24 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.recoveries
     }
 
-    /// Diagnostic snapshot of an in-flight bulk-plane value fetch:
+    /// Diagnostic snapshot of an in-flight bulk-plane value fetch — a
+    /// fetch round or a get's prefetch beside its read round:
     /// `(shard, commitment root, current round tag, distinct window
     /// replicas that answered badly this round)`, or `None` when no
     /// fetch is running. Intended for tests pinning round-tag semantics
     /// (a stale-tagged reply must leave the tag and the bad tally
     /// untouched) and for debugging wedged fetches.
     pub fn fetch_probe(&self) -> Option<(u32, BulkDigest, u64, usize)> {
-        match &self.phase {
-            Phase::Fetching { res, fetch } => Some((
-                res.shard,
-                fetch.vref.bref.digest,
-                fetch.tag,
-                fetch.bad.len(),
-            )),
-            _ => None,
-        }
+        let (shard, fetch) = match &self.phase {
+            Phase::Fetching { res, fetch, .. } => (res.shard, fetch),
+            Phase::Reading {
+                shard,
+                prefetch: Some(fetch),
+                ..
+            } => (*shard, fetch),
+            _ => return None,
+        };
+        Some((shard, fetch.vref.bref.digest, fetch.tag, fetch.bad.len()))
     }
 
     /// The data replicas holding `shard`'s payload bytes (empty under
@@ -1614,7 +1637,40 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.read_engine = ReadEngine::new(RegId(shard), self.cfg);
         // Figure 3 read: sanity probe first (N2–N7), then the read loop.
         self.read_engine.start_sanity(&mut self.link, sub);
-        self.phase = Phase::Reading { goal, shard };
+        self.phase = Phase::Reading {
+            goal,
+            shard,
+            prefetch: None,
+        };
+    }
+
+    /// The reference at least `last_quorum()` of the just-completed sanity
+    /// probe's acks give `key` — the value a get's read loop will most
+    /// likely decide — or `None` on the full plane or without such a
+    /// quorum. Tallies the key's 44-byte [`ValueRef`] per ack; no map is
+    /// compared and no randomness drawn. Of several references reaching
+    /// the quorum (a write in flight), the most common.
+    fn probed_ref(&self, key: &str) -> Option<ValueRef> {
+        self.coding()?;
+        let mut tally: Vec<(ValueRef, usize)> = Vec::new();
+        for last in self.read_engine.sanity_lasts() {
+            let StoreVal::Refs(refs) = &last.val else {
+                continue;
+            };
+            let Some(&vref) = refs.get(key) else {
+                continue;
+            };
+            match tally.iter_mut().find(|(r, _)| *r == vref) {
+                Some((_, count)) => *count += 1,
+                None => tally.push((vref, 1)),
+            }
+        }
+        let quorum = self.cfg.last_quorum();
+        tally
+            .into_iter()
+            .filter(|&(_, count)| count >= quorum)
+            .max_by_key(|&(_, count)| count)
+            .map(|(vref, _)| vref)
     }
 
     /// The metadata read's value as this client's plane reads it: the
@@ -1757,20 +1813,14 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.phase = Phase::Writing { intent };
     }
 
-    /// Starts the fetch of `vref`'s value from `res.shard`'s data
-    /// replicas.
-    fn start_fetch(
+    /// Asks `shard`'s data replicas for `vref`'s fragments under a fresh
+    /// round tag.
+    fn request_fetch(
         &mut self,
-        res: Resolving,
+        shard: u32,
         vref: ValueRef,
-        sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
-    ) {
-        let shard = res.shard;
-        sub.trace(TraceEvent::Phase {
-            shard,
-            phase: "FetchRound",
-        });
+    ) -> Fetch<V> {
         let tag = self.next_bulk_tag;
         self.next_bulk_tag += 1;
         for r in self.data_replicas(shard) {
@@ -1784,20 +1834,50 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                 },
             ));
         }
-        let timer = sub.set_timer(self.round_timer());
-        self.phase = Phase::Fetching {
-            res,
-            fetch: Fetch {
-                vref,
-                tag,
-                bad: BTreeSet::new(),
-                dead: false,
-                rounds: 0,
-                timer,
-                frags: BTreeMap::new(),
-                resolved: None,
-            },
+        Fetch {
+            vref,
+            tag,
+            bad: BTreeSet::new(),
+            dead: false,
+            rounds: 0,
+            frags: BTreeMap::new(),
+            resolved: None,
+        }
+    }
+
+    /// Counts a prefetch the read round did not decide; dropping it makes
+    /// its late replies stale.
+    fn waste(prefetch: Option<Fetch<V>>, sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>) {
+        if prefetch.is_some() {
+            sub.note_wasted_prefetch();
+        }
+    }
+
+    /// Starts the fetch of `vref`'s value from `res.shard`'s data
+    /// replicas, taking over `prefetch` when it fetches that very
+    /// reference.
+    fn start_fetch(
+        &mut self,
+        res: Resolving,
+        vref: ValueRef,
+        prefetch: Option<Fetch<V>>,
+        sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
+        bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
+    ) {
+        let shard = res.shard;
+        sub.trace(TraceEvent::Phase {
+            shard,
+            phase: "FetchRound",
+        });
+        let fetch = match prefetch {
+            Some(fetch) if fetch.vref == vref => fetch,
+            other => {
+                Self::waste(other, sub);
+                self.request_fetch(shard, vref, bulk_sends)
+            }
         };
+        let timer = sub.set_timer(self.round_timer());
+        self.phase = Phase::Fetching { res, fetch, timer };
     }
 
     /// Completes `goal` with the map of values of `shard` (read under
@@ -1833,12 +1913,14 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// Continues resolving a bulk-plane read (see [`Resolving`]): answers
     /// every get whose key the map lacks, then fetches the next value the
     /// goal still needs — the first remaining get's, or for an adoption
-    /// the reference at `checked`. With nothing left to fetch the gets
-    /// are all answered (phase stays Idle) or the adoption adopts the map
-    /// and starts the republish.
+    /// the reference at `checked` — through `prefetch` when it fetches
+    /// that reference. With nothing left to fetch the gets are all
+    /// answered (phase stays Idle) or the adoption adopts the map and
+    /// starts the republish.
     fn resolve_refs(
         &mut self,
         mut res: Resolving,
+        prefetch: Option<Fetch<V>>,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
         outs: &mut Vec<StoreOut<V>>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
@@ -1860,8 +1942,9 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             }
         };
         match next {
-            Some(vref) => self.start_fetch(res, vref, sub, bulk_sends),
-            None if matches!(res.goal, ReadGoal::Get { .. }) => {}
+            Some(vref) => self.start_fetch(res, vref, prefetch, sub, bulk_sends),
+            // Only a get prefetches.
+            None if matches!(res.goal, ReadGoal::Get { .. }) => Self::waste(prefetch, sub),
             None => {
                 let refs = Arc::unwrap_or_clone(res.refs);
                 self.adopt(
@@ -2046,12 +2129,32 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         }
                     }
                 }
-                Phase::Reading { goal, shard } => {
+                Phase::Reading {
+                    goal,
+                    shard,
+                    prefetch,
+                } => {
                     match self.read_engine.poll(&mut self.link, sub) {
                         Some(ReadProgress::SanityDone(agreed)) => {
                             self.policies[shard as usize].on_sanity(agreed.as_ref());
+                            // A get prefetches its first key's value.
+                            let key = match &goal {
+                                ReadGoal::Get { ops } => ops.first().map(|(_, key)| key.as_str()),
+                                _ => None,
+                            };
+                            let prefetch = key.and_then(|key| self.probed_ref(key)).map(|vref| {
+                                sub.trace(TraceEvent::Phase {
+                                    shard,
+                                    phase: "Prefetch",
+                                });
+                                self.request_fetch(shard, vref, bulk_sends)
+                            });
                             self.read_engine.start_read(&mut self.link, sub);
-                            self.phase = Phase::Reading { goal, shard };
+                            self.phase = Phase::Reading {
+                                goal,
+                                shard,
+                                prefetch,
+                            };
                         }
                         Some(ReadProgress::Done(source, p)) => {
                             let read_wsn = p.wsn;
@@ -2074,6 +2177,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             #[cfg(feature = "mutation")]
                             let val = self.serve_stale(&goal, shard, val);
                             match self.classify(&val) {
+                                // The full plane never prefetches.
                                 Resolved::Values(map) => {
                                     self.finish_resolve(
                                         goal, shard, wsn, map, sub, outs, bulk_sends,
@@ -2092,7 +2196,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                         checked: 0,
                                         remembered: wsn != read_wsn,
                                     };
-                                    self.resolve_refs(res, sub, outs, bulk_sends);
+                                    self.resolve_refs(res, prefetch, sub, outs, bulk_sends);
                                 }
                                 Resolved::Garbage => {
                                     // A reference under full replication,
@@ -2100,20 +2204,29 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                                     // inline map on a bulk plane:
                                     // stabilizing garbage won a quorum —
                                     // re-read until real metadata does.
+                                    Self::waste(prefetch, sub);
                                     sub.note_metadata_reread();
                                     self.start_read(goal, shard, sub);
                                 }
                             }
                         }
                         None => {
-                            self.phase = Phase::Reading { goal, shard };
+                            self.phase = Phase::Reading {
+                                goal,
+                                shard,
+                                prefetch,
+                            };
                             return;
                         }
                     }
                 }
-                Phase::Fetching { mut res, fetch } => {
+                Phase::Fetching {
+                    mut res,
+                    fetch,
+                    timer,
+                } => {
                     if let Some(val) = fetch.resolved {
-                        sub.cancel_timer(fetch.timer);
+                        sub.cancel_timer(timer);
                         match &mut res.goal {
                             ReadGoal::Get { ops } => {
                                 // Every gathered get whose key names this
@@ -2129,7 +2242,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             }
                             _ => res.checked += 1,
                         }
-                        self.resolve_refs(res, sub, outs, bulk_sends);
+                        self.resolve_refs(res, None, sub, outs, bulk_sends);
                         continue;
                     }
                     // Dead round: so many distinct window replicas
@@ -2158,7 +2271,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     let bad_bound = self.coding().map_or(0, |(k, m)| m + 1 - k);
                     if fetch.dead || fetch.bad.len() >= bad_bound {
                         sub.note_dead_fetch_round();
-                        sub.cancel_timer(fetch.timer);
+                        sub.cancel_timer(timer);
                         if matches!(res.goal, ReadGoal::Get { .. }) {
                             if res.remembered {
                                 self.policies[res.shard as usize] = AtomicPolicy::new();
@@ -2172,11 +2285,11 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             });
                             let key = res.refs.entries()[res.checked].0.clone();
                             Arc::make_mut(&mut res.refs).remove(&key);
-                            self.resolve_refs(res, sub, outs, bulk_sends);
+                            self.resolve_refs(res, None, sub, outs, bulk_sends);
                         }
                         continue;
                     }
-                    self.phase = Phase::Fetching { res, fetch };
+                    self.phase = Phase::Fetching { res, fetch, timer };
                     return;
                 }
                 Phase::PushingBulk {
@@ -2269,11 +2382,17 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         if !Self::is_data_replica(self.plane, &self.servers, shard, from) {
             return;
         }
-        let Phase::Fetching { res, fetch } = &mut self.phase else {
-            return;
+        let (fetching, fetch) = match &mut self.phase {
+            Phase::Fetching { res, fetch, .. } => (res.shard, fetch),
+            Phase::Reading {
+                shard,
+                prefetch: Some(fetch),
+                ..
+            } => (*shard, fetch),
+            _ => return,
         };
         let bref = fetch.vref.bref;
-        if tag != fetch.tag || shard != res.shard || root != bref.digest || fetch.resolved.is_some()
+        if tag != fetch.tag || shard != fetching || root != bref.digest || fetch.resolved.is_some()
         {
             return; // stale round, wrong dispersal, or already resolved
         }
@@ -2402,8 +2521,8 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
 
     fn on_timer(&mut self, id: TimerId, ctx: &mut StoreCtx<'_, V>) {
         let round_timer = self.round_timer();
-        if let Phase::Fetching { res, fetch } = &mut self.phase {
-            if fetch.timer == id && fetch.resolved.is_none() {
+        if let Phase::Fetching { res, fetch, timer } = &mut self.phase {
+            if *timer == id && fetch.resolved.is_none() {
                 if fetch.rounds + 1 >= FETCH_ROUNDS_PER_READ {
                     // Give up on this reference: force the dead-round
                     // path.
@@ -2429,7 +2548,7 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
                             },
                         );
                     }
-                    fetch.timer = ctx.set_timer(round_timer);
+                    *timer = ctx.set_timer(round_timer);
                 }
                 self.step(ctx);
                 return;

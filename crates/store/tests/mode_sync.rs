@@ -262,7 +262,8 @@ fn sync_puts_never_wait_out_a_timeout_when_every_server_answers() {
 /// timeout (its write round never sees all `n`); a server that repeats its
 /// acks and sprays random-tag `SS_ACK`s is one identity and cannot stand
 /// in for a correct one. Either way the store stays atomic and the online
-/// monitor quiet.
+/// monitor quiet, and a round timer the engine cancels after it fired
+/// leaves nothing behind in the simulator.
 #[test]
 fn sync_rounds_fall_back_to_the_timeout_under_a_withholding_server() {
     let builder = sync_builder().monitor();
@@ -275,6 +276,7 @@ fn sync_rounds_fall_back_to_the_timeout_under_a_withholding_server() {
             .unwrap_or_else(|e| panic!("{strategy:?}: per-key atomicity: {e}"));
         assert!(sys.monitor_violations().is_empty(), "{strategy:?}");
         assert!(sys.sim.metrics().timers_fired > 0, "{strategy:?}");
+        assert_eq!(sys.sim.armed_timers(), 0, "{strategy:?}");
         if matches!(strategy, ByzStrategy::Silent) {
             let fastest = put_latencies(&sys)[0];
             assert!(
