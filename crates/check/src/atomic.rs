@@ -2,38 +2,31 @@
 //!
 //! The paper's *eventual atomicity* (§2.2) says that after `τ_stab` the
 //! merged read/write history is linearizable as a register. This module
-//! decides linearizability exactly:
+//! decides it by replay: a finished history's invocations and completions
+//! are fed, in time order, into the one atomicity checker of the
+//! workspace, `sbs_obs::ConsistencyMonitor`, which is exact for
+//! histories with unique write values (see its module docs). The monitor
+//! borrows the history's values, so a check clones none of them.
 //!
-//! 1. The history is cut at **quiescent points** (instants where no
-//!    operation is in flight). Real-time order forces every operation
-//!    before a cut to linearize before every operation after it, so
-//!    segments can be checked independently, threading the set of feasible
-//!    final register values from one segment into the next.
-//! 2. Each segment is checked with a memoized Wing–Gong search: pick any
-//!    pending operation minimal in the real-time precedence order, apply
-//!    register semantics (a read must return the current value), and
-//!    memoize on `(linearized-set, register-value)`.
+//! Quiescent points — instants where no operation is in flight — still
+//! structure the answer: a report names the quiescent segment whose
+//! operation exposed the violation, and the stabilization point is the
+//! earliest quiescent boundary from which the rest of the history
+//! replays clean.
 //!
 //! Unique write values are required (see
-//! [`History::validate_unique_writes`]). Segments are capped at 64
-//! concurrent-component operations; the harness workloads stay far below
-//! this.
+//! [`History::validate_unique_writes`]). A history the monitor saturates
+//! on (more than `sbs_obs::MAX_WINDOW` operations in flight at once, or a
+//! frontier over `sbs_obs::MAX_STATES` states) gets
+//! [`LinError::Saturated`], never a weakened verdict.
 
-use crate::history::{History, OpKind, OpRecord};
+use crate::history::{History, OpRecord};
+use sbs_obs::{ConsistencyMonitor, InitialState};
 use sbs_sim::SimTime;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::hash::Hash;
-
-/// What the register may hold when a history (or segment) begins.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum InitialState<V> {
-    /// Completely unknown (arbitrary initial configuration): the first read
-    /// may return anything, which then becomes the register's value.
-    Any,
-    /// One of these concrete values.
-    OneOf(BTreeSet<V>),
-}
+use std::ops::Range;
 
 /// Verdict of [`check_linearizable`].
 #[derive(Clone, Debug)]
@@ -44,19 +37,20 @@ pub struct LinReport {
     pub ops_checked: usize,
     /// Number of quiescent segments.
     pub segments: usize,
-    /// Index (in segment order) of the first segment with no valid
-    /// linearization, when not linearizable.
+    /// Index (in segment order) of the quiescent segment holding the
+    /// operation whose completion exposed the violation, when not
+    /// linearizable.
     pub failed_segment: Option<usize>,
 }
 
 /// Checker errors (histories the checker cannot decide).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum LinError {
-    /// A segment has more than 64 operations; the memoized search uses a
-    /// 64-bit op mask. Reduce concurrency or insert quiescent points.
-    SegmentTooLarge {
-        /// Operations in the offending segment.
-        len: usize,
+    /// The replay saturated the monitor (too many operations in flight at
+    /// once, or too large a frontier), so its verdict would be weakened.
+    Saturated {
+        /// Saturation restarts during the replay.
+        saturations: u64,
     },
     /// Two writes used the same value.
     DuplicateWrites,
@@ -65,11 +59,8 @@ pub enum LinError {
 impl fmt::Display for LinError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LinError::SegmentTooLarge { len } => {
-                write!(
-                    f,
-                    "segment of {len} concurrent operations exceeds the 64-op cap"
-                )
+            LinError::Saturated { saturations } => {
+                write!(f, "the atomicity monitor saturated {saturations} times")
             }
             LinError::DuplicateWrites => write!(f, "history writes duplicate values"),
         }
@@ -83,8 +74,8 @@ impl std::error::Error for LinError {}
 ///
 /// # Errors
 ///
-/// Returns [`LinError`] if the history has duplicate write values or a
-/// quiescent segment larger than 64 operations.
+/// Returns [`LinError`] if the history has duplicate write values or
+/// saturates the monitor.
 pub fn check_linearizable<V>(
     h: &History<V>,
     initial: &InitialState<V>,
@@ -96,28 +87,12 @@ where
         return Err(LinError::DuplicateWrites);
     }
     let segments = quiescent_segments(h.ops());
-    let mut incoming = match initial {
-        InitialState::Any => Feasible::Any,
-        InitialState::OneOf(s) => Feasible::OneOf(s.clone()),
-    };
-    for (i, seg) in segments.iter().enumerate() {
-        match segment_feasible(seg, &incoming)? {
-            Some(out) => incoming = out,
-            None => {
-                return Ok(LinReport {
-                    linearizable: false,
-                    ops_checked: h.len(),
-                    segments: segments.len(),
-                    failed_segment: Some(i),
-                })
-            }
-        }
-    }
+    let failed = first_violation(h.ops(), initial.as_ref())?;
     Ok(LinReport {
-        linearizable: true,
+        linearizable: failed.is_none(),
         ops_checked: h.len(),
         segments: segments.len(),
-        failed_segment: None,
+        failed_segment: failed.map(|i| segments.partition_point(|s| s.end <= i)),
     })
 }
 
@@ -143,23 +118,12 @@ where
     if h.validate_unique_writes().is_err() {
         return Err(LinError::DuplicateWrites);
     }
-    let segments = quiescent_segments(h.ops());
-    // Walk boundaries from the earliest; the first suffix that checks out
-    // gives the stabilization point.
-    for b in 0..segments.len() {
-        let cut = segments[b][0].invoked;
-        let mut incoming = boundary_values(h, cut);
-        let mut ok = true;
-        for seg in &segments[b..] {
-            match segment_feasible(seg, &incoming)? {
-                Some(out) => incoming = out,
-                None => {
-                    ok = false;
-                    break;
-                }
-            }
-        }
-        if ok {
+    let ops = h.ops();
+    // Walk boundaries from the earliest; the first suffix that replays
+    // clean gives the stabilization point.
+    for seg in quiescent_segments(ops) {
+        let cut = ops[seg.start].invoked;
+        if first_violation(&ops[seg.start..], boundary_values(h, cut))?.is_none() {
             return Ok(Some(cut));
         }
     }
@@ -170,194 +134,87 @@ where
 /// every write completed before `cut` that is not strictly superseded by
 /// another write also completed before `cut`. `Any` when no write
 /// completed yet.
-fn boundary_values<V>(h: &History<V>, cut: SimTime) -> Feasible<V>
+fn boundary_values<V>(h: &History<V>, cut: SimTime) -> InitialState<&V>
 where
     V: Clone + Eq + Hash + Ord + fmt::Debug,
 {
     let done: Vec<&OpRecord<V>> = h.writes().filter(|w| w.responded < cut).collect();
     if done.is_empty() {
-        return Feasible::Any;
+        return InitialState::Any;
     }
-    let candidates: BTreeSet<V> = done
+    let candidates: BTreeSet<&V> = done
         .iter()
         .filter(|w| !done.iter().any(|w2| w.precedes(w2)))
-        .map(|w| w.kind.value().clone())
+        .map(|w| w.kind.value())
         .collect();
-    Feasible::OneOf(candidates)
+    InitialState::OneOf(candidates)
 }
 
-/// Feasible register contents at a segment boundary.
-#[derive(Clone, Debug)]
-enum Feasible<V> {
-    Any,
-    OneOf(BTreeSet<V>),
+/// Replays `ops` into a monitor whose register starts in `initial`:
+/// every invocation and completion in time order, invocations first at
+/// equal times (so an operation completing at `t` stays concurrent with
+/// one invoked at `t`, as `responded < invoked` demands). Returns the
+/// index of the operation whose completion exposed the first violation.
+fn first_violation<V: Ord>(
+    ops: &[OpRecord<V>],
+    initial: InitialState<&V>,
+) -> Result<Option<usize>, LinError> {
+    let mut events: Vec<(SimTime, bool, usize)> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, op)| [(op.invoked, false, i), (op.responded, true, i)])
+        .collect();
+    events.sort_unstable();
+    let mut monitor = ConsistencyMonitor::starting_from(initial);
+    let mut violation = None;
+    for (at, completes, i) in events {
+        let kind = &ops[i].kind;
+        if !completes {
+            let write = kind.is_write().then(|| kind.value());
+            monitor.op_invoked(i as u64, "", at.as_nanos(), write);
+        } else if monitor
+            .op_completed(
+                i as u64,
+                at.as_nanos(),
+                (!kind.is_write()).then(|| kind.value()),
+            )
+            .is_some()
+        {
+            violation = Some(i);
+            break;
+        }
+    }
+    match monitor.saturations() {
+        0 => Ok(violation),
+        saturations => Err(LinError::Saturated { saturations }),
+    }
 }
 
 /// Splits ops (already sorted by invocation) at quiescent points: a new
 /// segment starts at op `i` when every earlier op responded strictly before
-/// op `i` was invoked.
-fn quiescent_segments<V>(ops: &[OpRecord<V>]) -> Vec<Vec<&OpRecord<V>>> {
-    let mut segments: Vec<Vec<&OpRecord<V>>> = Vec::new();
-    let mut current: Vec<&OpRecord<V>> = Vec::new();
+/// op `i` was invoked. Returns each segment's index range into `ops`.
+fn quiescent_segments<V>(ops: &[OpRecord<V>]) -> Vec<Range<usize>> {
+    let mut segments = Vec::new();
+    let mut start = 0;
     let mut frontier: Option<SimTime> = None;
-    for op in ops {
-        if let Some(fr) = frontier {
-            if fr < op.invoked && !current.is_empty() {
-                segments.push(std::mem::take(&mut current));
-            }
+    for (i, op) in ops.iter().enumerate() {
+        if frontier.is_some_and(|fr| fr < op.invoked) {
+            segments.push(start..i);
+            start = i;
         }
-        frontier = Some(match frontier {
-            Some(fr) if fr > op.responded => fr,
-            _ => op.responded,
-        });
-        current.push(op);
+        frontier = frontier.max(Some(op.responded));
     }
-    if !current.is_empty() {
-        segments.push(current);
+    if start < ops.len() {
+        segments.push(start..ops.len());
     }
     segments
-}
-
-/// Decides one segment. Returns the feasible final values over all valid
-/// linearizations (`None` if there is no valid linearization).
-fn segment_feasible<V>(
-    seg: &[&OpRecord<V>],
-    incoming: &Feasible<V>,
-) -> Result<Option<Feasible<V>>, LinError>
-where
-    V: Clone + Eq + Hash + Ord + fmt::Debug,
-{
-    if seg.len() > 64 {
-        return Err(LinError::SegmentTooLarge { len: seg.len() });
-    }
-    // Intern all values appearing in the segment plus incoming candidates.
-    let mut table: Vec<V> = Vec::new();
-    let mut index: HashMap<V, u32> = HashMap::new();
-    let intern = |v: &V, table: &mut Vec<V>, index: &mut HashMap<V, u32>| -> u32 {
-        if let Some(&i) = index.get(v) {
-            i
-        } else {
-            let i = table.len() as u32;
-            table.push(v.clone());
-            index.insert(v.clone(), i);
-            i
-        }
-    };
-    let op_vid: Vec<u32> = seg
-        .iter()
-        .map(|op| intern(op.kind.value(), &mut table, &mut index))
-        .collect();
-    // pred_mask[i] = ops that must be linearized before op i (real-time).
-    let pred_mask: Vec<u64> = seg
-        .iter()
-        .map(|op| {
-            let mut m = 0u64;
-            for (j, p) in seg.iter().enumerate() {
-                if p.responded < op.invoked {
-                    m |= 1 << j;
-                }
-            }
-            m
-        })
-        .collect();
-
-    // Starting states: each concrete incoming value, or Unknown for Any.
-    let starts: Vec<Option<u32>> = match incoming {
-        Feasible::Any => vec![None],
-        Feasible::OneOf(set) => set
-            .iter()
-            .map(|v| Some(intern(v, &mut table, &mut index)))
-            .collect(),
-    };
-
-    let full: u64 = if seg.len() == 64 {
-        u64::MAX
-    } else {
-        (1u64 << seg.len()) - 1
-    };
-    let mut finals: BTreeSet<Option<u32>> = BTreeSet::new();
-    let mut visited: HashSet<(u64, Option<u32>)> = HashSet::new();
-
-    let search = Search {
-        seg,
-        op_vid: &op_vid,
-        pred_mask: &pred_mask,
-        full,
-    };
-    for start in starts {
-        search.dfs(0, start, &mut visited, &mut finals);
-    }
-
-    if finals.is_empty() {
-        return Ok(None);
-    }
-    if finals.contains(&None) {
-        return Ok(Some(Feasible::Any));
-    }
-    Ok(Some(Feasible::OneOf(
-        finals
-            .into_iter()
-            .flatten()
-            .map(|i| table[i as usize].clone())
-            .collect(),
-    )))
-}
-
-struct Search<'a, V> {
-    seg: &'a [&'a OpRecord<V>],
-    op_vid: &'a [u32],
-    pred_mask: &'a [u64],
-    full: u64,
-}
-
-impl<V> Search<'_, V>
-where
-    V: Clone + Eq + Hash + Ord + fmt::Debug,
-{
-    fn dfs(
-        &self,
-        mask: u64,
-        state: Option<u32>,
-        visited: &mut HashSet<(u64, Option<u32>)>,
-        finals: &mut BTreeSet<Option<u32>>,
-    ) {
-        if mask == self.full {
-            finals.insert(state);
-            return;
-        }
-        if !visited.insert((mask, state)) {
-            return;
-        }
-        for (i, op) in self.seg.iter().enumerate() {
-            let bit = 1u64 << i;
-            if mask & bit != 0 {
-                continue;
-            }
-            // `op` must be minimal among pending ops in real-time
-            // precedence: all its predecessors already linearized.
-            if self.pred_mask[i] & !mask != 0 {
-                continue;
-            }
-            let vid = self.op_vid[i];
-            match op.kind {
-                OpKind::Write(_) => {
-                    self.dfs(mask | bit, Some(vid), visited, finals);
-                }
-                OpKind::Read(_) => match state {
-                    Some(s) if s == vid => self.dfs(mask | bit, state, visited, finals),
-                    // Unknown initial: the first read pins the register.
-                    None => self.dfs(mask | bit, Some(vid), visited, finals),
-                    _ => {}
-                },
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::history::fixtures::{op, read, write};
+    use crate::history::OpKind;
 
     fn any() -> InitialState<u64> {
         InitialState::Any
@@ -537,5 +394,38 @@ mod tests {
         }
         let h = History::new(ops);
         assert!(check_linearizable(&h, &any()).unwrap().linearizable);
+    }
+
+    /// A write of 2 pending for 200 ms over a completed write of 1, while
+    /// 8 readers complete 20 sequential reads each: rounds 0–9 return 1,
+    /// rounds 10–19 return 2. No quiescent point falls inside the write,
+    /// so its segment holds 161 operations. `stale` makes the last
+    /// reader's round-10 read, invoked after the first reader's round-10
+    /// read of 2 completed, return 1.
+    fn stalled_write(stale: bool) -> History<u64> {
+        const MS: u64 = 1_000_000;
+        let mut ops = vec![write(1, 0, MS, 1), write(2, 2 * MS, 202 * MS, 2)];
+        for round in 0..20u64 {
+            for reader in 0..8u64 {
+                let start = 2 * MS + 10 * MS * round + reader * MS / 2;
+                let seen = if round < 10 || (stale && round == 10 && reader == 7) {
+                    1
+                } else {
+                    2
+                };
+                ops.push(read(10 + 8 * round + reader, start, start + 3 * MS, seen));
+            }
+        }
+        History::new(ops)
+    }
+
+    #[test]
+    fn stalled_write_gets_a_verdict() {
+        let rep = check_linearizable(&stalled_write(false), &any()).unwrap();
+        assert!(rep.linearizable);
+        assert_eq!(rep.segments, 2);
+        let rep = check_linearizable(&stalled_write(true), &any()).unwrap();
+        assert!(!rep.linearizable, "a read of 1 after a read of 2 completed");
+        assert_eq!(rep.failed_segment, Some(1));
     }
 }

@@ -12,9 +12,10 @@
 //! - [`count_inversions`] — new/old inversions (Figure 1), the anomaly that
 //!   distinguishes regular from atomic.
 //! - [`check_linearizable`] / [`atomic_stabilization_point`] — exact
-//!   register linearizability via quiescent-segment decomposition and a
-//!   memoized Wing–Gong search; used for the SWSR/SWMR/MWMR *atomic*
-//!   claims (Theorems 3 and 4).
+//!   register linearizability, decided by replaying the history into the
+//!   workspace's one atomicity checker, `sbs_obs::ConsistencyMonitor`
+//!   (whose starting state, [`InitialState`], is re-exported here); used
+//!   for the SWSR/SWMR/MWMR *atomic* claims (Theorems 3 and 4).
 //! - [`summarize`] / [`Ratio`] — statistics for the experiment tables.
 //!
 //! ```
@@ -42,12 +43,11 @@ mod history;
 mod regularity;
 mod stats;
 
-pub use atomic::{
-    atomic_stabilization_point, check_linearizable, InitialState, LinError, LinReport,
-};
+pub use atomic::{atomic_stabilization_point, check_linearizable, LinError, LinReport};
 pub use diff::{equivalent_write_histories, HistoryDivergence};
 pub use history::{DuplicateWrite, History, OpKind, OpRecord};
 pub use regularity::{
     check_regularity, count_inversions, Inversion, RegularityReport, RegularityViolation,
 };
+pub use sbs_obs::InitialState;
 pub use stats::{summarize, DurationSummary, Ratio};

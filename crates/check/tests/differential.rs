@@ -1,68 +1,125 @@
-//! Differential validation of the linearizability checker: on small random
-//! histories, `check_linearizable` must agree with a brute-force reference
-//! that enumerates every permutation.
+//! Differential validation of the atomicity checker. On small random
+//! histories, from arbitrary and from known initial states, three paths
+//! must agree with a brute-force reference that tries every order of the
+//! operations:
+//!
+//! - `check_linearizable` (the replay of a finished history);
+//! - `ConsistencyMonitor` fed the same events directly (the online path);
+//! - `atomic_stabilization_point`, against a brute force of every
+//!   quiescent suffix from the writes completed before it.
 
-use sbs_check::{check_linearizable, History, InitialState, OpKind, OpRecord};
+use sbs_check::{
+    atomic_stabilization_point, check_linearizable, History, InitialState, OpKind, OpRecord,
+};
+use sbs_obs::ConsistencyMonitor;
 use sbs_sim::{DetRng, OpId, ProcessId, SimTime};
 use std::collections::BTreeSet;
 
-/// Brute force: try every permutation of the operations; a permutation is a
-/// valid linearization iff it extends the real-time precedence order and
-/// every read returns the latest preceding write (the first reads may pin
-/// an arbitrary initial value, matching `InitialState::Any`).
-fn brute_force_linearizable(ops: &[OpRecord<u64>]) -> bool {
-    let n = ops.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    permute(&mut order, 0, ops)
+/// Brute force: is there an order of `ops` that extends the real-time
+/// precedence order in which every read returns the latest preceding
+/// write? Before the first write the register holds one of `initial`'s
+/// values, or under `InitialState::Any` whatever the first read pins.
+fn brute_force_linearizable(ops: &[OpRecord<u64>], initial: &InitialState<u64>) -> bool {
+    let starts: Vec<Option<u64>> = match initial {
+        InitialState::Any => vec![None],
+        InitialState::OneOf(set) => set.iter().copied().map(Some).collect(),
+    };
+    let mut placed = vec![false; ops.len()];
+    starts
+        .into_iter()
+        .any(|state| extend(&mut placed, state, ops))
 }
 
-fn permute(order: &mut Vec<usize>, k: usize, ops: &[OpRecord<u64>]) -> bool {
-    if k == order.len() {
-        return respects_realtime(order, ops) && register_semantics(order, ops);
+/// Tries every unplaced op as the next in the order (a partial order is
+/// abandoned as soon as it breaks real time or register semantics).
+fn extend(placed: &mut Vec<bool>, state: Option<u64>, ops: &[OpRecord<u64>]) -> bool {
+    if placed.iter().all(|&p| p) {
+        return true;
     }
-    for i in k..order.len() {
-        order.swap(k, i);
-        if permute(order, k + 1, ops) {
-            order.swap(k, i);
+    for i in 0..ops.len() {
+        // `i` may go next only if every op that precedes it in real time
+        // is already placed.
+        let ready =
+            !placed[i] && (0..ops.len()).all(|j| placed[j] || ops[j].responded >= ops[i].invoked);
+        if !ready {
+            continue;
+        }
+        let next = match ops[i].kind {
+            OpKind::Write(v) => Some(v),
+            OpKind::Read(v) if state.is_none_or(|s| s == v) => Some(v),
+            OpKind::Read(_) => continue,
+        };
+        placed[i] = true;
+        let found = extend(placed, next, ops);
+        placed[i] = false;
+        if found {
             return true;
         }
-        order.swap(k, i);
     }
     false
 }
 
-fn respects_realtime(order: &[usize], ops: &[OpRecord<u64>]) -> bool {
-    for (pos_a, &a) in order.iter().enumerate() {
-        for &b in &order[pos_a + 1..] {
-            // b is linearized after a, so a must NOT be real-time after b.
-            if ops[b].responded < ops[a].invoked {
-                return false;
-            }
-        }
-    }
-    true
+/// Brute force of the stabilization point: the invocation of the first op
+/// of the earliest quiescent suffix that linearizes from the writes
+/// completed before it (those no other such write follows in real time;
+/// arbitrary when none completed).
+fn brute_force_stabilization(ops: &[OpRecord<u64>]) -> Option<SimTime> {
+    (0..ops.len())
+        .filter(|&b| ops[..b].iter().all(|p| p.responded < ops[b].invoked))
+        .find(|&b| {
+            let cut = ops[b].invoked;
+            let done: Vec<&OpRecord<u64>> = ops
+                .iter()
+                .filter(|w| w.kind.is_write() && w.responded < cut)
+                .collect();
+            let initial = if done.is_empty() {
+                InitialState::Any
+            } else {
+                InitialState::OneOf(
+                    done.iter()
+                        .filter(|w| !done.iter().any(|w2| w.responded < w2.invoked))
+                        .map(|w| *w.kind.value())
+                        .collect(),
+                )
+            };
+            brute_force_linearizable(&ops[b..], &initial)
+        })
+        .map(|b| ops[b].invoked)
 }
 
-fn register_semantics(order: &[usize], ops: &[OpRecord<u64>]) -> bool {
-    let mut state: Option<u64> = None; // None = initial, pinned by first read
-    for &i in order {
-        match &ops[i].kind {
-            OpKind::Write(v) => state = Some(*v),
-            OpKind::Read(v) => match state {
-                Some(s) if s == *v => {}
-                Some(_) => return false,
-                None => state = Some(*v), // arbitrary initial, now pinned
-            },
+/// The online path: the history's events fed straight into a monitor in
+/// time order, invocations before completions at equal times, and later
+/// ops first among ties (the replay breaks ties the other way).
+fn monitor_linearizable(ops: &[OpRecord<u64>], initial: &InitialState<u64>) -> bool {
+    let mut events: Vec<(SimTime, bool, std::cmp::Reverse<usize>)> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, op)| {
+            let i = std::cmp::Reverse(i);
+            [(op.invoked, false, i), (op.responded, true, i)]
+        })
+        .collect();
+    events.sort_unstable();
+    let mut m = ConsistencyMonitor::starting_from(initial.clone());
+    for (at, completes, std::cmp::Reverse(i)) in events {
+        let (op, kind) = (i as u64, ops[i].kind.clone());
+        if completes {
+            let read = (!kind.is_write()).then_some(*kind.value());
+            m.op_completed(op, at.as_nanos(), read);
+        } else {
+            let write = kind.is_write().then_some(*kind.value());
+            m.op_invoked(op, "k", at.as_nanos(), write);
         }
     }
-    true
+    assert_eq!(m.saturations(), 0, "small histories never saturate");
+    m.is_clean()
 }
 
-/// Random small histories: up to 6 operations with random intervals over a
+/// Random small histories: up to 7 operations with random intervals over a
 /// small time range, writes with unique values, reads returning values from
 /// a small pool (so both linearizable and non-linearizable cases arise).
 fn arb_history(rng: &mut DetRng) -> Vec<OpRecord<u64>> {
-    let len = rng.range_inclusive(1, 5) as usize;
+    let len = rng.range_inclusive(1, 7) as usize;
     let mut used_write_values: BTreeSet<u64> = BTreeSet::new();
     let mut ops = Vec::new();
     for i in 0..len {
@@ -93,21 +150,47 @@ fn arb_history(rng: &mut DetRng) -> Vec<OpRecord<u64>> {
     ops
 }
 
+/// `Any`, or one or two values from the read pool.
+fn arb_initial(rng: &mut DetRng) -> InitialState<u64> {
+    match rng.range_inclusive(0, 2) {
+        0 => InitialState::Any,
+        n => InitialState::OneOf((0..n).map(|_| rng.range_inclusive(0, 3)).collect()),
+    }
+}
+
 #[test]
 fn checker_agrees_with_brute_force() {
     let mut rng = DetRng::from_seed(0xD1FF);
-    for case in 0..400 {
+    let mut verdicts = [0usize; 2];
+    for case in 0..10_000 {
         let ops = arb_history(&mut rng);
-        let expected = brute_force_linearizable(&ops);
+        let initial = arb_initial(&mut rng);
         let h = History::new(ops);
-        let got = check_linearizable(&h, &InitialState::Any)
+        let ops = h.ops();
+        let expected = brute_force_linearizable(ops, &initial);
+        verdicts[usize::from(expected)] += 1;
+        let got = check_linearizable(&h, &initial)
             .expect("unique writes by construction")
             .linearizable;
         assert_eq!(
             got, expected,
-            "case {case}: checker disagrees with brute force on {h:?}"
+            "case {case}: replay vs brute force on {initial:?} {h:?}"
+        );
+        assert_eq!(
+            monitor_linearizable(ops, &initial),
+            expected,
+            "case {case}: online monitor vs brute force on {initial:?} {h:?}"
+        );
+        assert_eq!(
+            atomic_stabilization_point(&h).expect("unique writes by construction"),
+            brute_force_stabilization(ops),
+            "case {case}: stabilization point on {h:?}"
         );
     }
+    assert!(
+        verdicts.iter().all(|&n| n > 1_000),
+        "both verdicts must be well represented: {verdicts:?}"
+    );
 }
 
 #[test]
@@ -141,7 +224,7 @@ fn known_disagreement_candidates() {
         ],
     ];
     for ops in cases {
-        let expected = brute_force_linearizable(&ops);
+        let expected = brute_force_linearizable(&ops, &InitialState::Any);
         let h = History::new(ops);
         let got = check_linearizable(&h, &InitialState::Any)
             .unwrap()

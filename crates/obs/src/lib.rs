@@ -18,9 +18,11 @@
 //!   ([`Tracer::to_chrome_trace`] / [`Tracer::to_chrome_trace_named`]
 //!   with labeled timeline rows and causal flow arrows — open in
 //!   `chrome://tracing` or Perfetto).
-//! - [`ConsistencyMonitor`] — the online per-key atomicity checker:
-//!   feed it op invocations/completions as they happen and it reports
-//!   the first [`Violation`] at event time, with culprit operations.
+//! - [`ConsistencyMonitor`] — the per-key atomicity checker: feed it op
+//!   invocations/completions as they happen (or replay a finished
+//!   history, as `sbs-check` does) and it reports the first [`Violation`]
+//!   at event time, with culprit operations. [`InitialState`] says what
+//!   a register holds before its first operation.
 //! - [`causal_slice`] — extracts from a trace ring the minimal causal
 //!   sub-trace leading to a set of operations (the flight-recorder
 //!   primitive).
@@ -38,6 +40,6 @@ mod slice;
 mod trace;
 
 pub use hist::{nearest_rank_index, LatencyHistogram, LatencySummary};
-pub use monitor::{ConsistencyMonitor, Violation, MAX_STATES, MAX_WINDOW};
+pub use monitor::{ConsistencyMonitor, InitialState, Violation, MAX_STATES, MAX_WINDOW};
 pub use slice::causal_slice;
 pub use trace::{TraceEvent, TraceRecord, Tracer};

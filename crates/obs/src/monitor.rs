@@ -1,12 +1,13 @@
-//! The online per-key atomicity monitor: an incremental WGL-style
-//! (Wing & Gong / Lowe) linearizability checker that judges operations
-//! **as they complete** instead of after the run ends.
+//! The per-key atomicity checker: an incremental WGL-style (Wing & Gong /
+//! Lowe) linearizability checker that judges operations **as they
+//! complete**. It is the workspace's only atomicity checker: the store
+//! feeds it live (`StoreBuilder::monitor()`), and `sbs-check`'s
+//! `check_linearizable` / `atomic_stabilization_point` replay a finished
+//! history into it.
 //!
-//! The offline checkers in `sbs-check` answer "was this finished history
-//! atomic?"; this monitor answers "which event broke atomicity, and
-//! when?". It maintains, per key, the *atomicity frontier*: the set of
-//! partial linearizations of the key's in-window operations that are
-//! still consistent with everything observed so far. Each state is a
+//! It maintains, per key, the *atomicity frontier*: the set of partial
+//! linearizations of the key's in-window operations that are still
+//! consistent with everything observed so far. Each state is a
 //! `(mask, value)` pair — which window operations have been placed in
 //! the linearization order, and the register value after the last placed
 //! write. On every completion the frontier is advanced; if **no**
@@ -17,8 +18,7 @@
 //! # Soundness model
 //!
 //! The monitor is exact (no false alarms, no missed violations among
-//! completed operations) under the same assumptions the offline checkers
-//! already demand of store histories:
+//! completed operations) under two assumptions about the history:
 //!
 //! - **unique write values** per key — a read's value identifies the
 //!   write it observed, so a frontier state that can no longer linearize
@@ -34,20 +34,24 @@
 //!
 //! # Bounded memory
 //!
-//! Three mechanisms keep the frontier small on unbounded runs:
+//! Four mechanisms keep a key's state small on unbounded runs:
 //!
 //! - **pruning**: states that cannot reach a linearization of all
-//!   completed operations, and states that are neither complete nor able
-//!   to directly serve some pending operation, are dropped;
+//!   completed operations are dropped, and so are incomplete states from
+//!   which no pending read could be placed (a pending write is already
+//!   placed by the closure, and an operation invoked later follows every
+//!   completed one);
 //! - **retirement**: an operation placed in *every* surviving state has
 //!   its position fixed forever and is compacted out of the window;
+//! - **bounded interning**: values are interned per key, and an id that
+//!   no window operation and no frontier state references is released
+//!   whenever the window is compacted or restarted;
 //! - **saturation fallback**: a key whose window would exceed
 //!   [`MAX_WINDOW`] operations, or whose frontier would exceed
 //!   [`MAX_STATES`] states (pathological overlap), restarts its
-//!   frontier from an unconstrained value — exactly the offline
-//!   checkers' `Feasible::Any` restart — and counts the event in
-//!   [`ConsistencyMonitor::saturations`] so a weakened verdict is never
-//!   silent.
+//!   frontier from an unconstrained value ([`InitialState::Any`]) and
+//!   counts the event in [`ConsistencyMonitor::saturations`] so a
+//!   weakened verdict is never silent.
 //!
 //! ```
 //! use sbs_obs::ConsistencyMonitor;
@@ -67,8 +71,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// The per-key window cap: more than this many concurrently-tracked
 /// operations on one key saturates the monitor (see the module docs).
-/// 64 keeps a window's membership in one mask word — the same cap the
-/// offline exact checker uses per quiescent segment.
+/// 64 keeps a window's membership in one mask word.
 pub const MAX_WINDOW: usize = 64;
 
 /// The per-key frontier budget: a closure whose state set would exceed
@@ -76,7 +79,28 @@ pub const MAX_WINDOW: usize = 64;
 /// overlapping reads of one value, where every subset of placements is
 /// distinct) saturates the key instead of exploding. Counted in
 /// [`ConsistencyMonitor::saturations`] like a window overflow.
-pub const MAX_STATES: usize = 4096;
+pub const MAX_STATES: usize = 16_384;
+
+/// What a register may hold before its first operation.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum InitialState<V> {
+    /// Completely unknown (arbitrary initial configuration): the first read
+    /// may return anything, which then becomes the register's value.
+    Any,
+    /// One of these concrete values.
+    OneOf(BTreeSet<V>),
+}
+
+impl<V: Ord> InitialState<V> {
+    /// The same state over borrowed values, for a monitor that must not
+    /// clone them.
+    pub fn as_ref(&self) -> InitialState<&V> {
+        match self {
+            InitialState::Any => InitialState::Any,
+            InitialState::OneOf(set) => InitialState::OneOf(set.iter().collect()),
+        }
+    }
+}
 
 /// One detected atomicity violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,8 +120,8 @@ pub struct Violation {
 }
 
 /// The register value of a frontier state: unknown (any value is still
-/// feasible — the initial state of an `new()` monitor, and the restart
-/// state after saturation or a violation) or a specific interned value.
+/// feasible — [`InitialState::Any`], and the restart state after
+/// saturation or a violation) or a specific interned value.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Val {
     /// Any value is feasible (pins to the first read linearized on it).
@@ -125,7 +149,8 @@ struct ActiveOp {
     /// Window operations that must be linearized before this one:
     /// exactly the operations already completed when this one was
     /// invoked. Fixed at invocation — an operation completing later is
-    /// concurrent, never a predecessor.
+    /// concurrent, never a predecessor. Every bit is below this
+    /// operation's own window index.
     pred: u64,
 }
 
@@ -139,30 +164,270 @@ struct State {
 }
 
 /// The per-key incremental checker state.
-#[derive(Debug, Default)]
-struct KeyState {
+#[derive(Debug)]
+struct KeyState<V> {
     active: Vec<ActiveOp>,
     states: Vec<State>,
-    /// Interned write/read values (ids index nothing — they only need
-    /// to be equal iff the values are equal).
+    /// Value -> id for the values the window and the frontier reference
+    /// (ids index nothing — they only need to be equal iff the values
+    /// are equal).
+    interned: BTreeMap<V, u32>,
+    /// Ids released by [`KeyState::release_values`], reused first.
+    free: Vec<u32>,
     next_vid: u32,
+}
+
+impl<V: Clone + Ord> KeyState<V> {
+    fn new(initial: &InitialState<V>) -> Self {
+        let mut ks = KeyState {
+            active: Vec::new(),
+            states: vec![State {
+                mask: 0,
+                val: Val::Any,
+            }],
+            interned: BTreeMap::new(),
+            free: Vec::new(),
+            next_vid: 0,
+        };
+        if let InitialState::OneOf(set) = initial {
+            ks.states = set
+                .iter()
+                .map(|v| State {
+                    mask: 0,
+                    val: Val::Known(ks.intern(v)),
+                })
+                .collect();
+        }
+        ks
+    }
+
+    fn intern(&mut self, v: &V) -> u32 {
+        if let Some(&vid) = self.interned.get(v) {
+            return vid;
+        }
+        let vid = self.free.pop().unwrap_or_else(|| {
+            self.next_vid += 1;
+            self.next_vid - 1
+        });
+        self.interned.insert(v.clone(), vid);
+        vid
+    }
+
+    /// Drops the interned values no window operation and no frontier
+    /// state references any more.
+    fn release_values(&mut self) {
+        let mut live: Vec<u32> = self
+            .active
+            .iter()
+            .filter_map(|a| match a.kind {
+                Kind::Write(vid) | Kind::Read(Some(vid)) => Some(vid),
+                Kind::Read(None) => None,
+            })
+            .chain(self.states.iter().filter_map(|s| match s.val {
+                Val::Known(vid) => Some(vid),
+                Val::Any => None,
+            }))
+            .collect();
+        live.sort_unstable();
+        let free = &mut self.free;
+        self.interned.retain(|_, vid| {
+            let keep = live.binary_search(vid).is_ok();
+            if !keep {
+                free.push(*vid);
+            }
+            keep
+        });
+    }
+
+    /// The window operations already completed, as a mask.
+    fn completed(&self) -> u64 {
+        self.active
+            .iter()
+            .enumerate()
+            .filter(|(_, a)| a.responded.is_some())
+            .map(|(i, _)| 1u64 << i)
+            .sum()
+    }
+
+    /// The state after placing window operation `i` next from `s`, or
+    /// `None` if it cannot go next: already placed, a predecessor not yet
+    /// placed, or a read whose value is unknown or differs from the
+    /// register's. The successor also places every completed read of the
+    /// resulting value whose predecessors are all placed: such a read
+    /// changes no value and only widens the mask, so placing it at once
+    /// loses no linearization.
+    fn step(&self, s: State, i: usize) -> Option<State> {
+        let a = &self.active[i];
+        let bit = 1u64 << i;
+        if s.mask & bit != 0 || s.mask & a.pred != a.pred {
+            return None;
+        }
+        let vid = match a.kind {
+            Kind::Write(vid) => vid,
+            Kind::Read(Some(vid)) if s.val == Val::Any || s.val == Val::Known(vid) => vid,
+            Kind::Read(_) => return None,
+        };
+        let mut mask = s.mask | bit;
+        // Predecessors sit at lower window indices, so one ascending pass
+        // reaches the fixpoint.
+        for (j, r) in self.active.iter().enumerate() {
+            if matches!(r.kind, Kind::Read(Some(v)) if v == vid) && mask & r.pred == r.pred {
+                mask |= 1 << j;
+            }
+        }
+        Some(State {
+            mask,
+            val: Val::Known(vid),
+        })
+    }
+
+    /// Expands the frontier with the completion just recorded and
+    /// replaces it with the closure. Returns `Some(false)` when the
+    /// closure holds no state containing every completed operation
+    /// (violation), and `None` when the closure overflowed
+    /// [`MAX_STATES`] (caller saturates).
+    fn advance(&mut self) -> Option<bool> {
+        let completed = self.completed();
+        let mut seen: BTreeSet<State> = self.states.iter().copied().collect();
+        let mut work: Vec<State> = self.states.clone();
+        let mut any_full = false;
+        while let Some(s) = work.pop() {
+            any_full |= s.mask & completed == completed;
+            for i in 0..self.active.len() {
+                if let Some(next) = self.step(s, i) {
+                    if seen.insert(next) {
+                        if seen.len() > MAX_STATES {
+                            return None;
+                        }
+                        work.push(next);
+                    }
+                }
+            }
+        }
+        self.states = seen.into_iter().collect();
+        Some(any_full)
+    }
+
+    /// Prunes the frontier to the states worth keeping and retires
+    /// operations whose position is now fixed in every kept state.
+    /// Returns the retired operations.
+    fn prune_and_retire(&mut self) -> Vec<u64> {
+        let completed = self.completed();
+        let full = |s: &State| s.mask & completed == completed;
+
+        // A state is *good* if it can still reach a linearization of all
+        // completed operations. Masks only grow along successor edges,
+        // so processing by descending popcount sees every successor
+        // before its predecessors.
+        let mut order = std::mem::take(&mut self.states);
+        order.sort_by_key(|s| std::cmp::Reverse(s.mask.count_ones()));
+        let mut good: BTreeSet<State> = BTreeSet::new();
+        for s in order {
+            if full(&s)
+                || (0..self.active.len())
+                    .any(|i| self.step(s, i).is_some_and(|next| good.contains(&next)))
+            {
+                good.insert(s);
+            }
+        }
+
+        // Keep a good state only if it is complete, or some pending read
+        // could be placed directly from it (its value is unknown, so any
+        // state may yet serve it). A pending write is placed by the
+        // closure already, and an operation invoked later follows every
+        // completed one, so no other incomplete state is ever needed.
+        let keep: Vec<State> = good
+            .into_iter()
+            .filter(|s| {
+                full(s)
+                    || self.active.iter().enumerate().any(|(i, a)| {
+                        matches!(a.kind, Kind::Read(None))
+                            && s.mask & (1u64 << i) == 0
+                            && s.mask & a.pred == a.pred
+                    })
+            })
+            .collect();
+
+        // Retire: operations placed in every kept state have their
+        // position fixed forever — compact them out of the window.
+        let common = keep.iter().fold(u64::MAX, |acc, s| acc & s.mask);
+        self.states = keep;
+        if common == 0 {
+            return Vec::new();
+        }
+        let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.active.len());
+        let mut retired = Vec::new();
+        let mut kept_ops = Vec::with_capacity(self.active.len());
+        for (i, a) in self.active.drain(..).enumerate() {
+            if common & (1u64 << i) != 0 {
+                remap.push(None);
+                retired.push(a.op);
+            } else {
+                remap.push(Some(kept_ops.len()));
+                kept_ops.push(a);
+            }
+        }
+        let compact = |mask: u64| -> u64 {
+            let mut out = 0u64;
+            for (i, slot) in remap.iter().enumerate() {
+                if let (true, Some(j)) = (mask & (1u64 << i) != 0, slot) {
+                    out |= 1 << j;
+                }
+            }
+            out
+        };
+        for a in &mut kept_ops {
+            a.pred = compact(a.pred);
+        }
+        let compacted: BTreeSet<State> = self
+            .states
+            .iter()
+            .map(|s| State {
+                mask: compact(s.mask),
+                val: s.val,
+            })
+            .collect();
+        self.active = kept_ops;
+        self.states = compacted.into_iter().collect();
+        self.release_values();
+        retired
+    }
+
+    /// Restarts the frontier at an unconstrained value, keeping only
+    /// pending operations in the window (a pending read completing later
+    /// is then judged against the unconstrained restart — sound, merely
+    /// weaker over the restart boundary). Returns the operations dropped
+    /// because even the pending ones overflow [`MAX_WINDOW`].
+    fn restart(&mut self) -> Vec<u64> {
+        self.active.retain(|a| a.responded.is_none());
+        let excess = self.active.len().saturating_sub(MAX_WINDOW - 1);
+        let dropped = self.active.drain(..excess).map(|a| a.op).collect();
+        for a in &mut self.active {
+            a.pred = 0;
+        }
+        self.states = vec![State {
+            mask: 0,
+            val: Val::Any,
+        }];
+        self.release_values();
+        dropped
+    }
 }
 
 /// The online atomicity monitor. Generic over the value domain `V`
 /// (the store instantiates it at `Option<V>`, with `None` = key
-/// absent). See the module docs for the algorithm and its assumptions.
+/// absent; a replay of a finished history at `&V`, so no value is
+/// cloned). See the module docs for the algorithm and its assumptions.
 pub struct ConsistencyMonitor<V> {
-    keys: BTreeMap<String, KeyState>,
-    /// Interning table per key: `(key, value) -> vid`. Kept outside
-    /// `KeyState` so `KeyState` stays `V`-independent.
-    interned: BTreeMap<(String, V), u32>,
-    /// Pending operation -> key (dropped at completion or saturation).
+    keys: BTreeMap<String, KeyState<V>>,
+    /// Pending operation -> key (dropped at completion, retirement or
+    /// saturation).
     op_keys: BTreeMap<u64, String>,
     violations: Vec<Violation>,
     saturations: u64,
     ops_observed: u64,
-    /// The initial register value, if known (interned lazily per key).
-    initial: Option<V>,
+    /// What every key's register holds before its first operation.
+    initial: InitialState<V>,
 }
 
 impl<V> std::fmt::Debug for ConsistencyMonitor<V> {
@@ -184,25 +449,26 @@ impl<V: Clone + Ord> Default for ConsistencyMonitor<V> {
 
 impl<V: Clone + Ord> ConsistencyMonitor<V> {
     /// A monitor whose registers start with an **unknown** value: the
-    /// first read linearized on a fresh key pins it (`Feasible::Any`).
+    /// first read linearized on a fresh key pins it.
     pub fn new() -> Self {
-        ConsistencyMonitor {
-            keys: BTreeMap::new(),
-            interned: BTreeMap::new(),
-            op_keys: BTreeMap::new(),
-            violations: Vec::new(),
-            saturations: 0,
-            ops_observed: 0,
-            initial: None,
-        }
+        Self::starting_from(InitialState::Any)
     }
 
     /// A monitor whose registers all start holding `initial` (the store
     /// uses `None` — every key starts absent).
     pub fn with_initial(initial: V) -> Self {
+        Self::starting_from(InitialState::OneOf(BTreeSet::from([initial])))
+    }
+
+    /// A monitor whose registers all start in `initial`.
+    pub fn starting_from(initial: InitialState<V>) -> Self {
         ConsistencyMonitor {
-            initial: Some(initial),
-            ..Self::new()
+            keys: BTreeMap::new(),
+            op_keys: BTreeMap::new(),
+            violations: Vec::new(),
+            saturations: 0,
+            ops_observed: 0,
+            initial,
         }
     }
 
@@ -215,36 +481,21 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
         let _ = at_ns; // precedence is positional: completed-before-invoked, below.
         self.ops_observed += 1;
         if !self.keys.contains_key(key) {
-            let mut ks = KeyState::default();
-            ks.states.push(State {
-                mask: 0,
-                val: match &self.initial {
-                    Some(v) => {
-                        let vid = Self::intern(&mut self.interned, &mut ks.next_vid, key, v);
-                        Val::Known(vid)
-                    }
-                    None => Val::Any,
-                },
-            });
-            self.keys.insert(key.to_string(), ks);
+            self.keys
+                .insert(key.to_string(), KeyState::new(&self.initial));
         }
         if self.keys[key].active.len() >= MAX_WINDOW {
             self.saturate(key);
         }
         let ks = self.keys.get_mut(key).expect("created above");
         let kind = match write {
-            Some(v) => Kind::Write(Self::intern(&mut self.interned, &mut ks.next_vid, key, &v)),
+            Some(v) => Kind::Write(ks.intern(&v)),
             None => Kind::Read(None),
         };
         // Predecessors: exactly the window operations already completed
         // now. (An operation completing later is concurrent with this
         // one — `responded < invoked` can no longer hold for it.)
-        let mut pred = 0u64;
-        for (i, a) in ks.active.iter().enumerate() {
-            if a.responded.is_some() {
-                pred |= 1 << i;
-            }
-        }
+        let pred = ks.completed();
         ks.active.push(ActiveOp {
             op,
             responded: None,
@@ -264,49 +515,45 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
     pub fn op_completed(&mut self, op: u64, at_ns: u64, read: Option<V>) -> Option<&Violation> {
         let key = self.op_keys.remove(&op)?;
         let ks = self.keys.get_mut(&key)?;
-        let Some(idx) = ks.active.iter().position(|a| a.op == op) else {
-            // Retired while pending (its place in the order is already
-            // fixed in every state) — nothing left to check.
-            return None;
-        };
+        let idx = ks.active.iter().position(|a| a.op == op)?;
         ks.active[idx].responded = Some(at_ns);
-        if let Kind::Read(slot @ None) = &mut ks.active[idx].kind {
+        if let Kind::Read(None) = ks.active[idx].kind {
             let v = read.expect("read completion must carry the returned value");
-            *slot = Some(Self::intern(&mut self.interned, &mut ks.next_vid, &key, &v));
+            ks.active[idx].kind = Kind::Read(Some(ks.intern(&v)));
         }
-        match Self::advance(ks) {
+        match ks.advance() {
             None => {
                 // Frontier budget exceeded (pathological same-value
                 // concurrency): weaken instead of hanging — same
                 // fallback as a window overflow.
-                self.saturations += 1;
-                self.restart(&key);
-                return None;
+                self.saturate(&key);
+                None
             }
             Some(true) => {
-                self.prune_and_retire(&key);
-                return None;
+                for retired in ks.prune_and_retire() {
+                    self.op_keys.remove(&retired);
+                }
+                None
             }
-            Some(false) => {}
-        }
-        {
-            // Frontier is dead: no linearization of the completed window
-            // operations exists. Flag it, then restart the key with an
-            // unconstrained value so monitoring continues.
-            let culprits: Vec<u64> = self.keys[&key]
-                .active
-                .iter()
-                .filter(|a| a.responded.is_some())
-                .map(|a| a.op)
-                .collect();
-            self.violations.push(Violation {
-                key: key.clone(),
-                op,
-                at_ns,
-                culprits,
-            });
-            self.restart(&key);
-            self.violations.last()
+            Some(false) => {
+                // Frontier is dead: no linearization of the completed
+                // window operations exists. Flag it, then restart the key
+                // with an unconstrained value so monitoring continues.
+                let culprits: Vec<u64> = ks
+                    .active
+                    .iter()
+                    .filter(|a| a.responded.is_some())
+                    .map(|a| a.op)
+                    .collect();
+                self.violations.push(Violation {
+                    key: key.clone(),
+                    op,
+                    at_ns,
+                    culprits,
+                });
+                self.restart(&key);
+                self.violations.last()
+            }
         }
     }
 
@@ -325,10 +572,10 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
         self.violations.first()
     }
 
-    /// Times a key's window overflowed [`MAX_WINDOW`] and the monitor
-    /// fell back to an unconstrained restart. A non-zero count weakens
-    /// the "clean" verdict over the overlapping stretch — surfaced so it
-    /// is never silent.
+    /// Times a key's window overflowed [`MAX_WINDOW`] or its frontier
+    /// [`MAX_STATES`] and the monitor fell back to an unconstrained
+    /// restart. A non-zero count weakens the "clean" verdict over the
+    /// overlapping stretch — surfaced so it is never silent.
     pub fn saturations(&self) -> u64 {
         self.saturations
     }
@@ -352,211 +599,19 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
             .unwrap_or(0)
     }
 
-    fn intern(table: &mut BTreeMap<(String, V), u32>, next: &mut u32, key: &str, v: &V) -> u32 {
-        if let Some(&vid) = table.get(&(key.to_string(), v.clone())) {
-            return vid;
-        }
-        let vid = *next;
-        *next += 1;
-        table.insert((key.to_string(), v.clone()), vid);
-        vid
-    }
-
-    /// Expands the key's frontier with the completion just recorded and
-    /// replaces it with the closure. Returns `Some(false)` when the
-    /// closure holds no state containing every completed operation
-    /// (violation), and `None` when the closure overflowed
-    /// [`MAX_STATES`] (caller saturates).
-    fn advance(ks: &mut KeyState) -> Option<bool> {
-        let completed: u64 = ks
-            .active
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.responded.is_some())
-            .map(|(i, _)| 1u64 << i)
-            .sum();
-        let mut seen: BTreeSet<State> = ks.states.iter().copied().collect();
-        let mut work: Vec<State> = ks.states.clone();
-        let mut any_full = false;
-        while let Some(s) = work.pop() {
-            if s.mask & completed == completed {
-                any_full = true;
-            }
-            for (i, a) in ks.active.iter().enumerate() {
-                let bit = 1u64 << i;
-                if s.mask & bit != 0 || s.mask & a.pred != a.pred {
-                    continue;
-                }
-                let val = match a.kind {
-                    Kind::Write(vid) => Val::Known(vid),
-                    // A pending read constrains nothing yet; its place is
-                    // chosen when its value is known.
-                    Kind::Read(None) => continue,
-                    Kind::Read(Some(vid)) => {
-                        if s.val == Val::Any || s.val == Val::Known(vid) {
-                            Val::Known(vid)
-                        } else {
-                            continue;
-                        }
-                    }
-                };
-                let next = State {
-                    mask: s.mask | bit,
-                    val,
-                };
-                if seen.insert(next) {
-                    if seen.len() > MAX_STATES {
-                        return None;
-                    }
-                    work.push(next);
-                }
-            }
-        }
-        ks.states = seen.into_iter().collect();
-        Some(any_full)
-    }
-
-    /// Prunes the frontier to the states worth keeping and retires
-    /// operations whose position is now fixed in every kept state.
-    fn prune_and_retire(&mut self, key: &str) {
-        let ks = self.keys.get_mut(key).expect("key exists");
-        let completed: u64 = ks
-            .active
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.responded.is_some())
-            .map(|(i, _)| 1u64 << i)
-            .sum();
-        let states = std::mem::take(&mut ks.states);
-
-        // A state is *good* if it can still reach a linearization of all
-        // completed operations. Masks only grow along successor edges,
-        // so processing by descending popcount sees every successor
-        // before its predecessors.
-        let mut order: Vec<State> = states;
-        order.sort_by_key(|s| std::cmp::Reverse(s.mask.count_ones()));
-        let mut good: BTreeSet<State> = BTreeSet::new();
-        for s in &order {
-            let full = s.mask & completed == completed;
-            let reaches = full
-                || ks.active.iter().enumerate().any(|(i, a)| {
-                    let bit = 1u64 << i;
-                    if s.mask & bit != 0 || s.mask & a.pred != a.pred {
-                        return false;
-                    }
-                    let val = match a.kind {
-                        Kind::Write(vid) => Val::Known(vid),
-                        Kind::Read(None) => return false,
-                        Kind::Read(Some(vid)) => {
-                            if s.val != Val::Known(vid) && s.val != Val::Any {
-                                return false;
-                            }
-                            Val::Known(vid)
-                        }
-                    };
-                    good.contains(&State {
-                        mask: s.mask | bit,
-                        val,
-                    })
-                });
-            if reaches {
-                good.insert(*s);
-            }
-        }
-
-        // Keep a good state only if it is complete, or some pending
-        // operation could be linearized directly from it (pending reads
-        // have unknown values, so any value-compatible state may yet
-        // serve them). Everything else is an interior state whose useful
-        // descendants are kept anyway.
-        let keep: Vec<State> = good
-            .iter()
-            .copied()
-            .filter(|s| {
-                s.mask & completed == completed
-                    || ks.active.iter().enumerate().any(|(i, a)| {
-                        a.responded.is_none()
-                            && s.mask & (1u64 << i) == 0
-                            && s.mask & a.pred == a.pred
-                    })
-            })
-            .collect();
-
-        // Retire: operations placed in every kept state have their
-        // position fixed forever — compact them out of the window.
-        let common = keep.iter().fold(u64::MAX, |acc, s| acc & s.mask);
-        if common != 0 {
-            let mut remap: Vec<Option<usize>> = Vec::with_capacity(ks.active.len());
-            let mut new_active = Vec::with_capacity(ks.active.len());
-            for (i, a) in ks.active.iter().enumerate() {
-                if common & (1u64 << i) != 0 {
-                    remap.push(None);
-                    self.op_keys.remove(&a.op);
-                } else {
-                    remap.push(Some(new_active.len()));
-                    new_active.push(a.clone());
-                }
-            }
-            let compact = |mask: u64| -> u64 {
-                let mut out = 0u64;
-                for (i, slot) in remap.iter().enumerate() {
-                    if mask & (1u64 << i) != 0 {
-                        if let Some(j) = slot {
-                            out |= 1 << j;
-                        }
-                    }
-                }
-                out
-            };
-            for a in &mut new_active {
-                a.pred = compact(a.pred);
-            }
-            let mut compacted: BTreeSet<State> = BTreeSet::new();
-            for s in keep {
-                compacted.insert(State {
-                    mask: compact(s.mask),
-                    val: s.val,
-                });
-            }
-            ks.active = new_active;
-            ks.states = compacted.into_iter().collect();
-        } else {
-            ks.states = keep;
-        }
-    }
-
-    /// Saturation fallback: the key's window overflowed. Drop completed
-    /// operations, restart the frontier unconstrained, and keep the
-    /// pending ones (dropping the oldest if even they overflow).
+    /// Saturation fallback: counts the event and restarts the key.
     fn saturate(&mut self, key: &str) {
         self.saturations += 1;
         self.restart(key);
     }
 
-    /// Restarts `key`'s frontier at an unconstrained value, keeping only
-    /// pending operations in the window (a pending read completing later
-    /// is then judged against the unconstrained restart — sound, merely
-    /// weaker over the restart boundary, like the offline checkers'
-    /// `Feasible::Any` segments).
+    /// Restarts `key`'s frontier unconstrained (see [`KeyState::restart`]),
+    /// forgetting the operations it drops.
     fn restart(&mut self, key: &str) {
         let ks = self.keys.get_mut(key).expect("key exists");
-        let mut pending: Vec<ActiveOp> = ks
-            .active
-            .drain(..)
-            .filter(|a| a.responded.is_none())
-            .collect();
-        while pending.len() >= MAX_WINDOW {
-            let dropped = pending.remove(0);
-            self.op_keys.remove(&dropped.op);
+        for dropped in ks.restart() {
+            self.op_keys.remove(&dropped);
         }
-        for a in &mut pending {
-            a.pred = 0;
-        }
-        ks.active = pending;
-        ks.states = vec![State {
-            mask: 0,
-            val: Val::Any,
-        }];
     }
 }
 
@@ -699,6 +754,15 @@ mod tests {
                 "retirement must bound the window, got {} at i={i}",
                 m.max_window_in_use()
             );
+            // Interned values are released with the window: at most one
+            // per window op plus the frontier's current value.
+            let ks = &m.keys["k"];
+            assert!(
+                ks.interned.len() <= ks.active.len() + 1,
+                "{} values interned for a window of {} at i={i}",
+                ks.interned.len(),
+                ks.active.len()
+            );
         }
         assert!(m.is_clean());
         assert_eq!(m.saturations(), 0);
@@ -777,5 +841,26 @@ mod tests {
         assert!(m.op_completed(2, 50, Some(Some(2))).is_none());
         get(&mut m, 3, "k", 60);
         assert!(m.op_completed(3, 70, Some(Some(1))).is_some());
+    }
+
+    #[test]
+    fn reads_of_a_pending_writes_value_retire() {
+        // A put stays pending while a reader completes 200 sequential
+        // gets of its value: every get is placed after the put in every
+        // surviving state, so they retire instead of filling the window.
+        let mut m = M::with_initial(None);
+        put(&mut m, 0, "k", 0, 1);
+        for i in 1..=200u64 {
+            get(&mut m, i, "k", 10 * i);
+            m.op_completed(i, 10 * i + 5, Some(Some(1)));
+            assert!(
+                m.max_window_in_use() <= 3,
+                "window {}",
+                m.max_window_in_use()
+            );
+        }
+        m.op_completed(0, 5_000, None);
+        assert!(m.is_clean());
+        assert_eq!(m.saturations(), 0);
     }
 }

@@ -121,9 +121,10 @@ fn assert_folding_is_differentially_equivalent(
         "{label}: Zipfian mix must touch many keys: {keys}"
     );
 
-    // Open-loop histories overlap heavily; judge per-key regularity
-    // (the exact atomicity search has no quiescent cut points to
-    // divide at).
+    // Judge per-key regularity: the bursts pile up to 74 ops onto a hot
+    // key, dozens of them in flight at once, and the interleavings of
+    // those overflow the atomicity checker's frontier budget, so it
+    // would return a saturation error instead of a verdict.
     for key in bursty_sys.keys_touched() {
         let h = bursty_sys.history_for_key(&key);
         let rep = check_regularity(&h, &[None]);
