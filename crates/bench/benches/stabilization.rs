@@ -18,9 +18,9 @@
 //! Healing steady state: the *host* cost of keeping anti-entropy on when
 //! nothing is wrong — a long unfaulted write-heavy run on the coded plane
 //! with a 2 ms gossip period, reported as wall µs per operation and gated
-//! by `trajcheck` (`healing-steady-state`). Replicas keep every snapshot
-//! by default, so any per-tick work that grows with the store shows up
-//! here as a per-op cost that grows with the run.
+//! by `trajcheck` (`healing-steady-state`). Replicas keep each key's last
+//! two values, so an unfaulted run also must not bill a single repair
+//! round: gossip naming a value a replica evicted must not pull it back.
 //!
 //! ```sh
 //! cargo bench -p sbs-bench --bench stabilization            # full
@@ -192,9 +192,9 @@ fn repair_stabilization_probe(traj: &mut BenchTrajectory) {
 /// of virtual time, **no fault** — so every `DIGEST_SUMMARY` is pure
 /// overhead and not one repair round may run. What it measures is wall
 /// time per operation: the nine servers tick ≈ 7 times per operation
-/// between them while their stores only grow, which is what made the
-/// per-tick store scan (removed in PR 19) cost quadratic in the run
-/// length. The op counts are sized against that: with the scan, the
+/// between them, so a tick whose cost grows with the store makes the run
+/// cost grow faster than its length. The op counts are sized against a
+/// per-tick store scan over stores that kept every value: with it, the
 /// smoke run's 4 000 operations cost 219 and 304 µs each (two runs on
 /// the reference container) against 49 µs for the committed full run
 /// without it — 4.4× at best, which `trajcheck`'s 3× gate refuses.
@@ -209,7 +209,8 @@ fn healing_steady_state_probe(traj: &mut BenchTrajectory, smoke: bool) {
         .extra_readers(2)
         .anti_entropy(SimDuration::millis(2));
     // The other probes' shape (Zipfian keys, closed loop, seed 42), but
-    // write-heavy so the stores grow all run long.
+    // write-heavy so every key is overwritten far past what a replica
+    // retains.
     let wl = Workload {
         mix: OpMix::ycsb_a(),
         ..Workload::ycsb_b(ops, 64)
@@ -218,6 +219,8 @@ fn healing_steady_state_probe(traj: &mut BenchTrajectory, smoke: bool) {
     let (report, sys) = wl.run(&builder);
     let wall = t0.elapsed().as_secs_f64();
     assert_eq!(report.completed, ops, "probe workload must complete");
+    // Also the guard against anti-entropy resurrecting evictions: a
+    // summary naming a value a replica evicted must plant no repair.
     assert_eq!(
         report.repair_rounds, 0,
         "an unfaulted fleet must not bill a single repair round"

@@ -16,20 +16,36 @@
 //!
 //! Entries are retained by **holders**: a [`Holder`] is a shard's *key
 //! slot* — the slot the shard's writer assigned the key whose value the
-//! entry is (`sbs-store` carries it in every value reference). By default
-//! every verified fragment is kept forever: overwrites orphan a key's old
-//! values, and [`FragmentStore::bytes_stored`] only grows.
-//! [`FragmentStore::with_retention`] bounds that: only the last `K`
-//! *distinct* roots per holder — the last `K` values of each key — are
-//! retained, oldest-first eviction. Retention per key, not per shard, is
-//! what keeps a cold key alive: a shard-wide "last `K`" would let a hot
-//! neighbour's overwrites evict the only value a rarely written key still
-//! references. `K ≥ 2` keeps a key's previous value alive, so a concurrent
-//! reader that read the metadata register just before an overwrite still
-//! resolves its reference; readers chasing older (or evicted) references
-//! fall back to re-reading the metadata register, which names a live root
-//! again. Re-putting a held fragment refreshes its recency instead of
-//! double counting it.
+//! entry is (`sbs-store` carries it in every value reference). A replica
+//! keeps only the last [`RETAINED_PER_KEY`] *distinct* roots per holder —
+//! the last two values of each key — evicting oldest-first, so a replica's
+//! storage is bounded by its keys, not by how often they are written.
+//! Retention per key, not per shard, is what keeps a cold key alive: a
+//! shard-wide "last `K`" would let a hot neighbour's overwrites evict the
+//! only value a rarely written key still references. Keeping two keeps a
+//! key's previous value alive, so a concurrent reader that read the
+//! metadata register just before an overwrite still resolves its
+//! reference; readers chasing older (evicted) references fall back to
+//! re-reading the metadata register, which names a live root again.
+//! Re-putting a held fragment refreshes its recency instead of double
+//! counting it.
+//!
+//! ## Eviction and the self-healing plane
+//!
+//! Anti-entropy pulls whatever a peer's summary or a reader's miss names
+//! that the replica does not hold, so two rules keep it from undoing the
+//! bound:
+//!
+//! - **Evicted roots are not repair suspects.** Each holder remembers the
+//!   last `K` roots it evicted ([`FragmentStore::evicted`]); a summary
+//!   entry or a fetch miss naming one is an old value, not a loss. The
+//!   memory never names a root its holder holds — storing the root again
+//!   drops it from the memory — and [`FragmentStore::wipe`] clears it, so
+//!   a wiped replica still pulls everything back.
+//! - **A repair never evicts.** [`FragmentStore::repair`] fills a free
+//!   retention slot or stores nothing: a slow peer naming an older root,
+//!   or a Byzantine peer serving old but genuine fragments, must not be
+//!   able to push a key's current value out of an honest replica.
 //!
 //! ## Aliasing
 //!
@@ -73,8 +89,8 @@
 //! tick costs `O(log n)` plus its ≤ 32 entries, whatever the store holds.
 //!
 //! The index changes at exactly the four places a holder set changes:
-//! a verified put that stores a new entry or adds a new holder to a held
-//! one, a retention eviction, [`FragmentStore::remove`] (corruption found
+//! a verified put (or repair) that stores a new entry or adds a new holder
+//! to a held one, a retention eviction, [`FragmentStore::remove`] (corruption found
 //! on serve), and [`FragmentStore::wipe`]. Each change re-lists the one
 //! pair it touched from a range probe of the entries: the pair enters when
 //! the shard's first slot holding the root appears, carries the lowest
@@ -91,13 +107,18 @@
 
 use crate::digest::BulkDigest;
 use crate::ranked::RankedSet;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 /// Reference-counted immutable payload bytes, shared zero-copy between
 /// wire messages, replica storage, and retransmission buffers.
 pub type SharedBytes = Arc<[u8]>;
+
+/// Distinct roots a replica retains per holder — per key: the key's
+/// current value and its previous one, which a reader that read the
+/// metadata register just before an overwrite may still be fetching.
+pub const RETAINED_PER_KEY: usize = 2;
 
 /// Who retains an entry: key slot `slot` of shard `shard` — the slot the
 /// shard's writer assigned the key whose value the entry is. Retention
@@ -134,13 +155,16 @@ pub enum PutOutcome {
     /// The fragment does not verify against the announced commitment root
     /// (or conflicts with the index the shard already holds) — refused.
     DigestMismatch,
+    /// A repair for a holder whose retention slots are all taken — refused
+    /// (see [`FragmentStore::repair`]).
+    NoFreeSlot,
 }
 
 impl PutOutcome {
     /// True if the replica now holds the fragment (either outcome that
     /// warrants an acknowledgement).
     pub fn held(self) -> bool {
-        !matches!(self, PutOutcome::DigestMismatch)
+        matches!(self, PutOutcome::Stored | PutOutcome::AlreadyHeld)
     }
 }
 
@@ -192,16 +216,19 @@ impl Held {
     }
 }
 
-/// One holder's recency order: keys indexed by a store-wide monotonic
+/// One holder's recency order — keys indexed by a store-wide monotonic
 /// sequence number, so a refresh (`touch`) is two `O(log n)` map moves
-/// instead of a linear queue scan — republish-heavy workloads re-put held
-/// fragments on the hot path.
+/// instead of a linear queue scan (republish-heavy workloads re-put held
+/// fragments on the hot path) — and its eviction memory.
 #[derive(Clone, Debug, Default)]
 struct Recency {
     /// Keys by insertion/refresh sequence, oldest first.
     by_seq: BTreeMap<u64, FragKey>,
     /// Each key's current sequence (exactly the inverse of `by_seq`).
     seq_of: BTreeMap<FragKey, u64>,
+    /// The last `retain` roots this holder evicted, oldest first — never
+    /// one it holds.
+    evicted: VecDeque<BulkDigest>,
 }
 
 /// One holdings-index entry: a `(holder shard, root)` pair and the lowest
@@ -259,7 +286,10 @@ impl Ord for Listing {
 ///
 /// Invariants:
 /// - key `x` appears in holder `h`'s recency order iff `h` is one of its
-///   holders (recency and holder sets never drift);
+///   holders (recency and holder sets never drift), and a holder holds at
+///   most `retain` keys;
+/// - a holder's eviction memory lists at most `retain` roots, none of
+///   which it holds;
 /// - `bytes_stored` is the sum of the fragment lengths of live entries —
 ///   incremented once when an entry is first stored, decremented once
 ///   when its last holder evicts it (never per holder, so aliasing cannot
@@ -267,30 +297,37 @@ impl Ord for Listing {
 /// - `(s, r)` is listed in `index` iff some slot of shard `s` holds some
 ///   entry of root `r`, and listed with the lowest such slot (see the
 ///   module docs' "Index" section).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct FragmentStore {
     entries: BTreeMap<FragKey, Held>,
     /// The `(holder shard, root)` pairs of `entries`, each with its
     /// shard's lowest holding slot, rank-addressable.
     index: RankedSet<Listing>,
     bytes_stored: u64,
-    /// Distinct keys retained per holder (`None` = unbounded).
-    retain: Option<usize>,
-    /// Per-holder key recency. Only maintained when a retention bound is
-    /// set.
+    /// Distinct keys retained per holder.
+    retain: usize,
+    /// Per-holder key recency and eviction memory.
     recency: BTreeMap<Holder, Recency>,
     /// Store-wide recency sequence (monotonic; gaps are fine).
     next_seq: u64,
 }
 
+impl Default for FragmentStore {
+    fn default() -> Self {
+        FragmentStore::new()
+    }
+}
+
 impl FragmentStore {
-    /// An empty store that retains every verified fragment forever.
+    /// An empty store retaining the last [`RETAINED_PER_KEY`] distinct
+    /// roots per holder (per key), evicting oldest-first.
     pub fn new() -> Self {
-        FragmentStore::default()
+        FragmentStore::with_retention(RETAINED_PER_KEY)
     }
 
-    /// An empty store that retains only the last `retain` distinct roots
-    /// per holder (per key), evicting oldest-first.
+    /// An empty store retaining the last `retain` distinct roots per
+    /// holder — the retention sweeps' constructor; replicas use
+    /// [`FragmentStore::new`].
     ///
     /// # Panics
     ///
@@ -299,18 +336,54 @@ impl FragmentStore {
     pub fn with_retention(retain: usize) -> Self {
         assert!(retain >= 1, "retention bound must be at least 1");
         FragmentStore {
-            retain: Some(retain),
-            ..FragmentStore::default()
+            entries: BTreeMap::new(),
+            index: RankedSet::default(),
+            bytes_stored: 0,
+            retain,
+            recency: BTreeMap::new(),
+            next_seq: 0,
         }
     }
 
     /// Verifies `frag` against the commitment `root` (Merkle path replay)
     /// and stores it under `(root, frag.index)`, held by `holder` (the key
-    /// slot whose value it is). Under a retention bound, storing a fresh
-    /// root may evict the holder's oldest one; re-putting a held fragment
-    /// refreshes its recency at every holder that holds it. See the type
-    /// docs for the same-shard index-conflict refusal.
+    /// slot whose value it is) — a writer's push. Storing a fresh root may
+    /// evict the holder's oldest one; re-putting a held fragment refreshes
+    /// its recency at every holder that holds it. See the type docs for
+    /// the same-shard index-conflict refusal.
     pub fn put(&mut self, holder: Holder, root: BulkDigest, frag: StoredFragment) -> PutOutcome {
+        self.admit(holder, root, frag, true)
+    }
+
+    /// Stores a fragment the self-healing plane rebuilt, like
+    /// [`Self::put`] except that it **never evicts**: it fills a free
+    /// retention slot of `holder` or stores nothing
+    /// ([`PutOutcome::NoFreeSlot`]), and it refreshes no recency. A repair
+    /// answers a summary or a miss that may name an older value than the
+    /// holder's — a slow peer's, or an old but genuine one a Byzantine
+    /// peer serves — and must not push the key's current value out.
+    pub fn repair(&mut self, holder: Holder, root: BulkDigest, frag: StoredFragment) -> PutOutcome {
+        self.admit(holder, root, frag, false)
+    }
+
+    /// True if `holder` evicted `root` among its last `K` evictions and has
+    /// not stored it since — an old value of the key, which anti-entropy
+    /// must not pull back (see the module docs).
+    pub fn evicted(&self, holder: Holder, root: &BulkDigest) -> bool {
+        self.recency
+            .get(&holder)
+            .is_some_and(|rec| rec.evicted.contains(root))
+    }
+
+    /// The one admission path of [`Self::put`] (`push`) and
+    /// [`Self::repair`].
+    fn admit(
+        &mut self,
+        holder: Holder,
+        root: BulkDigest,
+        frag: StoredFragment,
+        push: bool,
+    ) -> PutOutcome {
         // Empty fragments are refused outright: an honest dispersal's
         // fragments are never zero-length (the value encodes to at least
         // one byte), and a Byzantine writer *can* commit an empty leaf —
@@ -337,6 +410,13 @@ impl FragmentStore {
             return PutOutcome::DigestMismatch;
         }
         let key = (root, frag.index);
+        let new_hold = !self
+            .entries
+            .get(&key)
+            .is_some_and(|held| held.holders.contains(&holder));
+        if !push && new_hold && self.held_by(holder) >= self.retain {
+            return PutOutcome::NoFreeSlot;
+        }
         let outcome = if self.entries.contains_key(&key) {
             PutOutcome::AlreadyHeld
         } else {
@@ -350,7 +430,7 @@ impl FragmentStore {
             );
             PutOutcome::Stored
         };
-        if !self.entries[&key].holders.contains(&holder) {
+        if new_hold {
             // A new holder — a fresh entry, or a second key (or shard)
             // aliasing onto the same fragment: it gets its own retention
             // slot (and its own recency entry), so another holder's later
@@ -363,14 +443,13 @@ impl FragmentStore {
             self.relist(holder.shard, root);
             self.enqueue(holder, key);
         }
-        // Recency refresh goes to the holders that actually hold the
-        // key — looked up here, never trusted from the wire: a Byzantine
-        // writer re-putting a held fragment under a foreign holder must
-        // not be able to starve the true holder's refresh (pre-fix, the
-        // actively republished value became the next eviction victim).
-        // Without a retention bound there is no recency to maintain, so
-        // duplicate puts stay allocation-free on that (default) hot path.
-        if self.retain.is_some() {
+        if push {
+            // Recency refresh goes to the holders that actually hold the
+            // key — looked up here, never trusted from the wire: a
+            // Byzantine writer re-putting a held fragment under a foreign
+            // holder must not be able to starve the true holder's refresh
+            // (pre-fix, the actively republished value became the next
+            // eviction victim).
             if outcome == PutOutcome::AlreadyHeld {
                 let holders: Vec<Holder> = self.entries[&key].holders.iter().copied().collect();
                 for h in holders {
@@ -380,6 +459,11 @@ impl FragmentStore {
             self.evict_overflow(holder);
         }
         outcome
+    }
+
+    /// How many keys `holder` holds.
+    fn held_by(&self, holder: Holder) -> usize {
+        self.recency.get(&holder).map_or(0, |rec| rec.by_seq.len())
     }
 
     /// The entries holding fragments of `root`, across all indices.
@@ -423,9 +507,8 @@ impl FragmentStore {
 
     /// Total fragment payload bytes currently held (each physical
     /// fragment counted once, however many holders alias onto it; proof
-    /// bytes are commitment metadata, not payload). Without a retention
-    /// bound this only grows under overwrite churn; with one it plateaus
-    /// at ≤ `retain` fragments per key.
+    /// bytes are commitment metadata, not payload). Under overwrite churn
+    /// it plateaus at ≤ `retain` fragments per key.
     pub fn bytes_stored(&self) -> u64 {
         self.bytes_stored
     }
@@ -438,9 +521,11 @@ impl FragmentStore {
             .collect()
     }
 
-    /// Discards every fragment (transient data fault) while preserving
-    /// the retention configuration — a fault, not a reconfiguration. The
-    /// recency sequence keeps advancing so post-wipe inserts order
+    /// Discards every fragment and the eviction memory (transient data
+    /// fault) while preserving the retention bound — a fault, not a
+    /// reconfiguration. Forgetting the evictions is what lets a wiped
+    /// replica pull back a value it had once evicted and lost track of.
+    /// The recency sequence keeps advancing so post-wipe inserts order
     /// strictly after pre-wipe history.
     pub fn wipe(&mut self) {
         self.entries.clear();
@@ -541,17 +626,16 @@ impl FragmentStore {
         }
     }
 
-    /// Appends `key` as `holder`'s most recent (retention mode only).
+    /// Appends `key` as `holder`'s most recent, and drops its root from
+    /// the holder's eviction memory.
     fn enqueue(&mut self, holder: Holder, key: FragKey) {
-        if self.retain.is_none() {
-            return;
-        }
         let seq = self.next_seq;
         self.next_seq += 1;
         let rec = self.recency.entry(holder).or_default();
         debug_assert!(!rec.seq_of.contains_key(&key), "double enqueue");
         rec.by_seq.insert(seq, key);
         rec.seq_of.insert(key, seq);
+        rec.evicted.retain(|root| *root != key.0);
     }
 
     /// Moves `key` to the most-recent end of `holder`'s order, if listed.
@@ -570,12 +654,11 @@ impl FragmentStore {
     }
 
     /// Evicts `holder`'s oldest keys while it retains more than the
-    /// bound. Eviction drops only *this holder's hold*; the entry (and
-    /// its byte accounting) goes away with the last holder.
+    /// bound, remembering their roots. Eviction drops only *this holder's
+    /// hold*; the entry (and its byte accounting) goes away with the last
+    /// holder.
     fn evict_overflow(&mut self, holder: Holder) {
-        let Some(k) = self.retain else {
-            return;
-        };
+        let k = self.retain;
         loop {
             let Some(rec) = self.recency.get_mut(&holder) else {
                 return;
@@ -585,6 +668,10 @@ impl FragmentStore {
             }
             let (_, evicted) = rec.by_seq.pop_first().expect("len > k >= 1");
             rec.seq_of.remove(&evicted);
+            rec.evicted.push_back(evicted.0);
+            if rec.evicted.len() > k {
+                rec.evicted.pop_front();
+            }
             let Some(held) = self.entries.get_mut(&evicted) else {
                 debug_assert!(false, "recency listed a key the store does not hold");
                 continue;
@@ -663,9 +750,12 @@ mod tests {
         assert!(Arc::ptr_eq(served, &bytes), "serving must not copy");
     }
 
+    /// The default store — every replica's — keeps each key's last two
+    /// values.
     #[test]
     fn retention_evicts_oldest_and_bytes_plateau() {
-        let mut s = FragmentStore::with_retention(2);
+        let mut s = FragmentStore::new();
+        assert_eq!(RETAINED_PER_KEY, 2);
         let (r1, f1) = frag(1, 100);
         let (r2, f2) = frag(2, 100);
         let (r3, f3) = frag(3, 100);
@@ -803,6 +893,84 @@ mod tests {
             assert!(s.fragment_count() <= 2);
         }
         assert_eq!(s.fragment_count(), 2, "the bound survived the wipe");
+    }
+
+    /// The eviction memory: each holder remembers its last `K` evicted
+    /// roots and no older ones, only its own, never one it holds again,
+    /// and nothing across a wipe.
+    #[test]
+    fn eviction_memory_holds_the_last_k_roots_per_holder() {
+        let mut s = FragmentStore::new();
+        let roots: Vec<(BulkDigest, StoredFragment)> = (1..=5u8).map(|i| frag(i, 10)).collect();
+        for (r, f) in &roots {
+            s.put(h(0), *r, f.clone());
+        }
+        let r = |i: usize| roots[i - 1].0;
+        // Five values, two held, the two evicted last remembered.
+        assert!(s.holds(&r(4)) && s.holds(&r(5)));
+        assert!(!s.evicted(h(0), &r(1)), "at most K roots are remembered");
+        assert!(s.evicted(h(0), &r(2)) && s.evicted(h(0), &r(3)));
+        assert!(!s.evicted(h(0), &r(4)), "a held root is not evicted");
+        assert!(!s.evicted(h(1), &r(2)), "memory is per holder");
+        assert_eq!(s.recency[&h(0)].evicted.len(), 2);
+
+        // A root a push stores again leaves the memory (and the root it
+        // evicts in turn enters it, still at most K).
+        assert_eq!(s.put(h(0), r(2), roots[1].1.clone()), PutOutcome::Stored);
+        assert!(!s.evicted(h(0), &r(2)), "stored again: no longer evicted");
+        assert!(s.evicted(h(0), &r(3)) && s.evicted(h(0), &r(4)));
+        assert_eq!(s.recency[&h(0)].evicted.len(), 2);
+
+        s.wipe();
+        assert!(
+            (2..=5).all(|i| !s.evicted(h(0), &r(i))),
+            "wipe forgets evictions"
+        );
+    }
+
+    /// A repair into a holder whose slots are all taken stores nothing
+    /// and evicts nothing — whatever root it names.
+    #[test]
+    fn a_repair_into_a_full_holder_stores_nothing_and_evicts_nothing() {
+        let mut s = FragmentStore::new();
+        let (old, fo) = frag(1, 10);
+        let (r2, f2) = frag(2, 10);
+        let (r3, f3) = frag(3, 10);
+        s.put(h(0), r2, f2);
+        s.put(h(0), r3, f3);
+        let before = s.holdings();
+        let out = s.repair(h(0), old, fo.clone());
+        assert_eq!(out, PutOutcome::NoFreeSlot);
+        assert!(!out.held());
+        assert!(!s.holds(&old) && s.holds(&r2) && s.holds(&r3));
+        assert_eq!(s.bytes_stored(), 20);
+        assert_eq!(s.holdings(), before);
+        assert!(!s.evicted(h(0), &r2), "nothing was evicted");
+        // Another key's free slot takes the same fragment.
+        assert_eq!(s.repair(h(1), old, fo), PutOutcome::Stored);
+        assert_eq!(s.holders(&old), BTreeSet::from([h(1)]));
+    }
+
+    /// A repair into a free slot is retained like a push, and leaves the
+    /// eviction memory.
+    #[test]
+    fn a_repair_into_a_free_slot_is_retained() {
+        let mut s = FragmentStore::new();
+        let (r1, f1) = frag(1, 10);
+        let (r2, f2) = frag(2, 10);
+        let (r3, f3) = frag(3, 10);
+        s.put(h(0), r1, f1.clone());
+        s.put(h(0), r2, f2);
+        s.put(h(0), r3, f3);
+        assert!(s.evicted(h(0), &r1));
+        // Corruption found on serve drops a held value: a slot is free.
+        assert!(s.remove(&r3));
+        assert_eq!(s.repair(h(0), r1, f1.clone()), PutOutcome::Stored);
+        assert!(s.holds(&r1) && s.holds(&r2));
+        assert!(!s.evicted(h(0), &r1));
+        assert_eq!(s.repair(h(0), r1, f1), PutOutcome::AlreadyHeld);
+        assert_eq!(s.fragment_count(), 2);
+        assert_eq!(s.holdings_from(0).collect::<Vec<_>>(), s.holdings());
     }
 
     /// `remove` drops an entry for every holder — recency included, so a

@@ -23,8 +23,9 @@
 //!   (AVID / PoWerStore dispersal).
 //! - [`FragmentStore`] — a per-replica fragment store that **replays the
 //!   commitment before storing**, making fabricated fragments unstorable,
-//!   and keeps its `(shard, root)` holdings rank-addressable so
-//!   anti-entropy gossip never walks the store.
+//!   retains each key's last [`RETAINED_PER_KEY`] values, and keeps its
+//!   `(shard, root)` holdings rank-addressable so anti-entropy gossip
+//!   never walks the store.
 //! - [`data_replica_slots`] — the deterministic per-shard choice of data
 //!   replicas out of the `n` servers.
 //!
@@ -52,7 +53,7 @@ mod digest;
 mod placement;
 mod ranked;
 
-pub use blob::{FragmentStore, Holder, PutOutcome, SharedBytes, StoredFragment};
+pub use blob::{FragmentStore, Holder, PutOutcome, SharedBytes, StoredFragment, RETAINED_PER_KEY};
 pub use codec::{get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64, BulkCodec};
 pub use coding::{
     encode_fragments, fragment_leaves, fragment_len, merkle_proof, merkle_root, reconstruct,

@@ -4,7 +4,7 @@
 //! (`holdings_len` / `holdings_from`), and the full scan `holdings()` is
 //! the reference. Seeded random sequences of puts by key-slot holders,
 //! aliasing re-puts (across shards and across slots of one shard),
-//! per-key retention evictions, removes and wipes must leave the two
+//! repairs, per-key retention evictions, removes and wipes must leave the two
 //! equal after **every** step — and leave `holds(root)` agreeing with
 //! `get_for(shard, root)` for every shard.
 
@@ -30,9 +30,8 @@ fn assert_index_matches(
     assert!(from(len).is_empty() && from(len + 7).is_empty(), "{label}");
 }
 
-/// Retention bounds swept: unbounded (the default, where the store only
-/// grows) and the eviction-heavy 1..=3.
-const RETENTIONS: [Option<usize>; 4] = [None, Some(1), Some(2), Some(3)];
+/// Retention bounds swept: the eviction-heavy 1..=3 (replicas run 2).
+const RETENTIONS: [usize; 3] = [1, 2, 3];
 
 /// Anti-entropy asks `holds(root)` where it used to ask
 /// `get_for(shard, root).is_some()`: the same predicate, because
@@ -81,8 +80,8 @@ fn fragment_store_index_tracks_the_full_scan() {
     let roots: Vec<BulkDigest> = pool.iter().map(|d| d.root).collect();
     for retain in RETENTIONS {
         for seed in 0..4u64 {
-            let mut rng = DetRng::from_seed(0xF1DE0 + 16 * retain.unwrap_or(0) as u64 + seed);
-            let mut store = retain.map_or_else(FragmentStore::new, FragmentStore::with_retention);
+            let mut rng = DetRng::from_seed(0xF1DE0 + 16 * retain as u64 + seed);
+            let mut store = FragmentStore::with_retention(retain);
             for step in 0..700 {
                 let d = &pool[rng.next_u64() as usize % pool.len()];
                 let shard = (rng.next_u64() % 6) as u32;
@@ -98,11 +97,15 @@ fn fragment_store_index_tracks_the_full_scan() {
                         // way the shard ends up with at most one.
                         store.put(holder, d.root, fragment(d, (shard as usize + 1) % 3));
                     }
+                    25..=39 => {
+                        // A repair stores only into a free slot.
+                        store.repair(holder, d.root, fragment(d, shard as usize % 3));
+                    }
                     _ => {
                         store.put(holder, d.root, fragment(d, shard as usize % 3));
                     }
                 }
-                let label = format!("retain {retain:?} seed {seed} step {step}");
+                let label = format!("retain {retain} seed {seed} step {step}");
                 assert_index_matches(
                     store.holdings(),
                     store.holdings_len(),

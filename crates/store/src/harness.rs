@@ -120,7 +120,6 @@ pub struct StoreBuilder {
     delay: DelayModel,
     byz: Vec<(usize, ByzStrategy)>,
     plane: DataPlane,
-    bulk_retain: Option<usize>,
     anti_entropy: Option<SimDuration>,
     trace: usize,
     monitor: bool,
@@ -139,7 +138,6 @@ impl StoreBuilder {
             delay,
             byz: Vec::new(),
             plane: DataPlane::Full,
-            bulk_retain: None,
             anti_entropy: None,
             trace: 0,
             monitor: false,
@@ -294,24 +292,6 @@ impl StoreBuilder {
     /// Byzantine (the resilience claim is meaningless beyond `t`).
     pub fn byzantine(mut self, index: usize, strategy: ByzStrategy) -> Self {
         self.byz.push((index, strategy));
-        self
-    }
-
-    /// Bounds every data replica's fragment store to the last `retain`
-    /// distinct values per key (retain-last-K GC, per `(shard, key slot)`
-    /// holder, for every `k`): overwrite churn then plateaus instead of
-    /// accumulating orphaned values, and a hot key's overwrites never
-    /// evict a cold key's only value. `retain ≥ 2` keeps a key's previous
-    /// value resolvable for concurrent readers; readers chasing older
-    /// references fall back to a metadata re-read. No effect under full
-    /// replication.
-    ///
-    /// # Panics
-    ///
-    /// Panics on `retain == 0` at build time (a replica storing nothing
-    /// could never acknowledge a push).
-    pub fn bulk_retain(mut self, retain: usize) -> Self {
-        self.bulk_retain = Some(retain);
         self
     }
 
@@ -489,21 +469,21 @@ impl StoreBuilder {
         servers: &[ProcessId],
     ) -> StoreServerNode<StorePayload<V>, S> {
         // The admission guard every server gets: its fleet slot, the
-        // deployment's shard count, and the plane's window shape — so
-        // wire-supplied shard tags, fragment totals, and fragment
-        // indices are checked against the deployment instead of trusted.
+        // fleet, the deployment's shard count, and the plane's window
+        // shape — so wire-supplied senders, shard tags, fragment totals,
+        // and fragment indices are checked against the deployment instead
+        // of trusted.
         let (replicas, heal_k) = match self.plane {
             DataPlane::Full => (0, 1),
             DataPlane::Coded { replicas, k } => (replicas, k),
         };
-        let mut node = StoreServerNode::new(inner)
-            .bulk_guard(slot, self.n, self.shards, replicas)
-            .bulk_retention(self.bulk_retain);
+        let mut node =
+            StoreServerNode::new(inner).bulk_guard(slot, servers.to_vec(), self.shards, replicas);
         if byzantine {
             node = node.byzantine_bulk();
         }
         if let Some(period) = self.anti_entropy {
-            node = node.self_healing(servers.to_vec(), heal_k, period);
+            node = node.self_healing(heal_k, period);
         }
         node
     }
@@ -1092,8 +1072,8 @@ impl<V: Payload + BulkCodec> StoreSystem<V> {
         self.with_server_bulk(i, FragmentStore::bytes_stored)
     }
 
-    /// Number of fragments held on server `i` (bounded by the
-    /// [`StoreBuilder::bulk_retain`] window when one is set).
+    /// Number of fragments held on server `i` (at most
+    /// [`sbs_bulk::RETAINED_PER_KEY`] per key it stores).
     pub fn bulk_blob_count(&mut self, i: usize) -> usize {
         self.with_server_bulk(i, FragmentStore::fragment_count)
     }

@@ -211,17 +211,22 @@ pub struct StoreServerNode<P, Inner> {
 ///   the shard (the AVID rule: replica `i` stores fragment `i`) — so a
 ///   `FRAG_PUT_ACK` certifies the exact fragment the push quorum needs,
 ///   and pre-seeding a correct replica with some *other* replica's
-///   fragment cannot fake `k` distinct verified fragments.
+///   fragment cannot fake `k` distinct verified fragments;
+/// - the sender must not be a fleet server: only clients disperse values,
+///   and a replica keeps just the last [`sbs_bulk::RETAINED_PER_KEY`]
+///   values per key, so a Byzantine server pushing valid dispersals of its
+///   own under a key's holder could otherwise evict that key's committed
+///   value from every correct replica.
 ///
 /// The shard count also bounds the metadata plane: a register message
 /// naming a register id at or above `shards` is refused, since the
 /// register server allocates state for every id it is sent.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 struct BulkGuard {
-    /// This server's slot in the fleet (index into the server list).
+    /// This server's slot in the fleet (index into `servers`).
     slot: usize,
-    /// Fleet size.
-    n: usize,
+    /// Fleet server process ids in slot order.
+    servers: Vec<ProcessId>,
     /// Shards deployed (the router's shard count).
     shards: u32,
     /// Data replicas per shard window (0 under full replication — every
@@ -230,13 +235,19 @@ struct BulkGuard {
 }
 
 impl BulkGuard {
+    /// Fleet size.
+    fn n(&self) -> usize {
+        self.servers.len()
+    }
+
     /// This server's position inside `shard`'s replica window, if the
     /// shard exists and the window covers this server.
     fn window_position(&self, shard: u32) -> Option<usize> {
-        if shard >= self.shards {
+        let n = self.n();
+        if shard >= self.shards || n == 0 {
             return None;
         }
-        let pos = (self.slot + self.n - shard as usize % self.n) % self.n;
+        let pos = (self.slot + n - shard as usize % n) % n;
         (pos < self.replicas).then_some(pos)
     }
 }
@@ -253,14 +264,12 @@ fn slot_in_range(slot: u32) -> bool {
 const ANTI_ENTROPY_BATCH: usize = 32;
 
 /// Self-healing state for one data replica, installed by
-/// [`StoreServerNode::self_healing`]. Holds the fleet map the repair
-/// fan-out needs, the in-flight pull jobs, and the anti-entropy gossip
-/// cursors. Absent by default: a node without it sends no repair-plane
-/// messages and arms no timers, keeping fault-free runs bit-identical.
+/// [`StoreServerNode::self_healing`]. Holds the in-flight pull jobs, the
+/// repair suspects and the anti-entropy gossip cursors; the fleet map the
+/// repair fan-out needs is the guard's. Absent by default: a node without
+/// it sends no repair-plane messages and arms no timers, keeping
+/// fault-free runs bit-identical.
 struct Healer {
-    /// Fleet server process ids in slot order (parallel to the guard's
-    /// slot arithmetic, so window slots map to addressable peers).
-    servers: Vec<ProcessId>,
     /// Fragments needed to reconstruct a dispersal.
     k: usize,
     /// Anti-entropy gossip period.
@@ -334,30 +343,26 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     }
 
     /// Installs the deployment-derived bulk admission guard: this
-    /// server is fleet slot `slot` of `n`, and the store deploys `shards`
-    /// shards with `replicas` data replicas per window (0 under full
-    /// replication). Wire-supplied shard tags, fragment totals, and
-    /// fragment indices are then checked against the deployment — a
-    /// `FRAG_PUT` must carry exactly this replica's window position and
-    /// the deployment's fragment count — instead of trusted.
-    pub fn bulk_guard(mut self, slot: usize, n: usize, shards: u32, replicas: usize) -> Self {
+    /// server is fleet slot `slot` of `servers` (the whole fleet in slot
+    /// order), and the store deploys `shards` shards with `replicas` data
+    /// replicas per window (0 under full replication). Wire-supplied shard
+    /// tags, fragment totals, and fragment indices are then checked
+    /// against the deployment — a `FRAG_PUT` must come from outside the
+    /// fleet and carry exactly this replica's window position and the
+    /// deployment's fragment count — instead of trusted.
+    pub fn bulk_guard(
+        mut self,
+        slot: usize,
+        servers: Vec<ProcessId>,
+        shards: u32,
+        replicas: usize,
+    ) -> Self {
         self.guard = Some(BulkGuard {
             slot,
-            n,
+            servers,
             shards,
             replicas,
         });
-        self
-    }
-
-    /// Bounds this server's fragment store to the last `retain` distinct
-    /// values per key — per `(shard, slot)` holder (see
-    /// [`FragmentStore::with_retention`]); `None` keeps the unbounded
-    /// default.
-    pub fn bulk_retention(mut self, retain: Option<usize>) -> Self {
-        if let Some(k) = retain {
-            self.frags = FragmentStore::with_retention(k);
-        }
         self
     }
 
@@ -365,15 +370,14 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// or corrupt entries from its window peers (`REPAIR_REQ`), answers
     /// peers' pulls, re-checks integrity of everything it serves, and
     /// gossips bounded digest summaries every `period` (anti-entropy).
-    /// `servers` is the whole fleet in slot order (parallel to the
-    /// guard's slot arithmetic); `k` is the plane's reconstruction
-    /// threshold. Off by default — without
-    /// this call the node emits no repair-plane messages, arms no
-    /// timers, and draws no extra randomness, so fault-free runs stay
-    /// bit-identical to builds that predate self-healing.
-    pub fn self_healing(mut self, servers: Vec<ProcessId>, k: usize, period: SimDuration) -> Self {
+    /// The peers are the fleet of [`Self::bulk_guard`], without which the
+    /// plane stays silent; `k` is the plane's reconstruction threshold.
+    /// Off by default — without this call the node emits no repair-plane
+    /// messages, arms no timers, and draws no extra randomness, so
+    /// fault-free runs stay bit-identical to builds that predate
+    /// self-healing.
+    pub fn self_healing(mut self, k: usize, period: SimDuration) -> Self {
         self.healer = Some(Healer {
-            servers,
             k: k.max(1),
             period,
             timer: None,
@@ -387,7 +391,8 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
 
     /// Wipes this server's fragment store — the data-wipe fault a
     /// self-healing deployment must recover from. Metadata (register)
-    /// state is untouched; retention bounds survive the wipe.
+    /// state is untouched; the store forgets its evictions too, so every
+    /// value its peers still hold is a repair suspect again.
     pub fn wipe_data_stores(&mut self) {
         self.frags.wipe();
     }
@@ -396,17 +401,18 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// the repair pull targets. Empty when self-healing is off, the
     /// guard is missing, or this server is outside the window.
     fn window_peers(&self, shard: u32) -> Vec<ProcessId> {
-        let (Some(g), Some(h)) = (&self.guard, &self.healer) else {
+        let (Some(g), Some(_)) = (&self.guard, &self.healer) else {
             return Vec::new();
         };
-        if g.n == 0 || g.window_position(shard).is_none() {
+        if g.window_position(shard).is_none() {
             return Vec::new();
         }
-        let base = shard as usize % g.n;
-        (0..g.replicas.min(g.n))
-            .map(|off| (base + off) % g.n)
+        let n = g.n();
+        let base = shard as usize % n;
+        (0..g.replicas.min(n))
+            .map(|off| (base + off) % n)
             .filter(|&slot| slot != g.slot)
-            .filter_map(|slot| h.servers.get(slot).copied())
+            .map(|slot| g.servers[slot])
             .collect()
     }
 
@@ -419,9 +425,20 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// Corruption detected on serve skips this and repairs immediately
     /// ([`Self::start_repair`]): a failed commitment re-check is proof of
     /// damage, not a race.
+    ///
+    /// An entry this replica holds is no suspect, and neither is one its
+    /// holder evicted: that is an old value of the key, which retention
+    /// dropped on purpose (pulling it back would undo the bound, and a
+    /// repair could not store it anyway — see [`FragmentStore::repair`]).
     fn suspect_missing(&mut self, entry: Holding) {
-        let (shard, slot, _) = entry;
-        if !slot_in_range(slot) || self.window_peers(shard).is_empty() {
+        let (shard, slot, digest) = entry;
+        let in_window = |g: &BulkGuard| g.window_position(shard).is_some();
+        if !slot_in_range(slot)
+            || !self.guard.as_ref().is_some_and(in_window)
+            || self.frags.holds(&digest)
+            || self.frags.evicted(Holder::new(shard, slot), &digest)
+            || self.window_peers(shard).is_empty()
+        {
             return;
         }
         let Some(h) = &mut self.healer else { return };
@@ -466,9 +483,10 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// Folds one peer's `REPAIR_REPLY` into the matching pull job:
     /// commitment-verified fragments are collected until any `k` distinct
     /// indices are present, which finishes the repair — the repaired
-    /// entry is retained under the job's key slot. Everything is
-    /// re-verified against `digest` before storing — a Byzantine peer
-    /// can garble any field of the reply.
+    /// entry is retained under the job's key slot if that holder has a
+    /// free retention slot, and dropped otherwise (a repair never evicts).
+    /// Everything is re-verified against `digest` before storing — a
+    /// Byzantine peer can garble any field of the reply.
     fn on_repair_reply<O>(
         &mut self,
         from: ProcessId,
@@ -478,7 +496,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     ) {
         let (shard, slot, digest) = entry;
         let quorum = self.window_peers(shard).len();
-        let Some(g) = self.guard else { return };
+        let Some(g) = &self.guard else { return };
         let Some(h) = &mut self.healer else { return };
         let Some(job) = h.pending.get_mut(&entry) else {
             return;
@@ -536,7 +554,7 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
             bytes: frags[pos].clone(),
             proof: tree.proof(pos),
         };
-        self.frags.put(Holder::new(shard, slot), digest, stored);
+        self.frags.repair(Holder::new(shard, slot), digest, stored);
         ctx.trace(TraceEvent::Phase {
             shard,
             phase: "RepairDone",
@@ -555,18 +573,19 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
     /// each announced with the lowest key slot of the shard holding it,
     /// as one list the cursor rotates over.
     fn on_anti_entropy_tick<O>(&mut self, ctx: &mut Context<'_, StoreMsg<P>, O>) {
-        let g = self.guard;
+        let g = &self.guard;
         let frags = &self.frags;
         let Some(h) = &mut self.healer else { return };
         h.timer = Some(ctx.set_timer(h.period));
         // Two-phase suspect sweep. A suspect that resolved itself (the
-        // in-flight copy landed) is dropped; a fresh one is armed and
-        // gets one full period of grace — longer than any link-delay
-        // bound; an armed one still missing is genuinely lost and
-        // ripens into a pull below.
+        // in-flight copy landed — and perhaps was already overwritten and
+        // evicted) is dropped; a fresh one is armed and gets one full
+        // period of grace — longer than any link-delay bound; an armed
+        // one still missing is genuinely lost and ripens into a pull
+        // below.
         let mut ripe: Vec<Holding> = Vec::new();
         h.suspects.retain(|&(shard, slot, digest), armed| {
-            if frags.holds(&digest) {
+            if frags.holds(&digest) || frags.evicted(Holder::new(shard, slot), &digest) {
                 return false;
             }
             if *armed {
@@ -600,13 +619,13 @@ impl<P: Payload, Inner> StoreServerNode<P, Inner> {
                 .collect()
         };
         let peer = match g {
-            Some(g) if h.servers.len() > 1 => {
+            Some(g) if g.n() > 1 => {
                 // Round-robin over the *other* servers in slot order (a
                 // guard slot outside the fleet has no own entry to skip).
-                let others = h.servers.len() - usize::from(g.slot < h.servers.len());
+                let others = g.n() - usize::from(g.slot < g.n());
                 let i = h.peer_cursor % others;
                 h.peer_cursor = h.peer_cursor.wrapping_add(1);
-                Some(h.servers[i + usize::from(i >= g.slot)])
+                Some(g.servers[i + usize::from(i >= g.slot)])
             }
             _ => None,
         };
@@ -725,7 +744,7 @@ where
                 // deployment's registers are exactly its shards, so any
                 // other id is refused — the register server would
                 // otherwise allocate a slot for every id a peer names.
-                let shards = self.guard.map(|g| g.shards);
+                let shards = self.guard.as_ref().map(|g| g.shards);
                 let mut eff: Effects<RegMsg<P>, Inner::Out> = Effects::new();
                 let inner = &mut self.inner;
                 ctx.with_effects(&mut eff, |sub| {
@@ -757,7 +776,9 @@ where
                 proof,
             } => {
                 // Admission: `shard`, `total`, `index` and `slot` are wire
-                // data. Only store under shards this server actually
+                // data. Only clients disperse values — a server pushing
+                // dispersals of its own could evict a key's committed
+                // value. Only store under shards this server actually
                 // serves (a guarded full-replication server serves none),
                 // pin the dispersal shape to the deployment's and the
                 // index to *this replica's* window position (the AVID
@@ -767,7 +788,9 @@ where
                 // space, so a forger cannot grow per-holder retention
                 // state without bound.
                 if let Some(g) = &self.guard {
-                    let refusal = if total as usize != g.replicas
+                    let refusal = if g.servers.contains(&from) {
+                        Some("frag-put-from-server")
+                    } else if total as usize != g.replicas
                         || g.window_position(shard) != Some(index as usize)
                     {
                         Some("frag-put-shape")
@@ -829,8 +852,9 @@ where
                 // peers if it is still missing after the grace sweep —
                 // the reactive trigger that mends a wiped store once a
                 // reader notices. (A corrupt entry's repair is already
-                // pending, which the suspect rule skips.)
-                if !self.byz_bulk && !self.frags.holds(&digest) {
+                // pending, which the suspect rule skips; a reader chasing
+                // an evicted value plants nothing.)
+                if !self.byz_bulk {
                     self.suspect_missing((shard, slot, digest));
                 }
                 let frag = self.serve(shard, &digest, ctx.rng());
@@ -885,13 +909,14 @@ where
             } => self.on_repair_reply(from, (shard, slot, digest), frag, ctx),
             StoreMsg::DigestSummary { entries } => {
                 // Anti-entropy pull, deferred: whatever a peer retains
-                // for a window this server covers but cannot serve
-                // itself becomes a repair suspect — the sweep on the
-                // next ticks pulls it only if it stays missing, so
+                // for a window this server covers but neither holds nor
+                // evicted itself becomes a repair suspect — the sweep on
+                // the next ticks pulls it only if it stays missing, so
                 // gossip that merely outran a still-in-flight push
                 // never opens a pull.
-                let Some(h) = &self.healer else { return };
-                let Some(g) = self.guard else { return };
+                let (Some(_), Some(g)) = (&self.healer, &self.guard) else {
+                    return;
+                };
                 // Admission: sender and length are wire data. Summaries
                 // travel between fleet servers and carry one gossip
                 // batch at most; anything else is refused before it can
@@ -899,7 +924,7 @@ where
                 // re-fanned every tick, so an unbounded summary (a
                 // 16 MiB frame names ≈ 466 000 digests) is an unbounded
                 // amount of repair work for a correct replica.
-                let refusal = if !h.servers.contains(&from) {
+                let refusal = if !g.servers.contains(&from) {
                     Some("summary-foreign")
                 } else if entries.len() > ANTI_ENTROPY_BATCH {
                     Some("summary-oversize")
@@ -914,10 +939,8 @@ where
                     });
                     return;
                 }
-                for (shard, slot, digest) in entries {
-                    if g.window_position(shard).is_some() && !self.frags.holds(&digest) {
-                        self.suspect_missing((shard, slot, digest));
-                    }
+                for entry in entries {
+                    self.suspect_missing(entry);
                 }
             }
             // Client-bound replies arriving at a server are garbage.
@@ -2636,6 +2659,15 @@ mod tests {
 
     type HealingServer = StoreServerNode<u64, sbs_core::ServerNode<u64, ()>>;
 
+    /// The guarded tests' fleet: 9 servers whose process ids are their
+    /// slots.
+    fn fleet() -> Vec<ProcessId> {
+        (0..9).map(ProcessId).collect()
+    }
+
+    /// A client of [`fleet`] — the only kind of process that pushes.
+    const CLIENT: ProcessId = ProcessId(20);
+
     /// A `k`-of-3 dispersal of `bytes`: its fragments and their tree.
     fn dispersal(bytes: &[u8], k: usize) -> (Vec<SharedBytes>, MerkleTree) {
         let frags = encode_fragments(bytes, k, 3);
@@ -2667,10 +2699,9 @@ mod tests {
     /// (`k = 1`) — plus the handler-driving state [`handle`] threads
     /// through.
     fn healing_server(slot: usize) -> (HealingServer, DetRng, u64) {
-        let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
         let mut node = StoreServerNode::new(sbs_core::ServerNode::new(0))
-            .bulk_guard(slot, 9, 4, 3)
-            .self_healing(servers, 1, SimDuration::millis(2));
+            .bulk_guard(slot, fleet(), 4, 3)
+            .self_healing(1, SimDuration::millis(2));
         let (mut rng, mut nt) = (DetRng::from_seed(19), 0u64);
         handle(&mut node, &mut rng, &mut nt, |node, ctx| node.on_start(ctx));
         (node, rng, nt)
@@ -2744,6 +2775,123 @@ mod tests {
         );
     }
 
+    /// The repair pulls among `eff`'s sends, as `(to, digest)`.
+    fn repair_pulls(eff: &Effects<StoreMsg<u64>, ()>) -> Vec<(ProcessId, BulkDigest)> {
+        eff.sends()
+            .iter()
+            .filter_map(|(to, m)| match m {
+                StoreMsg::RepairRequest { digest, .. } => Some((*to, *digest)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// A replica keeps each key's last two values, so an evicted root is
+    /// an old value, not a loss: neither a peer's summary naming it nor a
+    /// reader's fetch of it plants a repair suspect, and ticks bill no
+    /// repair round. A root the replica never held still ripens into a
+    /// pull after the grace sweep, and so does the evicted one once a
+    /// wipe has made the replica forget its evictions.
+    #[test]
+    fn evicted_roots_plant_no_repair_suspect() {
+        // Slot 1 is position 0 of shard 1's window {1, 2, 3}.
+        let (mut node, mut rng, mut nt) = healing_server(1);
+        let values: Vec<_> = (0..3u8).map(|i| dispersal(&[i; 24], 1)).collect();
+        for d in &values {
+            let eff = handle(&mut node, &mut rng, &mut nt, |node, ctx| {
+                node.on_message(CLIENT, frag_put(d, 1, 0, 0), ctx)
+            });
+            assert!(matches!(eff.sends(), [(_, StoreMsg::FragPutAck { .. })]));
+        }
+        let old = values[0].1.root();
+        assert!(!node.frags.holds(&old) && node.frags.evicted(Holder::new(1, 0), &old));
+        let suspects = |node: &HealingServer| node.healer.as_ref().unwrap().suspects.len();
+
+        let summary = |digest| StoreMsg::DigestSummary {
+            entries: vec![(1, 0, digest)],
+        };
+        handle(&mut node, &mut rng, &mut nt, |node, ctx| {
+            node.on_message(ProcessId(2), summary(old), ctx)
+        });
+        assert_eq!(suspects(&node), 0, "a summary naming an evicted root");
+        let get = StoreMsg::BulkGet {
+            shard: 1,
+            slot: 0,
+            digest: old,
+            tag: 3,
+        };
+        let eff = handle(&mut node, &mut rng, &mut nt, |node, ctx| {
+            node.on_message(CLIENT, get, ctx)
+        });
+        assert!(
+            matches!(eff.sends(), [(_, StoreMsg::FragGetAck { frag: None, .. })]),
+            "the reader is told it is a miss"
+        );
+        assert_eq!(suspects(&node), 0, "a fetch of an evicted root");
+        for _ in 0..3 {
+            let eff = tick(&mut node, &mut rng, &mut nt);
+            assert_eq!(eff.slow_paths().repair_rounds, 0);
+            assert!(repair_pulls(&eff).is_empty());
+        }
+
+        // A root this replica never held is still pulled from the window
+        // peers once it stays missing for a period.
+        let lost = dispersal(b"never held here", 1).1.root();
+        let ripen = |node: &mut HealingServer, rng: &mut DetRng, nt: &mut u64, digest| {
+            handle(node, rng, nt, |node, ctx| {
+                node.on_message(ProcessId(2), summary(digest), ctx)
+            });
+            assert_eq!(suspects(node), 1);
+            let pulls_of = |eff: &Effects<StoreMsg<u64>, ()>| {
+                let mut pulls = repair_pulls(eff);
+                pulls.retain(|&(_, d)| d == digest);
+                pulls
+            };
+            assert!(pulls_of(&tick(node, rng, nt)).is_empty(), "grace");
+            let eff = tick(node, rng, nt);
+            assert_eq!(
+                pulls_of(&eff),
+                vec![(ProcessId(2), digest), (ProcessId(3), digest)]
+            );
+            eff
+        };
+        let eff = ripen(&mut node, &mut rng, &mut nt, lost);
+        assert_eq!(eff.slow_paths().repair_rounds, 1);
+
+        // A wiped replica forgets its evictions: the old root is pulled
+        // back like any other.
+        node.wipe_data_stores();
+        ripen(&mut node, &mut rng, &mut nt, old);
+    }
+
+    /// Only clients disperse values. A fleet server pushing valid
+    /// dispersals of its own under a key's holder — enough of them to
+    /// evict the key's committed value — is refused unacked, one guard
+    /// refusal per push, and the client-pushed value stays held.
+    #[test]
+    fn a_fleet_server_cannot_push() {
+        use sbs_core::ServerNode;
+        let mut node: HealingServer =
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, fleet(), 4, 3);
+        let (mut rng, mut nt) = (DetRng::from_seed(11), 0u64);
+        let committed = dispersal(b"the committed value", 1);
+        let eff = handle(&mut node, &mut rng, &mut nt, |node, ctx| {
+            node.on_message(CLIENT, frag_put(&committed, 1, 0, 0), ctx)
+        });
+        assert!(matches!(eff.sends(), [(_, StoreMsg::FragPutAck { .. })]));
+        for i in 0..2 * sbs_bulk::RETAINED_PER_KEY as u8 {
+            let own = dispersal(&[i; 40], 1);
+            let eff = handle(&mut node, &mut rng, &mut nt, |node, ctx| {
+                node.on_message(ProcessId(3), frag_put(&own, 1, 0, 0), ctx)
+            });
+            assert!(eff.sends().is_empty(), "a server's push must not be acked");
+            assert_eq!(eff.slow_paths().guard_refusals, 1);
+            assert!(!node.frags.holds(&own.1.root()));
+        }
+        assert!(node.frags.holds(&committed.1.root()));
+        assert_eq!(node.frags.fragment_count(), 1);
+    }
+
     /// Growth guard: the anti-entropy tick reads its summary from the
     /// store's holdings index, so its cost does not grow with the store.
     /// A replica holding 20 000 fragments runs 2 000 ticks; every summary
@@ -2762,7 +2910,9 @@ mod tests {
                 bytes: frags[0].clone(),
                 proof: tree.proof(0),
             };
-            let holder = Holder::new(i % 3, i % 5);
+            // Two values per key — the retention bound — so all 20 000
+            // stay held.
+            let holder = Holder::new(i % 3, i / 6);
             assert!(node.frags.put(holder, tree.root(), own).held());
         }
         let reference = node.frags.holdings();
@@ -2813,11 +2963,10 @@ mod tests {
         type P = u64;
         // Coded window: n = 9, shards = 4, replicas = 3, k = 2; this
         // server is slot 1 — window position 1 for shard 0.
-        let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
             StoreServerNode::new(ServerNode::new(0))
-                .bulk_guard(1, 9, 4, 3)
-                .self_healing(servers, 2, SimDuration::millis(1));
+                .bulk_guard(1, fleet(), 4, 3)
+                .self_healing(2, SimDuration::millis(1));
         enum Ev {
             Start,
             Msg(u32, StoreMsg<u64>),
@@ -3055,7 +3204,7 @@ mod tests {
                    msg: StoreMsg<P>| {
             let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
             let mut ctx = Context::new(sbs_sim::SimTime::ZERO, ProcessId(9), rng, nt, &mut eff);
-            node.on_message(ProcessId(0), msg, &mut ctx);
+            node.on_message(CLIENT, msg, &mut ctx);
             eff
         };
         let mut rng = DetRng::from_seed(5);
@@ -3065,7 +3214,7 @@ mod tests {
         // {1, 2, 3}, so this server's position (= fragment index) for
         // shard 1 is 0.
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, fleet(), 4, 3);
         let coded = dispersal(&[3u8; 64], 2);
 
         // A *different replica's* fragment — commitment-valid, wrong
@@ -3123,7 +3272,7 @@ mod tests {
         // A full-replication deployment (no data window) refuses every
         // fragment, whatever its shape.
         let mut full: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 0);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, fleet(), 4, 0);
         let shapeless = StoreMsg::FragPut {
             shard: 1,
             slot: 0,
@@ -3149,12 +3298,16 @@ mod tests {
     fn bulk_guard_refuses_slots_outside_the_slot_space() {
         use sbs_core::ServerNode;
         type P = u64;
-        let servers: Vec<ProcessId> = (0..9).map(ProcessId).collect();
         let run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>, msg: StoreMsg<P>| {
             let (mut rng, mut nt) = (DetRng::from_seed(7), 0u64);
             let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
             let mut ctx = Context::new(SimTime::ZERO, ProcessId(9), &mut rng, &mut nt, &mut eff);
-            node.on_message(ProcessId(2), msg, &mut ctx);
+            // Pushes come from a client, repair pulls from a peer server.
+            let from = match msg {
+                StoreMsg::FragPut { .. } => CLIENT,
+                _ => ProcessId(2),
+            };
+            node.on_message(from, msg, &mut ctx);
             eff
         };
         // Slot 1 of 9, 4 shards, 3-replica windows: shard 1's window is
@@ -3163,8 +3316,8 @@ mod tests {
         let root = coded.1.root();
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
             StoreServerNode::new(ServerNode::new(0))
-                .bulk_guard(1, 9, 4, 3)
-                .self_healing(servers, 2, SimDuration::millis(2));
+                .bulk_guard(1, fleet(), 4, 3)
+                .self_healing(2, SimDuration::millis(2));
         for slot in [KEY_SLOTS, u32::MAX] {
             let eff = run(&mut node, frag_put(&coded, 1, slot, 0));
             assert!(eff.sends().is_empty(), "slot {slot} must not be acked");
@@ -3203,7 +3356,7 @@ mod tests {
         use sbs_core::ServerNode;
         type P = u64;
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, fleet(), 4, 3);
         let (mut rng, mut nt) = (DetRng::from_seed(3), 0u64);
         let mut run = |node: &mut StoreServerNode<P, ServerNode<P, ()>>, batch| {
             let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
@@ -3269,13 +3422,13 @@ mod tests {
                    msg: StoreMsg<P>| {
             let mut eff: Effects<StoreMsg<P>, ()> = Effects::new();
             let mut ctx = Context::new(sbs_sim::SimTime::ZERO, ProcessId(9), rng, nt, &mut eff);
-            node.on_message(ProcessId(0), msg, &mut ctx);
+            node.on_message(CLIENT, msg, &mut ctx);
             eff
         };
         let mut rng = DetRng::from_seed(13);
         let mut nt = 0u64;
         let mut node: StoreServerNode<P, ServerNode<P, ()>> =
-            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, 9, 4, 3);
+            StoreServerNode::new(ServerNode::new(0)).bulk_guard(1, fleet(), 4, 3);
 
         let payload = vec![8u8; 64];
         let frags = encode_fragments(&payload, 2, 3);

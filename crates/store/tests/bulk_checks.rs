@@ -567,11 +567,12 @@ fn fetch_bad_tally_counts_replicas_not_replies() {
     sys.check_per_key_atomicity().expect("atomicity");
 }
 
-/// Retain-last-K GC: with `bulk_retain(2)`, overwrite churn stops
-/// accumulating orphaned values — `bytes_stored` plateaus at K values per
-/// key — while readers racing the overwrites keep succeeding (K = 2 keeps
-/// a key's previous value resolvable; anything older falls back to a
-/// metadata re-read, which names a live digest again).
+/// Retain-last-K GC: a replica keeps each key's last K = 2 values, so
+/// overwrite churn never accumulates orphaned values — `bytes_stored`
+/// plateaus at K values per key — while readers racing the overwrites
+/// keep succeeding (K = 2 keeps a key's previous value resolvable;
+/// anything older falls back to a metadata re-read, which names a live
+/// digest again).
 #[test]
 fn retain_last_k_gc_plateaus_under_overwrite_churn() {
     let mut sys: StoreSystem<u64> = StoreBuilder::asynchronous(1)
@@ -579,7 +580,6 @@ fn retain_last_k_gc_plateaus_under_overwrite_churn() {
         .shards(2)
         .extra_readers(2)
         .bulk()
-        .bulk_retain(2)
         .build();
 
     let keys: Vec<String> = (0..4).map(|k| format!("key{k}")).collect();
@@ -621,12 +621,51 @@ fn retain_last_k_gc_plateaus_under_overwrite_churn() {
         .expect("per-key atomicity under retention GC");
 }
 
+/// Growth gate: a replica's storage is bounded by its keys, not by how
+/// often they are written. A coded fleet at the builder's defaults takes
+/// 8 000 equal-size puts round-robin over 64 keys; the largest
+/// per-replica `bulk_bytes_stored` after the first 2 000 must equal the
+/// value after all 8 000 — every key then already holds its two retained
+/// values, so further overwrites only replace them.
+#[test]
+fn replica_storage_stops_growing_once_every_key_holds_two_values() {
+    let mut sys: StoreSystem<SizedVal> = StoreBuilder::asynchronous(1)
+        .seed(23)
+        .shards(4)
+        .writers(2)
+        .bulk_coded(2)
+        .build();
+    let largest = |sys: &mut StoreSystem<SizedVal>| {
+        (0..sys.servers.len())
+            .map(|i| sys.bulk_bytes_stored(i))
+            .max()
+            .unwrap()
+    };
+    let mut stored = Vec::new();
+    for i in 0..8_000u64 {
+        sys.put(&format!("key{}", i % 64), SizedVal::new(i, 256));
+        if (i + 1) % 100 == 0 {
+            assert!(sys.settle(), "puts must quiesce");
+        }
+        if i + 1 == 2_000 || i + 1 == 8_000 {
+            stored.push(largest(&mut sys));
+        }
+    }
+    assert!(stored[0] > 0);
+    assert_eq!(
+        stored[0], stored[1],
+        "per-replica storage grew from 2 000 to 8 000 puts over the same 64 keys"
+    );
+}
+
 /// Per-key byte economics of one plane, `keys` keys on a single shard:
 /// bulk-plane bytes per put over 48 measured puts (after a 16-put warm-up
-/// that writes every key, so both shapes store 64 values), the largest
-/// per-replica stored footprint, and bulk-plane bytes per get over 16
-/// gets — all with 1 KiB values.
-fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, u64, f64) {
+/// that writes every key), the largest per-replica stored footprint per
+/// value the replica retains, and bulk-plane bytes per get over 16 gets —
+/// all with 1 KiB values. A replica retains each key's last two values,
+/// `min(puts, 2)` per key of the 64 puts, and must hold exactly that many
+/// fragments.
+fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, f64, f64) {
     let mut sys: StoreSystem<SizedVal> = builder.build();
     let mut next_id = 0u64;
     let mut put = |sys: &mut StoreSystem<SizedVal>, i: usize| {
@@ -646,6 +685,18 @@ fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, u64, f64) {
         .map(|i| sys.bulk_bytes_stored(i))
         .max()
         .unwrap();
+    let retained = (0..keys)
+        .map(|key| (64 / keys + usize::from(key < 64 % keys)).min(2))
+        .sum();
+    let held = (0..sys.servers.len())
+        .map(|i| sys.bulk_blob_count(i))
+        .max()
+        .unwrap();
+    assert_eq!(
+        held, retained,
+        "{keys} keys: a replica holds each retained value once"
+    );
+    let stored_per_value = stored as f64 / retained as f64;
     let before = sys.sim.metrics().bulk_bytes_sent;
     for i in 0..16 {
         sys.get(1, &format!("key{}", i % keys));
@@ -653,15 +704,16 @@ fn value_costs(builder: &StoreBuilder, keys: usize) -> (f64, u64, f64) {
     }
     let per_get = (sys.sim.metrics().bulk_bytes_sent - before) as f64 / 16.0;
     sys.check_per_key_atomicity().expect("atomicity");
-    (per_put, stored, per_get)
+    (per_put, stored_per_value, per_get)
 }
 
 /// A put costs its value, not its shard — for every `k`. The same
 /// 1 KiB workload on a shard of 1 key and on a shard of 16 keys must cost
-/// the same bulk bytes per put and the same stored bytes per replica
-/// (within 10 %), and a get must fetch one value's bytes, whatever the
-/// shard holds. Dispersing the whole shard snapshot on every put — the
-/// design this replaced — fails every one of these by ≈ 14–16×.
+/// the same bulk bytes per put and the same stored bytes per retained
+/// value on a replica (within 10 %), and a get must fetch one value's
+/// bytes, whatever the shard holds. Dispersing the whole shard snapshot
+/// on every put — the design this replaced — fails every one of these by
+/// ≈ 14–16× (and holds one snapshot, not one fragment per retained value).
 #[test]
 fn a_put_costs_its_value_not_its_shard() {
     let base = StoreBuilder::asynchronous(1).seed(5).extra_readers(1);
@@ -676,9 +728,9 @@ fn a_put_costs_its_value_not_its_shard() {
              {put_16:.0} at 16 keys"
         );
         assert!(
-            within(stored_16 as f64, stored_1 as f64),
-            "k={k}: stored bytes per replica grew with the shard: {stored_1} at 1 key, \
-             {stored_16} at 16 keys"
+            within(stored_16, stored_1),
+            "k={k}: stored bytes per retained value grew with the shard: {stored_1:.0} at \
+             1 key, {stored_16:.0} at 16 keys"
         );
         assert!(
             within(get_16, get_1),
@@ -696,8 +748,8 @@ fn a_put_costs_its_value_not_its_shard() {
     }
 }
 
-/// Retention follows the value: with `bulk_retain(2)` a hot key written
-/// 50 times evicts only its own old values — never the single value a
+/// Retention follows the value: a hot key written 50 times evicts only
+/// its own old values — never the single value a
 /// cold key of the same shard still references — and a wiped replica gets
 /// the cold value back from anti-entropy under the cold key's own slot.
 #[test]
@@ -710,7 +762,6 @@ fn retention_is_per_key_and_repairs_keep_the_slot() {
     let base = StoreBuilder::asynchronous(1)
         .seed(13)
         .extra_readers(1)
-        .bulk_retain(2)
         .anti_entropy(SimDuration::millis(2));
     for k in [1, 2] {
         let mut sys: StoreSystem<SizedVal> = base.clone().bulk_coded(k).build();
