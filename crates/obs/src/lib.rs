@@ -40,6 +40,6 @@ mod slice;
 mod trace;
 
 pub use hist::{nearest_rank_index, LatencyHistogram, LatencySummary};
-pub use monitor::{ConsistencyMonitor, InitialState, Violation, MAX_STATES, MAX_WINDOW};
+pub use monitor::{ConsistencyMonitor, InitialState, Violation};
 pub use slice::causal_slice;
 pub use trace::{TraceEvent, TraceRecord, Tracer};

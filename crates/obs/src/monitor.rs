@@ -1,57 +1,87 @@
-//! The per-key atomicity checker: an incremental WGL-style (Wing & Gong /
-//! Lowe) linearizability checker that judges operations **as they
-//! complete**. It is the workspace's only atomicity checker: the store
-//! feeds it live (`StoreBuilder::monitor()`), and `sbs-check`'s
+//! The per-key atomicity checker: it judges a register's operations **as
+//! they complete**. It is the workspace's only atomicity checker: the
+//! store feeds it live (`StoreBuilder::monitor()`), and `sbs-check`'s
 //! `check_linearizable` / `atomic_stabilization_point` replay a finished
 //! history into it.
 //!
-//! It maintains, per key, the *atomicity frontier*: the set of partial
-//! linearizations of the key's in-window operations that are still
-//! consistent with everything observed so far. Each state is a
-//! `(mask, value)` pair — which window operations have been placed in
-//! the linearization order, and the register value after the last placed
-//! write. On every completion the frontier is advanced; if **no**
-//! reachable state linearizes all completed operations, the completing
-//! operation has witnessed a violation, and the monitor reports it with
-//! the simulated time and the culprit operation set.
+//! It runs the cluster-and-zone test of Gibbons and Korach ("Testing
+//! Shared Memories", SIAM J. Comput. 1997) online. A *cluster* is a write
+//! plus the completed reads that returned its value. Its zone runs from
+//! its earliest completion (`first`) to its latest invocation (`last`).
+//! Two clusters A and B *conflict* when `A.first < B.last` and
+//! `B.first < A.last`: each holds an operation that completed before an
+//! operation of the other was invoked, so neither write can be ordered
+//! first. A key's history is atomic iff every read returns the value of a
+//! write invoked before the read completed (or the initial value, below)
+//! and no two clusters conflict. A pending write completes at +∞ (its
+//! cluster has no `first` until a member completes); a pending read is
+//! ignored until it completes. Only a read's completion can expose a
+//! violation. Judging one costs a pass over the key's live clusters per
+//! surviving explanation (below; usually one), and retirement a pass over
+//! their pairs — live clusters, not operations, whatever the overlap.
 //!
-//! # Soundness model
+//! # The initial value
 //!
-//! The monitor is exact (no false alarms, no missed violations among
-//! completed operations) under two assumptions about the history:
+//! The initial value is a virtual write that completed before every
+//! operation. Its cluster conflicts with a cluster B iff one of its reads
+//! was invoked after B's first completion, so it can hold only the
+//! *early* reads of its value: those invoked before the first completion
+//! that is not a read of that value. The initial value may also be
+//! written later (unique write values bind writes, not the initial
+//! value); its reads then split between the virtual write and the real
+//! one, and handing the virtual write *every* early read is the best
+//! split, since a smaller cluster conflicts with less. So a key tracks
+//! the explanations still consistent with its history, and it is atomic
+//! while one survives:
 //!
-//! - **unique write values** per key — a read's value identifies the
-//!   write it observed, so a frontier state that can no longer linearize
-//!   every completed operation can never be revived and is safely
-//!   pruned;
-//! - **write values exist at invocation** — a read never returns the
-//!   value of a write that has not been invoked yet, so pending writes
-//!   (whose values are known from invocation) are the only
-//!   not-yet-completed operations that ever need a place in the order.
+//! - **written**: no read returned the initial value;
+//! - **initial `v`**, for a candidate `v` (any value under
+//!   [`InitialState::Any`]): the early reads of `v` returned the initial
+//!   value, and the cluster of a write of `v` starts at its first late
+//!   completion (`first_late`). It is born at `v`'s first early read,
+//!   alive iff *written* was alive just before.
 //!
-//! Pending *reads* are unconstrained until they complete; the monitor
-//! keeps every frontier state that could still serve one.
+//! # Precedence is positional
+//!
+//! Each key numbers its invocations and completions in feed order, and
+//! the zones are measured in those positions: an operation precedes
+//! another iff its completion was fed before the other's invocation. At
+//! equal timestamps the feed order decides — the store feeds a
+//! completion before the invocation its closed-loop refill makes at the
+//! same instant, so the completed operation precedes the new one; a
+//! replay that wants operations touching at one instant to stay
+//! concurrent feeds invocations first.
 //!
 //! # Bounded memory
 //!
-//! Four mechanisms keep a key's state small on unbounded runs:
+//! A cluster holds two positions and a few operation ids, never its
+//! reads. A cluster A *retires* once another cluster B with
+//! `A.first < B.last` has completed an operation and no pending read was
+//! invoked before both first completions: every later read of A's value
+//! was invoked after B's first completion, conflicts with B, and is
+//! flagged on sight like any read no live cluster explains. Of the
+//! retired clusters a key keeps only the latest `last`: all of them
+//! completed before any read still to complete was invoked, so a cluster
+//! conflicts with one of them iff its `first` precedes that `last`. Live
+//! clusters therefore stay at the key's concurrency, however long the run
+//! (a read that never completes holds back the retirement of clusters
+//! completing after its invocation).
 //!
-//! - **pruning**: states that cannot reach a linearization of all
-//!   completed operations are dropped, and so are incomplete states from
-//!   which no pending read could be placed (a pending write is already
-//!   placed by the closure, and an operation invoked later follows every
-//!   completed one);
-//! - **retirement**: an operation placed in *every* surviving state has
-//!   its position fixed forever and is compacted out of the window;
-//! - **bounded interning**: values are interned per key, and an id that
-//!   no window operation and no frontier state references is released
-//!   whenever the window is compacted or restarted;
-//! - **saturation fallback**: a key whose window would exceed
-//!   [`MAX_WINDOW`] operations, or whose frontier would exceed
-//!   [`MAX_STATES`] states (pathological overlap), restarts its
-//!   frontier from an unconstrained value ([`InitialState::Any`]) and
-//!   counts the event in [`ConsistencyMonitor::saturations`] so a
-//!   weakened verdict is never silent.
+//! # Soundness model
+//!
+//! The verdict is exact (no false alarms, no missed violations among
+//! completed operations) under two assumptions about the history:
+//! **unique write values** per key, so a read's value names the write it
+//! observed; and **a read returns the value of an invoked write** or the
+//! initial value, so pending writes, whose values are known from
+//! invocation, are the only unfinished operations a cluster needs.
+//!
+//! # Violations
+//!
+//! A violation is flagged at the first completion after which the key's
+//! completed operations (with its pending writes) have no linearization.
+//! The key then restarts from [`InitialState::Any`], keeping its pending
+//! operations, so monitoring continues.
 //!
 //! ```
 //! use sbs_obs::ConsistencyMonitor;
@@ -67,19 +97,7 @@
 //! assert_eq!(m.first_violation().unwrap().op, 2);
 //! ```
 
-use std::collections::{BTreeMap, BTreeSet};
-
-/// The per-key window cap: more than this many concurrently-tracked
-/// operations on one key saturates the monitor (see the module docs).
-/// 64 keeps a window's membership in one mask word.
-pub const MAX_WINDOW: usize = 64;
-
-/// The per-key frontier budget: a closure whose state set would exceed
-/// this (pathological same-value concurrency — e.g. dozens of
-/// overlapping reads of one value, where every subset of placements is
-/// distinct) saturates the key instead of exploding. Counted in
-/// [`ConsistencyMonitor::saturations`] like a window overflow.
-pub const MAX_STATES: usize = 16_384;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// What a register may hold before its first operation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -100,6 +118,13 @@ impl<V: Ord> InitialState<V> {
             InitialState::OneOf(set) => InitialState::OneOf(set.iter().collect()),
         }
     }
+
+    fn allows(&self, v: &V) -> bool {
+        match self {
+            InitialState::Any => true,
+            InitialState::OneOf(set) => set.contains(v),
+        }
+    }
 }
 
 /// One detected atomicity violation.
@@ -112,306 +137,251 @@ pub struct Violation {
     /// Simulated time (nanoseconds) of the exposing completion — the
     /// "flag at event time" stamp.
     pub at_ns: u64,
-    /// The culprit set: every completed operation still in the key's
-    /// window when the frontier died. One of these operations (usually
-    /// the exposing one) returned or ordered a value no linearization
-    /// can explain.
+    /// The culprit set, sorted: the exposing operation and, when two
+    /// clusters conflict, the operations that pin both zones (each
+    /// cluster's write, earliest completion and latest invocation; of a
+    /// retired cluster, its write and latest invocation). A read of a
+    /// value no live cluster or initial value explains is its own only
+    /// culprit.
     pub culprits: Vec<u64>,
 }
 
-/// The register value of a frontier state: unknown (any value is still
-/// feasible — [`InitialState::Any`], and the restart state after
-/// saturation or a violation) or a specific interned value.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum Val {
-    /// Any value is feasible (pins to the first read linearized on it).
-    Any,
-    /// The interned value id the last linearized write (or read pin)
-    /// established.
-    Known(u32),
+/// An operation at a position of its key's event counter:
+/// `(position, op)`.
+type Pin = (u64, u64);
+
+/// A write and the completed reads that returned its value.
+#[derive(Debug)]
+struct Cluster<V> {
+    value: V,
+    write: u64,
+    /// The earliest completion among the members; `None` (+∞) while none
+    /// has completed.
+    first: Option<Pin>,
+    /// The same, leaving out early reads: where the cluster starts when
+    /// the initial value is its value.
+    first_late: Option<Pin>,
+    /// The latest invocation among the members.
+    last: Pin,
 }
 
-/// What a window operation does to the register, with interned values.
-#[derive(Clone, Copy, Debug)]
-enum Kind {
-    /// A write of the interned value (known from invocation).
-    Write(u32),
-    /// A read; the interned value is `None` until the read completes.
-    Read(Option<u32>),
-}
-
-/// One operation in a key's window.
-#[derive(Clone, Debug)]
-struct ActiveOp {
-    op: u64,
-    responded: Option<u64>,
-    kind: Kind,
-    /// Window operations that must be linearized before this one:
-    /// exactly the operations already completed when this one was
-    /// invoked. Fixed at invocation — an operation completing later is
-    /// concurrent, never a predecessor. Every bit is below this
-    /// operation's own window index.
-    pred: u64,
-}
-
-/// One frontier state: `mask` = window operations already placed in the
-/// linearization order, `val` = register value after the last placed
-/// write.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct State {
-    mask: u64,
-    val: Val,
-}
-
-/// The per-key incremental checker state.
+/// One key's checker state.
 #[derive(Debug)]
 struct KeyState<V> {
-    active: Vec<ActiveOp>,
-    states: Vec<State>,
-    /// Value -> id for the values the window and the frontier reference
-    /// (ids index nothing — they only need to be equal iff the values
-    /// are equal).
-    interned: BTreeMap<V, u32>,
-    /// Ids released by [`KeyState::release_values`], reused first.
-    free: Vec<u32>,
-    next_vid: u32,
+    name: String,
+    /// The key's event counter.
+    clock: u64,
+    clusters: Vec<Cluster<V>>,
+    /// Invocation positions of the pending reads.
+    pending_reads: BTreeSet<u64>,
+    /// The latest `last` among retired clusters, with that cluster's write.
+    retired: Option<(Pin, u64)>,
+    /// The first completion since the key (re)started, with the value if
+    /// it was a read.
+    first_done: Option<(u64, Option<V>)>,
+    /// The first completion that is not a read of `first_done`'s value.
+    second_done: Option<u64>,
+    /// The *written* explanation survives.
+    written: bool,
+    /// The surviving *initial `v`* explanations.
+    initials: Vec<V>,
+    /// The key restarted after a violation: any initial value is a
+    /// candidate.
+    restarted: bool,
 }
 
 impl<V: Clone + Ord> KeyState<V> {
-    fn new(initial: &InitialState<V>) -> Self {
-        let mut ks = KeyState {
-            active: Vec::new(),
-            states: vec![State {
-                mask: 0,
-                val: Val::Any,
-            }],
-            interned: BTreeMap::new(),
-            free: Vec::new(),
-            next_vid: 0,
-        };
-        if let InitialState::OneOf(set) = initial {
-            ks.states = set
-                .iter()
-                .map(|v| State {
-                    mask: 0,
-                    val: Val::Known(ks.intern(v)),
-                })
-                .collect();
+    fn new(name: &str) -> Self {
+        KeyState {
+            name: name.to_string(),
+            clock: 0,
+            clusters: Vec::new(),
+            pending_reads: BTreeSet::new(),
+            retired: None,
+            first_done: None,
+            second_done: None,
+            written: true,
+            initials: Vec::new(),
+            restarted: false,
         }
-        ks
     }
 
-    fn intern(&mut self, v: &V) -> u32 {
-        if let Some(&vid) = self.interned.get(v) {
-            return vid;
+    /// The first completion that is not a read of `v` (`None` while there
+    /// is none): reads of `v` invoked before it are early.
+    fn early_end(&self, v: &V) -> Option<u64> {
+        match &self.first_done {
+            None => None,
+            Some((_, Some(x))) if x == v => self.second_done,
+            Some((at, _)) => Some(*at),
         }
-        let vid = self.free.pop().unwrap_or_else(|| {
-            self.next_vid += 1;
-            self.next_vid - 1
-        });
-        self.interned.insert(v.clone(), vid);
-        vid
     }
 
-    /// Drops the interned values no window operation and no frontier
-    /// state references any more.
-    fn release_values(&mut self) {
-        let mut live: Vec<u32> = self
-            .active
-            .iter()
-            .filter_map(|a| match a.kind {
-                Kind::Write(vid) | Kind::Read(Some(vid)) => Some(vid),
-                Kind::Read(None) => None,
-            })
-            .chain(self.states.iter().filter_map(|s| match s.val {
-                Val::Known(vid) => Some(vid),
-                Val::Any => None,
-            }))
-            .collect();
-        live.sort_unstable();
-        let free = &mut self.free;
-        self.interned.retain(|_, vid| {
-            let keep = live.binary_search(vid).is_ok();
-            if !keep {
-                free.push(*vid);
+    fn note_completion(&mut self, now: u64, read: Option<&V>) {
+        match &self.first_done {
+            None => self.first_done = Some((now, read.cloned())),
+            Some((_, Some(x))) if read != Some(x) => {
+                self.second_done.get_or_insert(now);
             }
-            keep
-        });
+            Some(_) => {}
+        }
     }
 
-    /// The window operations already completed, as a mask.
-    fn completed(&self) -> u64 {
-        self.active
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.responded.is_some())
-            .map(|(i, _)| 1u64 << i)
-            .sum()
-    }
-
-    /// The state after placing window operation `i` next from `s`, or
-    /// `None` if it cannot go next: already placed, a predecessor not yet
-    /// placed, or a read whose value is unknown or differs from the
-    /// register's. The successor also places every completed read of the
-    /// resulting value whose predecessors are all placed: such a read
-    /// changes no value and only widens the mask, so placing it at once
-    /// loses no linearization.
-    fn step(&self, s: State, i: usize) -> Option<State> {
-        let a = &self.active[i];
-        let bit = 1u64 << i;
-        if s.mask & bit != 0 || s.mask & a.pred != a.pred {
+    /// Judges one explanation after the read `op` joined cluster `u`
+    /// (`None`: no live cluster has its value), whose `last` it advanced
+    /// iff `grew`. `late` is the cluster whose value the explanation takes
+    /// as initial; its zone starts at `first_late`. Returns the culprits
+    /// if the explanation dies.
+    fn judge(
+        &self,
+        op: u64,
+        u: Option<usize>,
+        grew: bool,
+        late: Option<usize>,
+    ) -> Option<Vec<u64>> {
+        let Some(u) = u else {
+            return Some(vec![op]);
+        };
+        if !grew {
+            // Only a later `last` can open a conflict: a `first` is set at
+            // the newest position, after every `last`.
             return None;
         }
-        let vid = match a.kind {
-            Kind::Write(vid) => vid,
-            Kind::Read(Some(vid)) if s.val == Val::Any || s.val == Val::Known(vid) => vid,
-            Kind::Read(_) => return None,
-        };
-        let mut mask = s.mask | bit;
-        // Predecessors sit at lower window indices, so one ascending pass
-        // reaches the fixpoint.
-        for (j, r) in self.active.iter().enumerate() {
-            if matches!(r.kind, Kind::Read(Some(v)) if v == vid) && mask & r.pred == r.pred {
-                mask |= 1 << j;
-            }
-        }
-        Some(State {
-            mask,
-            val: Val::Known(vid),
-        })
-    }
-
-    /// Expands the frontier with the completion just recorded and
-    /// replaces it with the closure. Returns `Some(false)` when the
-    /// closure holds no state containing every completed operation
-    /// (violation), and `None` when the closure overflowed
-    /// [`MAX_STATES`] (caller saturates).
-    fn advance(&mut self) -> Option<bool> {
-        let completed = self.completed();
-        let mut seen: BTreeSet<State> = self.states.iter().copied().collect();
-        let mut work: Vec<State> = self.states.clone();
-        let mut any_full = false;
-        while let Some(s) = work.pop() {
-            any_full |= s.mask & completed == completed;
-            for i in 0..self.active.len() {
-                if let Some(next) = self.step(s, i) {
-                    if seen.insert(next) {
-                        if seen.len() > MAX_STATES {
-                            return None;
-                        }
-                        work.push(next);
-                    }
-                }
-            }
-        }
-        self.states = seen.into_iter().collect();
-        Some(any_full)
-    }
-
-    /// Prunes the frontier to the states worth keeping and retires
-    /// operations whose position is now fixed in every kept state.
-    /// Returns the retired operations.
-    fn prune_and_retire(&mut self) -> Vec<u64> {
-        let completed = self.completed();
-        let full = |s: &State| s.mask & completed == completed;
-
-        // A state is *good* if it can still reach a linearization of all
-        // completed operations. Masks only grow along successor edges,
-        // so processing by descending popcount sees every successor
-        // before its predecessors.
-        let mut order = std::mem::take(&mut self.states);
-        order.sort_by_key(|s| std::cmp::Reverse(s.mask.count_ones()));
-        let mut good: BTreeSet<State> = BTreeSet::new();
-        for s in order {
-            if full(&s)
-                || (0..self.active.len())
-                    .any(|i| self.step(s, i).is_some_and(|next| good.contains(&next)))
-            {
-                good.insert(s);
-            }
-        }
-
-        // Keep a good state only if it is complete, or some pending read
-        // could be placed directly from it (its value is unknown, so any
-        // state may yet serve it). A pending write is placed by the
-        // closure already, and an operation invoked later follows every
-        // completed one, so no other incomplete state is ever needed.
-        let keep: Vec<State> = good
-            .into_iter()
-            .filter(|s| {
-                full(s)
-                    || self.active.iter().enumerate().any(|(i, a)| {
-                        matches!(a.kind, Kind::Read(None))
-                            && s.mask & (1u64 << i) == 0
-                            && s.mask & a.pred == a.pred
-                    })
-            })
-            .collect();
-
-        // Retire: operations placed in every kept state have their
-        // position fixed forever — compact them out of the window.
-        let common = keep.iter().fold(u64::MAX, |acc, s| acc & s.mask);
-        self.states = keep;
-        if common == 0 {
-            return Vec::new();
-        }
-        let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.active.len());
-        let mut retired = Vec::new();
-        let mut kept_ops = Vec::with_capacity(self.active.len());
-        for (i, a) in self.active.drain(..).enumerate() {
-            if common & (1u64 << i) != 0 {
-                remap.push(None);
-                retired.push(a.op);
+        let first = |i: usize| {
+            let c = &self.clusters[i];
+            if late == Some(i) {
+                c.first_late
             } else {
-                remap.push(Some(kept_ops.len()));
-                kept_ops.push(a);
+                c.first
             }
-        }
-        let compact = |mask: u64| -> u64 {
-            let mut out = 0u64;
-            for (i, slot) in remap.iter().enumerate() {
-                if let (true, Some(j)) = (mask & (1u64 << i) != 0, slot) {
-                    out |= 1 << j;
-                }
-            }
-            out
         };
-        for a in &mut kept_ops {
-            a.pred = compact(a.pred);
-        }
-        let compacted: BTreeSet<State> = self
-            .states
+        let c = &self.clusters[u];
+        let uf = first(u)?;
+        let other = self
+            .clusters
             .iter()
-            .map(|s| State {
-                mask: compact(s.mask),
-                val: s.val,
+            .enumerate()
+            .filter(|&(j, _)| j != u)
+            .find_map(|(j, b)| {
+                let bf = first(j)?;
+                (bf.0 < c.last.0 && uf.0 < b.last.0).then(|| vec![b.write, bf.1, b.last.1])
             })
-            .collect();
-        self.active = kept_ops;
-        self.states = compacted.into_iter().collect();
-        self.release_values();
-        retired
+            .or_else(|| {
+                let (last, write) = self.retired?;
+                (uf.0 < last.0).then(|| vec![write, last.1])
+            })?;
+        Some([c.write, uf.1, op].into_iter().chain(other).collect())
     }
 
-    /// Restarts the frontier at an unconstrained value, keeping only
-    /// pending operations in the window (a pending read completing later
-    /// is then judged against the unconstrained restart — sound, merely
-    /// weaker over the restart boundary). Returns the operations dropped
-    /// because even the pending ones overflow [`MAX_WINDOW`].
-    fn restart(&mut self) -> Vec<u64> {
-        self.active.retain(|a| a.responded.is_none());
-        let excess = self.active.len().saturating_sub(MAX_WINDOW - 1);
-        let dropped = self.active.drain(..excess).map(|a| a.op).collect();
-        for a in &mut self.active {
-            a.pred = 0;
+    /// A read of `v`, invoked at position `at`, completed at `now`.
+    /// `candidate`: `v` may be the initial value. Returns the culprits if
+    /// no explanation survives.
+    fn read_done(&mut self, op: u64, at: u64, now: u64, v: V, candidate: bool) -> Option<Vec<u64>> {
+        self.pending_reads.remove(&at);
+        let early = self.early_end(&v).is_none_or(|end| at < end);
+        self.note_completion(now, Some(&v));
+        let u = self.clusters.iter().position(|c| c.value == v);
+        let grew = u.is_some_and(|u| {
+            let c = &mut self.clusters[u];
+            c.first.get_or_insert((now, op));
+            if !early {
+                c.first_late.get_or_insert((now, op));
+            }
+            let grew = at > c.last.0;
+            if grew {
+                c.last = (at, op);
+            }
+            grew
+        });
+        let written = self.written;
+        let mut culprits = written.then(|| self.judge(op, u, grew, None)).flatten();
+        self.written &= culprits.is_none();
+        let mut initials = std::mem::take(&mut self.initials);
+        initials.retain(|x| {
+            let died = if *x != v {
+                let late = self.clusters.iter().position(|c| c.value == *x);
+                self.judge(op, u, grew, late)
+            } else if early {
+                None // the read returned the initial value
+            } else {
+                self.judge(op, u, grew, u)
+            };
+            match died {
+                Some(c) => culprits = Some(c),
+                None => return true,
+            }
+            false
+        });
+        self.initials = initials;
+        if early && written && candidate && !self.initials.contains(&v) {
+            self.initials.push(v);
         }
-        self.states = vec![State {
-            mask: 0,
-            val: Val::Any,
-        }];
-        self.release_values();
-        dropped
+        // Some explanation survived every earlier event, so if none
+        // survives this one, one died here and left its culprits.
+        culprits.filter(|_| !self.written && self.initials.is_empty())
     }
+
+    fn write_done(&mut self, op: u64, now: u64) {
+        self.note_completion(now, None);
+        if let Some(c) = self.clusters.iter_mut().find(|c| c.write == op) {
+            c.first.get_or_insert((now, op));
+            c.first_late.get_or_insert((now, op));
+        }
+    }
+
+    /// Retires every cluster that no later read can join without a
+    /// violation (module docs). Measured from `first_late`, never earlier
+    /// than `first`, so the test holds under every explanation.
+    fn retire(&mut self) {
+        let oldest = self.pending_reads.first().copied().unwrap_or(u64::MAX);
+        let mut i = 0;
+        while i < self.clusters.len() {
+            let dominated = self.clusters[i].first_late.is_some_and(|(fa, _)| {
+                let live = self.clusters.iter().enumerate().filter_map(|(j, b)| {
+                    let (fb, _) = b.first_late?;
+                    (j != i && b.last.0 > fa).then_some(fb.max(fa))
+                });
+                let retired = self.retired.filter(|(last, _)| last.0 > fa).map(|_| fa);
+                live.chain(retired)
+                    .min()
+                    .is_some_and(|bound| bound < oldest)
+            });
+            if !dominated {
+                i += 1;
+                continue;
+            }
+            let a = self.clusters.swap_remove(i);
+            if self.retired.is_none_or(|(last, _)| a.last.0 > last.0) {
+                self.retired = Some((a.last, a.write));
+            }
+        }
+    }
+
+    /// Restarts the key from an unknown value after a violation, keeping
+    /// the pending writes (`invoked` gives a pending write's invocation
+    /// position) and the pending reads.
+    fn restart(&mut self, invoked: impl Fn(u64) -> Option<u64>) {
+        self.clusters.retain_mut(|c| {
+            let Some(at) = invoked(c.write) else {
+                return false;
+            };
+            (c.first, c.first_late, c.last) = (None, None, (at, c.write));
+            true
+        });
+        self.retired = None;
+        self.first_done = None;
+        self.second_done = None;
+        self.written = true;
+        self.initials.clear();
+        self.restarted = true;
+    }
+}
+
+/// A pending operation: its key, invocation position and kind.
+#[derive(Clone, Copy, Debug)]
+struct Pending {
+    key: usize,
+    at: u64,
+    read: bool,
 }
 
 /// The online atomicity monitor. Generic over the value domain `V`
@@ -419,12 +389,11 @@ impl<V: Clone + Ord> KeyState<V> {
 /// absent; a replay of a finished history at `&V`, so no value is
 /// cloned). See the module docs for the algorithm and its assumptions.
 pub struct ConsistencyMonitor<V> {
-    keys: BTreeMap<String, KeyState<V>>,
-    /// Pending operation -> key (dropped at completion, retirement or
-    /// saturation).
-    op_keys: BTreeMap<u64, String>,
+    /// Key name -> index into `states`.
+    keys: BTreeMap<String, usize>,
+    states: Vec<KeyState<V>>,
+    pending: HashMap<u64, Pending>,
     violations: Vec<Violation>,
-    saturations: u64,
     ops_observed: u64,
     /// What every key's register holds before its first operation.
     initial: InitialState<V>,
@@ -436,7 +405,6 @@ impl<V> std::fmt::Debug for ConsistencyMonitor<V> {
             .field("keys", &self.keys.len())
             .field("ops_observed", &self.ops_observed)
             .field("violations", &self.violations.len())
-            .field("saturations", &self.saturations)
             .finish_non_exhaustive()
     }
 }
@@ -464,9 +432,9 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
     pub fn starting_from(initial: InitialState<V>) -> Self {
         ConsistencyMonitor {
             keys: BTreeMap::new(),
-            op_keys: BTreeMap::new(),
+            states: Vec::new(),
+            pending: HashMap::new(),
             violations: Vec::new(),
-            saturations: 0,
             ops_observed: 0,
             initial,
         }
@@ -478,83 +446,68 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
     ///
     /// Operation ids must be unique across the run.
     pub fn op_invoked(&mut self, op: u64, key: &str, at_ns: u64, write: Option<V>) {
-        let _ = at_ns; // precedence is positional: completed-before-invoked, below.
+        let _ = at_ns; // precedence is positional (module docs)
         self.ops_observed += 1;
-        if !self.keys.contains_key(key) {
-            self.keys
-                .insert(key.to_string(), KeyState::new(&self.initial));
-        }
-        if self.keys[key].active.len() >= MAX_WINDOW {
-            self.saturate(key);
-        }
-        let ks = self.keys.get_mut(key).expect("created above");
-        let kind = match write {
-            Some(v) => Kind::Write(ks.intern(&v)),
-            None => Kind::Read(None),
+        let k = match self.keys.get(key) {
+            Some(&k) => k,
+            None => {
+                self.keys.insert(key.to_string(), self.states.len());
+                self.states.push(KeyState::new(key));
+                self.states.len() - 1
+            }
         };
-        // Predecessors: exactly the window operations already completed
-        // now. (An operation completing later is concurrent with this
-        // one — `responded < invoked` can no longer hold for it.)
-        let pred = ks.completed();
-        ks.active.push(ActiveOp {
-            op,
-            responded: None,
-            kind,
-            pred,
-        });
-        self.op_keys.insert(op, key.to_string());
+        let ks = &mut self.states[k];
+        ks.clock += 1;
+        let at = ks.clock;
+        let read = write.is_none();
+        match write {
+            Some(value) => ks.clusters.push(Cluster {
+                value,
+                write: op,
+                first: None,
+                first_late: None,
+                last: (at, op),
+            }),
+            None => {
+                ks.pending_reads.insert(at);
+            }
+        }
+        self.pending.insert(op, Pending { key: k, at, read });
     }
 
     /// Records the completion of operation `op` at simulated time
     /// `at_ns`; `read` carries the returned value for reads (`None` for
-    /// writes). Advances the key's frontier and returns the violation
-    /// this completion exposed, if any.
+    /// writes). Returns the violation this completion exposed, if any.
     ///
-    /// Completions of unknown operations (never invoked, or dropped by
-    /// a saturation restart) are ignored.
+    /// Completions of unknown operations are ignored.
     pub fn op_completed(&mut self, op: u64, at_ns: u64, read: Option<V>) -> Option<&Violation> {
-        let key = self.op_keys.remove(&op)?;
-        let ks = self.keys.get_mut(&key)?;
-        let idx = ks.active.iter().position(|a| a.op == op)?;
-        ks.active[idx].responded = Some(at_ns);
-        if let Kind::Read(None) = ks.active[idx].kind {
+        let p = self.pending.remove(&op)?;
+        let ks = &mut self.states[p.key];
+        ks.clock += 1;
+        let now = ks.clock;
+        let culprits = if p.read {
             let v = read.expect("read completion must carry the returned value");
-            ks.active[idx].kind = Kind::Read(Some(ks.intern(&v)));
-        }
-        match ks.advance() {
-            None => {
-                // Frontier budget exceeded (pathological same-value
-                // concurrency): weaken instead of hanging — same
-                // fallback as a window overflow.
-                self.saturate(&key);
-                None
-            }
-            Some(true) => {
-                for retired in ks.prune_and_retire() {
-                    self.op_keys.remove(&retired);
-                }
-                None
-            }
-            Some(false) => {
-                // Frontier is dead: no linearization of the completed
-                // window operations exists. Flag it, then restart the key
-                // with an unconstrained value so monitoring continues.
-                let culprits: Vec<u64> = ks
-                    .active
-                    .iter()
-                    .filter(|a| a.responded.is_some())
-                    .map(|a| a.op)
-                    .collect();
-                self.violations.push(Violation {
-                    key: key.clone(),
-                    op,
-                    at_ns,
-                    culprits,
-                });
-                self.restart(&key);
-                self.violations.last()
-            }
-        }
+            let candidate = ks.restarted || self.initial.allows(&v);
+            ks.read_done(op, p.at, now, v, candidate)
+        } else {
+            ks.write_done(op, now);
+            None
+        };
+        let Some(mut culprits) = culprits else {
+            ks.retire();
+            return None;
+        };
+        let pending = &self.pending;
+        ks.restart(|w| pending.get(&w).map(|p| p.at));
+        culprits.sort_unstable();
+        culprits.dedup();
+        self.violations.push(Violation {
+            key: ks.name.clone(),
+            op,
+            at_ns,
+            culprits,
+        });
+        self.violations.last()
     }
 
     /// True if no violation has been detected.
@@ -572,14 +525,6 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
         self.violations.first()
     }
 
-    /// Times a key's window overflowed [`MAX_WINDOW`] or its frontier
-    /// [`MAX_STATES`] and the monitor fell back to an unconstrained
-    /// restart. A non-zero count weakens the "clean" verdict over the
-    /// overlapping stretch — surfaced so it is never silent.
-    pub fn saturations(&self) -> u64 {
-        self.saturations
-    }
-
     /// Operations observed (invocations).
     pub fn ops_observed(&self) -> u64 {
         self.ops_observed
@@ -588,30 +533,6 @@ impl<V: Clone + Ord> ConsistencyMonitor<V> {
     /// Keys currently monitored.
     pub fn keys_monitored(&self) -> usize {
         self.keys.len()
-    }
-
-    /// The widest currently-tracked window across keys (diagnostic).
-    pub fn max_window_in_use(&self) -> usize {
-        self.keys
-            .values()
-            .map(|k| k.active.len())
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Saturation fallback: counts the event and restarts the key.
-    fn saturate(&mut self, key: &str) {
-        self.saturations += 1;
-        self.restart(key);
-    }
-
-    /// Restarts `key`'s frontier unconstrained (see [`KeyState::restart`]),
-    /// forgetting the operations it drops.
-    fn restart(&mut self, key: &str) {
-        let ks = self.keys.get_mut(key).expect("key exists");
-        for dropped in ks.restart() {
-            self.op_keys.remove(&dropped);
-        }
     }
 }
 
@@ -626,6 +547,10 @@ mod tests {
     }
     fn get(m: &mut M, op: u64, key: &str, at: u64) {
         m.op_invoked(op, key, at, None);
+    }
+    /// Live clusters on `key`.
+    fn live(m: &M, key: &str) -> usize {
+        m.states[m.keys[key]].clusters.len()
     }
 
     #[test]
@@ -750,56 +675,52 @@ mod tests {
             get(&mut m, 2 * i + 1, "k", 100 * i + 20);
             m.op_completed(2 * i + 1, 100 * i + 30, Some(Some(i + 1)));
             assert!(
-                m.max_window_in_use() <= 4,
-                "retirement must bound the window, got {} at i={i}",
-                m.max_window_in_use()
-            );
-            // Interned values are released with the window: at most one
-            // per window op plus the frontier's current value.
-            let ks = &m.keys["k"];
-            assert!(
-                ks.interned.len() <= ks.active.len() + 1,
-                "{} values interned for a window of {} at i={i}",
-                ks.interned.len(),
-                ks.active.len()
+                live(&m, "k") <= 2,
+                "{} live clusters at i={i}",
+                live(&m, "k")
             );
         }
         assert!(m.is_clean());
-        assert_eq!(m.saturations(), 0);
     }
 
     #[test]
     fn overlap_chain_stays_bounded() {
         // op i completes only after op i+1 was invoked: no quiescent
-        // point ever forms, yet retirement must keep the window small.
+        // point ever forms, yet retirement must keep the key small.
         let mut m = M::with_initial(None);
         put(&mut m, 0, "k", 0, 1);
         for i in 1..2_000u64 {
             put(&mut m, i, "k", 10 * i, i + 1);
             m.op_completed(i - 1, 10 * i + 5, None);
             assert!(
-                m.max_window_in_use() <= 6,
-                "chained overlap must stay bounded, got {}",
-                m.max_window_in_use()
+                live(&m, "k") <= 4,
+                "{} live clusters at i={i}",
+                live(&m, "k")
             );
         }
         assert!(m.is_clean());
     }
 
     #[test]
-    fn saturation_falls_back_instead_of_failing() {
-        let mut m = M::with_initial(None);
-        // 70 overlapping reads on one key — none complete, the window
-        // overflows, and the monitor restarts instead of flagging.
-        for i in 0..70u64 {
-            get(&mut m, i, "k", i);
+    fn seventy_overlapping_reads_get_a_verdict() {
+        // A completed put, then 70 reads in flight at once: every one
+        // reads the put's value, or one reads "absent" after it.
+        for stale in [None, Some(33u64)] {
+            let mut m = M::with_initial(None);
+            put(&mut m, 100, "k", 0, 1);
+            m.op_completed(100, 1, None);
+            for i in 0..70u64 {
+                get(&mut m, i, "k", 10 + i);
+            }
+            for i in 0..70u64 {
+                let seen = if Some(i) == stale { None } else { Some(1) };
+                m.op_completed(i, 1_000 + i, Some(seen));
+            }
+            assert_eq!(m.is_clean(), stale.is_none(), "stale read {stale:?}");
+            if let Some(v) = m.first_violation() {
+                assert_eq!(v.op, 33);
+            }
         }
-        assert!(m.saturations() > 0, "window overflow must be counted");
-        // Completions of dropped ops are ignored; survivors still judge.
-        for i in 0..70u64 {
-            m.op_completed(i, 1_000 + i, Some(None));
-        }
-        assert!(m.is_clean(), "restart is unconstrained, not a violation");
     }
 
     #[test]
@@ -846,21 +767,68 @@ mod tests {
     #[test]
     fn reads_of_a_pending_writes_value_retire() {
         // A put stays pending while a reader completes 200 sequential
-        // gets of its value: every get is placed after the put in every
-        // surviving state, so they retire instead of filling the window.
+        // gets of its value: they join its cluster, which stays the one
+        // live cluster.
         let mut m = M::with_initial(None);
         put(&mut m, 0, "k", 0, 1);
         for i in 1..=200u64 {
             get(&mut m, i, "k", 10 * i);
             m.op_completed(i, 10 * i + 5, Some(Some(1)));
-            assert!(
-                m.max_window_in_use() <= 3,
-                "window {}",
-                m.max_window_in_use()
-            );
+            assert_eq!(live(&m, "k"), 1);
         }
         m.op_completed(0, 5_000, None);
         assert!(m.is_clean());
-        assert_eq!(m.saturations(), 0);
+    }
+
+    #[test]
+    fn a_retired_cluster_still_conflicts() {
+        // put 1 runs 1..10; a get invoked at 2 reads 1 at 6, an early
+        // read (invoked before put 2 completed at 4). A get of put 2's
+        // value follows, and put 3 (invoked at 5, after put 2 completed)
+        // retires put 2's cluster when it completes at 9. A last read of
+        // 1 then conflicts with that retired cluster alone: put 1 was
+        // read before put 2's read, so it must precede put 2.
+        let mut m = M::with_initial(None);
+        put(&mut m, 0, "k", 1, 1);
+        get(&mut m, 1, "k", 2);
+        put(&mut m, 2, "k", 3, 2);
+        m.op_completed(2, 4, None);
+        put(&mut m, 3, "k", 5, 3);
+        m.op_completed(1, 6, Some(Some(1)));
+        get(&mut m, 4, "k", 7);
+        m.op_completed(4, 8, Some(Some(2)));
+        m.op_completed(3, 9, None);
+        m.op_completed(0, 10, None);
+        assert!(m.is_clean());
+        assert_eq!(live(&m, "k"), 2, "put 2's cluster retired");
+        get(&mut m, 5, "k", 11);
+        let v = m.op_completed(5, 12, Some(Some(1))).cloned();
+        assert_eq!(
+            v.expect("conflict with the retired cluster").culprits,
+            [0, 1, 2, 4, 5]
+        );
+    }
+
+    #[test]
+    fn precedence_at_equal_timestamps_follows_the_feed() {
+        // put 2 completes at t=30 and a get is invoked at t=30. Fed
+        // completion first (the store's closed-loop refill), the put
+        // precedes the get, so reading 1 is stale; fed invocation first,
+        // they overlap and reading 1 is fine.
+        for completion_first in [true, false] {
+            let mut m = M::with_initial(None);
+            put(&mut m, 0, "k", 0, 1);
+            m.op_completed(0, 10, None);
+            put(&mut m, 1, "k", 20, 2);
+            if completion_first {
+                m.op_completed(1, 30, None);
+                get(&mut m, 2, "k", 30);
+            } else {
+                get(&mut m, 2, "k", 30);
+                m.op_completed(1, 30, None);
+            }
+            let flagged = m.op_completed(2, 40, Some(Some(1))).is_some();
+            assert_eq!(flagged, completion_first);
+        }
     }
 }

@@ -625,13 +625,8 @@ impl<V: Payload + BulkCodec> DeployCore<V> {
     /// failure.
     ///
     /// Open-loop runs queue operations at the clients, so a backlogged
-    /// client's operations overlap; they are judged all the same. A burst
-    /// that puts dozens of operations on one hot key in flight at once
-    /// can overflow the checker's window (`sbs_obs::MAX_WINDOW`) or its
-    /// frontier budget (`sbs_obs::MAX_STATES`); the key then gets an
-    /// error ([`LinError::Saturated`](sbs_check::LinError)), not a
-    /// verdict. Judge such runs with `sbs_check::check_regularity` per
-    /// key instead.
+    /// client's operations overlap; they are judged all the same, however
+    /// many operations a burst puts in flight on one hot key.
     pub fn check_per_key_atomicity(&self) -> Result<usize, String> {
         let mut checked = 0;
         for key in self.keys_touched() {

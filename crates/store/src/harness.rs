@@ -332,8 +332,8 @@ impl StoreBuilder {
     }
 
     /// Enables the online atomicity monitor: every `put`/`get` is fed to
-    /// an incremental per-key WGL-style checker as it is invoked and
-    /// completed, so a non-atomic response is flagged **at event time**
+    /// an incremental per-key cluster-and-zone checker as it is invoked
+    /// and completed, so a non-atomic response is flagged **at event time**
     /// (with the violating op, its sim-time, and the culprit op set —
     /// see [`DeployCore::monitor_violations`]) instead of
     /// by a post-hoc history check. Off by default; monitoring is

@@ -5,7 +5,7 @@
 //! against a sparse run of the identical declarative workload, where
 //! almost nothing queues, plus a direct check of the ordering guarantee.
 
-use sbs_check::{check_regularity, equivalent_write_histories, History};
+use sbs_check::{equivalent_write_histories, History};
 use sbs_sim::SimDuration;
 use sbs_store::{
     FaultPlan, KeyDist, LoopMode, OpMix, StoreBuilder, StoreSystem, Workload, WorkloadReport,
@@ -102,7 +102,7 @@ fn bursts_coalesce_below_the_closed_loop_message_cost() {
 /// (windowed). Each client gets the same op quota at both rates, so the
 /// runs must agree on the key set, every per-key write sequence and
 /// every per-key op count, however differently the bursts fold; the
-/// bursty run's per-key histories must stay regular. Returns the
+/// bursty run's per-key histories must stay atomic. Returns the
 /// (unbatched, windowed) reports.
 fn assert_folding_is_differentially_equivalent(
     label: &str,
@@ -121,15 +121,9 @@ fn assert_folding_is_differentially_equivalent(
         "{label}: Zipfian mix must touch many keys: {keys}"
     );
 
-    // Judge per-key regularity: the bursts pile up to 74 ops onto a hot
-    // key, dozens of them in flight at once, and the interleavings of
-    // those overflow the atomicity checker's frontier budget, so it
-    // would return a saturation error instead of a verdict.
-    for key in bursty_sys.keys_touched() {
-        let h = bursty_sys.history_for_key(&key);
-        let rep = check_regularity(&h, &[None]);
-        assert!(rep.is_regular(), "{label}: key {key}: {:?}", rep.violations);
-    }
+    bursty_sys
+        .check_per_key_atomicity()
+        .unwrap_or_else(|e| panic!("{label}: bursty run must stay atomic: {e}"));
     (sparse, bursty)
 }
 

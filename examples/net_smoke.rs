@@ -140,12 +140,10 @@ fn main() {
 
     let monitor = sys.monitor().expect("monitor enabled");
     println!(
-        "monitor: {} ops observed, {} keys, window {} ops, {} violations, {} saturations",
+        "monitor: {} ops observed, {} keys, {} violations",
         monitor.ops_observed(),
         monitor.keys_monitored(),
-        monitor.max_window_in_use(),
-        monitor.violations().len(),
-        monitor.saturations()
+        monitor.violations().len()
     );
 
     let atomicity = sys.check_per_key_atomicity();
