@@ -1,10 +1,13 @@
 //! The client's view of the ss-broadcast layer, plus acknowledgement
 //! anchoring.
 //!
-//! [`ClientLink`] wraps an [`SsBroadcaster`] (one per client — clients are
-//! sequential, so one broadcast is in flight at a time) and maintains the
-//! **anchor map** that makes protocol acknowledgements safely attributable
-//! without wire sequence numbers:
+//! [`ClientLink`] wraps an [`SsBroadcaster`] (one per client). Clients are
+//! sequential, so one broadcast is *active* at a time: the current
+//! operation's round. A writer's helping round (`NEW_HELP_VAL`) may run
+//! *detached* beside it ([`ClientLink::broadcast_detached`]), at most one
+//! per register, finishing while the client's next operations broadcast.
+//! The link also maintains the **anchor map** that makes protocol
+//! acknowledgements safely attributable without wire sequence numbers:
 //!
 //! A correct server, upon ss-delivering a request, first sends `SS_ACK(tag)`
 //! and then its protocol acknowledgement. Links are FIFO, so when an
@@ -15,14 +18,19 @@
 //! self-stabilizing and lives entirely inside the broadcast abstraction,
 //! which is how the paper's protocols avoid sequence numbers on
 //! acknowledgements (§3.1 remark).
+//!
+//! Detached helping rounds keep the anchors right: `NEW_HELP_VAL` has no
+//! protocol acknowledgement, so a helping `SS_ACK` re-anchors its server
+//! but no `ACK_READ`/`ACK_WRITE` is ever attributed through it — every
+//! protocol acknowledgement still directly follows its own `SS_ACK`.
 
 use crate::msg::RegMsg;
 use sbs_link::{AckOutcome, SsBroadcaster, SsTag};
 use sbs_sim::{Context, DetRng, ProcessId};
 use std::collections::BTreeMap;
 
-/// Client-side broadcast state: the in-flight ss-broadcast and the
-/// per-server acknowledgement anchors.
+/// Client-side broadcast state: the active ss-broadcast, the detached
+/// helping rounds, and the per-server acknowledgement anchors.
 #[derive(Clone, Debug)]
 pub struct ClientLink {
     bcaster: SsBroadcaster,
@@ -55,11 +63,46 @@ impl ClientLink {
         P: Clone + std::fmt::Debug,
     {
         let tag = self.bcaster.start();
-        let servers: Vec<ProcessId> = self.bcaster.servers().to_vec();
-        for s in servers {
-            ctx.send(s, make(tag));
-        }
+        self.send_all(ctx, make(tag));
         tag
+    }
+
+    /// Like [`ClientLink::broadcast`], but the broadcast is *detached*,
+    /// filed under `slot`: later active broadcasts do not abandon it, and
+    /// it replaces `slot`'s previous detached broadcast. It is tracked
+    /// until [`ClientLink::release`] of `slot`.
+    pub fn broadcast_detached<P, O>(
+        &mut self,
+        slot: u32,
+        ctx: &mut Context<'_, RegMsg<P>, O>,
+        make: impl Fn(SsTag) -> RegMsg<P>,
+    ) -> SsTag
+    where
+        P: Clone + std::fmt::Debug,
+    {
+        let tag = self.bcaster.start_detached(slot);
+        self.send_all(ctx, make(tag));
+        tag
+    }
+
+    /// Stops tracking `slot`'s detached broadcast; its late acks are
+    /// ignored.
+    pub fn release(&mut self, slot: u32) {
+        self.bcaster.release(slot);
+    }
+
+    /// Detached broadcasts currently tracked — at most one per slot.
+    pub fn detached(&self) -> usize {
+        self.bcaster.detached()
+    }
+
+    fn send_all<P, O>(&self, ctx: &mut Context<'_, RegMsg<P>, O>, msg: RegMsg<P>)
+    where
+        P: Clone + std::fmt::Debug,
+    {
+        for &s in self.bcaster.servers() {
+            ctx.send(s, msg.clone());
+        }
     }
 
     /// Processes an `SS_ACK`: re-anchors this server and feeds the
@@ -75,8 +118,8 @@ impl ClientLink {
         self.anchor.get(&from).copied()
     }
 
-    /// True once the broadcast identified by `tag` has completed (the
-    /// synchronized-delivery postcondition holds).
+    /// True once the broadcast identified by `tag` — active or detached —
+    /// has completed (the synchronized-delivery postcondition holds).
     pub fn is_complete(&self, tag: SsTag) -> bool {
         self.bcaster.is_completed_tag(tag)
     }
@@ -89,8 +132,8 @@ impl ClientLink {
     }
 
     /// Transient-fault hook: scrambles the anchors, which re-align on the
-    /// next `SS_ACK` from each server. The broadcaster (tag counter and
-    /// in-flight ack set) is left as it is.
+    /// next `SS_ACK` from each server. The broadcaster (tag counter, the
+    /// active and the detached broadcasts' ack sets) is left as it is.
     pub fn corrupt(&mut self, rng: &mut DetRng) {
         for (_, tag) in self.anchor.iter_mut() {
             *tag = rng.next_u64();

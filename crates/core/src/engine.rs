@@ -30,6 +30,18 @@
 //! footnote 3); re-broadcasting the round is the equivalent at session
 //! granularity and is what keeps operations live when transient faults hit
 //! in-flight state.
+//!
+//! The help round is broadcast *detached* (see
+//! [`ClientLink::broadcast_detached`], filed under the register id), and
+//! so is its asynchronous retransmission: it never replaces a host's
+//! active round. [`WriteEngine::progress`] reports it apart from the
+//! write round ([`WriteProgress::Helping`]), so a host may complete the
+//! operation once the write round has and let the help round finish in
+//! the background — provided the register's next `WRITE` waits for it.
+//! The help round ends as before, on `n − t` `SS_ACK`s (async) or all `n`
+//! or the timeout (sync); a round a transient fault scrambled or made the
+//! link forget ends by retransmission or by the timeout. Its slot is
+//! released when it ends.
 
 use crate::clientlink::ClientLink;
 use crate::config::{RegId, RegisterConfig};
@@ -38,6 +50,23 @@ use crate::value::Payload;
 use sbs_link::SsTag;
 use sbs_sim::{Context, DetRng, ProcessId, TimerId};
 use std::collections::BTreeMap;
+
+/// Where a write stands, as [`WriteEngine::progress`] reports it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WriteProgress {
+    /// No write is running, or its write round (line 02) is still
+    /// collecting acknowledgements.
+    Pending,
+    /// The write round completed and line 03 launched a help round (lines
+    /// 04–05), which is still running. Reported on every call until the
+    /// help round ends. The value is written: a host may complete the
+    /// operation now, provided the register's next write waits for
+    /// [`WriteProgress::Done`].
+    Helping,
+    /// The write completed (line 06) and the engine is idle again.
+    /// Reported once per write.
+    Done,
+}
 
 /// The write operation engine.
 #[derive(Clone, Debug)]
@@ -145,14 +174,25 @@ impl<P: Payload> WriteEngine<P> {
     }
 
     /// Advances the machine. Returns `true` exactly once per operation,
-    /// when the write completes (line 06).
+    /// when the write completes (line 06) — help round included.
     pub fn poll<O: 'static>(
         &mut self,
         link: &mut ClientLink,
         ctx: &mut Context<'_, RegMsg<P>, O>,
     ) -> bool {
+        self.progress(link, ctx) == WriteProgress::Done
+    }
+
+    /// Advances the machine and reports where the write stands; unlike
+    /// [`WriteEngine::poll`] it tells a running help round
+    /// ([`WriteProgress::Helping`]) apart from a running write round.
+    pub fn progress<O: 'static>(
+        &mut self,
+        link: &mut ClientLink,
+        ctx: &mut Context<'_, RegMsg<P>, O>,
+    ) -> WriteProgress {
         match std::mem::replace(&mut self.phase, WPhase::Idle) {
-            WPhase::Idle => false,
+            WPhase::Idle => WriteProgress::Pending,
             WPhase::WriteRound {
                 tag,
                 val,
@@ -165,7 +205,7 @@ impl<P: Payload> WriteEngine<P> {
                 } else if timed_out {
                     // Async retransmission: restart the round.
                     self.restart_write(val, link, ctx);
-                    return false;
+                    return WriteProgress::Pending;
                 } else {
                     link.is_complete(tag) && acks.len() >= self.cfg.ack_quorum()
                 };
@@ -177,7 +217,7 @@ impl<P: Payload> WriteEngine<P> {
                         timer,
                         timed_out,
                     };
-                    return false;
+                    return WriteProgress::Pending;
                 }
                 ctx.cancel_timer(timer);
                 // Line 03: does some w ≠ ⊥ appear in ≥ writer_help_quorum
@@ -189,26 +229,11 @@ impl<P: Payload> WriteEngine<P> {
                     .filter(|r| !self.reader_has_agreed_help(&acks, *r))
                     .collect();
                 if failing.is_empty() {
-                    true
+                    WriteProgress::Done
                 } else {
                     // Lines 04–05: refresh the helping values.
-                    let reg = self.reg;
-                    let failing_clone = failing.clone();
-                    let htag = link.broadcast(ctx, |tag| RegMsg::NewHelpVal {
-                        reg,
-                        tag,
-                        val: val.clone(),
-                        readers: failing_clone.clone(),
-                    });
-                    let timer = ctx.set_timer(self.round_timer());
-                    self.phase = WPhase::HelpRound {
-                        tag: htag,
-                        val,
-                        readers: failing,
-                        timer,
-                        timed_out: false,
-                    };
-                    false
+                    self.broadcast_help(val, failing, link, ctx);
+                    WriteProgress::Helping
                 }
             }
             WPhase::HelpRound {
@@ -223,30 +248,18 @@ impl<P: Payload> WriteEngine<P> {
                     // applied the value; else wait out the bound.
                     timed_out || link.is_acked_by_all(tag)
                 } else if timed_out {
-                    // Async retransmission of the helping broadcast.
-                    let reg = self.reg;
-                    let readers_clone = readers.clone();
-                    let htag = link.broadcast(ctx, |tag| RegMsg::NewHelpVal {
-                        reg,
-                        tag,
-                        val: val.clone(),
-                        readers: readers_clone.clone(),
-                    });
-                    let t = ctx.set_timer(self.round_timer());
-                    self.phase = WPhase::HelpRound {
-                        tag: htag,
-                        val,
-                        readers,
-                        timer: t,
-                        timed_out: false,
-                    };
-                    return false;
+                    // Async retransmission of the helping broadcast, still
+                    // detached: it replaces the old help round, never the
+                    // host's active one.
+                    self.broadcast_help(val, readers, link, ctx);
+                    return WriteProgress::Helping;
                 } else {
                     link.is_complete(tag)
                 };
                 if ready {
                     ctx.cancel_timer(timer);
-                    true
+                    link.release(self.reg.0);
+                    WriteProgress::Done
                 } else {
                     self.phase = WPhase::HelpRound {
                         tag,
@@ -255,7 +268,7 @@ impl<P: Payload> WriteEngine<P> {
                         timer,
                         timed_out,
                     };
-                    false
+                    WriteProgress::Helping
                 }
             }
         }
@@ -273,6 +286,32 @@ impl<P: Payload> WriteEngine<P> {
                 }
             }
         }
+    }
+
+    /// Broadcasts `NEW_HELP_VAL(val, readers)` detached under the register
+    /// id and enters the help round.
+    fn broadcast_help<O: 'static>(
+        &mut self,
+        val: P,
+        readers: Vec<ProcessId>,
+        link: &mut ClientLink,
+        ctx: &mut Context<'_, RegMsg<P>, O>,
+    ) {
+        let reg = self.reg;
+        let tag = link.broadcast_detached(reg.0, ctx, |tag| RegMsg::NewHelpVal {
+            reg,
+            tag,
+            val: val.clone(),
+            readers: readers.clone(),
+        });
+        let timer = ctx.set_timer(self.round_timer());
+        self.phase = WPhase::HelpRound {
+            tag,
+            val,
+            readers,
+            timer,
+            timed_out: false,
+        };
     }
 
     fn restart_write<O: 'static>(
@@ -763,7 +802,76 @@ mod tests {
         let (srv, tag) = (rig.srv.clone(), rig.help_tag);
         assert!(!rig.ack_and_poll(&srv[..7], tag), "n − t − 1 acks");
         assert!(!rig.link.is_complete(tag));
-        assert!(rig.ack_and_poll(&srv[7..8], tag), "the (n − t)-th ack");
+        // The completed round releases its tag, so read the link's state
+        // between the (n − t)-th ack and the poll that ends the round.
+        rig.link.on_ss_ack(srv[7], tag);
         assert!(rig.link.is_complete(tag) && !rig.link.is_acked_by_all(tag));
+        assert!(rig.poll().0, "the (n − t)-th ack ends the round");
+        assert_eq!(rig.link.detached(), 0, "its detached slot is released");
+    }
+
+    #[test]
+    fn the_help_round_runs_detached_and_reports_helping_until_it_ends() {
+        let mut rig = HelpRig::new(RegisterConfig::asynchronous(9, 1));
+        let (srv, tag) = (rig.srv.clone(), rig.help_tag);
+        assert_eq!(rig.link.detached(), 1);
+        let (progress, _) = rig.step(|eng, link, ctx| eng.progress(link, ctx));
+        assert_eq!(progress, WriteProgress::Helping);
+        // A host's next round does not abandon it; its retransmission
+        // replaces it in the same slot and stays detached.
+        rig.step(|_, link, ctx| {
+            link.broadcast(ctx, |tag| RegMsg::Read {
+                reg: RegId(0),
+                tag,
+                new_read: true,
+            })
+        });
+        rig.eng.on_timer(rig.help_timer);
+        let (progress, eff) = rig.step(|eng, link, ctx| eng.progress(link, ctx));
+        assert_eq!(progress, WriteProgress::Helping);
+        let retry = round_tag(&eff);
+        assert!(matches!(eff.sends()[0].1, RegMsg::NewHelpVal { .. }));
+        assert_eq!(rig.link.detached(), 1);
+        for &s in &srv[..8] {
+            rig.link.on_ss_ack(s, tag);
+        }
+        assert!(!rig.poll().0, "the replaced round's acks count for nothing");
+        for &s in &srv[..8] {
+            rig.link.on_ss_ack(s, retry);
+        }
+        let (progress, _) = rig.step(|eng, link, ctx| eng.progress(link, ctx));
+        assert_eq!(progress, WriteProgress::Done);
+        assert_eq!(rig.link.detached(), 0);
+        assert!(rig.eng.is_idle());
+    }
+
+    #[test]
+    fn helping_ss_acks_interleaved_with_a_read_leave_its_acks_anchored() {
+        let mut rig = HelpRig::new(RegisterConfig::asynchronous(9, 1));
+        let (srv, help) = (rig.srv.clone(), rig.help_tag);
+        let mut reader = ReadEngine::<u64>::new(RegId(0), RegisterConfig::asynchronous(9, 1));
+        let ((), eff) = rig.step(|_, link, ctx| reader.start_sanity(link, ctx));
+        let RegMsg::Read { tag: read, .. } = eff.sends()[0].1 else {
+            panic!("the sanity probe broadcasts READ");
+        };
+        // FIFO links put each ACK_READ right behind its own SS_ACK; the
+        // helping SS_ACK lands before that pair at even servers and after
+        // it at odd ones. NEW_HELP_VAL has no protocol ack of its own.
+        for (i, &s) in srv.iter().enumerate() {
+            if i % 2 == 0 {
+                rig.link.on_ss_ack(s, help);
+            }
+            rig.link.on_ss_ack(s, read);
+            let anchored = rig.link.anchored_tag(s);
+            assert_eq!(anchored, Some(read), "server {i}");
+            reader.on_ack_read(s, RegId(0), 7, None, anchored);
+            if i % 2 == 1 {
+                rig.link.on_ss_ack(s, help);
+            }
+        }
+        let (progress, _) = rig.step(|_, link, ctx| reader.poll(link, ctx));
+        assert_eq!(progress, Some(ReadProgress::SanityDone(None)));
+        assert_eq!(reader.sanity_lasts().count(), 9, "every ACK_READ counted");
+        assert!(rig.poll().0, "and the help round completed beside it");
     }
 }

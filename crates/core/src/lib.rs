@@ -39,7 +39,7 @@ pub mod mwmr;
 
 pub use clientlink::ClientLink;
 pub use config::{round_trip_timeout, RegId, RegisterConfig, SyncMode};
-pub use engine::{ReadEngine, ReadProgress, ReadSource, WriteEngine};
+pub use engine::{ReadEngine, ReadProgress, ReadSource, WriteEngine, WriteProgress};
 pub use msg::{ClientOut, RegMsg};
 pub use server::{RegSlot, ServerCore, ServerNode};
 pub use swsr::{

@@ -12,6 +12,11 @@
 //!   guarantees at least `n − 2t` correct servers delivered (synchronized
 //!   delivery). Acks keep being recorded up to all `n`: a synchronous
 //!   round ends early on that evidence instead of on its timeout;
+//! - one broadcast is *active* — the current operation's round — and any
+//!   number of *detached* ones, at most one per caller-chosen slot, finish
+//!   beside it: a round an operation no longer waits for (a writer's
+//!   helping round) keeps counting its acks while the next operation
+//!   broadcasts. All draw tags from one counter;
 //! - servers deliver payloads in arrival order (FIFO links preserve
 //!   broadcast order) and suppress adjacent duplicates of the same tag
 //!   (no duplication even if a transient fault re-injects the packet).
@@ -31,23 +36,36 @@ use std::collections::HashMap;
 /// A session tag identifying one `ss_broadcast` invocation of one client.
 pub type SsTag = u64;
 
-/// Client half: tracks the in-flight broadcast and its acknowledgements.
+/// Client half: tracks the in-flight broadcasts and their
+/// acknowledgements.
 ///
 /// One instance per (client, destination-set) pair. Clients in the paper
-/// are sequential, so at most one broadcast is active at a time; starting a
-/// new one while active simply abandons the old (its late acks are
-/// ignored), which is what an operation restarted after a transient fault
-/// does anyway.
+/// are sequential, so at most one broadcast is *active* at a time;
+/// starting a new one while active simply abandons the old (its late acks
+/// are ignored), which is what an operation restarted after a transient
+/// fault does anyway.
+///
+/// Beside the active broadcast run *detached* ones
+/// ([`SsBroadcaster::start_detached`]): rounds an operation leaves
+/// behind when it completes — a writer's helping round — which finish on
+/// their own while the client's next operations broadcast. Each is filed
+/// under a caller-chosen slot (the register it writes), at most one per
+/// slot, so the set is bounded by the slots in use. Active and detached
+/// broadcasts draw their tags from one counter: every broadcast carries a
+/// tag no other one of this client has used recently, so a server's
+/// adjacent-duplicate rule never swallows a fresh one.
 #[derive(Clone, Debug)]
 pub struct SsBroadcaster {
     servers: Vec<ProcessId>,
     ack_quorum: usize,
     next_tag: SsTag,
-    active: Option<ActiveBroadcast>,
+    active: Option<Broadcast>,
+    /// Detached broadcasts by slot, at most one per slot.
+    detached: Vec<(u32, Broadcast)>,
 }
 
 #[derive(Clone, Debug)]
-struct ActiveBroadcast {
+struct Broadcast {
     tag: SsTag,
     acked: Vec<ProcessId>,
     completed: bool,
@@ -56,14 +74,14 @@ struct ActiveBroadcast {
 /// What [`SsBroadcaster::on_ack`] observed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AckOutcome {
-    /// The ack completed the active broadcast (quorum reached just now).
+    /// The ack completed its broadcast (quorum reached just now).
     JustCompleted,
     /// The ack was recorded without completing the broadcast: the quorum
     /// is not reached yet, or was reached by an earlier ack.
     Counted,
-    /// The ack was stale (wrong tag), duplicated, from a process that is
-    /// not a destination server, or there is no active broadcast; it was
-    /// ignored.
+    /// The ack was stale (no active or detached broadcast has its tag),
+    /// duplicated, or from a process that is not a destination server; it
+    /// was ignored.
     Ignored,
 }
 
@@ -86,6 +104,7 @@ impl SsBroadcaster {
             ack_quorum,
             next_tag: 0,
             active: None,
+            detached: Vec::new(),
         }
     }
 
@@ -102,32 +121,82 @@ impl SsBroadcaster {
     /// Starts a broadcast and returns its tag. The caller must send the
     /// payload, wrapped with this tag, to every server in
     /// [`SsBroadcaster::servers`]. Any previously active broadcast is
-    /// abandoned.
+    /// abandoned; detached ones are not.
     pub fn start(&mut self) -> SsTag {
-        let tag = self.next_tag;
-        self.next_tag = self.next_tag.wrapping_add(1);
-        self.active = Some(ActiveBroadcast {
-            tag,
-            acked: Vec::with_capacity(self.servers.len()),
-            completed: false,
-        });
+        let b = self.fresh();
+        let tag = b.tag;
+        self.active = Some(b);
         tag
     }
 
-    /// Processes a link-level acknowledgement of `tag` from `from`. Every
-    /// distinct destination server is recorded once, also past the
-    /// quorum; [`AckOutcome::JustCompleted`] is returned exactly once, by
-    /// the ack that reaches `n − t`.
+    /// Starts a detached broadcast filed under `slot` and returns its tag.
+    /// It runs beside the active broadcast — [`SsBroadcaster::start`] does
+    /// not abandon it — and completes by the same `n − t` rule. The
+    /// slot's previous detached broadcast, if any, is abandoned (a
+    /// retransmission replaces its round). It stays tracked until
+    /// [`SsBroadcaster::release`] of its slot.
+    pub fn start_detached(&mut self, slot: u32) -> SsTag {
+        let b = self.fresh();
+        let tag = b.tag;
+        match self.detached.iter_mut().find(|(s, _)| *s == slot) {
+            Some((_, old)) => *old = b,
+            None => self.detached.push((slot, b)),
+        }
+        tag
+    }
+
+    /// Stops tracking `slot`'s detached broadcast: its late acks are
+    /// ignored from now on. A slot with none is left as it is.
+    pub fn release(&mut self, slot: u32) {
+        self.detached.retain(|(s, _)| *s != slot);
+    }
+
+    /// Detached broadcasts currently tracked — at most one per slot.
+    pub fn detached(&self) -> usize {
+        self.detached.len()
+    }
+
+    /// A new broadcast under the next tag of the shared counter.
+    fn fresh(&mut self) -> Broadcast {
+        let tag = self.next_tag;
+        self.next_tag = self.next_tag.wrapping_add(1);
+        Broadcast {
+            tag,
+            acked: Vec::with_capacity(self.servers.len()),
+            completed: false,
+        }
+    }
+
+    /// The tracked broadcast — active or detached — carrying `tag`.
+    fn find(&self, tag: SsTag) -> Option<&Broadcast> {
+        let detached = self.detached.iter().map(|(_, b)| b);
+        self.active.iter().chain(detached).find(|b| b.tag == tag)
+    }
+
+    /// Processes a link-level acknowledgement of `tag` from `from`, for
+    /// the active broadcast or a detached one. Every distinct destination
+    /// server is recorded once, also past the quorum;
+    /// [`AckOutcome::JustCompleted`] is returned exactly once per
+    /// broadcast, by the ack that reaches `n − t`.
     pub fn on_ack(&mut self, from: ProcessId, tag: SsTag) -> AckOutcome {
-        let Some(active) = self.active.as_mut() else {
-            return AckOutcome::Ignored;
-        };
-        if active.tag != tag || !self.servers.contains(&from) || active.acked.contains(&from) {
+        if !self.servers.contains(&from) {
             return AckOutcome::Ignored;
         }
-        active.acked.push(from);
-        if !active.completed && active.acked.len() >= self.ack_quorum {
-            active.completed = true;
+        let detached = self.detached.iter_mut().map(|(_, b)| b);
+        let Some(b) = self
+            .active
+            .iter_mut()
+            .chain(detached)
+            .find(|b| b.tag == tag)
+        else {
+            return AckOutcome::Ignored;
+        };
+        if b.acked.contains(&from) {
+            return AckOutcome::Ignored;
+        }
+        b.acked.push(from);
+        if !b.completed && b.acked.len() >= self.ack_quorum {
+            b.completed = true;
             AckOutcome::JustCompleted
         } else {
             AckOutcome::Counted
@@ -145,32 +214,43 @@ impl SsBroadcaster {
         matches!(self.active, Some(ref a) if a.completed)
     }
 
-    /// True if the broadcast identified by `tag` is the active one and has
-    /// completed.
+    /// True if the broadcast identified by `tag` — the active one or a
+    /// detached one — is tracked and has completed.
     pub fn is_completed_tag(&self, tag: SsTag) -> bool {
-        matches!(self.active, Some(ref a) if a.tag == tag && a.completed)
+        self.find(tag).is_some_and(|b| b.completed)
     }
 
-    /// True if the broadcast identified by `tag` is the active one and
-    /// every one of the `n` destination servers has acknowledged it. A
-    /// Byzantine server is a single identity, so this implies all
-    /// `n − t` correct servers delivered `tag`.
+    /// True if the broadcast identified by `tag` — the active one or a
+    /// detached one — is tracked and every one of the `n` destination
+    /// servers has acknowledged it. A Byzantine server is a single
+    /// identity, so this implies all `n − t` correct servers delivered
+    /// `tag`.
     pub fn is_acked_by_all(&self, tag: SsTag) -> bool {
-        matches!(self.active, Some(ref a) if a.tag == tag && a.acked.len() == self.servers.len())
+        self.find(tag)
+            .is_some_and(|b| b.acked.len() == self.servers.len())
     }
 
     /// Transient-fault hook: scrambles the tag counter and in-flight state.
+    /// A detached broadcast is forgotten or scrambled in place; none is
+    /// added, so the set stays within the slots it held.
     pub fn corrupt(&mut self, rng: &mut DetRng) {
         self.next_tag = rng.next_u64();
-        if rng.chance(0.5) {
-            self.active = Some(ActiveBroadcast {
+        self.active = rng.chance(0.5).then(|| Broadcast {
+            tag: rng.next_u64(),
+            acked: Vec::new(),
+            completed: rng.chance(0.5),
+        });
+        self.detached.retain_mut(|(_, b)| {
+            if rng.chance(0.5) {
+                return false;
+            }
+            *b = Broadcast {
                 tag: rng.next_u64(),
                 acked: Vec::new(),
                 completed: rng.chance(0.5),
-            });
-        } else {
-            self.active = None;
-        }
+            };
+            true
+        });
     }
 }
 
@@ -288,6 +368,94 @@ mod tests {
         let t1 = b.start();
         let t2 = b.start();
         assert_ne!(t1, t2);
+    }
+
+    #[test]
+    fn a_detached_broadcast_completes_after_newer_active_ones() {
+        let mut b = SsBroadcaster::new(servers(5), 1); // quorum 4
+        let help = b.start_detached(3);
+        for i in 0..2 {
+            assert_eq!(b.on_ack(ProcessId(i), help), AckOutcome::Counted);
+        }
+        // The next operation's round, then its retransmission: neither
+        // abandons the detached broadcast.
+        let read = b.start();
+        let retry = b.start();
+        assert_eq!(b.on_ack(ProcessId(0), read), AckOutcome::Ignored);
+        assert_eq!(b.on_ack(ProcessId(0), retry), AckOutcome::Counted);
+        assert_eq!(b.on_ack(ProcessId(2), help), AckOutcome::Counted);
+        assert!(!b.is_completed_tag(help));
+        assert_eq!(b.on_ack(ProcessId(3), help), AckOutcome::JustCompleted);
+        assert!(b.is_completed_tag(help) && !b.is_acked_by_all(help));
+        assert_eq!(b.on_ack(ProcessId(4), help), AckOutcome::Counted);
+        assert!(b.is_acked_by_all(help));
+        // The active round kept its own count throughout.
+        assert!(b.in_flight() && !b.is_completed_tag(retry));
+    }
+
+    #[test]
+    fn a_released_or_replaced_detached_broadcast_ignores_late_acks() {
+        let mut b = SsBroadcaster::new(servers(3), 1);
+        let first = b.start_detached(0);
+        assert_eq!(b.on_ack(ProcessId(0), first), AckOutcome::Counted);
+        // A retransmission under the same slot replaces the round.
+        let second = b.start_detached(0);
+        assert_eq!(b.detached(), 1);
+        assert_eq!(b.on_ack(ProcessId(1), first), AckOutcome::Ignored);
+        assert_eq!(b.on_ack(ProcessId(1), second), AckOutcome::Counted);
+        b.release(0);
+        assert_eq!(b.detached(), 0);
+        assert_eq!(b.on_ack(ProcessId(2), second), AckOutcome::Ignored);
+        assert!(!b.is_completed_tag(second) && !b.is_acked_by_all(second));
+        b.release(0); // releasing an empty slot is a no-op
+    }
+
+    #[test]
+    fn active_and_detached_tags_are_never_adjacent_duplicates() {
+        let mut b = SsBroadcaster::new(servers(3), 1);
+        let mut r = SsReceiver::new();
+        let client = ProcessId(9);
+        let tags = [
+            b.start(),
+            b.start_detached(0),
+            b.start(),
+            b.start_detached(1),
+            b.start_detached(0),
+            b.start(),
+        ];
+        for tag in tags {
+            assert_eq!(
+                r.on_payload(client, tag),
+                Reception::DeliverAndAck,
+                "tag {tag} is fresh"
+            );
+        }
+    }
+
+    #[test]
+    fn the_detached_set_is_bounded_by_its_slots_also_after_corrupt() {
+        let mut rng = DetRng::from_seed(11);
+        let mut b = SsBroadcaster::new(servers(5), 1);
+        for round in 0..20 {
+            for slot in 0..3 {
+                b.start_detached(slot);
+            }
+            b.start();
+            assert_eq!(b.detached(), 3, "round {round}");
+            b.corrupt(&mut rng);
+            assert!(b.detached() <= 3, "a fault adds no detached broadcast");
+        }
+        // Whatever the fault left, restarting and releasing every slot
+        // leaves nothing behind.
+        for slot in 0..3 {
+            let tag = b.start_detached(slot);
+            for i in 0..4 {
+                b.on_ack(ProcessId(i), tag);
+            }
+            assert!(b.is_completed_tag(tag));
+            b.release(slot);
+        }
+        assert_eq!(b.detached(), 0);
     }
 
     #[test]

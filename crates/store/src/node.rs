@@ -31,6 +31,25 @@
 //! reordering stays within the latitude the register contract grants
 //! concurrent operations — the differential tests pin this.
 //!
+//! # Background help rounds
+//!
+//! A publish — a put, or a recovery or adoption republish — completes
+//! when its `WRITE` round does. When line 03 of Figure 2 then launches a
+//! `NEW_HELP_VAL` round, that round runs in the background (at most one
+//! per owned shard, broadcast detached on the one [`ClientLink`]) while
+//! the client serves its next operations, and ends by the same rule as
+//! before: `n − t` `SS_ACK`s asynchronously, all `n` or the round
+//! timeout synchronously. The shard's next `WRITE` waits until it has
+//! ended ([`Phase::AwaitHelp`]), and so does the shard's retirement, so
+//! servers see a register's events in the order they always did. That
+//! is all safety needs: a reader returning help value `v_k` had `t + 1`
+//! correct servers apply it after its own `READ(true)`, and help round
+//! `k` reached `n − t` servers before `WRITE(k + 1)` left, so no read
+//! invoked after put `k + 1` completed can return `v_k`. A read invoked
+//! while help round `k` still runs may return `v_k` — then the last
+//! completed write. A bulk-plane put's push may overlap the previous
+//! help round too; only its metadata write waits.
+//!
 //! # The bulk data plane (AVID-style dispersal)
 //!
 //! Snapshot-per-`put` of the *values* is the full plane only. Under
@@ -115,7 +134,7 @@ use sbs_bulk::{
 };
 use sbs_core::{
     AtomicPolicy, ClientLink, Payload, ReadEngine, ReadPolicy, ReadProgress, RegId, RegMsg,
-    RegisterConfig, SeqVal, WriteEngine, WriteStamper, WsnStamp,
+    RegisterConfig, SeqVal, WriteEngine, WriteProgress, WriteStamper, WsnStamp,
 };
 use sbs_sim::{Context, DetRng, Effects, Node, OpId, ProcessId, SimDuration, TimerId, TraceEvent};
 use sbs_stamps::RingSeq;
@@ -1137,6 +1156,11 @@ pub struct StoreClientNode<V: Payload + BulkCodec> {
     owned: BTreeMap<u32, OwnedShard<V>>,
     read_engine: ReadEngine<StorePayload<V>>,
     write_engine: WriteEngine<StorePayload<V>>,
+    /// Background help rounds, at most one per owned shard: the write
+    /// engines whose write round completed (so did the publish) while
+    /// their `NEW_HELP_VAL` round still runs. The shard's next `WRITE`
+    /// waits in [`Phase::AwaitHelp`] until it ends.
+    helping: BTreeMap<u32, WriteEngine<StorePayload<V>>>,
     phase: Phase<V>,
     pending: VecDeque<(OpId, StoreOp<V>)>,
     /// Owned shards whose authoritative map must be re-read and
@@ -1215,10 +1239,20 @@ enum Phase<V: Payload> {
         /// missing.
         timer: TimerId,
     },
-    /// The metadata write (of the map of values or of references),
-    /// completing `intent`.
+    /// The metadata write (of the map of values or of references) on
+    /// `shard`, completing `intent` when its write round completes; a
+    /// help round it launches moves to the background.
     Writing {
+        shard: u32,
         intent: WriteIntent,
+    },
+    /// The metadata write of `payload` on `shard`, held until the shard's
+    /// background help round ends: servers must see a register's help
+    /// round complete before its next `WRITE`.
+    AwaitHelp {
+        shard: u32,
+        intent: WriteIntent,
+        payload: StorePayload<V>,
     },
 }
 
@@ -1366,6 +1400,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             owned,
             read_engine: ReadEngine::new(RegId(0), cfg),
             write_engine: WriteEngine::new(RegId(0), cfg, Vec::new()),
+            helping: BTreeMap::new(),
             phase: Phase::Idle,
             pending: VecDeque::new(),
             need_recover: VecDeque::new(),
@@ -1503,6 +1538,12 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.owned.keys().copied().collect()
     }
 
+    /// The shards whose help round runs in the background — a subset of
+    /// [`Self::owned_shards`], one round at most per shard.
+    pub fn help_rounds(&self) -> Vec<u32> {
+        self.helping.keys().copied().collect()
+    }
+
     /// The data plane this client writes/reads through.
     pub fn plane(&self) -> DataPlane {
         self.plane
@@ -1626,6 +1667,11 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
             let this = &mut *self;
             ctx.with_effects(&mut eff, |sub| this.pump(sub, &mut outs, &mut bulk_sends));
         }
+        debug_assert!(
+            self.helping.keys().all(|s| self.owned.contains_key(s))
+                && self.link.detached() <= self.helping.len(),
+            "background help rounds must stay within the owned shards"
+        );
         let _ = self.batcher.forward_batched(eff, ctx);
         for (to, m) in bulk_sends {
             ctx.send(to, m);
@@ -1819,7 +1865,8 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     }
 
     /// Starts the metadata write of `payload` on `shard`, completing
-    /// `intent`.
+    /// `intent` — or, while the shard's previous help round still runs,
+    /// holds it in [`Phase::AwaitHelp`].
     fn start_write(
         &mut self,
         shard: u32,
@@ -1827,13 +1874,47 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         payload: StorePayload<V>,
         sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>,
     ) {
+        if self.helping.contains_key(&shard) {
+            sub.trace(TraceEvent::Phase {
+                shard,
+                phase: "AwaitHelp",
+            });
+            self.phase = Phase::AwaitHelp {
+                shard,
+                intent,
+                payload,
+            };
+            return;
+        }
         sub.trace(TraceEvent::Phase {
             shard,
             phase: "MetadataWrite",
         });
+        // The invariant the background help rounds rest on: a shard's
+        // WRITE never leaves while its previous help round is unfinished.
+        debug_assert!(
+            !self.helping.contains_key(&shard),
+            "shard {shard}'s WRITE would overtake its help round"
+        );
         self.write_engine = WriteEngine::new(RegId(shard), self.cfg, self.clients.clone());
         self.write_engine.start(payload, &mut self.link, sub);
-        self.phase = Phase::Writing { intent };
+        self.phase = Phase::Writing { shard, intent };
+    }
+
+    /// Advances every background help round and drops the ones that
+    /// ended — each unblocks its shard's next write (and retirement).
+    fn poll_help_rounds(&mut self, sub: &mut Context<'_, RegMsg<StorePayload<V>>, ()>) {
+        let link = &mut self.link;
+        self.helping.retain(|&shard, engine| {
+            let done = engine.poll(link, sub);
+            if done {
+                sub.trace(TraceEvent::Phase {
+                    shard,
+                    phase: "HelpDone",
+                });
+            }
+            !done
+        });
     }
 
     /// Asks `shard`'s data replicas for `vref`'s fragments under a fresh
@@ -2088,6 +2169,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         outs: &mut Vec<StoreOut<V>>,
         bulk_sends: &mut Vec<(ProcessId, StoreWire<V>)>,
     ) {
+        self.poll_help_rounds(sub);
         loop {
             match std::mem::replace(&mut self.phase, Phase::Idle) {
                 Phase::Idle => {
@@ -2100,8 +2182,9 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     }
                     // Retiring sweep: a retiring shard whose queued puts
                     // have all drained (and that owes no recovery) is
-                    // dropped here — at Idle nothing is in flight, so its
-                    // last publish has completed through the quorum.
+                    // dropped here once its last help round has ended —
+                    // at Idle no write is in flight, so its last publish
+                    // has completed through the quorum.
                     if !self.retiring.is_empty() {
                         let done: Vec<u32> = self
                             .retiring
@@ -2109,6 +2192,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                             .copied()
                             .filter(|&s| {
                                 !self.need_recover.contains(&s)
+                                    && !self.helping.contains_key(&s)
                                     && !self.pending.iter().any(|(_, op)| match op {
                                         StoreOp::Put { key, .. } => self.router.shard_of(key) == s,
                                         StoreOp::Get { .. } => false,
@@ -2341,40 +2425,69 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                         return;
                     }
                 }
-                Phase::Writing { intent } => {
-                    if self.write_engine.poll(&mut self.link, sub) {
-                        match intent {
-                            WriteIntent::Ops(ops) => {
-                                for op in ops {
-                                    sub.trace(TraceEvent::OpComplete {
-                                        op: op.0,
-                                        kind: "put",
-                                    });
-                                    outs.push(StoreOut::PutDone { op });
-                                }
-                            }
-                            WriteIntent::Recovery => self.recoveries += 1,
-                            WriteIntent::Acquire { shard } => {
-                                // Adoption republish committed: ownership
-                                // is live. Flush the staged puts into the
-                                // queue (in issue order — their per-key
-                                // order continues the old owner's, since
-                                // the adoption read saw its last commit).
-                                sub.trace(TraceEvent::Phase {
-                                    shard,
-                                    phase: "ShardAcquired",
+                Phase::Writing { shard, intent } => {
+                    match self.write_engine.progress(&mut self.link, sub) {
+                        WriteProgress::Pending => {
+                            self.phase = Phase::Writing { shard, intent };
+                            return;
+                        }
+                        WriteProgress::Helping => {
+                            // The write round completed: the publish is
+                            // done, and its help round finishes in the
+                            // background while the client moves on.
+                            sub.trace(TraceEvent::Phase {
+                                shard,
+                                phase: "HelpRound",
+                            });
+                            let idle = WriteEngine::new(RegId(shard), self.cfg, Vec::new());
+                            let engine = std::mem::replace(&mut self.write_engine, idle);
+                            self.helping.insert(shard, engine);
+                        }
+                        WriteProgress::Done => {}
+                    }
+                    match intent {
+                        WriteIntent::Ops(ops) => {
+                            for op in ops {
+                                sub.trace(TraceEvent::OpComplete {
+                                    op: op.0,
+                                    kind: "put",
                                 });
-                                outs.push(StoreOut::ShardAcquired { shard });
-                                if let Some(q) = self.staged.remove(&shard) {
-                                    self.pending.extend(q);
-                                }
+                                outs.push(StoreOut::PutDone { op });
                             }
                         }
-                        // phase stays Idle; keep pumping the queue.
-                    } else {
-                        self.phase = Phase::Writing { intent };
+                        WriteIntent::Recovery => self.recoveries += 1,
+                        WriteIntent::Acquire { shard } => {
+                            // Adoption republish committed: ownership is
+                            // live. Flush the staged puts into the queue
+                            // (in issue order — their per-key order
+                            // continues the old owner's, since the
+                            // adoption read saw its last commit).
+                            sub.trace(TraceEvent::Phase {
+                                shard,
+                                phase: "ShardAcquired",
+                            });
+                            outs.push(StoreOut::ShardAcquired { shard });
+                            if let Some(q) = self.staged.remove(&shard) {
+                                self.pending.extend(q);
+                            }
+                        }
+                    }
+                    // phase stays Idle; keep pumping the queue.
+                }
+                Phase::AwaitHelp {
+                    shard,
+                    intent,
+                    payload,
+                } => {
+                    if self.helping.contains_key(&shard) {
+                        self.phase = Phase::AwaitHelp {
+                            shard,
+                            intent,
+                            payload,
+                        };
                         return;
                     }
+                    self.start_write(shard, intent, payload, sub);
                 }
             }
         }
@@ -2622,6 +2735,9 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
         }
         self.read_engine.on_timer(id);
         self.write_engine.on_timer(id);
+        for engine in self.helping.values_mut() {
+            engine.on_timer(id);
+        }
         self.step(ctx);
     }
 
@@ -2635,6 +2751,9 @@ impl<V: Payload + BulkCodec> Node for StoreClientNode<V> {
         self.link.corrupt(rng);
         self.read_engine.corrupt(rng);
         self.write_engine.corrupt(rng);
+        for engine in self.helping.values_mut() {
+            engine.corrupt(rng);
+        }
         for o in self.owned.values_mut() {
             WriteStamper::<StoreVal<V>, StorePayload<V>>::corrupt(&mut o.stamper, rng);
             o.map.scramble(rng);

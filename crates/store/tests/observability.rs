@@ -95,7 +95,11 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     assert_eq!(m.messages_sent, 11048);
     assert_eq!(m.messages_delivered, 11048);
     assert_eq!(m.messages_dropped, 0);
-    assert_eq!(m.metadata_bytes_sent, 448916);
+    // Re-pinned (448916 → 449724, events 11823 → 11821): a put completes
+    // at its write round and its help round runs in the background, so
+    // closed-loop clients issue sooner and coalescing groups shift. The
+    // same messages are sent.
+    assert_eq!(m.metadata_bytes_sent, 449724);
     // Re-pinned (6476 → 6676): the link garbage's forged pushes carry the
     // 4-byte key slot every push now names. Re-pinned (6676 → 6944): its
     // forged whole-copy pushes and replies became fragment pushes (index
@@ -103,7 +107,7 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     // more when present). The generator draws the same numbers, so
     // nothing else moves.
     assert_eq!(m.bulk_bytes_sent, 6944);
-    assert_eq!(m.events_processed, 11823);
+    assert_eq!(m.events_processed, 11821);
     assert_eq!(m.timers_fired, 0);
     assert_eq!(m.corruptions, 1);
     assert_eq!(m.garbage_injected, 216);
@@ -114,7 +118,8 @@ fn untraced_runs_match_pre_telemetry_baseline() {
     assert_eq!(m.messages_sent, 6102);
     assert_eq!(m.messages_delivered, 6102);
     assert_eq!(m.messages_dropped, 0);
-    assert_eq!(m.metadata_bytes_sent, 250935);
+    // Re-pinned (250935 → 251253) for the same background help rounds.
+    assert_eq!(m.metadata_bytes_sent, 251253);
     // Re-pinned (2797 → 2873) for the same 4-byte slot on forged pushes,
     // and (2873 → 2973) for the same fragment-shaped forgeries.
     assert_eq!(m.bulk_bytes_sent, 2973);

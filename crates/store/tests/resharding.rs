@@ -7,10 +7,11 @@
 //! same-seed run that never resharded.
 
 use sbs_check::{equivalent_write_histories, History};
-use sbs_sim::{DetRng, SimDuration};
+use sbs_core::ByzStrategy;
+use sbs_sim::{DetRng, SimDuration, TraceEvent};
 use sbs_store::{
     FaultPlan, KeyDist, KeyRouter, LoopMode, OpMix, ReshardPlan, RoutingTable, StoreBuilder,
-    StoreSystem, Workload,
+    StoreClientNode, StoreSystem, Workload,
 };
 use std::collections::BTreeMap;
 
@@ -193,4 +194,70 @@ fn health_proposed_rebalance_applies_live() {
     assert!(sys.settle());
     sys.check_per_key_atomicity()
         .expect("atomic after rebalance");
+}
+
+/// A handoff that starts while the retiring owner's last put still has
+/// its help round in flight: `ShardRetired` waits until that round has
+/// ended, the acquiring owner's adoption read follows the retirement, and
+/// the history stays atomic. A silent server on a synchronous fleet makes
+/// the help round last a whole round timeout.
+#[test]
+fn retirement_waits_for_the_last_puts_help_round() {
+    let mut sys: StoreSystem<u64> = StoreBuilder::synchronous(1, SimDuration::millis(5))
+        .seed(21)
+        .shards(2)
+        .writers(2)
+        .extra_readers(1)
+        .byzantine(3, ByzStrategy::Silent)
+        .trace(1 << 16)
+        .build();
+    let shard = sys.routing_table().shard_of("k");
+    let old = sys.routing_table().writer_of_shard(shard);
+    let new = 1 - old;
+    let (old_pid, new_pid) = (sys.clients[old], sys.clients[new]);
+
+    sys.put("k", 1);
+    while sys.pending_ops() > 0 {
+        sys.run_for(SimDuration::micros(50));
+    }
+    let help = sys
+        .sim
+        .node_ref::<StoreClientNode<u64>, _>(old_pid, |n| n.help_rounds());
+    assert_eq!(help, vec![shard], "the last put's help round is in flight");
+    sys.begin_reshard(&ReshardPlan::migrate(shard, new as u32));
+    assert!(sys.settle(), "the handoff must drain");
+    assert!(!sys.reshard_active());
+    assert_eq!(sys.routing_table().writer_of_shard(shard), new);
+
+    let first = |pid: sbs_sim::ProcessId, name: &str| {
+        sys.tracer()
+            .records()
+            .find(|r| {
+                r.pid == pid.0
+                    && matches!(r.event, TraceEvent::Phase { shard: s, phase } if s == shard && phase == name)
+            })
+            .map(|r| r.at_ns)
+            .unwrap_or_else(|| panic!("{pid} never entered {name}"))
+    };
+    let help_done = first(old_pid, "HelpDone");
+    let retired = first(old_pid, "ShardRetired");
+    let adoption_read = first(new_pid, "MetadataRead");
+    assert!(
+        retired >= help_done,
+        "retired at {retired} before help ended at {help_done}"
+    );
+    assert!(
+        adoption_read >= retired,
+        "adoption read at {adoption_read} before the retirement"
+    );
+    assert!(first(new_pid, "ShardAcquired") > adoption_read);
+
+    sys.put("k", 2);
+    assert!(sys.settle());
+    sys.get(2, "k");
+    assert!(sys.settle());
+    let h = sys.history_for_key("k");
+    assert_eq!(h.reads().last().expect("a get").kind.value(), &Some(2));
+    sys.check_per_key_atomicity()
+        .expect("atomic across the handoff");
 }
