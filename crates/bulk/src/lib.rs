@@ -26,8 +26,8 @@
 //!   retains each key's last [`RETAINED_PER_KEY`] values, and keeps its
 //!   `(shard, root)` holdings rank-addressable so anti-entropy gossip
 //!   never walks the store.
-//! - [`data_replica_slots`] — the deterministic per-shard choice of data
-//!   replicas out of the `n` servers.
+//! - [`data_replica_slots`] / [`ReplicaWindow`] — the deterministic
+//!   per-shard choice of data replicas out of the `n` servers.
 //!
 //! The store layer (`sbs-store`) composes these into a two-plane put/get
 //! path: one coded fragment of each value to each of the `2t + 1` data
@@ -60,4 +60,4 @@ pub use coding::{
     verify_fragment, MerkleTree,
 };
 pub use digest::{digest_of, BulkDigest, BulkRef};
-pub use placement::{coded_push_quorum, data_replica_count, data_replica_slots};
+pub use placement::{coded_push_quorum, data_replica_count, data_replica_slots, ReplicaWindow};

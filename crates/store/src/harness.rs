@@ -214,10 +214,7 @@ impl StoreBuilder {
     /// time (`1 ≤ replicas ≤ n` and `k + t ≤ replicas`), against the
     /// fleet size the builder ends up with.
     pub fn data_replicas(mut self, replicas: usize) -> Self {
-        let k = match self.plane {
-            DataPlane::Coded { k, .. } => k,
-            DataPlane::Full => 1,
-        };
+        let k = self.plane.coding().map_or(1, |(k, _)| k);
         self.plane = DataPlane::Coded { replicas, k };
         self
     }
@@ -245,10 +242,10 @@ impl StoreBuilder {
     /// `.data_replicas(3 * t + 1).bulk_coded(t + 1)` restores write
     /// liveness from honest acks alone (the classical AVID shape).
     pub fn bulk_coded(mut self, k: usize) -> Self {
-        let replicas = match self.plane {
-            DataPlane::Coded { replicas, .. } => replicas,
-            DataPlane::Full => data_replica_count(self.t),
-        };
+        let replicas = self
+            .plane
+            .coding()
+            .map_or(data_replica_count(self.t), |(_, m)| m);
         self.plane = DataPlane::Coded { replicas, k };
         self
     }
@@ -473,12 +470,8 @@ impl StoreBuilder {
         // shape — so wire-supplied senders, shard tags, fragment totals,
         // and fragment indices are checked against the deployment instead
         // of trusted.
-        let (replicas, heal_k) = match self.plane {
-            DataPlane::Full => (0, 1),
-            DataPlane::Coded { replicas, k } => (replicas, k),
-        };
-        let mut node =
-            StoreServerNode::new(inner).bulk_guard(slot, servers.to_vec(), self.shards, replicas);
+        let (heal_k, replicas) = self.plane.coding().unwrap_or((1, 0));
+        let mut node = StoreServerNode::new(inner, slot, servers.to_vec(), self.shards, replicas);
         if byzantine {
             node = node.byzantine_bulk();
         }
@@ -509,7 +502,6 @@ impl StoreBuilder {
             servers.to_vec(),
             clients.to_vec(),
             &owned,
-            PAPER_MODULUS,
             self.plane,
         )
     }
