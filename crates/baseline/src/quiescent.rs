@@ -1,6 +1,6 @@
 //! Baseline 2: a quiescence-dependent stabilizing regular register,
 //! `n ≥ 5t + 1`, reconstructed in the spirit of Bonomi–Potop-Butucaru–
-//! Tixeuil (reference [3] of the paper).
+//! Tixeuil (reference \[3\] of the paper).
 //!
 //! The client protocol is the masking scheme with a larger read quorum
 //! (`2t + 1` identical pairs out of `n − t` replies). What makes it

@@ -1,4 +1,4 @@
-//! Regenerates the experiment tables of EXPERIMENTS.md.
+//! Prints the experiment tables E1–E9, one per `sbs_bench::eN` function.
 //!
 //! ```sh
 //! cargo run --release -p sbs-bench --bin experiments -- all

@@ -1,10 +1,11 @@
 //! Experiment runners behind the `experiments` binary and the micro
-//! benches. Each `eN` function regenerates one row-set of EXPERIMENTS.md.
+//! benches. Each `eN` function builds one of the tables E1–E9 that the
+//! binary prints (the README's "Building and testing" section runs it).
 //!
 //! The paper is an extended abstract with proofs and no empirical section,
 //! so the "tables and figures" reproduced here are its *claims*: each
-//! experiment operationalizes one theorem/lemma/figure (see DESIGN.md §5
-//! for the mapping) and prints the measured shape.
+//! experiment operationalizes one theorem/lemma/figure (each `eN`'s doc
+//! names which) and prints the measured shape.
 
 pub mod micro;
 pub mod trajectory;

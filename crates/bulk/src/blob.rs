@@ -75,39 +75,20 @@
 //! for shards the replica does not serve and for slots outside the
 //! deployment's slot space).
 //!
-//! # Index (anti-entropy holdings)
+//! # Anti-entropy walk
 //!
-//! Anti-entropy gossips a rotating window of the replica's **holdings**:
-//! its `(holder shard, commitment root)` pairs — once per shard however
-//! the root's fragment indices or the shard's key slots alias — in sorted
-//! order, each announced with the lowest slot of the shard that holds it.
-//! Deriving that list from the entries is a walk of the whole store
-//! ([`FragmentStore::holdings`]), and the gossip tick runs every few
-//! milliseconds on every replica, so the store keeps the pairs as an
-//! always-maintained rank-addressable index instead
-//! ([`FragmentStore::holdings_len`] / [`FragmentStore::holdings_from`]): a
-//! tick costs `O(log n)` plus its ≤ 32 entries, whatever the store holds.
-//!
-//! The index changes at exactly the four places a holder set changes:
-//! a verified put (or repair) that stores a new entry or adds a new holder
-//! to a held one, a retention eviction, [`FragmentStore::remove`] (corruption found
-//! on serve), and [`FragmentStore::wipe`]. Each change re-lists the one
-//! pair it touched from a range probe of the entries: the pair enters when
-//! the shard's first slot holding the root appears, carries the lowest
-//! slot still holding it — so a summary names a slot without a lookup —
-//! and leaves only when *no* entry of that root is held by *any* slot of
-//! that shard any more. The index is exact whatever aliases.
-//!
-//! It is **derived state**: a function of the entries' holder sets and
-//! nothing else, never trusted from the wire, never consulted to decide
-//! what is stored or served. A fault model that scrambles a replica's
-//! memory classifies it as *rebuilt from the entries*, not as a field of
-//! its own; the full scan stays as the reference that tests and the
-//! tick's debug assertion compare it against.
+//! Anti-entropy gossips what the retention map already holds: the
+//! per-holder recency orders are keyed by [`Holder`], so
+//! [`FragmentStore::holders_after`] walks them in holder order from a
+//! cursor holder, each with the roots it retains, oldest first — a
+//! summary entry is `(shard, slot, root)` straight from one holder, with
+//! no derived index to keep in step at every put and eviction. Positioning
+//! the walk is one `O(log n)` range probe, so a tick costs its batch,
+//! whatever the store holds.
 
 use crate::digest::BulkDigest;
-use crate::ranked::RankedSet;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -202,12 +183,9 @@ struct Held {
 }
 
 impl Held {
-    /// The lowest slot of `shard` holding this entry, if any.
-    fn slot_of(&self, shard: u32) -> Option<u32> {
-        self.holders
-            .range(Holder::of_shard(shard))
-            .next()
-            .map(|h| h.slot)
+    /// True if some slot of `shard` holds this entry.
+    fn held_by_shard(&self, shard: u32) -> bool {
+        self.holders.range(Holder::of_shard(shard)).next().is_some()
     }
 
     /// Payload bytes accounted for this entry.
@@ -216,56 +194,17 @@ impl Held {
     }
 }
 
-/// One holder's recency order — keys indexed by a store-wide monotonic
-/// sequence number, so a refresh (`touch`) is two `O(log n)` map moves
-/// instead of a linear queue scan (republish-heavy workloads re-put held
-/// fragments on the hot path) — and its eviction memory.
+/// One holder's recency order and its eviction memory. Each is at most
+/// `retain` long — a key's last values — so a refresh (`touch`) is a scan
+/// of a few keys.
 #[derive(Clone, Debug, Default)]
 struct Recency {
-    /// Keys by insertion/refresh sequence, oldest first.
-    by_seq: BTreeMap<u64, FragKey>,
-    /// Each key's current sequence (exactly the inverse of `by_seq`).
-    seq_of: BTreeMap<FragKey, u64>,
+    /// The keys this holder retains, oldest (by insertion or last
+    /// refresh) first.
+    keys: Vec<FragKey>,
     /// The last `retain` roots this holder evicted, oldest first — never
     /// one it holds.
     evicted: VecDeque<BulkDigest>,
-}
-
-/// One holdings-index entry: a `(holder shard, root)` pair and the lowest
-/// slot of that shard holding the root. Ordered — and equal — by the pair
-/// alone, so the index lists each pair once and a change of its slot is an
-/// in-place rewrite.
-#[derive(Clone, Copy, Debug)]
-struct Listing {
-    shard: u32,
-    root: BulkDigest,
-    slot: u32,
-}
-
-impl Listing {
-    fn pair(&self) -> (u32, BulkDigest) {
-        (self.shard, self.root)
-    }
-}
-
-impl PartialEq for Listing {
-    fn eq(&self, other: &Self) -> bool {
-        self.pair() == other.pair()
-    }
-}
-
-impl Eq for Listing {}
-
-impl PartialOrd for Listing {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Listing {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.pair().cmp(&other.pair())
-    }
 }
 
 /// One replica's erasure-coded fragment storage, keyed by
@@ -293,23 +232,15 @@ impl Ord for Listing {
 /// - `bytes_stored` is the sum of the fragment lengths of live entries —
 ///   incremented once when an entry is first stored, decremented once
 ///   when its last holder evicts it (never per holder, so aliasing cannot
-///   underflow it);
-/// - `(s, r)` is listed in `index` iff some slot of shard `s` holds some
-///   entry of root `r`, and listed with the lowest such slot (see the
-///   module docs' "Index" section).
+///   underflow it).
 #[derive(Clone, Debug)]
 pub struct FragmentStore {
     entries: BTreeMap<FragKey, Held>,
-    /// The `(holder shard, root)` pairs of `entries`, each with its
-    /// shard's lowest holding slot, rank-addressable.
-    index: RankedSet<Listing>,
     bytes_stored: u64,
     /// Distinct keys retained per holder.
     retain: usize,
     /// Per-holder key recency and eviction memory.
     recency: BTreeMap<Holder, Recency>,
-    /// Store-wide recency sequence (monotonic; gaps are fine).
-    next_seq: u64,
 }
 
 impl Default for FragmentStore {
@@ -337,11 +268,9 @@ impl FragmentStore {
         assert!(retain >= 1, "retention bound must be at least 1");
         FragmentStore {
             entries: BTreeMap::new(),
-            index: RankedSet::default(),
             bytes_stored: 0,
             retain,
             recency: BTreeMap::new(),
-            next_seq: 0,
         }
     }
 
@@ -405,7 +334,7 @@ impl FragmentStore {
         // indices per root exist, so the scan is tiny).
         if self
             .entries_of(&root)
-            .any(|(&(_, idx), h)| idx != frag.index && h.slot_of(holder.shard).is_some())
+            .any(|(&(_, idx), h)| idx != frag.index && h.held_by_shard(holder.shard))
         {
             return PutOutcome::DigestMismatch;
         }
@@ -440,7 +369,6 @@ impl FragmentStore {
                 .expect("inserted above")
                 .holders
                 .insert(holder);
-            self.relist(holder.shard, root);
             self.enqueue(holder, key);
         }
         if push {
@@ -463,7 +391,7 @@ impl FragmentStore {
 
     /// How many keys `holder` holds.
     fn held_by(&self, holder: Holder) -> usize {
-        self.recency.get(&holder).map_or(0, |rec| rec.by_seq.len())
+        self.recency.get(&holder).map_or(0, |rec| rec.keys.len())
     }
 
     /// The entries holding fragments of `root`, across all indices.
@@ -482,7 +410,7 @@ impl FragmentStore {
     /// commitment-verified, so still useful to a reconstructing reader).
     pub fn get_for(&self, shard: u32, root: &BulkDigest) -> Option<&StoredFragment> {
         self.entries_of(root)
-            .find(|(_, h)| h.slot_of(shard).is_some())
+            .find(|(_, h)| h.held_by_shard(shard))
             .map(|(_, h)| &h.frag)
             .or_else(|| self.get(root))
     }
@@ -525,11 +453,8 @@ impl FragmentStore {
     /// fault) while preserving the retention bound — a fault, not a
     /// reconfiguration. Forgetting the evictions is what lets a wiped
     /// replica pull back a value it had once evicted and lost track of.
-    /// The recency sequence keeps advancing so post-wipe inserts order
-    /// strictly after pre-wipe history.
     pub fn wipe(&mut self) {
         self.entries.clear();
-        self.index.clear();
         self.recency.clear();
         self.bytes_stored = 0;
     }
@@ -546,111 +471,51 @@ impl FragmentStore {
             self.bytes_stored -= held.len();
             for holder in &held.holders {
                 if let Some(rec) = self.recency.get_mut(holder) {
-                    if let Some(seq) = rec.seq_of.remove(key) {
-                        rec.by_seq.remove(&seq);
-                    }
+                    rec.keys.retain(|k| k != key);
                 }
-            }
-            let shards: BTreeSet<u32> = held.holders.iter().map(|h| h.shard).collect();
-            for shard in shards {
-                self.relist(shard, *root);
             }
         }
         !keys.is_empty()
     }
 
-    /// How many `(holder shard, commitment root)` pairs this replica
-    /// retains — the length of the list anti-entropy digest summaries
-    /// rotate over.
-    pub fn holdings_len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// The retained `(holder shard, slot, commitment root)` holdings of
-    /// rank `rank..` in `(shard, root)` order, served from the index:
-    /// `O(log n)` to position, then one step per holding taken. `slot` is
-    /// the lowest slot of the shard holding the root.
-    pub fn holdings_from(&self, rank: usize) -> impl Iterator<Item = (u32, u32, BulkDigest)> + '_ {
-        self.index
-            .iter_from(rank)
-            .map(|l| (l.shard, l.slot, l.root))
-    }
-
-    /// Every `(holder shard, slot, commitment root)` holding this replica
-    /// retains — one per `(shard, root)` however many indices or slots
-    /// alias onto it, with the shard's lowest slot — in `(shard, root)`
-    /// order, derived by a **full scan** of the entries. This is the
-    /// reference the index behind [`Self::holdings_from`] is checked
-    /// against (by tests and by the anti-entropy tick's debug assertion);
-    /// nothing on a serving path may call it.
-    pub fn holdings(&self) -> Vec<(u32, u32, BulkDigest)> {
-        let mut lowest: BTreeMap<(u32, BulkDigest), u32> = BTreeMap::new();
-        for (&(root, _), held) in &self.entries {
-            for h in &held.holders {
-                let slot = lowest.entry((h.shard, root)).or_insert(h.slot);
-                *slot = (*slot).min(h.slot);
-            }
-        }
-        lowest
-            .into_iter()
-            .map(|((shard, root), slot)| (shard, slot, root))
-            .collect()
-    }
-
-    /// Brings `shard`'s listing of `root` in line with `entries` after one
-    /// of the shard's slots gained or lost a hold of it: listed under the
-    /// lowest slot still holding, or — when no slot of the shard holds any
-    /// index of the root any more — not at all.
-    fn relist(&mut self, shard: u32, root: BulkDigest) {
-        let mut listing = Listing {
-            shard,
-            root,
-            slot: 0,
-        };
-        let lowest = self
-            .entries_of(&root)
-            .filter_map(|(_, held)| held.slot_of(shard))
-            .min();
-        match lowest {
-            Some(slot) => match self.index.get_mut(&listing) {
-                Some(listed) => listed.slot = slot,
-                None => {
-                    listing.slot = slot;
-                    self.index.insert(listing);
-                }
-            },
-            None => {
-                let listed = self.index.remove(&listing);
-                debug_assert!(listed, "a held pair was missing from the index");
-            }
-        }
+    /// Every holder with retention state, in holder order, starting after
+    /// `after` (at the first holder when `None`) and wrapping once — a
+    /// rotation that ends at `after` itself — each with the roots it
+    /// retains, oldest first (a holder holds at most one index of a root,
+    /// so no root repeats): anti-entropy's walk (see the module docs). A
+    /// holder kept only for its eviction memory (or emptied by
+    /// [`Self::remove`]) is listed with no roots, so a caller can bound the
+    /// holders it visits. Positioning is one `O(log n)` range probe; each
+    /// holder taken is one step more.
+    pub fn holders_after(
+        &self,
+        after: Option<Holder>,
+    ) -> impl Iterator<Item = (Holder, impl ExactSizeIterator<Item = BulkDigest> + '_)> + '_ {
+        let from = after.map_or(Unbounded, Excluded);
+        self.recency
+            .range((from, Unbounded))
+            .chain(after.into_iter().flat_map(|h| self.recency.range(..=h)))
+            .map(|(&holder, rec)| (holder, rec.keys.iter().map(|&(root, _)| root)))
     }
 
     /// Appends `key` as `holder`'s most recent, and drops its root from
     /// the holder's eviction memory.
     fn enqueue(&mut self, holder: Holder, key: FragKey) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let rec = self.recency.entry(holder).or_default();
-        debug_assert!(!rec.seq_of.contains_key(&key), "double enqueue");
-        rec.by_seq.insert(seq, key);
-        rec.seq_of.insert(key, seq);
+        debug_assert!(!rec.keys.contains(&key), "double enqueue");
+        rec.keys.push(key);
         rec.evicted.retain(|root| *root != key.0);
     }
 
     /// Moves `key` to the most-recent end of `holder`'s order, if listed.
     fn touch(&mut self, holder: Holder, key: FragKey) {
-        let seq = self.next_seq;
         let Some(rec) = self.recency.get_mut(&holder) else {
             return;
         };
-        let Some(old) = rec.seq_of.get(&key).copied() else {
-            return;
-        };
-        rec.by_seq.remove(&old);
-        rec.by_seq.insert(seq, key);
-        rec.seq_of.insert(key, seq);
-        self.next_seq += 1;
+        if let Some(at) = rec.keys.iter().position(|k| *k == key) {
+            rec.keys.remove(at);
+            rec.keys.push(key);
+        }
     }
 
     /// Evicts `holder`'s oldest keys while it retains more than the
@@ -663,11 +528,10 @@ impl FragmentStore {
             let Some(rec) = self.recency.get_mut(&holder) else {
                 return;
             };
-            if rec.by_seq.len() <= k {
+            if rec.keys.len() <= k {
                 return;
             }
-            let (_, evicted) = rec.by_seq.pop_first().expect("len > k >= 1");
-            rec.seq_of.remove(&evicted);
+            let evicted = rec.keys.remove(0);
             rec.evicted.push_back(evicted.0);
             if rec.evicted.len() > k {
                 rec.evicted.pop_front();
@@ -681,7 +545,6 @@ impl FragmentStore {
                 let held = self.entries.remove(&evicted).expect("present above");
                 self.bytes_stored -= held.len();
             }
-            self.relist(holder.shard, evicted.0);
         }
     }
 }
@@ -694,6 +557,14 @@ mod tests {
     /// Slot 0 of `shard` — the holder of a shard's only key.
     fn h(shard: u32) -> Holder {
         Holder::new(shard, 0)
+    }
+
+    /// What one whole rotation of the anti-entropy walk announces, as
+    /// `(shard, slot, root)` in walk order.
+    fn walk(s: &FragmentStore) -> Vec<(u32, u32, BulkDigest)> {
+        s.holders_after(None)
+            .flat_map(|(h, roots)| roots.map(move |r| (h.shard, h.slot, r)))
+            .collect()
     }
 
     /// Fragment 0 of a one-stripe dispersal (k = 1 of m = 3) of `len`
@@ -884,7 +755,7 @@ mod tests {
         assert_eq!(s.fragment_count(), 0);
         assert_eq!(s.bytes_stored(), 0);
         assert!(!s.holds(&r1) && !s.holds(&r2));
-        assert!(s.holdings().is_empty() && s.holdings_len() == 0);
+        assert!(walk(&s).is_empty() && s.holders_after(None).next().is_none());
         // Re-puts verify and evict against the preserved bound.
         assert_eq!(s.put(h(0), r1, f1), PutOutcome::Stored);
         for i in 10..14u8 {
@@ -938,13 +809,13 @@ mod tests {
         let (r3, f3) = frag(3, 10);
         s.put(h(0), r2, f2);
         s.put(h(0), r3, f3);
-        let before = s.holdings();
+        let before = walk(&s);
         let out = s.repair(h(0), old, fo.clone());
         assert_eq!(out, PutOutcome::NoFreeSlot);
         assert!(!out.held());
         assert!(!s.holds(&old) && s.holds(&r2) && s.holds(&r3));
         assert_eq!(s.bytes_stored(), 20);
-        assert_eq!(s.holdings(), before);
+        assert_eq!(walk(&s), before);
         assert!(!s.evicted(h(0), &r2), "nothing was evicted");
         // Another key's free slot takes the same fragment.
         assert_eq!(s.repair(h(1), old, fo), PutOutcome::Stored);
@@ -970,7 +841,7 @@ mod tests {
         assert!(!s.evicted(h(0), &r1));
         assert_eq!(s.repair(h(0), r1, f1), PutOutcome::AlreadyHeld);
         assert_eq!(s.fragment_count(), 2);
-        assert_eq!(s.holdings_from(0).collect::<Vec<_>>(), s.holdings());
+        assert_eq!(walk(&s), vec![(0, 0, r2), (0, 0, r1)], "oldest first");
     }
 
     /// `remove` drops an entry for every holder — recency included, so a
@@ -981,11 +852,11 @@ mod tests {
         let (r, f) = frag(5, 30);
         s.put(h(0), r, f.clone());
         s.put(h(1), r, f);
-        assert_eq!(s.holdings(), vec![(0, 0, r), (1, 0, r)]);
+        assert_eq!(walk(&s), vec![(0, 0, r), (1, 0, r)]);
         assert!(s.remove(&r));
         assert!(!s.remove(&r), "second remove finds nothing");
         assert_eq!(s.bytes_stored(), 0);
-        assert!(s.holdings().is_empty() && s.holdings_len() == 0);
+        assert!(walk(&s).is_empty());
         // Both shards churn on fresh roots without tripping recency
         // debris from the removed key.
         for i in 20..24u8 {
@@ -1071,16 +942,17 @@ mod tests {
         assert!(s.holds(&hot[49]) && s.holds(&hot[48]) && !s.holds(&hot[47]));
         assert_eq!(s.holders(&cold), BTreeSet::from([Holder::new(0, 1)]));
         assert_eq!(s.shards_held(), BTreeSet::from([0]));
-        // One index pair per (shard, root), announced with its slot.
-        let mut expect = vec![(0, 1, cold), (0, 0, hot[48]), (0, 0, hot[49])];
-        expect.sort_unstable_by_key(|&(shard, _, r)| (shard, r));
-        assert_eq!(s.holdings(), expect);
-        assert_eq!(s.holdings_from(0).collect::<Vec<_>>(), expect);
+        // The walk announces each key's roots under its own slot, keys in
+        // slot order, each key's values oldest first.
+        assert_eq!(
+            walk(&s),
+            vec![(0, 0, hot[48]), (0, 0, hot[49]), (0, 1, cold)]
+        );
     }
 
     /// Two keys of one shard with byte-identical values share one entry
-    /// with two holders and one index pair (announced under the lower
-    /// slot); the pair outlives the first slot's eviction and leaves with
+    /// with two holders, and the walk announces the root under each
+    /// slot; the entry outlives the first slot's eviction and leaves with
     /// the last.
     #[test]
     fn two_slots_of_one_shard_alias_one_entry() {
@@ -1089,19 +961,14 @@ mod tests {
         assert_eq!(s.put(Holder::new(2, 5), r, f.clone()), PutOutcome::Stored);
         assert_eq!(s.put(Holder::new(2, 3), r, f), PutOutcome::AlreadyHeld);
         assert_eq!(s.bytes_stored(), 30, "one physical fragment");
-        assert_eq!(s.holdings_len(), 1);
-        assert_eq!(s.holdings(), vec![(2, 3, r)]);
+        assert_eq!(walk(&s), vec![(2, 3, r), (2, 5, r)]);
         let (r2, f2) = frag(10, 30);
         s.put(Holder::new(2, 3), r2, f2);
         assert!(s.holds(&r), "slot 5 still holds it");
-        let mut expect = vec![(2, 5, r), (2, 3, r2)];
-        expect.sort_unstable_by_key(|&(shard, _, r)| (shard, r));
-        assert_eq!(s.holdings(), expect);
-        assert_eq!(s.holdings_from(0).collect::<Vec<_>>(), expect);
+        assert_eq!(walk(&s), vec![(2, 3, r2), (2, 5, r)]);
         let (r3, f3) = frag(11, 30);
         s.put(Holder::new(2, 5), r3, f3);
         assert!(!s.holds(&r), "last holder evicted: fragment must drop");
-        assert_eq!(s.holdings_len(), 2);
-        assert_eq!(s.holdings_from(0).collect::<Vec<_>>(), s.holdings());
+        assert_eq!(walk(&s), vec![(2, 3, r2), (2, 5, r3)]);
     }
 }

@@ -23,9 +23,9 @@
 //!   (AVID / PoWerStore dispersal).
 //! - [`FragmentStore`] — a per-replica fragment store that **replays the
 //!   commitment before storing**, making fabricated fragments unstorable,
-//!   retains each key's last [`RETAINED_PER_KEY`] values, and keeps its
-//!   `(shard, root)` holdings rank-addressable so anti-entropy gossip
-//!   never walks the store.
+//!   retains each key's last [`RETAINED_PER_KEY`] values, and lets
+//!   anti-entropy gossip walk that per-key retention map from a cursor
+//!   holder ([`FragmentStore::holders_after`]) instead of the store.
 //! - [`data_replica_slots`] / [`ReplicaWindow`] — the deterministic
 //!   per-shard choice of data replicas out of the `n` servers.
 //!
@@ -51,7 +51,6 @@ mod codec;
 mod coding;
 mod digest;
 mod placement;
-mod ranked;
 
 pub use blob::{FragmentStore, Holder, PutOutcome, SharedBytes, StoredFragment, RETAINED_PER_KEY};
 pub use codec::{get_bytes, get_u32, get_u64, put_bytes, put_u32, put_u64, BulkCodec};

@@ -1,33 +1,64 @@
-//! Differential test of the holdings index: the fragment store serves
-//! anti-entropy's `(holder shard, slot, root)` list from an index of
-//! `(shard, root)` pairs it maintains at its mutation points
-//! (`holdings_len` / `holdings_from`), and the full scan `holdings()` is
-//! the reference. Seeded random sequences of puts by key-slot holders,
-//! aliasing re-puts (across shards and across slots of one shard),
-//! repairs, per-key retention evictions, removes and wipes must leave the two
-//! equal after **every** step — and leave `holds(root)` agreeing with
-//! `get_for(shard, root)` for every shard.
+//! Differential test of the anti-entropy walk: the fragment store serves
+//! anti-entropy's `(holder shard, slot, root)` holdings by walking its
+//! per-holder retention map (`holders_after`), while `holders(root)`
+//! reads the entries' holder sets — two records of one fact that every
+//! mutation point must keep in step. Seeded random sequences of puts by
+//! key-slot holders, aliasing re-puts (across shards and across slots of
+//! one shard), repairs, per-key retention evictions, removes and wipes
+//! must leave the walk equal to the holdings derived from `holders(root)`
+//! over the whole pool after **every** step — from the start and, as a
+//! rotation, from a random cursor holder — and leave `holds(root)`
+//! agreeing with `get_for(shard, root)` for every shard.
 
 use sbs_bulk::{
     encode_fragments, fragment_leaves, BulkDigest, FragmentStore, Holder, MerkleTree, SharedBytes,
     StoredFragment,
 };
 use sbs_sim::DetRng;
+use std::collections::BTreeSet;
 
-/// The index must equal the reference scan as a whole, from a random
-/// rank, and at both ends.
-fn assert_index_matches(
-    reference: Vec<(u32, u32, BulkDigest)>,
-    len: usize,
-    from: impl Fn(usize) -> Vec<(u32, u32, BulkDigest)>,
+type Holding = (u32, u32, BulkDigest);
+
+/// The holdings one rotation of the walk from `after` yields, in walk
+/// order.
+fn walk(store: &FragmentStore, after: Option<Holder>) -> Vec<Holding> {
+    store
+        .holders_after(after)
+        .flat_map(|(h, roots)| roots.map(move |r| (h.shard, h.slot, r)))
+        .collect()
+}
+
+/// The walk from the start must list exactly `reference` — each holding
+/// once, holders in order — and the walk from a random cursor holder
+/// must be the rotation of it that starts after that holder.
+fn assert_walk_matches(
+    store: &FragmentStore,
+    reference: BTreeSet<Holding>,
     rng: &mut DetRng,
     label: &str,
 ) {
-    assert_eq!(len, reference.len(), "{label}: holdings_len");
-    assert_eq!(from(0), reference, "{label}: holdings_from(0)");
-    let rank = rng.next_u64() as usize % (len + 1);
-    assert_eq!(from(rank), reference[rank..], "{label}: from rank {rank}");
-    assert!(from(len).is_empty() && from(len + 7).is_empty(), "{label}");
+    let holder = |&(shard, slot, _): &Holding| Holder::new(shard, slot);
+    let whole = walk(store, None);
+    assert!(
+        whole.windows(2).all(|w| holder(&w[0]) <= holder(&w[1])),
+        "{label}: holders out of order"
+    );
+    let listed: BTreeSet<Holding> = whole.iter().copied().collect();
+    assert_eq!(listed.len(), whole.len(), "{label}: a holding listed twice");
+    assert_eq!(listed, reference, "{label}: walk from the start");
+    let draw = rng.next_u64();
+    let cursor = Holder::new((draw % 7) as u32, (draw / 7 % 4) as u32);
+    let split = whole.partition_point(|h| holder(h) <= cursor);
+    let rotated: Vec<Holding> = whole[split..]
+        .iter()
+        .chain(&whole[..split])
+        .copied()
+        .collect();
+    assert_eq!(
+        walk(store, Some(cursor)),
+        rotated,
+        "{label}: walk after {cursor:?}"
+    );
 }
 
 /// Retention bounds swept: the eviction-heavy 1..=3 (replicas run 2).
@@ -49,12 +80,12 @@ fn assert_holds_matches_get_for(store: &FragmentStore, roots: &[BulkDigest], lab
 }
 
 #[test]
-fn fragment_store_index_tracks_the_full_scan() {
+fn fragment_store_walk_matches_the_holder_sets() {
     // 24 dispersals (2-of-3). A shard's fragment index is its window
     // position, modelled as `shard % 3`: shards 0 and 3 are congruent
     // (same index, one entry, two holders) while 0, 1, 2 alias a root
-    // under three different indices — one `(shard, root)` pair each —
-    // and the three key slots of a shard alias its one index.
+    // under three different indices, and the three key slots of a shard
+    // alias its one index.
     struct Dispersal {
         root: BulkDigest,
         frags: Vec<SharedBytes>,
@@ -106,13 +137,16 @@ fn fragment_store_index_tracks_the_full_scan() {
                     }
                 }
                 let label = format!("retain {retain} seed {seed} step {step}");
-                assert_index_matches(
-                    store.holdings(),
-                    store.holdings_len(),
-                    |rank| store.holdings_from(rank).collect(),
-                    &mut rng,
-                    &label,
-                );
+                let reference: BTreeSet<Holding> = roots
+                    .iter()
+                    .flat_map(|&root| {
+                        store
+                            .holders(&root)
+                            .into_iter()
+                            .map(move |h| (h.shard, h.slot, root))
+                    })
+                    .collect();
+                assert_walk_matches(&store, reference, &mut rng, &label);
                 assert_holds_matches_get_for(&store, &roots, &label);
             }
         }

@@ -23,8 +23,9 @@
 //!
 //! This layer is deliberately *not* the bounded-capacity data-link protocol
 //! of footnote 3 — that protocol lives in [`crate::datalink`] and is what
-//! one would run beneath this layer on real, bounded, lossy channels. See
-//! DESIGN.md §3 for the substitution argument.
+//! one would run beneath this layer on real, bounded, lossy channels: after
+//! at most one initial message it delivers every send exactly once, in
+//! order — the reliable FIFO link this layer assumes.
 //!
 //! Both halves are plain state machines ("sans I/O"): they decide *what* to
 //! send and deliver, the caller does the sending. That keeps them usable

@@ -346,11 +346,6 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
         self.step(ctx);
     }
 
-    /// True while `shard` is granted but not yet acquired (puts stage).
-    pub fn is_acquiring(&self, shard: u32) -> bool {
-        self.staged.contains_key(&shard)
-    }
-
     /// Invokes `get(key)`; completion arrives as [`StoreOut::GetDone`].
     pub fn invoke_get(&mut self, op: OpId, key: String, ctx: &mut StoreCtx<'_, V>) {
         ctx.trace(TraceEvent::OpStart {
@@ -386,11 +381,6 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// [`Self::owned_shards`], one round at most per shard.
     pub fn help_rounds(&self) -> Vec<u32> {
         self.helping.keys().copied().collect()
-    }
-
-    /// The data plane this client writes/reads through.
-    pub fn plane(&self) -> DataPlane {
-        self.plane
     }
 
     /// Writer-map recoveries completed (re-read + republish after

@@ -6,15 +6,20 @@ use super::{slot_in_range, Served};
 use crate::msg::{Holding, StoreMsg};
 use sbs_bulk::{
     encode_fragments, fragment_leaves, reconstruct, verify_fragment, FragmentStore, Holder,
-    MerkleTree, SharedBytes, StoredFragment,
+    MerkleTree, SharedBytes, StoredFragment, RETAINED_PER_KEY,
 };
 use sbs_sim::{Context, ProcessId, SimDuration, TimerId, TraceEvent};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Entries gossiped per anti-entropy round: a rotation cursor walks the
-/// replica's own holdings, so every digest is eventually announced
-/// without any single summary growing with store size.
+/// Entries gossiped per anti-entropy round, and holders visited: a
+/// rotation cursor walks the replica's own holders, so every digest is
+/// eventually announced without any single summary growing with store
+/// size.
 pub(super) const ANTI_ENTROPY_BATCH: usize = 32;
+
+// A replica's holder retains at most `RETAINED_PER_KEY` roots, so every
+// holder fits in one summary and the rotation cannot stall on one.
+const _: () = assert!(RETAINED_PER_KEY <= ANTI_ENTROPY_BATCH);
 
 /// Self-healing state for one data replica, installed by
 /// [`StoreServerNode::self_healing`](super::StoreServerNode::self_healing).
@@ -46,8 +51,9 @@ pub(super) struct Healer {
     pub(super) suspects: BTreeMap<Holding, bool>,
     /// Round-robin cursor over peers for digest summaries.
     peer_cursor: usize,
-    /// Rotation cursor over own holdings for bounded summaries.
-    holdings_cursor: usize,
+    /// The last holder a summary announced: the next one starts after
+    /// it, in holder order.
+    holdings_cursor: Option<Holder>,
 }
 
 /// One in-flight repair pull: the verified evidence collected so far.
@@ -89,7 +95,7 @@ impl Healer {
             pending: BTreeMap::new(),
             suspects: BTreeMap::new(),
             peer_cursor: 0,
-            holdings_cursor: 0,
+            holdings_cursor: None,
         }
     }
 
@@ -242,10 +248,12 @@ impl Healer {
     /// (forgetting previous misses, so a peer that was itself mid-wipe
     /// gets asked again), and re-arm the period timer.
     ///
-    /// The summary is read from the store's holdings index, so a tick
-    /// costs the batch, not the store: holdings in `(shard, root)` order,
-    /// each announced with the lowest key slot of the shard holding it,
-    /// as one list the cursor rotates over.
+    /// The summary is read from the store's per-key retention map
+    /// ([`FragmentStore::holders_after`]), so a tick costs the batch, not
+    /// the store: it visits at most [`ANTI_ENTROPY_BATCH`] holders after
+    /// the cursor, in holder order, and announces each one's retained
+    /// roots as `(shard, slot, root)` under its own slot — at most
+    /// [`ANTI_ENTROPY_BATCH`] entries.
     pub(super) fn on_anti_entropy_tick<P, O>(
         &mut self,
         guard: &BulkGuard,
@@ -272,28 +280,19 @@ impl Healer {
                 true
             }
         });
-        let len = frags.holdings_len();
-        let entries: Vec<Holding> = if len == 0 {
-            Vec::new()
-        } else {
-            let start = self.holdings_cursor % len;
-            let take = ANTI_ENTROPY_BATCH.min(len);
-            self.holdings_cursor = (start + take) % len;
-            // Differential against the reference scan (debug builds):
-            // whenever the window reaches the end of the list — once per
-            // rotation, so the scan's amortised cost per tick is the
-            // batch too — the whole index must equal what a walk of the
-            // store derives.
-            debug_assert!(
-                start + take < len || frags.holdings_from(0).eq(frags.holdings()),
-                "holdings index drifted from the store"
-            );
-            frags
-                .holdings_from(start)
-                .chain(frags.holdings_from(0))
-                .take(take)
-                .collect()
-        };
+        // At most one batch of holders, each with all of its roots: a
+        // holder that does not fit opens the next tick's summary.
+        let mut entries: Vec<Holding> = Vec::with_capacity(ANTI_ENTROPY_BATCH);
+        for (holder, roots) in frags
+            .holders_after(self.holdings_cursor)
+            .take(ANTI_ENTROPY_BATCH)
+        {
+            if entries.len() + roots.len() > ANTI_ENTROPY_BATCH {
+                break;
+            }
+            entries.extend(roots.map(|root| (holder.shard, holder.slot, root)));
+            self.holdings_cursor = Some(holder);
+        }
         // Round-robin over the *other* servers in slot order.
         let n = guard.servers.len();
         let peer = (n > 1).then(|| {

@@ -253,60 +253,155 @@ fn a_fleet_server_cannot_push() {
     assert_eq!(node.frags.fragment_count(), 1);
 }
 
+/// Fragment 0 of a whole-copy (`k = 1`) dispersal of `bytes`, and its
+/// root: what the anti-entropy tests store straight into a replica.
+fn whole_copy(bytes: &[u8]) -> (BulkDigest, sbs_bulk::StoredFragment) {
+    let (frags, tree) = dispersal(bytes, 1);
+    let own = sbs_bulk::StoredFragment {
+        index: 0,
+        total: 3,
+        bytes: frags[0].clone(),
+        proof: tree.proof(0),
+    };
+    (tree.root(), own)
+}
+
+/// The summary a tick sent, and to whom; panics unless the tick sent
+/// exactly one message and it is a summary.
+fn summary_of(eff: &Effects<StoreMsg<u64>, ()>) -> (ProcessId, Vec<Holding>) {
+    let [(to, StoreMsg::DigestSummary { entries })] = eff.sends() else {
+        panic!("expected one summary, got {:?}", eff.sends());
+    };
+    (*to, entries.clone())
+}
+
 /// Growth guard: the anti-entropy tick reads its summary from the
-/// store's holdings index, so its cost does not grow with the store.
-/// A replica holding 20 000 fragments runs 2 000 ticks; every summary
-/// must be exactly the slice of the reference scan the rotation rule
-/// names, sent to the next other server in slot order.
+/// store's per-key retention map, so its cost does not grow with the
+/// store. A replica holding 20 000 fragments runs 2 000 ticks; every
+/// summary must be exactly the next 16 holders — two roots each, in the
+/// order they were put — of the holdings the puts made, in holder order,
+/// sent to the next other server in slot order.
 #[test]
 fn anti_entropy_tick_cost_is_independent_of_store_size() {
-    use sbs_bulk::StoredFragment;
+    use std::collections::BTreeMap;
     // Slot 2 sits in the windows of shards 0, 1 and 2.
     let (mut node, mut st) = healing_server(2);
+    let mut puts: BTreeMap<Holder, Vec<BulkDigest>> = BTreeMap::new();
     for i in 0..20_000u32 {
-        let (frags, tree) = dispersal(&i.to_le_bytes(), 1);
-        let own = StoredFragment {
-            index: 0,
-            total: 3,
-            bytes: frags[0].clone(),
-            proof: tree.proof(0),
-        };
-        // Two values per key — the retention bound — so all 20 000
-        // stay held.
-        let holder = Holder::new(i % 3, i / 6);
-        assert!(node.frags.put(holder, tree.root(), own).held());
+        let (root, own) = whole_copy(&i.to_le_bytes());
+        // Two values per key of shards 0 and 1 — the retention bound —
+        // so all 20 000 stay held.
+        let holder = Holder::new(i % 2, i / 4);
+        assert!(node.frags.put(holder, root, own).held());
+        puts.entry(holder).or_default().push(root);
     }
-    let reference = node.frags.holdings();
-    let len = reference.len();
-    assert_eq!(len, 20_000);
+    let holders: Vec<(Holder, Vec<BulkDigest>)> = puts.into_iter().collect();
+    assert_eq!(holders.len(), 10_000);
+    let per_tick = ANTI_ENTROPY_BATCH / sbs_bulk::RETAINED_PER_KEY;
     let others: Vec<ProcessId> = (0..9).filter(|&s| s != 2).map(ProcessId).collect();
 
     let started = std::time::Instant::now();
     let mut cursor = 0;
     for round in 0..2_000 {
-        let eff = st.tick(&mut node);
-        let [(to, StoreMsg::DigestSummary { entries })] = eff.sends() else {
-            panic!("round {round}: expected one summary, got {:?}", eff.sends());
-        };
-        assert_eq!(*to, others[round % others.len()], "round {round}");
-        let expected: Vec<Holding> = (0..ANTI_ENTROPY_BATCH)
-            .map(|i| reference[(cursor + i) % len])
+        let (to, entries) = summary_of(&st.tick(&mut node));
+        assert_eq!(to, others[round % others.len()], "round {round}");
+        let expected: Vec<Holding> = (0..per_tick)
+            .flat_map(|i| {
+                let (h, roots) = &holders[(cursor + i) % holders.len()];
+                roots.iter().map(|&root| (h.shard, h.slot, root))
+            })
             .collect();
-        assert_eq!(*entries, expected, "round {round}");
-        cursor = (cursor + ANTI_ENTROPY_BATCH) % len;
+        assert_eq!(entries, expected, "round {round}");
+        cursor = (cursor + per_tick) % holders.len();
     }
     // The wall bound is what makes this a *growth* guard. With a
     // per-tick full scan (walk 20 000 entries, sort them, every
-    // tick) this loop took 46 s in a debug build on the reference
-    // container; served from the index it takes a fraction of a
-    // second, most of it the debug assertion's once-per-rotation
-    // scan (three of them here). Five seconds is ample headroom for
-    // a loaded CI host and a ninth of the regression.
+    // tick) this loop took 46 s in a debug build on a two-core
+    // container; a range probe of the retention map takes a fraction
+    // of a second. Five seconds is ample headroom for a loaded CI host
+    // and a ninth of the regression.
     assert!(
         started.elapsed() < std::time::Duration::from_secs(5),
         "2 000 ticks over a 20 000-entry store took {:?}: the tick is \
          doing work proportional to the store again",
         started.elapsed()
+    );
+}
+
+/// The rotation survives churn: between ticks, keys of holders that
+/// sort before the cursor (the last holder announced) are overwritten —
+/// one with a fresh value, one with a byte-identical copy of another
+/// key's value in its shard, which aliases that key's entry — so the
+/// store changes behind the cursor throughout every rotation. Each root
+/// of every key never overwritten is still announced at least once every
+/// `⌈holders / per-tick holders⌉ + 1` ticks, and every summary names
+/// only roots its holder retains.
+#[test]
+fn anti_entropy_rotation_survives_churn_before_the_cursor() {
+    use std::collections::BTreeMap;
+    // Slot 2 sits in the windows of shards 0, 1 and 2: 3 × 40 keys,
+    // each holding two values. A value is a number, stored as its
+    // bytes; `latest` is each key's current one.
+    let (mut node, mut st) = healing_server(2);
+    let mut latest: BTreeMap<Holder, u32> = BTreeMap::new();
+    let put = |node: &mut TestServer, latest: &mut BTreeMap<Holder, u32>, holder, value: u32| {
+        let (root, own) = whole_copy(&value.to_le_bytes());
+        assert!(node.frags.put(holder, root, own).held());
+        latest.insert(holder, value);
+        root
+    };
+    let holders: Vec<Holder> = (0..3)
+        .flat_map(|shard| (0..40).map(move |slot| Holder::new(shard, slot)))
+        .collect();
+    let mut fresh = 0..;
+    // When each `(key, root)` was last announced, from the start.
+    let mut last_announced: BTreeMap<(Holder, BulkDigest), usize> = BTreeMap::new();
+    for &h in holders.iter().chain(&holders) {
+        let root = put(&mut node, &mut latest, h, fresh.next().unwrap());
+        last_announced.insert((h, root), 0);
+    }
+    let per_tick = ANTI_ENTROPY_BATCH / sbs_bulk::RETAINED_PER_KEY;
+    let bound = holders.len().div_ceil(per_tick) + 1;
+    let mut churned: BTreeSet<Holder> = BTreeSet::new();
+    let mut rng = DetRng::from_seed(0xC4);
+    for tick in 1..=10 * bound {
+        let (_, entries) = summary_of(&st.tick(&mut node));
+        for &(shard, slot, root) in &entries {
+            let h = Holder::new(shard, slot);
+            assert!(
+                node.frags.holders(&root).contains(&h),
+                "tick {tick}: {h:?} announced a root it does not retain"
+            );
+            last_announced.insert((h, root), tick);
+        }
+        for ((h, root), &seen) in &last_announced {
+            assert!(
+                churned.contains(h) || tick - seen <= bound,
+                "tick {tick}: {h:?} last announced {root:?} at tick {seen}, bound {bound}"
+            );
+        }
+        // Overwrite two keys that sort before the cursor: one with a
+        // fresh value, one with another key's current value.
+        let &(shard, slot, _) = entries.last().expect("a non-empty summary");
+        let cursor = Holder::new(shard, slot);
+        let before: Vec<Holder> = holders.iter().copied().filter(|&h| h < cursor).collect();
+        if before.is_empty() {
+            continue;
+        }
+        let mut pick = || before[rng.next_u64() as usize % before.len()];
+        let h = pick();
+        put(&mut node, &mut latest, h, fresh.next().unwrap());
+        churned.insert(h);
+        let (h, donor) = (pick(), pick());
+        if h.shard == donor.shard && h != donor {
+            let value = latest[&donor];
+            put(&mut node, &mut latest, h, value);
+            churned.insert(h);
+        }
+    }
+    assert!(
+        churned.len() > holders.len() / 4,
+        "the churn reached {churned:?}"
     );
 }
 
