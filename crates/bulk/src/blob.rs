@@ -472,6 +472,11 @@ impl FragmentStore {
             for holder in &held.holders {
                 if let Some(rec) = self.recency.get_mut(holder) {
                     rec.keys.retain(|k| k != key);
+                    // An entry with nothing held and nothing remembered
+                    // would still cost the anti-entropy walk a visit.
+                    if rec.keys.is_empty() && rec.evicted.is_empty() {
+                        self.recency.remove(holder);
+                    }
                 }
             }
         }
@@ -483,10 +488,9 @@ impl FragmentStore {
     /// rotation that ends at `after` itself — each with the roots it
     /// retains, oldest first (a holder holds at most one index of a root,
     /// so no root repeats): anti-entropy's walk (see the module docs). A
-    /// holder kept only for its eviction memory (or emptied by
-    /// [`Self::remove`]) is listed with no roots, so a caller can bound the
-    /// holders it visits. Positioning is one `O(log n)` range probe; each
-    /// holder taken is one step more.
+    /// holder kept only for its eviction memory is listed with no roots,
+    /// so a caller can bound the holders it visits. Positioning is one
+    /// `O(log n)` range probe; each holder taken is one step more.
     pub fn holders_after(
         &self,
         after: Option<Holder>,
@@ -864,6 +868,23 @@ mod tests {
             s.put(h(u32::from(i % 2)), ri, fi);
         }
         assert_eq!(s.fragment_count(), 2);
+    }
+
+    /// A holder that `remove` leaves with no keys and no eviction memory
+    /// is gone from the walk, not listed empty.
+    #[test]
+    fn remove_leaves_no_empty_holders_behind() {
+        let mut s = FragmentStore::new();
+        let puts: Vec<_> = (0..100u8).map(|i| frag(i, 20)).collect();
+        for (shard, (r, f)) in (0..).zip(&puts) {
+            s.put(h(shard), *r, f.clone());
+        }
+        assert_eq!(s.holders_after(None).count(), 100);
+        for (r, _) in &puts {
+            assert!(s.remove(r));
+        }
+        assert_eq!(s.holders_after(None).count(), 0);
+        assert!(s.recency.is_empty());
     }
 
     /// Regression (REVIEW of ISSUE 5, write liveness): a replica shared

@@ -8,11 +8,12 @@
 //! the nodes on a [`ThreadRuntime`] whose transports are
 //! [`TcpTransport`](crate::TcpTransport)s — every protocol message
 //! crosses a real socket through the canonical codec. The deployment is
-//! one OS thread per node and nothing else: each node thread writes its
-//! links and polls its own listener and connections, one per peer it
-//! talks to (see [`transport`](crate::transport)); this harness thread
-//! reaches the nodes through `invoke`, which enqueues and then wakes the
-//! target out of its `ppoll`. Everything that judges the run — the op
+//! one worker thread per core (never more than one per node) and nothing
+//! else: each worker writes its nodes' links and polls their listeners
+//! and connections, one per peer a node talks to (see
+//! [`transport`](crate::transport)); this harness thread reaches the
+//! nodes through `invoke`, which enqueues and then wakes the node's
+//! worker out of its `ppoll`. Everything that judges the run — the op
 //! log, the online [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor),
 //! per-key histories, the atomicity check, the reshard orchestrator, the
 //! flight recorder — is `sbs_store`'s [`DeployCore`], reached through
@@ -20,9 +21,9 @@
 //! implementation of the standard.
 //!
 //! What is backend-specific lives here: binding listeners, spawning
-//! node threads and handing each its listener, the [`DeployHost`] that
-//! enqueues client calls and data
-//! wipes onto those threads and reads the clock as wall time since
+//! the workers and handing each its nodes' listeners, the
+//! [`DeployHost`] that enqueues client calls and data wipes onto those
+//! workers and reads the clock as wall time since
 //! deployment (so latencies and throughput are *real*, and runs are not
 //! replayable), waiting on the runtime's output channel, the wall-clock
 //! stall policy of the closed-loop drive, and the transport counters. Of
@@ -52,7 +53,7 @@ use std::time::{Duration, Instant};
 const STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// The socket backend as [`DeployCore`] sees it: calls are enqueued to
-/// the node threads (fire-and-forget), time is wall time since
+/// the nodes' workers (fire-and-forget), time is wall time since
 /// deployment.
 struct NetHost<V: Payload> {
     rt: ThreadRuntime<StoreWire<V>, StoreOut<V>>,
@@ -86,9 +87,9 @@ impl<V: Payload + BulkCodec + Send + Sync> DeployHost<V> for NetHost<V> {
 
 /// A store deployment on loopback TCP.
 ///
-/// Shutdown is the host's [`ThreadRuntime`] stopping its node threads:
-/// each owns its listener and every stream it opened or accepted, and
-/// closes them as it exits. The [`NetFabric`] holds no thread and no
+/// Shutdown is the host's [`ThreadRuntime`] stopping its workers: each
+/// owns its nodes' listeners and every stream they opened or accepted,
+/// and closes them as it exits. The [`NetFabric`] holds no thread and no
 /// socket by then — only the address book and the counters.
 pub struct NetStoreSystem<V: Payload + BulkCodec + Send + Sync> {
     host: NetHost<V>,
@@ -117,9 +118,9 @@ impl<V: Payload + BulkCodec + Send + Sync> Deref for NetStoreSystem<V> {
 
 impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     /// Deploys `builder`'s fleet on loopback TCP: binds one listener per
-    /// node, spawns the node threads with
+    /// node, spawns the workers with
     /// [`TcpTransport`](crate::TcpTransport) backends, and hands each
-    /// thread its listener to poll. The builder's `monitor()` flag
+    /// worker its nodes' listeners to poll. The builder's `monitor()` flag
     /// carries over to an online monitor fed by `put`/`get`.
     pub fn deploy(builder: &StoreBuilder) -> io::Result<Self> {
         let set = builder.build_nodes::<V>();
@@ -187,7 +188,7 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     }
 
     /// [`DeployCore::begin_reshard`] over TCP: retire and grant calls
-    /// are enqueued to the node threads, and the acquire step is
+    /// are enqueued to the nodes' workers, and the acquire step is
     /// released once every retire has come back. Keep
     /// draining (`await_completions` or a running workload) until
     /// [`DeployCore::reshard_active`] reports `false`.
@@ -283,12 +284,12 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
 
     /// [`DeployCore::flight_recorder`] for a socket run: the suspect
     /// ops, the monitor's violations and the role names. The causal
-    /// trace slice is empty — node threads keep no trace ring yet.
+    /// trace slice is empty — the workers keep no trace ring yet.
     pub fn flight_recorder(&self) -> FlightRecord {
         self.core.flight_recorder(&[])
     }
 
-    /// Slow-path counters folded from every node thread — the same
+    /// Slow-path counters folded from every worker — the same
     /// tallies the simulator reports in its `Metrics`.
     pub fn slow_paths(&self) -> SlowPath {
         self.host.rt.slow_paths()
@@ -308,7 +309,7 @@ impl<V: Payload + BulkCodec + Send + Sync> NetStoreSystem<V> {
     }
 
     /// The deployment's transport gauges — wake-ups, reads, frames in,
-    /// connects, write timeouts — summed over its node threads so far.
+    /// connects, write timeouts — summed over its workers so far.
     pub fn transport_stats(&self) -> TransportStats {
         self.fabric.stats()
     }
@@ -334,7 +335,7 @@ pub struct NetReport {
     pub put_latency: Option<LatencySummary>,
     /// Completed-get latency percentiles (wall nanoseconds).
     pub get_latency: Option<LatencySummary>,
-    /// Slow-path counters folded across all node threads.
+    /// Slow-path counters folded across all workers.
     pub slow: SlowPath,
     /// Messages the transports gave up on (link loss).
     pub transport_drops: u64,

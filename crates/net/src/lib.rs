@@ -13,19 +13,21 @@
 //! - [`transport`] — [`TcpTransport`]: a
 //!   [`Transport`](sbs_sim::Transport) backend over `std::net` TCP with
 //!   one connection per node pair (the acceptor replies on the
-//!   connection its peer dialled), writes under a deadline, and per-link
-//!   reconnect back-off kept as state, never slept. The receive half
-//!   runs on the node's own thread too: [`NetFabric`] binds the
-//!   listeners and hands each to its node, whose thread then blocks in
-//!   one `ppoll(2)` over its wake socket, listener and connections and
-//!   decodes frames straight into `on_message`. One OS
-//!   thread per node, no reader or accept threads; enqueue-then-wake on
+//!   connection its peer dialled), a bounded write queue per link whose
+//!   oldest unsent byte has an age limit, and per-link reconnect back-off
+//!   kept as state, never slept. The receive half runs on the node's
+//!   worker too: [`NetFabric`] binds the listeners and hands each
+//!   worker those of the nodes it hosts, and the worker then blocks in
+//!   one `ppoll(2)` over its wake socket and its nodes' listeners and
+//!   connections, flushes write queues on `POLLOUT` and decodes frames
+//!   straight into the destination node's `on_message`. One worker
+//!   thread per core, no reader or accept threads; enqueue-then-wake on
 //!   one side and drain-wake-then-drain-channel on the other is the
 //!   ordering rule that loses no wake-up.
 //! - [`harness`] — [`NetStoreSystem`]: `sbs_store`'s
 //!   [`DeployCore`](sbs_store::DeployCore) — op log, online
 //!   [`ConsistencyMonitor`](sbs_sim::ConsistencyMonitor), per-key
-//!   histories for `sbs-check`, reshard orchestrator — hosted on node
+//!   histories for `sbs-check`, reshard orchestrator — hosted on worker
 //!   threads and sockets, driven by the same closed-loop workload
 //!   driver as the simulator; one implementation on both sides is what
 //!   the differential sim ≡ socket equivalence tests compare through.

@@ -18,8 +18,8 @@
 //!   state-machine contract.
 //! - [`DelayModel`] / [`LinkState`]: link behaviour, including the bounded
 //!   delays required by the paper's synchronous variant.
-//! - [`ThreadRuntime`]: the same contract on OS threads and crossbeam
-//!   channels.
+//! - [`ThreadRuntime`]: the same contract on one worker thread per core
+//!   and `std::sync::mpsc` channels.
 //! - [`DetRng`]: reproducible per-process randomness.
 //! - [`Metrics`]: message/event/fault counters for the experiment harness.
 //!

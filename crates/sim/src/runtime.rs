@@ -1,29 +1,36 @@
 //! A thread-backed runtime for the same [`Node`] state machines the
 //! simulator hosts.
 //!
-//! Every node runs on its own OS thread; messages leave through a
-//! [`Transport`] — by default [`LocalTransport`], unbounded
-//! `std::sync::mpsc` channels (reliable and FIFO per sender→receiver pair,
-//! matching the paper's link assumptions), but a deployment can supply any
-//! other backend (e.g. the TCP transport in `sbs-net`) via
-//! [`ThreadRuntime::spawn_with_transport`] without touching the nodes.
-//! There is no virtual time — [`Context::now`] reports wall-clock time
-//! since the runtime started, mapped onto [`SimTime`].
+//! **One event loop per core.** The runtime starts
+//! `min(nodes, available_parallelism)` worker threads and hosts node `i`
+//! on worker `i mod W`, so a fleet larger than the host shares its cores
+//! instead of paying an OS wake-up and a context switch per message.
+//! Messages leave through a [`Transport`] — by default
+//! [`LocalTransport`], unbounded `std::sync::mpsc` channels (reliable and
+//! FIFO per sender→receiver pair, matching the paper's link assumptions),
+//! but a deployment can supply any other backend (e.g. the TCP transport
+//! in `sbs-net`) via [`ThreadRuntime::spawn_with_transport`] without
+//! touching the nodes. There is no virtual time — [`Context::now`]
+//! reports wall-clock time since the runtime started, mapped onto
+//! [`SimTime`].
 //!
-//! A node thread blocks in exactly one place. By default that is its
-//! channel (`recv_timeout` until the next timer deadline). A backend
-//! whose messages arrive from outside the process hands the thread an
-//! [`Inbound`] source with [`MsgInjector::attach`]; from then on the
-//! thread blocks in [`Inbound::wait`] instead and is its own reader — no
-//! reader thread, no second wake-up per message. Everything that
-//! enqueues to the node ([`ThreadRuntime::invoke`],
-//! [`ThreadRuntime::inject`], [`MsgInjector::inject`], shutdown) fires the
-//! wake handle attached beside the source *after* enqueueing, and the
-//! loop runs **wait → drain channel → wait**, the source consuming its
-//! wake signal before `wait` returns. A signal consumed by one `wait`
-//! therefore precedes that turn's channel drain, and one raised after the
-//! drain is still pending when the next `wait` starts: no wake-up is
-//! lost, at the price of an occasional spurious one.
+//! Every input of every node — message, timer, invoke — passes through
+//! one handler function on its worker, in arrival order, and each worker
+//! has one channel, one wake handle and one blocking call. By default
+//! that call is the channel (`recv_timeout` until the worker's next
+//! timer deadline). A backend whose messages arrive from outside the
+//! process hands the worker an [`Inbound`] source with
+//! [`MsgInjector::attach`] on any of its nodes' injectors; from then on
+//! the worker blocks in [`Inbound::wait`] instead and is its nodes'
+//! reader — no reader thread, no second wake-up per message. Everything
+//! that enqueues to a node ([`ThreadRuntime::invoke`],
+//! [`ThreadRuntime::inject`], [`MsgInjector::inject`], shutdown) fires
+//! the worker's wake handle *after* enqueueing, and the loop runs
+//! **wait → drain channel → wait**, the source consuming its wake signal
+//! before `wait` returns. A signal consumed by one `wait` therefore
+//! precedes that turn's channel drain, and one raised after the drain is
+//! still pending when the next `wait` starts: no wake-up is lost, at the
+//! price of an occasional spurious one.
 //!
 //! The runtime exists to demonstrate that protocol implementations written
 //! against [`Node`]/[`Context`] are not simulator-bound: the integration
@@ -43,16 +50,26 @@ use crate::node::{Context, Effects, Message, Node};
 use crate::rng::DetRng;
 use crate::time::SimTime;
 
-/// A one-shot closure executed on the node's thread with a live context.
+/// A one-shot closure executed on the node's worker with a live context.
 type InvokeFn<M, O> =
     Box<dyn FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>) + Send>;
 
-/// Interrupts a node thread blocked in [`Inbound::wait`].
+/// Interrupts a worker blocked in [`Inbound::wait`].
 type WakeFn = Box<dyn Fn() + Send + Sync>;
 
+/// A node's boxed state machine, as the runtime hosts it.
+type BoxedNode<M, O> = Box<dyn Node<Msg = M, Out = O> + Send>;
+
 enum Ctl<M, O> {
-    Msg { from: ProcessId, msg: M },
-    Invoke(InvokeFn<M, O>),
+    Msg {
+        to: ProcessId,
+        from: ProcessId,
+        msg: M,
+    },
+    Invoke {
+        to: ProcessId,
+        f: InvokeFn<M, O>,
+    },
     Attach(Box<dyn Inbound<M>>),
     Stop,
 }
@@ -67,37 +84,43 @@ enum Ctl<M, O> {
 /// a transport that cannot deliver drops the message, exactly like a
 /// lossy link in the simulator — the protocols already tolerate loss.
 ///
-/// `send` runs on the node's own thread, which is also the thread that
-/// receives for the node: it must not sleep, and must not wait on a peer
-/// without a bound.
+/// `send` runs on the node's worker, which also runs the handlers of
+/// every node it hosts and receives for them: it must not sleep, and
+/// must not wait on a peer at all.
 pub trait Transport<M>: Send + 'static {
     /// Delivers `msg` from `from` to `to` (or drops it on failure).
     fn send(&mut self, from: ProcessId, to: ProcessId, msg: M);
 }
 
-/// A source of inbound messages that the node thread polls itself — the
-/// receive half of a [`Transport`] backend whose peers live outside the
-/// process (sockets). Handed to the node with [`MsgInjector::attach`].
+/// A source of inbound messages that a worker polls itself — the receive
+/// half of a [`Transport`] backend whose peers live outside the process
+/// (sockets). Handed to the worker with [`MsgInjector::attach`], and
+/// shared by every node the worker hosts.
 pub trait Inbound<M>: Send + 'static {
     /// Blocks until the wake handle attached with this source fired, a
     /// message arrived, or `timeout` elapsed (`None`: no deadline), and
     /// appends every message decoded meanwhile to `batch` as
-    /// `(claimed sender, message)`. Consumes the wake signal before it
+    /// `(destination node, claimed sender, message)`; every destination
+    /// is a node of this worker. Consumes the wake signal before it
     /// returns. May return early with nothing; must never block on
     /// anything else.
-    fn wait(&mut self, timeout: Option<Duration>, batch: &mut Vec<(ProcessId, M)>);
+    fn wait(&mut self, timeout: Option<Duration>, batch: &mut Vec<(ProcessId, ProcessId, M)>);
 }
 
 /// A cloneable handle that feeds one node's inbox: messages as if sent by
 /// an arbitrary peer ([`MsgInjector::inject`]), or a whole [`Inbound`]
-/// source for the node thread to poll ([`MsgInjector::attach`]).
+/// source for the node's worker to poll ([`MsgInjector::attach`]).
 ///
 /// This is the receive half a custom [`Transport`] backend needs. The
 /// claimed sender is trusted, with the same impersonation semantics as
 /// [`ThreadRuntime::inject`].
 pub struct MsgInjector<M, O> {
+    /// The hosting worker's channel.
     tx: Sender<Ctl<M, O>>,
-    /// Set once by [`MsgInjector::attach`]; shared by every clone.
+    to: ProcessId,
+    worker: usize,
+    /// Set once by [`MsgInjector::attach`]; shared by every injector of
+    /// the worker.
     wake: Arc<OnceLock<WakeFn>>,
 }
 
@@ -106,6 +129,8 @@ impl<M, O> Clone for MsgInjector<M, O> {
     fn clone(&self) -> Self {
         MsgInjector {
             tx: self.tx.clone(),
+            to: self.to,
+            worker: self.worker,
             wake: Arc::clone(&self.wake),
         }
     }
@@ -113,7 +138,10 @@ impl<M, O> Clone for MsgInjector<M, O> {
 
 impl<M, O> std::fmt::Debug for MsgInjector<M, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MsgInjector").finish_non_exhaustive()
+        f.debug_struct("MsgInjector")
+            .field("to", &self.to)
+            .field("worker", &self.worker)
+            .finish_non_exhaustive()
     }
 }
 
@@ -121,31 +149,42 @@ impl<M, O> MsgInjector<M, O> {
     /// Enqueues `msg` for the target node as if sent by `from`. Silently
     /// drops the message after the runtime has shut down.
     pub fn inject(&self, from: ProcessId, msg: M) {
-        self.post(Ctl::Msg { from, msg });
+        self.post(Ctl::Msg {
+            to: self.to,
+            from,
+            msg,
+        });
     }
 
-    /// Makes the node thread its own reader: from its next turn on it
-    /// blocks in `source.wait(..)` instead of on its channel, and `wake`
-    /// — which must make a concurrent or later `wait` return — is fired
-    /// after every enqueue to this node.
+    /// The worker thread hosting this node. Injectors that report the
+    /// same worker share its one blocking call, so a backend attaches one
+    /// [`Inbound`] per distinct value.
+    pub fn worker(&self) -> usize {
+        self.worker
+    }
+
+    /// Makes this node's worker its nodes' reader: from its next turn on
+    /// it blocks in `source.wait(..)` instead of on its channel, and
+    /// `wake` — which must make a concurrent or later `wait` return — is
+    /// fired after every enqueue to any node of the worker.
     ///
     /// # Panics
     ///
-    /// Panics if the node already has a source attached.
+    /// Panics if the worker already has a source attached.
     pub fn attach(&self, source: Box<dyn Inbound<M>>, wake: impl Fn() + Send + Sync + 'static) {
         assert!(
             self.wake.set(Box::new(wake)).is_ok(),
-            "node already has an inbound source"
+            "worker already has an inbound source"
         );
         // An enqueue that raced this call and saw no handle yet is on the
-        // channel already, and the node empties the channel after taking
-        // `Attach`, before its first `wait`.
+        // channel already, and the worker empties the channel after
+        // taking `Attach`, before its first `wait`.
         self.post(Ctl::Attach(source));
     }
 
-    /// Enqueue, then wake — in that order, so the node cannot consume
+    /// Enqueue, then wake — in that order, so the worker cannot consume
     /// the signal and still miss the entry. With no source attached the
-    /// channel itself wakes the node and this costs one atomic load.
+    /// channel itself wakes the worker and this costs one atomic load.
     fn post(&self, ctl: Ctl<M, O>) {
         // A send can only fail after shutdown; ignore in that case.
         let _ = self.tx.send(ctl);
@@ -156,7 +195,7 @@ impl<M, O> MsgInjector<M, O> {
 }
 
 /// The in-process [`Transport`]: every send goes over the target node's
-/// mpsc channel. Reliable and FIFO per ordered pair of nodes.
+/// worker channel. Reliable and FIFO per ordered pair of nodes.
 pub struct LocalTransport<M, O> {
     injectors: Vec<MsgInjector<M, O>>,
 }
@@ -189,8 +228,8 @@ where
     }
 }
 
-/// A running set of nodes, one OS thread each, connected by a pluggable
-/// [`Transport`] (reliable in-process channels by default).
+/// A running set of nodes on a fixed set of worker threads, connected by
+/// a pluggable [`Transport`] (reliable in-process channels by default).
 ///
 /// Create with [`ThreadRuntime::spawn`] (or
 /// [`ThreadRuntime::spawn_with_transport`] for a custom backend), drive
@@ -200,6 +239,7 @@ where
 pub struct ThreadRuntime<M, O> {
     inboxes: Vec<MsgInjector<M, O>>,
     outputs_rx: Receiver<(ProcessId, O)>,
+    /// One per worker; worker `w` hosts nodes `w, w + W, w + 2W, …`.
     handles: Vec<JoinHandle<()>>,
     slow: Arc<Mutex<SlowPath>>,
 }
@@ -208,6 +248,7 @@ impl<M, O> std::fmt::Debug for ThreadRuntime<M, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ThreadRuntime")
             .field("nodes", &self.inboxes.len())
+            .field("workers", &self.handles.len())
             .finish_non_exhaustive()
     }
 }
@@ -217,64 +258,87 @@ where
     M: Message + Send,
     O: Send + 'static,
 {
-    /// Spawns one thread per node on the in-process [`LocalTransport`].
-    /// Node `i` is addressed as `ProcessId(i)`. Each node's
-    /// [`Node::on_start`] runs on its own thread before any message is
-    /// processed.
-    pub fn spawn(nodes: Vec<Box<dyn Node<Msg = M, Out = O> + Send>>, seed: u64) -> Self {
+    /// Spawns the workers on the in-process [`LocalTransport`]. Node `i`
+    /// is addressed as `ProcessId(i)`. Each node's [`Node::on_start`]
+    /// runs on its worker before the worker processes any message.
+    pub fn spawn(nodes: Vec<BoxedNode<M, O>>, seed: u64) -> Self {
         Self::spawn_with_transport(nodes, seed, |_, injectors| {
             Box::new(LocalTransport::new(injectors.to_vec()))
         })
     }
 
-    /// Spawns one thread per node, each sending through the transport
-    /// `mk_transport` builds for it. The factory receives the node's own
-    /// id and injector handles for *every* node in this runtime, so a
-    /// backend can mix local and remote delivery (e.g. loop self-sends
-    /// back in-process while shipping peer traffic over TCP).
+    /// Spawns `min(nodes, available_parallelism)` workers, each node
+    /// sending through the transport `mk_transport` builds for it. The
+    /// factory receives the node's own id and injector handles for
+    /// *every* node in this runtime, so a backend can mix local and
+    /// remote delivery (e.g. loop self-sends back in-process while
+    /// shipping peer traffic over TCP).
     pub fn spawn_with_transport(
-        nodes: Vec<Box<dyn Node<Msg = M, Out = O> + Send>>,
+        nodes: Vec<BoxedNode<M, O>>,
+        seed: u64,
+        mk_transport: impl FnMut(ProcessId, &[MsgInjector<M, O>]) -> Box<dyn Transport<M>>,
+    ) -> Self {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        Self::spawn_with_workers(cores.min(nodes.len()), nodes, seed, mk_transport)
+    }
+
+    /// [`ThreadRuntime::spawn_with_transport`] on exactly `workers`
+    /// workers (clamped to `1..=nodes`), so a test can run one node per
+    /// worker and all nodes on one whatever the host's core count.
+    /// Deployments take the default; this is not a tuning knob.
+    #[doc(hidden)]
+    pub fn spawn_with_workers(
+        workers: usize,
+        nodes: Vec<BoxedNode<M, O>>,
         seed: u64,
         mut mk_transport: impl FnMut(ProcessId, &[MsgInjector<M, O>]) -> Box<dyn Transport<M>>,
     ) -> Self {
         let n = nodes.len();
-        let mut inboxes = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
+        let workers = workers.clamp(n.min(1), n);
+        let mut senders = Vec::with_capacity(workers);
+        let mut receivers = Vec::with_capacity(workers);
+        let mut wakes = Vec::with_capacity(workers);
+        for _ in 0..workers {
             let (tx, rx) = channel::<Ctl<M, O>>();
-            inboxes.push(MsgInjector {
-                tx,
-                wake: Arc::new(OnceLock::new()),
-            });
+            senders.push(tx);
             receivers.push(rx);
+            wakes.push(Arc::new(OnceLock::new()));
         }
+        let inboxes: Vec<MsgInjector<M, O>> = (0..n)
+            .map(|i| MsgInjector {
+                tx: senders[i % workers].clone(),
+                to: ProcessId(i as u32),
+                worker: i % workers,
+                wake: Arc::clone(&wakes[i % workers]),
+            })
+            .collect();
         let (out_tx, out_rx) = channel::<(ProcessId, O)>();
         let epoch = Instant::now();
         let slow = Arc::new(Mutex::new(SlowPath::default()));
 
-        let mut handles = Vec::with_capacity(n);
-        for (i, (node, rx)) in nodes.into_iter().zip(receivers).enumerate() {
+        let mut hosted: Vec<Vec<Hosted<M, O>>> = (0..workers).map(|_| Vec::new()).collect();
+        for (i, node) in nodes.into_iter().enumerate() {
             let me = ProcessId(i as u32);
-            let thread = NodeThread {
+            hosted[i % workers].push(Hosted {
                 me,
                 node,
                 transport: mk_transport(me, &inboxes),
-                out_tx: out_tx.clone(),
                 rng: DetRng::derive(seed, me.0 as u64),
                 next_timer: 0,
-                timers: BinaryHeap::new(),
-                armed: HashSet::new(),
-                effects: Effects::new(),
-                epoch,
-                slow: Arc::clone(&slow),
-                source: None,
-            };
-            let handle = std::thread::Builder::new()
-                .name(format!("sbs-node-{i}"))
-                .spawn(move || thread.run(rx))
-                .expect("failed to spawn node thread");
-            handles.push(handle);
+            });
         }
+        let handles = hosted
+            .into_iter()
+            .zip(receivers)
+            .enumerate()
+            .map(|(w, (nodes, rx))| {
+                let worker = Worker::new(w, workers, nodes, out_tx.clone(), epoch, &slow);
+                std::thread::Builder::new()
+                    .name(format!("sbs-worker-{w}"))
+                    .spawn(move || worker.run(rx))
+                    .expect("failed to spawn worker thread")
+            })
+            .collect();
 
         ThreadRuntime {
             inboxes,
@@ -305,20 +369,21 @@ where
     }
 
     /// Slow-path counters folded from every handler execution on every
-    /// node thread so far — the same tallies
+    /// worker so far — the same tallies
     /// [`Metrics::slow_paths`](crate::Metrics::slow_paths) accumulates
     /// in the simulator.
     pub fn slow_paths(&self) -> SlowPath {
         *self.slow.lock().expect("slow-path counter lock poisoned")
     }
 
-    /// Runs `f` on node `pid`'s thread against the concrete node type `N`,
-    /// with a live [`Context`]. Returns immediately (fire-and-forget); the
-    /// node observes the call as an extra zero-time handler execution.
+    /// Runs `f` on node `pid`'s worker against the concrete node type
+    /// `N`, with a live [`Context`]. Returns immediately
+    /// (fire-and-forget); the node observes the call as an extra
+    /// zero-time handler execution.
     ///
     /// # Panics
     ///
-    /// The *node thread* panics if the node at `pid` is not an `N`.
+    /// The *worker* panics if the node at `pid` is not an `N`.
     pub fn invoke<N>(
         &self,
         pid: ProcessId,
@@ -335,7 +400,10 @@ where
                 f(node, ctx);
             },
         );
-        self.inboxes[pid.index()].post(Ctl::Invoke(wrapped));
+        self.inboxes[pid.index()].post(Ctl::Invoke {
+            to: pid,
+            f: wrapped,
+        });
     }
 
     /// Injects a message into node `to` as if sent by `from`. Intended for
@@ -358,7 +426,7 @@ where
         v
     }
 
-    /// Stops every node thread and waits for them to exit.
+    /// Stops every worker and waits for them to exit.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -366,7 +434,8 @@ where
 
 impl<M, O> Drop for ThreadRuntime<M, O> {
     fn drop(&mut self) {
-        for inbox in &self.inboxes {
+        // Node `w` is the first node of worker `w`.
+        for inbox in &self.inboxes[..self.handles.len()] {
             inbox.post(Ctl::Stop);
         }
         for handle in self.handles.drain(..) {
@@ -375,45 +444,92 @@ impl<M, O> Drop for ThreadRuntime<M, O> {
     }
 }
 
-/// Everything one node thread owns.
-struct NodeThread<M, O> {
+/// One node as its worker hosts it.
+struct Hosted<M, O> {
     me: ProcessId,
-    node: Box<dyn Node<Msg = M, Out = O> + Send>,
+    node: BoxedNode<M, O>,
     transport: Box<dyn Transport<M>>,
-    out_tx: Sender<(ProcessId, O)>,
     rng: DetRng,
     next_timer: u64,
-    /// (deadline, id) min-heap; an entry fires only if its id is still
-    /// in `armed` (set, neither fired nor cancelled).
-    timers: BinaryHeap<Reverse<(Instant, TimerId)>>,
-    armed: HashSet<TimerId>,
+}
+
+/// Everything one worker thread owns.
+struct Worker<M, O> {
+    /// This worker's index `w`; it hosts nodes `w + k·stride` as
+    /// `nodes[k]`.
+    first: usize,
+    /// The runtime's worker count.
+    stride: usize,
+    nodes: Vec<Hosted<M, O>>,
+    out_tx: Sender<(ProcessId, O)>,
+    /// (deadline, node slot, id) min-heap; an entry fires only if its
+    /// `(slot, id)` is still in `armed` (set, neither fired nor
+    /// cancelled).
+    timers: BinaryHeap<Reverse<(Instant, usize, TimerId)>>,
+    armed: HashSet<(usize, TimerId)>,
     /// Handler scratch: drained in place after every execution, so its
     /// buffers keep their capacity (as the simulator's dispatch does).
     effects: Effects<M, O>,
     epoch: Instant,
     slow: Arc<Mutex<SlowPath>>,
-    /// Where the thread blocks once a backend attached one; its channel
+    /// Where the worker blocks once a backend attached one; its channel
     /// until then.
     source: Option<Box<dyn Inbound<M>>>,
 }
 
-impl<M, O> NodeThread<M, O>
+impl<M, O> Worker<M, O>
 where
     M: Message + Send,
     O: Send + 'static,
 {
-    /// Runs one handler execution and applies what it recorded.
-    fn handler(&mut self, f: impl FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>)) {
+    fn new(
+        first: usize,
+        stride: usize,
+        nodes: Vec<Hosted<M, O>>,
+        out_tx: Sender<(ProcessId, O)>,
+        epoch: Instant,
+        slow: &Arc<Mutex<SlowPath>>,
+    ) -> Self {
+        Worker {
+            first,
+            stride,
+            nodes,
+            out_tx,
+            timers: BinaryHeap::new(),
+            armed: HashSet::new(),
+            effects: Effects::new(),
+            epoch,
+            slow: Arc::clone(slow),
+            source: None,
+        }
+    }
+
+    /// The slot of node `pid`, if this worker hosts it.
+    fn slot(&self, pid: ProcessId) -> Option<usize> {
+        let offset = pid.index().checked_sub(self.first)?;
+        let slot = offset / self.stride;
+        (offset % self.stride == 0 && slot < self.nodes.len()).then_some(slot)
+    }
+
+    /// Runs one handler execution of the node in `slot` and applies what
+    /// it recorded: the one function every input of every node passes
+    /// through.
+    fn handler(
+        &mut self,
+        slot: usize,
+        f: impl FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>),
+    ) {
         let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
+        let hosted = &mut self.nodes[slot];
         {
             let mut ctx = Context::new(
                 now,
-                self.me,
-                &mut self.rng,
-                &mut self.next_timer,
+                hosted.me,
+                &mut hosted.rng,
+                &mut hosted.next_timer,
                 &mut self.effects,
             );
-            f(self.node.as_mut(), &mut ctx);
+            f(hosted.node.as_mut(), &mut ctx);
         }
         // The thread runtime keeps no Tracer (and `Context::new` leaves
         // tracing off, so no trace events accumulate), but slow-path
@@ -428,42 +544,53 @@ where
             effects.slow = SlowPath::default();
         }
         for (to, msg) in effects.sends.drain(..) {
-            self.transport.send(self.me, to, msg);
+            hosted.transport.send(hosted.me, to, msg);
         }
         let base = Instant::now();
         for (id, delay) in effects.timers_set.drain(..) {
             let deadline = base + Duration::from_nanos(delay.as_nanos());
-            self.timers.push(Reverse((deadline, id)));
-            self.armed.insert(id);
+            self.timers.push(Reverse((deadline, slot, id)));
+            self.armed.insert((slot, id));
         }
         for id in effects.timers_cancelled.drain(..) {
-            self.armed.remove(&id);
+            self.armed.remove(&(slot, id));
         }
         for out in effects.outputs.drain(..) {
-            let _ = self.out_tx.send((self.me, out));
+            let _ = self.out_tx.send((hosted.me, out));
+        }
+    }
+
+    /// Runs the handler of node `to` (if hosted here) on a message.
+    fn deliver(&mut self, to: ProcessId, from: ProcessId, msg: M) {
+        if let Some(slot) = self.slot(to) {
+            self.handler(slot, |n, ctx| n.on_message(from, msg, ctx));
         }
     }
 
     /// Fires every timer that is due; returns how long until the next one.
     fn fire_due_timers(&mut self) -> Option<Duration> {
         loop {
-            let &Reverse((deadline, id)) = self.timers.peek()?;
+            let &Reverse((deadline, slot, id)) = self.timers.peek()?;
             let wait = deadline.saturating_duration_since(Instant::now());
             if !wait.is_zero() {
                 return Some(wait);
             }
             self.timers.pop();
-            if self.armed.remove(&id) {
-                self.handler(|n, ctx| n.on_timer(id, ctx));
+            if self.armed.remove(&(slot, id)) {
+                self.handler(slot, |n, ctx| n.on_timer(id, ctx));
             }
         }
     }
 
-    /// Executes one channel entry; `Break` stops the thread.
+    /// Executes one channel entry; `Break` stops the worker.
     fn control(&mut self, ctl: Ctl<M, O>) -> ControlFlow<()> {
         match ctl {
-            Ctl::Msg { from, msg } => self.handler(|n, ctx| n.on_message(from, msg, ctx)),
-            Ctl::Invoke(f) => self.handler(f),
+            Ctl::Msg { to, from, msg } => self.deliver(to, from, msg),
+            Ctl::Invoke { to, f } => {
+                if let Some(slot) = self.slot(to) {
+                    self.handler(slot, f);
+                }
+            }
             Ctl::Attach(inbound) => self.source = Some(inbound),
             Ctl::Stop => return ControlFlow::Break(()),
         }
@@ -471,7 +598,9 @@ where
     }
 
     fn run(mut self, rx: Receiver<Ctl<M, O>>) {
-        self.handler(|n, ctx| n.on_start(ctx));
+        for slot in 0..self.nodes.len() {
+            self.handler(slot, |n, ctx| n.on_start(ctx));
+        }
         let mut batch = Vec::new();
         loop {
             if self.source.is_some() {
@@ -508,8 +637,8 @@ where
                 continue;
             };
             inbound.wait(timeout, &mut batch);
-            for (from, msg) in batch.drain(..) {
-                self.handler(|n, ctx| n.on_message(from, msg, ctx));
+            for (to, from, msg) in batch.drain(..) {
+                self.deliver(to, from, msg);
             }
         }
     }
@@ -520,6 +649,7 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
     use std::any::Any;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[derive(Clone, Debug)]
     enum TMsg {
@@ -558,30 +688,58 @@ mod tests {
         }
     }
 
+    fn pinger() -> BoxedNode<TMsg, u32> {
+        Box::new(Pinger {
+            server: ProcessId(0),
+        })
+    }
+
+    /// Both placements every test runs under: all `n` nodes on one
+    /// worker, and one worker per node.
+    fn placements(n: usize) -> [usize; 2] {
+        [1, n]
+    }
+
+    fn spawn_on(workers: usize, nodes: Vec<BoxedNode<TMsg, u32>>) -> ThreadRuntime<TMsg, u32> {
+        ThreadRuntime::spawn_with_workers(workers, nodes, 1, |_, injectors| {
+            Box::new(LocalTransport::new(injectors.to_vec()))
+        })
+    }
+
+    #[test]
+    fn workers_are_the_cores_or_the_nodes_whichever_is_fewer() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        for n in [1, 2, 5, 13] {
+            let rt = ThreadRuntime::spawn((0..n).map(|_| pinger()).collect(), 1);
+            assert_eq!(rt.handles.len(), n.min(cores), "{n} nodes");
+            // Node `i` lives on worker `i mod W`.
+            for i in 0..n {
+                assert_eq!(rt.injector(ProcessId(i as u32)).worker(), i % n.min(cores));
+            }
+        }
+        let rt: ThreadRuntime<TMsg, u32> = ThreadRuntime::spawn(Vec::new(), 1);
+        assert!(rt.is_empty() && rt.handles.is_empty());
+    }
+
     #[test]
     fn threads_round_trip() {
-        let nodes: Vec<Box<dyn Node<Msg = TMsg, Out = u32> + Send>> = vec![
-            Box::new(Echo),
-            Box::new(Pinger {
-                server: ProcessId(0),
-            }),
-        ];
-        let rt = ThreadRuntime::spawn(nodes, 1);
-        rt.invoke::<Pinger>(ProcessId(1), |n, ctx| {
-            let server = n.server;
-            ctx.send(server, TMsg::Ping(41));
-        });
-        let (pid, v) = rt
-            .recv_output(Duration::from_secs(5))
-            .expect("pong should arrive");
-        assert_eq!(pid, ProcessId(1));
-        assert_eq!(v, 41);
-        rt.shutdown();
+        for workers in placements(2) {
+            let rt = spawn_on(workers, vec![Box::new(Echo), pinger()]);
+            rt.invoke::<Pinger>(ProcessId(1), |n, ctx| {
+                let server = n.server;
+                ctx.send(server, TMsg::Ping(41));
+            });
+            let (pid, v) = rt
+                .recv_output(Duration::from_secs(5))
+                .expect("pong should arrive");
+            assert_eq!((pid, v), (ProcessId(1), 41), "{workers} workers");
+            rt.shutdown();
+        }
     }
 
     #[test]
     fn timers_fire_on_threads() {
-        struct Alarm;
+        struct Alarm(u32);
         impl Node for Alarm {
             type Msg = TMsg;
             type Out = u32;
@@ -590,23 +748,31 @@ mod tests {
             }
             fn on_message(&mut self, _: ProcessId, _: TMsg, _: &mut Context<'_, TMsg, u32>) {}
             fn on_timer(&mut self, _: TimerId, ctx: &mut Context<'_, TMsg, u32>) {
-                ctx.output(99);
+                ctx.output(self.0);
             }
             fn as_any_mut(&mut self) -> &mut dyn Any {
                 self
             }
         }
-        let rt: ThreadRuntime<TMsg, u32> = ThreadRuntime::spawn(vec![Box::new(Alarm)], 2);
-        let (_, v) = rt
-            .recv_output(Duration::from_secs(5))
-            .expect("timer output");
-        assert_eq!(v, 99);
-        rt.shutdown();
+        // Both nodes arm timer id 0: on a shared worker each still fires
+        // its own.
+        for workers in placements(2) {
+            let rt = spawn_on(workers, vec![Box::new(Alarm(98)), Box::new(Alarm(99))]);
+            let mut got: Vec<_> = (0..2)
+                .map(|_| {
+                    rt.recv_output(Duration::from_secs(5))
+                        .expect("timer output")
+                })
+                .collect();
+            got.sort();
+            assert_eq!(got, [(ProcessId(0), 98), (ProcessId(1), 99)]);
+            rt.shutdown();
+        }
     }
 
     /// Regression: cancelling a timer that already fired — what the client
     /// engines do with a round that timed out — is a no-op and leaves
-    /// nothing behind, so an idle node holds no timer state.
+    /// nothing behind, so an idle worker holds no timer state.
     #[test]
     fn cancelling_a_fired_timer_holds_nothing_once_idle() {
         struct Rounds {
@@ -636,43 +802,41 @@ mod tests {
             }
         }
         let (out_tx, out_rx) = channel();
-        let mut thread: NodeThread<TMsg, u32> = NodeThread {
-            me: ProcessId(0),
-            node: Box::new(Rounds { left: 1_600 }),
-            transport: Box::new(LocalTransport::<TMsg, u32>::new(Vec::new())),
-            out_tx,
-            rng: DetRng::from_seed(1),
-            next_timer: 0,
-            timers: BinaryHeap::new(),
-            armed: HashSet::new(),
-            effects: Effects::new(),
-            epoch: Instant::now(),
-            slow: Arc::new(Mutex::new(SlowPath::default())),
-            source: None,
-        };
-        thread.handler(|n, ctx| n.on_start(ctx));
-        while thread.fire_due_timers().is_some() {}
-        assert_eq!(out_rx.try_recv().map(|(_, v)| v), Ok(0), "every round ran");
-        assert!(thread.timers.is_empty());
+        let hosted = (0..2)
+            .map(|i| Hosted {
+                me: ProcessId(i),
+                node: Box::new(Rounds { left: 1_600 }) as BoxedNode<TMsg, u32>,
+                transport: Box::new(LocalTransport::<TMsg, u32>::new(Vec::new())),
+                rng: DetRng::from_seed(1),
+                next_timer: 0,
+            })
+            .collect();
+        let slow = Arc::new(Mutex::new(SlowPath::default()));
+        let mut worker = Worker::new(0, 1, hosted, out_tx, Instant::now(), &slow);
+        for slot in 0..2 {
+            worker.handler(slot, |n, ctx| n.on_start(ctx));
+        }
+        while worker.fire_due_timers().is_some() {}
+        for _ in 0..2 {
+            assert_eq!(out_rx.try_recv().map(|(_, v)| v), Ok(0), "every round ran");
+        }
+        assert!(worker.timers.is_empty());
         assert!(
-            thread.armed.is_empty(),
+            worker.armed.is_empty(),
             "{} timers held",
-            thread.armed.len()
+            worker.armed.len()
         );
     }
 
     #[test]
     fn inject_impersonates_a_peer() {
-        let rt: ThreadRuntime<TMsg, u32> = ThreadRuntime::spawn(
-            vec![Box::new(Pinger {
-                server: ProcessId(0),
-            })],
-            3,
-        );
-        rt.inject(ProcessId(0), ProcessId(0), TMsg::Pong(7));
-        let (_, v) = rt.recv_output(Duration::from_secs(5)).expect("output");
-        assert_eq!(v, 7);
-        rt.shutdown();
+        for workers in placements(2) {
+            let rt = spawn_on(workers, vec![pinger(), pinger()]);
+            rt.inject(ProcessId(0), ProcessId(1), TMsg::Pong(7));
+            let got = rt.recv_output(Duration::from_secs(5)).expect("output");
+            assert_eq!(got, (ProcessId(1), 7), "{workers} workers");
+            rt.shutdown();
+        }
     }
 
     #[test]
@@ -685,28 +849,28 @@ mod tests {
     }
 
     #[test]
-    fn slow_paths_fold_across_node_threads() {
-        let nodes: Vec<Box<dyn Node<Msg = TMsg, Out = u32> + Send>> =
-            vec![Box::new(Echo), Box::new(Echo)];
-        let rt = ThreadRuntime::spawn(nodes, 5);
-        assert!(rt.slow_paths().is_zero());
-        for pid in [ProcessId(0), ProcessId(1)] {
-            rt.invoke::<Echo>(pid, |_, ctx| {
-                ctx.note_retransmit();
-                ctx.note_metadata_reread();
-                ctx.output(1);
-            });
+    fn slow_paths_fold_across_workers() {
+        for workers in placements(2) {
+            let rt = spawn_on(workers, vec![Box::new(Echo), Box::new(Echo)]);
+            assert!(rt.slow_paths().is_zero());
+            for pid in [ProcessId(0), ProcessId(1)] {
+                rt.invoke::<Echo>(pid, |_, ctx| {
+                    ctx.note_retransmit();
+                    ctx.note_metadata_reread();
+                    ctx.output(1);
+                });
+            }
+            // Outputs flush after the handler's effects, so two outputs
+            // mean both folds have happened.
+            for _ in 0..2 {
+                rt.recv_output(Duration::from_secs(5)).expect("ack output");
+            }
+            let slow = rt.slow_paths();
+            assert_eq!(slow.retransmits, 2);
+            assert_eq!(slow.metadata_rereads, 2);
+            assert_eq!(slow.dead_fetch_rounds, 0);
+            rt.shutdown();
         }
-        // Outputs flush after the handler's effects, so two outputs mean
-        // both folds have happened.
-        for _ in 0..2 {
-            rt.recv_output(Duration::from_secs(5)).expect("ack output");
-        }
-        let slow = rt.slow_paths();
-        assert_eq!(slow.retransmits, 2);
-        assert_eq!(slow.metadata_rereads, 2);
-        assert_eq!(slow.dead_fetch_rounds, 0);
-        rt.shutdown();
     }
 
     #[test]
@@ -721,42 +885,56 @@ mod tests {
                 self.all_to_zero.inject(from, msg);
             }
         }
-        let nodes: Vec<Box<dyn Node<Msg = TMsg, Out = u32> + Send>> = vec![
-            Box::new(Pinger {
-                server: ProcessId(1),
-            }),
-            Box::new(Echo),
-        ];
-        let rt = ThreadRuntime::spawn_with_transport(nodes, 6, |_, injectors| {
-            Box::new(Funnel {
-                all_to_zero: injectors[0].clone(),
-            })
-        });
-        // Node 1 (Echo) answers a ping with a pong addressed back to the
-        // sender; the funnel delivers it to node 0 (Pinger) regardless.
-        rt.injector(ProcessId(1))
-            .inject(ProcessId(2), TMsg::Ping(13));
-        let (pid, v) = rt.recv_output(Duration::from_secs(5)).expect("funneled");
-        assert_eq!(pid, ProcessId(0));
-        assert_eq!(v, 13);
-        rt.shutdown();
+        for workers in placements(2) {
+            let nodes: Vec<BoxedNode<TMsg, u32>> = vec![
+                Box::new(Pinger {
+                    server: ProcessId(1),
+                }),
+                Box::new(Echo),
+            ];
+            let rt = ThreadRuntime::spawn_with_workers(workers, nodes, 6, |_, injectors| {
+                Box::new(Funnel {
+                    all_to_zero: injectors[0].clone(),
+                })
+            });
+            // Node 1 (Echo) answers a ping with a pong addressed back to
+            // the sender; the funnel delivers it to node 0 (Pinger)
+            // regardless.
+            rt.injector(ProcessId(1))
+                .inject(ProcessId(2), TMsg::Ping(13));
+            let got = rt.recv_output(Duration::from_secs(5)).expect("funneled");
+            assert_eq!(got, (ProcessId(0), 13), "{workers} workers");
+            rt.shutdown();
+        }
     }
 
     /// A stand-in for a socket source. `signal` is the wake socket: set
     /// by the wake handle, consumed by `wait` before it returns, exactly
-    /// as `Inbound::wait` must treat its wake signal.
+    /// as `Inbound::wait` must treat its wake signal. `arrivals` are
+    /// frames "on the wire": `wait` hands them all over.
     #[derive(Default)]
     struct FakeSource {
         signal: Mutex<bool>,
         raised: std::sync::Condvar,
-        waits: std::sync::atomic::AtomicU64,
+        waits: AtomicU64,
+        arrivals: Mutex<Vec<(ProcessId, ProcessId, TMsg)>>,
+    }
+
+    impl FakeSource {
+        fn raise(&self) {
+            *self.signal.lock().expect("signal") = true;
+            self.raised.notify_one();
+        }
     }
 
     struct FakeInbound(Arc<FakeSource>);
 
     impl Inbound<TMsg> for FakeInbound {
-        fn wait(&mut self, timeout: Option<Duration>, _batch: &mut Vec<(ProcessId, TMsg)>) {
-            use std::sync::atomic::Ordering;
+        fn wait(
+            &mut self,
+            timeout: Option<Duration>,
+            batch: &mut Vec<(ProcessId, ProcessId, TMsg)>,
+        ) {
             let src = &*self.0;
             src.waits.fetch_add(1, Ordering::SeqCst);
             let signal = src.signal.lock().expect("signal");
@@ -771,51 +949,89 @@ mod tests {
                 None => src.raised.wait_while(signal, idle).expect("signal"),
             };
             *signal = false;
+            batch.append(&mut src.arrivals.lock().expect("arrivals"));
         }
     }
 
-    /// Spawns `node` alone with a [`FakeSource`] attached, and returns
-    /// once its thread has entered `wait` (so it blocks there, not on
-    /// its channel).
+    /// Spawns `nodes` on `workers` workers with one [`FakeSource`] per
+    /// worker attached (through the injector of the worker's first node),
+    /// and returns once every worker has entered `wait` (so each blocks
+    /// there, not on its channel).
     fn spawn_attached(
-        node: Box<dyn Node<Msg = TMsg, Out = u32> + Send>,
-    ) -> (ThreadRuntime<TMsg, u32>, Arc<FakeSource>) {
-        let rt = ThreadRuntime::spawn(vec![node], 7);
-        let src = Arc::new(FakeSource::default());
-        let waker = Arc::clone(&src);
-        rt.injector(ProcessId(0))
-            .attach(Box::new(FakeInbound(Arc::clone(&src))), move || {
-                *waker.signal.lock().expect("signal") = true;
-                waker.raised.notify_one();
-            });
-        while src.waits.load(std::sync::atomic::Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
+        workers: usize,
+        nodes: Vec<BoxedNode<TMsg, u32>>,
+    ) -> (ThreadRuntime<TMsg, u32>, Vec<Arc<FakeSource>>) {
+        let rt = spawn_on(workers, nodes);
+        let sources: Vec<Arc<FakeSource>> = (0..workers)
+            .map(|w| {
+                let src = Arc::new(FakeSource::default());
+                let waker = Arc::clone(&src);
+                let injector = rt.injector(ProcessId(w as u32));
+                assert_eq!(injector.worker(), w);
+                injector.attach(Box::new(FakeInbound(Arc::clone(&src))), move || {
+                    waker.raise()
+                });
+                src
+            })
+            .collect();
+        for src in &sources {
+            while src.waits.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
         }
-        (rt, src)
+        (rt, sources)
     }
 
     #[test]
     fn invoke_and_inject_wake_a_node_blocked_in_wait() {
-        let (rt, _src) = spawn_attached(Box::new(Pinger {
-            server: ProcessId(0),
-        }));
-        rt.invoke::<Pinger>(ProcessId(0), |_, ctx| ctx.output(1));
-        assert_eq!(
-            rt.recv_output(Duration::from_secs(5)),
-            Some((ProcessId(0), 1))
-        );
-        rt.inject(ProcessId(9), ProcessId(0), TMsg::Pong(2));
-        assert_eq!(
-            rt.recv_output(Duration::from_secs(5)),
-            Some((ProcessId(0), 2))
-        );
-        rt.injector(ProcessId(0))
-            .inject(ProcessId(9), TMsg::Pong(3));
-        assert_eq!(
-            rt.recv_output(Duration::from_secs(5)),
-            Some((ProcessId(0), 3))
-        );
-        rt.shutdown();
+        for workers in placements(2) {
+            let (rt, _src) = spawn_attached(workers, vec![pinger(), pinger()]);
+            for (i, pid) in [ProcessId(0), ProcessId(1)].into_iter().enumerate() {
+                let base = 10 * i as u32;
+                rt.invoke::<Pinger>(pid, move |_, ctx| ctx.output(base + 1));
+                assert_eq!(
+                    rt.recv_output(Duration::from_secs(5)),
+                    Some((pid, base + 1))
+                );
+                rt.inject(ProcessId(9), pid, TMsg::Pong(base + 2));
+                assert_eq!(
+                    rt.recv_output(Duration::from_secs(5)),
+                    Some((pid, base + 2))
+                );
+                rt.injector(pid).inject(ProcessId(9), TMsg::Pong(base + 3));
+                assert_eq!(
+                    rt.recv_output(Duration::from_secs(5)),
+                    Some((pid, base + 3))
+                );
+            }
+            rt.shutdown();
+        }
+    }
+
+    #[test]
+    fn an_inbound_batch_reaches_the_node_it_names() {
+        for workers in placements(3) {
+            let (rt, sources) = spawn_attached(workers, vec![pinger(), pinger(), pinger()]);
+            // Every node gets a frame from its own worker's source, in
+            // reverse node order within one wait.
+            for (w, src) in sources.iter().enumerate() {
+                let mut arrivals = src.arrivals.lock().expect("arrivals");
+                for to in (0..3u32).rev() {
+                    if rt.injector(ProcessId(to)).worker() == w {
+                        arrivals.push((ProcessId(to), ProcessId(9), TMsg::Pong(100 + to)));
+                    }
+                }
+                drop(arrivals);
+                src.raise();
+            }
+            let mut got: Vec<_> = (0..3)
+                .map(|_| rt.recv_output(Duration::from_secs(5)).expect("delivery"))
+                .collect();
+            got.sort();
+            let want: Vec<_> = (0..3u32).map(|i| (ProcessId(i), 100 + i)).collect();
+            assert_eq!(got, want, "{workers} workers");
+            rt.shutdown();
+        }
     }
 
     #[test]
@@ -837,54 +1053,69 @@ mod tests {
                 self
             }
         }
-        let (rt, _src) = spawn_attached(Box::new(Late(None)));
-        // The scheduler can hold any one wake-up back: the best of a few
-        // shots is the wait's own precision.
-        let mut best_us = u32::MAX;
-        for _ in 0..5 {
-            rt.inject(ProcessId(9), ProcessId(0), TMsg::Ping(0));
-            let (_, late_us) = rt.recv_output(Duration::from_secs(5)).expect("timer");
-            best_us = best_us.min(late_us);
+        for workers in placements(2) {
+            let (rt, _src) =
+                spawn_attached(workers, vec![Box::new(Late(None)), Box::new(Late(None))]);
+            // The scheduler can hold any one wake-up back: the best of a
+            // few shots is the wait's own precision. The second node's
+            // timer is armed too, so a shared worker waits on the nearer.
+            let mut best_us = u32::MAX;
+            for _ in 0..5 {
+                rt.inject(ProcessId(9), ProcessId(0), TMsg::Ping(0));
+                rt.inject(ProcessId(9), ProcessId(1), TMsg::Ping(0));
+                for _ in 0..2 {
+                    let (_, late_us) = rt.recv_output(Duration::from_secs(5)).expect("timer");
+                    best_us = best_us.min(late_us);
+                }
+            }
+            assert!(
+                best_us < 1_000,
+                "{workers} workers: timer fired {best_us} us past its deadline"
+            );
+            rt.shutdown();
         }
-        assert!(
-            best_us < 1_000,
-            "timer fired {best_us} us past its deadline"
-        );
-        rt.shutdown();
     }
 
     #[test]
     fn stop_wakes_and_joins_a_node_blocked_in_wait() {
-        let (rt, _src) = spawn_attached(Box::new(Echo));
-        let (done_tx, done_rx) = channel();
-        let stopper = std::thread::spawn(move || {
-            rt.shutdown();
-            let _ = done_tx.send(());
-        });
-        done_rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("Stop must wake a node out of `wait`");
-        stopper.join().expect("stopper");
+        for workers in placements(2) {
+            let (rt, _src) = spawn_attached(workers, vec![Box::new(Echo), Box::new(Echo)]);
+            let (done_tx, done_rx) = channel();
+            let stopper = std::thread::spawn(move || {
+                rt.shutdown();
+                let _ = done_tx.send(());
+            });
+            done_rx
+                .recv_timeout(Duration::from_secs(5))
+                .expect("Stop must wake a worker out of `wait`");
+            stopper.join().expect("stopper");
+        }
     }
 
     #[test]
     fn enqueue_racing_the_entry_into_wait_loses_no_wakeup() {
-        // Each output is emitted just before the node re-enters `wait`,
+        // Each output is emitted just before the worker re-enters `wait`,
         // and answered with the next enqueue at once: 10 000 enqueues
         // land around that entry, before and after the signal is
-        // consumed. A lost wake-up leaves the node asleep for ever.
-        let (rt, _src) = spawn_attached(Box::new(Pinger {
-            server: ProcessId(0),
-        }));
-        for i in 0..10_000u32 {
-            if i % 2 == 0 {
-                rt.inject(ProcessId(9), ProcessId(0), TMsg::Pong(i));
-            } else {
-                rt.invoke::<Pinger>(ProcessId(0), move |_, ctx| ctx.output(i));
+        // consumed, alternating between two nodes. A lost wake-up leaves
+        // the worker asleep for ever.
+        for workers in placements(2) {
+            let (rt, _src) = spawn_attached(workers, vec![pinger(), pinger()]);
+            for i in 0..10_000u32 {
+                let pid = ProcessId(i % 2);
+                if i % 4 < 2 {
+                    rt.inject(ProcessId(9), pid, TMsg::Pong(i));
+                } else {
+                    rt.invoke::<Pinger>(pid, move |_, ctx| ctx.output(i));
+                }
+                let got = rt.recv_output(Duration::from_secs(10));
+                assert_eq!(
+                    got,
+                    Some((pid, i)),
+                    "{workers} workers: wake-up {i} was lost"
+                );
             }
-            let got = rt.recv_output(Duration::from_secs(10));
-            assert_eq!(got, Some((ProcessId(0), i)), "wake-up {i} was lost");
+            rt.shutdown();
         }
-        rt.shutdown();
     }
 }

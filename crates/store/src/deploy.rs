@@ -15,7 +15,7 @@
 //! The client call crosses the seam as **data** ([`ClientCall`]), not as
 //! a closure: [`Payload`] is not `Send`, and the simulator path must not
 //! acquire that bound, while the socket host has to move the call onto a
-//! node thread. An enum is `Send` exactly when `V` is, so each host
+//! worker thread. An enum is `Send` exactly when `V` is, so each host
 //! decides under its own bounds.
 
 use crate::health::{hot_shards, FlightRecord, ShardHealth};

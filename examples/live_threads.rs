@@ -1,9 +1,10 @@
 //! The same protocol state machines, off the simulator: a regular SWSR
-//! register deployment running on OS threads and crossbeam channels via
+//! register deployment running on worker threads (one per core) and
+//! `std::sync::mpsc` channels via
 //! [`ThreadRuntime`](stabilizing_storage::sim::ThreadRuntime).
 //!
 //! ```sh
-//! cargo run --example live_threads
+//! cargo run --release --example live_threads
 //! ```
 
 use stabilizing_storage::core::harness::SwsrBuilder;
@@ -42,7 +43,7 @@ fn main() {
         nodes.push(Box::new(ServerNode::<u64, ClientOut<u64>>::new(0)));
     }
 
-    println!("spawning {} node threads…", nodes.len());
+    println!("spawning {} nodes on worker threads…", nodes.len());
     let rt = ThreadRuntime::spawn(nodes, 42);
 
     for v in 1..=5u64 {

@@ -11,16 +11,17 @@
 //! ops and the monitor's violations with their culprit ops, then one
 //! counters line — to `FLIGHT_net_smoke.jsonl` (role names alongside in
 //! `.chrome.json`) and exits non-zero so CI surfaces the dump as an
-//! artifact. The causal trace slice is empty on this backend: node
-//! threads keep no trace ring yet.
+//! artifact. The causal trace slice is empty on this backend: the
+//! workers keep no trace ring yet.
 //!
 //! A wall-clock budget guards the whole run: loopback YCSB-B at this
 //! size finishes in well under a second, so a minute means a deadlock,
 //! a reconnect storm, or a stuck reader — all bugs this smoke exists to
-//! catch. So do the censuses after the run: the socket runtime is one OS
-//! thread per node and one connection per client–server pair, and a
-//! reader or accept thread, or a server dialling back, coming back would
-//! show up here before it shows up in a profile.
+//! catch. So do the censuses after the run: the socket runtime is one
+//! worker thread per core (never more than one per node) and one
+//! connection per client–server pair, and a reader or accept thread, a
+//! thread per node, or a server dialling back, coming back would show up
+//! here before it shows up in a profile.
 
 use stabilizing_storage::net::NetStoreSystem;
 use stabilizing_storage::sim::SimDuration;
@@ -69,10 +70,11 @@ fn wipe_drill() {
     println!("wipe drill: {repairs} repair rounds over TCP, histories atomic, monitor quiet");
 }
 
-/// One thread per node plus this one, with one to spare: checked against
-/// the kernel's list of this process's threads while the deployment is
-/// still up. Linux-only evidence; elsewhere there is no `/proc` to ask.
-fn assert_one_thread_per_node(nodes: usize) {
+/// One worker per core, never more than one per node, plus this thread:
+/// checked against the kernel's list of this process's threads while the
+/// deployment is still up. Linux-only evidence; elsewhere there is no
+/// `/proc` to ask.
+fn assert_one_worker_per_core(nodes: usize) {
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return;
     };
@@ -81,16 +83,17 @@ fn assert_one_thread_per_node(nodes: usize) {
         .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
         .map(|name| name.trim().to_owned())
         .collect();
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let workers = cores.min(nodes);
+    let named = names
+        .iter()
+        .filter(|n| n.starts_with("sbs-worker-"))
+        .count();
     assert!(
-        names.len() <= nodes + 2,
-        "{nodes} nodes must not need {} threads: {names:?}",
-        names.len()
+        named == workers && names.len() == workers + 1,
+        "{nodes} nodes on {cores} cores must run on {workers} workers and this thread: {names:?}"
     );
-    assert!(
-        !names.iter().any(|name| name.starts_with("sbs-net-")),
-        "the socket layer spawned a thread of its own: {names:?}"
-    );
-    println!("threads: {} for {nodes} nodes", names.len());
+    println!("threads: {workers} workers + the harness for {nodes} nodes on {cores} cores");
 }
 
 /// One connection per client–server pair: a server answers on the
@@ -135,7 +138,7 @@ fn main() {
         stats.frames_per_wakeup(),
         stats.wakeups as f64 / report.completed.max(1) as f64,
     );
-    assert_one_thread_per_node(sys.clients.len() + sys.servers.len());
+    assert_one_worker_per_core(sys.clients.len() + sys.servers.len());
     assert_one_connection_per_pair(stats.connects, sys.clients.len(), sys.servers.len());
 
     let monitor = sys.monitor().expect("monitor enabled");

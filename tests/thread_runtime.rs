@@ -1,19 +1,37 @@
 //! The same register protocol on OS threads: the `Node` contract is
 //! runtime-agnostic, so a deployment on `ThreadRuntime` must behave like
-//! the simulated one.
+//! the simulated one — with every node on one worker and with a worker
+//! per node alike.
 
 use stabilizing_storage::core::{
     AtomicPolicy, AtomicReader, AtomicWriter, ClientOut, PlainStamp, RegId, RegMsg, RegisterConfig,
     RegularPolicy, RegularReader, RegularWriter, ServerNode, WsnStamp,
 };
-use stabilizing_storage::sim::{Node, OpId, ProcessId, ThreadRuntime};
+use stabilizing_storage::sim::{LocalTransport, Message, Node, OpId, ProcessId, ThreadRuntime};
 use stabilizing_storage::stamps::RingSeq;
 use std::time::Duration;
+
+/// Both placements of `nodes` nodes: all on one worker, one per node.
+fn placements(nodes: usize) -> [usize; 2] {
+    [1, nodes]
+}
+
+/// `nodes` on the in-process transport, on exactly `workers` workers.
+fn spawn_on<M: Message + Send, O: Send + 'static>(
+    workers: usize,
+    nodes: Vec<Box<dyn Node<Msg = M, Out = O> + Send>>,
+    seed: u64,
+) -> ThreadRuntime<M, O> {
+    ThreadRuntime::spawn_with_workers(workers, nodes, seed, |_, injectors| {
+        Box::new(LocalTransport::new(injectors.to_vec()))
+    })
+}
 
 fn spawn_regular(
     n: usize,
     t: usize,
     seed: u64,
+    workers: usize,
 ) -> (
     ThreadRuntime<RegMsg<u64>, ClientOut<u64>>,
     ProcessId,
@@ -41,25 +59,31 @@ fn spawn_regular(
     for _ in 0..n {
         nodes.push(Box::new(ServerNode::<u64, ClientOut<u64>>::new(0)));
     }
-    (ThreadRuntime::spawn(nodes, seed), writer, reader)
+    (spawn_on(workers, nodes, seed), writer, reader)
 }
 
 #[test]
 fn regular_register_on_threads() {
-    let (rt, writer, reader) = spawn_regular(9, 1, 1);
-    for v in 1..=5u64 {
-        rt.invoke::<RegularWriter<u64>>(writer, move |w, ctx| w.invoke_write(OpId(v * 2), v, ctx));
-        let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("write done");
-        assert_eq!(out.op(), OpId(v * 2));
+    for workers in placements(11) {
+        let (rt, writer, reader) = spawn_regular(9, 1, 1, workers);
+        for v in 1..=5u64 {
+            rt.invoke::<RegularWriter<u64>>(writer, move |w, ctx| {
+                w.invoke_write(OpId(v * 2), v, ctx)
+            });
+            let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("write done");
+            assert_eq!(out.op(), OpId(v * 2));
 
-        rt.invoke::<RegularReader<u64>>(reader, move |r, ctx| r.invoke_read(OpId(v * 2 + 1), ctx));
-        let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("read done");
-        match out {
-            ClientOut::ReadDone { value, .. } => assert_eq!(value, v),
-            other => panic!("expected a read completion, got {other:?}"),
+            rt.invoke::<RegularReader<u64>>(reader, move |r, ctx| {
+                r.invoke_read(OpId(v * 2 + 1), ctx)
+            });
+            let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("read done");
+            match out {
+                ClientOut::ReadDone { value, .. } => assert_eq!(value, v),
+                other => panic!("expected a read completion, got {other:?}"),
+            }
         }
+        rt.shutdown();
     }
-    rt.shutdown();
 }
 
 #[test]
@@ -74,39 +98,45 @@ fn atomic_register_on_threads() {
     let initial = SeqVal::new(RingSeq::zero(modulus), 0u64);
 
     type AtomicNode = Box<dyn Node<Msg = RegMsg<SeqVal<u64>>, Out = ClientOut<SeqVal<u64>>> + Send>;
-    let mut nodes: Vec<AtomicNode> = vec![
-        Box::new(AtomicWriter::<u64>::new(
-            RegId(0),
-            cfg,
-            servers.clone(),
-            vec![reader],
-            WsnStamp::new(RingSeq::zero(modulus)),
-        )),
-        Box::new(AtomicReader::<u64>::new(
-            RegId(0),
-            cfg,
-            servers.clone(),
-            AtomicPolicy::new(),
-        )),
-    ];
-    for _ in 0..n {
-        nodes.push(Box::new(
-            ServerNode::<SeqVal<u64>, ClientOut<SeqVal<u64>>>::new(initial.clone()),
-        ));
-    }
-    let rt = ThreadRuntime::spawn(nodes, 2);
-
-    for v in 1..=4u64 {
-        rt.invoke::<AtomicWriter<u64>>(writer, move |w, ctx| w.invoke_write(OpId(v * 2), v, ctx));
-        rt.recv_output(Duration::from_secs(10)).expect("write done");
-        rt.invoke::<AtomicReader<u64>>(reader, move |r, ctx| r.invoke_read(OpId(v * 2 + 1), ctx));
-        let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("read done");
-        match out {
-            ClientOut::ReadDone { value, .. } => assert_eq!(value.val, v),
-            other => panic!("expected a read completion, got {other:?}"),
+    for workers in placements(n + 2) {
+        let mut nodes: Vec<AtomicNode> = vec![
+            Box::new(AtomicWriter::<u64>::new(
+                RegId(0),
+                cfg,
+                servers.clone(),
+                vec![reader],
+                WsnStamp::new(RingSeq::zero(modulus)),
+            )),
+            Box::new(AtomicReader::<u64>::new(
+                RegId(0),
+                cfg,
+                servers.clone(),
+                AtomicPolicy::new(),
+            )),
+        ];
+        for _ in 0..n {
+            nodes.push(Box::new(
+                ServerNode::<SeqVal<u64>, ClientOut<SeqVal<u64>>>::new(initial.clone()),
+            ));
         }
+        let rt = spawn_on(workers, nodes, 2);
+
+        for v in 1..=4u64 {
+            rt.invoke::<AtomicWriter<u64>>(writer, move |w, ctx| {
+                w.invoke_write(OpId(v * 2), v, ctx)
+            });
+            rt.recv_output(Duration::from_secs(10)).expect("write done");
+            rt.invoke::<AtomicReader<u64>>(reader, move |r, ctx| {
+                r.invoke_read(OpId(v * 2 + 1), ctx)
+            });
+            let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("read done");
+            match out {
+                ClientOut::ReadDone { value, .. } => assert_eq!(value.val, v),
+                other => panic!("expected a read completion, got {other:?}"),
+            }
+        }
+        rt.shutdown();
     }
-    rt.shutdown();
 }
 
 fn sbs_stamps_modulus() -> u128 {
@@ -138,37 +168,39 @@ fn byzantine_silence_on_threads_is_tolerated() {
         }
     }
 
-    let mut nodes: Vec<Box<dyn Node<Msg = RegMsg<u64>, Out = ClientOut<u64>> + Send>> = vec![
-        Box::new(RegularWriter::<u64>::new(
-            RegId(0),
-            cfg,
-            servers.clone(),
-            vec![reader],
-            PlainStamp,
-        )),
-        Box::new(RegularReader::<u64>::new(
-            RegId(0),
-            cfg,
-            servers.clone(),
-            RegularPolicy,
-        )),
-    ];
-    for i in 0..n {
-        if i == 4 {
-            nodes.push(Box::new(Mute));
-        } else {
-            nodes.push(Box::new(ServerNode::<u64, ClientOut<u64>>::new(0)));
+    for workers in placements(n + 2) {
+        let mut nodes: Vec<Box<dyn Node<Msg = RegMsg<u64>, Out = ClientOut<u64>> + Send>> = vec![
+            Box::new(RegularWriter::<u64>::new(
+                RegId(0),
+                cfg,
+                servers.clone(),
+                vec![reader],
+                PlainStamp,
+            )),
+            Box::new(RegularReader::<u64>::new(
+                RegId(0),
+                cfg,
+                servers.clone(),
+                RegularPolicy,
+            )),
+        ];
+        for i in 0..n {
+            if i == 4 {
+                nodes.push(Box::new(Mute));
+            } else {
+                nodes.push(Box::new(ServerNode::<u64, ClientOut<u64>>::new(0)));
+            }
         }
-    }
-    let rt = ThreadRuntime::spawn(nodes, 3);
+        let rt = spawn_on(workers, nodes, 3);
 
-    rt.invoke::<RegularWriter<u64>>(writer, |w, ctx| w.invoke_write(OpId(1), 42, ctx));
-    rt.recv_output(Duration::from_secs(10)).expect("write done");
-    rt.invoke::<RegularReader<u64>>(reader, |r, ctx| r.invoke_read(OpId(2), ctx));
-    let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("read done");
-    match out {
-        ClientOut::ReadDone { value, .. } => assert_eq!(value, 42),
-        other => panic!("expected a read completion, got {other:?}"),
+        rt.invoke::<RegularWriter<u64>>(writer, |w, ctx| w.invoke_write(OpId(1), 42, ctx));
+        rt.recv_output(Duration::from_secs(10)).expect("write done");
+        rt.invoke::<RegularReader<u64>>(reader, |r, ctx| r.invoke_read(OpId(2), ctx));
+        let (_, out) = rt.recv_output(Duration::from_secs(10)).expect("read done");
+        match out {
+            ClientOut::ReadDone { value, .. } => assert_eq!(value, 42),
+            other => panic!("expected a read completion, got {other:?}"),
+        }
+        rt.shutdown();
     }
-    rt.shutdown();
 }
