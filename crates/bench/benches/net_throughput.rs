@@ -15,6 +15,9 @@
 //! Rows append to `BENCH_net.json` at the repo root. Unlike the
 //! simulator trajectories, these numbers move with the host machine —
 //! `trajcheck` gates them generously (see the `net-wall-clock` gate).
+//! One run of a case moves by tens of percent between runs of one
+//! build, so in full mode each row is the median of [`RUNS`] runs (the
+//! run with the median throughput, recorded whole); `--smoke` runs once.
 //!
 //! ```sh
 //! cargo bench -p sbs-bench --bench net_throughput            # full
@@ -33,6 +36,9 @@ use sbs_store::{FaultPlan, KeyDist, LoopMode, OpMix, SizedVal, StoreBuilder, Wor
 /// frames are hundreds
 /// of KiB where the other rows' are a few hundred bytes.
 const DRILL_VALUE_LEN: u32 = 512 * 1024;
+
+/// Runs per row in full mode.
+const RUNS: usize = 3;
 
 fn run_case<V: Payload + BulkCodec + Send + Sync>(
     builder: StoreBuilder,
@@ -63,13 +69,24 @@ fn run_case<V: Payload + BulkCodec + Send + Sync>(
     (report, net.transport_stats())
 }
 
+/// The run with the median throughput of `runs` runs of `case`.
+fn median_run(
+    runs: usize,
+    mut case: impl FnMut() -> (NetReport, TransportStats),
+) -> (NetReport, TransportStats) {
+    let mut all: Vec<_> = (0..runs).map(|_| case()).collect();
+    all.sort_by(|a, b| a.0.ops_per_wall_sec.total_cmp(&b.0.ops_per_wall_sec));
+    all.swap_remove(runs / 2)
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let ops: u64 = if smoke { 200 } else { 1000 };
+    let runs = if smoke { 1 } else { RUNS };
     let mut traj = BenchTrajectory::new("net_throughput", smoke);
 
     println!(
-        "net_throughput: {ops}-op Zipfian workloads over loopback TCP, 64 keys, t=1, closed loop"
+        "net_throughput: {ops}-op Zipfian workloads over loopback TCP, 64 keys, t=1, closed loop, median of {runs} runs"
     );
     println!(
         "{:<12} {:<6} {:<7} {:>7} {:>7} {:>9} {:>17} {:>10} {:>10} {:>10} {:>11} {:>9}",
@@ -154,7 +171,9 @@ fn main() {
             ("sync", StoreBuilder::synchronous(1, SimDuration::millis(5))),
         ] {
             let servers = builder.config().n;
-            let run = run_case(builder, mix, (ops, 64), |id| id, mix_name);
+            let run = median_run(runs, || {
+                run_case(builder.clone(), mix, (ops, 64), |id| id, mix_name)
+            });
             record(mix_name, mode, "inline", servers, run);
         }
     }
@@ -169,7 +188,9 @@ fn main() {
         ] {
             let servers = builder.config().n;
             let mk = |id| SizedVal::new(id, DRILL_VALUE_LEN);
-            let run = run_case(builder, OpMix::ycsb_a(), (600, 16), mk, plane);
+            let run = median_run(runs, || {
+                run_case(builder.clone(), OpMix::ycsb_a(), (600, 16), mk, plane)
+            });
             assert_eq!(run.0.transport_drops, 0, "{plane}: no frame may be dropped");
             record("ycsb-a-512k", "async", plane, servers, run);
         }

@@ -16,6 +16,11 @@
 //!   seeded determinism, fault injection).
 //! - [`Node`] / [`Context`] / [`Effects`]: the runtime-agnostic protocol
 //!   state-machine contract.
+//! - The host core (private, `host.rs`): the nodes one event loop hosts,
+//!   each with its RNG and timer counter, the armed timers, the trace
+//!   ring, and the one path a handler runs and its effects leave
+//!   through. Both [`Simulation`] and every [`ThreadRuntime`] worker are
+//!   this core plus a clock and a sink.
 //! - [`DelayModel`] / [`LinkState`]: link behaviour, including the bounded
 //!   delays required by the paper's synchronous variant.
 //! - [`ThreadRuntime`]: the same contract on one worker thread per core
@@ -68,6 +73,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod host;
 mod id;
 mod link;
 mod metrics;

@@ -3,10 +3,11 @@
 //! A protocol participant is a [`Node`]: a state machine with zero-time
 //! handlers, matching the paper's model where "processing times are
 //! negligible ... only message transfers take time". Handlers never block;
-//! they record *effects* (sends, timers, outputs) into a [`Context`], which
-//! the hosting runtime — the discrete-event [`Simulation`](crate::Simulation)
-//! or the thread-backed [`ThreadRuntime`](crate::runtime::ThreadRuntime) —
-//! then applies.
+//! they record *effects* (sends, timers, outputs) into a [`Context`]. One
+//! host core, shared by the discrete-event
+//! [`Simulation`](crate::Simulation) and the thread-backed
+//! [`ThreadRuntime`](crate::runtime::ThreadRuntime), builds that context
+//! and then applies the effects, in one fixed order.
 //!
 //! The same `Node` implementation runs unmodified under both runtimes.
 

@@ -15,11 +15,14 @@
 //! [`SimTime`].
 //!
 //! Every input of every node — message, timer, invoke — passes through
-//! one handler function on its worker, in arrival order, and each worker
-//! has one channel, one wake handle and one blocking call. By default
-//! that call is the channel (`recv_timeout` until the worker's next
-//! timer deadline). A backend whose messages arrive from outside the
-//! process hands the worker an [`Inbound`] source with
+//! the crate's host core on its worker, in arrival order: the same
+//! handler entry and effect path the simulator uses, with wall-clock time
+//! for the clock and the worker's transports, deadline heap and output
+//! channel as the sink. Each worker has one channel, one wake handle and
+//! one blocking call. By default that call is the channel
+//! (`recv_timeout` until the worker's next timer deadline). A backend
+//! whose messages arrive from outside the process hands the worker an
+//! [`Inbound`] source with
 //! [`MsgInjector::attach`] on any of its nodes' injectors; from then on
 //! the worker blocks in [`Inbound::wait`] instead and is its nodes'
 //! reader — no reader thread, no second wake-up per message. Everything
@@ -37,22 +40,23 @@
 //! tests run a full register deployment on threads and get the same answers.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 use std::ops::ControlFlow;
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use crate::host::{downcast, Host, Sink};
 use crate::id::{ProcessId, TimerId};
 use crate::metrics::SlowPath;
-use crate::node::{Context, Effects, Message, Node};
-use crate::rng::DetRng;
+use crate::node::{Context, Message, Node};
 use crate::time::SimTime;
+use sbs_obs::Tracer;
 
 /// A one-shot closure executed on the node's worker with a live context.
 type InvokeFn<M, O> =
-    Box<dyn FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>) + Send>;
+    Box<dyn FnOnce(&mut (dyn Node<Msg = M, Out = O> + Send), &mut Context<'_, M, O>) + Send>;
 
 /// Interrupts a worker blocked in [`Inbound::wait`].
 type WakeFn = Box<dyn Fn() + Send + Sync>;
@@ -77,7 +81,7 @@ enum Ctl<M, O> {
 /// Where a node's outbound messages go.
 ///
 /// The handler contract ([`Node`]/[`Context`]) records sends into
-/// [`Effects`]; a [`ThreadRuntime`] applies them by handing each
+/// [`Effects`](crate::Effects); a [`ThreadRuntime`] applies them by handing each
 /// `(to, msg)` pair to the node's `Transport`. The default backend is
 /// [`LocalTransport`] (in-process mpsc); `sbs-net` provides a TCP
 /// backend. Delivery is best-effort from the runtime's point of view:
@@ -316,23 +320,18 @@ where
         let epoch = Instant::now();
         let slow = Arc::new(Mutex::new(SlowPath::default()));
 
-        let mut hosted: Vec<Vec<Hosted<M, O>>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut hosts: Vec<Worker<M, O>> = (0..workers)
+            .map(|w| Worker::new(w, workers, out_tx.clone(), epoch, &slow))
+            .collect();
         for (i, node) in nodes.into_iter().enumerate() {
             let me = ProcessId(i as u32);
-            hosted[i % workers].push(Hosted {
-                me,
-                node,
-                transport: mk_transport(me, &inboxes),
-                rng: DetRng::derive(seed, me.0 as u64),
-                next_timer: 0,
-            });
+            hosts[i % workers].adopt(me, seed, node, mk_transport(me, &inboxes));
         }
-        let handles = hosted
+        let handles = hosts
             .into_iter()
             .zip(receivers)
             .enumerate()
-            .map(|(w, (nodes, rx))| {
-                let worker = Worker::new(w, workers, nodes, out_tx.clone(), epoch, &slow);
+            .map(|(w, (worker, rx))| {
                 std::thread::Builder::new()
                     .name(format!("sbs-worker-{w}"))
                     .spawn(move || worker.run(rx))
@@ -392,12 +391,8 @@ where
         N: Node<Msg = M, Out = O>,
     {
         let wrapped = Box::new(
-            move |node: &mut dyn Node<Msg = M, Out = O>, ctx: &mut Context<'_, M, O>| {
-                let node = node
-                    .as_any_mut()
-                    .downcast_mut::<N>()
-                    .unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<N>()));
-                f(node, ctx);
+            move |node: &mut (dyn Node<Msg = M, Out = O> + Send), ctx: &mut Context<'_, M, O>| {
+                f(downcast(node, ctx.me()), ctx)
             },
         );
         self.inboxes[pid.index()].post(Ctl::Invoke {
@@ -444,37 +439,54 @@ impl<M, O> Drop for ThreadRuntime<M, O> {
     }
 }
 
-/// One node as its worker hosts it.
-struct Hosted<M, O> {
-    me: ProcessId,
-    node: BoxedNode<M, O>,
-    transport: Box<dyn Transport<M>>,
-    rng: DetRng,
-    next_timer: u64,
-}
-
 /// Everything one worker thread owns.
 struct Worker<M, O> {
-    /// This worker's index `w`; it hosts nodes `w + k·stride` as
-    /// `nodes[k]`.
+    /// This worker's index `w`; it hosts nodes `w + k·stride` in slot
+    /// `k`.
     first: usize,
     /// The runtime's worker count.
     stride: usize,
-    nodes: Vec<Hosted<M, O>>,
-    out_tx: Sender<(ProcessId, O)>,
-    /// (deadline, node slot, id) min-heap; an entry fires only if its
-    /// `(slot, id)` is still in `armed` (set, neither fired nor
-    /// cancelled).
-    timers: BinaryHeap<Reverse<(Instant, usize, TimerId)>>,
-    armed: HashSet<(usize, TimerId)>,
-    /// Handler scratch: drained in place after every execution, so its
-    /// buffers keep their capacity (as the simulator's dispatch does).
-    effects: Effects<M, O>,
+    host: Host<BoxedNode<M, O>, M, O>,
+    egress: Egress<M, O>,
+    /// Time zero of the worker's clock, shared by every worker.
     epoch: Instant,
-    slow: Arc<Mutex<SlowPath>>,
     /// Where the worker blocks once a backend attached one; its channel
     /// until then.
     source: Option<Box<dyn Inbound<M>>>,
+}
+
+/// Where a worker's handlers' effects go: the worker's [`Sink`].
+struct Egress<M, O> {
+    /// Each hosted node's transport, by slot.
+    transports: Vec<Box<dyn Transport<M>>>,
+    /// (deadline, node slot, id) min-heap; an entry fires only if the
+    /// host still holds it armed.
+    timers: BinaryHeap<Reverse<(SimTime, usize, TimerId)>>,
+    out_tx: Sender<(ProcessId, O)>,
+    /// The runtime's slow-path tally, shared by every worker, so
+    /// thread/socket runs report the same `SlowPath` as sim runs.
+    slow: Arc<Mutex<SlowPath>>,
+}
+
+impl<M: 'static, O> Sink<M, O> for Egress<M, O> {
+    fn send(&mut self, _: &mut Tracer, slot: usize, from: ProcessId, to: ProcessId, msg: M) {
+        self.transports[slot].send(from, to, msg);
+    }
+
+    fn arm(&mut self, slot: usize, id: TimerId, deadline: SimTime) {
+        self.timers.push(Reverse((deadline, slot, id)));
+    }
+
+    fn fold(&mut self, slow: &SlowPath) {
+        self.slow
+            .lock()
+            .expect("slow-path counter lock poisoned")
+            .fold(slow);
+    }
+
+    fn output(&mut self, from: ProcessId, out: O) {
+        let _ = self.out_tx.send((from, out));
+    }
 }
 
 impl<M, O> Worker<M, O>
@@ -485,7 +497,6 @@ where
     fn new(
         first: usize,
         stride: usize,
-        nodes: Vec<Hosted<M, O>>,
         out_tx: Sender<(ProcessId, O)>,
         epoch: Instant,
         slow: &Arc<Mutex<SlowPath>>,
@@ -493,92 +504,62 @@ where
         Worker {
             first,
             stride,
-            nodes,
-            out_tx,
-            timers: BinaryHeap::new(),
-            armed: HashSet::new(),
-            effects: Effects::new(),
+            host: Host::new(),
+            egress: Egress {
+                transports: Vec::new(),
+                timers: BinaryHeap::new(),
+                out_tx,
+                slow: Arc::clone(slow),
+            },
             epoch,
-            slow: Arc::clone(slow),
             source: None,
         }
+    }
+
+    /// Hosts `node` as `me` in the next slot, sending through `transport`.
+    fn adopt(
+        &mut self,
+        me: ProcessId,
+        seed: u64,
+        node: BoxedNode<M, O>,
+        transport: Box<dyn Transport<M>>,
+    ) {
+        self.host.push(me, seed, Some(node));
+        self.egress.transports.push(transport);
     }
 
     /// The slot of node `pid`, if this worker hosts it.
     fn slot(&self, pid: ProcessId) -> Option<usize> {
         let offset = pid.index().checked_sub(self.first)?;
         let slot = offset / self.stride;
-        (offset % self.stride == 0 && slot < self.nodes.len()).then_some(slot)
+        (offset % self.stride == 0 && slot < self.host.len()).then_some(slot)
     }
 
-    /// Runs one handler execution of the node in `slot` and applies what
-    /// it recorded: the one function every input of every node passes
-    /// through.
-    fn handler(
-        &mut self,
-        slot: usize,
-        f: impl FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>),
-    ) {
-        let now = SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64);
-        let hosted = &mut self.nodes[slot];
-        {
-            let mut ctx = Context::new(
-                now,
-                hosted.me,
-                &mut hosted.rng,
-                &mut hosted.next_timer,
-                &mut self.effects,
-            );
-            f(hosted.node.as_mut(), &mut ctx);
-        }
-        // The thread runtime keeps no Tracer (and `Context::new` leaves
-        // tracing off, so no trace events accumulate), but slow-path
-        // counters fold into a shared tally so thread/socket runs report
-        // the same SlowPath as sim runs.
-        let effects = &mut self.effects;
-        if !effects.slow.is_zero() {
-            self.slow
-                .lock()
-                .expect("slow-path counter lock poisoned")
-                .fold(&effects.slow);
-            effects.slow = SlowPath::default();
-        }
-        for (to, msg) in effects.sends.drain(..) {
-            hosted.transport.send(hosted.me, to, msg);
-        }
-        let base = Instant::now();
-        for (id, delay) in effects.timers_set.drain(..) {
-            let deadline = base + Duration::from_nanos(delay.as_nanos());
-            self.timers.push(Reverse((deadline, slot, id)));
-            self.armed.insert((slot, id));
-        }
-        for id in effects.timers_cancelled.drain(..) {
-            self.armed.remove(&(slot, id));
-        }
-        for out in effects.outputs.drain(..) {
-            let _ = self.out_tx.send((hosted.me, out));
-        }
+    /// Wall-clock time since the runtime started.
+    fn clock(&self) -> SimTime {
+        SimTime::from_nanos(self.epoch.elapsed().as_nanos() as u64)
     }
 
     /// Runs the handler of node `to` (if hosted here) on a message.
     fn deliver(&mut self, to: ProcessId, from: ProcessId, msg: M) {
         if let Some(slot) = self.slot(to) {
-            self.handler(slot, |n, ctx| n.on_message(from, msg, ctx));
+            self.host
+                .handle(slot, self.clock(), &mut self.egress, |n, ctx| {
+                    n.on_message(from, msg, ctx)
+                });
         }
     }
 
     /// Fires every timer that is due; returns how long until the next one.
     fn fire_due_timers(&mut self) -> Option<Duration> {
         loop {
-            let &Reverse((deadline, slot, id)) = self.timers.peek()?;
-            let wait = deadline.saturating_duration_since(Instant::now());
-            if !wait.is_zero() {
-                return Some(wait);
+            let &Reverse((deadline, slot, id)) = self.egress.timers.peek()?;
+            let now = self.clock();
+            if deadline > now {
+                return Some(Duration::from_nanos((deadline - now).as_nanos()));
             }
-            self.timers.pop();
-            if self.armed.remove(&(slot, id)) {
-                self.handler(slot, |n, ctx| n.on_timer(id, ctx));
-            }
+            self.egress.timers.pop();
+            self.host.fire(slot, id, now, &mut self.egress);
         }
     }
 
@@ -588,7 +569,7 @@ where
             Ctl::Msg { to, from, msg } => self.deliver(to, from, msg),
             Ctl::Invoke { to, f } => {
                 if let Some(slot) = self.slot(to) {
-                    self.handler(slot, f);
+                    self.host.handle(slot, self.clock(), &mut self.egress, f);
                 }
             }
             Ctl::Attach(inbound) => self.source = Some(inbound),
@@ -598,8 +579,11 @@ where
     }
 
     fn run(mut self, rx: Receiver<Ctl<M, O>>) {
-        for slot in 0..self.nodes.len() {
-            self.handler(slot, |n, ctx| n.on_start(ctx));
+        for slot in 0..self.host.len() {
+            self.host
+                .handle(slot, self.clock(), &mut self.egress, |n, ctx| {
+                    n.on_start(ctx)
+                });
         }
         let mut batch = Vec::new();
         loop {
@@ -647,50 +631,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::tests::{Echo, Pinger, TMsg};
     use crate::time::SimDuration;
     use std::any::Any;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[derive(Clone, Debug)]
-    enum TMsg {
-        Ping(u32),
-        Pong(u32),
-    }
-    impl Message for TMsg {}
-
-    struct Echo;
-    impl Node for Echo {
-        type Msg = TMsg;
-        type Out = u32;
-        fn on_message(&mut self, from: ProcessId, msg: TMsg, ctx: &mut Context<'_, TMsg, u32>) {
-            if let TMsg::Ping(v) = msg {
-                ctx.send(from, TMsg::Pong(v));
-            }
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
-    struct Pinger {
-        server: ProcessId,
-    }
-    impl Node for Pinger {
-        type Msg = TMsg;
-        type Out = u32;
-        fn on_message(&mut self, _from: ProcessId, msg: TMsg, ctx: &mut Context<'_, TMsg, u32>) {
-            if let TMsg::Pong(v) = msg {
-                ctx.output(v);
-            }
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
-    }
-
     fn pinger() -> BoxedNode<TMsg, u32> {
         Box::new(Pinger {
             server: ProcessId(0),
+            state: 0,
         })
     }
 
@@ -802,30 +751,22 @@ mod tests {
             }
         }
         let (out_tx, out_rx) = channel();
-        let hosted = (0..2)
-            .map(|i| Hosted {
-                me: ProcessId(i),
-                node: Box::new(Rounds { left: 1_600 }) as BoxedNode<TMsg, u32>,
-                transport: Box::new(LocalTransport::<TMsg, u32>::new(Vec::new())),
-                rng: DetRng::from_seed(1),
-                next_timer: 0,
-            })
-            .collect();
         let slow = Arc::new(Mutex::new(SlowPath::default()));
-        let mut worker = Worker::new(0, 1, hosted, out_tx, Instant::now(), &slow);
-        for slot in 0..2 {
-            worker.handler(slot, |n, ctx| n.on_start(ctx));
+        let mut worker = Worker::new(0, 1, out_tx, Instant::now(), &slow);
+        for i in 0..2 {
+            let transport = Box::new(LocalTransport::<TMsg, u32>::new(Vec::new()));
+            worker.adopt(ProcessId(i), 1, Box::new(Rounds { left: 1_600 }), transport);
+            let egress = &mut worker.egress;
+            worker
+                .host
+                .handle(i as usize, SimTime::ZERO, egress, |n, ctx| n.on_start(ctx));
         }
         while worker.fire_due_timers().is_some() {}
         for _ in 0..2 {
             assert_eq!(out_rx.try_recv().map(|(_, v)| v), Ok(0), "every round ran");
         }
-        assert!(worker.timers.is_empty());
-        assert!(
-            worker.armed.is_empty(),
-            "{} timers held",
-            worker.armed.len()
-        );
+        assert!(worker.egress.timers.is_empty());
+        assert_eq!(worker.host.armed(), 0, "timers held");
     }
 
     #[test]
@@ -889,6 +830,7 @@ mod tests {
             let nodes: Vec<BoxedNode<TMsg, u32>> = vec![
                 Box::new(Pinger {
                     server: ProcessId(1),
+                    state: 0,
                 }),
                 Box::new(Echo),
             ];

@@ -5,6 +5,11 @@
 //! deliveries, timer firings, injected faults) in virtual-time order. Runs
 //! are fully deterministic given the seed in [`SimConfig`].
 //!
+//! The nodes live in the crate's host core, which runs every handler and
+//! applies its effects; the simulator is the core's virtual-time
+//! backend. A send becomes a `Deliver` event and a timer a `Timer`
+//! event, on one queue ordered by (time, insertion order).
+//!
 //! # Model correspondence
 //!
 //! | Paper (§2.1)                          | Here                                  |
@@ -16,12 +21,13 @@
 //! | Byzantine servers                     | adversarial `Node` impls, [`Simulation::replace_node`] |
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
+use crate::host::{downcast, Host, Sink};
 use crate::id::{ProcessId, TimerId};
 use crate::link::{DelayModel, LinkState};
-use crate::metrics::Metrics;
-use crate::node::{Context, Effects, Message, Node};
+use crate::metrics::{Metrics, SlowPath};
+use crate::node::{Context, Message, Node};
 use crate::rng::DetRng;
 use crate::time::{SimDuration, SimTime};
 use sbs_obs::{TraceEvent, Tracer};
@@ -70,7 +76,7 @@ enum EventKind<M> {
         env: u64,
     },
     Timer {
-        pid: ProcessId,
+        slot: usize,
         id: TimerId,
     },
     Corrupt {
@@ -157,34 +163,29 @@ type GarbageGen<M> = Box<dyn FnMut(&mut DetRng, ProcessId, ProcessId) -> M>;
 /// ```
 pub struct Simulation<M: Message, O> {
     cfg: SimConfig,
-    now: SimTime,
-    seq: u64,
-    queue: BinaryHeap<Scheduled<M>>,
-    nodes: Vec<Option<Box<dyn Node<Msg = M, Out = O>>>>,
-    rngs: Vec<DetRng>,
-    /// Directed links, dense: `links[from][to]`. Process ids are small
-    /// dense integers, so the delivery path indexes instead of hashing.
-    links: Vec<Vec<Option<LinkState>>>,
-    /// Timers set and neither fired nor cancelled. A fired timer's event
-    /// fires only if its id is still here, so cancelling a timer that
-    /// already fired (or never existed) leaves nothing behind.
-    armed: HashSet<TimerId>,
-    next_timer: u64,
-    outputs: Vec<(SimTime, ProcessId, O)>,
-    metrics: Metrics,
+    /// The nodes, `ProcessId(i)` in slot `i`, and the trace ring.
+    host: Host<Box<dyn Node<Msg = M, Out = O>>, M, O>,
+    world: World<M, O>,
     garbage_gen: Option<GarbageGen<M>>,
-    net_rng: DetRng,
     fault_rng: DetRng,
-    /// Reused effect buffers: every dispatch borrows these, drains them,
-    /// and hands them back, so the per-event path stops allocating fresh
-    /// vectors once the run's high-water capacity is reached.
-    scratch: Effects<M, O>,
-    /// The protocol trace ring; disabled by default (recording is then a
-    /// single branch — no allocation, no behavioral difference).
-    tracer: Tracer,
     /// Virtual time of the most recent fault injection (node corruption
     /// or link garbage) — the stabilization probe's `τ_fault`.
     last_fault_at: Option<SimTime>,
+}
+
+/// Everything of a simulation that a handler's effects reach besides its
+/// nodes: the clock, the event queue, the links and what the run
+/// recorded. The simulator's [`Sink`].
+struct World<M, O> {
+    now: SimTime,
+    seq: u64,
+    queue: BinaryHeap<Scheduled<M>>,
+    /// Directed links, dense: `links[from][to]`. Process ids are small
+    /// dense integers, so the delivery path indexes instead of hashing.
+    links: Vec<Vec<Option<LinkState>>>,
+    outputs: Vec<(SimTime, ProcessId, O)>,
+    metrics: Metrics,
+    net_rng: DetRng,
     /// Next harness-side envelope id. Advances on every routed message
     /// regardless of tracing, touching neither the wire format nor the
     /// RNG streams, so enabling traces never perturbs schedules.
@@ -198,64 +199,61 @@ impl<M: Message, O: 'static> Simulation<M, O> {
         let fault_rng = DetRng::derive(cfg.seed, u64::MAX - 1);
         Simulation {
             cfg,
-            now: SimTime::ZERO,
-            seq: 0,
-            queue: BinaryHeap::new(),
-            nodes: Vec::new(),
-            rngs: Vec::new(),
-            links: Vec::new(),
-            armed: HashSet::new(),
-            next_timer: 0,
-            outputs: Vec::new(),
-            metrics: Metrics::default(),
+            host: Host::new(),
+            world: World {
+                now: SimTime::ZERO,
+                seq: 0,
+                queue: BinaryHeap::new(),
+                links: Vec::new(),
+                outputs: Vec::new(),
+                metrics: Metrics::default(),
+                net_rng,
+                next_env: 0,
+            },
             garbage_gen: None,
-            net_rng,
             fault_rng,
-            scratch: Effects::new(),
-            tracer: Tracer::disabled(),
             last_fault_at: None,
-            next_env: 0,
         }
     }
 
     /// The current virtual time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.world.now
     }
 
     /// Number of registered processes (including reserved-but-unfilled ids).
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.host.len()
     }
 
     /// True if no processes are registered.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.host.len() == 0
     }
 
     /// Timers set and neither fired nor cancelled yet. Zero once the
     /// event queue has drained.
     pub fn armed_timers(&self) -> usize {
-        self.armed.len()
+        self.host.armed()
     }
 
     /// Run counters accumulated so far.
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.world.metrics
     }
 
     /// Enables protocol tracing into a bounded ring of `capacity` events.
     /// Tracing is off by default; enabling it changes no protocol
     /// behavior, message counts, or byte counts — only what is recorded.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer = Tracer::bounded(capacity);
+        self.host.tracer = Tracer::bounded(capacity);
     }
 
     /// The trace ring (empty and inert unless
     /// [`Simulation::enable_tracing`] was called). Export with
     /// [`Tracer::to_jsonl`] or [`Tracer::to_chrome_trace`].
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        &self.host.tracer
     }
 
     /// Virtual time of the most recent fault injection (scheduled node
@@ -269,9 +267,8 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// nodes with cyclic references to each other can be constructed.
     /// Fill it with [`Simulation::add_node_at`].
     pub fn reserve_id(&mut self) -> ProcessId {
-        let id = ProcessId(self.nodes.len() as u32);
-        self.nodes.push(None);
-        self.rngs.push(DetRng::derive(self.cfg.seed, id.0 as u64));
+        let id = ProcessId(self.host.len() as u32);
+        self.host.push(id, self.cfg.seed, None);
         id
     }
 
@@ -290,13 +287,13 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     ///
     /// Panics if `id` was not reserved or is already filled.
     pub fn add_node_at(&mut self, id: ProcessId, node: impl Node<Msg = M, Out = O>) {
-        let slot = self
-            .nodes
-            .get_mut(id.index())
-            .unwrap_or_else(|| panic!("{id} was never reserved"));
+        assert!(id.index() < self.host.len(), "{id} was never reserved");
+        let slot = self.host.node_box(id.index());
         assert!(slot.is_none(), "{id} is already occupied");
         *slot = Some(Box::new(node));
-        self.dispatch(id, |node, ctx| node.on_start(ctx));
+        let world = &mut self.world;
+        self.host
+            .handle(id.index(), world.now, world, |node, ctx| node.on_start(ctx));
     }
 
     /// Replaces the node at `id` (e.g. a correct server turning Byzantine,
@@ -311,13 +308,10 @@ impl<M: Message, O: 'static> Simulation<M, O> {
         id: ProcessId,
         node: impl Node<Msg = M, Out = O>,
     ) -> Box<dyn Node<Msg = M, Out = O>> {
-        let slot = self
-            .nodes
-            .get_mut(id.index())
-            .unwrap_or_else(|| panic!("{id} was never reserved"));
-        let old = slot.take().unwrap_or_else(|| panic!("{id} is empty"));
-        *slot = Some(Box::new(node));
-        self.dispatch(id, |node, ctx| node.on_start(ctx));
+        assert!(id.index() < self.host.len(), "{id} was never reserved");
+        let old = self.host.node_box(id.index()).take();
+        let old = old.unwrap_or_else(|| panic!("{id} is empty"));
+        self.add_node_at(id, node);
         old
     }
 
@@ -325,30 +319,15 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// replacing any existing link.
     pub fn add_link(&mut self, from: ProcessId, to: ProcessId, delay: DelayModel) {
         let (f, t) = (from.index(), to.index());
-        if self.links.len() <= f {
-            self.links.resize_with(f + 1, Vec::new);
+        let links = &mut self.world.links;
+        if links.len() <= f {
+            links.resize_with(f + 1, Vec::new);
         }
-        let row = &mut self.links[f];
+        let row = &mut links[f];
         if row.len() <= t {
             row.resize_with(t + 1, || None);
         }
         row[t] = Some(LinkState::new(delay));
-    }
-
-    /// The link `from -> to`, if registered.
-    fn link(&self, from: ProcessId, to: ProcessId) -> Option<&LinkState> {
-        self.links
-            .get(from.index())
-            .and_then(|row| row.get(to.index()))
-            .and_then(Option::as_ref)
-    }
-
-    /// Mutable access to the link `from -> to`, if registered.
-    fn link_mut(&mut self, from: ProcessId, to: ProcessId) -> Option<&mut LinkState> {
-        self.links
-            .get_mut(from.index())
-            .and_then(|row| row.get_mut(to.index()))
-            .and_then(Option::as_mut)
     }
 
     /// Adds both directed links between `a` and `b`.
@@ -369,14 +348,17 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     ///
     /// Panics if the link does not exist.
     pub fn set_link_delay(&mut self, from: ProcessId, to: ProcessId, delay: DelayModel) {
-        self.link_mut(from, to)
+        self.world
+            .link_mut(from, to)
             .unwrap_or_else(|| panic!("no link {from} -> {to}"))
             .set_delay(delay);
     }
 
     /// The known delay upper bound of the link `from -> to`, if any.
     pub fn link_bound(&self, from: ProcessId, to: ProcessId) -> Option<SimDuration> {
-        self.link(from, to).and_then(|l| l.delay().upper_bound())
+        self.world
+            .link(from, to)
+            .and_then(|l| l.delay().upper_bound())
     }
 
     /// Installs the generator used by [`Simulation::schedule_link_garbage`]
@@ -392,7 +374,7 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// Schedules a transient-fault corruption of `pid`'s local state at
     /// absolute time `at` (via [`Node::on_corrupt`]).
     pub fn schedule_corruption(&mut self, at: SimTime, pid: ProcessId) {
-        self.push(at, EventKind::Corrupt { pid });
+        self.world.push(at, EventKind::Corrupt { pid });
     }
 
     /// Schedules `count` garbage messages to be injected into the link
@@ -407,16 +389,16 @@ impl<M: Message, O: 'static> Simulation<M, O> {
         count: usize,
     ) {
         for _ in 0..count {
-            self.push(at, EventKind::InjectGarbage { from, to });
+            self.world.push(at, EventKind::InjectGarbage { from, to });
         }
     }
 
     /// Immediately discards every message currently in flight on the link
     /// `from -> to` (transient fault wiping channel contents).
     pub fn wipe_link(&mut self, from: ProcessId, to: ProcessId) {
-        if let Some(link) = self.link_mut(from, to) {
+        if let Some(link) = self.world.link_mut(from, to) {
             link.bump_generation();
-            self.last_fault_at = Some(self.now);
+            self.last_fault_at = Some(self.world.now);
         }
     }
 
@@ -426,9 +408,9 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// restarts here, and traces the injection. The node itself is not
     /// touched — the caller has already applied the fault.
     pub fn record_fault(&mut self, pid: ProcessId, what: &'static str) {
-        self.last_fault_at = Some(self.now);
-        self.tracer.record(
-            self.now.as_nanos(),
+        self.last_fault_at = Some(self.world.now);
+        self.host.tracer.record(
+            self.world.now.as_nanos(),
             pid.0,
             TraceEvent::FaultInjected { what },
         );
@@ -449,13 +431,11 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     where
         N: Node<Msg = M, Out = O>,
     {
-        self.dispatch(pid, |node, ctx| {
-            let node = node
-                .as_any_mut()
-                .downcast_mut::<N>()
-                .unwrap_or_else(|| panic!("{} is not a {}", ctx.me(), std::any::type_name::<N>()));
-            f(node, ctx)
-        })
+        let world = &mut self.world;
+        self.host
+            .handle(pid.index(), world.now, world, |node, ctx| {
+                f(downcast(node, ctx.me()), ctx)
+            })
     }
 
     /// Read-only access to the concrete node `N` at `pid`.
@@ -467,19 +447,16 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     where
         N: Node<Msg = M, Out = O>,
     {
-        let node = self.nodes[pid.index()]
-            .as_mut()
-            .unwrap_or_else(|| panic!("{pid} is empty"));
-        let node = node
-            .as_any_mut()
-            .downcast_mut::<N>()
-            .unwrap_or_else(|| panic!("{pid} is not a {}", std::any::type_name::<N>()));
-        f(node)
+        let node = self.host.node_box(pid.index()).as_deref_mut();
+        f(downcast(
+            node.unwrap_or_else(|| panic!("{pid} is empty")),
+            pid,
+        ))
     }
 
     /// The earliest pending event time, if any event is pending.
     pub fn peek_next_time(&self) -> Option<SimTime> {
-        self.queue.peek().map(|s| s.at)
+        self.world.queue.peek().map(|s| s.at)
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
@@ -489,18 +466,20 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// Panics if the configured `max_events` cap is exceeded (livelock
     /// tripwire).
     pub fn step(&mut self) -> bool {
-        let Some(Scheduled { at, kind, .. }) = self.queue.pop() else {
+        let world = &mut self.world;
+        let Some(Scheduled { at, kind, .. }) = world.queue.pop() else {
             return false;
         };
-        debug_assert!(at >= self.now, "event from the past");
-        self.now = at;
-        self.metrics.events_processed += 1;
+        debug_assert!(at >= world.now, "event from the past");
+        world.now = at;
+        world.metrics.events_processed += 1;
         assert!(
-            self.metrics.events_processed <= self.cfg.max_events,
+            world.metrics.events_processed <= self.cfg.max_events,
             "max_events ({}) exceeded at {} — livelock?",
             self.cfg.max_events,
-            self.now
+            at
         );
+        let tracer = &mut self.host.tracer;
         match kind {
             EventKind::Deliver {
                 from,
@@ -509,14 +488,14 @@ impl<M: Message, O: 'static> Simulation<M, O> {
                 generation,
                 env,
             } => {
-                let live = self
+                let live = world
                     .link(from, to)
                     .map(|l| l.generation() == generation)
                     .unwrap_or(false);
                 if live {
-                    self.metrics.messages_delivered += 1;
-                    self.tracer.record(
-                        self.now.as_nanos(),
+                    world.metrics.messages_delivered += 1;
+                    tracer.record(
+                        at.as_nanos(),
                         to.0,
                         TraceEvent::MessageDelivered {
                             from: from.0,
@@ -524,11 +503,15 @@ impl<M: Message, O: 'static> Simulation<M, O> {
                             env,
                         },
                     );
-                    self.dispatch(to, |node, ctx| node.on_message(from, msg, ctx));
+                    self.host.handle(to.index(), at, world, |node, ctx| {
+                        node.on_message(from, msg, ctx)
+                    });
                 } else {
-                    self.metrics.record_dropped(msg.wire_bytes(), msg.is_bulk());
-                    self.tracer.record(
-                        self.now.as_nanos(),
+                    world
+                        .metrics
+                        .record_dropped(msg.wire_bytes(), msg.is_bulk());
+                    tracer.record(
+                        at.as_nanos(),
                         to.0,
                         TraceEvent::MessageDropped {
                             from: from.0,
@@ -537,21 +520,15 @@ impl<M: Message, O: 'static> Simulation<M, O> {
                     );
                 }
             }
-            EventKind::Timer { pid, id } => {
-                if self.armed.remove(&id) {
-                    self.metrics.timers_fired += 1;
-                    self.dispatch(pid, |node, ctx| node.on_timer(id, ctx));
+            EventKind::Timer { slot, id } => {
+                if self.host.fire(slot, id, at, world) {
+                    world.metrics.timers_fired += 1;
                 }
             }
             EventKind::Corrupt { pid } => {
-                self.metrics.corruptions += 1;
-                self.last_fault_at = Some(self.now);
-                self.tracer.record(
-                    self.now.as_nanos(),
-                    pid.0,
-                    TraceEvent::FaultInjected { what: "corruption" },
-                );
-                if let Some(node) = self.nodes[pid.index()].as_mut() {
+                world.metrics.corruptions += 1;
+                self.record_fault(pid, "corruption");
+                if let Some(node) = self.host.node_box(pid.index()) {
                     node.on_corrupt(&mut self.fault_rng);
                 }
             }
@@ -559,16 +536,9 @@ impl<M: Message, O: 'static> Simulation<M, O> {
                 if let Some(mut gen) = self.garbage_gen.take() {
                     let msg = gen(&mut self.fault_rng, from, to);
                     self.garbage_gen = Some(gen);
-                    self.metrics.garbage_injected += 1;
-                    self.last_fault_at = Some(self.now);
-                    self.tracer.record(
-                        self.now.as_nanos(),
-                        to.0,
-                        TraceEvent::FaultInjected {
-                            what: "link-garbage",
-                        },
-                    );
-                    self.route(from, to, msg);
+                    world.metrics.garbage_injected += 1;
+                    self.record_fault(to, "link-garbage");
+                    self.world.route(&mut self.host.tracer, from, to, msg);
                 }
             }
         }
@@ -584,14 +554,14 @@ impl<M: Message, O: 'static> Simulation<M, O> {
             }
             self.step();
         }
-        if self.now < t {
-            self.now = t;
+        if self.world.now < t {
+            self.world.now = t;
         }
     }
 
     /// Processes all events for the next `d` of virtual time.
     pub fn run_for(&mut self, d: SimDuration) {
-        let t = self.now + d;
+        let t = self.world.now + d;
         self.run_until(t);
     }
 
@@ -612,13 +582,11 @@ impl<M: Message, O: 'static> Simulation<M, O> {
     /// Drains the output events emitted since the last call, as
     /// `(time, emitting process, event)` triples in emission order.
     pub fn take_outputs(&mut self) -> Vec<(SimTime, ProcessId, O)> {
-        std::mem::take(&mut self.outputs)
+        std::mem::take(&mut self.world.outputs)
     }
+}
 
-    // ------------------------------------------------------------------
-    // internals
-    // ------------------------------------------------------------------
-
+impl<M: Message, O> World<M, O> {
     fn push(&mut self, at: SimTime, kind: EventKind<M>) {
         let at = if at < self.now { self.now } else { at };
         let seq = self.seq;
@@ -626,8 +594,24 @@ impl<M: Message, O: 'static> Simulation<M, O> {
         self.queue.push(Scheduled { at, seq, kind });
     }
 
+    /// The link `from -> to`, if registered.
+    fn link(&self, from: ProcessId, to: ProcessId) -> Option<&LinkState> {
+        self.links
+            .get(from.index())
+            .and_then(|row| row.get(to.index()))
+            .and_then(Option::as_ref)
+    }
+
+    /// Mutable access to the link `from -> to`, if registered.
+    fn link_mut(&mut self, from: ProcessId, to: ProcessId) -> Option<&mut LinkState> {
+        self.links
+            .get_mut(from.index())
+            .and_then(|row| row.get_mut(to.index()))
+            .and_then(Option::as_mut)
+    }
+
     /// Routes one message over the link `from -> to`, enforcing FIFO.
-    fn route(&mut self, from: ProcessId, to: ProcessId, msg: M) {
+    fn route(&mut self, tracer: &mut Tracer, from: ProcessId, to: ProcessId, msg: M) {
         // Field-level indexed access (not `link_mut`) so the link borrow
         // stays disjoint from `net_rng`.
         let link = self
@@ -642,7 +626,7 @@ impl<M: Message, O: 'static> Simulation<M, O> {
         self.next_env += 1;
         self.metrics
             .record_send(from, to, msg.label(), msg.wire_bytes(), msg.is_bulk());
-        self.tracer.record(
+        tracer.record(
             self.now.as_nanos(),
             from.0,
             TraceEvent::MessageSent {
@@ -663,90 +647,53 @@ impl<M: Message, O: 'static> Simulation<M, O> {
             },
         );
     }
+}
 
-    fn dispatch<R>(
-        &mut self,
-        pid: ProcessId,
-        f: impl FnOnce(&mut dyn Node<Msg = M, Out = O>, &mut Context<'_, M, O>) -> R,
-    ) -> R {
-        let mut node = self.nodes[pid.index()]
-            .take()
-            .unwrap_or_else(|| panic!("{pid} has no node (reserved but never filled?)"));
-        // Dispatches never nest, so every handler records into the same
-        // reusable buffers instead of allocating fresh ones per event.
-        let mut effects = std::mem::take(&mut self.scratch);
-        let result = {
-            let mut ctx = Context::new(
-                self.now,
-                pid,
-                &mut self.rngs[pid.index()],
-                &mut self.next_timer,
-                &mut effects,
-            );
-            ctx.tracing = self.tracer.is_enabled();
-            f(node.as_mut(), &mut ctx)
-        };
-        self.nodes[pid.index()] = Some(node);
-        self.apply_effects(pid, &mut effects);
-        self.scratch = effects;
-        result
+impl<M: Message, O> Sink<M, O> for World<M, O> {
+    fn send(&mut self, tracer: &mut Tracer, _: usize, from: ProcessId, to: ProcessId, msg: M) {
+        self.route(tracer, from, to, msg);
     }
 
-    /// Applies and drains `effects`, leaving its buffers empty but with
-    /// their capacity intact (they are the dispatch scratch space).
-    fn apply_effects(&mut self, pid: ProcessId, effects: &mut Effects<M, O>) {
-        if effects.is_empty() {
-            return;
-        }
-        for (to, msg) in effects.sends.drain(..) {
-            self.route(pid, to, msg);
-        }
-        for (id, delay) in effects.timers_set.drain(..) {
-            self.armed.insert(id);
-            self.push(self.now + delay, EventKind::Timer { pid, id });
-        }
-        for id in effects.timers_cancelled.drain(..) {
-            self.armed.remove(&id);
-        }
-        for out in effects.outputs.drain(..) {
-            self.outputs.push((self.now, pid, out));
-        }
-        if !effects.slow.is_zero() {
-            self.metrics.slow_paths.fold(&effects.slow);
-            effects.slow = crate::metrics::SlowPath::default();
-        }
-        for event in effects.trace.drain(..) {
-            self.tracer.record(self.now.as_nanos(), pid.0, event);
-        }
+    fn arm(&mut self, slot: usize, id: TimerId, deadline: SimTime) {
+        self.push(deadline, EventKind::Timer { slot, id });
+    }
+
+    fn fold(&mut self, slow: &SlowPath) {
+        self.metrics.slow_paths.fold(slow);
+    }
+
+    fn output(&mut self, from: ProcessId, out: O) {
+        self.outputs.push((self.now, from, out));
     }
 }
 
 impl<M: Message, O> std::fmt::Debug for Simulation<M, O> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let world = &self.world;
         f.debug_struct("Simulation")
-            .field("now", &self.now)
-            .field("nodes", &self.nodes.len())
+            .field("now", &world.now)
+            .field("nodes", &self.host.len())
             .field(
                 "links",
-                &self
+                &world
                     .links
                     .iter()
                     .map(|row| row.iter().filter(|l| l.is_some()).count())
                     .sum::<usize>(),
             )
-            .field("pending_events", &self.queue.len())
-            .field("metrics", &self.metrics)
+            .field("pending_events", &world.queue.len())
+            .field("metrics", &world.metrics)
             .finish()
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::any::Any;
 
     #[derive(Clone, Debug, PartialEq)]
-    enum TMsg {
+    pub(crate) enum TMsg {
         Ping(u32),
         Pong(u32),
     }
@@ -760,7 +707,7 @@ mod tests {
     }
 
     /// Echoes every Ping back as a Pong with the same payload.
-    struct Echo;
+    pub(crate) struct Echo;
     impl Node for Echo {
         type Msg = TMsg;
         type Out = u32;
@@ -775,9 +722,9 @@ mod tests {
     }
 
     /// Sends pings on demand; outputs payloads of received pongs.
-    struct Pinger {
-        server: ProcessId,
-        state: u64,
+    pub(crate) struct Pinger {
+        pub(crate) server: ProcessId,
+        pub(crate) state: u64,
     }
     impl Pinger {
         fn ping(&mut self, v: u32, ctx: &mut Context<'_, TMsg, u32>) {
@@ -875,7 +822,7 @@ mod tests {
 
     impl Simulation<TMsg, u32> {
         fn node_ids_for_test(&self) -> Vec<ProcessId> {
-            (0..self.nodes.len() as u32).map(ProcessId).collect()
+            (0..self.host.len() as u32).map(ProcessId).collect()
         }
     }
 

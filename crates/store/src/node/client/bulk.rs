@@ -319,7 +319,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
     /// round tag.
     pub(super) fn request_fetch(&mut self, shard: u32, vref: ValueRef) -> Fetch<V> {
         let tag = self.next_bulk_tag;
-        self.next_bulk_tag += 1;
+        self.next_bulk_tag = tag.wrapping_add(1);
         let fetch = Fetch {
             vref,
             tag,
@@ -611,7 +611,7 @@ impl<V: Payload + BulkCodec> StoreClientNode<V> {
                     fetch.rounds += 1;
                     fetch.bad.clear();
                     fetch.tag = self.next_bulk_tag;
-                    self.next_bulk_tag += 1;
+                    self.next_bulk_tag = self.next_bulk_tag.wrapping_add(1);
                     let (shard, round) = (res.shard, fetch.rounds);
                     ctx.note_retransmit();
                     ctx.trace(TraceEvent::Retransmit { shard, round });

@@ -68,6 +68,8 @@
 
 mod bulk;
 mod phase;
+#[cfg(test)]
+mod tests;
 
 use super::{DataPlane, StorePayload, StoreWire};
 use crate::batcher::DestBatcher;
